@@ -381,6 +381,15 @@ func (a *Agent) queryBinary(req QueryRequest) (SeriesBody, error) {
 // FetchModel downloads the service's trained model for local inference —
 // the fallback path when the control node is unreachable between samples.
 func (a *Agent) FetchModel() (*core.HighRPM, error) {
+	data, err := a.fetchModelBytes()
+	if err != nil {
+		return nil, err
+	}
+	return core.Unmarshal(data)
+}
+
+// fetchModelBytes downloads the serialised model without decoding it.
+func (a *Agent) fetchModelBytes() ([]byte, error) {
 	if err := a.writeEnv(KindModel, struct{}{}); err != nil {
 		return nil, err
 	}
@@ -397,7 +406,7 @@ func (a *Agent) FetchModel() (*core.HighRPM, error) {
 		if err := DecodeBody(env, &mb); err != nil {
 			return nil, err
 		}
-		return core.Unmarshal(mb.Data)
+		return mb.Data, nil
 	case KindError:
 		var eb ErrorBody
 		if err := DecodeBody(env, &eb); err != nil {

@@ -53,7 +53,7 @@ func BenchmarkServiceHandle(b *testing.B) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		svc.handle(server)
+		svc.srv.serveConn(server)
 	}()
 	r := bufio.NewReader(client)
 	w := bufio.NewWriter(client)

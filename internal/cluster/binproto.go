@@ -93,6 +93,10 @@ func newBinFramer(r *bufio.Reader, w *bufio.Writer, maxFrame int) *binFramer {
 
 // readFrame reads one binary frame, returning the kind and its payload.
 // The payload aliases the framer's scratch — valid until the next read.
+// A binKindJSON payload gets a buffer of its own instead: the escape hatch
+// carries the one outsized message a connection ever sees (the model
+// transfer), and a pooled connection must not keep scratch that size for
+// the rest of its life.
 func (f *binFramer) readFrame() (byte, []byte, error) {
 	if _, err := io.ReadFull(f.r, f.lenBuf[:]); err != nil {
 		return 0, nil, err
@@ -107,6 +111,10 @@ func (f *binFramer) readFrame() (byte, []byte, error) {
 	kind, err := f.r.ReadByte()
 	if err != nil {
 		return 0, nil, err
+	}
+	if kind == binKindJSON {
+		buf, err := readFrame(f.r, int(n)-1)
+		return kind, buf, err
 	}
 	buf, err := readFrameInto(f.r, f.rbuf, int(n)-1)
 	if buf != nil {
@@ -125,15 +133,23 @@ func (f *binFramer) begin(kind byte) {
 	f.wbuf = append(f.wbuf[:0], kind)
 }
 
-func (f *binFramer) end() error {
-	if len(f.wbuf) > f.maxFrame {
-		return fmt.Errorf("%w: binary frame is %d bytes, cap %d", ErrFrameTooLarge, len(f.wbuf), f.maxFrame)
+func (f *binFramer) end() error { return f.endWith(nil) }
+
+// endWith finishes the frame begun in the write scratch with tail appended
+// on the wire only — a body too large to be worth keeping scratch for.
+func (f *binFramer) endWith(tail []byte) error {
+	n := len(f.wbuf) + len(tail)
+	if n > f.maxFrame {
+		return fmt.Errorf("%w: binary frame is %d bytes, cap %d", ErrFrameTooLarge, n, f.maxFrame)
 	}
-	binary.BigEndian.PutUint32(f.lenBuf[:], uint32(len(f.wbuf)))
+	binary.BigEndian.PutUint32(f.lenBuf[:], uint32(n))
 	if _, err := f.w.Write(f.lenBuf[:]); err != nil {
 		return err
 	}
-	_, err := f.w.Write(f.wbuf)
+	if _, err := f.w.Write(f.wbuf); err != nil {
+		return err
+	}
+	_, err := f.w.Write(tail)
 	return err
 }
 
@@ -598,7 +614,9 @@ func (f *binFramer) readHello(payload []byte) (Hello, error) {
 }
 
 // writeJSONEnvelope wraps one JSON envelope in a binKindJSON frame — the
-// transport for kinds without a native binary layout (stats, model).
+// transport for kinds without a native binary layout (stats, model). The
+// marshalled envelope goes out as it is, not through the write scratch,
+// for the reason readFrame gives.
 func (f *binFramer) writeJSONEnvelope(kind MsgKind, body any) error {
 	raw, err := json.Marshal(body)
 	if err != nil {
@@ -609,8 +627,7 @@ func (f *binFramer) writeJSONEnvelope(kind MsgKind, body any) error {
 		return err
 	}
 	f.begin(binKindJSON)
-	f.wbuf = append(f.wbuf, env...)
-	return f.end()
+	return f.endWith(env)
 }
 
 // readJSONEnvelope parses a binKindJSON payload.

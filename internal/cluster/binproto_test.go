@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"net"
 	"testing"
@@ -519,6 +521,7 @@ func TestResilientBatchDegradedReplay(t *testing.T) {
 // sample must not allocate at all. Everything lives in the framer scratch
 // — the write buffer, the read buffer, the PMC slice, the interned node.
 func TestBinaryCodecZeroAlloc(t *testing.T) {
+	checkNoLeaks(t)
 	pmc := benchPMC()
 	meas := 90.5
 	var buf bytes.Buffer
@@ -554,6 +557,50 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, iter); allocs != 0 {
 		t.Fatalf("binary sample round trip allocates %.1f times per op, want 0", allocs)
 	}
+
+	// The same guard through the shared serve loop and its Handler
+	// interface: request decode, dispatch, handler call and reply framing
+	// over a live connection must add nothing per frame. The stub handler
+	// answers from the arguments alone, so every allocation counted here
+	// would be the loop's own.
+	srv := NewServer("test", stubHandler{}, ServiceOptions{}, t.Logf)
+	client, server := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- srv.serveConn(server) }()
+	cf := handshakeBinary(t, client, "node-alloc")
+	batch := []BatchSample{{Time: 1, PMC: pmc}, {Time: 2, PMC: pmc, Measured: &meas}}
+	roundTrip := func() {
+		if err := cf.writeSample("node-alloc", 42.5, pmc, &meas); err != nil {
+			t.Fatal(err)
+		}
+		if err := cf.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		kind, payload, err := cf.readFrame()
+		if err != nil || kind != binKindEstimate {
+			t.Fatalf("sample reply: kind %d err %v", kind, err)
+		}
+		if est, err := cf.readEstimate(payload); err != nil || est.PNode != meas {
+			t.Fatalf("sample reply: %+v err %v", est, err)
+		}
+		if err := cf.writeRecordBatch("node-alloc", batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := cf.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if kind, _, err := cf.readFrame(); err != nil || kind != binKindEstimateBatch {
+			t.Fatalf("batch reply: kind %d err %v", kind, err)
+		}
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+		t.Fatalf("serve loop allocates %.1f times per sample+batch round trip, want 0", allocs)
+	}
+	client.Close()
+	if err := <-done; err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("serve loop exit: %v", err)
+	}
 }
 
 // BenchmarkServiceHandleBinary is BenchmarkServiceHandle's binary twin:
@@ -569,7 +616,7 @@ func BenchmarkServiceHandleBinary(b *testing.B) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		svc.handle(server)
+		svc.srv.serveConn(server)
 	}()
 	r := bufio.NewReader(client)
 	w := bufio.NewWriter(client)

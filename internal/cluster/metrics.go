@@ -132,10 +132,7 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 // Health reports the service's readiness for the obs /readyz probe:
 // ready while the listener is up and the service has not been closed.
 func (s *Service) Health() obs.Health {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed || s.ln == nil {
+	if !s.srv.Listening() {
 		return obs.Health{Ready: false, Detail: "service not listening"}
 	}
 	return obs.Health{Ready: true}

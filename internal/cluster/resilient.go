@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"highrpm/internal/core"
@@ -131,6 +133,7 @@ type ResilientAgent struct {
 
 	agent    *Agent        // nil while disconnected
 	model    *core.HighRPM // last fetched snapshot
+	models   *ModelCache   // shared decode table (nil: decode privately)
 	localMon *core.Monitor // per-episode fallback monitor (nil between episodes)
 	buffer   []Sample      // degraded samples awaiting replay, oldest first
 	batch    batcher       // pending Record samples awaiting a flush
@@ -145,11 +148,57 @@ type ResilientAgent struct {
 	counters AgentCounters
 }
 
+// ModelCache interns decoded model snapshots by the SHA-256 of their
+// bytes, for a process that pools many ResilientAgents against services
+// sharing one model (the fleet router holds a hundred-odd). Every agent
+// still fetches its own snapshot on every connect — resync semantics and
+// ModelSyncs are unchanged — but identical bytes decode once and the agents
+// share the result, which is safe because a Monitor only reads its model.
+// The zero value is ready to use.
+type ModelCache struct {
+	mu     sync.Mutex
+	models map[[sha256.Size]byte]*core.HighRPM
+}
+
+// maxCachedModels bounds the table. A fleet serves one model per training
+// run, so more than a few distinct snapshots means old ones are dead
+// weight; dropping them only costs a repeat decode.
+const maxCachedModels = 4
+
+// decode returns the model for one snapshot's bytes, decoding on first
+// sight. A nil cache decodes privately.
+func (c *ModelCache) decode(data []byte) (*core.HighRPM, error) {
+	if c == nil {
+		return core.Unmarshal(data)
+	}
+	key := sha256.Sum256(data)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m, ok := c.models[key]; ok {
+		return m, nil
+	}
+	m, err := core.Unmarshal(data)
+	if err != nil {
+		return nil, err
+	}
+	if c.models == nil || len(c.models) >= maxCachedModels {
+		c.models = map[[sha256.Size]byte]*core.HighRPM{}
+	}
+	c.models[key] = m
+	return m, nil
+}
+
 // DialResilient connects a ResilientAgent to the service: it dials,
 // registers the node, and fetches the model snapshot the degraded-mode
 // fallback will run on. The initial connect must succeed — without a
 // snapshot there is nothing to degrade to.
 func DialResilient(addr, nodeID string, opts AgentOptions) (*ResilientAgent, error) {
+	return DialResilientShared(addr, nodeID, opts, nil)
+}
+
+// DialResilientShared is DialResilient with the decoded snapshot interned
+// in models (nil: a private decode, exactly DialResilient).
+func DialResilientShared(addr, nodeID string, opts AgentOptions, models *ModelCache) (*ResilientAgent, error) {
 	if opts.SendRetries < 1 {
 		opts.SendRetries = 1
 	}
@@ -174,6 +223,7 @@ func DialResilient(addr, nodeID string, opts AgentOptions) (*ResilientAgent, err
 		opts:    opts,
 		backoff: opts.BackoffMin,
 		rng:     rand.New(rand.NewSource(opts.Seed)),
+		models:  models,
 	}
 	ra.batch.opts = opts.Batch
 	agent, model, err := ra.connect()
@@ -197,8 +247,12 @@ func (ra *ResilientAgent) connect() (*Agent, *core.HighRPM, error) {
 	if ra.opts.DialTimeout > 0 {
 		agent.setDeadline(time.Now().Add(ra.opts.DialTimeout))
 	}
-	model, err := agent.FetchModel()
+	data, err := agent.fetchModelBytes()
 	agent.setDeadline(time.Time{})
+	var model *core.HighRPM
+	if err == nil {
+		model, err = ra.models.decode(data)
+	}
 	if err != nil {
 		_ = agent.Close()
 		return nil, nil, fmt.Errorf("cluster: model snapshot: %w", err)
@@ -227,7 +281,8 @@ func (ra *ResilientAgent) Pending() int { return len(ra.buffer) }
 // when the network cooperates, and otherwise a local-snapshot estimate
 // with Estimate.Local set — transport failures are absorbed, not
 // returned. A *ServiceError (the service rejected the sample over a
-// healthy connection) is returned as-is.
+// healthy connection) is returned as-is. pmc and measured are borrowed
+// only for the call, degraded or not.
 func (ra *ResilientAgent) Send(t float64, pmc []float64, measured *float64) (Estimate, error) {
 	if ra.closed {
 		return Estimate{}, ErrAgentClosed
@@ -267,9 +322,9 @@ func (ra *ResilientAgent) SetBatching(o BatchOptions) { ra.batch.opts = o }
 
 // Record queues one second of telemetry for batched delivery, returning
 // the estimates when a flush happened (nil estimates, nil error while the
-// sample is pending). Without batching it behaves like Send. Record copies
-// pmc, so callers may reuse their buffer immediately — unlike Send, which
-// buffers the caller's slice when degraded.
+// sample is pending). Without batching it behaves like Send. Like Send it
+// borrows pmc and measured only for the call: callers may reuse their
+// buffers immediately.
 func (ra *ResilientAgent) Record(t float64, pmc []float64, measured *float64) ([]Estimate, error) {
 	if ra.closed {
 		return nil, ErrAgentClosed
@@ -356,19 +411,17 @@ func (ra *ResilientAgent) sendBatchOnce() ([]Estimate, error) {
 // flushLocal serves the pending batch from the model snapshot, one sample
 // at a time through serveLocal — each joins the replay buffer in batch
 // order, so the later replay delivers every sample to the service in the
-// exact order it was recorded. PMC slices are copied out of the batcher's
-// reused slots before buffering.
+// exact order it was recorded. serveLocal copies each sample out of the
+// batcher's reused slots as it buffers it.
 func (ra *ResilientAgent) flushLocal() ([]Estimate, error) {
 	ests := make([]Estimate, 0, ra.batch.n)
 	for i := 0; i < ra.batch.n; i++ {
 		s := &ra.batch.slots[i]
-		pmc := append([]float64(nil), s.pmc...)
 		var measured *float64
 		if s.hasMeasured {
-			m := s.measured
-			measured = &m
+			measured = &s.measured
 		}
-		est, err := ra.serveLocal(Sample{NodeID: ra.nodeID, Time: s.t, PMC: pmc, Measured: measured})
+		est, err := ra.serveLocal(Sample{NodeID: ra.nodeID, Time: s.t, PMC: s.pmc, Measured: measured})
 		if err != nil {
 			ra.batch.reset()
 			return ests, err
@@ -444,7 +497,10 @@ func (ra *ResilientAgent) sendOnce(smp Sample) (Estimate, error) {
 
 // serveLocal answers one sample from the model snapshot and buffers it for
 // replay. It also advances the failure accounting that flips the agent to
-// ModeDegraded.
+// ModeDegraded. The buffered sample is a private copy: smp.PMC and
+// smp.Measured belong to the caller, who may overwrite them the moment
+// Send returns (a serve loop forwarding its framer scratch does). Only
+// this degraded path copies; a live send stays zero-copy.
 func (ra *ResilientAgent) serveLocal(smp Sample) (Estimate, error) {
 	ra.consecFails++
 	if ra.mode == ModeConnected && ra.consecFails >= ra.opts.FailThreshold {
@@ -461,6 +517,11 @@ func (ra *ResilientAgent) serveLocal(smp Sample) (Estimate, error) {
 	if len(ra.buffer) >= ra.opts.BufferLimit {
 		ra.buffer = ra.buffer[1:]
 		ra.counters.Dropped++
+	}
+	smp.PMC = append([]float64(nil), smp.PMC...)
+	if smp.Measured != nil {
+		m := *smp.Measured
+		smp.Measured = &m
 	}
 	ra.buffer = append(ra.buffer, smp)
 	ra.counters.Buffered++

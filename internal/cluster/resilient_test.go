@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"testing"
@@ -424,5 +425,177 @@ func TestResilientAgentServiceErrorPassesThrough(t *testing.T) {
 	est, err := ra.Send(1, pmc, &v)
 	if err != nil || est.Local {
 		t.Fatalf("connection dead after service error: %v (local=%v)", err, est.Local)
+	}
+}
+
+// TestResilientSendCopiesBufferedSample is the regression test for the
+// replay-buffer aliasing bug: Send borrows pmc and measured only for the
+// call, so a caller that reuses one buffer for every sample — the fleet
+// router forwards a connection's framer scratch — must still see the
+// values each sample had when it was sent arrive at the service on replay.
+// The caller here scribbles over its buffers after every Send; the replayed
+// history must match a reference service fed pristine copies.
+func TestResilientSendCopiesBufferedSample(t *testing.T) {
+	checkNoLeaks(t)
+	svc := NewService(sharedModel(t))
+	svc.Logf = t.Logf
+	if err := svc.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	addr := svc.Addr()
+	const nodeID = "node-alias"
+	opts := faultAgentOptions()
+	opts.SendRetries = 1
+	ra, err := DialResilient(addr, nodeID, opts)
+	if err != nil {
+		svc.Close()
+		t.Fatal(err)
+	}
+	defer ra.Close()
+
+	// ref is never dialed: it is fed the same samples in process, from
+	// copies the sender cannot touch.
+	ref := NewService(sharedModel(t))
+	ref.Logf = t.Logf
+	t.Cleanup(func() { ref.Close() })
+
+	node, err := platform.NewNode(platform.ARMConfig(), 35)
+	if err != nil {
+		svc.Close()
+		t.Fatal(err)
+	}
+	b, err := workload.Find("HPCC/FFT")
+	if err != nil {
+		svc.Close()
+		t.Fatal(err)
+	}
+	node.Attach(b)
+	var (
+		pmcBuf  []float64 // the one PMC buffer every Send borrows
+		measBuf float64   // the one IM reading every Send points at
+		sent    int
+	)
+	send := func(toRef bool) Estimate {
+		s := node.Step(1)
+		pmcBuf = append(pmcBuf[:0], s.Counters.Slice()...)
+		var measured *float64
+		if sent%3 == 0 {
+			measBuf = s.PNode
+			measured = &measBuf
+		}
+		if toRef {
+			var m *float64
+			if measured != nil {
+				v := *measured
+				m = &v
+			}
+			if _, err := ref.processSample(nodeID, s.Time, append([]float64(nil), pmcBuf...), m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		est, err := ra.Send(s.Time, pmcBuf, measured)
+		if err != nil {
+			t.Fatalf("sample %d: %v", sent, err)
+		}
+		// The borrow is over: overwrite everything Send was handed.
+		for i := range pmcBuf {
+			pmcBuf[i] = -1
+		}
+		measBuf = -1
+		sent++
+		time.Sleep(2 * time.Millisecond)
+		return est
+	}
+
+	for i := 0; i < 3; i++ {
+		send(false) // lands on svc, which is about to go away
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if est := send(true); !est.Local {
+			t.Fatalf("sample %d not served locally during the outage", sent-1)
+		}
+	}
+	if ra.Pending() != 10 {
+		t.Fatalf("%d samples buffered, want 10", ra.Pending())
+	}
+
+	svc2 := NewService(sharedModel(t))
+	svc2.Logf = t.Logf
+	if err := svc2.Listen(addr); err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	t.Cleanup(func() { svc2.Close() })
+	deadline := time.Now().Add(10 * time.Second)
+	for ra.Mode() != ModeConnected || ra.Pending() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("agent never recovered: mode %v, %d pending, counters %+v", ra.Mode(), ra.Pending(), ra.Counters())
+		}
+		send(true)
+	}
+	if c := ra.Counters(); c.Replayed != c.Buffered || c.Replayed < 10 || c.Dropped != 0 {
+		t.Fatalf("replay incomplete: %+v", c)
+	}
+
+	// svc2 saw exactly what ref saw — the backlog with its original values,
+	// then the live tail — so the two histories must be byte-identical.
+	for _, ch := range []string{"p_node", "p_cpu", "ipmi"} {
+		got, err := svc2.Store().QuerySeries(nodeID, ch, 0, float64(sent), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Store().QuerySeries(nodeID, ch, 0, float64(sent), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(want)
+		if len(want.Points) < 10 {
+			t.Fatalf("reference holds %d %s points, want at least the 10 replayed", len(want.Points), ch)
+		}
+		if string(gj) != string(wj) {
+			t.Fatalf("replayed %s history diverges from what was sent:\ngot  %s\nwant %s", ch, gj, wj)
+		}
+	}
+}
+
+// TestModelCacheSharesDecodedSnapshot: agents dialed through one ModelCache
+// each fetch their own snapshot (ModelSyncs counts it) but share a single
+// decoded model; an agent dialed without the cache keeps a private one.
+func TestModelCacheSharesDecodedSnapshot(t *testing.T) {
+	checkNoLeaks(t)
+	svc := startService(t)
+	var cache ModelCache
+	dial := func(node string, models *ModelCache) *ResilientAgent {
+		t.Helper()
+		ra, err := DialResilientShared(svc.Addr(), node, faultAgentOptions(), models)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ra.Close() })
+		return ra
+	}
+	a, b, private := dial("shared-a", &cache), dial("shared-b", &cache), dial("private", nil)
+	if a.Model() == nil || a.Model() != b.Model() {
+		t.Fatalf("cached agents hold distinct models: %p, %p", a.Model(), b.Model())
+	}
+	if private.Model() == a.Model() {
+		t.Fatal("an agent dialed without the cache shares the cached model")
+	}
+	for _, ra := range []*ResilientAgent{a, b, private} {
+		if c := ra.Counters(); c.ModelSyncs != 1 {
+			t.Fatalf("%s: ModelSyncs = %d, want 1", ra.NodeID(), c.ModelSyncs)
+		}
+	}
+	if len(cache.models) != 1 {
+		t.Fatalf("cache holds %d models for one snapshot", len(cache.models))
+	}
+	if _, err := cache.decode([]byte("not a model")); err == nil {
+		t.Fatal("garbage snapshot decoded")
+	}
+	if len(cache.models) != 1 {
+		t.Fatalf("a failed decode was cached: %d entries", len(cache.models))
 	}
 }

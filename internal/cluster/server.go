@@ -1,0 +1,510 @@
+package cluster
+
+import (
+	"bufio"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+// Handler answers the requests a Server decodes. Service (local model and
+// store) and fleet.Router (the same answers from a sharded fleet) are the
+// two implementations; the Server owns everything about the connection —
+// accept, limits, deadlines, codec negotiation, framing — so neither
+// carries a request loop of its own.
+//
+// Scratch-borrowing rule: *Sample and *RecordBatch arguments (their PMC
+// slices, their Measured pointers) alias the connection's framer scratch
+// and are valid only until the method returns. A handler that keeps any of
+// it — a replay buffer, a goroutine that outlives the call — copies first.
+//
+// An error return is answered as one error reply and the connection stays
+// up. A *ServiceError anywhere in the error's chain is relayed as its
+// Message alone, so a proxying handler passes a backend's rejection
+// through byte-identical to a direct connection.
+type Handler interface {
+	// Hello registers the node an agent announced.
+	Hello(nodeID string)
+	// Sample answers one second of telemetry.
+	Sample(smp *Sample) (Estimate, error)
+	// Batch answers a record batch with one estimate per sample, in order.
+	// dst is reply scratch the handler may append to and return.
+	Batch(rb *RecordBatch, dst []Estimate) ([]Estimate, error)
+	// Query answers a window of stored history.
+	Query(q QueryRequest) (SeriesBody, error)
+	// Stats answers the service statistics.
+	Stats() (Stats, error)
+	// Model answers the serialised model (core.Marshal output).
+	Model() ([]byte, error)
+}
+
+// ConnStats is a Server's own accounting: live and peak connections, the
+// ones refused or reaped, and the frames handled per wire codec.
+type ConnStats struct {
+	Conns, PeakConns int
+	// NodeConns maps node ID to its live connection count (connections
+	// that have said Hello); nil when no node is connected.
+	NodeConns map[string]int
+	// Rejected counts connections dropped at accept by the MaxConns cap;
+	// TimedOut the ones reaped by the read deadline.
+	Rejected, TimedOut int64
+	// BinConns counts connections that negotiated the binary codec;
+	// BinFrames/JSONFrames the requests handled per codec.
+	BinConns, BinFrames, JSONFrames int64
+}
+
+// Server is the one connection server in the tree: it accepts agents,
+// enforces ServiceOptions (connection cap, read/write deadlines, frame
+// cap), negotiates the wire codec in Hello, decodes each request in
+// whatever encoding it arrived, hands it to the Handler, and frames the
+// reply the same way. One goroutine per connection, one request in flight
+// per connection.
+type Server struct {
+	name string // log and error prefix ("cluster", "fleet")
+	h    Handler
+	opts ServiceOptions
+	logf func(format string, args ...any)
+
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]string // conn -> node ID ("" before Hello)
+	peak   int
+	closed bool
+	wg     sync.WaitGroup
+
+	rejected   atomic.Int64
+	timedOut   atomic.Int64
+	binConns   atomic.Int64
+	binFrames  atomic.Int64
+	jsonFrames atomic.Int64
+}
+
+// NewServer builds a server that answers through h. name prefixes its
+// errors and log lines; logf sinks the latter.
+func NewServer(name string, h Handler, opts ServiceOptions, logf func(format string, args ...any)) *Server {
+	if opts.MaxFrame <= 0 {
+		opts.MaxFrame = DefaultMaxFrame
+	}
+	return &Server{name: name, h: h, opts: opts, logf: logf, conns: map[net.Conn]string{}}
+}
+
+// Listen starts accepting agents on addr ("host:port"; ":0" picks a free
+// port). It returns immediately; Addr reports the bound address.
+func (s *Server) Listen(addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("%s: listen: %w", s.name, err)
+	}
+	s.mu.Lock()
+	s.ln = ln
+	s.mu.Unlock()
+	s.wg.Add(1)
+	go s.acceptLoop(ln)
+	return nil
+}
+
+// Addr returns the bound listen address ("" before Listen).
+func (s *Server) Addr() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ln == nil {
+		return ""
+	}
+	return s.ln.Addr().String()
+}
+
+// Listening reports whether the server was started and not yet stopped.
+func (s *Server) Listening() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ln != nil && !s.closed
+}
+
+// Close stops the listener, terminates open connections immediately, and
+// returns once every handler goroutine has exited — so whatever the
+// handlers write to may be torn down next. It is Shutdown without a grace
+// period; closing twice is harmless.
+func (s *Server) Close() error {
+	return s.Shutdown(0)
+}
+
+// Shutdown drains gracefully: it stops accepting, lets every handler
+// finish the request it is processing (replies are still written), reaps
+// idle connections immediately, and force-closes whatever remains after
+// grace. Like Close it returns once every handler goroutine has exited.
+func (s *Server) Shutdown(grace time.Duration) error {
+	s.mu.Lock()
+	first := !s.closed
+	s.closed = true
+	ln := s.ln
+	if first && grace > 0 {
+		// An expired read deadline unblocks handlers parked between
+		// requests without cutting off a reply in flight: a handler
+		// mid-request finishes computing, writes its reply (write deadlines
+		// are separate), and exits on its next read.
+		now := time.Now()
+		for c := range s.conns {
+			c.SetReadDeadline(now)
+		}
+	}
+	s.mu.Unlock()
+	var err error
+	if first && ln != nil {
+		err = ln.Close()
+	}
+	done := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(done)
+	}()
+	force := time.NewTimer(grace)
+	defer force.Stop()
+	select {
+	case <-done:
+	case <-force.C:
+		s.mu.Lock()
+		for c := range s.conns {
+			_ = c.Close()
+		}
+		s.mu.Unlock()
+		<-done
+	}
+	return err
+}
+
+// Stats snapshots the server's connection and codec accounting.
+func (s *Server) Stats() ConnStats {
+	out := ConnStats{
+		Rejected:   s.rejected.Load(),
+		TimedOut:   s.timedOut.Load(),
+		BinConns:   s.binConns.Load(),
+		BinFrames:  s.binFrames.Load(),
+		JSONFrames: s.jsonFrames.Load(),
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out.Conns, out.PeakConns = len(s.conns), s.peak
+	for _, id := range s.conns {
+		if id == "" {
+			continue
+		}
+		if out.NodeConns == nil {
+			out.NodeConns = map[string]int{}
+		}
+		out.NodeConns[id]++
+	}
+	return out
+}
+
+// track registers a live connection; it reports false when the server is
+// closing or at its MaxConns cap and the connection should be dropped.
+func (s *Server) track(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	if s.opts.MaxConns > 0 && len(s.conns) >= s.opts.MaxConns {
+		s.rejected.Add(1)
+		return false
+	}
+	s.conns[conn] = ""
+	if len(s.conns) > s.peak {
+		s.peak = len(s.conns)
+	}
+	return true
+}
+
+func (s *Server) untrack(conn net.Conn) {
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+}
+
+// identify binds a connection to the node that said Hello on it, for the
+// per-node accounting in ConnStats.
+func (s *Server) identify(conn net.Conn, nodeID string) {
+	s.mu.Lock()
+	if _, ok := s.conns[conn]; ok {
+		s.conns[conn] = nodeID
+	}
+	s.mu.Unlock()
+}
+
+func (s *Server) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
+
+func (s *Server) acceptLoop(ln net.Listener) {
+	defer s.wg.Done()
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			if !s.isClosed() {
+				s.logf("%s: accept: %v", s.name, err)
+			}
+			return
+		}
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			if err := s.serveConn(conn); err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+				s.logf("%s: connection %s: %v", s.name, conn.RemoteAddr(), err)
+			}
+		}()
+	}
+}
+
+// wireEnc is how one request arrived, and therefore how its reply travels.
+type wireEnc uint8
+
+const (
+	// encJSON: a length-prefixed JSON envelope (connections that never
+	// negotiated binary, and every connection's Hello).
+	encJSON wireEnc = iota
+	// encBinary: a native binary frame.
+	encBinary
+	// encWrapped: a JSON envelope inside a binKindJSON frame — the kind-0
+	// escape hatch for kinds without a native layout (stats, model).
+	encWrapped
+)
+
+// request is one decoded frame header; the body is decoded per kind.
+type request struct {
+	enc     wireEnc
+	kind    MsgKind  // "" for a binary kind byte that is not a request
+	binKind byte     // encBinary: the raw kind byte
+	env     Envelope // encJSON, encWrapped
+	payload []byte   // encBinary; aliases the framer's read scratch
+}
+
+// binRequestKinds maps the native binary request kinds onto the protocol's
+// message kinds, so one dispatch serves every encoding.
+var binRequestKinds = [...]MsgKind{
+	binKindSample:      KindSample,
+	binKindQuery:       KindQuery,
+	binKindRecordBatch: KindRecordBatch,
+}
+
+// readRequest reads the next frame in the connection's current codec.
+func (f *binFramer) readRequest(binary bool) (request, error) {
+	if !binary {
+		env, err := ReadMsgLimit(f.r, f.maxFrame)
+		return request{enc: encJSON, kind: env.Kind, env: env}, err
+	}
+	kind, payload, err := f.readFrame()
+	if err != nil {
+		return request{}, err
+	}
+	if kind == binKindJSON {
+		env, err := readJSONEnvelope(payload)
+		return request{enc: encWrapped, kind: env.Kind, env: env}, err
+	}
+	req := request{enc: encBinary, binKind: kind, payload: payload}
+	if int(kind) < len(binRequestKinds) {
+		req.kind = binRequestKinds[kind]
+	}
+	return req, nil
+}
+
+// Body decoders: strict native layouts into the framer's scratch for
+// binary frames, fresh values for JSON bodies.
+
+func (f *binFramer) requestSample(req *request) (*Sample, error) {
+	if req.enc == encBinary {
+		return f.readSample(req.payload)
+	}
+	smp := new(Sample)
+	return smp, DecodeBody(req.env, smp)
+}
+
+func (f *binFramer) requestBatch(req *request) (*RecordBatch, error) {
+	if req.enc == encBinary {
+		return f.readRecordBatch(req.payload)
+	}
+	rb := new(RecordBatch)
+	return rb, DecodeBody(req.env, rb)
+}
+
+func (f *binFramer) requestQuery(req *request) (QueryRequest, error) {
+	if req.enc == encBinary {
+		return f.readQuery(req.payload)
+	}
+	var q QueryRequest
+	return q, DecodeBody(req.env, &q)
+}
+
+// Reply writers: each frames the reply in the encoding its request
+// arrived in. Nothing reaches the connection until the caller flushes.
+
+func (f *binFramer) replyJSON(enc wireEnc, kind MsgKind, body any) error {
+	if enc == encJSON {
+		return WriteMsg(f.w, kind, body)
+	}
+	return f.writeJSONEnvelope(kind, body)
+}
+
+func (f *binFramer) replyEstimate(enc wireEnc, est *Estimate) error {
+	if enc == encBinary {
+		return f.writeEstimate(est)
+	}
+	return f.replyJSON(enc, KindEstimate, *est)
+}
+
+func (f *binFramer) replyEstimates(enc wireEnc, ests []Estimate) error {
+	if enc == encBinary {
+		return f.writeEstimateBatch(ests)
+	}
+	return f.replyJSON(enc, KindEstimateBatch, EstimateBatch{Estimates: ests})
+}
+
+func (f *binFramer) replySeries(enc wireEnc, body SeriesBody) error {
+	if enc == encBinary {
+		return f.writeSeries(body)
+	}
+	return f.replyJSON(enc, KindSeries, body)
+}
+
+func (f *binFramer) replyError(enc wireEnc, err error) error {
+	msg := err.Error()
+	var se *ServiceError
+	if errors.As(err, &se) {
+		msg = se.Message
+	}
+	if enc == encBinary {
+		return f.writeError(msg)
+	}
+	return f.replyJSON(enc, KindError, ErrorBody{Message: msg})
+}
+
+// errSeriesTooLarge answers a query whose reply would not fit one frame.
+var errSeriesTooLarge = errors.New("series reply too large; narrow the query window or coarsen the resolution")
+
+// serveConn runs one connection's request loop until the peer goes away,
+// a frame is malformed, or a deadline fires. Every connection starts on
+// JSON framing; a Hello that offers the binary codec switches it for good
+// after the (JSON) Hello reply. The loop allocates nothing per binary
+// frame: requests decode into the framer's scratch and replies are built
+// in it.
+func (s *Server) serveConn(conn net.Conn) error {
+	defer conn.Close()
+	if !s.track(conn) {
+		return nil
+	}
+	defer s.untrack(conn)
+	f := newBinFramer(bufio.NewReader(conn), bufio.NewWriter(conn), s.opts.MaxFrame)
+	binary := false
+	var ests []Estimate // reused batch-reply scratch
+	for {
+		if s.opts.ReadTimeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
+		}
+		req, err := f.readRequest(binary)
+		if err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() && !s.isClosed() {
+				s.timedOut.Add(1)
+			}
+			return err
+		}
+		if s.opts.WriteTimeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+		}
+		if binary {
+			s.binFrames.Add(1)
+		} else {
+			s.jsonFrames.Add(1)
+		}
+		// herr is the handler's refusal (answered as an error reply), werr a
+		// failure to frame or write the reply (fatal to the connection).
+		var herr, werr error
+		switch req.kind {
+		case KindHello:
+			var h Hello
+			if err := DecodeBody(req.env, &h); err != nil {
+				return err
+			}
+			s.h.Hello(h.NodeID)
+			s.identify(conn, h.NodeID)
+			reply := Hello{NodeID: h.NodeID}
+			for _, c := range h.Codecs {
+				if c == CodecBinary {
+					reply.Codec = CodecBinary
+				}
+			}
+			if binary {
+				reply.Codec = CodecBinary // a redundant hello; the codec is settled
+			}
+			werr = f.replyJSON(req.enc, KindHello, reply)
+			if !binary && reply.Codec == CodecBinary {
+				// The JSON reply just framed is this connection's last JSON
+				// frame; every later one is binary.
+				binary = true
+				s.binConns.Add(1)
+			}
+		case KindSample:
+			smp, err := f.requestSample(&req)
+			if err != nil {
+				return err
+			}
+			var est Estimate
+			if est, herr = s.h.Sample(smp); herr == nil {
+				werr = f.replyEstimate(req.enc, &est)
+			}
+		case KindRecordBatch:
+			rb, err := f.requestBatch(&req)
+			if err != nil {
+				return err
+			}
+			if ests, herr = s.h.Batch(rb, ests[:0]); herr == nil {
+				werr = f.replyEstimates(req.enc, ests)
+			}
+		case KindQuery:
+			q, err := f.requestQuery(&req)
+			if err != nil {
+				return err
+			}
+			var body SeriesBody
+			if body, herr = s.h.Query(q); herr == nil {
+				werr = f.replySeries(req.enc, body)
+				if errors.Is(werr, ErrFrameTooLarge) {
+					// Nothing was written yet (a frame is sized before its
+					// length prefix goes out); tell the agent to narrow the
+					// window instead of killing the connection.
+					werr, herr = nil, errSeriesTooLarge
+				}
+			}
+		case KindStats:
+			var st Stats
+			if st, herr = s.h.Stats(); herr == nil {
+				werr = f.replyJSON(req.enc, KindStats, st)
+			}
+		case KindModel:
+			var data []byte
+			if data, herr = s.h.Model(); herr == nil {
+				werr = f.replyJSON(req.enc, KindModel, ModelBody{Data: data})
+			}
+		default:
+			if req.enc == encBinary {
+				herr = fmt.Errorf("unknown binary kind %d", req.binKind)
+			} else {
+				herr = fmt.Errorf("unknown kind %q", req.kind)
+			}
+		}
+		if herr != nil {
+			werr = f.replyError(req.enc, herr)
+		}
+		if werr != nil {
+			return werr
+		}
+		if err := f.w.Flush(); err != nil {
+			return err
+		}
+	}
+}

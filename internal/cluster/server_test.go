@@ -1,0 +1,340 @@
+package cluster
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"net"
+	"testing"
+	"time"
+)
+
+// stubHandler is a Handler that answers from its arguments alone — no
+// model, no store — so a test of the Server measures the Server. With
+// maxFrame set it also polices the decode bound: nothing a request decodes
+// to may be out of proportion to the frame cap it arrived under.
+type stubHandler struct {
+	tb       testing.TB
+	maxFrame int
+}
+
+// checkDecoded fails the test when a request decoded to more than its
+// frame could have carried. A binary value costs its own 8 bytes on the
+// wire and a JSON one at least 2 ("0,"), hence the factor.
+func (h stubHandler) checkDecoded(values int) {
+	if h.maxFrame > 0 && 8*values > 4*h.maxFrame {
+		h.tb.Errorf("request decoded to %d values under a %d-byte frame cap", values, h.maxFrame)
+	}
+}
+
+func (h stubHandler) Hello(string) {}
+
+func (h stubHandler) Sample(smp *Sample) (Estimate, error) {
+	h.checkDecoded(len(smp.PMC))
+	if len(smp.PMC) == 0 {
+		return Estimate{}, errors.New("stub: empty sample")
+	}
+	est := Estimate{NodeID: smp.NodeID, Time: smp.Time}
+	if smp.Measured != nil {
+		est.PNode, est.FromMeasurement = *smp.Measured, true
+	}
+	return est, nil
+}
+
+func (h stubHandler) Batch(rb *RecordBatch, dst []Estimate) ([]Estimate, error) {
+	values := 0
+	for i := range rb.Samples {
+		values += len(rb.Samples[i].PMC) + 1
+		dst = append(dst, Estimate{NodeID: rb.NodeID, Time: rb.Samples[i].Time})
+	}
+	h.checkDecoded(values)
+	if len(rb.Samples) == 0 {
+		// What a proxying handler returns when its backend refused.
+		return dst, &ServiceError{Message: "stub: empty batch"}
+	}
+	return dst, nil
+}
+
+// Query answers one point per second of the window (at most 4096), so a
+// wide window under a small frame cap exercises the too-large fallback.
+func (h stubHandler) Query(q QueryRequest) (SeriesBody, error) {
+	h.checkDecoded((len(q.NodeID) + len(q.Channel)) / 8)
+	if q.Channel == "" {
+		return SeriesBody{}, errors.New("stub: no channel")
+	}
+	n := 0
+	if d := q.To - q.From; d > 0 {
+		n = int(min(d, 4096))
+	}
+	return SeriesBody{NodeID: q.NodeID, Channel: q.Channel, ResolutionS: q.ResolutionS, Points: make([]SeriesPoint, n)}, nil
+}
+
+func (h stubHandler) Stats() (Stats, error) { return Stats{Nodes: 1}, nil }
+
+func (h stubHandler) Model() ([]byte, error) { return []byte("stub-model"), nil }
+
+// handshakeBinary says Hello with a binary offer on conn and returns the
+// client-side framer once the server has accepted it.
+func handshakeBinary(t testing.TB, conn net.Conn, nodeID string) *binFramer {
+	t.Helper()
+	r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+	if err := WriteMsg(w, KindHello, Hello{NodeID: nodeID, Codecs: []string{CodecBinary}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	env, err := ReadMsg(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply Hello
+	if err := DecodeBody(env, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if reply.Codec != CodecBinary {
+		t.Fatalf("negotiated %q, want binary", reply.Codec)
+	}
+	return newBinFramer(r, w, DefaultMaxFrame)
+}
+
+// scriptConn is a net.Conn that plays a fixed byte stream to the server
+// and records what the server writes back.
+type scriptConn struct {
+	in  *bytes.Reader
+	out bytes.Buffer
+}
+
+func (c *scriptConn) Read(p []byte) (int, error)       { return c.in.Read(p) }
+func (c *scriptConn) Write(p []byte) (int, error)      { return c.out.Write(p) }
+func (c *scriptConn) Close() error                     { return nil }
+func (c *scriptConn) LocalAddr() net.Addr              { return scriptAddr{} }
+func (c *scriptConn) RemoteAddr() net.Addr             { return scriptAddr{} }
+func (c *scriptConn) SetDeadline(time.Time) error      { return nil }
+func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
+
+type scriptAddr struct{}
+
+func (scriptAddr) Network() string { return "script" }
+func (scriptAddr) String() string  { return "script" }
+
+// serveScript plays stream to a stub-handled Server capped at maxFrame and
+// returns the server's replies, split into frames, with its accounting.
+func serveScript(t testing.TB, stream []byte, maxFrame int) ([][]byte, ConnStats) {
+	t.Helper()
+	srv := NewServer("test", stubHandler{tb: t, maxFrame: maxFrame}, ServiceOptions{MaxFrame: maxFrame}, func(string, ...any) {})
+	conn := &scriptConn{in: bytes.NewReader(stream)}
+	// Whatever error ends the connection is the stream's fault, not a
+	// finding; the laws below are about what happened before it.
+	_ = srv.serveConn(conn)
+	var replies [][]byte
+	out := conn.out.Bytes()
+	for len(out) > 0 {
+		if len(out) < 4 {
+			t.Fatalf("server wrote a torn length prefix: %x", out)
+		}
+		n := int(binary.BigEndian.Uint32(out))
+		if n > len(out)-4 {
+			t.Fatalf("server wrote a torn frame: prefix %d, %d bytes follow", n, len(out)-4)
+		}
+		replies = append(replies, out[4:4+n])
+		out = out[4+n:]
+	}
+	st := srv.Stats()
+	if st.Conns != 0 {
+		t.Fatalf("connection still tracked after serveConn returned: %+v", st)
+	}
+	return replies, st
+}
+
+// scriptStream concatenates a JSON Hello (offering codecs) with whatever
+// frames follow, each already framed.
+func scriptStream(t testing.TB, codecs []string, frames ...[]byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteMsg(&buf, KindHello, Hello{NodeID: "script", Codecs: codecs}); err != nil {
+		t.Fatal(err)
+	}
+	for _, fr := range frames {
+		buf.Write(fr)
+	}
+	return buf.Bytes()
+}
+
+func jsonFrame(t testing.TB, kind MsgKind, body any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteMsg(&buf, kind, body); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// fuzzMaxFrame is the frame cap FuzzServeConn's server runs with: small
+// enough that the fuzzer trips it and the series fallback constantly.
+const fuzzMaxFrame = 4 << 10
+
+// FuzzServeConn throws arbitrary byte streams — JSON frames, a codec
+// switch, binary frames, garbage — at the shared serve loop over a stub
+// handler. The laws: it never panics; it never hands the handler a request
+// out of proportion to the frame cap (stubHandler.checkDecoded); every
+// frame it accepts gets exactly one reply, except the last when that one
+// ended the connection; and once the connection is binary no reply
+// exceeds the cap.
+func FuzzServeConn(f *testing.F) {
+	pmc := []float64{1, 2, 3}
+	meas := 90.5
+	bin := func(write func(g *binFramer) error) []byte { return encodeBinFrame(f, write) }
+	sample := bin(func(g *binFramer) error { return g.writeSample("script", 1, pmc, &meas) })
+	emptySample := bin(func(g *binFramer) error { return g.writeSample("script", 2, nil, nil) })
+	batch := bin(func(g *binFramer) error {
+		return g.writeRecordBatch("script", []BatchSample{{Time: 1, PMC: pmc}, {Time: 2, PMC: pmc, Measured: &meas}})
+	})
+	emptyBatch := bin(func(g *binFramer) error { return g.writeRecordBatch("script", nil) })
+	query := bin(func(g *binFramer) error {
+		return g.writeQuery(QueryRequest{NodeID: "script", Channel: "p_node", From: 0, To: 10, ResolutionS: 1})
+	})
+	wideQuery := bin(func(g *binFramer) error {
+		return g.writeQuery(QueryRequest{NodeID: "script", Channel: "p_node", From: 0, To: 1e6, ResolutionS: 1})
+	})
+	stats := bin(func(g *binFramer) error { return g.writeJSONEnvelope(KindStats, struct{}{}) })
+	model := bin(func(g *binFramer) error { return g.writeJSONEnvelope(KindModel, struct{}{}) })
+	rehello := bin(func(g *binFramer) error { return g.writeJSONEnvelope(KindHello, Hello{NodeID: "again"}) })
+	binHello := bin(func(g *binFramer) error { return g.writeHello(Hello{NodeID: "script"}) })
+
+	// A whole binary session, every request kind and both error paths.
+	f.Add(scriptStream(f, []string{CodecBinary}, sample, emptySample, batch, emptyBatch, query, wideQuery, stats, model, rehello, binHello))
+	// The same session from an agent that never offers binary.
+	f.Add(scriptStream(f, nil,
+		jsonFrame(f, KindSample, Sample{NodeID: "script", Time: 1, PMC: pmc, Measured: &meas}),
+		jsonFrame(f, KindSample, Sample{NodeID: "script", Time: 2}),
+		jsonFrame(f, KindRecordBatch, RecordBatch{NodeID: "script", Samples: []BatchSample{{Time: 1, PMC: pmc}}}),
+		jsonFrame(f, KindQuery, QueryRequest{Channel: "p_node", From: 0, To: 1e6}),
+		jsonFrame(f, KindStats, struct{}{}),
+		jsonFrame(f, KindModel, struct{}{}),
+		jsonFrame(f, MsgKind("bogus"), struct{}{}),
+	))
+	// A binary connection fed a JSON frame, a truncated binary frame, an
+	// over-cap length prefix, an empty frame.
+	f.Add(scriptStream(f, []string{CodecBinary}, jsonFrame(f, KindStats, struct{}{})))
+	f.Add(scriptStream(f, []string{CodecBinary}, sample[:len(sample)-3]))
+	f.Add(scriptStream(f, []string{CodecBinary}, []byte{0xFF, 0xFF, 0xFF, 0xFF}))
+	f.Add(scriptStream(f, []string{CodecBinary}, []byte{0, 0, 0, 0}))
+	// No Hello at all; nothing at all.
+	f.Add(sample)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		replies, st := serveScript(t, stream, fuzzMaxFrame)
+		accepted := st.JSONFrames + st.BinFrames
+		if n := int64(len(replies)); n > accepted || n < accepted-1 {
+			t.Fatalf("%d replies to %d accepted frames", n, accepted)
+		}
+		if st.BinConns > 1 {
+			t.Fatalf("one connection negotiated binary %d times", st.BinConns)
+		}
+		// Every JSON-mode frame but a connection-ending last one was
+		// answered, so the replies past those are the binary ones.
+		for i := int(st.JSONFrames); i < len(replies); i++ {
+			if len(replies[i]) > fuzzMaxFrame {
+				t.Fatalf("binary reply %d is %d bytes, cap %d", i, len(replies[i]), fuzzMaxFrame)
+			}
+		}
+	})
+}
+
+// TestServeConnScripted pins what the fuzz seeds are expected to produce:
+// one reply per request in the encoding it arrived in, handler refusals as
+// error replies that leave the connection up, a backend's *ServiceError
+// relayed as its bare message, and the series fallback instead of an
+// over-cap reply.
+func TestServeConnScripted(t *testing.T) {
+	pmc := []float64{1, 2, 3}
+	bin := func(write func(g *binFramer) error) []byte { return encodeBinFrame(t, write) }
+	stream := scriptStream(t, []string{CodecBinary},
+		bin(func(g *binFramer) error { return g.writeSample("script", 1, pmc, nil) }),
+		bin(func(g *binFramer) error { return g.writeSample("script", 2, nil, nil) }),
+		bin(func(g *binFramer) error { return g.writeRecordBatch("script", nil) }),
+		bin(func(g *binFramer) error {
+			return g.writeQuery(QueryRequest{Channel: "p_node", From: 0, To: 1e6})
+		}),
+		bin(func(g *binFramer) error { return g.writeJSONEnvelope(KindStats, struct{}{}) }),
+		bin(func(g *binFramer) error { return g.writeJSONEnvelope(MsgKind("bogus"), struct{}{}) }),
+		bin(func(g *binFramer) error { return g.writeHello(Hello{NodeID: "script"}) }),
+	)
+	replies, st := serveScript(t, stream, fuzzMaxFrame)
+	if st.JSONFrames != 1 || st.BinFrames != 7 || st.BinConns != 1 {
+		t.Fatalf("accounting: %+v", st)
+	}
+	if len(replies) != 8 {
+		t.Fatalf("%d replies, want 8", len(replies))
+	}
+	g := newBinFramer(nil, nil, DefaultMaxFrame)
+	binError := func(i int) string {
+		t.Helper()
+		if replies[i][0] != binKindError {
+			t.Fatalf("reply %d: kind %d, want a binary error frame", i, replies[i][0])
+		}
+		msg, err := g.readError(replies[i][1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msg
+	}
+	wrapped := func(i int) Envelope {
+		t.Helper()
+		if replies[i][0] != binKindJSON {
+			t.Fatalf("reply %d: kind %d, want a wrapped JSON envelope", i, replies[i][0])
+		}
+		env, err := readJSONEnvelope(replies[i][1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	if replies[1][0] != binKindEstimate {
+		t.Fatalf("sample reply kind %d", replies[1][0])
+	}
+	if got := binError(2); got != "stub: empty sample" {
+		t.Fatalf("handler refusal relayed as %q", got)
+	}
+	if got := binError(3); got != "stub: empty batch" {
+		t.Fatalf("*ServiceError relayed as %q, want its bare message", got)
+	}
+	if got := binError(4); got != errSeriesTooLarge.Error() {
+		t.Fatalf("over-cap series answered %q", got)
+	}
+	if env := wrapped(5); env.Kind != KindStats {
+		t.Fatalf("wrapped stats answered with kind %q", env.Kind)
+	}
+	if env := wrapped(6); env.Kind != KindError {
+		t.Fatalf("wrapped unknown kind answered with kind %q", env.Kind)
+	}
+	if got := binError(7); got != "unknown binary kind 1" {
+		t.Fatalf("native hello answered %q", got)
+	}
+}
+
+// TestServerServeLoopExitsOnEOF guards the net.Pipe plumbing the zero-alloc
+// test and the handler benchmarks rely on: closing the client ends
+// serveConn with EOF, not a hang.
+func TestServerServeLoopExitsOnEOF(t *testing.T) {
+	checkNoLeaks(t)
+	srv := NewServer("test", stubHandler{}, ServiceOptions{}, t.Logf)
+	client, server := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- srv.serveConn(server) }()
+	handshakeBinary(t, client, "eof")
+	client.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("serveConn returned %v, want EOF", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("serveConn did not return after the client closed")
+	}
+}

@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,26 +54,19 @@ type Service struct {
 	model *core.HighRPM
 	store *tsdb.Store
 	opts  ServiceOptions
+	// srv owns the listener, the connections and the request loop; the
+	// service is its Handler.
+	srv *Server
 
-	ln     net.Listener
-	mu     sync.Mutex
-	mons   map[string]*core.Monitor
-	conns  map[net.Conn]string // conn -> node ID ("" before Hello)
-	peak   int
-	closed bool
-	wg     sync.WaitGroup
+	mu   sync.Mutex
+	mons map[string]*core.Monitor
 
 	samples   atomic.Int64
 	estimates atomic.Int64
 	measured  atomic.Int64
-	rejected  atomic.Int64
-	timedOut  atomic.Int64
 
-	// Codec and batching accounting: connections that negotiated binary,
-	// frames handled per codec, and record batches with their sample count.
-	binConns     atomic.Int64
-	binFrames    atomic.Int64
-	jsonFrames   atomic.Int64
+	// Batching accounting: record batches handled and the samples they
+	// carried.
 	batches      atomic.Int64
 	batchSamples atomic.Int64
 
@@ -86,7 +76,7 @@ type Service struct {
 
 	// lmu guards latest, the newest estimate per node — what the obs
 	// highrpm_node_power_watts gauges and dashboards read. A dedicated
-	// mutex keeps the per-sample update off the connection-table lock.
+	// mutex keeps the per-sample update off the monitor-table lock.
 	lmu    sync.Mutex
 	latest map[string]LatestEstimate
 
@@ -110,14 +100,16 @@ func NewServiceWith(model *core.HighRPM, opts ServiceOptions) *Service {
 	if opts.MaxFrame <= 0 {
 		opts.MaxFrame = DefaultMaxFrame
 	}
-	return &Service{
+	s := &Service{
 		model: model,
 		store: tsdb.New(tsdb.DefaultOptions()),
 		opts:  opts,
 		mons:  map[string]*core.Monitor{},
-		conns: map[net.Conn]string{},
 		Logf:  log.Printf,
 	}
+	// Logf is read at call time: callers replace it after construction.
+	s.srv = NewServer("cluster", serviceHandler{s}, opts, func(format string, args ...any) { s.Logf(format, args...) })
+	return s
 }
 
 // NewDurableService wraps a trained model with a durable history store:
@@ -150,51 +142,17 @@ func (s *Service) Options() ServiceOptions { return s.opts }
 
 // Listen starts accepting agents on addr ("host:port"; ":0" picks a free
 // port). It returns immediately; Addr reports the bound address.
-func (s *Service) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("cluster: listen: %w", err)
-	}
-	s.ln = ln
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return nil
-}
+func (s *Service) Listen(addr string) error { return s.srv.Listen(addr) }
 
 // Addr returns the bound listen address.
-func (s *Service) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
+func (s *Service) Addr() string { return s.srv.Addr() }
 
 // Close stops the listener, terminates open agent connections immediately,
 // waits for the handlers to finish, and only then closes the store — so
 // every in-flight sample is flushed into the history (open rollup buckets
 // are sealed) and no per-connection goroutine can write to a closed store.
 // Use Shutdown for a graceful drain.
-func (s *Service) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	s.wg.Wait()
-	if cerr := s.store.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+func (s *Service) Close() error { return s.Shutdown(0) }
 
 // Shutdown drains the service gracefully: it stops accepting, lets every
 // handler finish the request it is processing (replies are still written),
@@ -202,111 +160,11 @@ func (s *Service) Close() error {
 // after grace. Like Close it seals the store last, so drained samples land
 // in history.
 func (s *Service) Shutdown(grace time.Duration) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	//lint:ignore maporder teardown order over the connection set is immaterial
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	// An expired read deadline unblocks handlers parked between requests
-	// without cutting off a reply in flight: a handler mid-request
-	// finishes computing, writes its reply (write deadlines are separate),
-	// and exits on its next read.
-	now := time.Now()
-	for _, c := range conns {
-		c.SetReadDeadline(now)
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(grace):
-		s.mu.Lock()
-		for c := range s.conns {
-			_ = c.Close()
-		}
-		s.mu.Unlock()
-		<-done
-	}
+	err := s.srv.Shutdown(grace)
 	if cerr := s.store.Close(); err == nil {
 		err = cerr
 	}
 	return err
-}
-
-// track registers a live connection; it reports false when the service is
-// already closing or at its MaxConns cap and the connection should be
-// dropped immediately.
-func (s *Service) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	if s.opts.MaxConns > 0 && len(s.conns) >= s.opts.MaxConns {
-		s.rejected.Add(1)
-		return false
-	}
-	s.conns[conn] = ""
-	if len(s.conns) > s.peak {
-		s.peak = len(s.conns)
-	}
-	return true
-}
-
-func (s *Service) untrack(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
-
-// identify binds a connection to the node that said Hello on it, for the
-// per-node accounting in Stats.
-func (s *Service) identify(conn net.Conn, nodeID string) {
-	s.mu.Lock()
-	if _, ok := s.conns[conn]; ok {
-		s.conns[conn] = nodeID
-	}
-	s.mu.Unlock()
-}
-
-func (s *Service) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-func (s *Service) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			if !s.isClosed() {
-				s.Logf("cluster: accept: %v", err)
-			}
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			if err := s.handle(conn); err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.Logf("cluster: connection %s: %v", conn.RemoteAddr(), err)
-			}
-		}()
-	}
 }
 
 // monitorFor returns the per-node monitor, creating it on first use.
@@ -321,256 +179,31 @@ func (s *Service) monitorFor(nodeID string) *core.Monitor {
 	return m
 }
 
-func (s *Service) handle(conn net.Conn) error {
-	defer conn.Close()
-	if !s.track(conn) {
-		return nil
-	}
-	defer s.untrack(conn)
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	for {
-		if s.opts.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
-		}
-		env, err := ReadMsgLimit(r, s.opts.MaxFrame)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && !s.isClosed() {
-				s.timedOut.Add(1)
-			}
-			return err
-		}
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
-		s.jsonFrames.Add(1)
-		switch env.Kind {
-		case KindHello:
-			var h Hello
-			if err := DecodeBody(env, &h); err != nil {
-				return err
-			}
-			s.monitorFor(h.NodeID)
-			s.identify(conn, h.NodeID)
-			reply := Hello{NodeID: h.NodeID}
-			for _, c := range h.Codecs {
-				if c == CodecBinary {
-					reply.Codec = CodecBinary
-					break
-				}
-			}
-			if err := WriteMsg(w, KindHello, reply); err != nil {
-				return err
-			}
-			if reply.Codec == CodecBinary {
-				// Handshake settled on binary: flush the JSON reply and hand
-				// the connection to the binary loop for good.
-				if err := w.Flush(); err != nil {
-					return err
-				}
-				return s.handleBinary(conn, newBinFramer(r, w, s.opts.MaxFrame))
-			}
-		case KindSample:
-			var smp Sample
-			if err := DecodeBody(env, &smp); err != nil {
-				return err
-			}
-			out, err := s.processSample(smp.NodeID, smp.Time, smp.PMC, smp.Measured)
-			if err != nil {
-				if werr := WriteMsg(w, KindError, ErrorBody{Message: err.Error()}); werr != nil {
-					return werr
-				}
-				break
-			}
-			if err := WriteMsg(w, KindEstimate, out); err != nil {
-				return err
-			}
-		case KindRecordBatch:
-			var rb RecordBatch
-			if err := DecodeBody(env, &rb); err != nil {
-				return err
-			}
-			ests, err := s.processBatch(&rb, nil)
-			if err != nil {
-				if werr := WriteMsg(w, KindError, ErrorBody{Message: err.Error()}); werr != nil {
-					return werr
-				}
-				break
-			}
-			if err := WriteMsg(w, KindEstimateBatch, EstimateBatch{Estimates: ests}); err != nil {
-				return err
-			}
-		case KindStats:
-			if err := WriteMsg(w, KindStats, s.Stats()); err != nil {
-				return err
-			}
-		case KindQuery:
-			var q QueryRequest
-			if err := DecodeBody(env, &q); err != nil {
-				return err
-			}
-			body, err := s.answerQuery(q)
-			if err != nil {
-				if werr := WriteMsg(w, KindError, ErrorBody{Message: err.Error()}); werr != nil {
-					return werr
-				}
-				break
-			}
-			if err := WriteMsg(w, KindSeries, body); err != nil {
-				if errors.Is(err, ErrFrameTooLarge) {
-					// Nothing was written yet; tell the agent to narrow
-					// the window instead of killing the connection.
-					if werr := WriteMsg(w, KindError, ErrorBody{Message: "series reply too large; narrow the query window or coarsen the resolution"}); werr != nil {
-						return werr
-					}
-					break
-				}
-				return err
-			}
-		case KindModel:
-			data, err := core.Marshal(s.model)
-			if err != nil {
-				if werr := WriteMsg(w, KindError, ErrorBody{Message: err.Error()}); werr != nil {
-					return werr
-				}
-				break
-			}
-			if err := WriteMsg(w, KindModel, ModelBody{Data: data}); err != nil {
-				return err
-			}
-		default:
-			if err := WriteMsg(w, KindError, ErrorBody{Message: fmt.Sprintf("unknown kind %q", env.Kind)}); err != nil {
-				return err
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-	}
+// serviceHandler is the Service's Handler face: each request kind the
+// Server decodes lands on the local model and store. It is a separate type
+// so the scratch-borrowing methods stay out of the Service's public API.
+type serviceHandler struct{ s *Service }
+
+func (h serviceHandler) Hello(nodeID string) { h.s.monitorFor(nodeID) }
+
+func (h serviceHandler) Sample(smp *Sample) (Estimate, error) {
+	return h.s.processSample(smp.NodeID, smp.Time, smp.PMC, smp.Measured)
 }
 
-// handleBinary serves one connection after its Hello negotiated the binary
-// codec. The hot kinds (sample, batch, query) decode and reply natively on
-// the framer's scratch; everything else arrives as a JSON envelope inside
-// a binKindJSON frame and is answered the same way.
-func (s *Service) handleBinary(conn net.Conn, f *binFramer) error {
-	s.binConns.Add(1)
-	var ests []Estimate // reused batch-reply scratch
-	for {
-		if s.opts.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
-		}
-		kind, payload, err := f.readFrame()
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && !s.isClosed() {
-				s.timedOut.Add(1)
-			}
-			return err
-		}
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
-		s.binFrames.Add(1)
-		switch kind {
-		case binKindSample:
-			smp, err := f.readSample(payload)
-			if err != nil {
-				return err
-			}
-			out, perr := s.processSample(smp.NodeID, smp.Time, smp.PMC, smp.Measured)
-			if perr != nil {
-				if werr := f.writeError(perr.Error()); werr != nil {
-					return werr
-				}
-				break
-			}
-			if err := f.writeEstimate(&out); err != nil {
-				return err
-			}
-		case binKindRecordBatch:
-			rb, err := f.readRecordBatch(payload)
-			if err != nil {
-				return err
-			}
-			ests, err = s.processBatch(rb, ests[:0])
-			if err != nil {
-				if werr := f.writeError(err.Error()); werr != nil {
-					return werr
-				}
-				break
-			}
-			if err := f.writeEstimateBatch(ests); err != nil {
-				return err
-			}
-		case binKindQuery:
-			q, err := f.readQuery(payload)
-			if err != nil {
-				return err
-			}
-			body, qerr := s.answerQuery(q)
-			if qerr != nil {
-				if werr := f.writeError(qerr.Error()); werr != nil {
-					return werr
-				}
-				break
-			}
-			if err := f.writeSeries(body); err != nil {
-				if errors.Is(err, ErrFrameTooLarge) {
-					// Nothing was written yet (the frame is built before the
-					// length prefix goes out); tell the agent to narrow the
-					// window instead of killing the connection.
-					if werr := f.writeError("series reply too large; narrow the query window or coarsen the resolution"); werr != nil {
-						return werr
-					}
-					break
-				}
-				return err
-			}
-		case binKindJSON:
-			env, err := readJSONEnvelope(payload)
-			if err != nil {
-				return err
-			}
-			if err := s.handleEnvelopeBinary(f, env); err != nil {
-				return err
-			}
-		default:
-			if err := f.writeError(fmt.Sprintf("unknown binary kind %d", kind)); err != nil {
-				return err
-			}
-		}
-		if err := f.w.Flush(); err != nil {
-			return err
-		}
-	}
+func (h serviceHandler) Batch(rb *RecordBatch, dst []Estimate) ([]Estimate, error) {
+	return h.s.processBatch(rb, dst)
 }
 
-// handleEnvelopeBinary answers the JSON-wrapped kinds on a binary
-// connection (stats, model, a redundant hello); replies travel wrapped the
-// same way so the agent's envelope reader stays symmetric.
-func (s *Service) handleEnvelopeBinary(f *binFramer, env Envelope) error {
-	switch env.Kind {
-	case KindHello:
-		var h Hello
-		if err := DecodeBody(env, &h); err != nil {
-			return err
-		}
-		s.monitorFor(h.NodeID)
-		return f.writeJSONEnvelope(KindHello, Hello{NodeID: h.NodeID, Codec: CodecBinary})
-	case KindStats:
-		return f.writeJSONEnvelope(KindStats, s.Stats())
-	case KindModel:
-		data, err := core.Marshal(s.model)
-		if err != nil {
-			return f.writeJSONEnvelope(KindError, ErrorBody{Message: err.Error()})
-		}
-		return f.writeJSONEnvelope(KindModel, ModelBody{Data: data})
-	default:
-		return f.writeJSONEnvelope(KindError, ErrorBody{Message: fmt.Sprintf("unknown kind %q", env.Kind)})
-	}
+// Query resolves a KindQuery against the store, through the same
+// tsdb.QuerySeries path the obs HTTP endpoints use — one code path, one
+// JSON encoding.
+func (h serviceHandler) Query(q QueryRequest) (SeriesBody, error) {
+	return h.s.store.QuerySeries(q.NodeID, q.Channel, q.From, q.To, q.ResolutionS)
 }
+
+func (h serviceHandler) Stats() (Stats, error) { return h.s.Stats(), nil }
+
+func (h serviceHandler) Model() ([]byte, error) { return core.Marshal(h.s.model) }
 
 // processSample runs one second of telemetry through the per-node monitor
 // and into the history store — the one path every framing (JSON, binary,
@@ -657,13 +290,6 @@ func (s *Service) record(smp Sample, est core.MonitorEstimate) {
 	}
 }
 
-// answerQuery resolves a KindQuery against the store, through the same
-// tsdb.QuerySeries path the obs HTTP endpoints use — one code path, one
-// JSON encoding.
-func (s *Service) answerQuery(q QueryRequest) (SeriesBody, error) {
-	return s.store.QuerySeries(q.NodeID, q.Channel, q.From, q.To, q.ResolutionS)
-}
-
 // LatestEstimate is the newest restored power the service computed for
 // one node — what the per-node power gauges export.
 type LatestEstimate struct {
@@ -692,32 +318,21 @@ func (s *Service) LatestEstimates() map[string]LatestEstimate {
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	nodes := len(s.mons)
-	conns := len(s.conns)
-	peak := s.peak
-	var nodeConns map[string]int
-	for _, id := range s.conns {
-		if id == "" {
-			continue
-		}
-		if nodeConns == nil {
-			nodeConns = map[string]int{}
-		}
-		nodeConns[id]++
-	}
 	s.mu.Unlock()
+	cs := s.srv.Stats()
 	return Stats{
 		Nodes:        nodes,
 		Samples:      s.samples.Load(),
 		Estimates:    s.estimates.Load(),
 		Measured:     s.measured.Load(),
-		Conns:        conns,
-		PeakConns:    peak,
-		Rejected:     s.rejected.Load(),
-		TimedOut:     s.timedOut.Load(),
-		NodeConns:    nodeConns,
-		BinConns:     s.binConns.Load(),
-		BinFrames:    s.binFrames.Load(),
-		JSONFrames:   s.jsonFrames.Load(),
+		Conns:        cs.Conns,
+		PeakConns:    cs.PeakConns,
+		Rejected:     cs.Rejected,
+		TimedOut:     cs.TimedOut,
+		NodeConns:    cs.NodeConns,
+		BinConns:     cs.BinConns,
+		BinFrames:    cs.BinFrames,
+		JSONFrames:   cs.JSONFrames,
 		Batches:      s.batches.Load(),
 		BatchSamples: s.batchSamples.Load(),
 		Store:        s.store.Stats(),

@@ -1,11 +1,8 @@
 package fleet
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,109 +12,52 @@ import (
 	"highrpm/internal/core"
 )
 
-// pacedStub is a minimal wire-compatible shard backend whose sample
-// handling is serialized and paced: the whole shard processes one sample
-// per serviceTime, whatever the connection count. On this benchmark's
-// single-CPU runners a real in-process cluster.Service cannot demonstrate
-// horizontal scaling — every shard contends for the same core — so the
-// ingest benchmark models what sharding actually buys in deployment:
-// independent backends whose service time overlaps. The router under test
-// is the real one, doing real framing, routing, and pooling work.
+// pacedStub is a minimal shard backend — a cluster.Server over a handler
+// whose sample handling is serialized and paced: the whole shard processes
+// one sample per serviceTime, whatever the connection count. On this
+// benchmark's single-CPU runners a real in-process cluster.Service cannot
+// demonstrate horizontal scaling — every shard contends for the same core —
+// so the ingest benchmark models what sharding actually buys in
+// deployment: independent backends whose service time overlaps. The router
+// under test is the real one, doing real framing, routing, and pooling
+// work.
 type pacedStub struct {
-	ln          net.Listener
 	serviceTime time.Duration
 	model       []byte
-
-	mu sync.Mutex // the shard-wide pacing token
-	wg sync.WaitGroup
+	mu          sync.Mutex // the shard-wide pacing token
 }
 
-func startPacedStub(tb testing.TB, serviceTime time.Duration, model []byte) *pacedStub {
+// startPacedStub starts one paced shard and returns its address.
+func startPacedStub(tb testing.TB, serviceTime time.Duration, model []byte) string {
 	tb.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	srv := cluster.NewServer("stub", &pacedStub{serviceTime: serviceTime, model: model}, cluster.ServiceOptions{}, tb.Logf)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		tb.Fatal(err)
 	}
-	s := &pacedStub{ln: ln, serviceTime: serviceTime, model: model}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	tb.Cleanup(s.close)
-	return s
+	tb.Cleanup(func() { srv.Close() })
+	return srv.Addr()
 }
 
-func (s *pacedStub) close() {
-	_ = s.ln.Close()
-	s.wg.Wait()
+func (s *pacedStub) Hello(string) {}
+
+func (s *pacedStub) Sample(smp *cluster.Sample) (cluster.Estimate, error) {
+	s.mu.Lock()
+	time.Sleep(s.serviceTime)
+	s.mu.Unlock()
+	return cluster.Estimate{NodeID: smp.NodeID, Time: smp.Time, PNode: 100, PCPU: 60, PMEM: 25}, nil
 }
 
-func (s *pacedStub) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			_ = s.handle(conn)
-		}()
-	}
+func (s *pacedStub) Batch(*cluster.RecordBatch, []cluster.Estimate) ([]cluster.Estimate, error) {
+	return nil, errors.New("unsupported")
 }
 
-func (s *pacedStub) handle(conn net.Conn) error {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	nodeID := ""
-	for {
-		env, err := cluster.ReadMsg(br)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		switch env.Kind {
-		case cluster.KindHello:
-			var h cluster.Hello
-			if err := cluster.DecodeBody(env, &h); err != nil {
-				return err
-			}
-			nodeID = h.NodeID
-			if err := cluster.WriteMsg(bw, cluster.KindHello, cluster.Hello{NodeID: nodeID}); err != nil {
-				return err
-			}
-		case cluster.KindModel:
-			if err := cluster.WriteMsg(bw, cluster.KindModel, cluster.ModelBody{Data: s.model}); err != nil {
-				return err
-			}
-		case cluster.KindSample:
-			var smp cluster.Sample
-			if err := cluster.DecodeBody(env, &smp); err != nil {
-				return err
-			}
-			s.mu.Lock()
-			time.Sleep(s.serviceTime)
-			s.mu.Unlock()
-			est := cluster.Estimate{NodeID: nodeID, Time: smp.Time, PNode: 100, PCPU: 60, PMEM: 25}
-			if err := cluster.WriteMsg(bw, cluster.KindEstimate, est); err != nil {
-				return err
-			}
-		case cluster.KindStats:
-			if err := cluster.WriteMsg(bw, cluster.KindStats, cluster.Stats{}); err != nil {
-				return err
-			}
-		default:
-			if err := cluster.WriteMsg(bw, cluster.KindError, cluster.ErrorBody{Message: "unsupported"}); err != nil {
-				return err
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-	}
+func (s *pacedStub) Query(cluster.QueryRequest) (cluster.SeriesBody, error) {
+	return cluster.SeriesBody{}, errors.New("unsupported")
 }
+
+func (s *pacedStub) Stats() (cluster.Stats, error) { return cluster.Stats{}, nil }
+
+func (s *pacedStub) Model() ([]byte, error) { return s.model, nil }
 
 // BenchmarkRouterIngest measures routed sample throughput against 1, 2,
 // and 4 paced stub shards (200µs of serialized service time per sample
@@ -135,8 +75,8 @@ func BenchmarkRouterIngest(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			top := Topology{}
 			for i := 0; i < shards; i++ {
-				stub := startPacedStub(b, serviceTime, modelBytes)
-				top.Shards = append(top.Shards, Shard{Name: fmt.Sprintf("shard-%d", i), Addr: stub.ln.Addr().String()})
+				addr := startPacedStub(b, serviceTime, modelBytes)
+				top.Shards = append(top.Shards, Shard{Name: fmt.Sprintf("shard-%d", i), Addr: addr})
 			}
 			r, err := NewRouter(top, DefaultTopologyOptions())
 			if err != nil {

@@ -71,8 +71,16 @@ func startFaultFleet(t *testing.T) *faultFixture {
 // byte-identical to the reference service. Faults are injected between
 // samples — the at-least-once replay cannot duplicate a frame that was
 // never in flight — which is exactly the boundary a paused or partitioned
-// shard presents in production.
-func runFaultScenario(t *testing.T, fault func(f *faultFixture, shard int), heal func(f *faultFixture, shard int)) {
+// shard presents in production. The scenario runs once per front-end
+// codec: a binary front hop hands the replicas' agents the connection's
+// framer scratch, which a degraded agent must copy before buffering.
+func runFaultScenario(t *testing.T, fault, heal func(t *testing.T, f *faultFixture, shard int)) {
+	for _, codec := range frontCodecs {
+		t.Run(codec, func(t *testing.T) { runFaultScenarioCodec(t, codec, fault, heal) })
+	}
+}
+
+func runFaultScenarioCodec(t *testing.T, codec string, fault, heal func(t *testing.T, f *faultFixture, shard int)) {
 	checkNoLeaks(t)
 	f := startFaultFleet(t)
 
@@ -87,10 +95,7 @@ func runFaultScenario(t *testing.T, fault func(f *faultFixture, shard int), heal
 	}
 	streams := make([]*stream, len(nodes))
 	for ni, node := range nodes {
-		fa, err := cluster.Dial(f.r.Addr(), node)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fa := dialFront(t, f.r, node, codec)
 		t.Cleanup(func() { fa.Close() })
 		ra, err := cluster.Dial(f.ref.Addr(), node)
 		if err != nil {
@@ -124,10 +129,10 @@ func runFaultScenario(t *testing.T, fault func(f *faultFixture, shard int), heal
 		switch i {
 		case faultAt:
 			t.Logf("fault: injecting on shard %d at second %d", faultShard, i)
-			fault(f, faultShard)
+			fault(t, f, faultShard)
 		case healAt:
 			t.Logf("fault: healing shard %d at second %d", faultShard, i)
-			heal(f, faultShard)
+			heal(t, f, faultShard)
 		}
 		sendSecond(i)
 	}
@@ -135,10 +140,7 @@ func runFaultScenario(t *testing.T, fault func(f *faultFixture, shard int), heal
 
 	// Queries during the tail of the outage-recovery window still merge
 	// correctly: reads drain to live replicas.
-	fq, err := cluster.Dial(f.r.Addr(), "query-client")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fq := dialFront(t, f.r, "query-client", codec)
 	defer fq.Close()
 	rq, err := cluster.Dial(f.ref.Addr(), "query-client")
 	if err != nil {
@@ -248,11 +250,11 @@ func runFaultScenario(t *testing.T, fault func(f *faultFixture, shard int), heal
 func TestFleetSurvivesShardKill(t *testing.T) {
 	var killedAddr string
 	runFaultScenario(t,
-		func(f *faultFixture, shard int) {
+		func(_ *testing.T, f *faultFixture, shard int) {
 			killedAddr = f.proxies[shard].Addr()
 			f.proxies[shard].Close()
 		},
-		func(f *faultFixture, shard int) {
+		func(t *testing.T, f *faultFixture, shard int) {
 			p := faultnet.New(f.backends[shard].Addr())
 			var err error
 			for attempt := 0; attempt < 100; attempt++ {
@@ -274,6 +276,6 @@ func TestFleetSurvivesShardKill(t *testing.T) {
 // deadlines can detect — and lifts the partition 15 seconds later.
 func TestFleetSurvivesShardBlackhole(t *testing.T) {
 	runFaultScenario(t,
-		func(f *faultFixture, shard int) { f.proxies[shard].BlackholeAll() },
-		func(f *faultFixture, shard int) { f.proxies[shard].Restore() })
+		func(_ *testing.T, f *faultFixture, shard int) { f.proxies[shard].BlackholeAll() },
+		func(_ *testing.T, f *faultFixture, shard int) { f.proxies[shard].Restore() })
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -158,6 +159,26 @@ func genSamples(t testing.TB, seed int64, n int) []cluster.Sample {
 	return out
 }
 
+// frontCodecs are the wire codecs a front-end agent can pin. The fleet's
+// answers must not depend on which one it speaks: every equivalence and
+// fault test runs once per codec against the same binary-dialed reference.
+var frontCodecs = []string{cluster.CodecBinary, cluster.CodecJSON}
+
+// dialFront connects a front-end agent pinned to codec and checks the
+// router actually negotiated it.
+func dialFront(t testing.TB, r *Router, node, codec string) *cluster.Agent {
+	t.Helper()
+	ag, err := cluster.DialCodec(r.Addr(), node, codec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ag.Codec(); got != codec {
+		ag.Close()
+		t.Fatalf("front-end codec = %q, want %q", got, codec)
+	}
+	return ag
+}
+
 func sameEstimate(a, b cluster.Estimate) bool {
 	return a.NodeID == b.NodeID &&
 		math.Float64bits(a.Time) == math.Float64bits(b.Time) &&
@@ -192,6 +213,12 @@ func stripTransport(st *cluster.Stats) {
 // fleet must answer every estimate, QuerySeries, Aggregate, and Stats
 // request byte-identically to a single service fed the same samples.
 func TestFleetEquivalence(t *testing.T) {
+	for _, codec := range frontCodecs {
+		t.Run(codec, func(t *testing.T) { testFleetEquivalence(t, codec) })
+	}
+}
+
+func testFleetEquivalence(t *testing.T, codec string) {
 	checkNoLeaks(t)
 	r, _ := startFleet(t, 2, DefaultTopologyOptions())
 	ref := startBackend(t)
@@ -200,10 +227,7 @@ func TestFleetEquivalence(t *testing.T) {
 	const seconds = 60
 	for ni, node := range nodes {
 		samples := genSamples(t, int64(100+ni), seconds)
-		fa, err := cluster.Dial(r.Addr(), node)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fa := dialFront(t, r, node, codec)
 		ra, err := cluster.Dial(ref.Addr(), node)
 		if err != nil {
 			fa.Close()
@@ -226,10 +250,7 @@ func TestFleetEquivalence(t *testing.T) {
 		ra.Close()
 	}
 
-	fa, err := cluster.Dial(r.Addr(), "query-client")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fa := dialFront(t, r, "query-client", codec)
 	defer fa.Close()
 	ra, err := cluster.Dial(ref.Addr(), "query-client")
 	if err != nil {
@@ -311,6 +332,21 @@ func TestFleetEquivalence(t *testing.T) {
 			t.Fatalf("error for %+v diverges: fleet %q, ref %q", q, ferr, rerr)
 		}
 	}
+	// A sample the backend rejects: its *ServiceError must reach the front
+	// end as the service's own message, on a binary error frame as on a
+	// JSON one, and leave the connection usable.
+	_, ferr := fa.Send(seconds, []float64{1, 2}, nil)
+	_, rerr := ra.Send(seconds, []float64{1, 2}, nil)
+	var fse, rse *cluster.ServiceError
+	if !errors.As(ferr, &fse) || !errors.As(rerr, &rse) {
+		t.Fatalf("bad sample: fleet err %v, ref err %v, want service errors", ferr, rerr)
+	}
+	if fse.Message != rse.Message {
+		t.Fatalf("bad-sample error diverges: fleet %q, ref %q", fse.Message, rse.Message)
+	}
+	if _, err := fa.Stats(); err != nil {
+		t.Fatalf("connection unusable after a rejected sample: %v", err)
+	}
 
 	st := r.Stats()
 	if st.Nodes != len(nodes) {
@@ -325,6 +361,107 @@ func TestFleetEquivalence(t *testing.T) {
 	if st.ScatterGathers == 0 {
 		t.Fatal("no scatter-gathers counted")
 	}
+	if st.RouteErrors != 4 {
+		t.Fatalf("route errors = %d, want the 4 rejected requests", st.RouteErrors)
+	}
+	// The front hop spoke the pinned codec, and only that: a JSON agent
+	// shows up as JSON frames, a binary one as one JSON Hello per
+	// connection and binary frames after it.
+	conns := int64(len(nodes) + 1)
+	switch codec {
+	case cluster.CodecBinary:
+		if st.BinConns != conns || st.JSONFrames != conns || st.BinFrames == 0 {
+			t.Fatalf("binary front hop accounting: %+v", st)
+		}
+	case cluster.CodecJSON:
+		if st.BinConns != 0 || st.BinFrames != 0 || st.JSONFrames == 0 {
+			t.Fatalf("JSON front hop accounting: %+v", st)
+		}
+	}
+	if st.Frames != st.BinFrames+st.JSONFrames {
+		t.Fatalf("frames %d != binary %d + JSON %d", st.Frames, st.BinFrames, st.JSONFrames)
+	}
+}
+
+// TestRouterNegotiatesBinary pins the front-hop default: an agent that
+// dials a router with no codec preference gets the binary codec, exactly
+// as it would from a service.
+func TestRouterNegotiatesBinary(t *testing.T) {
+	checkNoLeaks(t)
+	r, _ := startFleet(t, 1, DefaultTopologyOptions())
+	ag, err := cluster.Dial(r.Addr(), "default-dial")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ag.Close()
+	if got := ag.Codec(); got != cluster.CodecBinary {
+		t.Fatalf("default dial to a router negotiated %q, want %q", got, cluster.CodecBinary)
+	}
+	ra, err := cluster.DialResilient(r.Addr(), "default-resilient", cluster.DefaultAgentOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ra.Close()
+	if st := r.Stats(); st.BinConns != 2 {
+		t.Fatalf("binary front-end connections = %d, want 2", st.BinConns)
+	}
+}
+
+// TestRouterSharesModelSnapshot: every pooled backend connection fetches
+// the model for itself, but the router keeps one decoded copy for all of
+// them instead of one each.
+func TestRouterSharesModelSnapshot(t *testing.T) {
+	checkNoLeaks(t)
+	r, _ := startFleet(t, 2, DefaultTopologyOptions())
+	nodes := balancedNodes(t, r, 2)
+	for ni, node := range nodes {
+		ag := dialFront(t, r, node, cluster.CodecBinary)
+		for _, smp := range genSamples(t, int64(900+ni), 2) {
+			if _, err := ag.Send(smp.Time, smp.PMC, smp.Measured); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ag.Close()
+	}
+	qa := dialFront(t, r, "query-client", cluster.CodecBinary)
+	defer qa.Close()
+	if _, err := qa.Stats(); err != nil { // dials every shard's query connection
+		t.Fatal(err)
+	}
+	var model *core.HighRPM
+	agents := 0
+	share := func(ag *cluster.ResilientAgent) {
+		t.Helper()
+		if ag == nil {
+			return
+		}
+		agents++
+		if c := ag.Counters(); c.ModelSyncs != 1 {
+			t.Fatalf("%s: ModelSyncs = %d, want its own fetch counted once", ag.NodeID(), c.ModelSyncs)
+		}
+		if model == nil {
+			model = ag.Model()
+		}
+		if ag.Model() != model {
+			t.Fatalf("%s holds a private decoded model", ag.NodeID())
+		}
+	}
+	for _, node := range nodes {
+		nr := r.routeFor(node)
+		nr.mu.Lock()
+		for _, ag := range nr.agents {
+			share(ag)
+		}
+		nr.mu.Unlock()
+	}
+	for _, st := range r.shards {
+		st.qmu.Lock()
+		share(st.query)
+		st.qmu.Unlock()
+	}
+	if want := len(nodes) + len(r.shards); agents != want {
+		t.Fatalf("%d pooled agents, want %d", agents, want)
+	}
 }
 
 // TestFleetReplicatedEquivalence repeats the golden path with R=2 on two
@@ -332,6 +469,12 @@ func TestFleetEquivalence(t *testing.T) {
 // byte-identical, and each backend's store independently holds the full
 // fleet history.
 func TestFleetReplicatedEquivalence(t *testing.T) {
+	for _, codec := range frontCodecs {
+		t.Run(codec, func(t *testing.T) { testFleetReplicatedEquivalence(t, codec) })
+	}
+}
+
+func testFleetReplicatedEquivalence(t *testing.T, codec string) {
 	checkNoLeaks(t)
 	opts := DefaultTopologyOptions()
 	opts.Replication = 2
@@ -342,10 +485,7 @@ func TestFleetReplicatedEquivalence(t *testing.T) {
 	const seconds = 40
 	for ni, node := range nodes {
 		samples := genSamples(t, int64(300+ni), seconds)
-		fa, err := cluster.Dial(r.Addr(), node)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fa := dialFront(t, r, node, codec)
 		ra, err := cluster.Dial(ref.Addr(), node)
 		if err != nil {
 			fa.Close()
@@ -368,10 +508,7 @@ func TestFleetReplicatedEquivalence(t *testing.T) {
 		ra.Close()
 	}
 
-	fa, err := cluster.Dial(r.Addr(), "query-client")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fa := dialFront(t, r, "query-client", codec)
 	defer fa.Close()
 	ra, err := cluster.Dial(ref.Addr(), "query-client")
 	if err != nil {
@@ -426,6 +563,12 @@ func TestFleetReplicatedEquivalence(t *testing.T) {
 // front-end agent must receive the same per-sample estimates through the
 // router as against the service directly, and the history must match.
 func TestFleetBatchForwarding(t *testing.T) {
+	for _, codec := range frontCodecs {
+		t.Run(codec, func(t *testing.T) { testFleetBatchForwarding(t, codec) })
+	}
+}
+
+func testFleetBatchForwarding(t *testing.T, codec string) {
 	checkNoLeaks(t)
 	r, _ := startFleet(t, 2, DefaultTopologyOptions())
 	ref := startBackend(t)
@@ -434,9 +577,10 @@ func TestFleetBatchForwarding(t *testing.T) {
 	const seconds = 32
 	samples := genSamples(t, 77, seconds)
 
-	send := func(addr string) []cluster.Estimate {
+	send := func(addr, codec string) []cluster.Estimate {
 		t.Helper()
 		opts := cluster.DefaultAgentOptions()
+		opts.Codec = codec
 		opts.Batch = cluster.BatchOptions{MaxSamples: 8}
 		ag, err := cluster.DialResilient(addr, node, opts)
 		if err != nil {
@@ -458,8 +602,8 @@ func TestFleetBatchForwarding(t *testing.T) {
 		return append(ests, got...)
 	}
 
-	fests := send(r.Addr())
-	rests := send(ref.Addr())
+	fests := send(r.Addr(), codec)
+	rests := send(ref.Addr(), cluster.CodecBinary)
 	if len(fests) != seconds || len(rests) != seconds {
 		t.Fatalf("estimate counts: fleet %d, ref %d, want %d", len(fests), len(rests), seconds)
 	}
@@ -469,10 +613,7 @@ func TestFleetBatchForwarding(t *testing.T) {
 		}
 	}
 
-	fa, err := cluster.Dial(r.Addr(), "query-client")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fa := dialFront(t, r, "query-client", codec)
 	defer fa.Close()
 	ra, err := cluster.Dial(ref.Addr(), "query-client")
 	if err != nil {

@@ -29,25 +29,42 @@ type ShardStatus struct {
 // not exist on any single backend. Backend-shaped totals come from
 // MergedStats instead.
 type Stats struct {
-	Shards         []ShardStatus `json:"shards"`
-	Nodes          int           `json:"nodes"`
-	Conns          int           `json:"conns"`
-	PeakConns      int           `json:"peak_conns"`
-	Frames         int64         `json:"frames"`
-	TimedOut       int64         `json:"timed_out"`
-	Routed         int64         `json:"routed"`
-	Replicated     int64         `json:"replicated"`
-	FailedOver     int64         `json:"failed_over"`
-	RouteErrors    int64         `json:"route_errors"`
-	ScatterGathers int64         `json:"scatter_gathers"`
+	Shards    []ShardStatus `json:"shards"`
+	Nodes     int           `json:"nodes"`
+	Conns     int           `json:"conns"`
+	PeakConns int           `json:"peak_conns"`
+	// Frames counts front-end requests handled, BinFrames/JSONFrames the
+	// same per wire codec, and BinConns the front-end connections that
+	// negotiated binary — JSONFrames growing faster than one Hello per
+	// connection means some agent still speaks JSON on the front hop.
+	Frames     int64 `json:"frames"`
+	BinFrames  int64 `json:"bin_frames"`
+	JSONFrames int64 `json:"json_frames"`
+	BinConns   int64 `json:"bin_conns"`
+	// Rejected counts front-end connections dropped at accept by the
+	// MaxConns cap, TimedOut the ones reaped by the read deadline.
+	Rejected       int64 `json:"rejected"`
+	TimedOut       int64 `json:"timed_out"`
+	Routed         int64 `json:"routed"`
+	Replicated     int64 `json:"replicated"`
+	FailedOver     int64 `json:"failed_over"`
+	RouteErrors    int64 `json:"route_errors"`
+	ScatterGathers int64 `json:"scatter_gathers"`
 }
 
 // Stats snapshots the router's routing state: per-shard health and
 // connection pools plus the fleet counters.
 func (r *Router) Stats() Stats {
+	front := r.srv.Stats()
 	out := Stats{
-		Frames:         r.frames.Load(),
-		TimedOut:       r.timedOut.Load(),
+		Conns:          front.Conns,
+		PeakConns:      front.PeakConns,
+		Frames:         front.BinFrames + front.JSONFrames,
+		BinFrames:      front.BinFrames,
+		JSONFrames:     front.JSONFrames,
+		BinConns:       front.BinConns,
+		Rejected:       front.Rejected,
+		TimedOut:       front.TimedOut,
 		Routed:         r.routed.Load(),
 		Replicated:     r.replicated.Load(),
 		FailedOver:     r.failedOver.Load(),
@@ -98,10 +115,6 @@ func (r *Router) Stats() Stats {
 		})
 	}
 	out.Nodes = len(r.recordedNodes())
-	r.mu.Lock()
-	out.Conns = len(r.conns)
-	out.PeakConns = r.peak
-	r.mu.Unlock()
 	return out
 }
 
@@ -122,7 +135,9 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	nodes := reg.Gauge("highrpm_fleet_nodes", "Nodes the router has routed estimates for.")
 	conns := reg.Gauge("highrpm_fleet_connections", "Live front-end connections.")
 	peak := reg.Gauge("highrpm_fleet_connections_peak", "Highwater mark of live front-end connections.")
-	frames := reg.Counter("highrpm_fleet_frames_total", "Front-end requests handled.")
+	binConns := reg.Counter("highrpm_fleet_binary_connections_total", "Front-end connections that negotiated the binary codec.")
+	frames := reg.CounterVec("highrpm_fleet_frames_total", "Front-end requests handled, by wire codec.", "codec")
+	rejected := reg.Counter("highrpm_fleet_rejected_total", "Front-end connections dropped at accept by the MaxConns cap.")
 	timedOut := reg.Counter("highrpm_fleet_timed_out_total", "Front-end connections reaped by the read deadline.")
 	routed := reg.Counter("highrpm_fleet_routed_total", "Samples and batches answered live by their primary shard.")
 	replicated := reg.Counter("highrpm_fleet_replicated_total", "Live follower writes (per replica beyond the primary).")
@@ -150,7 +165,10 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 		nodes.Set(float64(st.Nodes))
 		conns.Set(float64(st.Conns))
 		peak.Set(float64(st.PeakConns))
-		frames.Set(float64(st.Frames))
+		binConns.Set(float64(st.BinConns))
+		frames.With("binary").Set(float64(st.BinFrames))
+		frames.With("json").Set(float64(st.JSONFrames))
+		rejected.Set(float64(st.Rejected))
 		timedOut.Set(float64(st.TimedOut))
 		routed.Set(float64(st.Routed))
 		replicated.Set(float64(st.Replicated))
@@ -165,10 +183,7 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 // but degraded while any shard is down or any pooled connection is
 // buffering, fully ready otherwise.
 func (r *Router) Health() obs.Health {
-	r.mu.Lock()
-	closed := r.closed
-	r.mu.Unlock()
-	if closed || r.ln == nil {
+	if !r.srv.Listening() {
 		return obs.Health{Ready: false, Detail: "router not listening"}
 	}
 	st := r.Stats()

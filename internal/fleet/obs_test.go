@@ -65,7 +65,9 @@ func TestFleetObsScrape(t *testing.T) {
 		}
 		ag.Close()
 	}
-	qa, err := cluster.Dial(r.Addr(), "obs-query")
+	// The query client is a JSON straggler: pinned to the old codec, its
+	// frames must show up under codec="json" on the front hop.
+	qa, err := cluster.DialCodec(r.Addr(), "obs-query", cluster.CodecJSON, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,13 @@ func TestFleetObsScrape(t *testing.T) {
 		"highrpm_fleet_nodes 2",
 		"highrpm_fleet_connections ",
 		"highrpm_fleet_connections_peak ",
-		"highrpm_fleet_frames_total ",
+		// Two binary agents: one JSON Hello each, then five binary samples
+		// each. The straggler: a JSON Hello and a JSON query.
+		"highrpm_fleet_binary_connections_total 2",
+		`highrpm_fleet_frames_total{codec="binary"} 10`,
+		`highrpm_fleet_frames_total{codec="json"} 4`,
+		"highrpm_fleet_rejected_total 0",
+		"highrpm_fleet_timed_out_total 0",
 		"highrpm_fleet_routed_total 10",
 		"highrpm_fleet_replicated_total 0",
 		"highrpm_fleet_failovers_total 0",

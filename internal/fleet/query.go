@@ -88,7 +88,7 @@ func (r *Router) queryAgentLocked(st *shardState) (*cluster.ResilientAgent, erro
 	if time.Now().Before(st.nextDial) {
 		return nil, errShardUnreachable(st.shard.Name)
 	}
-	ag, err := cluster.DialResilient(st.shard.Addr, "fleet-router", r.opts.Agent)
+	ag, err := cluster.DialResilientShared(st.shard.Addr, "fleet-router", r.opts.Agent, &r.models)
 	if err != nil {
 		st.nextDial = time.Now().Add(r.opts.DialRetry)
 		st.up.Store(false)
@@ -298,19 +298,8 @@ func (r *Router) MergedStats() (cluster.Stats, error) {
 		out.Store.CompressionRatio = 16 / out.Store.BytesPerPoint
 	}
 	out.Nodes = r.knownNodes()
-	r.mu.Lock()
-	out.Conns = len(r.conns)
-	out.PeakConns = r.peak
-	for _, id := range r.conns {
-		if id == "" {
-			continue
-		}
-		if out.NodeConns == nil {
-			out.NodeConns = map[string]int{}
-		}
-		out.NodeConns[id]++
-	}
-	r.mu.Unlock()
+	front := r.srv.Stats()
+	out.Conns, out.PeakConns, out.NodeConns = front.Conns, front.PeakConns, front.NodeConns
 	r.scatters.Add(1)
 	if h := r.scatterHist.Load(); h != nil {
 		h.Observe(time.Since(scStart).Seconds())

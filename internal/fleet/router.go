@@ -1,12 +1,9 @@
 package fleet
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"log"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,22 +13,21 @@ import (
 )
 
 // Router fronts N cluster.Service backends behind one listener speaking
-// the ordinary cluster wire protocol (JSON framing; the binary codec is
-// negotiated per backend hop by the pooled agents, and a binary-capable
-// front-end agent falls back to JSON gracefully). See the package comment
-// for the routing, replication, and federation semantics.
+// the ordinary cluster wire protocol. Its front end is a cluster.Server —
+// the same connection server, limits, deadlines and codec negotiation a
+// Service runs — so an agent that dials a router gets the binary codec it
+// offers exactly as it would from a service, and a JSON-pinned or
+// pre-binary agent keeps working; the router is that server's Handler and
+// answers every request from the fleet instead of a local model and
+// store. Each backend hop negotiates its own codec through the pooled
+// agents. See the package comment for the routing, replication, and
+// federation semantics.
 type Router struct {
 	top    Topology
 	opts   TopologyOptions
 	ring   *ring
 	shards []*shardState
-
-	ln     net.Listener
-	mu     sync.Mutex
-	conns  map[net.Conn]string // conn -> node ID ("" before Hello)
-	peak   int
-	closed bool
-	wg     sync.WaitGroup
+	srv    *cluster.Server
 
 	// nmu guards routes, the per-node forwarding registry. The registry is
 	// also the scatter-gather working set: a node joins it the first time
@@ -39,8 +35,11 @@ type Router struct {
 	nmu    sync.Mutex
 	routes map[string]*nodeRoute
 
-	frames      atomic.Int64
-	timedOut    atomic.Int64
+	// models interns the model snapshots the pooled agents fetch: every
+	// shard serves the same model, so the hundred-odd per-node and query
+	// connections share one decoded copy instead of keeping one each.
+	models cluster.ModelCache
+
 	routed      atomic.Int64
 	replicated  atomic.Int64
 	failedOver  atomic.Int64
@@ -112,10 +111,11 @@ func NewRouter(top Topology, opts TopologyOptions) (*Router, error) {
 		top:    top,
 		opts:   opts,
 		ring:   rg,
-		conns:  map[net.Conn]string{},
 		routes: map[string]*nodeRoute{},
 		Logf:   log.Printf,
 	}
+	// Logf is read at call time: callers replace it after construction.
+	r.srv = cluster.NewServer("fleet", routerHandler{r}, opts.FrontEnd, func(format string, args ...any) { r.Logf(format, args...) })
 	for _, sh := range top.Shards {
 		st := &shardState{shard: sh}
 		st.up.Store(true)
@@ -133,24 +133,10 @@ func (r *Router) Options() TopologyOptions { return r.opts }
 // Listen starts accepting front-end agents on addr ("host:port"; ":0"
 // picks a free port). It returns immediately; Addr reports the bound
 // address.
-func (r *Router) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("fleet: listen: %w", err)
-	}
-	r.ln = ln
-	r.wg.Add(1)
-	go r.acceptLoop()
-	return nil
-}
+func (r *Router) Listen(addr string) error { return r.srv.Listen(addr) }
 
 // Addr returns the bound listen address.
-func (r *Router) Addr() string {
-	if r.ln == nil {
-		return ""
-	}
-	return r.ln.Addr().String()
-}
+func (r *Router) Addr() string { return r.srv.Addr() }
 
 // Close stops the listener, terminates open front-end connections
 // immediately, waits for the handlers to finish, and only then closes the
@@ -158,25 +144,7 @@ func (r *Router) Addr() string {
 // Samples a degraded agent buffered but never replayed are lost, exactly
 // as if that agent's node had gone away; use Shutdown for a draining
 // stop.
-func (r *Router) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	for c := range r.conns {
-		_ = c.Close()
-	}
-	r.mu.Unlock()
-	var err error
-	if r.ln != nil {
-		err = r.ln.Close()
-	}
-	r.wg.Wait()
-	r.closeAgents()
-	return err
-}
+func (r *Router) Close() error { return r.Shutdown(0) }
 
 // Shutdown drains the router gracefully: it stops accepting, lets every
 // handler finish the request it is processing (replies are still
@@ -184,44 +152,7 @@ func (r *Router) Close() error {
 // force-closes whatever remains after grace. Backend connections close
 // last.
 func (r *Router) Shutdown(grace time.Duration) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	conns := make([]net.Conn, 0, len(r.conns))
-	//lint:ignore maporder teardown order over the connection set is immaterial
-	for c := range r.conns {
-		conns = append(conns, c)
-	}
-	r.mu.Unlock()
-	var err error
-	if r.ln != nil {
-		err = r.ln.Close()
-	}
-	// An expired read deadline unblocks handlers parked between requests
-	// without cutting off a reply in flight (the same drain discipline
-	// cluster.Service.Shutdown uses).
-	now := time.Now()
-	for _, c := range conns {
-		c.SetReadDeadline(now)
-	}
-	done := make(chan struct{})
-	go func() {
-		r.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(grace):
-		r.mu.Lock()
-		for c := range r.conns {
-			_ = c.Close()
-		}
-		r.mu.Unlock()
-		<-done
-	}
+	err := r.srv.Shutdown(grace)
 	r.closeAgents()
 	return err
 }
@@ -254,204 +185,47 @@ func (r *Router) closeAgents() {
 	}
 }
 
-// track registers a live front-end connection; false means the router is
-// closing or at its MaxConns cap and the connection should be dropped.
-func (r *Router) track(conn net.Conn) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return false
-	}
-	if r.opts.FrontEnd.MaxConns > 0 && len(r.conns) >= r.opts.FrontEnd.MaxConns {
-		return false
-	}
-	r.conns[conn] = ""
-	if len(r.conns) > r.peak {
-		r.peak = len(r.conns)
-	}
-	return true
+// routerHandler is the Router's cluster.Handler face: each request kind
+// the front-end server decodes is answered from the fleet. A failed
+// request counts as a route error; the server relays a backend's
+// *ServiceError as the service's own message, byte-identical to a direct
+// connection.
+type routerHandler struct{ r *Router }
+
+func (h routerHandler) Hello(nodeID string) { h.r.routeFor(nodeID) }
+
+func (h routerHandler) Sample(smp *cluster.Sample) (cluster.Estimate, error) {
+	est, err := h.r.forwardSample(smp)
+	return est, h.r.countError(err)
 }
 
-func (r *Router) untrack(conn net.Conn) {
-	r.mu.Lock()
-	delete(r.conns, conn)
-	r.mu.Unlock()
+// Batch ignores the reply scratch: the winning replica's estimates arrive
+// in a slice of their own.
+func (h routerHandler) Batch(rb *cluster.RecordBatch, _ []cluster.Estimate) ([]cluster.Estimate, error) {
+	ests, err := h.r.forwardBatch(rb)
+	return ests, h.r.countError(err)
 }
 
-// identify binds a connection to the node that said Hello on it.
-func (r *Router) identify(conn net.Conn, nodeID string) {
-	r.mu.Lock()
-	if _, ok := r.conns[conn]; ok {
-		r.conns[conn] = nodeID
-	}
-	r.mu.Unlock()
+func (h routerHandler) Query(q cluster.QueryRequest) (cluster.SeriesBody, error) {
+	body, err := h.r.answerQuery(q)
+	return body, h.r.countError(err)
 }
 
-func (r *Router) isClosed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
+func (h routerHandler) Stats() (cluster.Stats, error) {
+	st, err := h.r.MergedStats()
+	return st, h.r.countError(err)
 }
 
-func (r *Router) acceptLoop() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			if !r.isClosed() {
-				r.Logf("fleet: accept: %v", err)
-			}
-			return
-		}
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			if err := r.handle(conn); err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				r.Logf("fleet: connection %s: %v", conn.RemoteAddr(), err)
-			}
-		}()
-	}
+func (h routerHandler) Model() ([]byte, error) {
+	data, err := h.r.fetchModel()
+	return data, h.r.countError(err)
 }
 
-// handle serves one front-end connection: the same request loop a
-// cluster.Service runs, except every answer comes from the fleet instead
-// of a local model and store.
-func (r *Router) handle(conn net.Conn) error {
-	defer conn.Close()
-	if !r.track(conn) {
-		return nil
+func (r *Router) countError(err error) error {
+	if err != nil {
+		r.routeErrors.Add(1)
 	}
-	defer r.untrack(conn)
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	for {
-		if r.opts.FrontEnd.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(r.opts.FrontEnd.ReadTimeout))
-		}
-		env, err := cluster.ReadMsgLimit(br, r.opts.FrontEnd.MaxFrame)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && !r.isClosed() {
-				r.timedOut.Add(1)
-			}
-			return err
-		}
-		if r.opts.FrontEnd.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(r.opts.FrontEnd.WriteTimeout))
-		}
-		r.frames.Add(1)
-		switch env.Kind {
-		case cluster.KindHello:
-			var h cluster.Hello
-			if err := cluster.DecodeBody(env, &h); err != nil {
-				return err
-			}
-			r.routeFor(h.NodeID)
-			r.identify(conn, h.NodeID)
-			// The front-end always answers JSON (no Codec selection): the
-			// router re-frames per backend hop anyway, and a
-			// binary-preferring agent falls back to JSON on an unselected
-			// offer.
-			if err := cluster.WriteMsg(bw, cluster.KindHello, cluster.Hello{NodeID: h.NodeID}); err != nil {
-				return err
-			}
-		case cluster.KindSample:
-			var smp cluster.Sample
-			if err := cluster.DecodeBody(env, &smp); err != nil {
-				return err
-			}
-			est, ferr := r.forwardSample(smp)
-			if ferr != nil {
-				if werr := r.writeError(bw, ferr); werr != nil {
-					return werr
-				}
-				break
-			}
-			if err := cluster.WriteMsg(bw, cluster.KindEstimate, est); err != nil {
-				return err
-			}
-		case cluster.KindRecordBatch:
-			var rb cluster.RecordBatch
-			if err := cluster.DecodeBody(env, &rb); err != nil {
-				return err
-			}
-			ests, ferr := r.forwardBatch(&rb)
-			if ferr != nil {
-				if werr := r.writeError(bw, ferr); werr != nil {
-					return werr
-				}
-				break
-			}
-			if err := cluster.WriteMsg(bw, cluster.KindEstimateBatch, cluster.EstimateBatch{Estimates: ests}); err != nil {
-				return err
-			}
-		case cluster.KindQuery:
-			var q cluster.QueryRequest
-			if err := cluster.DecodeBody(env, &q); err != nil {
-				return err
-			}
-			body, qerr := r.answerQuery(q)
-			if qerr != nil {
-				if werr := r.writeError(bw, qerr); werr != nil {
-					return werr
-				}
-				break
-			}
-			if err := cluster.WriteMsg(bw, cluster.KindSeries, body); err != nil {
-				if errors.Is(err, cluster.ErrFrameTooLarge) {
-					// Nothing was written yet; tell the agent to narrow the
-					// window instead of killing the connection.
-					if werr := cluster.WriteMsg(bw, cluster.KindError, cluster.ErrorBody{Message: "series reply too large; narrow the query window or coarsen the resolution"}); werr != nil {
-						return werr
-					}
-					break
-				}
-				return err
-			}
-		case cluster.KindStats:
-			st, serr := r.MergedStats()
-			if serr != nil {
-				if werr := r.writeError(bw, serr); werr != nil {
-					return werr
-				}
-				break
-			}
-			if err := cluster.WriteMsg(bw, cluster.KindStats, st); err != nil {
-				return err
-			}
-		case cluster.KindModel:
-			data, merr := r.fetchModel()
-			if merr != nil {
-				if werr := r.writeError(bw, merr); werr != nil {
-					return werr
-				}
-				break
-			}
-			if err := cluster.WriteMsg(bw, cluster.KindModel, cluster.ModelBody{Data: data}); err != nil {
-				return err
-			}
-		default:
-			if err := cluster.WriteMsg(bw, cluster.KindError, cluster.ErrorBody{Message: fmt.Sprintf("unknown kind %q", env.Kind)}); err != nil {
-				return err
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-	}
-}
-
-// writeError answers one failed request. A backend *ServiceError is
-// unwrapped so the front-end sees the service's own message, byte-
-// identical to a direct connection; everything else travels verbatim.
-func (r *Router) writeError(bw *bufio.Writer, err error) error {
-	r.routeErrors.Add(1)
-	msg := err.Error()
-	var se *cluster.ServiceError
-	if errors.As(err, &se) {
-		msg = se.Message
-	}
-	return cluster.WriteMsg(bw, cluster.KindError, cluster.ErrorBody{Message: msg})
+	return err
 }
 
 // routeFor returns the node's forwarding state, computing ring placement
@@ -484,7 +258,7 @@ func (r *Router) agentFor(nr *nodeRoute, i int, nodeID string) *cluster.Resilien
 		return nil
 	}
 	st := r.shards[nr.owners[i]]
-	ag, err := cluster.DialResilient(st.shard.Addr, nodeID, r.opts.Agent)
+	ag, err := cluster.DialResilientShared(st.shard.Addr, nodeID, r.opts.Agent, &r.models)
 	if err != nil {
 		nr.nextDial[i] = time.Now().Add(r.opts.DialRetry)
 		st.up.Store(false)
@@ -506,8 +280,10 @@ func errShardUnreachable(name string) error {
 // its local snapshot (its shard is down, the sample is buffered for
 // in-order replay), the first follower with a live service answer takes
 // over, so the front-end keeps receiving service-grade estimates through
-// single-shard outages.
-func (r *Router) forwardSample(smp cluster.Sample) (cluster.Estimate, error) {
+// single-shard outages. smp is the front-end connection's scratch: every
+// replica send completes before forwardSample returns, and a degraded
+// agent copies what it buffers for replay.
+func (r *Router) forwardSample(smp *cluster.Sample) (cluster.Estimate, error) {
 	nr := r.routeFor(smp.NodeID)
 	nr.mu.Lock()
 	defer nr.mu.Unlock()

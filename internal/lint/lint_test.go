@@ -51,8 +51,8 @@ func TestFixtureFiresEveryAnalyzer(t *testing.T) {
 		"floateq internal/core/core.go:32",
 		"maporder internal/core/core.go:37",
 		"maporder internal/core/core.go:46",
-		"errdrop internal/fleet/router.go:34",
-		"errdrop internal/fleet/router.go:39",
+		"errdrop internal/fleet/router.go:33",
+		"errdrop internal/fleet/router.go:38",
 		"leakcheck internal/fleet/router_test.go:10",
 		"layering internal/mat/mat.go:5",
 		"leakcheck internal/obs/obs_test.go:10",

@@ -1,33 +1,32 @@
 // Package fleet carries the errdrop and leakcheck fixtures for the
 // scale-out router layer: discarded Router Shutdown/Close errors and
-// tests that start the accept goroutine without arming the guard.
+// tests that start the accept goroutine without arming the guard. The
+// goroutine is spawned a package away, by the cluster connection server
+// the router fronts — leakcheck must follow the Listen call across.
 package fleet
 
-import "time"
+import (
+	"time"
 
-// Router is a fleet-like front-end that owns an accept goroutine.
+	"highrpm/internal/cluster"
+)
+
+// Router is a fleet-like front-end over the shared connection server.
 type Router struct {
-	done chan struct{}
+	srv cluster.Server
 }
 
-// Listen starts the accept goroutine.
-func (r *Router) Listen() {
-	r.done = make(chan struct{})
-	go func() { <-r.done }()
-}
+// Listen starts the server's accept goroutine.
+func (r *Router) Listen() { r.srv.Listen() }
 
 // Shutdown drains in-flight requests and stops the router.
 func (r *Router) Shutdown(grace time.Duration) error {
 	_ = grace
-	close(r.done)
-	return nil
+	return r.srv.Close()
 }
 
 // Close stops the router immediately.
-func (r *Router) Close() error {
-	close(r.done)
-	return nil
-}
+func (r *Router) Close() error { return r.srv.Close() }
 
 // shutdownDropped discards the Shutdown error: errdrop violation.
 func shutdownDropped(r *Router) {

@@ -13,8 +13,9 @@
 # neural/tree/experiments, and the attribution ledger) so
 # locking regressions surface immediately. It then fuzzes the
 # wire-protocol decoders briefly (JSON envelope, binary framing, and the
-# cross-codec agreement law), the durability decoders (WAL segment
-# scanner, snapshot loader), and the fleet placement ring, and finishes
+# cross-codec agreement law), the connection server's request loop over
+# arbitrary frame streams (FuzzServeConn), the durability decoders (WAL
+# segment scanner, snapshot loader), and the fleet placement ring, and finishes
 # with one pass over the PR 3 training benchmarks (BENCH_pr3.json), the
 # PR 4 cluster benchmarks (BENCH_pr4.json), the PR 8 serving hot-path
 # benchmarks (BENCH_pr8.json), the PR 9 durability benchmarks
@@ -47,6 +48,8 @@ go test -run '^$' -fuzz '^FuzzReadEnvelope$' -fuzztime=10s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzEnvelopeRoundTrip$' -fuzztime=10s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzBinaryEnvelopeRoundTrip$' -fuzztime=10s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzCrossCodecSample$' -fuzztime=10s ./internal/cluster
+echo "== fuzz shared serve loop (10s)"
+go test -run '^$' -fuzz '^FuzzServeConn$' -fuzztime=10s ./internal/cluster
 echo "== fuzz durability decoders (10s per target)"
 go test -run '^$' -fuzz '^FuzzWALRecord$' -fuzztime=10s ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzSnapshotFile$' -fuzztime=10s ./internal/tsdb
