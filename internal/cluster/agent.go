@@ -20,12 +20,12 @@ import (
 type Agent struct {
 	nodeID string
 	conn   net.Conn
-	r      *bufio.Reader
-	w      *bufio.Writer
-	// bin is non-nil once the Hello handshake settled on the binary codec;
-	// it owns the connection's encode/decode scratch.
-	bin   *binFramer
-	batch batcher
+	// f frames every message on the connection, JSON and binary alike, and
+	// owns the encode/decode scratch; binary is set once the Hello handshake
+	// settled on the binary codec.
+	f      *binFramer
+	binary bool
+	batch  batcher
 }
 
 // Dial connects an agent to the service and registers the node, preferring
@@ -48,7 +48,7 @@ func DialCodec(addr, nodeID, codec string, timeout time.Duration) (*Agent, error
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
-	a := &Agent{nodeID: nodeID, conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+	a := &Agent{nodeID: nodeID, conn: conn, f: newBinFramer(bufio.NewReader(conn), bufio.NewWriter(conn), DefaultMaxFrame)}
 	if timeout > 0 {
 		conn.SetDeadline(time.Now().Add(timeout))
 		defer conn.SetDeadline(time.Time{})
@@ -57,31 +57,12 @@ func DialCodec(addr, nodeID, codec string, timeout time.Duration) (*Agent, error
 	if codec == CodecBinary {
 		hello.Codecs = []string{CodecBinary}
 	}
-	if err := WriteMsg(a.w, KindHello, hello); err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	if err := a.w.Flush(); err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	env, err := ReadMsg(a.r)
-	if err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("cluster: hello reply: %w", err)
-	}
-	if env.Kind != KindHello {
-		_ = conn.Close()
-		return nil, fmt.Errorf("cluster: unexpected hello reply kind %q", env.Kind)
-	}
 	var reply Hello
-	if err := DecodeBody(env, &reply); err != nil {
+	if err := a.call(KindHello, hello, &reply); err != nil {
 		_ = conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("cluster: hello: %w", err)
 	}
-	if reply.Codec == CodecBinary {
-		a.bin = newBinFramer(a.r, a.w, DefaultMaxFrame)
-	}
+	a.binary = reply.Codec == CodecBinary
 	return a, nil
 }
 
@@ -90,7 +71,7 @@ func (a *Agent) NodeID() string { return a.nodeID }
 
 // Codec reports the wire codec the Hello handshake settled on.
 func (a *Agent) Codec() string {
-	if a.bin != nil {
+	if a.binary {
 		return CodecBinary
 	}
 	return CodecJSON
@@ -99,105 +80,84 @@ func (a *Agent) Codec() string {
 // setDeadline bounds the next request round trip (zero time clears it).
 func (a *Agent) setDeadline(t time.Time) { a.conn.SetDeadline(t) }
 
-// writeEnv sends one envelope in the connection's codec: natively in JSON
-// mode, wrapped in a binKindJSON frame in binary mode. It carries the
-// message kinds without a hot-path binary layout (stats, model).
-func (a *Agent) writeEnv(kind MsgKind, body any) error {
-	if a.bin != nil {
-		return a.bin.writeJSONEnvelope(kind, body)
+// roundTrip is the one request/reply exchange every verb runs: flush the
+// request just framed, read one reply through the frame reader the server
+// uses, and hand it back if it is of the wanted kind. An error reply —
+// native binary or a JSON envelope, wrapped or not — becomes a
+// *ServiceError (the connection stays usable); any other kind is a
+// protocol error.
+func (a *Agent) roundTrip(want MsgKind) (wireMsg, error) {
+	if err := a.f.w.Flush(); err != nil {
+		return wireMsg{}, err
 	}
-	return WriteMsg(a.w, kind, body)
+	rep, err := a.f.readMsg(a.binary)
+	if err != nil {
+		return wireMsg{}, err
+	}
+	switch rep.kind {
+	case want:
+		return rep, nil
+	case KindError:
+		var eb ErrorBody
+		if rep.enc == encBinary {
+			eb.Message, err = a.f.readError(rep.payload)
+		} else {
+			err = DecodeBody(rep.env, &eb)
+		}
+		if err != nil {
+			return wireMsg{}, err
+		}
+		return wireMsg{}, &ServiceError{Message: eb.Message}
+	default:
+		return wireMsg{}, fmt.Errorf("cluster: unexpected reply %s", rep.kindName())
+	}
 }
 
-// readEnv reads one envelope in the connection's codec. In binary mode a
-// native error frame is also understood (the service answers errors in
-// binary even for JSON-wrapped requests).
-func (a *Agent) readEnv() (Envelope, error) {
-	if a.bin == nil {
-		return ReadMsg(a.r)
+// call is the round trip for the kinds without a native binary layout
+// (hello, stats, model): the request rides a JSON envelope — wrapped in a
+// kind-0 frame on a binary connection — and the same-kind reply's JSON body
+// is decoded into out.
+func (a *Agent) call(kind MsgKind, body, out any) error {
+	enc := encJSON
+	if a.binary {
+		enc = encWrapped
 	}
-	kind, payload, err := a.bin.readFrame()
+	if err := a.f.writeJSON(enc, kind, body); err != nil {
+		return err
+	}
+	rep, err := a.roundTrip(kind)
 	if err != nil {
-		return Envelope{}, err
+		return err
 	}
-	switch kind {
-	case binKindJSON:
-		return readJSONEnvelope(payload)
-	case binKindError:
-		msg, err := a.bin.readError(payload)
-		if err != nil {
-			return Envelope{}, err
-		}
-		return Envelope{}, &ServiceError{Message: msg}
-	default:
-		return Envelope{}, fmt.Errorf("cluster: unexpected binary frame kind %d", kind)
-	}
+	return DecodeBody(rep.env, out)
 }
 
 // Send streams one second of telemetry and returns the service's estimate.
 // measured carries this second's IPMI reading if one arrived (nil usually).
 // A *ServiceError return means the service rejected the sample but the
-// connection is still healthy.
+// connection is still healthy. On a binary connection the round trip is
+// allocation-free in steady state: the request is built in the framer's
+// write scratch and the reply decoded from its read scratch.
 func (a *Agent) Send(t float64, pmc []float64, measured *float64) (Estimate, error) {
-	if a.bin != nil {
-		return a.sendBinary(t, pmc, measured)
+	var err error
+	if a.binary {
+		err = a.f.writeSample(a.nodeID, t, pmc, measured)
+	} else {
+		err = WriteMsg(a.f.w, KindSample, Sample{NodeID: a.nodeID, Time: t, PMC: pmc, Measured: measured})
 	}
-	smp := Sample{NodeID: a.nodeID, Time: t, PMC: pmc, Measured: measured}
-	if err := WriteMsg(a.w, KindSample, smp); err != nil {
-		return Estimate{}, err
-	}
-	if err := a.w.Flush(); err != nil {
-		return Estimate{}, err
-	}
-	env, err := ReadMsg(a.r)
 	if err != nil {
 		return Estimate{}, err
 	}
-	switch env.Kind {
-	case KindEstimate:
-		var est Estimate
-		if err := DecodeBody(env, &est); err != nil {
-			return Estimate{}, err
-		}
-		return est, nil
-	case KindError:
-		var eb ErrorBody
-		if err := DecodeBody(env, &eb); err != nil {
-			return Estimate{}, err
-		}
-		return Estimate{}, &ServiceError{Message: eb.Message}
-	default:
-		return Estimate{}, fmt.Errorf("cluster: unexpected reply kind %q", env.Kind)
-	}
-}
-
-// sendBinary is the zero-allocation sample round trip: encode into the
-// framer's write scratch, decode the reply from its read scratch, intern
-// the node ID. Steady state allocates nothing.
-func (a *Agent) sendBinary(t float64, pmc []float64, measured *float64) (Estimate, error) {
-	f := a.bin
-	if err := f.writeSample(a.nodeID, t, pmc, measured); err != nil {
-		return Estimate{}, err
-	}
-	if err := a.w.Flush(); err != nil {
-		return Estimate{}, err
-	}
-	kind, payload, err := f.readFrame()
+	rep, err := a.roundTrip(KindEstimate)
 	if err != nil {
 		return Estimate{}, err
 	}
-	switch kind {
-	case binKindEstimate:
-		return f.readEstimate(payload)
-	case binKindError:
-		msg, err := f.readError(payload)
-		if err != nil {
-			return Estimate{}, err
-		}
-		return Estimate{}, &ServiceError{Message: msg}
-	default:
-		return Estimate{}, fmt.Errorf("cluster: unexpected binary reply kind %d", kind)
+	if rep.enc == encBinary {
+		return a.f.readEstimate(rep.payload)
 	}
+	var est Estimate
+	err = DecodeBody(rep.env, &est)
+	return est, err
 }
 
 // SetBatching configures sample coalescing for Record. Call it once after
@@ -210,18 +170,7 @@ func (a *Agent) SetBatching(o BatchOptions) { a.batch.opts = o }
 // behaves like Send (one estimate per call). Unlike Send, Record copies
 // pmc, so callers may reuse their buffer immediately.
 func (a *Agent) Record(t float64, pmc []float64, measured *float64) ([]Estimate, error) {
-	if !a.batch.opts.enabled() {
-		est, err := a.Send(t, pmc, measured)
-		if err != nil {
-			return nil, err
-		}
-		return []Estimate{est}, nil
-	}
-	a.batch.add(t, pmc, measured)
-	if a.batch.full() || a.batch.due() {
-		return a.Flush()
-	}
-	return nil, nil
+	return a.batch.record(a, t, pmc, measured)
 }
 
 // Flush sends the pending batch now and returns its estimates (nil when
@@ -233,149 +182,65 @@ func (a *Agent) Flush() ([]Estimate, error) {
 	if a.batch.n == 0 {
 		return nil, nil
 	}
-	ests, err := a.sendBatchSamples(a.batch.wireSamples())
+	ests, err := a.sendBatch(a.batch.wireSamples())
 	a.batch.reset()
 	return ests, err
 }
 
-// sendBatchSamples performs one RecordBatch round trip in the connection's
-// codec. ResilientAgent calls it directly for its own batch replay.
-func (a *Agent) sendBatchSamples(samples []BatchSample) ([]Estimate, error) {
-	if a.bin != nil {
-		f := a.bin
-		if err := f.writeRecordBatch(a.nodeID, samples); err != nil {
-			return nil, err
-		}
-		if err := a.w.Flush(); err != nil {
-			return nil, err
-		}
-		kind, payload, err := f.readFrame()
-		if err != nil {
-			return nil, err
-		}
-		switch kind {
-		case binKindEstimateBatch:
-			return f.readEstimateBatch(payload)
-		case binKindError:
-			msg, err := f.readError(payload)
-			if err != nil {
-				return nil, err
-			}
-			return nil, &ServiceError{Message: msg}
-		default:
-			return nil, fmt.Errorf("cluster: unexpected binary reply kind %d", kind)
-		}
+// sendBatch performs one RecordBatch round trip. ResilientAgent calls it
+// directly for its own batch replay.
+func (a *Agent) sendBatch(samples []BatchSample) ([]Estimate, error) {
+	var err error
+	if a.binary {
+		err = a.f.writeRecordBatch(a.nodeID, samples)
+	} else {
+		err = WriteMsg(a.f.w, KindRecordBatch, RecordBatch{NodeID: a.nodeID, Samples: samples})
 	}
-	rb := RecordBatch{NodeID: a.nodeID, Samples: samples}
-	if err := WriteMsg(a.w, KindRecordBatch, rb); err != nil {
-		return nil, err
-	}
-	if err := a.w.Flush(); err != nil {
-		return nil, err
-	}
-	env, err := ReadMsg(a.r)
 	if err != nil {
 		return nil, err
 	}
-	switch env.Kind {
-	case KindEstimateBatch:
-		var eb EstimateBatch
-		if err := DecodeBody(env, &eb); err != nil {
-			return nil, err
-		}
-		return eb.Estimates, nil
-	case KindError:
-		var eb ErrorBody
-		if err := DecodeBody(env, &eb); err != nil {
-			return nil, err
-		}
-		return nil, &ServiceError{Message: eb.Message}
-	default:
-		return nil, fmt.Errorf("cluster: unexpected reply kind %q", env.Kind)
+	rep, err := a.roundTrip(KindEstimateBatch)
+	if err != nil {
+		return nil, err
 	}
+	if rep.enc == encBinary {
+		return a.f.readEstimateBatch(rep.payload)
+	}
+	var eb EstimateBatch
+	err = DecodeBody(rep.env, &eb)
+	return eb.Estimates, err
 }
 
 // Stats fetches service statistics.
 func (a *Agent) Stats() (Stats, error) {
-	if err := a.writeEnv(KindStats, struct{}{}); err != nil {
-		return Stats{}, err
-	}
-	if err := a.w.Flush(); err != nil {
-		return Stats{}, err
-	}
-	env, err := a.readEnv()
-	if err != nil {
-		return Stats{}, err
-	}
-	if env.Kind != KindStats {
-		return Stats{}, fmt.Errorf("cluster: unexpected stats reply kind %q", env.Kind)
-	}
 	var st Stats
-	if err := DecodeBody(env, &st); err != nil {
-		return Stats{}, err
-	}
-	return st, nil
+	err := a.call(KindStats, struct{}{}, &st)
+	return st, err
 }
 
 // Query fetches stored power history from the service: one node's series
 // when req.NodeID is set, the cluster-wide aggregate otherwise. NaN gaps
 // (sparse IPMI seconds, all-NaN rollup buckets) arrive as NaN.
 func (a *Agent) Query(req QueryRequest) (SeriesBody, error) {
-	if a.bin != nil {
-		return a.queryBinary(req)
+	var err error
+	if a.binary {
+		err = a.f.writeQuery(req)
+	} else {
+		err = WriteMsg(a.f.w, KindQuery, req)
 	}
-	if err := WriteMsg(a.w, KindQuery, req); err != nil {
-		return SeriesBody{}, err
-	}
-	if err := a.w.Flush(); err != nil {
-		return SeriesBody{}, err
-	}
-	env, err := ReadMsg(a.r)
 	if err != nil {
 		return SeriesBody{}, err
 	}
-	switch env.Kind {
-	case KindSeries:
-		var body SeriesBody
-		if err := DecodeBody(env, &body); err != nil {
-			return SeriesBody{}, err
-		}
-		return body, nil
-	case KindError:
-		var eb ErrorBody
-		if err := DecodeBody(env, &eb); err != nil {
-			return SeriesBody{}, err
-		}
-		return SeriesBody{}, &ServiceError{Message: eb.Message}
-	default:
-		return SeriesBody{}, fmt.Errorf("cluster: unexpected reply kind %q", env.Kind)
-	}
-}
-
-func (a *Agent) queryBinary(req QueryRequest) (SeriesBody, error) {
-	f := a.bin
-	if err := f.writeQuery(req); err != nil {
-		return SeriesBody{}, err
-	}
-	if err := a.w.Flush(); err != nil {
-		return SeriesBody{}, err
-	}
-	kind, payload, err := f.readFrame()
+	rep, err := a.roundTrip(KindSeries)
 	if err != nil {
 		return SeriesBody{}, err
 	}
-	switch kind {
-	case binKindSeries:
-		return f.readSeries(payload)
-	case binKindError:
-		msg, err := f.readError(payload)
-		if err != nil {
-			return SeriesBody{}, err
-		}
-		return SeriesBody{}, &ServiceError{Message: msg}
-	default:
-		return SeriesBody{}, fmt.Errorf("cluster: unexpected binary reply kind %d", kind)
+	if rep.enc == encBinary {
+		return a.f.readSeries(rep.payload)
 	}
+	var body SeriesBody
+	err = DecodeBody(rep.env, &body)
+	return body, err
 }
 
 // FetchModel downloads the service's trained model for local inference —
@@ -390,32 +255,9 @@ func (a *Agent) FetchModel() (*core.HighRPM, error) {
 
 // fetchModelBytes downloads the serialised model without decoding it.
 func (a *Agent) fetchModelBytes() ([]byte, error) {
-	if err := a.writeEnv(KindModel, struct{}{}); err != nil {
-		return nil, err
-	}
-	if err := a.w.Flush(); err != nil {
-		return nil, err
-	}
-	env, err := a.readEnv()
-	if err != nil {
-		return nil, err
-	}
-	switch env.Kind {
-	case KindModel:
-		var mb ModelBody
-		if err := DecodeBody(env, &mb); err != nil {
-			return nil, err
-		}
-		return mb.Data, nil
-	case KindError:
-		var eb ErrorBody
-		if err := DecodeBody(env, &eb); err != nil {
-			return nil, err
-		}
-		return nil, &ServiceError{Message: eb.Message}
-	default:
-		return nil, fmt.Errorf("cluster: unexpected reply kind %q", env.Kind)
-	}
+	var mb ModelBody
+	err := a.call(KindModel, struct{}{}, &mb)
+	return mb.Data, err
 }
 
 // Close terminates the connection. Pending batched samples are dropped;

@@ -41,6 +41,29 @@ type batcher struct {
 	wire   []BatchSample // reused wire form handed to writeRecordBatch
 }
 
+// sender is what record drives: the agent the batcher belongs to.
+type sender interface {
+	Send(t float64, pmc []float64, measured *float64) (Estimate, error)
+	Flush() ([]Estimate, error)
+}
+
+// record is Record for both agent types: without batching one Send, with
+// it a queued sample and a Flush once the batch is full or overdue.
+func (b *batcher) record(s sender, t float64, pmc []float64, measured *float64) ([]Estimate, error) {
+	if !b.opts.enabled() {
+		est, err := s.Send(t, pmc, measured)
+		if err != nil {
+			return nil, err
+		}
+		return []Estimate{est}, nil
+	}
+	b.add(t, pmc, measured)
+	if b.full() || b.due() {
+		return s.Flush()
+	}
+	return nil, nil
+}
+
 func (b *batcher) add(t float64, pmc []float64, measured *float64) {
 	if b.n == len(b.slots) {
 		b.slots = append(b.slots, batchSlot{})

@@ -25,8 +25,9 @@ import (
 const (
 	// binKindJSON wraps one JSON envelope — the escape hatch for message
 	// kinds without a native binary layout.
-	binKindJSON          byte = 0
-	binKindHello         byte = 1
+	binKindJSON byte = 0
+	// Kind 1 is reserved: it was a binary Hello layout no peer ever
+	// negotiated (the handshake is always JSON) and is answered as unknown.
 	binKindSample        byte = 2
 	binKindEstimate      byte = 3
 	binKindQuery         byte = 4
@@ -244,14 +245,11 @@ func (r *binReader) done() error {
 
 // --- message encodings ---
 
-// Sample: node string, f64 time, u16 count + f64 PMC values, u8 presence
-// flag + optional f64 measured.
+// Sample: node string, then the sample body — f64 time, u16 count + f64 PMC
+// values, u8 presence flag + optional f64 measured. A RecordBatch repeats
+// the same body per sample, so one helper pair serves both frames.
 
-func (f *binFramer) writeSample(nodeID string, t float64, pmc []float64, measured *float64) error {
-	f.begin(binKindSample)
-	if err := f.str(nodeID); err != nil {
-		return err
-	}
+func (f *binFramer) sampleBody(t float64, pmc []float64, measured *float64) error {
 	f.f64(t)
 	if len(pmc) > math.MaxUint16 {
 		return fmt.Errorf("cluster: %d PMC values exceed the wire limit", len(pmc))
@@ -266,6 +264,41 @@ func (f *binFramer) writeSample(nodeID string, t float64, pmc []float64, measure
 	} else {
 		f.u8(0)
 	}
+	return nil
+}
+
+// sampleBody decodes one sample body, appending its PMC values to vals. It
+// returns the grown vals (the sample's are the appended tail) and the
+// measurement with its presence bit.
+func (r *binReader) sampleBody(vals []float64) (t float64, out []float64, measured float64, has bool, err error) {
+	t = r.f64()
+	npmc := int(r.u16())
+	if npmc > len(r.b)/8 {
+		return 0, vals, 0, false, fmt.Errorf("cluster: sample claims %d PMC values in a %d-byte payload", npmc, len(r.b))
+	}
+	for i := 0; i < npmc; i++ {
+		vals = append(vals, r.f64())
+	}
+	switch r.u8() {
+	case 0:
+	case 1:
+		measured, has = r.f64(), true
+	default:
+		// Strict on the presence flag: every accepted payload re-encodes to
+		// the same bytes, which is the round-trip law the fuzzer enforces.
+		return 0, vals, 0, false, fmt.Errorf("cluster: bad measured flag in binary sample")
+	}
+	return t, vals, measured, has, nil
+}
+
+func (f *binFramer) writeSample(nodeID string, t float64, pmc []float64, measured *float64) error {
+	f.begin(binKindSample)
+	if err := f.str(nodeID); err != nil {
+		return err
+	}
+	if err := f.sampleBody(t, pmc, measured); err != nil {
+		return err
+	}
 	return f.end()
 }
 
@@ -275,37 +308,25 @@ func (f *binFramer) writeSample(nodeID string, t float64, pmc []float64, measure
 func (f *binFramer) readSample(payload []byte) (*Sample, error) {
 	r := binReader{b: payload}
 	node := r.bytes(int(r.u16()))
-	t := r.f64()
-	npmc := int(r.u16())
-	if npmc > len(payload)/8 {
-		return nil, fmt.Errorf("cluster: sample claims %d PMC values in a %d-byte payload", npmc, len(payload))
+	t, pmc, m, has, err := r.sampleBody(f.sample.PMC[:0])
+	if err == nil {
+		err = r.done()
 	}
-	pmc := f.sample.PMC[:0]
-	for i := 0; i < npmc; i++ {
-		pmc = append(pmc, r.f64())
-	}
-	var measured *float64
-	switch r.u8() {
-	case 0:
-	case 1:
-		f.measuredVal = r.f64()
-		measured = &f.measuredVal
-	default:
-		// Strict on the presence flag: every accepted payload re-encodes to
-		// the same bytes, which is the round-trip law the fuzzer enforces.
-		return nil, fmt.Errorf("cluster: bad measured flag in binary sample")
-	}
-	if err := r.done(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	f.sample = Sample{NodeID: f.node.intern(node), Time: t, PMC: pmc, Measured: measured}
+	f.sample = Sample{NodeID: f.node.intern(node), Time: t, PMC: pmc}
+	if has {
+		f.measuredVal = m
+		f.sample.Measured = &f.measuredVal
+	}
 	return &f.sample, nil
 }
 
-// Estimate: node string, 4 × f64, u8 flags.
+// Estimate: one estimate record — node string, 4 × f64, u8 flags. An
+// EstimateBatch repeats the same record per estimate.
 
-func (f *binFramer) writeEstimate(est *Estimate) error {
-	f.begin(binKindEstimate)
+func (f *binFramer) estimateRec(est *Estimate) error {
 	if err := f.str(est.NodeID); err != nil {
 		return err
 	}
@@ -321,11 +342,10 @@ func (f *binFramer) writeEstimate(est *Estimate) error {
 		flags |= estFlagLocal
 	}
 	f.u8(flags)
-	return f.end()
+	return nil
 }
 
-func (f *binFramer) readEstimate(payload []byte) (Estimate, error) {
-	r := binReader{b: payload}
+func (f *binFramer) readEstimateRec(r *binReader) (Estimate, error) {
 	node := r.bytes(int(r.u16()))
 	est := Estimate{
 		Time:  r.f64(),
@@ -334,9 +354,6 @@ func (f *binFramer) readEstimate(payload []byte) (Estimate, error) {
 		PMEM:  r.f64(),
 	}
 	flags := r.u8()
-	if err := r.done(); err != nil {
-		return Estimate{}, err
-	}
 	if flags&^(estFlagFromMeasurement|estFlagLocal) != 0 {
 		return Estimate{}, fmt.Errorf("cluster: unknown estimate flag bits %#x", flags)
 	}
@@ -346,8 +363,27 @@ func (f *binFramer) readEstimate(payload []byte) (Estimate, error) {
 	return est, nil
 }
 
-// RecordBatch: node string, u32 count, then per sample f64 time, u16 PMC
-// count + values, u8 presence flag + optional f64 measured.
+func (f *binFramer) writeEstimate(est *Estimate) error {
+	f.begin(binKindEstimate)
+	if err := f.estimateRec(est); err != nil {
+		return err
+	}
+	return f.end()
+}
+
+func (f *binFramer) readEstimate(payload []byte) (Estimate, error) {
+	r := binReader{b: payload}
+	est, err := f.readEstimateRec(&r)
+	if err == nil {
+		err = r.done()
+	}
+	if err != nil {
+		return Estimate{}, err
+	}
+	return est, nil
+}
+
+// RecordBatch: node string, u32 count, then one sample body per sample.
 
 func (f *binFramer) writeRecordBatch(nodeID string, samples []BatchSample) error {
 	f.begin(binKindRecordBatch)
@@ -357,19 +393,8 @@ func (f *binFramer) writeRecordBatch(nodeID string, samples []BatchSample) error
 	f.u32(uint32(len(samples)))
 	for i := range samples {
 		s := &samples[i]
-		f.f64(s.Time)
-		if len(s.PMC) > math.MaxUint16 {
-			return fmt.Errorf("cluster: %d PMC values exceed the wire limit", len(s.PMC))
-		}
-		f.u16(uint16(len(s.PMC)))
-		for _, v := range s.PMC {
-			f.f64(v)
-		}
-		if s.Measured != nil {
-			f.u8(1)
-			f.f64(*s.Measured)
-		} else {
-			f.u8(0)
+		if err := f.sampleBody(s.Time, s.PMC, s.Measured); err != nil {
+			return err
 		}
 	}
 	return f.end()
@@ -393,23 +418,15 @@ func (f *binFramer) readRecordBatch(payload []byte) (*RecordBatch, error) {
 	// measurement".
 	offs := f.batchOffs[:0]
 	for i := 0; i < n; i++ {
-		t := r.f64()
-		npmc := int(r.u16())
-		if npmc > len(payload)/8 {
-			return nil, fmt.Errorf("cluster: batch sample claims %d PMC values in a %d-byte payload", npmc, len(payload))
+		start, mi := len(vals), -1
+		t, grown, m, has, err := r.sampleBody(vals)
+		if err != nil {
+			return nil, err
 		}
-		start := len(vals)
-		for j := 0; j < npmc; j++ {
-			vals = append(vals, r.f64())
-		}
-		mi := -1
-		switch r.u8() {
-		case 0:
-		case 1:
+		vals = grown
+		if has {
 			mi = len(meas)
-			meas = append(meas, r.f64())
-		default:
-			return nil, fmt.Errorf("cluster: bad measured flag in binary batch")
+			meas = append(meas, m)
 		}
 		offs = append(offs, start, len(vals), mi)
 		samples = append(samples, BatchSample{Time: t})
@@ -428,29 +445,15 @@ func (f *binFramer) readRecordBatch(payload []byte) (*RecordBatch, error) {
 	return &f.batch, nil
 }
 
-// EstimateBatch: u32 count, then each estimate in the binKindEstimate
-// layout.
+// EstimateBatch: u32 count, then one estimate record per estimate.
 
 func (f *binFramer) writeEstimateBatch(ests []Estimate) error {
 	f.begin(binKindEstimateBatch)
 	f.u32(uint32(len(ests)))
 	for i := range ests {
-		est := &ests[i]
-		if err := f.str(est.NodeID); err != nil {
+		if err := f.estimateRec(&ests[i]); err != nil {
 			return err
 		}
-		f.f64(est.Time)
-		f.f64(est.PNode)
-		f.f64(est.PCPU)
-		f.f64(est.PMEM)
-		var flags byte
-		if est.FromMeasurement {
-			flags |= estFlagFromMeasurement
-		}
-		if est.Local {
-			flags |= estFlagLocal
-		}
-		f.u8(flags)
 	}
 	return f.end()
 }
@@ -463,20 +466,10 @@ func (f *binFramer) readEstimateBatch(payload []byte) ([]Estimate, error) {
 	}
 	ests := make([]Estimate, 0, n)
 	for i := 0; i < n; i++ {
-		node := r.bytes(int(r.u16()))
-		est := Estimate{
-			Time:  r.f64(),
-			PNode: r.f64(),
-			PCPU:  r.f64(),
-			PMEM:  r.f64(),
+		est, err := f.readEstimateRec(&r)
+		if err != nil {
+			return nil, err
 		}
-		flags := r.u8()
-		if flags&^(estFlagFromMeasurement|estFlagLocal) != 0 {
-			return nil, fmt.Errorf("cluster: unknown estimate flag bits %#x", flags)
-		}
-		est.NodeID = f.node.intern(node)
-		est.FromMeasurement = flags&estFlagFromMeasurement != 0
-		est.Local = flags&estFlagLocal != 0
 		ests = append(ests, est)
 	}
 	if err := r.done(); err != nil {
@@ -591,26 +584,6 @@ func (f *binFramer) readError(payload []byte) (string, error) {
 		return "", err
 	}
 	return string(msg), nil
-}
-
-// Hello: node string (the binary layout exists for completeness — the
-// negotiation handshake itself always runs over JSON).
-
-func (f *binFramer) writeHello(h Hello) error {
-	f.begin(binKindHello)
-	if err := f.str(h.NodeID); err != nil {
-		return err
-	}
-	return f.end()
-}
-
-func (f *binFramer) readHello(payload []byte) (Hello, error) {
-	r := binReader{b: payload}
-	node := r.bytes(int(r.u16()))
-	if err := r.done(); err != nil {
-		return Hello{}, err
-	}
-	return Hello{NodeID: string(node)}, nil
 }
 
 // writeJSONEnvelope wraps one JSON envelope in a binKindJSON frame — the

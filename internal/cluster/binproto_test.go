@@ -37,12 +37,6 @@ func encodeBinFrame(t testing.TB, write func(f *binFramer) error) []byte {
 // re-encode function that must reproduce the frame byte-for-byte.
 func decodeBinPayload(f *binFramer, kind byte, payload []byte) (func(g *binFramer) error, bool, error) {
 	switch kind {
-	case binKindHello:
-		h, err := f.readHello(payload)
-		if err != nil {
-			return nil, true, err
-		}
-		return func(g *binFramer) error { return g.writeHello(h) }, true, nil
 	case binKindSample:
 		smp, err := f.readSample(payload)
 		if err != nil {
@@ -114,7 +108,8 @@ func decodeBinPayload(f *binFramer, kind byte, payload []byte) (func(g *binFrame
 func FuzzBinaryEnvelopeRoundTrip(f *testing.F) {
 	meas := 90.5
 	seeds := [][]byte{
-		encodeBinFrame(f, func(g *binFramer) error { return g.writeHello(Hello{NodeID: "n1"}) }),
+		// An empty batch: any peer can send one, and it must round-trip.
+		encodeBinFrame(f, func(g *binFramer) error { return g.writeRecordBatch("ghost", nil) }),
 		encodeBinFrame(f, func(g *binFramer) error {
 			return g.writeSample("node-a", 1.5, []float64{1e9, 2e9, math.NaN()}, &meas)
 		}),
@@ -567,30 +562,22 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	client, server := net.Pipe()
 	done := make(chan error, 1)
 	go func() { done <- srv.serveConn(server) }()
+	// The client side is a real Agent, so its one roundTrip (flush, shared
+	// frame reader, kind check) is under the same guard as the serve loop.
 	cf := handshakeBinary(t, client, "node-alloc")
+	ag := &Agent{nodeID: "node-alloc", conn: client, f: cf, binary: true}
 	batch := []BatchSample{{Time: 1, PMC: pmc}, {Time: 2, PMC: pmc, Measured: &meas}}
 	roundTrip := func() {
-		if err := cf.writeSample("node-alloc", 42.5, pmc, &meas); err != nil {
-			t.Fatal(err)
-		}
-		if err := cf.w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		kind, payload, err := cf.readFrame()
-		if err != nil || kind != binKindEstimate {
-			t.Fatalf("sample reply: kind %d err %v", kind, err)
-		}
-		if est, err := cf.readEstimate(payload); err != nil || est.PNode != meas {
+		if est, err := ag.Send(42.5, pmc, &meas); err != nil || est.PNode != meas {
 			t.Fatalf("sample reply: %+v err %v", est, err)
 		}
+		// The batch reply is only framed, not decoded: decoding it builds
+		// the caller's estimate slice, the one allocation a batch is for.
 		if err := cf.writeRecordBatch("node-alloc", batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := cf.w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if kind, _, err := cf.readFrame(); err != nil || kind != binKindEstimateBatch {
-			t.Fatalf("batch reply: kind %d err %v", kind, err)
+		if rep, err := ag.roundTrip(KindEstimateBatch); err != nil || rep.enc != encBinary {
+			t.Fatalf("batch reply: %+v err %v", rep, err)
 		}
 	}
 	roundTrip()
@@ -600,106 +587,5 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	client.Close()
 	if err := <-done; err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("serve loop exit: %v", err)
-	}
-}
-
-// BenchmarkServiceHandleBinary is BenchmarkServiceHandle's binary twin:
-// the full service handler over net.Pipe, negotiated onto the binary
-// codec. Compare with BenchmarkServiceHandle for the codec's win.
-func BenchmarkServiceHandleBinary(b *testing.B) {
-	svc := NewServiceWith(sharedModel(b), ServiceOptions{})
-	svc.Logf = func(string, ...any) {}
-	defer svc.Close()
-
-	client, server := net.Pipe()
-	defer client.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		svc.srv.serveConn(server)
-	}()
-	r := bufio.NewReader(client)
-	w := bufio.NewWriter(client)
-	// JSON handshake with a binary offer, then the framer takes over.
-	if err := WriteMsg(w, KindHello, Hello{NodeID: "bench-bin", Codecs: []string{CodecBinary}}); err != nil {
-		b.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	env, err := ReadMsg(r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var reply Hello
-	if err := DecodeBody(env, &reply); err != nil {
-		b.Fatal(err)
-	}
-	if reply.Codec != CodecBinary {
-		b.Fatalf("negotiated %q, want binary", reply.Codec)
-	}
-	f := newBinFramer(r, w, DefaultMaxFrame)
-	pmc := benchPMC()
-	send := func(tm float64, measured *float64) Estimate {
-		if err := f.writeSample("bench-bin", tm, pmc, measured); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		kind, payload, err := f.readFrame()
-		if err != nil || kind != binKindEstimate {
-			b.Fatalf("reply kind %d err %v", kind, err)
-		}
-		est, err := f.readEstimate(payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return est
-	}
-	seed := 90.0
-	send(0, &seed)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		send(float64(i+1), nil)
-	}
-	b.StopTimer()
-	client.Close()
-	<-done
-}
-
-// BenchmarkRecordBatch measures batched ingest end to end over loopback
-// TCP at a realistic coalescing factor: 16 samples per frame, binary
-// codec. Per-sample cost divides by the batch size reported in ns/op.
-func BenchmarkRecordBatch(b *testing.B) {
-	svc := startService(b)
-	agent, err := Dial(svc.Addr(), "bench-batch")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer agent.Close()
-	const batchSize = 16
-	agent.SetBatching(BatchOptions{MaxSamples: batchSize})
-	pmc := benchPMC()
-	seed := 90.0
-	if _, err := agent.Send(0, pmc, &seed); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	tm := 1.0
-	for i := 0; i < b.N; i++ {
-		// One op = one full batch: batchSize Records, the last one flushes.
-		for j := 0; j < batchSize; j++ {
-			ests, err := agent.Record(tm, pmc, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if j < batchSize-1 && ests != nil {
-				b.Fatal("early flush")
-			}
-			tm++
-		}
 	}
 }

@@ -47,6 +47,15 @@ func sharedModel(t testing.TB) *core.HighRPM {
 	return testModel
 }
 
+// benchPMC returns a plausible counter vector for the shared model's width.
+func benchPMC() []float64 {
+	pmc := make([]float64, 10)
+	for i := range pmc {
+		pmc[i] = 1e9 + float64(i)*1e7
+	}
+	return pmc
+}
+
 func startService(t testing.TB) *Service {
 	return startServiceWith(t, DefaultServiceOptions())
 }

@@ -4,8 +4,16 @@
 // readings to the service; the service answers with restored node power and
 // the CPU/memory breakdown.
 //
-// The wire protocol is length-prefixed JSON over TCP — stdlib-only, easy to
-// debug, and fast enough for 1 Sa/s telemetry from hundreds of nodes.
+// The wire protocol is length-prefixed frames over TCP, stdlib-only, in one
+// of two codecs negotiated per connection. Every connection opens with a
+// JSON Hello (this file): an agent that offers CodecBinary and gets it
+// echoed switches, with the service, to the binary framing of binproto.go —
+// a 1-byte kind and a fixed-layout payload, allocation-free for the
+// per-second sample, batch and query traffic. JSON stays the handshake, the
+// codec of peers that never offer binary, and — wrapped in a kind-0 binary
+// frame — the escape hatch for the kinds without a binary layout (stats,
+// model transfer). The codec changes framing only: estimates, series and
+// error messages are identical either way.
 package cluster
 
 import (

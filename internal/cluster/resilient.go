@@ -277,6 +277,43 @@ func (ra *ResilientAgent) Model() *core.HighRPM { return ra.model }
 // Pending reports how many buffered samples still await replay.
 func (ra *ResilientAgent) Pending() int { return len(ra.buffer) }
 
+// live runs one telemetry request through the resilience policy, written
+// once for Send, Flush and SendSamples: while degraded it skips the network
+// until a probe is due; otherwise it makes up to SendRetries attempts, each
+// on a connected, fully-replayed link under the request deadline. It
+// reports whether the service answered — with a reply (nil error) or with a
+// rejection over a healthy link (the *ServiceError, returned as-is). Not
+// answered means every attempt hit a transport failure, which dropped the
+// connection and scheduled the next probe; the caller then serves the
+// request from the local snapshot.
+func (ra *ResilientAgent) live(call func(*Agent) error) (answered bool, err error) {
+	if ra.mode == ModeDegraded && time.Now().Before(ra.nextProbe) {
+		return false, nil
+	}
+	for attempt := 0; attempt < ra.opts.SendRetries; attempt++ {
+		if !ra.ensureLive() {
+			break
+		}
+		err := ra.bounded(call)
+		var se *ServiceError
+		if err == nil || errors.As(err, &se) {
+			ra.onHealthy()
+			return true, err
+		}
+		ra.failConn()
+	}
+	return false, nil
+}
+
+// bounded runs call on the current connection under RequestTimeout.
+func (ra *ResilientAgent) bounded(call func(*Agent) error) error {
+	if ra.opts.RequestTimeout > 0 {
+		ra.agent.setDeadline(time.Now().Add(ra.opts.RequestTimeout))
+		defer ra.agent.setDeadline(time.Time{})
+	}
+	return call(ra.agent)
+}
+
 // Send streams one second of telemetry. It returns the service's estimate
 // when the network cooperates, and otherwise a local-snapshot estimate
 // with Estimate.Local set — transport failures are absorbed, not
@@ -287,38 +324,19 @@ func (ra *ResilientAgent) Send(t float64, pmc []float64, measured *float64) (Est
 	if ra.closed {
 		return Estimate{}, ErrAgentClosed
 	}
-	smp := Sample{NodeID: ra.nodeID, Time: t, PMC: pmc, Measured: measured}
-	// Degraded fast path: skip the network entirely until a probe is due.
-	if ra.mode == ModeDegraded && time.Now().Before(ra.nextProbe) {
-		return ra.serveLocal(smp)
+	var est Estimate
+	answered, err := ra.live(func(a *Agent) (err error) {
+		est, err = a.Send(t, pmc, measured)
+		return err
+	})
+	if !answered {
+		return ra.serveLocal(Sample{NodeID: ra.nodeID, Time: t, PMC: pmc, Measured: measured})
 	}
-	for attempt := 0; attempt < ra.opts.SendRetries; attempt++ {
-		if !ra.ensureLive() {
-			break
-		}
-		est, err := ra.sendOnce(smp)
-		if err == nil {
-			ra.onHealthy()
-			ra.counters.Sent++
-			return est, nil
-		}
-		var se *ServiceError
-		if errors.As(err, &se) {
-			// The transport is fine; the service said no. Reset failure
-			// accounting and surface the rejection.
-			ra.onHealthy()
-			return Estimate{}, err
-		}
-		ra.counters.SendFailures++
-		ra.failProbe()
-		ra.dropConn()
+	if err == nil {
+		ra.counters.Sent++
 	}
-	return ra.serveLocal(smp)
+	return est, err
 }
-
-// SetBatching configures sample coalescing for Record (overriding
-// AgentOptions.Batch); MaxSamples < 2 keeps Record unbatched.
-func (ra *ResilientAgent) SetBatching(o BatchOptions) { ra.batch.opts = o }
 
 // Record queues one second of telemetry for batched delivery, returning
 // the estimates when a flush happened (nil estimates, nil error while the
@@ -329,18 +347,7 @@ func (ra *ResilientAgent) Record(t float64, pmc []float64, measured *float64) ([
 	if ra.closed {
 		return nil, ErrAgentClosed
 	}
-	if !ra.batch.opts.enabled() {
-		est, err := ra.Send(t, pmc, measured)
-		if err != nil {
-			return nil, err
-		}
-		return []Estimate{est}, nil
-	}
-	ra.batch.add(t, pmc, measured)
-	if ra.batch.full() || ra.batch.due() {
-		return ra.Flush()
-	}
-	return nil, nil
+	return ra.batch.record(ra, t, pmc, measured)
 }
 
 // Flush delivers the pending batch now. Like Send it absorbs transport
@@ -355,32 +362,17 @@ func (ra *ResilientAgent) Flush() ([]Estimate, error) {
 	if ra.batch.n == 0 {
 		return nil, nil
 	}
-	// Degraded fast path: skip the network entirely until a probe is due,
-	// mirroring Send.
-	if !(ra.mode == ModeDegraded && time.Now().Before(ra.nextProbe)) {
-		for attempt := 0; attempt < ra.opts.SendRetries; attempt++ {
-			if !ra.ensureLive() {
-				break
-			}
-			ests, err := ra.sendBatchOnce()
-			if err == nil {
-				ra.onHealthy()
-				ra.counters.Sent += int64(len(ests))
-				ra.batch.reset()
-				return ests, nil
-			}
-			var se *ServiceError
-			if errors.As(err, &se) {
-				ra.onHealthy()
-				ra.batch.reset()
-				return nil, err
-			}
-			ra.counters.SendFailures++
-			ra.failProbe()
-			ra.dropConn()
-		}
+	var ests []Estimate
+	answered, err := ra.live(func(a *Agent) (err error) {
+		ests, err = a.sendBatch(ra.batch.wireSamples())
+		return err
+	})
+	if !answered {
+		return ra.flushLocal()
 	}
-	return ra.flushLocal()
+	ra.counters.Sent += int64(len(ests))
+	ra.batch.reset()
+	return ests, err
 }
 
 // SendSamples delivers a prepared batch of samples in order through the
@@ -398,37 +390,21 @@ func (ra *ResilientAgent) SendSamples(samples []BatchSample) ([]Estimate, error)
 	return ra.Flush()
 }
 
-// sendBatchOnce performs one deadline-bounded batch round trip on the
-// current connection.
-func (ra *ResilientAgent) sendBatchOnce() ([]Estimate, error) {
-	if ra.opts.RequestTimeout > 0 {
-		ra.agent.setDeadline(time.Now().Add(ra.opts.RequestTimeout))
-		defer ra.agent.setDeadline(time.Time{})
-	}
-	return ra.agent.sendBatchSamples(ra.batch.wireSamples())
-}
-
 // flushLocal serves the pending batch from the model snapshot, one sample
 // at a time through serveLocal — each joins the replay buffer in batch
 // order, so the later replay delivers every sample to the service in the
 // exact order it was recorded. serveLocal copies each sample out of the
 // batcher's reused slots as it buffers it.
 func (ra *ResilientAgent) flushLocal() ([]Estimate, error) {
+	defer ra.batch.reset()
 	ests := make([]Estimate, 0, ra.batch.n)
-	for i := 0; i < ra.batch.n; i++ {
-		s := &ra.batch.slots[i]
-		var measured *float64
-		if s.hasMeasured {
-			measured = &s.measured
-		}
-		est, err := ra.serveLocal(Sample{NodeID: ra.nodeID, Time: s.t, PMC: s.pmc, Measured: measured})
+	for _, bs := range ra.batch.wireSamples() {
+		est, err := ra.serveLocal(Sample{NodeID: ra.nodeID, Time: bs.Time, PMC: bs.PMC, Measured: bs.Measured})
 		if err != nil {
-			ra.batch.reset()
 			return ests, err
 		}
 		ests = append(ests, est)
 	}
-	ra.batch.reset()
 	return ests, nil
 }
 
@@ -464,35 +440,27 @@ func (ra *ResilientAgent) redial() bool {
 // attempt.
 func (ra *ResilientAgent) replay() bool {
 	for len(ra.buffer) > 0 {
-		if _, err := ra.sendOnce(ra.buffer[0]); err != nil {
-			var se *ServiceError
-			if errors.As(err, &se) {
-				// The service rejected a buffered sample (e.g. recorded
-				// with a stale feature layout). It will never be
-				// accepted; drop it rather than wedge the replay.
-				ra.buffer = ra.buffer[1:]
-				ra.counters.Dropped++
-				continue
-			}
-			ra.counters.SendFailures++
-			ra.failProbe()
-			ra.dropConn()
+		smp := &ra.buffer[0]
+		err := ra.bounded(func(a *Agent) error {
+			_, err := a.Send(smp.Time, smp.PMC, smp.Measured)
+			return err
+		})
+		var se *ServiceError
+		switch {
+		case err == nil:
+			ra.counters.Replayed++
+		case errors.As(err, &se):
+			// The service rejected a buffered sample (e.g. recorded with a
+			// stale feature layout). It will never be accepted; drop it
+			// rather than wedge the replay.
+			ra.counters.Dropped++
+		default:
+			ra.failConn()
 			return false
 		}
 		ra.buffer = ra.buffer[1:]
-		ra.counters.Replayed++
 	}
 	return true
-}
-
-// sendOnce performs one deadline-bounded sample round trip on the current
-// connection.
-func (ra *ResilientAgent) sendOnce(smp Sample) (Estimate, error) {
-	if ra.opts.RequestTimeout > 0 {
-		ra.agent.setDeadline(time.Now().Add(ra.opts.RequestTimeout))
-		defer ra.agent.setDeadline(time.Time{})
-	}
-	return ra.agent.Send(smp.Time, smp.PMC, smp.Measured)
 }
 
 // serveLocal answers one sample from the model snapshot and buffers it for
@@ -562,67 +530,51 @@ func (ra *ResilientAgent) failProbe() {
 	}
 }
 
-// dropConn discards the current connection after a transport failure.
-func (ra *ResilientAgent) dropConn() {
-	if ra.agent != nil {
-		_ = ra.agent.Close()
-		ra.agent = nil
-	}
+// failConn accounts one transport failure: the connection is discarded and
+// the next recovery attempt scheduled.
+func (ra *ResilientAgent) failConn() {
+	ra.counters.SendFailures++
+	ra.failProbe()
+	_ = ra.agent.Close()
+	ra.agent = nil
 }
 
-// Stats fetches service statistics over the current connection (redialing
-// first if necessary). Unlike Send it has no local fallback: when the
-// service is unreachable it returns the transport error.
-func (ra *ResilientAgent) Stats() (Stats, error) {
+// direct runs one request that has no local fallback (Stats, Query):
+// redial first if necessary, bound the call, and when the service is
+// unreachable return the transport error after scheduling the next probe.
+func (ra *ResilientAgent) direct(call func(*Agent) error) error {
 	if ra.closed {
-		return Stats{}, ErrAgentClosed
+		return ErrAgentClosed
 	}
 	if ra.agent == nil && !ra.redial() {
-		return Stats{}, fmt.Errorf("cluster: disconnected (next probe in %v)", time.Until(ra.nextProbe).Round(time.Millisecond))
+		return fmt.Errorf("cluster: disconnected (next probe in %v)", time.Until(ra.nextProbe).Round(time.Millisecond))
 	}
-	if ra.opts.RequestTimeout > 0 {
-		ra.agent.setDeadline(time.Now().Add(ra.opts.RequestTimeout))
-		defer ra.agent.setDeadline(time.Time{})
+	err := ra.bounded(call)
+	var se *ServiceError
+	if err != nil && !errors.As(err, &se) {
+		ra.failConn()
 	}
-	st, err := ra.agent.Stats()
-	if err != nil {
-		var se *ServiceError
-		if !errors.As(err, &se) {
-			ra.counters.SendFailures++
-			ra.failProbe()
-			ra.dropConn()
-		}
-		return Stats{}, err
-	}
-	return st, nil
+	return err
 }
 
-// Query fetches stored power history over the current connection
-// (redialing first if necessary). Like Stats it has no local fallback:
-// when the service is unreachable it returns the transport error and
-// schedules the next probe.
-func (ra *ResilientAgent) Query(req QueryRequest) (SeriesBody, error) {
-	if ra.closed {
-		return SeriesBody{}, ErrAgentClosed
-	}
-	if ra.agent == nil && !ra.redial() {
-		return SeriesBody{}, fmt.Errorf("cluster: disconnected (next probe in %v)", time.Until(ra.nextProbe).Round(time.Millisecond))
-	}
-	if ra.opts.RequestTimeout > 0 {
-		ra.agent.setDeadline(time.Now().Add(ra.opts.RequestTimeout))
-		defer ra.agent.setDeadline(time.Time{})
-	}
-	body, err := ra.agent.Query(req)
-	if err != nil {
-		var se *ServiceError
-		if !errors.As(err, &se) {
-			ra.counters.SendFailures++
-			ra.failProbe()
-			ra.dropConn()
-		}
-		return SeriesBody{}, err
-	}
-	return body, nil
+// Stats fetches service statistics over the current connection. Unlike
+// Send it has no local fallback (see direct).
+func (ra *ResilientAgent) Stats() (st Stats, err error) {
+	err = ra.direct(func(a *Agent) (err error) {
+		st, err = a.Stats()
+		return err
+	})
+	return st, err
+}
+
+// Query fetches stored power history over the current connection. Like
+// Stats it has no local fallback (see direct).
+func (ra *ResilientAgent) Query(req QueryRequest) (body SeriesBody, err error) {
+	err = ra.direct(func(a *Agent) (err error) {
+		body, err = a.Query(req)
+		return err
+	})
+	return body, err
 }
 
 // Close terminates the connection. Buffered samples not yet replayed and

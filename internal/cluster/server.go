@@ -69,12 +69,15 @@ type Server struct {
 	opts ServiceOptions
 	logf func(format string, args ...any)
 
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]string // conn -> node ID ("" before Hello)
-	peak   int
-	closed bool
-	wg     sync.WaitGroup
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[net.Conn]string // conn -> node ID ("" before Hello)
+	peak  int
+	wg    sync.WaitGroup
+
+	// closed is written under mu (so track and Shutdown agree on which
+	// connections get drained) and read lock-free by the serve loops.
+	closed atomic.Bool
 
 	rejected   atomic.Int64
 	timedOut   atomic.Int64
@@ -121,7 +124,7 @@ func (s *Server) Addr() string {
 func (s *Server) Listening() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ln != nil && !s.closed
+	return s.ln != nil && !s.closed.Load()
 }
 
 // Close stops the listener, terminates open connections immediately, and
@@ -138,14 +141,13 @@ func (s *Server) Close() error {
 // grace. Like Close it returns once every handler goroutine has exited.
 func (s *Server) Shutdown(grace time.Duration) error {
 	s.mu.Lock()
-	first := !s.closed
-	s.closed = true
+	first := !s.closed.Swap(true)
 	ln := s.ln
 	if first && grace > 0 {
 		// An expired read deadline unblocks handlers parked between
 		// requests without cutting off a reply in flight: a handler
 		// mid-request finishes computing, writes its reply (write deadlines
-		// are separate), and exits on its next read.
+		// are separate), and exits at the top of its next iteration.
 		now := time.Now()
 		for c := range s.conns {
 			c.SetReadDeadline(now)
@@ -205,7 +207,7 @@ func (s *Server) Stats() ConnStats {
 func (s *Server) track(conn net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return false
 	}
 	if s.opts.MaxConns > 0 && len(s.conns) >= s.opts.MaxConns {
@@ -235,18 +237,12 @@ func (s *Server) identify(conn net.Conn, nodeID string) {
 	s.mu.Unlock()
 }
 
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if !s.isClosed() {
+			if !s.closed.Load() {
 				s.logf("%s: accept: %v", s.name, err)
 			}
 			return
@@ -261,7 +257,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// wireEnc is how one request arrived, and therefore how its reply travels.
+// wireEnc is how one message arrived, and therefore how its reply travels.
 type wireEnc uint8
 
 const (
@@ -275,48 +271,63 @@ const (
 	encWrapped
 )
 
-// request is one decoded frame header; the body is decoded per kind.
-type request struct {
+// wireMsg is one decoded frame header — a request on the server side, a
+// reply on the agent side; the body is decoded per kind.
+type wireMsg struct {
 	enc     wireEnc
-	kind    MsgKind  // "" for a binary kind byte that is not a request
+	kind    MsgKind  // "" for a binary kind byte without a layout
 	binKind byte     // encBinary: the raw kind byte
 	env     Envelope // encJSON, encWrapped
 	payload []byte   // encBinary; aliases the framer's read scratch
 }
 
-// binRequestKinds maps the native binary request kinds onto the protocol's
-// message kinds, so one dispatch serves every encoding.
-var binRequestKinds = [...]MsgKind{
-	binKindSample:      KindSample,
-	binKindQuery:       KindQuery,
-	binKindRecordBatch: KindRecordBatch,
+// binMsgKinds maps the native binary kinds onto the protocol's message
+// kinds, so one dispatch serves every encoding.
+var binMsgKinds = [...]MsgKind{
+	binKindSample:        KindSample,
+	binKindEstimate:      KindEstimate,
+	binKindQuery:         KindQuery,
+	binKindSeries:        KindSeries,
+	binKindError:         KindError,
+	binKindRecordBatch:   KindRecordBatch,
+	binKindEstimateBatch: KindEstimateBatch,
 }
 
-// readRequest reads the next frame in the connection's current codec.
-func (f *binFramer) readRequest(binary bool) (request, error) {
+// readMsg reads the next frame in the connection's current codec. Both ends
+// of a connection read through it: the server its requests, the agent its
+// replies.
+func (f *binFramer) readMsg(binary bool) (wireMsg, error) {
 	if !binary {
 		env, err := ReadMsgLimit(f.r, f.maxFrame)
-		return request{enc: encJSON, kind: env.Kind, env: env}, err
+		return wireMsg{enc: encJSON, kind: env.Kind, env: env}, err
 	}
 	kind, payload, err := f.readFrame()
 	if err != nil {
-		return request{}, err
+		return wireMsg{}, err
 	}
 	if kind == binKindJSON {
 		env, err := readJSONEnvelope(payload)
-		return request{enc: encWrapped, kind: env.Kind, env: env}, err
+		return wireMsg{enc: encWrapped, kind: env.Kind, env: env}, err
 	}
-	req := request{enc: encBinary, binKind: kind, payload: payload}
-	if int(kind) < len(binRequestKinds) {
-		req.kind = binRequestKinds[kind]
+	m := wireMsg{enc: encBinary, binKind: kind, payload: payload}
+	if int(kind) < len(binMsgKinds) {
+		m.kind = binMsgKinds[kind]
 	}
-	return req, nil
+	return m, nil
 }
 
-// Body decoders: strict native layouts into the framer's scratch for
-// binary frames, fresh values for JSON bodies.
+// kindName renders the message's kind for an "unknown"/"unexpected" error.
+func (m *wireMsg) kindName() string {
+	if m.enc == encBinary {
+		return fmt.Sprintf("binary kind %d", m.binKind)
+	}
+	return fmt.Sprintf("kind %q", m.kind)
+}
 
-func (f *binFramer) requestSample(req *request) (*Sample, error) {
+// Request body decoders: strict native layouts into the framer's scratch
+// for binary frames, fresh values for JSON bodies.
+
+func (f *binFramer) requestSample(req *wireMsg) (*Sample, error) {
 	if req.enc == encBinary {
 		return f.readSample(req.payload)
 	}
@@ -324,7 +335,7 @@ func (f *binFramer) requestSample(req *request) (*Sample, error) {
 	return smp, DecodeBody(req.env, smp)
 }
 
-func (f *binFramer) requestBatch(req *request) (*RecordBatch, error) {
+func (f *binFramer) requestBatch(req *wireMsg) (*RecordBatch, error) {
 	if req.enc == encBinary {
 		return f.readRecordBatch(req.payload)
 	}
@@ -332,7 +343,7 @@ func (f *binFramer) requestBatch(req *request) (*RecordBatch, error) {
 	return rb, DecodeBody(req.env, rb)
 }
 
-func (f *binFramer) requestQuery(req *request) (QueryRequest, error) {
+func (f *binFramer) requestQuery(req *wireMsg) (QueryRequest, error) {
 	if req.enc == encBinary {
 		return f.readQuery(req.payload)
 	}
@@ -340,10 +351,11 @@ func (f *binFramer) requestQuery(req *request) (QueryRequest, error) {
 	return q, DecodeBody(req.env, &q)
 }
 
-// Reply writers: each frames the reply in the encoding its request
-// arrived in. Nothing reaches the connection until the caller flushes.
+// Writers: each frames a message in the given encoding — a reply in the
+// encoding its request arrived in, an agent's request in its connection's.
+// Nothing reaches the connection until the caller flushes.
 
-func (f *binFramer) replyJSON(enc wireEnc, kind MsgKind, body any) error {
+func (f *binFramer) writeJSON(enc wireEnc, kind MsgKind, body any) error {
 	if enc == encJSON {
 		return WriteMsg(f.w, kind, body)
 	}
@@ -354,21 +366,21 @@ func (f *binFramer) replyEstimate(enc wireEnc, est *Estimate) error {
 	if enc == encBinary {
 		return f.writeEstimate(est)
 	}
-	return f.replyJSON(enc, KindEstimate, *est)
+	return f.writeJSON(enc, KindEstimate, *est)
 }
 
 func (f *binFramer) replyEstimates(enc wireEnc, ests []Estimate) error {
 	if enc == encBinary {
 		return f.writeEstimateBatch(ests)
 	}
-	return f.replyJSON(enc, KindEstimateBatch, EstimateBatch{Estimates: ests})
+	return f.writeJSON(enc, KindEstimateBatch, EstimateBatch{Estimates: ests})
 }
 
 func (f *binFramer) replySeries(enc wireEnc, body SeriesBody) error {
 	if enc == encBinary {
 		return f.writeSeries(body)
 	}
-	return f.replyJSON(enc, KindSeries, body)
+	return f.writeJSON(enc, KindSeries, body)
 }
 
 func (f *binFramer) replyError(enc wireEnc, err error) error {
@@ -380,7 +392,7 @@ func (f *binFramer) replyError(enc wireEnc, err error) error {
 	if enc == encBinary {
 		return f.writeError(msg)
 	}
-	return f.replyJSON(enc, KindError, ErrorBody{Message: msg})
+	return f.writeJSON(enc, KindError, ErrorBody{Message: msg})
 }
 
 // errSeriesTooLarge answers a query whose reply would not fit one frame.
@@ -405,10 +417,20 @@ func (s *Server) serveConn(conn net.Conn) error {
 		if s.opts.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
 		}
-		req, err := f.readRequest(binary)
+		// Re-arm, then look: if Shutdown has not begun, its own deadline
+		// write comes after this one and still cuts the read below short; if
+		// it has, the re-armed deadline would park a drained handler until
+		// the force-close, so leave now.
+		if s.closed.Load() {
+			return nil
+		}
+		req, err := f.readMsg(binary)
 		if err != nil {
 			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && !s.isClosed() {
+			if errors.As(err, &ne) && ne.Timeout() {
+				if s.closed.Load() {
+					return nil // reaped by Shutdown's expired deadline, not a dead peer
+				}
 				s.timedOut.Add(1)
 			}
 			return err
@@ -441,7 +463,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 			if binary {
 				reply.Codec = CodecBinary // a redundant hello; the codec is settled
 			}
-			werr = f.replyJSON(req.enc, KindHello, reply)
+			werr = f.writeJSON(req.enc, KindHello, reply)
 			if !binary && reply.Codec == CodecBinary {
 				// The JSON reply just framed is this connection's last JSON
 				// frame; every later one is binary.
@@ -483,19 +505,15 @@ func (s *Server) serveConn(conn net.Conn) error {
 		case KindStats:
 			var st Stats
 			if st, herr = s.h.Stats(); herr == nil {
-				werr = f.replyJSON(req.enc, KindStats, st)
+				werr = f.writeJSON(req.enc, KindStats, st)
 			}
 		case KindModel:
 			var data []byte
 			if data, herr = s.h.Model(); herr == nil {
-				werr = f.replyJSON(req.enc, KindModel, ModelBody{Data: data})
+				werr = f.writeJSON(req.enc, KindModel, ModelBody{Data: data})
 			}
 		default:
-			if req.enc == encBinary {
-				herr = fmt.Errorf("unknown binary kind %d", req.binKind)
-			} else {
-				herr = fmt.Errorf("unknown kind %q", req.kind)
-			}
+			herr = fmt.Errorf("unknown %s", req.kindName())
 		}
 		if herr != nil {
 			werr = f.replyError(req.enc, herr)

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -173,6 +175,13 @@ func jsonFrame(t testing.TB, kind MsgKind, body any) []byte {
 	return buf.Bytes()
 }
 
+// reservedKindFrame is a well-formed frame of binary kind 1 — once a Hello
+// layout no peer negotiated, now reserved; the server must answer it as an
+// unknown kind and keep the connection up.
+func reservedKindFrame() []byte {
+	return frameFor(append([]byte{1, 0, 6}, "script"...))
+}
+
 // fuzzMaxFrame is the frame cap FuzzServeConn's server runs with: small
 // enough that the fuzzer trips it and the series fallback constantly.
 const fuzzMaxFrame = 4 << 10
@@ -203,7 +212,7 @@ func FuzzServeConn(f *testing.F) {
 	stats := bin(func(g *binFramer) error { return g.writeJSONEnvelope(KindStats, struct{}{}) })
 	model := bin(func(g *binFramer) error { return g.writeJSONEnvelope(KindModel, struct{}{}) })
 	rehello := bin(func(g *binFramer) error { return g.writeJSONEnvelope(KindHello, Hello{NodeID: "again"}) })
-	binHello := bin(func(g *binFramer) error { return g.writeHello(Hello{NodeID: "script"}) })
+	binHello := reservedKindFrame()
 
 	// A whole binary session, every request kind and both error paths.
 	f.Add(scriptStream(f, []string{CodecBinary}, sample, emptySample, batch, emptyBatch, query, wideQuery, stats, model, rehello, binHello))
@@ -263,7 +272,7 @@ func TestServeConnScripted(t *testing.T) {
 		}),
 		bin(func(g *binFramer) error { return g.writeJSONEnvelope(KindStats, struct{}{}) }),
 		bin(func(g *binFramer) error { return g.writeJSONEnvelope(MsgKind("bogus"), struct{}{}) }),
-		bin(func(g *binFramer) error { return g.writeHello(Hello{NodeID: "script"}) }),
+		reservedKindFrame(),
 	)
 	replies, st := serveScript(t, stream, fuzzMaxFrame)
 	if st.JSONFrames != 1 || st.BinFrames != 7 || st.BinConns != 1 {
@@ -314,7 +323,7 @@ func TestServeConnScripted(t *testing.T) {
 		t.Fatalf("wrapped unknown kind answered with kind %q", env.Kind)
 	}
 	if got := binError(7); got != "unknown binary kind 1" {
-		t.Fatalf("native hello answered %q", got)
+		t.Fatalf("reserved kind 1 answered %q", got)
 	}
 }
 
@@ -336,5 +345,82 @@ func TestServerServeLoopExitsOnEOF(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("serveConn did not return after the client closed")
+	}
+}
+
+// blockingHandler is a stubHandler whose Sample parks until released, so a
+// test can hold a connection mid-request.
+type blockingHandler struct {
+	stubHandler
+	entered chan struct{} // receives once a Sample is in the handler
+	release chan struct{} // closed to let it answer
+}
+
+func (h blockingHandler) Sample(smp *Sample) (Estimate, error) {
+	h.entered <- struct{}{}
+	<-h.release
+	return h.stubHandler.Sample(smp)
+}
+
+// TestShutdownDrainsInFlightRequest: a connection that is mid-request when
+// Shutdown begins gets its reply and then leaves at once. Re-arming the read
+// deadline without looking at closed used to park it, reply long delivered,
+// until the force-close at the end of grace.
+func TestShutdownDrainsInFlightRequest(t *testing.T) {
+	checkNoLeaks(t)
+	h := blockingHandler{entered: make(chan struct{}), release: make(chan struct{})}
+	var logMu sync.Mutex
+	var logged []string
+	srv := NewServer("test", h, DefaultServiceOptions(), func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	})
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	agent, err := Dial(srv.Addr(), "in-flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+
+	meas := 90.5
+	type reply struct {
+		est Estimate
+		err error
+	}
+	replied := make(chan reply, 1)
+	go func() {
+		est, err := agent.Send(1, []float64{1, 2, 3}, &meas)
+		replied <- reply{est, err}
+	}()
+	<-h.entered
+
+	const grace = 3 * time.Second
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- srv.Shutdown(grace) }()
+	// Shutdown is now waiting on the handler; let the request finish.
+	time.Sleep(50 * time.Millisecond)
+	close(h.release)
+
+	if r := <-replied; r.err != nil || r.est.PNode != meas {
+		t.Fatalf("in-flight request during Shutdown: %+v, %v", r.est, r.err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if took := time.Since(start); took > grace/3 {
+		t.Fatalf("Shutdown took %v with the only request answered after 50ms: the drained handler waited for the force-close", took)
+	}
+	if st := srv.Stats(); st.TimedOut != 0 {
+		t.Fatalf("a drained connection was counted as timed out: %+v", st)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if len(logged) != 0 {
+		t.Fatalf("draining logged errors: %q", logged)
 	}
 }

@@ -124,41 +124,3 @@ func BenchmarkRouterIngest(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkScatterQuery measures the cluster-wide aggregate against two
-// real backends: every known node's series fetched from its owner shard
-// and merged in sorted node order.
-func BenchmarkScatterQuery(b *testing.B) {
-	r, _ := startFleet(b, 2, DefaultTopologyOptions())
-	nodes := balancedNodes(b, r, 2)
-	const seconds = 30
-	for ni, node := range nodes {
-		samples := genSamples(b, int64(900+ni), seconds)
-		ag, err := cluster.Dial(r.Addr(), node)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, smp := range samples {
-			if _, err := ag.Send(smp.Time, smp.PMC, smp.Measured); err != nil {
-				b.Fatal(err)
-			}
-		}
-		ag.Close()
-	}
-	fa, err := cluster.Dial(r.Addr(), "bench-client")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer fa.Close()
-	q := cluster.QueryRequest{Channel: "p_node", From: 0, To: seconds - 1, ResolutionS: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body, err := fa.Query(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(body.Points) != seconds {
-			b.Fatalf("%d points, want %d", len(body.Points), seconds)
-		}
-	}
-}

@@ -1,10 +1,15 @@
 package fleet
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"reflect"
 	"runtime"
 	"sort"
@@ -198,6 +203,48 @@ func mustJSON(t testing.TB, v any) string {
 	return string(b)
 }
 
+// sendEmptyBatch plays the one request no Agent emits: it dials addr raw,
+// negotiates codec, sends a RecordBatch with zero samples for node "ghost"
+// and returns the reply frame's body.
+func sendEmptyBatch(t testing.TB, addr, codec string) []byte {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(conn)
+	hello := cluster.Hello{NodeID: "ghost-sender"}
+	if codec == cluster.CodecBinary {
+		hello.Codecs = []string{cluster.CodecBinary}
+	}
+	if err := cluster.WriteMsg(conn, cluster.KindHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.ReadMsg(r); err != nil {
+		t.Fatal(err)
+	}
+	if codec == cluster.CodecBinary {
+		// Length prefix, kind 7 (record batch), node string, u32 count 0.
+		_, err = conn.Write([]byte{0, 0, 0, 12, 7, 0, 5, 'g', 'h', 'o', 's', 't', 0, 0, 0, 0})
+	} else {
+		err = cluster.WriteMsg(conn, cluster.KindRecordBatch, cluster.RecordBatch{NodeID: "ghost", Samples: []cluster.BatchSample{}})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lenBuf [4]byte
+	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, binary.BigEndian.Uint32(lenBuf[:]))
+	if _, err := io.ReadFull(r, body); err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
 // stripTransport zeroes the Stats fields that depend on connection count,
 // codec negotiation, and framing — everything the extra router hop
 // legitimately changes — leaving the sample, estimate, and store
@@ -272,6 +319,14 @@ func testFleetEquivalence(t *testing.T, codec string) {
 	stripTransport(&rst)
 	if !reflect.DeepEqual(fst, rst) {
 		t.Fatalf("stats diverge:\nfleet %+v\nref   %+v", fst, rst)
+	}
+
+	// An empty record batch for a node nobody ever sampled — any peer can
+	// send one. A service answers with an empty estimate batch and records
+	// nothing; so must the fleet. Were the ghost to join the scatter-gather
+	// set, every aggregate below would fail with "no history for node".
+	if fb, rb := sendEmptyBatch(t, r.Addr(), codec), sendEmptyBatch(t, ref.Addr(), codec); !bytes.Equal(fb, rb) {
+		t.Fatalf("empty batch answered differently:\nfleet %q\nref   %q", fb, rb)
 	}
 
 	// Every node, every channel, raw and rolled up: byte-identical wire
@@ -367,7 +422,7 @@ func testFleetEquivalence(t *testing.T, codec string) {
 	// The front hop spoke the pinned codec, and only that: a JSON agent
 	// shows up as JSON frames, a binary one as one JSON Hello per
 	// connection and binary frames after it.
-	conns := int64(len(nodes) + 1)
+	conns := int64(len(nodes) + 2) // one per node, the query client, the empty-batch peer
 	switch codec {
 	case cluster.CodecBinary:
 		if st.BinConns != conns || st.JSONFrames != conns || st.BinFrames == 0 {

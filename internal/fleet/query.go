@@ -30,21 +30,13 @@ func (r *Router) answerQuery(q cluster.QueryRequest) (cluster.SeriesBody, error)
 // rejects, the first rejection is returned (so an unknown channel reads
 // the same as on a single service).
 func (r *Router) queryNode(q cluster.QueryRequest) (cluster.SeriesBody, error) {
-	owners := r.ring.owners(q.NodeID, r.opts.Replication)
-	ordered := make([]int, 0, len(owners))
-	for _, idx := range owners {
-		if r.shards[idx].up.Load() {
-			ordered = append(ordered, idx)
-		}
-	}
-	for _, idx := range owners {
-		if !r.shards[idx].up.Load() {
-			ordered = append(ordered, idx)
-		}
-	}
 	var firstRejection, firstErr error
-	for _, idx := range ordered {
-		body, err := r.shardQuery(idx, q)
+	for _, idx := range r.readOrder(q.NodeID) {
+		var body cluster.SeriesBody
+		err := r.onShard(idx, func(ag *cluster.ResilientAgent) (err error) {
+			body, err = ag.Query(q)
+			return err
+		})
 		if err == nil {
 			return body, nil
 		}
@@ -63,20 +55,38 @@ func (r *Router) queryNode(q cluster.QueryRequest) (cluster.SeriesBody, error) {
 	return cluster.SeriesBody{}, firstErr
 }
 
-// shardQuery runs one request on idx's pooled query connection,
-// maintaining the shard's health bit.
-func (r *Router) shardQuery(idx int, q cluster.QueryRequest) (cluster.SeriesBody, error) {
+// readOrder lists node's replicas in the order reads try them: healthy
+// shards first (degraded ones are drained from the read path), primary
+// order within each class. Each health bit is read once, so the result is
+// always a permutation of the owners.
+func (r *Router) readOrder(node string) []int {
+	owners := r.ring.owners(node, r.opts.Replication)
+	ordered := make([]int, 0, len(owners))
+	var down []int
+	for _, idx := range owners {
+		if r.shards[idx].up.Load() {
+			ordered = append(ordered, idx)
+		} else {
+			down = append(down, idx)
+		}
+	}
+	return append(ordered, down...)
+}
+
+// onShard runs call on idx's pooled query connection, maintaining the
+// shard's health bit.
+func (r *Router) onShard(idx int, call func(*cluster.ResilientAgent) error) error {
 	st := r.shards[idx]
 	st.qmu.Lock()
 	defer st.qmu.Unlock()
 	ag, err := r.queryAgentLocked(st)
 	if err != nil {
-		return cluster.SeriesBody{}, err
+		return err
 	}
-	body, err := ag.Query(q)
+	err = call(ag)
 	var se *cluster.ServiceError
 	st.up.Store(err == nil || errors.As(err, &se))
-	return body, err
+	return err
 }
 
 // queryAgentLocked returns st's query connection, dialing on first use
@@ -102,15 +112,7 @@ func (r *Router) queryAgentLocked(st *shardState) (*cluster.ResilientAgent, erro
 // queryTarget picks the shard to read node's history from: the primary
 // when healthy, otherwise the first healthy follower, falling back to the
 // primary when every replica looks down.
-func (r *Router) queryTarget(node string) int {
-	owners := r.ring.owners(node, r.opts.Replication)
-	for _, idx := range owners {
-		if r.shards[idx].up.Load() {
-			return idx
-		}
-	}
-	return owners[0]
-}
+func (r *Router) queryTarget(node string) int { return r.readOrder(node)[0] }
 
 // validChannel mirrors the store's channel validation so an aggregate
 // over zero known nodes still rejects unknown channels like a single
@@ -222,22 +224,6 @@ func (r *Router) knownNodes() int {
 	return len(r.routes)
 }
 
-// shardStats fetches one backend's Stats on its query connection,
-// maintaining the shard's health bit.
-func (r *Router) shardStats(i int) (cluster.Stats, error) {
-	st := r.shards[i]
-	st.qmu.Lock()
-	defer st.qmu.Unlock()
-	ag, err := r.queryAgentLocked(st)
-	if err != nil {
-		return cluster.Stats{}, err
-	}
-	out, err := ag.Stats()
-	var se *cluster.ServiceError
-	st.up.Store(err == nil || errors.As(err, &se))
-	return out, err
-}
-
 // MergedStats scatter-gathers Stats from every shard in parallel and sums
 // them into one service-shaped answer, so existing tooling
 // (highrpm-query -stats, Agent.Stats) works unchanged against a fleet.
@@ -258,7 +244,10 @@ func (r *Router) MergedStats() (cluster.Stats, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			per[i], errs[i] = r.shardStats(i)
+			errs[i] = r.onShard(i, func(ag *cluster.ResilientAgent) (err error) {
+				per[i], err = ag.Stats()
+				return err
+			})
 		}(i)
 	}
 	wg.Wait()

@@ -194,15 +194,28 @@ type routerHandler struct{ r *Router }
 
 func (h routerHandler) Hello(nodeID string) { h.r.routeFor(nodeID) }
 
+// Sample forwards through ResilientAgent.Send, so the backend hop carries
+// one Sample frame per replica, never a batch of one. smp is the front-end
+// connection's scratch: every replica send completes before replicate
+// returns, and a degraded agent copies what it buffers for replay.
 func (h routerHandler) Sample(smp *cluster.Sample) (cluster.Estimate, error) {
-	est, err := h.r.forwardSample(smp)
-	return est, h.r.countError(err)
+	ests, err := h.r.replicate(smp.NodeID, func(ag *cluster.ResilientAgent) ([]cluster.Estimate, error) {
+		est, err := ag.Send(smp.Time, smp.PMC, smp.Measured)
+		return []cluster.Estimate{est}, err
+	})
+	if err != nil {
+		return cluster.Estimate{}, h.r.countError(err)
+	}
+	return ests[0], nil
 }
 
-// Batch ignores the reply scratch: the winning replica's estimates arrive
-// in a slice of their own.
+// Batch forwards through ResilientAgent.SendSamples, so a degraded replica
+// buffers the whole batch in order. It ignores the reply scratch: the
+// winning replica's estimates arrive in a slice of their own.
 func (h routerHandler) Batch(rb *cluster.RecordBatch, _ []cluster.Estimate) ([]cluster.Estimate, error) {
-	ests, err := h.r.forwardBatch(rb)
+	ests, err := h.r.replicate(rb.NodeID, func(ag *cluster.ResilientAgent) ([]cluster.Estimate, error) {
+		return ag.SendSamples(rb.Samples)
+	})
 	return ests, h.r.countError(err)
 }
 
@@ -274,100 +287,47 @@ func errShardUnreachable(name string) error {
 	return fmt.Errorf("fleet: shard %s unreachable", name)
 }
 
-// forwardSample routes one sample to the node's primary shard and, with
-// R > 1, to its followers in parallel (synchronous replication). The
-// primary's estimate is the reply; when the primary can only answer from
-// its local snapshot (its shard is down, the sample is buffered for
+// replicate is the router's one ingest fan-out: call runs against the
+// node's primary shard and, with R > 1, against its followers in parallel
+// (synchronous replication), each on that replica's pooled agent. The
+// primary's estimates are the reply; when the primary can only answer from
+// its local snapshot (its shard is down, the samples are buffered for
 // in-order replay), the first follower with a live service answer takes
 // over, so the front-end keeps receiving service-grade estimates through
-// single-shard outages. smp is the front-end connection's scratch: every
-// replica send completes before forwardSample returns, and a degraded
-// agent copies what it buffers for replay.
-func (r *Router) forwardSample(smp *cluster.Sample) (cluster.Estimate, error) {
-	nr := r.routeFor(smp.NodeID)
+// single-shard outages.
+func (r *Router) replicate(nodeID string, call func(*cluster.ResilientAgent) ([]cluster.Estimate, error)) ([]cluster.Estimate, error) {
+	nr := r.routeFor(nodeID)
 	nr.mu.Lock()
 	defer nr.mu.Unlock()
 	n := len(nr.owners)
 	agents := make([]*cluster.ResilientAgent, n)
-	ests := make([]cluster.Estimate, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		agents[i] = r.agentFor(nr, i, smp.NodeID)
+	for i := range agents {
+		agents[i] = r.agentFor(nr, i, nodeID)
 	}
-	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		if agents[i] == nil {
-			errs[i] = errShardUnreachable(r.shards[nr.owners[i]].shard.Name)
-			continue
-		}
-		wg.Add(1)
-		go func(i int, ag *cluster.ResilientAgent) {
-			defer wg.Done()
-			ests[i], errs[i] = ag.Send(smp.Time, smp.PMC, smp.Measured)
-		}(i, agents[i])
-	}
-	if agents[0] == nil {
-		errs[0] = errShardUnreachable(r.shards[nr.owners[0]].shard.Name)
-	} else {
-		ests[0], errs[0] = agents[0].Send(smp.Time, smp.PMC, smp.Measured)
-	}
-	wg.Wait()
-	return r.settle(nr, ests, errs)
-}
-
-// forwardBatch routes one record batch the same way forwardSample routes
-// one sample: primary plus followers in parallel, each through
-// ResilientAgent.SendSamples so a degraded replica buffers the whole
-// batch in order.
-func (r *Router) forwardBatch(rb *cluster.RecordBatch) ([]cluster.Estimate, error) {
-	nr := r.routeFor(rb.NodeID)
-	nr.mu.Lock()
-	defer nr.mu.Unlock()
-	n := len(nr.owners)
-	agents := make([]*cluster.ResilientAgent, n)
 	ests := make([][]cluster.Estimate, n)
 	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		agents[i] = r.agentFor(nr, i, rb.NodeID)
+	run := func(i int) { // each replica writes only its own outcome slot
+		if agents[i] != nil {
+			ests[i], errs[i] = call(agents[i])
+		} else {
+			errs[i] = errShardUnreachable(r.shards[nr.owners[i]].shard.Name)
+		}
 	}
 	var wg sync.WaitGroup
 	for i := 1; i < n; i++ {
-		if agents[i] == nil {
-			errs[i] = errShardUnreachable(r.shards[nr.owners[i]].shard.Name)
-			continue
-		}
 		wg.Add(1)
-		go func(i int, ag *cluster.ResilientAgent) {
+		go func() {
 			defer wg.Done()
-			ests[i], errs[i] = ag.SendSamples(rb.Samples)
-		}(i, agents[i])
+			run(i)
+		}()
 	}
-	if agents[0] == nil {
-		errs[0] = errShardUnreachable(r.shards[nr.owners[0]].shard.Name)
-	} else {
-		ests[0], errs[0] = agents[0].SendSamples(rb.Samples)
-	}
+	run(0)
 	wg.Wait()
-	flat := make([]cluster.Estimate, n)
-	for i := range ests {
-		if len(ests[i]) > 0 {
-			flat[i] = ests[i][0]
-		}
-	}
-	pick, err := r.settleIdx(nr, flat, errs)
+	pick, err := r.settleIdx(nr, ests, errs)
 	if err != nil {
 		return nil, err
 	}
 	return ests[pick], nil
-}
-
-// settle picks the front-end reply from the per-replica outcomes.
-func (r *Router) settle(nr *nodeRoute, ests []cluster.Estimate, errs []error) (cluster.Estimate, error) {
-	i, err := r.settleIdx(nr, ests, errs)
-	if err != nil {
-		return cluster.Estimate{}, err
-	}
-	return ests[i], nil
 }
 
 // settleIdx updates shard health from the per-replica outcomes, advances
@@ -376,22 +336,27 @@ func (r *Router) settle(nr *nodeRoute, ests []cluster.Estimate, errs []error) (c
 //
 //  1. a primary *ServiceError is returned as-is (the service rejected the
 //     request over a healthy link; followers rejected it identically),
-//  2. a live primary estimate wins,
-//  3. otherwise the first live follower estimate wins (failover),
-//  4. otherwise the primary's local-snapshot estimate is served (Local
+//  2. a live primary answer wins,
+//  3. otherwise the first live follower answer wins (failover),
+//  4. otherwise the primary's local-snapshot estimates are served (Local
 //     travels to the front-end so callers can see the degradation),
-//  5. otherwise any replica's local estimate, and only when every replica
+//  5. otherwise any replica's local estimates, and only when every replica
 //     failed outright does the caller get an error.
-func (r *Router) settleIdx(nr *nodeRoute, ests []cluster.Estimate, errs []error) (int, error) {
+//
+// Only an acknowledged estimate counts: an empty batch makes no round trip
+// and produces none, so it is answered (empty, as a service would) without
+// moving a counter, a health bit, or the node into the scatter-gather set.
+func (r *Router) settleIdx(nr *nodeRoute, ests [][]cluster.Estimate, errs []error) (int, error) {
 	live := make([]bool, len(errs)) // transport healthy and answer came from the service
+	var se *cluster.ServiceError
 	for i, idx := range nr.owners {
-		healthy := errs[i] == nil && !ests[i].Local
-		if errs[i] != nil {
-			var se *cluster.ServiceError
-			healthy = errors.As(errs[i], &se)
+		switch {
+		case errs[i] != nil:
+			r.shards[idx].up.Store(errors.As(errs[i], &se))
+		case len(ests[i]) > 0:
+			live[i] = !ests[i][0].Local
+			r.shards[idx].up.Store(live[i])
 		}
-		live[i] = errs[i] == nil && !ests[i].Local
-		r.shards[idx].up.Store(healthy)
 	}
 	if live[0] {
 		r.routed.Add(1)
@@ -401,7 +366,6 @@ func (r *Router) settleIdx(nr *nodeRoute, ests []cluster.Estimate, errs []error)
 			r.replicated.Add(1)
 		}
 	}
-	var se *cluster.ServiceError
 	if errs[0] != nil && errors.As(errs[0], &se) {
 		return 0, errs[0]
 	}
@@ -418,7 +382,9 @@ func (r *Router) settleIdx(nr *nodeRoute, ests []cluster.Estimate, errs []error)
 	}
 	for i := range errs {
 		if errs[i] == nil {
-			nr.recorded.Store(true)
+			if len(ests[i]) > 0 {
+				nr.recorded.Store(true)
+			}
 			return i, nil
 		}
 	}

@@ -13,14 +13,11 @@
 # neural/tree/experiments, and the attribution ledger) so
 # locking regressions surface immediately. It then fuzzes the
 # wire-protocol decoders briefly (JSON envelope, binary framing, and the
-# cross-codec agreement law), the connection server's request loop over
-# arbitrary frame streams (FuzzServeConn), the durability decoders (WAL
-# segment scanner, snapshot loader), and the fleet placement ring, and finishes
-# with one pass over the PR 3 training benchmarks (BENCH_pr3.json), the
-# PR 4 cluster benchmarks (BENCH_pr4.json), the PR 8 serving hot-path
-# benchmarks (BENCH_pr8.json), the PR 9 durability benchmarks
-# (BENCH_pr9.json), and the PR 10 fleet routing benchmarks
-# (BENCH_pr10.json), all emitted through scripts/bench_json.awk.
+# cross-codec agreement law), both ends of a connection over arbitrary
+# byte streams (FuzzServeConn for the server's request loop, FuzzAgentReply
+# for the agent's reply path), the durability decoders (WAL segment
+# scanner, snapshot loader), and the fleet placement ring. Performance is
+# not measured here: `bash bench/run.sh` is the repo's one benchmark.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -48,42 +45,12 @@ go test -run '^$' -fuzz '^FuzzReadEnvelope$' -fuzztime=10s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzEnvelopeRoundTrip$' -fuzztime=10s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzBinaryEnvelopeRoundTrip$' -fuzztime=10s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzCrossCodecSample$' -fuzztime=10s ./internal/cluster
-echo "== fuzz shared serve loop (10s)"
+echo "== fuzz shared serve loop and agent reply path (10s per target)"
 go test -run '^$' -fuzz '^FuzzServeConn$' -fuzztime=10s ./internal/cluster
+go test -run '^$' -fuzz '^FuzzAgentReply$' -fuzztime=10s ./internal/cluster
 echo "== fuzz durability decoders (10s per target)"
 go test -run '^$' -fuzz '^FuzzWALRecord$' -fuzztime=10s ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzSnapshotFile$' -fuzztime=10s ./internal/tsdb
 echo "== fuzz fleet placement ring (10s)"
 go test -run '^$' -fuzz '^FuzzRingPlacement$' -fuzztime=10s ./internal/fleet
-echo "== training benchmarks (1 iteration each)"
-bench_out="$(go test -run '^$' -bench 'BenchmarkLSTMFit|BenchmarkFineTuneLatency' -benchtime=1x -benchmem ./internal/neural)"
-echo "$bench_out"
-tree_out="$(go test -run '^$' -bench 'BenchmarkTreeFit' -benchtime=1x -benchmem ./internal/tree)"
-echo "$tree_out"
-printf '%s\n%s\n' "$bench_out" "$tree_out" | awk -f scripts/bench_json.awk > BENCH_pr3.json
-echo "wrote BENCH_pr3.json"
-echo "== cluster benchmarks"
-cluster_out="$(go test -run '^$' -bench 'BenchmarkAgentSendLoopback$|BenchmarkServiceHandle$' -benchtime=1s -benchmem ./internal/cluster)"
-echo "$cluster_out"
-printf '%s\n' "$cluster_out" | awk -f scripts/bench_json.awk > BENCH_pr4.json
-echo "wrote BENCH_pr4.json"
-echo "== serving hot-path benchmarks (binary codec, batching, block cache)"
-hot_out="$(go test -run '^$' -bench 'BenchmarkServiceHandleBinary$|BenchmarkRecordBatch$' -benchtime=1s -benchmem ./internal/cluster)"
-echo "$hot_out"
-cache_out="$(go test -run '^$' -bench 'BenchmarkQueryCached' -benchtime=1s -benchmem ./internal/tsdb)"
-echo "$cache_out"
-printf '%s\n%s\n' "$hot_out" "$cache_out" | awk -f scripts/bench_json.awk > BENCH_pr8.json
-echo "wrote BENCH_pr8.json"
-echo "== durability benchmarks (WAL append, recovery, durable ingest)"
-wal_out="$(go test -run '^$' -bench 'BenchmarkWALAppend$|BenchmarkRecover$' -benchtime=1s -benchmem ./internal/tsdb)"
-echo "$wal_out"
-ingest_out="$(go test -run '^$' -bench 'BenchmarkStoreIngest$|BenchmarkStoreIngestWAL$' -benchtime=100000x -benchmem .)"
-echo "$ingest_out"
-printf '%s\n%s\n' "$wal_out" "$ingest_out" | awk -f scripts/bench_json.awk > BENCH_pr9.json
-echo "wrote BENCH_pr9.json"
-echo "== fleet routing benchmarks (sharded ingest scaling, scatter-gather)"
-fleet_out="$(go test -run '^$' -bench 'BenchmarkRouterIngest|BenchmarkScatterQuery' -benchtime=1s -benchmem ./internal/fleet)"
-echo "$fleet_out"
-printf '%s\n' "$fleet_out" | awk -f scripts/bench_json.awk > BENCH_pr10.json
-echo "wrote BENCH_pr10.json"
 echo "verify: OK"
