@@ -108,8 +108,8 @@ func main() {
 		fmt.Printf("\nservice: %d nodes, %d samples (%d measured)\n", st.Nodes, st.Samples, st.Measured)
 		fmt.Printf("store: %d series, %d raw points, %d bytes (%.2f B/point, %.1fx vs 16 B uncompressed)\n",
 			st.Store.Series, st.Store.Points, st.Store.Bytes, st.Store.BytesPerPoint, st.Store.CompressionRatio)
-		fmt.Printf("codec: %d binary conns; frames %d binary / %d json; %d record batches carrying %d samples%s\n",
-			st.BinConns, st.BinFrames, st.JSONFrames, st.Batches, st.BatchSamples, meanBatch(st.Batches, st.BatchSamples))
+		fmt.Printf("codec: %d binary conns; frames %d binary / %d json; %d record batches carrying %d samples%s; %d samples recorded from a relayed estimate\n",
+			st.BinConns, st.BinFrames, st.JSONFrames, st.Batches, st.BatchSamples, meanBatch(st.Batches, st.BatchSamples), st.Relayed)
 		fmt.Printf("cache: %d hits / %d misses%s, %d decoded points resident\n",
 			st.Store.CacheHits, st.Store.CacheMisses, hitRate(st.Store.CacheHits, st.Store.CacheMisses), st.Store.CachePoints)
 	}

@@ -183,8 +183,8 @@ func main() {
 	// 6. The router's own accounting shows what the outage cost: every
 	// post-kill write failed over to the surviving replica.
 	st := router.Stats()
-	fmt.Printf("\nrouter stats: %d routed, %d replicated, %d failovers, %d scatter-gathers\n",
-		st.Routed, st.Replicated, st.FailedOver, st.ScatterGathers)
+	fmt.Printf("\nrouter stats: %d routed, %d replicated (%d samples recorded from the primary's estimate), %d failovers, %d scatter-gathers\n",
+		st.Routed, st.Replicated, st.Relayed, st.FailedOver, st.ScatterGathers)
 	for _, sh := range st.Shards {
 		fmt.Printf("  shard %-10s up=%-5v agents=%d degraded=%d pending=%d\n",
 			sh.Name, sh.Up, sh.NodeAgents, sh.Degraded, sh.Pending)

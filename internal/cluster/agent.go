@@ -22,9 +22,11 @@ type Agent struct {
 	conn   net.Conn
 	// f frames every message on the connection, JSON and binary alike, and
 	// owns the encode/decode scratch; binary is set once the Hello handshake
-	// settled on the binary codec.
+	// settled on the binary codec, relay once the service echoed that it
+	// takes relayed estimates.
 	f      *binFramer
 	binary bool
+	relay  bool
 	batch  batcher
 }
 
@@ -53,7 +55,7 @@ func DialCodec(addr, nodeID, codec string, timeout time.Duration) (*Agent, error
 		conn.SetDeadline(time.Now().Add(timeout))
 		defer conn.SetDeadline(time.Time{})
 	}
-	hello := Hello{NodeID: nodeID}
+	hello := Hello{NodeID: nodeID, Relay: true}
 	if codec == CodecBinary {
 		hello.Codecs = []string{CodecBinary}
 	}
@@ -62,7 +64,7 @@ func DialCodec(addr, nodeID, codec string, timeout time.Duration) (*Agent, error
 		_ = conn.Close()
 		return nil, fmt.Errorf("cluster: hello: %w", err)
 	}
-	a.binary = reply.Codec == CodecBinary
+	a.binary, a.relay = reply.Codec == CodecBinary, reply.Relay
 	return a, nil
 }
 
@@ -139,11 +141,21 @@ func (a *Agent) call(kind MsgKind, body, out any) error {
 // allocation-free in steady state: the request is built in the framer's
 // write scratch and the reply decoded from its read scratch.
 func (a *Agent) Send(t float64, pmc []float64, measured *float64) (Estimate, error) {
+	return a.send(t, pmc, measured, nil)
+}
+
+// send is Send with rel, the estimate already computed for this sample
+// elsewhere, attached (nil: none). To a service that did not echo the Hello
+// relay offer the sample goes out plain, and the service estimates it.
+func (a *Agent) send(t float64, pmc []float64, measured *float64, rel *RelayedEstimate) (Estimate, error) {
+	if !a.relay {
+		rel = nil
+	}
 	var err error
 	if a.binary {
-		err = a.f.writeSample(a.nodeID, t, pmc, measured)
+		err = a.f.writeSample(a.nodeID, t, pmc, measured, rel)
 	} else {
-		err = WriteMsg(a.f.w, KindSample, Sample{NodeID: a.nodeID, Time: t, PMC: pmc, Measured: measured})
+		err = WriteMsg(a.f.w, KindSample, Sample{NodeID: a.nodeID, Time: t, PMC: pmc, Measured: measured, Relayed: rel})
 	}
 	if err != nil {
 		return Estimate{}, err
@@ -182,7 +194,7 @@ func (a *Agent) Flush() ([]Estimate, error) {
 	if a.batch.n == 0 {
 		return nil, nil
 	}
-	ests, err := a.sendBatch(a.batch.wireSamples())
+	ests, err := a.sendBatch(a.batch.wireSamples(a.relay))
 	a.batch.reset()
 	return ests, err
 }

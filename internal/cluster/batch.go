@@ -28,7 +28,9 @@ type batchSlot struct {
 	t           float64
 	pmc         []float64
 	measured    float64
+	relayed     RelayedEstimate
 	hasMeasured bool
+	hasRelayed  bool
 }
 
 // batcher accumulates pending samples for one agent. Like the agents that
@@ -57,14 +59,14 @@ func (b *batcher) record(s sender, t float64, pmc []float64, measured *float64) 
 		}
 		return []Estimate{est}, nil
 	}
-	b.add(t, pmc, measured)
+	b.add(t, pmc, measured, nil)
 	if b.full() || b.due() {
 		return s.Flush()
 	}
 	return nil, nil
 }
 
-func (b *batcher) add(t float64, pmc []float64, measured *float64) {
+func (b *batcher) add(t float64, pmc []float64, measured *float64, rel *RelayedEstimate) {
 	if b.n == len(b.slots) {
 		b.slots = append(b.slots, batchSlot{})
 	}
@@ -74,6 +76,10 @@ func (b *batcher) add(t float64, pmc []float64, measured *float64) {
 	s.hasMeasured = measured != nil
 	if s.hasMeasured {
 		s.measured = *measured
+	}
+	s.hasRelayed = rel != nil
+	if s.hasRelayed {
+		s.relayed = *rel
 	}
 	if b.n == 0 {
 		b.oldest = time.Now()
@@ -88,15 +94,19 @@ func (b *batcher) due() bool {
 }
 
 // wireSamples builds the batch's wire form. The returned slice (and the
-// Measured pointers in it, which point into the slots) is valid until the
-// next add or reset.
-func (b *batcher) wireSamples() []BatchSample {
+// Measured and Relayed pointers in it, which point into the slots) is valid
+// until the next add or reset. Without relay — the peer never echoed the
+// Hello offer — relayed estimates stay behind and the samples go out plain.
+func (b *batcher) wireSamples(relay bool) []BatchSample {
 	w := b.wire[:0]
 	for i := 0; i < b.n; i++ {
 		s := &b.slots[i]
 		bs := BatchSample{Time: s.t, PMC: s.pmc}
 		if s.hasMeasured {
 			bs.Measured = &s.measured
+		}
+		if s.hasRelayed && relay {
+			bs.Relayed = &s.relayed
 		}
 		w = append(w, bs)
 	}

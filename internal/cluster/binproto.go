@@ -37,10 +37,19 @@ const (
 	binKindEstimateBatch byte = 8
 )
 
-// Estimate flag bits (binKindEstimate payloads).
+// Estimate flag bits (binKindEstimate payloads, and a sample body's relayed
+// estimate, where only estFlagFromMeasurement is defined).
 const (
 	estFlagFromMeasurement byte = 1 << 0
 	estFlagLocal           byte = 1 << 1
+)
+
+// Sample presence bits (the byte after a sample body's PMC values). A
+// plain sample's byte is 0 or 1, exactly what it was before relayed
+// estimates existed.
+const (
+	sampleHasMeasured byte = 1 << 0
+	sampleHasRelayed  byte = 1 << 1
 )
 
 // nodeIntern caches the one node-ID string a connection keeps repeating.
@@ -79,10 +88,12 @@ type binFramer struct {
 	// the next (the request/response protocol guarantees that).
 	sample      Sample
 	measuredVal float64
+	relayedVal  RelayedEstimate
 	batch       RecordBatch
-	batchVals   []float64 // backing for the batch samples' PMC slices
-	batchMeas   []float64 // backing for the batch samples' Measured pointers
-	batchOffs   []int     // PMC [start,end) offsets into batchVals
+	batchVals   []float64         // backing for the batch samples' PMC slices
+	batchMeas   []float64         // backing for the batch samples' Measured pointers
+	batchRelay  []RelayedEstimate // backing for the batch samples' Relayed pointers
+	batchOffs   []int             // per sample: PMC [start,end) into batchVals, then the batchMeas and batchRelay indices
 }
 
 func newBinFramer(r *bufio.Reader, w *bufio.Writer, maxFrame int) *binFramer {
@@ -246,10 +257,12 @@ func (r *binReader) done() error {
 // --- message encodings ---
 
 // Sample: node string, then the sample body — f64 time, u16 count + f64 PMC
-// values, u8 presence flag + optional f64 measured. A RecordBatch repeats
-// the same body per sample, so one helper pair serves both frames.
+// values, u8 presence bits, then what they announce, in bit order: the f64
+// measured reading, and the relayed estimate as 3 × f64 (node, CPU, memory)
+// + u8 flags. A RecordBatch repeats the same body per sample, so one helper
+// pair serves both frames.
 
-func (f *binFramer) sampleBody(t float64, pmc []float64, measured *float64) error {
+func (f *binFramer) sampleBody(t float64, pmc []float64, measured *float64, rel *RelayedEstimate) error {
 	f.f64(t)
 	if len(pmc) > math.MaxUint16 {
 		return fmt.Errorf("cluster: %d PMC values exceed the wire limit", len(pmc))
@@ -258,67 +271,104 @@ func (f *binFramer) sampleBody(t float64, pmc []float64, measured *float64) erro
 	for _, v := range pmc {
 		f.f64(v)
 	}
+	var present byte
 	if measured != nil {
-		f.u8(1)
+		present |= sampleHasMeasured
+	}
+	if rel != nil {
+		present |= sampleHasRelayed
+	}
+	f.u8(present)
+	if measured != nil {
 		f.f64(*measured)
-	} else {
-		f.u8(0)
+	}
+	if rel != nil {
+		f.f64(rel.PNode)
+		f.f64(rel.PCPU)
+		f.f64(rel.PMEM)
+		var flags byte
+		if rel.FromMeasurement {
+			flags |= estFlagFromMeasurement
+		}
+		f.u8(flags)
 	}
 	return nil
 }
 
+// sampleFields is one decoded sample body minus its PMC values.
+type sampleFields struct {
+	t                       float64
+	measured                float64
+	relayed                 RelayedEstimate
+	hasMeasured, hasRelayed bool
+}
+
 // sampleBody decodes one sample body, appending its PMC values to vals. It
-// returns the grown vals (the sample's are the appended tail) and the
-// measurement with its presence bit.
-func (r *binReader) sampleBody(vals []float64) (t float64, out []float64, measured float64, has bool, err error) {
-	t = r.f64()
+// returns the rest of the body and the grown vals (the sample's are the
+// appended tail).
+func (r *binReader) sampleBody(vals []float64) (sampleFields, []float64, error) {
+	s := sampleFields{t: r.f64()}
 	npmc := int(r.u16())
 	if npmc > len(r.b)/8 {
-		return 0, vals, 0, false, fmt.Errorf("cluster: sample claims %d PMC values in a %d-byte payload", npmc, len(r.b))
+		return s, vals, fmt.Errorf("cluster: sample claims %d PMC values in a %d-byte payload", npmc, len(r.b))
 	}
 	for i := 0; i < npmc; i++ {
 		vals = append(vals, r.f64())
 	}
-	switch r.u8() {
-	case 0:
-	case 1:
-		measured, has = r.f64(), true
-	default:
-		// Strict on the presence flag: every accepted payload re-encodes to
-		// the same bytes, which is the round-trip law the fuzzer enforces.
-		return 0, vals, 0, false, fmt.Errorf("cluster: bad measured flag in binary sample")
+	// Strict on the presence and flag bytes: every accepted payload
+	// re-encodes to the same bytes, which is the round-trip law the fuzzer
+	// enforces.
+	present := r.u8()
+	if present&^(sampleHasMeasured|sampleHasRelayed) != 0 {
+		return s, vals, fmt.Errorf("cluster: unknown presence bits %#x in binary sample", present)
 	}
-	return t, vals, measured, has, nil
+	if s.hasMeasured = present&sampleHasMeasured != 0; s.hasMeasured {
+		s.measured = r.f64()
+	}
+	if s.hasRelayed = present&sampleHasRelayed != 0; s.hasRelayed {
+		s.relayed = RelayedEstimate{PNode: r.f64(), PCPU: r.f64(), PMEM: r.f64()}
+		flags := r.u8()
+		if flags&^estFlagFromMeasurement != 0 {
+			return s, vals, fmt.Errorf("cluster: unknown relayed-estimate flag bits %#x", flags)
+		}
+		s.relayed.FromMeasurement = flags&estFlagFromMeasurement != 0
+	}
+	return s, vals, nil
 }
 
-func (f *binFramer) writeSample(nodeID string, t float64, pmc []float64, measured *float64) error {
+func (f *binFramer) writeSample(nodeID string, t float64, pmc []float64, measured *float64, rel *RelayedEstimate) error {
 	f.begin(binKindSample)
 	if err := f.str(nodeID); err != nil {
 		return err
 	}
-	if err := f.sampleBody(t, pmc, measured); err != nil {
+	if err := f.sampleBody(t, pmc, measured, rel); err != nil {
 		return err
 	}
 	return f.end()
 }
 
 // readSample decodes a binKindSample payload into the framer's scratch
-// Sample. The returned pointer (its PMC slice, its Measured pointer) is
-// valid until the next readSample/readRecordBatch on this framer.
+// Sample. The returned pointer (its PMC slice, its Measured and Relayed
+// pointers) is valid until the next readSample/readRecordBatch on this
+// framer.
 func (f *binFramer) readSample(payload []byte) (*Sample, error) {
 	r := binReader{b: payload}
 	node := r.bytes(int(r.u16()))
-	t, pmc, m, has, err := r.sampleBody(f.sample.PMC[:0])
+	s, pmc, err := r.sampleBody(f.sample.PMC[:0])
 	if err == nil {
 		err = r.done()
 	}
 	if err != nil {
 		return nil, err
 	}
-	f.sample = Sample{NodeID: f.node.intern(node), Time: t, PMC: pmc}
-	if has {
-		f.measuredVal = m
+	f.sample = Sample{NodeID: f.node.intern(node), Time: s.t, PMC: pmc}
+	if s.hasMeasured {
+		f.measuredVal = s.measured
 		f.sample.Measured = &f.measuredVal
+	}
+	if s.hasRelayed {
+		f.relayedVal = s.relayed
+		f.sample.Relayed = &f.relayedVal
 	}
 	return &f.sample, nil
 }
@@ -393,7 +443,7 @@ func (f *binFramer) writeRecordBatch(nodeID string, samples []BatchSample) error
 	f.u32(uint32(len(samples)))
 	for i := range samples {
 		s := &samples[i]
-		if err := f.sampleBody(s.Time, s.PMC, s.Measured); err != nil {
+		if err := f.sampleBody(s.Time, s.PMC, s.Measured, s.Relayed); err != nil {
 			return err
 		}
 	}
@@ -412,33 +462,42 @@ func (f *binFramer) readRecordBatch(payload []byte) (*RecordBatch, error) {
 	samples := f.batch.Samples[:0]
 	vals := f.batchVals[:0]
 	meas := f.batchMeas[:0]
-	// PMC and Measured slices are carved out of single backing arrays after
-	// the loop (the arrays may move while growing), so the loop records
-	// offsets: per sample [pmcStart, pmcEnd, measuredIdx] with -1 for "no
-	// measurement".
+	relay := f.batchRelay[:0]
+	// PMC, Measured and Relayed are carved out of single backing arrays
+	// after the loop (the arrays may move while growing), so the loop
+	// records offsets: per sample [pmcStart, pmcEnd, measuredIdx,
+	// relayedIdx] with -1 for "absent".
 	offs := f.batchOffs[:0]
 	for i := 0; i < n; i++ {
-		start, mi := len(vals), -1
-		t, grown, m, has, err := r.sampleBody(vals)
+		start, mi, ri := len(vals), -1, -1
+		s, grown, err := r.sampleBody(vals)
 		if err != nil {
 			return nil, err
 		}
 		vals = grown
-		if has {
+		if s.hasMeasured {
 			mi = len(meas)
-			meas = append(meas, m)
+			meas = append(meas, s.measured)
 		}
-		offs = append(offs, start, len(vals), mi)
-		samples = append(samples, BatchSample{Time: t})
+		if s.hasRelayed {
+			ri = len(relay)
+			relay = append(relay, s.relayed)
+		}
+		offs = append(offs, start, len(vals), mi, ri)
+		samples = append(samples, BatchSample{Time: s.t})
 	}
-	f.batchVals, f.batchMeas, f.batchOffs = vals, meas, offs
+	f.batchVals, f.batchMeas, f.batchRelay, f.batchOffs = vals, meas, relay, offs
 	if err := r.done(); err != nil {
 		return nil, err
 	}
 	for i := range samples {
-		samples[i].PMC = vals[offs[3*i]:offs[3*i+1]:offs[3*i+1]]
-		if mi := offs[3*i+2]; mi >= 0 {
-			samples[i].Measured = &meas[mi]
+		o := offs[4*i : 4*i+4]
+		samples[i].PMC = vals[o[0]:o[1]:o[1]]
+		if o[2] >= 0 {
+			samples[i].Measured = &meas[o[2]]
+		}
+		if o[3] >= 0 {
+			samples[i].Relayed = &relay[o[3]]
 		}
 	}
 	f.batch = RecordBatch{NodeID: f.node.intern(node), Samples: samples}

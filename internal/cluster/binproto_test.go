@@ -32,6 +32,15 @@ func encodeBinFrame(t testing.TB, write func(f *binFramer) error) []byte {
 	return buf.Bytes()
 }
 
+// clonePtr copies an optional value out of framer scratch.
+func clonePtr[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	v := *p
+	return &v
+}
+
 // decodeBinPayload dispatches one payload to the kind's decoder, returning
 // false when the kind has no native decoder. On success it returns a
 // re-encode function that must reproduce the frame byte-for-byte.
@@ -46,12 +55,8 @@ func decodeBinPayload(f *binFramer, kind byte, payload []byte) (func(g *binFrame
 		// framer use in some tests.
 		node, tm := smp.NodeID, smp.Time
 		pmc := append([]float64(nil), smp.PMC...)
-		var measured *float64
-		if smp.Measured != nil {
-			m := *smp.Measured
-			measured = &m
-		}
-		return func(g *binFramer) error { return g.writeSample(node, tm, pmc, measured) }, true, nil
+		measured, rel := clonePtr(smp.Measured), clonePtr(smp.Relayed)
+		return func(g *binFramer) error { return g.writeSample(node, tm, pmc, measured, rel) }, true, nil
 	case binKindEstimate:
 		est, err := f.readEstimate(payload)
 		if err != nil {
@@ -84,11 +89,8 @@ func decodeBinPayload(f *binFramer, kind byte, payload []byte) (func(g *binFrame
 		node := rb.NodeID
 		samples := make([]BatchSample, len(rb.Samples))
 		for i, s := range rb.Samples {
-			samples[i] = BatchSample{Time: s.Time, PMC: append([]float64(nil), s.PMC...)}
-			if s.Measured != nil {
-				m := *s.Measured
-				samples[i].Measured = &m
-			}
+			samples[i] = BatchSample{Time: s.Time, PMC: append([]float64(nil), s.PMC...),
+				Measured: clonePtr(s.Measured), Relayed: clonePtr(s.Relayed)}
 		}
 		return func(g *binFramer) error { return g.writeRecordBatch(node, samples) }, true, nil
 	case binKindEstimateBatch:
@@ -111,7 +113,7 @@ func FuzzBinaryEnvelopeRoundTrip(f *testing.F) {
 		// An empty batch: any peer can send one, and it must round-trip.
 		encodeBinFrame(f, func(g *binFramer) error { return g.writeRecordBatch("ghost", nil) }),
 		encodeBinFrame(f, func(g *binFramer) error {
-			return g.writeSample("node-a", 1.5, []float64{1e9, 2e9, math.NaN()}, &meas)
+			return g.writeSample("node-a", 1.5, []float64{1e9, 2e9, math.NaN()}, &meas, nil)
 		}),
 		encodeBinFrame(f, func(g *binFramer) error {
 			return g.writeEstimate(&Estimate{NodeID: "n", Time: 2, PNode: 90, PCPU: 40, PMEM: 12, FromMeasurement: true})
@@ -143,6 +145,27 @@ func FuzzBinaryEnvelopeRoundTrip(f *testing.F) {
 	f.Add(byte(250), []byte{})                     // unknown kind
 	f.Add(binKindSample, []byte{})                 // truncated
 	f.Add(binKindError, []byte{0, 0, 0, 200, 'x'}) // claims more than it has
+	// Relayed estimates (added after the seeds above so those keep their
+	// numbers): a sample with one riding on it, with and without the IM
+	// reading — NaN estimates survive as bit patterns — and a batch as a
+	// router forwards it to a follower, relayed and plain samples mixed.
+	for _, frame := range [][]byte{
+		encodeBinFrame(f, func(g *binFramer) error {
+			return g.writeSample("node-a", 1.5, []float64{1e9, 2e9}, &meas, &RelayedEstimate{PNode: 90.5, PCPU: 40, PMEM: 12, FromMeasurement: true})
+		}),
+		encodeBinFrame(f, func(g *binFramer) error {
+			return g.writeSample("node-a", 2.5, []float64{1e9}, nil, &RelayedEstimate{PNode: 88, PCPU: math.NaN(), PMEM: 11})
+		}),
+		encodeBinFrame(f, func(g *binFramer) error {
+			return g.writeRecordBatch("node-b", []BatchSample{
+				{Time: 1, PMC: []float64{1, 2}, Relayed: &RelayedEstimate{PNode: 87, PCPU: 39, PMEM: 10}},
+				{Time: 2, PMC: []float64{3, 4}, Measured: &meas, Relayed: &RelayedEstimate{PNode: 90.5, PCPU: 40, PMEM: 12, FromMeasurement: true}},
+				{Time: 3, PMC: []float64{5, 6}},
+			})
+		}),
+	} {
+		f.Add(frame[4], frame[5:])
+	}
 
 	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
 		fr := newBinFramer(bufio.NewReader(bytes.NewReader(nil)), nil, DefaultMaxFrame)
@@ -157,82 +180,127 @@ func FuzzBinaryEnvelopeRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzCrossCodecSample pins the two codecs to each other: a sample sent
+// FuzzCrossCodecSample pins the two codecs to each other: a sample — with
+// or without an IM reading, with or without a relayed estimate — sent
 // through the JSON framing and through the binary framing must decode to
-// bit-identical fields. JSON cannot carry non-finite floats (WriteMsg
+// bit-identical fields, alone in a Sample frame and inside a RecordBatch
+// beside its plain twin. JSON cannot carry non-finite floats (WriteMsg
 // fails), so the agreement check applies when both paths accept the value;
 // the binary path must round-trip regardless.
 func FuzzCrossCodecSample(f *testing.F) {
-	f.Add("node-1", 1.5, 1e9, 2e9, 3e9, true, 90.5)
-	f.Add("", 0.0, 0.0, 0.0, 0.0, false, 0.0)
-	f.Add("n", math.Inf(1), math.NaN(), -1e308, 5e-324, false, 0.0)
-	f.Add("node-\xff", -3.25, 7.0, 8.0, 9.0, true, math.NaN())
+	f.Add("node-1", 1.5, 1e9, 2e9, 3e9, true, 90.5, false, 0.0, 0.0, 0.0, false)
+	f.Add("", 0.0, 0.0, 0.0, 0.0, false, 0.0, false, 0.0, 0.0, 0.0, false)
+	f.Add("n", math.Inf(1), math.NaN(), -1e308, 5e-324, false, 0.0, false, 0.0, 0.0, 0.0, false)
+	f.Add("node-\xff", -3.25, 7.0, 8.0, 9.0, true, math.NaN(), false, 0.0, 0.0, 0.0, false)
+	f.Add("node-1", 1.5, 1e9, 2e9, 3e9, true, 90.5, true, 90.5, 40.0, 12.0, true)
+	f.Add("node-2", 2.5, 1e9, 2e9, 3e9, false, 0.0, true, 88.0, 39.0, 11.0, false)
+	f.Add("n", 0.0, 1.0, 2.0, 3.0, false, 0.0, true, math.NaN(), math.Inf(-1), math.Copysign(0, -1), false)
 
-	f.Fuzz(func(t *testing.T, node string, tm, p0, p1, p2 float64, hasMeasured bool, m float64) {
+	f.Fuzz(func(t *testing.T, node string, tm, p0, p1, p2 float64, hasMeasured bool, m float64,
+		hasRelayed bool, rn, rc, rm float64, relFromMeasurement bool) {
 		if len(node) > math.MaxUint16 {
 			return
 		}
-		pmc := []float64{p0, p1, p2}
-		var measured *float64
+		want := BatchSample{Time: tm, PMC: []float64{p0, p1, p2}}
 		if hasMeasured {
-			measured = &m
+			want.Measured = &m
+		}
+		if hasRelayed {
+			want.Relayed = &RelayedEstimate{PNode: rn, PCPU: rc, PMEM: rm, FromMeasurement: relFromMeasurement}
+		}
+		plain := BatchSample{Time: tm, PMC: want.PMC, Measured: want.Measured}
+		bits := math.Float64bits
+		check := func(what, decNode string, dec, want BatchSample) {
+			if decNode != node {
+				t.Fatalf("%s node: wrote %q read %q", what, node, decNode)
+			}
+			if bits(dec.Time) != bits(want.Time) {
+				t.Fatalf("%s time: wrote %x read %x", what, bits(want.Time), bits(dec.Time))
+			}
+			if len(dec.PMC) != len(want.PMC) {
+				t.Fatalf("%s pmc length: wrote %d read %d", what, len(want.PMC), len(dec.PMC))
+			}
+			for i := range want.PMC {
+				if bits(dec.PMC[i]) != bits(want.PMC[i]) {
+					t.Fatalf("%s pmc[%d]: wrote %x read %x", what, i, bits(want.PMC[i]), bits(dec.PMC[i]))
+				}
+			}
+			if (dec.Measured != nil) != (want.Measured != nil) {
+				t.Fatalf("%s measured presence: wrote %v read %v", what, want.Measured != nil, dec.Measured != nil)
+			}
+			if want.Measured != nil && bits(*dec.Measured) != bits(*want.Measured) {
+				t.Fatalf("%s measured: wrote %x read %x", what, bits(*want.Measured), bits(*dec.Measured))
+			}
+			if (dec.Relayed != nil) != (want.Relayed != nil) {
+				t.Fatalf("%s relayed presence: wrote %v read %v", what, want.Relayed != nil, dec.Relayed != nil)
+			}
+			if w, d := want.Relayed, dec.Relayed; w != nil && (bits(d.PNode) != bits(w.PNode) || bits(d.PCPU) != bits(w.PCPU) ||
+				bits(d.PMEM) != bits(w.PMEM) || d.FromMeasurement != w.FromMeasurement) {
+				t.Fatalf("%s relayed: wrote %+v read %+v", what, *w, *d)
+			}
+		}
+		checkBatch := func(what string, rb *RecordBatch) {
+			if len(rb.Samples) != 2 {
+				t.Fatalf("%s: wrote 2 samples read %d", what, len(rb.Samples))
+			}
+			check(what+"[0]", rb.NodeID, rb.Samples[0], want)
+			check(what+"[1]", rb.NodeID, rb.Samples[1], plain)
 		}
 
 		// Binary path: must always round-trip bit-exactly.
-		frame := encodeBinFrame(t, func(g *binFramer) error { return g.writeSample(node, tm, pmc, measured) })
-		fr := newBinFramer(bufio.NewReader(bytes.NewReader(frame)), nil, DefaultMaxFrame)
-		kind, payload, err := fr.readFrame()
-		if err != nil || kind != binKindSample {
-			t.Fatalf("binary frame read: kind %d err %v", kind, err)
+		readBin := func(frame []byte, wantKind byte) (*binFramer, []byte) {
+			fr := newBinFramer(bufio.NewReader(bytes.NewReader(frame)), nil, DefaultMaxFrame)
+			kind, payload, err := fr.readFrame()
+			if err != nil || kind != wantKind {
+				t.Fatalf("binary frame read: kind %d err %v", kind, err)
+			}
+			return fr, payload
 		}
+		fr, payload := readBin(encodeBinFrame(t, func(g *binFramer) error {
+			return g.writeSample(node, tm, want.PMC, want.Measured, want.Relayed)
+		}), binKindSample)
 		got, err := fr.readSample(payload)
 		if err != nil {
 			t.Fatalf("binary decode: %v", err)
 		}
-		checkSample := func(dec Sample, codec string) {
-			if dec.NodeID != node {
-				t.Fatalf("%s node: wrote %q read %q", codec, node, dec.NodeID)
-			}
-			if math.Float64bits(dec.Time) != math.Float64bits(tm) {
-				t.Fatalf("%s time: wrote %x read %x", codec, math.Float64bits(tm), math.Float64bits(dec.Time))
-			}
-			if len(dec.PMC) != len(pmc) {
-				t.Fatalf("%s pmc length: wrote %d read %d", codec, len(pmc), len(dec.PMC))
-			}
-			for i := range pmc {
-				if math.Float64bits(dec.PMC[i]) != math.Float64bits(pmc[i]) {
-					t.Fatalf("%s pmc[%d]: wrote %x read %x", codec, i, math.Float64bits(pmc[i]), math.Float64bits(dec.PMC[i]))
-				}
-			}
-			if (dec.Measured != nil) != hasMeasured {
-				t.Fatalf("%s measured presence: wrote %v read %v", codec, hasMeasured, dec.Measured != nil)
-			}
-			if hasMeasured && math.Float64bits(*dec.Measured) != math.Float64bits(m) {
-				t.Fatalf("%s measured: wrote %x read %x", codec, math.Float64bits(m), math.Float64bits(*dec.Measured))
-			}
+		check("binary sample", got.NodeID, BatchSample{Time: got.Time, PMC: got.PMC, Measured: got.Measured, Relayed: got.Relayed}, want)
+		fr, payload = readBin(encodeBinFrame(t, func(g *binFramer) error {
+			return g.writeRecordBatch(node, []BatchSample{want, plain})
+		}), binKindRecordBatch)
+		rb, err := fr.readRecordBatch(payload)
+		if err != nil {
+			t.Fatalf("binary batch decode: %v", err)
 		}
-		checkSample(*got, "binary")
+		checkBatch("binary batch", rb)
 
 		// JSON path: agree with the binary decode whenever JSON can carry
 		// the values at all (NaN/Inf and invalid-UTF-8 node IDs cannot ride
 		// JSON losslessly).
 		var buf bytes.Buffer
-		smp := Sample{NodeID: node, Time: tm, PMC: pmc, Measured: measured}
+		smp := Sample{NodeID: node, Time: tm, PMC: want.PMC, Measured: want.Measured, Relayed: want.Relayed}
 		if err := WriteMsg(&buf, KindSample, smp); err != nil {
 			return
 		}
-		env, err := ReadMsg(bufio.NewReader(&buf))
-		if err != nil {
-			t.Fatalf("JSON read after write: %v", err)
+		if err := WriteMsg(&buf, KindRecordBatch, RecordBatch{NodeID: node, Samples: []BatchSample{want, plain}}); err != nil {
+			t.Fatalf("JSON carried the sample but not the batch: %v", err)
 		}
+		r := bufio.NewReader(&buf)
 		var jdec Sample
-		if err := DecodeBody(env, &jdec); err != nil {
-			t.Fatalf("JSON decode: %v", err)
+		var jrb RecordBatch
+		for _, dst := range []any{&jdec, &jrb} {
+			env, err := ReadMsg(r)
+			if err != nil {
+				t.Fatalf("JSON read after write: %v", err)
+			}
+			if err := DecodeBody(env, dst); err != nil {
+				t.Fatalf("JSON decode: %v", err)
+			}
 		}
 		if jdec.NodeID != node {
 			return // JSON coerced invalid UTF-8; codecs legitimately differ
 		}
-		checkSample(jdec, "json")
+		check("json sample", jdec.NodeID, BatchSample{Time: jdec.Time, PMC: jdec.PMC, Measured: jdec.Measured, Relayed: jdec.Relayed}, want)
+		checkBatch("json batch", &jrb)
 	})
 }
 
@@ -528,7 +596,7 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	iter := func() {
 		buf.Reset()
 		fw.w.Reset(&buf)
-		if err := fw.writeSample("node-alloc", 42.5, pmc, &meas); err != nil {
+		if err := fw.writeSample("node-alloc", 42.5, pmc, &meas, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := fw.w.Flush(); err != nil {
@@ -565,24 +633,39 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	// The client side is a real Agent, so its one roundTrip (flush, shared
 	// frame reader, kind check) is under the same guard as the serve loop.
 	cf := handshakeBinary(t, client, "node-alloc")
-	ag := &Agent{nodeID: "node-alloc", conn: client, f: cf, binary: true}
+	ag := &Agent{nodeID: "node-alloc", conn: client, f: cf, binary: true, relay: true}
 	batch := []BatchSample{{Time: 1, PMC: pmc}, {Time: 2, PMC: pmc, Measured: &meas}}
-	roundTrip := func() {
-		if est, err := ag.Send(42.5, pmc, &meas); err != nil || est.PNode != meas {
-			t.Fatalf("sample reply: %+v err %v", est, err)
-		}
+	// The follower leg of a replicated write: a sample with the primary's
+	// estimate attached, and sixteen of them in one batch.
+	rel := RelayedEstimate{PNode: 91.5, PCPU: 40, PMEM: 12}
+	relayedBatch := make([]BatchSample, 16)
+	for i := range relayedBatch {
+		relayedBatch[i] = BatchSample{Time: float64(i), PMC: pmc, Relayed: &rel}
+	}
+	relayedBatch[0].Measured = &meas
+	sendBatch := func(samples []BatchSample) {
 		// The batch reply is only framed, not decoded: decoding it builds
 		// the caller's estimate slice, the one allocation a batch is for.
-		if err := cf.writeRecordBatch("node-alloc", batch); err != nil {
+		if err := cf.writeRecordBatch("node-alloc", samples); err != nil {
 			t.Fatal(err)
 		}
 		if rep, err := ag.roundTrip(KindEstimateBatch); err != nil || rep.enc != encBinary {
 			t.Fatalf("batch reply: %+v err %v", rep, err)
 		}
 	}
+	roundTrip := func() {
+		if est, err := ag.Send(42.5, pmc, &meas); err != nil || est.PNode != meas {
+			t.Fatalf("sample reply: %+v err %v", est, err)
+		}
+		sendBatch(batch)
+		if est, err := ag.send(43.5, pmc, nil, &rel); err != nil || est.PNode != rel.PNode {
+			t.Fatalf("relayed sample reply: %+v err %v", est, err)
+		}
+		sendBatch(relayedBatch)
+	}
 	roundTrip()
 	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
-		t.Fatalf("serve loop allocates %.1f times per sample+batch round trip, want 0", allocs)
+		t.Fatalf("serve loop allocates %.1f times per sample+batch round trip, plain and relayed, want 0", allocs)
 	}
 	client.Close()
 	if err := <-done; err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {

@@ -9,10 +9,9 @@ import (
 	"highrpm/internal/workload"
 )
 
-// streamSamples pushes n seconds of telemetry for nodeID through agent,
-// returning the estimates the service produced. Every missInterval-th
-// second carries an IPMI reading.
-func streamSamples(t *testing.T, agent *Agent, n, missInterval int, seed int64) []Estimate {
+// simSamples generates n seconds of one simulated node's telemetry with an
+// IM reading every missInterval-th second.
+func simSamples(t *testing.T, n, missInterval int, seed int64) []Sample {
 	t.Helper()
 	node, err := platform.NewNode(platform.ARMConfig(), seed)
 	if err != nil {
@@ -23,15 +22,25 @@ func streamSamples(t *testing.T, agent *Agent, n, missInterval int, seed int64) 
 		t.Fatal(err)
 	}
 	node.Attach(b)
-	ests := make([]Estimate, 0, n)
-	for i := 0; i < n; i++ {
+	out := make([]Sample, n)
+	for i := range out {
 		s := node.Step(1)
-		var measured *float64
+		out[i] = Sample{Time: s.Time, PMC: s.Counters.Slice()}
 		if i%missInterval == 0 {
 			v := s.PNode
-			measured = &v
+			out[i].Measured = &v
 		}
-		est, err := agent.Send(s.Time, s.Counters.Slice(), measured)
+	}
+	return out
+}
+
+// streamSamples pushes simSamples' telemetry through agent, returning the
+// estimates the service produced.
+func streamSamples(t *testing.T, agent *Agent, n, missInterval int, seed int64) []Estimate {
+	t.Helper()
+	ests := make([]Estimate, 0, n)
+	for _, smp := range simSamples(t, n, missInterval, seed) {
+		est, err := agent.Send(smp.Time, smp.PMC, smp.Measured)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,6 +28,7 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 	samples := reg.Counter("highrpm_service_samples_total", "Telemetry samples received.")
 	estimates := reg.Counter("highrpm_service_estimates_total", "Estimates computed and answered.")
 	measured := reg.Counter("highrpm_service_measured_total", "Samples that carried an IM (IPMI) reading.")
+	relayed := reg.Counter("highrpm_service_relayed_samples_total", "Samples recorded from a relayed estimate instead of an inference of the service's own.")
 	conns := reg.Gauge("highrpm_service_connections", "Live agent connections.")
 	peak := reg.Gauge("highrpm_service_connections_peak", "Highwater mark of live connections.")
 	rejected := reg.Counter("highrpm_service_rejected_total", "Connections dropped at accept by the MaxConns cap.")
@@ -74,6 +75,7 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 		samples.Set(float64(st.Samples))
 		estimates.Set(float64(st.Estimates))
 		measured.Set(float64(st.Measured))
+		relayed.Set(float64(st.Relayed))
 		conns.Set(float64(st.Conns))
 		peak.Set(float64(st.PeakConns))
 		rejected.Set(float64(st.Rejected))

@@ -86,7 +86,14 @@ func TestObsEndToEndScrape(t *testing.T) {
 			v := s.PNode
 			measured = &v
 		}
-		if _, err := agent.Send(s.Time, s.Counters.Slice(), measured); err != nil {
+		// The last five arrive the way a router forwards them to a follower,
+		// another replica's estimate attached: counted as samples, stored,
+		// metered — and counted as relayed.
+		var rel *RelayedEstimate
+		if i >= ticks-5 {
+			rel = &RelayedEstimate{PNode: s.PNode, PCPU: s.PCPU, PMEM: s.PMEM}
+		}
+		if _, err := agent.send(s.Time, s.Counters.Slice(), measured, rel); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,6 +110,7 @@ func TestObsEndToEndScrape(t *testing.T) {
 		// Service and store counters mirrored from Stats.
 		"highrpm_service_nodes 1",
 		"highrpm_service_samples_total 20",
+		"highrpm_service_relayed_samples_total 5",
 		"highrpm_store_ingested_samples_total 20",
 		// Self-metering: one overhead tick per estimation.
 		"highrpm_overhead_ticks_total 20",

@@ -87,6 +87,28 @@ type Hello struct {
 	Codecs []string `json:"codecs,omitempty"`
 	// Codec is the service's selection (reply only); "" means JSON.
 	Codec string `json:"codec,omitempty"`
+	// Relay negotiates relayed estimates the way Codecs/Codec negotiate the
+	// framing: every agent offers it, a service that understands a sample's
+	// Relayed field echoes it, and only then does the agent put that field
+	// on the wire. A service predating it drops the offer, the echo reads
+	// false, and the agent sends it plain samples — byte-identical to the
+	// ones it always received — which it estimates itself.
+	Relay bool `json:"relay,omitempty"`
+}
+
+// RelayedEstimate is the estimate another service already computed for the
+// very sample it rides on. A fleet router attaches the primary replica's
+// answer to the copies it forwards to the followers; a service handed one
+// records it as that second's estimate and only advances the node's
+// monitor state (core.Monitor.Observe), so a replicated sample is inferred
+// once, not once per replica. The trend channel (p_node_prime) is never
+// relayed: the receiver's own Observe yields it, bit-identical.
+type RelayedEstimate struct {
+	PNode float64 `json:"p_node"`
+	PCPU  float64 `json:"p_cpu"`
+	PMEM  float64 `json:"p_mem"`
+	// FromMeasurement mirrors Estimate.FromMeasurement.
+	FromMeasurement bool `json:"from_measurement"`
 }
 
 // Sample is one second of telemetry from a compute node agent.
@@ -97,6 +119,10 @@ type Sample struct {
 	// Measured carries the IPMI reading when one is available this second;
 	// nil otherwise (the common case — that is the whole problem).
 	Measured *float64 `json:"measured,omitempty"`
+	// Relayed, when set, is the estimate already computed for this sample
+	// elsewhere; nil (every agent's own traffic) asks the service to
+	// estimate. It only travels on a connection whose Hello echoed Relay.
+	Relayed *RelayedEstimate `json:"relayed,omitempty"`
 }
 
 // Estimate is the service's answer for one sample.
@@ -115,6 +141,12 @@ type Estimate struct {
 	Local bool `json:"local,omitempty"`
 }
 
+// Relayed returns the part of e that rides a replicated sample to a
+// follower.
+func (e *Estimate) Relayed() RelayedEstimate {
+	return RelayedEstimate{PNode: e.PNode, PCPU: e.PCPU, PMEM: e.PMEM, FromMeasurement: e.FromMeasurement}
+}
+
 // BatchSample is one coalesced second inside a RecordBatch; the node ID
 // lives on the batch, everything else matches Sample.
 type BatchSample struct {
@@ -122,6 +154,8 @@ type BatchSample struct {
 	PMC  []float64 `json:"pmc"`
 	// Measured carries the second's IPMI reading when one arrived.
 	Measured *float64 `json:"measured,omitempty"`
+	// Relayed is Sample.Relayed for this second.
+	Relayed *RelayedEstimate `json:"relayed,omitempty"`
 }
 
 // RecordBatch carries several seconds of telemetry from one node in a
@@ -145,6 +179,10 @@ type Stats struct {
 	Samples   int64 `json:"samples"`
 	Estimates int64 `json:"estimates"`
 	Measured  int64 `json:"measured"`
+	// Relayed counts the samples recorded from a RelayedEstimate instead of
+	// an inference of the service's own: Samples − Relayed is what the
+	// models actually ran on. 0 on a service no router replicates to.
+	Relayed int64 `json:"relayed"`
 	// Conns is the number of currently tracked connections; PeakConns the
 	// highwater mark since the service started.
 	Conns     int `json:"conns"`

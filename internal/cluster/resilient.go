@@ -321,16 +321,27 @@ func (ra *ResilientAgent) bounded(call func(*Agent) error) error {
 // healthy connection) is returned as-is. pmc and measured are borrowed
 // only for the call, degraded or not.
 func (ra *ResilientAgent) Send(t float64, pmc []float64, measured *float64) (Estimate, error) {
+	return ra.SendRelayed(t, pmc, measured, nil)
+}
+
+// SendRelayed is Send with rel attached: the estimate another service
+// already computed for this very sample (nil: a plain Send). A service that
+// echoed the Hello relay offer records rel and skips its own inference;
+// one that did not is sent the sample plain. A degraded agent answers from
+// its local snapshot exactly as Send does and buffers the sample with rel,
+// so the later replay still spares the service the inference. The fleet
+// router forwards a replicated sample to its followers this way.
+func (ra *ResilientAgent) SendRelayed(t float64, pmc []float64, measured *float64, rel *RelayedEstimate) (Estimate, error) {
 	if ra.closed {
 		return Estimate{}, ErrAgentClosed
 	}
 	var est Estimate
 	answered, err := ra.live(func(a *Agent) (err error) {
-		est, err = a.Send(t, pmc, measured)
+		est, err = a.send(t, pmc, measured, rel)
 		return err
 	})
 	if !answered {
-		return ra.serveLocal(Sample{NodeID: ra.nodeID, Time: t, PMC: pmc, Measured: measured})
+		return ra.serveLocal(Sample{NodeID: ra.nodeID, Time: t, PMC: pmc, Measured: measured, Relayed: rel})
 	}
 	if err == nil {
 		ra.counters.Sent++
@@ -364,7 +375,7 @@ func (ra *ResilientAgent) Flush() ([]Estimate, error) {
 	}
 	var ests []Estimate
 	answered, err := ra.live(func(a *Agent) (err error) {
-		ests, err = a.sendBatch(ra.batch.wireSamples())
+		ests, err = a.sendBatch(ra.batch.wireSamples(a.relay))
 		return err
 	})
 	if !answered {
@@ -379,13 +390,14 @@ func (ra *ResilientAgent) Flush() ([]Estimate, error) {
 // resilience machinery: the samples join any pending Record batch and the
 // whole thing is flushed immediately, so a transport failure buffers them
 // for in-order replay exactly like Flush. The fleet router uses this to
-// forward a front-end RecordBatch to a backend shard without re-batching.
+// forward a front-end RecordBatch to a backend shard without re-batching;
+// a sample's Relayed estimate travels with it as in SendRelayed.
 func (ra *ResilientAgent) SendSamples(samples []BatchSample) ([]Estimate, error) {
 	if ra.closed {
 		return nil, ErrAgentClosed
 	}
 	for i := range samples {
-		ra.batch.add(samples[i].Time, samples[i].PMC, samples[i].Measured)
+		ra.batch.add(samples[i].Time, samples[i].PMC, samples[i].Measured, samples[i].Relayed)
 	}
 	return ra.Flush()
 }
@@ -398,8 +410,8 @@ func (ra *ResilientAgent) SendSamples(samples []BatchSample) ([]Estimate, error)
 func (ra *ResilientAgent) flushLocal() ([]Estimate, error) {
 	defer ra.batch.reset()
 	ests := make([]Estimate, 0, ra.batch.n)
-	for _, bs := range ra.batch.wireSamples() {
-		est, err := ra.serveLocal(Sample{NodeID: ra.nodeID, Time: bs.Time, PMC: bs.PMC, Measured: bs.Measured})
+	for _, bs := range ra.batch.wireSamples(true) {
+		est, err := ra.serveLocal(Sample{NodeID: ra.nodeID, Time: bs.Time, PMC: bs.PMC, Measured: bs.Measured, Relayed: bs.Relayed})
 		if err != nil {
 			return ests, err
 		}
@@ -442,7 +454,7 @@ func (ra *ResilientAgent) replay() bool {
 	for len(ra.buffer) > 0 {
 		smp := &ra.buffer[0]
 		err := ra.bounded(func(a *Agent) error {
-			_, err := a.Send(smp.Time, smp.PMC, smp.Measured)
+			_, err := a.send(smp.Time, smp.PMC, smp.Measured, smp.Relayed)
 			return err
 		})
 		var se *ServiceError
@@ -465,10 +477,10 @@ func (ra *ResilientAgent) replay() bool {
 
 // serveLocal answers one sample from the model snapshot and buffers it for
 // replay. It also advances the failure accounting that flips the agent to
-// ModeDegraded. The buffered sample is a private copy: smp.PMC and
-// smp.Measured belong to the caller, who may overwrite them the moment
-// Send returns (a serve loop forwarding its framer scratch does). Only
-// this degraded path copies; a live send stays zero-copy.
+// ModeDegraded. The buffered sample is a private copy: smp.PMC,
+// smp.Measured and smp.Relayed belong to the caller, who may overwrite them
+// the moment Send returns (a serve loop forwarding its framer scratch
+// does). Only this degraded path copies; a live send stays zero-copy.
 func (ra *ResilientAgent) serveLocal(smp Sample) (Estimate, error) {
 	ra.consecFails++
 	if ra.mode == ModeConnected && ra.consecFails >= ra.opts.FailThreshold {
@@ -490,6 +502,10 @@ func (ra *ResilientAgent) serveLocal(smp Sample) (Estimate, error) {
 	if smp.Measured != nil {
 		m := *smp.Measured
 		smp.Measured = &m
+	}
+	if smp.Relayed != nil {
+		rel := *smp.Relayed
+		smp.Relayed = &rel
 	}
 	ra.buffer = append(ra.buffer, smp)
 	ra.counters.Buffered++

@@ -489,7 +489,7 @@ func TestResilientSendCopiesBufferedSample(t *testing.T) {
 				v := *measured
 				m = &v
 			}
-			if _, err := ref.processSample(nodeID, s.Time, append([]float64(nil), pmcBuf...), m); err != nil {
+			if _, err := ref.processSample(nodeID, s.Time, append([]float64(nil), pmcBuf...), m, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

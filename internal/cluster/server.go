@@ -454,7 +454,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 			}
 			s.h.Hello(h.NodeID)
 			s.identify(conn, h.NodeID)
-			reply := Hello{NodeID: h.NodeID}
+			reply := Hello{NodeID: h.NodeID, Relay: h.Relay}
 			for _, c := range h.Codecs {
 				if c == CodecBinary {
 					reply.Codec = CodecBinary

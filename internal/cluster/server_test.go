@@ -42,6 +42,9 @@ func (h stubHandler) Sample(smp *Sample) (Estimate, error) {
 	if smp.Measured != nil {
 		est.PNode, est.FromMeasurement = *smp.Measured, true
 	}
+	if smp.Relayed != nil { // a relayed estimate is the answer
+		est.PNode, est.PCPU, est.PMEM = smp.Relayed.PNode, smp.Relayed.PCPU, smp.Relayed.PMEM
+	}
 	return est, nil
 }
 
@@ -49,7 +52,11 @@ func (h stubHandler) Batch(rb *RecordBatch, dst []Estimate) ([]Estimate, error) 
 	values := 0
 	for i := range rb.Samples {
 		values += len(rb.Samples[i].PMC) + 1
-		dst = append(dst, Estimate{NodeID: rb.NodeID, Time: rb.Samples[i].Time})
+		est := Estimate{NodeID: rb.NodeID, Time: rb.Samples[i].Time}
+		if rel := rb.Samples[i].Relayed; rel != nil {
+			est.PNode, est.PCPU, est.PMEM = rel.PNode, rel.PCPU, rel.PMEM
+		}
+		dst = append(dst, est)
 	}
 	h.checkDecoded(values)
 	if len(rb.Samples) == 0 {
@@ -197,8 +204,8 @@ func FuzzServeConn(f *testing.F) {
 	pmc := []float64{1, 2, 3}
 	meas := 90.5
 	bin := func(write func(g *binFramer) error) []byte { return encodeBinFrame(f, write) }
-	sample := bin(func(g *binFramer) error { return g.writeSample("script", 1, pmc, &meas) })
-	emptySample := bin(func(g *binFramer) error { return g.writeSample("script", 2, nil, nil) })
+	sample := bin(func(g *binFramer) error { return g.writeSample("script", 1, pmc, &meas, nil) })
+	emptySample := bin(func(g *binFramer) error { return g.writeSample("script", 2, nil, nil, nil) })
 	batch := bin(func(g *binFramer) error {
 		return g.writeRecordBatch("script", []BatchSample{{Time: 1, PMC: pmc}, {Time: 2, PMC: pmc, Measured: &meas}})
 	})
@@ -264,8 +271,8 @@ func TestServeConnScripted(t *testing.T) {
 	pmc := []float64{1, 2, 3}
 	bin := func(write func(g *binFramer) error) []byte { return encodeBinFrame(t, write) }
 	stream := scriptStream(t, []string{CodecBinary},
-		bin(func(g *binFramer) error { return g.writeSample("script", 1, pmc, nil) }),
-		bin(func(g *binFramer) error { return g.writeSample("script", 2, nil, nil) }),
+		bin(func(g *binFramer) error { return g.writeSample("script", 1, pmc, nil, nil) }),
+		bin(func(g *binFramer) error { return g.writeSample("script", 2, nil, nil, nil) }),
 		bin(func(g *binFramer) error { return g.writeRecordBatch("script", nil) }),
 		bin(func(g *binFramer) error {
 			return g.writeQuery(QueryRequest{Channel: "p_node", From: 0, To: 1e6})

@@ -64,6 +64,7 @@ type Service struct {
 	samples   atomic.Int64
 	estimates atomic.Int64
 	measured  atomic.Int64
+	relayed   atomic.Int64 // samples recorded from a relayed estimate, not inferred here
 
 	// Batching accounting: record batches handled and the samples they
 	// carried.
@@ -187,7 +188,7 @@ type serviceHandler struct{ s *Service }
 func (h serviceHandler) Hello(nodeID string) { h.s.monitorFor(nodeID) }
 
 func (h serviceHandler) Sample(smp *Sample) (Estimate, error) {
-	return h.s.processSample(smp.NodeID, smp.Time, smp.PMC, smp.Measured)
+	return h.s.processSample(smp.NodeID, smp.Time, smp.PMC, smp.Measured, smp.Relayed)
 }
 
 func (h serviceHandler) Batch(rb *RecordBatch, dst []Estimate) ([]Estimate, error) {
@@ -207,8 +208,12 @@ func (h serviceHandler) Model() ([]byte, error) { return core.Marshal(h.s.model)
 
 // processSample runs one second of telemetry through the per-node monitor
 // and into the history store — the one path every framing (JSON, binary,
-// batched) funnels into. It borrows pmc only for the call.
-func (s *Service) processSample(nodeID string, tm float64, pmc []float64, measured *float64) (Estimate, error) {
+// batched) funnels into. It borrows pmc only for the call. With rel, the
+// estimate another replica already computed for this sample, the monitor
+// only Observes: rel is what gets counted, gauged, stored and answered,
+// exactly as the monitor's own estimate would be, and the stored trend
+// value still comes from this service's monitor.
+func (s *Service) processSample(nodeID string, tm float64, pmc []float64, measured *float64, rel *RelayedEstimate) (Estimate, error) {
 	s.samples.Add(1)
 	if measured != nil {
 		s.measured.Add(1)
@@ -217,10 +222,20 @@ func (s *Service) processSample(nodeID string, tm float64, pmc []float64, measur
 	// One estimation tick — model inference plus the history record — is
 	// the unit the overhead self-metering prices.
 	tickDone := s.meter.Load().Tick()
-	est, err := mon.Push(pmc, measured)
+	var est core.MonitorEstimate
+	var err error
+	if rel != nil {
+		est = core.MonitorEstimate{PNode: rel.PNode, PCPU: rel.PCPU, PMEM: rel.PMEM, FromMeasurement: rel.FromMeasurement}
+		est.PNodePrime, err = mon.Observe(pmc, measured)
+	} else {
+		est, err = mon.Push(pmc, measured)
+	}
 	if err != nil {
 		tickDone()
 		return Estimate{}, err
+	}
+	if rel != nil {
+		s.relayed.Add(1)
 	}
 	s.estimates.Add(1)
 	s.record(Sample{NodeID: nodeID, Time: tm, PMC: pmc, Measured: measured}, est)
@@ -246,7 +261,7 @@ func (s *Service) processBatch(rb *RecordBatch, dst []Estimate) ([]Estimate, err
 	}
 	for i := range rb.Samples {
 		bs := &rb.Samples[i]
-		est, err := s.processSample(rb.NodeID, bs.Time, bs.PMC, bs.Measured)
+		est, err := s.processSample(rb.NodeID, bs.Time, bs.PMC, bs.Measured, bs.Relayed)
 		if err != nil {
 			return dst, fmt.Errorf("batch sample %d (t=%g): %w", i, bs.Time, err)
 		}
@@ -325,6 +340,7 @@ func (s *Service) Stats() Stats {
 		Samples:      s.samples.Load(),
 		Estimates:    s.estimates.Load(),
 		Measured:     s.measured.Load(),
+		Relayed:      s.relayed.Load(),
 		Conns:        cs.Conns,
 		PeakConns:    cs.PeakConns,
 		Rejected:     cs.Rejected,

@@ -215,8 +215,7 @@ func (d *DynamicTRR) Run(set *dataset.Set, measuredIdx []int, vals []float64) ([
 			lastIdx, lastVal = i, v
 			prevEpoch++ // trend state advanced: extrapolated rows are stale
 		} else {
-			preds := d.Net.PredictSeq(window(i))
-			est[i] = preds[len(preds)-1]
+			est[i] = d.Net.PredictLast(window(i))
 		}
 		if i == 0 {
 			prevEpoch++ // est[0] was just written; prevAt(0) reads it

@@ -20,10 +20,16 @@ type Monitor struct {
 	h    *HighRPM
 	miss int
 
-	hist []monitorStep // trailing window, most recent last
-	n    int64         // samples seen
+	// rows is the trailing window, most recent last. Each row is one
+	// second's DynamicTRR input: the Table 2 PMCs, then the previous-node
+	// feature used at that step. Once miss rows are held the slice is the
+	// network input as it stands, and each new second rotates it, refilling
+	// the evicted row — so a long-running monitor stops allocating.
+	rows [][]float64
+	n    int64 // samples seen
 
-	winBuf [][]float64 // reusable DynamicTRR input rows, built lazily
+	padded [][]float64 // front-padded view of a history shorter than the window, built lazily
+	srrIn  []float64   // SRR input scratch (PMCs plus the node estimate)
 
 	lastIdx  int64   // sample index of the last IM reading (-1: none yet)
 	lastVal  float64 // its value
@@ -31,14 +37,9 @@ type Monitor struct {
 	haveMeas bool
 }
 
-type monitorStep struct {
-	pmc  []float64
-	prev float64 // the previous-node feature used at this step
-}
-
 // NewMonitor wraps a trained HighRPM model for streaming use.
 func NewMonitor(h *HighRPM) *Monitor {
-	return &Monitor{h: h, miss: h.Opts.Dynamic.MissInterval, lastIdx: -1}
+	return &Monitor{h: h, miss: h.Opts.Dynamic.MissInterval, lastIdx: -1, srrIn: make([]float64, pmu.NumEvents+1)}
 }
 
 // MonitorEstimate is one second's restored power.
@@ -66,80 +67,81 @@ func (m *Monitor) trendAt(i int64) float64 {
 	return m.lastVal + m.slope*float64(i-m.lastIdx)
 }
 
-// Push processes one second of telemetry. measured carries the IM reading
-// when one arrived this second (nil otherwise). pmc must hold the Table 2
-// events in feature order.
-func (m *Monitor) Push(pmc []float64, measured *float64) (MonitorEstimate, error) {
+// Observe advances the monitor by one second of telemetry without
+// estimating anything: the window history and the IM trend move exactly as
+// Push moves them, and the network is never run. The monitor's state is a
+// function of the (pmc, measured) stream alone — no estimate is ever fed
+// back — so a replica that only Observes stays ready to Push the next
+// second bit-identically to one that Pushed all along. It returns the
+// second's P'_Node trend value (MonitorEstimate.PNodePrime). measured
+// carries the IM reading when one arrived this second (nil otherwise); pmc
+// must hold the Table 2 events in feature order.
+func (m *Monitor) Observe(pmc []float64, measured *float64) (float64, error) {
 	if len(pmc) != pmu.NumEvents {
-		return MonitorEstimate{}, fmt.Errorf("core: monitor expects %d PMC features, got %d", pmu.NumEvents, len(pmc))
+		return 0, fmt.Errorf("core: monitor expects %d PMC features, got %d", pmu.NumEvents, len(pmc))
 	}
-	var est MonitorEstimate
 	prevFeature := m.trendAt(m.n - 1)
-	switch {
-	case measured != nil:
-		est.PNode = *measured
-		est.FromMeasurement = true
+	if measured != nil {
 		if m.haveMeas && m.n > m.lastIdx {
 			m.slope = (*measured - m.lastVal) / float64(m.n-m.lastIdx)
 		}
 		m.lastIdx, m.lastVal, m.haveMeas = m.n, *measured, true
-	case !m.haveMeas:
-		// Nothing to predict from before the first IM reading.
-		est.PNode = m.trendAt(m.n)
-	default:
-		window := m.window(pmc, prevFeature)
-		preds := m.h.Dynamic.Net.PredictSeq(window)
-		est.PNode = preds[len(preds)-1]
 	}
-	est.PNodePrime = m.trendAt(m.n)
-	est.PCPU, est.PMEM = m.h.SRR.Predict(pmc, est.PNode)
-	if len(m.hist) >= m.miss && m.miss > 0 {
-		// Steady state: rotate the window and recycle the evicted front
-		// slot's pmc buffer, so a long-running monitor stops allocating.
-		front := m.hist[0]
-		copy(m.hist, m.hist[1:])
-		front.pmc = append(front.pmc[:0], pmc...)
-		front.prev = prevFeature
-		m.hist[len(m.hist)-1] = front
+	prime := m.trendAt(m.n)
+	var row []float64
+	if len(m.rows) >= m.miss && len(m.rows) > 0 {
+		row = m.rows[0]
+		copy(m.rows, m.rows[1:])
+		m.rows[len(m.rows)-1] = row
 	} else {
-		m.hist = append(m.hist, monitorStep{pmc: append([]float64(nil), pmc...), prev: prevFeature})
-		if len(m.hist) > m.miss {
-			m.hist = m.hist[1:]
-		}
+		row = make([]float64, pmu.NumEvents+1)
+		m.rows = append(m.rows, row)
 	}
+	copy(row, pmc)
+	row[pmu.NumEvents] = prevFeature
 	m.n++
+	return prime, nil
+}
+
+// Push processes one second of telemetry: Observe, then the estimate for
+// that second — the IM reading when one arrived, the DynamicTRR prediction
+// over the trailing window otherwise, and the SRR split of whichever it
+// was.
+func (m *Monitor) Push(pmc []float64, measured *float64) (MonitorEstimate, error) {
+	prime, err := m.Observe(pmc, measured)
+	if err != nil {
+		return MonitorEstimate{}, err
+	}
+	// Before the first IM reading there is nothing to predict from: the
+	// trend's cold-start value stands in for the estimate.
+	est := MonitorEstimate{PNode: prime, PNodePrime: prime}
+	switch {
+	case measured != nil:
+		est.PNode, est.FromMeasurement = *measured, true
+	case m.haveMeas:
+		est.PNode = m.h.Dynamic.Net.PredictLast(m.window())
+	}
+	est.PCPU, est.PMEM = m.h.SRR.predictInto(m.srrIn, pmc, est.PNode)
 	return est, nil
 }
 
-// window assembles the DynamicTRR input ending at the incoming sample into
-// a buffer reused across pushes (PredictSeq copies what it reads, so the
-// rows may be rewritten on the next call). Shorter histories front-pad to
-// the window length with the oldest step.
-func (m *Monitor) window(pmc []float64, prevFeature float64) [][]float64 {
-	if m.winBuf == nil {
-		m.winBuf = make([][]float64, m.miss)
-		for i := range m.winBuf {
-			m.winBuf[i] = make([]float64, pmu.NumEvents+1)
-		}
+// window returns the DynamicTRR input ending at the newest row. In steady
+// state that is rows itself; a shorter history is front-padded to the
+// window length with its oldest row (aliased, not copied: the network only
+// reads its input).
+func (m *Monitor) window() [][]float64 {
+	if len(m.rows) >= m.miss {
+		return m.rows
 	}
-	fill := func(dst []float64, src []float64, prev float64) {
-		copy(dst, src)
-		dst[pmu.NumEvents] = prev
+	if m.padded == nil {
+		m.padded = make([][]float64, m.miss)
 	}
-	have := len(m.hist) + 1 // history plus the incoming sample
-	drop := 0
-	if have > m.miss {
-		drop = have - m.miss
-	}
-	pad := m.miss - (have - drop)
-	for i, st := range m.hist[drop:] {
-		fill(m.winBuf[pad+i], st.pmc, st.prev)
-	}
-	fill(m.winBuf[m.miss-1], pmc, prevFeature)
+	pad := m.miss - len(m.rows)
 	for i := 0; i < pad; i++ {
-		copy(m.winBuf[i], m.winBuf[pad])
+		m.padded[i] = m.rows[0]
 	}
-	return m.winBuf
+	copy(m.padded[pad:], m.rows)
+	return m.padded
 }
 
 // Samples returns how many seconds of telemetry the monitor has processed.

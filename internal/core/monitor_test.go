@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 func trainedModel(t *testing.T) *HighRPM {
@@ -76,5 +78,103 @@ func TestMonitorFirstSampleWithoutMeasurement(t *testing.T) {
 	want := 0.5 * (h.Static.PBottom + h.Static.PUpper)
 	if est.PNode != want {
 		t.Fatalf("cold-start estimate %g want %g", est.PNode, want)
+	}
+}
+
+// sameMonitorEstimate compares two estimates bit for bit (NaN-safe).
+func sameMonitorEstimate(a, b MonitorEstimate) bool {
+	return math.Float64bits(a.PNode) == math.Float64bits(b.PNode) &&
+		math.Float64bits(a.PCPU) == math.Float64bits(b.PCPU) &&
+		math.Float64bits(a.PMEM) == math.Float64bits(b.PMEM) &&
+		math.Float64bits(a.PNodePrime) == math.Float64bits(b.PNodePrime) &&
+		a.FromMeasurement == b.FromMeasurement
+}
+
+// Property: a monitor's state is a function of the (pmc, measured) stream
+// alone. Driven by an arbitrary interleaving of Observe and Push, it
+// returns at every Push an estimate bit-identical to a monitor that was
+// Pushed throughout, and every Observe returns that reference's
+// PNodePrime — which is what lets a replica skip inference and still take
+// over at any second.
+func TestMonitorObservePushInterleavingProperty(t *testing.T) {
+	h := trainedModel(t)
+	test := testSet(t, 120)
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ref, mon := NewMonitor(h), NewMonitor(h)
+		// IM readings at irregular gaps, starting late or at once, so cold
+		// start, the padded window and the steady state are all crossed in
+		// both modes.
+		nextIM := rng.Intn(15)
+		observeRun := 0 // seconds left in the current Observe-only stretch
+		for i, sm := range test.Samples {
+			var measured *float64
+			if i == nextIM {
+				v := sm.PNode + rng.NormFloat64()
+				measured = &v
+				nextIM += 1 + rng.Intn(14)
+			}
+			want, err := ref.Push(sm.PMC, measured)
+			if err != nil {
+				return false
+			}
+			if observeRun == 0 && rng.Intn(3) == 0 {
+				observeRun = 1 + rng.Intn(25)
+			}
+			if observeRun > 0 {
+				observeRun--
+				prime, err := mon.Observe(sm.PMC, measured)
+				if err != nil || math.Float64bits(prime) != math.Float64bits(want.PNodePrime) {
+					t.Logf("seed %d step %d: Observe returned %v (err %v), Push's PNodePrime %v", seed, i, prime, err, want.PNodePrime)
+					return false
+				}
+				continue
+			}
+			got, err := mon.Push(sm.PMC, measured)
+			if err != nil || !sameMonitorEstimate(got, want) {
+				t.Logf("seed %d step %d: interleaved %+v (err %v), pushed throughout %+v", seed, i, got, err, want)
+				return false
+			}
+		}
+		return mon.Samples() == ref.Samples()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(7))}); err != nil {
+		t.Fatal(err)
+	}
+	// A rejected sample advances nothing, in either mode.
+	mon := NewMonitor(h)
+	if _, err := mon.Observe([]float64{1, 2}, nil); err == nil || mon.Samples() != 0 {
+		t.Fatalf("Observe accepted a malformed sample (err %v, %d samples)", err, mon.Samples())
+	}
+}
+
+// TestMonitorPushZeroAlloc: once the window is full a push allocates
+// nothing on either path — the IM reading or the DynamicTRR window — and
+// neither does Observe.
+func TestMonitorPushZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the prediction executors are pooled, and sync.Pool drops items under -race")
+	}
+	h := trainedModel(t)
+	test := testSet(t, 40)
+	mon := NewMonitor(h)
+	v := test.Samples[0].PNode
+	for _, sm := range test.Samples[:20] { // fill the window, warm the prediction pools
+		if _, err := mon.Push(sm.PMC, &v); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mon.Push(sm.PMC, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pmc := test.Samples[20].PMC
+	for name, push := range map[string]func(){
+		"Push/DynamicTRR": func() { mon.Push(pmc, nil) },
+		"Push/IM":         func() { mon.Push(pmc, &v) },
+		"Observe":         func() { mon.Observe(pmc, nil) },
+	} {
+		if allocs := testing.AllocsPerRun(100, push); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per sample, want 0", name, allocs)
+		}
 	}
 }

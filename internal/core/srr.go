@@ -88,18 +88,29 @@ func (s *SRR) features(set *dataset.Set, nodeFeature []float64) *mat.Dense {
 // Predict splits one sample's node power into (P_CPU, P_MEM). pnode is
 // ignored when the model was trained without the node feature.
 func (s *SRR) Predict(pmcs []float64, pnode float64) (pcpu, pmem float64) {
+	var scratch []float64
+	if s.Opts.UseNode {
+		scratch = make([]float64, len(pmcs)+1)
+	}
+	return s.predictInto(scratch, pmcs, pnode)
+}
+
+// predictInto is Predict with the network input assembled in scratch — at
+// least len(pmcs)+1 long when the model takes the node feature, unused
+// otherwise — so a per-sample caller that owns the buffer (Monitor)
+// allocates nothing.
+func (s *SRR) predictInto(scratch, pmcs []float64, pnode float64) (pcpu, pmem float64) {
 	if s.Net == nil {
 		panic("core: SRR is not fitted")
 	}
-	var in []float64
+	in := pmcs
 	if s.Opts.UseNode {
-		in = make([]float64, len(pmcs)+1)
+		in = scratch[:len(pmcs)+1]
 		copy(in, pmcs)
 		in[len(pmcs)] = pnode
-	} else {
-		in = pmcs
 	}
-	out := s.Net.PredictMulti(in)
+	var out [2]float64
+	s.Net.PredictInto(out[:], in)
 	return out[0], out[1]
 }
 

@@ -62,15 +62,16 @@ func (s *pacedStub) Model() ([]byte, error) { return s.model, nil }
 // BenchmarkRouterIngest measures routed sample throughput against 1, 2,
 // and 4 paced stub shards (200µs of serialized service time per sample
 // per shard). Throughput should scale with the shard count: that is the
-// whole point of the fleet layer — with the ring spreading nodes evenly,
-// shard service time overlaps instead of queueing.
+// whole point of the fleet layer — with the ring spreading the 64
+// sequentially named nodes over the shards, shard service time overlaps
+// instead of queueing.
 func BenchmarkRouterIngest(b *testing.B) {
 	modelBytes, err := core.Marshal(sharedModel(b))
 	if err != nil {
 		b.Fatal(err)
 	}
 	const serviceTime = 200 * time.Microsecond
-	const totalNodes = 8
+	const totalNodes = 64
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			top := Topology{}
@@ -88,10 +89,11 @@ func BenchmarkRouterIngest(b *testing.B) {
 			}
 			defer r.Close()
 
-			nodes := balancedNodes(b, r, totalNodes/shards)
-			agents := make([]*cluster.Agent, len(nodes))
-			for i, node := range nodes {
-				ag, err := cluster.Dial(r.Addr(), node)
+			agents := make([]*cluster.Agent, totalNodes)
+			for i := range agents {
+				// Sequential names, as a real cluster has them: the ring has
+				// to spread these, not a hand-balanced set.
+				ag, err := cluster.Dial(r.Addr(), fmt.Sprintf("cn%04d", i+1))
 				if err != nil {
 					b.Fatal(err)
 				}

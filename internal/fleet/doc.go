@@ -4,14 +4,20 @@
 //
 // Node IDs are consistent-hash-sharded across the backends (ring.go):
 // each shard contributes configurable virtual nodes to a deterministic
-// FNV-64a ring, so the same topology always yields the same placement and
+// hash ring (FNV-64a plus an avalanche finaliser, so sequential node names
+// spread evenly), so the same topology always yields the same placement and
 // removing a shard moves only that shard's keys. Ingest traffic (Hello,
 // Sample, RecordBatch) is forwarded over pooled ResilientAgent
 // connections — one per (node, shard) so per-node sample order survives
 // retries, degraded-mode buffering, and in-order replay — with optional
 // replication factor R: the ring owner is the primary and the next R-1
-// distinct shards clockwise are followers, written synchronously in
-// parallel. When the primary can only answer from its local model
+// distinct shards clockwise are followers, written synchronously. Only
+// the primary runs the models: a request with a sample that lacks an IM
+// reading is answered by the primary first and forwarded to the followers
+// with its estimates attached, which they record while advancing nothing
+// but their monitor state; a request with a reading on every sample, which
+// no replica would run the network for, goes to all replicas in parallel.
+// When the primary can only answer from its local model
 // snapshot, the first follower with a live service answer takes over the
 // reply (failover), and the primary's buffered samples replay in order
 // once it rejoins, resyncing its model snapshot through the existing

@@ -33,11 +33,15 @@ type faultFixture struct {
 	ref      *cluster.Service
 }
 
-func startFaultFleet(t *testing.T) *faultFixture {
+func startFaultFleet(t *testing.T) *faultFixture { return startFaultFleetN(t, 2) }
+
+// startFaultFleetN is the fixture with n shards, every node replicated to
+// all of them.
+func startFaultFleetN(t *testing.T, n int) *faultFixture {
 	t.Helper()
 	f := &faultFixture{ref: startBackend(t)}
 	top := Topology{}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < n; i++ {
 		be := startBackend(t)
 		p := faultnet.New(be.Addr())
 		if err := p.Listen("127.0.0.1:0"); err != nil {
@@ -49,7 +53,7 @@ func startFaultFleet(t *testing.T) *faultFixture {
 		top.Shards = append(top.Shards, Shard{Name: fmt.Sprintf("shard-%d", i), Addr: p.Addr()})
 	}
 	opts := DefaultTopologyOptions()
-	opts.Replication = 2
+	opts.Replication = n
 	opts.Agent = faultAgentOptions()
 	r, err := NewRouter(top, opts)
 	if err != nil {

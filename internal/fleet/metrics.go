@@ -43,10 +43,14 @@ type Stats struct {
 	BinConns   int64 `json:"bin_conns"`
 	// Rejected counts front-end connections dropped at accept by the
 	// MaxConns cap, TimedOut the ones reaped by the read deadline.
-	Rejected       int64 `json:"rejected"`
-	TimedOut       int64 `json:"timed_out"`
-	Routed         int64 `json:"routed"`
-	Replicated     int64 `json:"replicated"`
+	Rejected   int64 `json:"rejected"`
+	TimedOut   int64 `json:"timed_out"`
+	Routed     int64 `json:"routed"`
+	Replicated int64 `json:"replicated"`
+	// Relayed counts the samples live followers recorded from the primary's
+	// estimate instead of inferring them again — inferences replication did
+	// not cost. All-measured requests are never relayed.
+	Relayed        int64 `json:"relayed"`
 	FailedOver     int64 `json:"failed_over"`
 	RouteErrors    int64 `json:"route_errors"`
 	ScatterGathers int64 `json:"scatter_gathers"`
@@ -67,6 +71,7 @@ func (r *Router) Stats() Stats {
 		TimedOut:       front.TimedOut,
 		Routed:         r.routed.Load(),
 		Replicated:     r.replicated.Load(),
+		Relayed:        r.relayed.Load(),
 		FailedOver:     r.failedOver.Load(),
 		RouteErrors:    r.routeErrors.Load(),
 		ScatterGathers: r.scatters.Load(),
@@ -141,6 +146,7 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	timedOut := reg.Counter("highrpm_fleet_timed_out_total", "Front-end connections reaped by the read deadline.")
 	routed := reg.Counter("highrpm_fleet_routed_total", "Samples and batches answered live by their primary shard.")
 	replicated := reg.Counter("highrpm_fleet_replicated_total", "Live follower writes (per replica beyond the primary).")
+	relayed := reg.Counter("highrpm_fleet_relayed_total", "Samples live followers recorded from the primary's estimate instead of inferring them again.")
 	failedOver := reg.Counter("highrpm_fleet_failovers_total", "Replies taken over by a follower while the primary was down.")
 	routeErrors := reg.Counter("highrpm_fleet_route_errors_total", "Front-end requests answered with an error.")
 	scatters := reg.Counter("highrpm_fleet_scatter_gathers_total", "Scatter-gather fan-outs (aggregate queries and merged stats).")
@@ -172,6 +178,7 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 		timedOut.Set(float64(st.TimedOut))
 		routed.Set(float64(st.Routed))
 		replicated.Set(float64(st.Replicated))
+		relayed.Set(float64(st.Relayed))
 		failedOver.Set(float64(st.FailedOver))
 		routeErrors.Set(float64(st.RouteErrors))
 		scatters.Set(float64(st.ScatterGathers))

@@ -31,7 +31,9 @@ func scrape(t *testing.T, c *http.Client, url string) (int, string) {
 // and /readyz must reflect the router's health callback.
 func TestFleetObsScrape(t *testing.T) {
 	checkNoLeaks(t)
-	r, _ := startFleet(t, 2, DefaultTopologyOptions())
+	opts := DefaultTopologyOptions()
+	opts.Replication = 2 // so the replication and relay counters move
+	r, _ := startFleet(t, 2, opts)
 
 	reg := obs.NewRegistry()
 	r.RegisterMetrics(reg)
@@ -98,7 +100,10 @@ func TestFleetObsScrape(t *testing.T) {
 		"highrpm_fleet_rejected_total 0",
 		"highrpm_fleet_timed_out_total 0",
 		"highrpm_fleet_routed_total 10",
-		"highrpm_fleet_replicated_total 0",
+		// Every sample reached its follower; the four per node without an IM
+		// reading carried the primary's estimate there.
+		"highrpm_fleet_replicated_total 10",
+		"highrpm_fleet_relayed_total 8",
 		"highrpm_fleet_failovers_total 0",
 		"highrpm_fleet_route_errors_total 0",
 		"highrpm_fleet_scatter_gathers_total 1",

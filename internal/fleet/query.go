@@ -267,6 +267,7 @@ func (r *Router) MergedStats() (cluster.Stats, error) {
 		out.Samples += st.Samples
 		out.Estimates += st.Estimates
 		out.Measured += st.Measured
+		out.Relayed += st.Relayed
 		out.Rejected += st.Rejected
 		out.TimedOut += st.TimedOut
 		out.BinConns += st.BinConns

@@ -7,7 +7,7 @@ import (
 )
 
 // ring is the consistent-hash placement structure: every shard contributes
-// VirtualNodes points on a 64-bit circle (FNV-64a of "name#i"), and a node
+// VirtualNodes points on a 64-bit circle (hashKey of "name#i"), and a node
 // ID lands on the first point clockwise of its own hash. Placement depends
 // only on the shard *names* — points sort by (hash, name), so shuffling
 // the topology's shard order, re-addressing a shard, or rebuilding the
@@ -27,12 +27,25 @@ type ringPoint struct {
 	shard int
 }
 
-// hashKey positions a string on the circle with FNV-64a: deterministic
-// across processes and platforms, with no seed to drift.
+// hashKey positions a string on the circle: FNV-64a, then a 64-bit
+// avalanche finaliser (MurmurHash3's fmix64). Deterministic across
+// processes and platforms, with no seed to drift. FNV alone moves the high
+// bits — the ones that pick a ring arc — only through its last few
+// multiplies, so keys that differ in a trailing digit (cn0001, cn0002, …,
+// what real clusters name their nodes) land side by side and one shard
+// ends up primary for all of them. The finaliser is a bijection that
+// spreads every input bit over the whole word, so it adds no collisions and
+// sequential names scatter like random ones.
 func hashKey(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
+	f := fnv.New64a()
+	_, _ = f.Write([]byte(s))
+	h := f.Sum64()
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
 
 // newRing validates the shard list and builds the sorted point set.

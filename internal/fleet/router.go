@@ -42,6 +42,7 @@ type Router struct {
 
 	routed      atomic.Int64
 	replicated  atomic.Int64
+	relayed     atomic.Int64
 	failedOver  atomic.Int64
 	routeErrors atomic.Int64
 	scatters    atomic.Int64
@@ -77,6 +78,23 @@ type nodeRoute struct {
 	agents   []*cluster.ResilientAgent
 	nextDial []time.Time
 	recorded atomic.Bool // an estimate was produced: the node exists for scatter-gather
+
+	// relayEsts holds the primary's estimates while they ride a request to
+	// the followers (guarded by mu).
+	relayEsts []cluster.RelayedEstimate
+}
+
+// attachEstimates points every sample at the primary's estimate for it,
+// copied into the route's scratch — valid until the next call.
+func (nr *nodeRoute) attachEstimates(samples []cluster.BatchSample, ests []cluster.Estimate) {
+	if cap(nr.relayEsts) < len(ests) {
+		nr.relayEsts = make([]cluster.RelayedEstimate, len(ests))
+	}
+	rel := nr.relayEsts[:len(ests)]
+	for i := range ests {
+		rel[i] = ests[i].Relayed()
+		samples[i].Relayed = &rel[i]
+	}
 }
 
 // NewRouter validates the topology, builds the ring, and returns a router
@@ -194,13 +212,15 @@ type routerHandler struct{ r *Router }
 
 func (h routerHandler) Hello(nodeID string) { h.r.routeFor(nodeID) }
 
-// Sample forwards through ResilientAgent.Send, so the backend hop carries
-// one Sample frame per replica, never a batch of one. smp is the front-end
-// connection's scratch: every replica send completes before replicate
-// returns, and a degraded agent copies what it buffers for replay.
+// Sample forwards through ResilientAgent.SendRelayed, so the backend hop
+// carries one Sample frame per replica, never a batch of one. smp is the
+// front-end connection's scratch: every replica send completes before
+// replicate returns, and a degraded agent copies what it buffers for
+// replay. Whatever estimate a front-end peer attached is not forwarded.
 func (h routerHandler) Sample(smp *cluster.Sample) (cluster.Estimate, error) {
-	ests, err := h.r.replicate(smp.NodeID, func(ag *cluster.ResilientAgent) ([]cluster.Estimate, error) {
-		est, err := ag.Send(smp.Time, smp.PMC, smp.Measured)
+	one := [1]cluster.BatchSample{{Time: smp.Time, PMC: smp.PMC, Measured: smp.Measured}}
+	ests, err := h.r.replicate(smp.NodeID, one[:], func(ag *cluster.ResilientAgent, s []cluster.BatchSample) ([]cluster.Estimate, error) {
+		est, err := ag.SendRelayed(s[0].Time, s[0].PMC, s[0].Measured, s[0].Relayed)
 		return []cluster.Estimate{est}, err
 	})
 	if err != nil {
@@ -211,11 +231,14 @@ func (h routerHandler) Sample(smp *cluster.Sample) (cluster.Estimate, error) {
 
 // Batch forwards through ResilientAgent.SendSamples, so a degraded replica
 // buffers the whole batch in order. It ignores the reply scratch: the
-// winning replica's estimates arrive in a slice of their own.
+// winning replica's estimates arrive in a slice of their own. Estimates a
+// front-end peer attached are dropped in place (rb is the connection's
+// scratch, the handler's to overwrite until it returns).
 func (h routerHandler) Batch(rb *cluster.RecordBatch, _ []cluster.Estimate) ([]cluster.Estimate, error) {
-	ests, err := h.r.replicate(rb.NodeID, func(ag *cluster.ResilientAgent) ([]cluster.Estimate, error) {
-		return ag.SendSamples(rb.Samples)
-	})
+	for i := range rb.Samples {
+		rb.Samples[i].Relayed = nil
+	}
+	ests, err := h.r.replicate(rb.NodeID, rb.Samples, (*cluster.ResilientAgent).SendSamples)
 	return ests, h.r.countError(err)
 }
 
@@ -287,15 +310,30 @@ func errShardUnreachable(name string) error {
 	return fmt.Errorf("fleet: shard %s unreachable", name)
 }
 
-// replicate is the router's one ingest fan-out: call runs against the
-// node's primary shard and, with R > 1, against its followers in parallel
-// (synchronous replication), each on that replica's pooled agent. The
-// primary's estimates are the reply; when the primary can only answer from
-// its local snapshot (its shard is down, the samples are buffered for
+// replicate is the router's one ingest fan-out: send delivers samples — a
+// front-end request, stripped of any estimate a peer attached — to the
+// node's primary shard and, with R > 1, to its followers (synchronous
+// replication), each on that replica's pooled agent.
+//
+// A request in which every sample carries an IM reading goes to all
+// replicas at once: no replica runs the network for it, so there is
+// nothing to save. As soon as one sample lacks a reading the primary is
+// asked first, and its estimates ride to the followers — in parallel with
+// each other, the last one on the calling goroutine — attached in place to
+// the same samples (the slice is the caller's to overwrite), so each sample
+// is inferred once and a follower only advances its monitor state. When
+// the primary's answer is not a live, complete one (a local-snapshot
+// fallback, an unreachable shard, a rejection) the followers get the
+// request plain, as they always did: a batch the primary rejected at
+// sample i is rejected by them at sample i too, and every replica holds
+// the same prefix.
+//
+// The primary's estimates are the reply; when the primary can only answer
+// from its local snapshot (its shard is down, the samples are buffered for
 // in-order replay), the first follower with a live service answer takes
 // over, so the front-end keeps receiving service-grade estimates through
 // single-shard outages.
-func (r *Router) replicate(nodeID string, call func(*cluster.ResilientAgent) ([]cluster.Estimate, error)) ([]cluster.Estimate, error) {
+func (r *Router) replicate(nodeID string, samples []cluster.BatchSample, send func(*cluster.ResilientAgent, []cluster.BatchSample) ([]cluster.Estimate, error)) ([]cluster.Estimate, error) {
 	nr := r.routeFor(nodeID)
 	nr.mu.Lock()
 	defer nr.mu.Unlock()
@@ -308,26 +346,73 @@ func (r *Router) replicate(nodeID string, call func(*cluster.ResilientAgent) ([]
 	errs := make([]error, n)
 	run := func(i int) { // each replica writes only its own outcome slot
 		if agents[i] != nil {
-			ests[i], errs[i] = call(agents[i])
+			ests[i], errs[i] = send(agents[i], samples)
 		} else {
 			errs[i] = errShardUnreachable(r.shards[nr.owners[i]].shard.Name)
 		}
 	}
+	// inline is the replica this goroutine serves itself while the others
+	// are served beside it: the primary, or — once the primary has answered
+	// — the last follower, so at R = 2 the follower leg costs a round trip
+	// and no goroutine handoff.
+	relaying, inline := false, 0
+	if n > 1 && needsInference(samples) {
+		run(0)
+		if relaying = liveAnswer(ests[0], errs[0], len(samples)); relaying {
+			nr.attachEstimates(samples, ests[0])
+		}
+		inline = n - 1
+	}
 	var wg sync.WaitGroup
 	for i := 1; i < n; i++ {
+		if i == inline {
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			run(i)
 		}()
 	}
-	run(0)
+	run(inline)
 	wg.Wait()
+	if relaying {
+		for i := 1; i < n; i++ {
+			if liveAnswer(ests[i], errs[i], len(samples)) {
+				r.relayed.Add(int64(len(samples)))
+			}
+		}
+	}
 	pick, err := r.settleIdx(nr, ests, errs)
 	if err != nil {
 		return nil, err
 	}
 	return ests[pick], nil
+}
+
+// needsInference reports whether any sample lacks an IM reading — the input
+// property that decides whether replicas would each run the network.
+func needsInference(samples []cluster.BatchSample) bool {
+	for i := range samples {
+		if samples[i].Measured == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// liveAnswer reports whether a replica answered all want samples from the
+// service itself, none from its agent's local snapshot.
+func liveAnswer(ests []cluster.Estimate, err error, want int) bool {
+	if err != nil || len(ests) != want {
+		return false
+	}
+	for i := range ests {
+		if ests[i].Local {
+			return false
+		}
+	}
+	return true
 }
 
 // settleIdx updates shard health from the per-replica outcomes, advances

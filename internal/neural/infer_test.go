@@ -10,7 +10,9 @@ import (
 // recording step: PredictSeq (which runs stepInfer via the prediction
 // pool) must produce bit-identical outputs to a forward pass through the
 // training executor's step path, before and after further training moves
-// the weights.
+// the weights. PredictLast rides the same check: it must equal the final
+// element of PredictSeq bit for bit (that it allocates nothing is pinned
+// where it matters, by core's TestMonitorPushZeroAlloc).
 func TestLSTMInferPathBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const dim, T, nwin = 7, 12, 24
@@ -59,6 +61,10 @@ func TestLSTMInferPathBitExact(t *testing.T) {
 					t.Fatalf("%s: window %d step %d: infer path %x != step path %x",
 						stage, w, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 				}
+			}
+			if last := l.PredictLast(seqs[w]); math.Float64bits(last) != math.Float64bits(got[T-1]) {
+				t.Fatalf("%s: window %d: PredictLast %x != PredictSeq[T-1] %x",
+					stage, w, math.Float64bits(last), math.Float64bits(got[T-1]))
 			}
 		}
 	}

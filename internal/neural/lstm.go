@@ -359,6 +359,17 @@ func (l *LSTM) PredictSeq(window [][]float64) []float64 {
 	return l.net.predictWindow(window)
 }
 
+// PredictLast returns the prediction for the window's final step —
+// bit-identical to PredictSeq(window)[len(window)-1] — without allocating
+// the per-step result slice. It is what a streaming caller wants: every
+// step but the newest was already answered by an earlier window.
+func (l *LSTM) PredictLast(window [][]float64) float64 {
+	if l.net == nil {
+		panic("neural: LSTM is not fitted")
+	}
+	return l.net.predictLast(window)
+}
+
 var (
 	_ model.SeqRegressor = (*LSTM)(nil)
 	_ model.FineTuner    = (*LSTM)(nil)

@@ -350,15 +350,25 @@ func (n *MLP) PredictMulti(features []float64) []float64 {
 	if n.Win == nil {
 		panic("neural: MLP is not fitted")
 	}
+	res := make([]float64, n.Win[len(n.Win)-1].C)
+	n.PredictInto(res, features)
+	return res
+}
+
+// PredictInto is PredictMulti writing the de-standardized outputs into dst
+// (one slot per network output) instead of a fresh slice, so a per-sample
+// caller that owns its result buffer allocates nothing. Safe for
+// concurrent use like PredictMulti.
+func (n *MLP) PredictInto(dst, features []float64) {
+	if n.Win == nil {
+		panic("neural: MLP is not fitted")
+	}
 	e := n.predExec()
 	acts := e.forward(&n.XScaler, features)
-	out := acts[len(acts)-1]
-	res := make([]float64, len(out))
-	for j, v := range out {
-		res[j] = n.YScaler[j].inv(v)
+	for j, v := range acts[len(acts)-1] {
+		dst[j] = n.YScaler[j].inv(v)
 	}
 	n.predPool.Put(e)
-	return res
 }
 
 // Kind implements model.Persistable.

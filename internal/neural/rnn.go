@@ -368,6 +368,20 @@ func (n *seqNet) predictWindow(window [][]float64) []float64 {
 	return out
 }
 
+// predictLast is predictWindow for callers that want the final step only:
+// the same pooled executor and forward pass, but nothing is allocated for
+// the steps nobody reads. The window must hold at least one step.
+func (n *seqNet) predictLast(window [][]float64) float64 {
+	if !n.fitted {
+		panic("neural: sequence model is not fitted")
+	}
+	e := n.predPool.Get().(*seqExec)
+	preds := e.forward(window, &n.xScaler)
+	last := n.yScaler.inv(preds[len(preds)-1])
+	n.predPool.Put(e)
+	return last
+}
+
 // fitScalers computes the input/target scalers from the training windows.
 func (n *seqNet) fitScalers(seqs [][][]float64, targets [][]float64) {
 	var rows [][]float64
