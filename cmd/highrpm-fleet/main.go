@@ -179,8 +179,8 @@ func summary(st highrpm.FleetStats) string {
 			up++
 		}
 	}
-	return fmt.Sprintf("%d/%d shards up, %d nodes, %d routed, %d replicated (%d samples relayed), %d failovers, %d scatter-gathers",
-		up, len(st.Shards), st.Nodes, st.Routed, st.Replicated, st.Relayed, st.FailedOver, st.ScatterGathers)
+	return fmt.Sprintf("%d/%d shards up, %d nodes, %d routed, %d replicated (%d samples relayed), %d failovers, %d scatter-gathers, %d node queries (%d relayed undecoded)",
+		up, len(st.Shards), st.Nodes, st.Routed, st.Replicated, st.Relayed, st.FailedOver, st.ScatterGathers, st.NodeQueries, st.SeriesRelayed)
 }
 
 func fatal(err error) {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -28,6 +29,8 @@ type Agent struct {
 	binary bool
 	relay  bool
 	batch  batcher
+	// series is the reply queryNodes hands its caller, reused per reply.
+	series SeriesReply
 }
 
 // Dial connects an agent to the service and registers the node, preferring
@@ -83,15 +86,19 @@ func (a *Agent) Codec() string {
 func (a *Agent) setDeadline(t time.Time) { a.conn.SetDeadline(t) }
 
 // roundTrip is the one request/reply exchange every verb runs: flush the
-// request just framed, read one reply through the frame reader the server
-// uses, and hand it back if it is of the wanted kind. An error reply —
-// native binary or a JSON envelope, wrapped or not — becomes a
-// *ServiceError (the connection stays usable); any other kind is a
-// protocol error.
+// request just framed and read its reply.
 func (a *Agent) roundTrip(want MsgKind) (wireMsg, error) {
 	if err := a.f.w.Flush(); err != nil {
 		return wireMsg{}, err
 	}
+	return a.readReply(want)
+}
+
+// readReply reads one reply through the frame reader the server uses and
+// hands it back if it is of the wanted kind. An error reply — native binary
+// or a JSON envelope, wrapped or not — becomes a *ServiceError (the
+// connection stays usable); any other kind is a protocol error.
+func (a *Agent) readReply(want MsgKind) (wireMsg, error) {
 	rep, err := a.f.readMsg(a.binary)
 	if err != nil {
 		return wireMsg{}, err
@@ -234,25 +241,96 @@ func (a *Agent) Stats() (Stats, error) {
 // when req.NodeID is set, the cluster-wide aggregate otherwise. NaN gaps
 // (sparse IPMI seconds, all-NaN rollup buckets) arrive as NaN.
 func (a *Agent) Query(req QueryRequest) (SeriesBody, error) {
-	var err error
-	if a.binary {
-		err = a.f.writeQuery(req)
-	} else {
-		err = WriteMsg(a.f.w, KindQuery, req)
-	}
-	if err != nil {
+	if err := a.writeQuery(req); err != nil {
 		return SeriesBody{}, err
 	}
 	rep, err := a.roundTrip(KindSeries)
 	if err != nil {
 		return SeriesBody{}, err
 	}
-	if rep.enc == encBinary {
-		return a.f.readSeries(rep.payload)
+	series := SeriesReply{f: a.f, msg: rep}
+	return series.Body()
+}
+
+// writeQuery frames one query in the connection's codec.
+func (a *Agent) writeQuery(req QueryRequest) error {
+	if a.binary {
+		return a.f.writeQuery(req)
 	}
-	var body SeriesBody
-	err = DecodeBody(rep.env, &body)
-	return body, err
+	return WriteMsg(a.f.w, KindQuery, req)
+}
+
+// queryWindow bounds the request bytes queryNodes keeps in flight on one
+// connection. A window is written whole before its first reply is read, so
+// it must fit the buffers between the two ends while the peer sits in a
+// reply write nobody is reading yet: it is half the 4 KiB bufio buffer on
+// either side — one write here, one read into the serve loop's reader, even
+// over an unbuffered pipe — and far below any kernel socket buffer. Some
+// fifty queries fit; a request larger than the window travels alone, which
+// is the plain request/reply protocol.
+const queryWindow = 2 << 10
+
+// queryFrameLen is the size of q's request frame on this connection. A JSON
+// frame's is not known before it is marshalled, so it counts as a whole
+// window: JSON connections run one request at a time.
+func (a *Agent) queryFrameLen(q *QueryRequest) int {
+	if !a.binary {
+		return queryWindow
+	}
+	return 4 + 1 + 2 + len(q.NodeID) + 2 + len(q.Channel) + 8 + 8 + 4
+}
+
+// queryNodes asks q of every node in nodes (q.NodeID is overwritten) over
+// this one connection, pipelined: the requests of a window go out back to
+// back in one flush and the replies are read in order — every cluster.Server
+// answers a connection's frames sequentially, so reply i belongs to node i
+// and a peer sees nothing it would not see from Query called in a loop.
+// each receives every outcome in order: the undecoded reply (valid until
+// each returns), or the rejection when the service answered that node with
+// an error. timeout, when positive, is re-armed before every window and
+// every reply, so it bounds one reply as it does for Query.
+//
+// done counts the nodes each was called for and returned nil. A non-nil
+// error — the transport's, a protocol violation, or each's own, which must
+// mean the reply was malformed — ends the group at node done and leaves the
+// connection unusable: requests past it may be in flight.
+func (a *Agent) queryNodes(q QueryRequest, nodes []string, timeout time.Duration, each func(i int, rep *SeriesReply, rejected *ServiceError) error) (done int, err error) {
+	arm := func() {
+		if timeout > 0 {
+			a.setDeadline(time.Now().Add(timeout))
+		}
+	}
+	for sent := 0; done < len(nodes); {
+		arm()
+		for inFlight := 0; sent < len(nodes); sent++ {
+			q.NodeID = nodes[sent]
+			n := a.queryFrameLen(&q)
+			if inFlight > 0 && inFlight+n > queryWindow {
+				break
+			}
+			if err := a.writeQuery(q); err != nil {
+				return done, err
+			}
+			inFlight += n
+		}
+		if err := a.f.w.Flush(); err != nil {
+			return done, err
+		}
+		for ; done < sent; done++ {
+			arm()
+			msg, err := a.readReply(KindSeries)
+			if err == nil {
+				a.series = SeriesReply{f: a.f, msg: msg}
+				err = each(done, &a.series, nil)
+			} else if rejected := (*ServiceError)(nil); errors.As(err, &rejected) {
+				err = each(done, nil, rejected)
+			}
+			if err != nil {
+				return done, err
+			}
+		}
+	}
+	return done, nil
 }
 
 // FetchModel downloads the service's trained model for local inference —

@@ -82,6 +82,10 @@ type binFramer struct {
 	// frame; a field rides the framer's own allocation instead.
 	lenBuf [4]byte
 	node   nodeIntern
+	// qnode and qchan intern a query's node and channel apart from the sample
+	// path's slot: a reader that keeps asking about one series costs the
+	// serve loop no allocation either.
+	qnode, qchan nodeIntern
 
 	// Decoded-message scratch: the sample/batch handed to the caller reuses
 	// these slices, so callers must finish with one message before reading
@@ -565,8 +569,8 @@ func (f *binFramer) readQuery(payload []byte) (QueryRequest, error) {
 	if err := r.done(); err != nil {
 		return QueryRequest{}, err
 	}
-	q.NodeID = string(node)
-	q.Channel = string(channel)
+	q.NodeID = f.qnode.intern(node)
+	q.Channel = f.qchan.intern(channel)
 	return q, nil
 }
 
@@ -574,27 +578,30 @@ func (f *binFramer) readQuery(payload []byte) (QueryRequest, error) {
 // then per point f64 time/value/min/max and u32 count. Values travel as
 // raw bit patterns, so the decoded SeriesBody is bit-identical to what the
 // JSON path produces (JSON round-trips float64 exactly; NaN becomes null
-// and back).
+// and back). The one encoder is SeriesWriter (series.go).
 
-func (f *binFramer) writeSeries(body SeriesBody) error {
-	f.begin(binKindSeries)
-	if err := f.str(body.NodeID); err != nil {
-		return err
+// seriesPointLen is one point on the wire.
+const seriesPointLen = 4*8 + 4
+
+// seriesShape checks a Series payload's framing without touching a point:
+// the header parses and exactly n points follow it. It returns where they
+// start and how many there are. These are the only two ways the strict
+// readSeries can refuse a payload — a point is five fixed-width fields and
+// every bit pattern is a value — so a payload seriesShape accepts may be
+// forwarded as it is (FuzzSeriesShape pins the equivalence).
+func seriesShape(payload []byte) (pointsAt, n int, err error) {
+	r := binReader{b: payload}
+	r.bytes(int(r.u16())) // node
+	r.bytes(int(r.u16())) // channel
+	r.u32()               // resolution
+	n = int(r.u32())
+	if r.err {
+		return 0, 0, fmt.Errorf("cluster: truncated series header")
 	}
-	if err := f.str(body.Channel); err != nil {
-		return err
+	if rest := len(payload) - r.off; rest%seriesPointLen != 0 || rest/seriesPointLen != n {
+		return 0, 0, fmt.Errorf("cluster: series claims %d points, %d bytes follow its header", n, rest)
 	}
-	f.u32(uint32(body.ResolutionS))
-	f.u32(uint32(len(body.Points)))
-	for i := range body.Points {
-		p := &body.Points[i]
-		f.f64(p.Time)
-		f.f64(float64(p.Value))
-		f.f64(float64(p.Min))
-		f.f64(float64(p.Max))
-		f.u32(uint32(p.Count))
-	}
-	return f.end()
+	return r.off, n, nil
 }
 
 func (f *binFramer) readSeries(payload []byte) (SeriesBody, error) {
@@ -603,7 +610,7 @@ func (f *binFramer) readSeries(payload []byte) (SeriesBody, error) {
 	channel := r.bytes(int(r.u16()))
 	res := int(r.u32())
 	n := int(r.u32())
-	if n > len(payload)/36 {
+	if n > len(payload)/seriesPointLen {
 		return SeriesBody{}, fmt.Errorf("cluster: series claims %d points in a %d-byte payload", n, len(payload))
 	}
 	pts := make([]SeriesPoint, 0, n)

@@ -9,6 +9,8 @@ import (
 	"math"
 	"net"
 	"testing"
+
+	"highrpm/internal/tsdb"
 )
 
 // pipeFramer builds a framer whose writes land in buf (read side unset;
@@ -30,6 +32,18 @@ func encodeBinFrame(t testing.TB, write func(f *binFramer) error) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// replySeries frames body as a series reply in enc the way the serve loop
+// does for a handler: through SeriesWriter, the one series encoder.
+func (f *binFramer) replySeries(enc wireEnc, body SeriesBody) error {
+	w := SeriesWriter{f: f}
+	w.reset(enc)
+	w.Begin(body.NodeID, body.Channel, body.ResolutionS, len(body.Points))
+	for _, p := range body.StorePoints() {
+		w.Point(p)
+	}
+	return w.finish()
 }
 
 // clonePtr copies an optional value out of framer scratch.
@@ -74,7 +88,7 @@ func decodeBinPayload(f *binFramer, kind byte, payload []byte) (func(g *binFrame
 		if err != nil {
 			return nil, true, err
 		}
-		return func(g *binFramer) error { return g.writeSeries(body) }, true, nil
+		return func(g *binFramer) error { return g.replySeries(encBinary, body) }, true, nil
 	case binKindError:
 		msg, err := f.readError(payload)
 		if err != nil {
@@ -122,7 +136,7 @@ func FuzzBinaryEnvelopeRoundTrip(f *testing.F) {
 			return g.writeQuery(QueryRequest{NodeID: "n", Channel: "p_node", From: 0, To: 100, ResolutionS: 10})
 		}),
 		encodeBinFrame(f, func(g *binFramer) error {
-			return g.writeSeries(SeriesBody{Channel: "p_node", ResolutionS: 1, Points: []SeriesPoint{
+			return g.replySeries(encBinary, SeriesBody{Channel: "p_node", ResolutionS: 1, Points: []SeriesPoint{
 				{Time: 1, Value: 90, Min: 90, Max: 90, Count: 1},
 				{Time: 2, Value: NullFloat(math.NaN()), Min: NullFloat(math.Inf(1)), Count: 0},
 			}})
@@ -176,6 +190,62 @@ func FuzzBinaryEnvelopeRoundTrip(f *testing.F) {
 		frame := encodeBinFrame(t, reencode)
 		if frame[4] != kind || !bytes.Equal(frame[5:], payload) {
 			t.Fatalf("re-encode of kind %d changed the payload:\n in:  %x\n out: %x", kind, payload, frame[5:])
+		}
+	})
+}
+
+// FuzzSeriesShape is the law the router's verbatim relay stands on: the O(1)
+// framing check accepts a Series payload exactly when the strict point-by-
+// point decoder does. For every accepted payload the three readers then
+// agree: relaying it whole produces the frame re-encoding the decoded body
+// would, and the points-only decode yields the body's points bit for bit.
+func FuzzSeriesShape(f *testing.F) {
+	// testdata/fuzz/FuzzSeriesShape holds the named cases: a valid raw series
+	// and a valid rollup (NaN buckets included), the same raw payload with its
+	// count one too large and one too small, a truncated header, a trailing
+	// byte. Here: a series without points, and nothing.
+	empty := encodeBinFrame(f, func(g *binFramer) error {
+		return g.replySeries(encBinary, SeriesBody{NodeID: "empty", Channel: "p_node", ResolutionS: 1})
+	})
+	f.Add(empty[5:])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		fr := newBinFramer(nil, nil, DefaultMaxFrame)
+		at, n, shapeErr := seriesShape(payload)
+		body, readErr := fr.readSeries(payload)
+		if (shapeErr == nil) != (readErr == nil) {
+			t.Fatalf("seriesShape says %v, readSeries says %v", shapeErr, readErr)
+		}
+		if shapeErr != nil {
+			return
+		}
+		if n != len(body.Points) || at+n*seriesPointLen != len(payload) {
+			t.Fatalf("shape: %d points from offset %d of %d bytes; decoder read %d", n, at, len(payload), len(body.Points))
+		}
+		rep := &SeriesReply{f: fr, msg: wireMsg{enc: encBinary, kind: KindSeries, binKind: binKindSeries, payload: payload}}
+		relayed := encodeBinFrame(t, func(g *binFramer) error {
+			w := SeriesWriter{f: g}
+			w.reset(encBinary)
+			if verbatim, err := w.Relay(rep); err != nil || !verbatim {
+				t.Fatalf("relay of an accepted payload: verbatim %v, err %v", verbatim, err)
+			}
+			return w.finish()
+		})
+		reencoded := encodeBinFrame(t, func(g *binFramer) error { return g.replySeries(encBinary, body) })
+		if !bytes.Equal(relayed, reencoded) {
+			t.Fatalf("relayed frame differs from the re-encoded one:\n relay:    %x\n reencode: %x", relayed, reencoded)
+		}
+		pts, err := rep.AppendPoints(nil)
+		if err != nil || len(pts) != len(body.Points) {
+			t.Fatalf("AppendPoints: %d points, err %v, want %d", len(pts), err, len(body.Points))
+		}
+		bits := math.Float64bits
+		for i, want := range body.StorePoints() {
+			if got := pts[i]; bits(got.Time) != bits(want.Time) || bits(got.Value) != bits(want.Value) ||
+				bits(got.Min) != bits(want.Min) || bits(got.Max) != bits(want.Max) || got.Count != want.Count {
+				t.Fatalf("point %d: AppendPoints %+v, readSeries %+v", i, got, want)
+			}
 		}
 	})
 }
@@ -671,4 +741,52 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	if err := <-done; err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("serve loop exit: %v", err)
 	}
+
+	// The query round trip against a real Service: the shard walks its blocks
+	// straight into the connection's write scratch, so what one query
+	// allocates is the client's own result — the point slice and the two
+	// header strings — whatever the window holds.
+	svc := startService(t)
+	// 1100 seconds seal two 512-point blocks, which hold both windows: a warm
+	// read is served from the decoded-block cache alone.
+	seedHistory(t, svc, "node-alloc", 1100)
+	qa, err := Dial(svc.Addr(), "query-alloc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qa.Close()
+	for _, window := range []int{60, 600} {
+		if allocs := queryAllocs(t, qa, "node-alloc", window); allocs != clientQueryAllocs {
+			t.Fatalf("a %d-point query round trip allocates %.1f times, want the client's %d and none in the service", window, allocs, clientQueryAllocs)
+		}
+	}
+}
+
+// clientQueryAllocs is what Agent.Query allocates for its caller per reply:
+// the []SeriesPoint and the node and channel strings of the SeriesBody.
+const clientQueryAllocs = 3
+
+// seedHistory ingests seconds of history for node straight into svc's store.
+func seedHistory(t testing.TB, svc *Service, node string, seconds int) {
+	t.Helper()
+	for i := 0; i < seconds; i++ {
+		v := 90 + float64(i%17)
+		if err := svc.Store().Ingest(node, float64(i), tsdb.Sample{PNode: v, PCPU: v / 2, PMEM: v / 4, PNodePrime: v, IPMI: math.NaN()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// queryAllocs measures the allocations, process-wide, of one warm raw query
+// for node's first window seconds through ag.
+func queryAllocs(t testing.TB, ag *Agent, node string, window int) float64 {
+	t.Helper()
+	q := QueryRequest{NodeID: node, Channel: "p_node", From: 0, To: float64(window - 1), ResolutionS: 1}
+	query := func() {
+		if body, err := ag.Query(q); err != nil || len(body.Points) != window {
+			t.Fatalf("query: %d points, err %v, want %d", len(body.Points), err, window)
+		}
+	}
+	query() // warm the block cache and both connections' scratch
+	return testing.AllocsPerRun(100, query)
 }

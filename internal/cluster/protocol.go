@@ -14,6 +14,11 @@
 // frame — the escape hatch for the kinds without a binary layout (stats,
 // model transfer). The codec changes framing only: estimates, series and
 // error messages are identical either way.
+//
+// A connection carries one request at a time or several: a server answers
+// the frames of a connection strictly in order, so a client may write a
+// bounded window of queries back to back and read the replies in the same
+// order (Agent.queryNodes); nothing on the wire says so, or needs to.
 package cluster
 
 import (

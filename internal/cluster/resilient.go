@@ -566,9 +566,10 @@ func (ra *ResilientAgent) direct(call func(*Agent) error) error {
 		return fmt.Errorf("cluster: disconnected (next probe in %v)", time.Until(ra.nextProbe).Round(time.Millisecond))
 	}
 	err := ra.bounded(call)
-	var se *ServiceError
-	if err != nil && !errors.As(err, &se) {
-		ra.failConn()
+	if err != nil {
+		if se := (*ServiceError)(nil); !errors.As(err, &se) {
+			ra.failConn()
+		}
 	}
 	return err
 }
@@ -591,6 +592,20 @@ func (ra *ResilientAgent) Query(req QueryRequest) (body SeriesBody, err error) {
 		return err
 	})
 	return body, err
+}
+
+// QueryNodes asks q of every node in nodes over the current connection,
+// pipelined (see Agent.queryNodes): each receives node i's undecoded reply,
+// or the service's rejection of that node, in order, and RequestTimeout
+// bounds every reply separately. done counts the nodes each accepted; an
+// error — there is no local fallback, see direct — means the connection was
+// dropped and nodes[done:] got no answer.
+func (ra *ResilientAgent) QueryNodes(q QueryRequest, nodes []string, each func(i int, rep *SeriesReply, rejected *ServiceError) error) (done int, err error) {
+	err = ra.direct(func(a *Agent) (err error) {
+		done, err = a.queryNodes(q, nodes, ra.opts.RequestTimeout, each)
+		return err
+	})
+	return done, err
 }
 
 // Close terminates the connection. Buffered samples not yet replayed and

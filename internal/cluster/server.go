@@ -22,6 +22,12 @@ import (
 // and are valid only until the method returns. A handler that keeps any of
 // it — a replay buffer, a goroutine that outlives the call — copies first.
 //
+// Series replies are written, not returned: Query fills the connection's
+// SeriesWriter, which on a binary connection turns each point into wire
+// bytes in the framer's write scratch as the store walk produces it. The
+// writer only appends to memory — it may run under a store lock — and the
+// loop frames, sizes and flushes the reply after Query has returned.
+//
 // An error return is answered as one error reply and the connection stays
 // up. A *ServiceError anywhere in the error's chain is relayed as its
 // Message alone, so a proxying handler passes a backend's rejection
@@ -34,8 +40,11 @@ type Handler interface {
 	// Batch answers a record batch with one estimate per sample, in order.
 	// dst is reply scratch the handler may append to and return.
 	Batch(rb *RecordBatch, dst []Estimate) ([]Estimate, error)
-	// Query answers a window of stored history.
-	Query(q QueryRequest) (SeriesBody, error)
+	// Query answers a window of stored history into w, the reply being built
+	// for the connection the request arrived on: Begin and Point, or Relay
+	// for a reply another service already framed. Whatever w holds when Query
+	// returns an error is discarded.
+	Query(q QueryRequest, w *SeriesWriter) error
 	// Stats answers the service statistics.
 	Stats() (Stats, error)
 	// Model answers the serialised model (core.Marshal output).
@@ -376,13 +385,6 @@ func (f *binFramer) replyEstimates(enc wireEnc, ests []Estimate) error {
 	return f.writeJSON(enc, KindEstimateBatch, EstimateBatch{Estimates: ests})
 }
 
-func (f *binFramer) replySeries(enc wireEnc, body SeriesBody) error {
-	if enc == encBinary {
-		return f.writeSeries(body)
-	}
-	return f.writeJSON(enc, KindSeries, body)
-}
-
 func (f *binFramer) replyError(enc wireEnc, err error) error {
 	msg := err.Error()
 	var se *ServiceError
@@ -413,6 +415,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 	f := newBinFramer(bufio.NewReader(conn), bufio.NewWriter(conn), s.opts.MaxFrame)
 	binary := false
 	var ests []Estimate // reused batch-reply scratch
+	series := SeriesWriter{f: f}
 	for {
 		if s.opts.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
@@ -492,9 +495,9 @@ func (s *Server) serveConn(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			var body SeriesBody
-			if body, herr = s.h.Query(q); herr == nil {
-				werr = f.replySeries(req.enc, body)
+			series.reset(req.enc)
+			if herr = s.h.Query(q, &series); herr == nil {
+				werr = series.finish()
 				if errors.Is(werr, ErrFrameTooLarge) {
 					// Nothing was written yet (a frame is sized before its
 					// length prefix goes out); tell the agent to narrow the

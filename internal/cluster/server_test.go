@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"highrpm/internal/tsdb"
 )
 
 // stubHandler is a Handler that answers from its arguments alone — no
@@ -68,16 +70,20 @@ func (h stubHandler) Batch(rb *RecordBatch, dst []Estimate) ([]Estimate, error) 
 
 // Query answers one point per second of the window (at most 4096), so a
 // wide window under a small frame cap exercises the too-large fallback.
-func (h stubHandler) Query(q QueryRequest) (SeriesBody, error) {
+func (h stubHandler) Query(q QueryRequest, w *SeriesWriter) error {
 	h.checkDecoded((len(q.NodeID) + len(q.Channel)) / 8)
 	if q.Channel == "" {
-		return SeriesBody{}, errors.New("stub: no channel")
+		return errors.New("stub: no channel")
 	}
 	n := 0
 	if d := q.To - q.From; d > 0 {
 		n = int(min(d, 4096))
 	}
-	return SeriesBody{NodeID: q.NodeID, Channel: q.Channel, ResolutionS: q.ResolutionS, Points: make([]SeriesPoint, n)}, nil
+	w.Begin(q.NodeID, q.Channel, q.ResolutionS, n)
+	for i := 0; i < n; i++ {
+		w.Point(tsdb.Point{})
+	}
+	return nil
 }
 
 func (h stubHandler) Stats() (Stats, error) { return Stats{Nodes: 1}, nil }

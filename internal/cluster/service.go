@@ -195,11 +195,12 @@ func (h serviceHandler) Batch(rb *RecordBatch, dst []Estimate) ([]Estimate, erro
 	return h.s.processBatch(rb, dst)
 }
 
-// Query resolves a KindQuery against the store, through the same
-// tsdb.QuerySeries path the obs HTTP endpoints use — one code path, one
-// JSON encoding.
-func (h serviceHandler) Query(q QueryRequest) (SeriesBody, error) {
-	return h.s.store.QuerySeries(q.NodeID, q.Channel, q.From, q.To, q.ResolutionS)
+// Query resolves a KindQuery against the store through tsdb.WalkSeries, the
+// walk behind the QuerySeries the obs HTTP endpoints answer with — one code
+// path, one series, whichever sink receives it. A node's points go from the
+// Gorilla blocks straight into the connection's reply.
+func (h serviceHandler) Query(q QueryRequest, w *SeriesWriter) error {
+	return h.s.store.WalkSeries(q.NodeID, q.Channel, q.From, q.To, q.ResolutionS, w)
 }
 
 func (h serviceHandler) Stats() (Stats, error) { return h.s.Stats(), nil }

@@ -51,8 +51,8 @@ func (s *pacedStub) Batch(*cluster.RecordBatch, []cluster.Estimate) ([]cluster.E
 	return nil, errors.New("unsupported")
 }
 
-func (s *pacedStub) Query(cluster.QueryRequest) (cluster.SeriesBody, error) {
-	return cluster.SeriesBody{}, errors.New("unsupported")
+func (s *pacedStub) Query(cluster.QueryRequest, *cluster.SeriesWriter) error {
+	return errors.New("unsupported")
 }
 
 func (s *pacedStub) Stats() (cluster.Stats, error) { return cluster.Stats{}, nil }

@@ -24,12 +24,20 @@
 // model-fetch path.
 //
 // Queries federate instead of forwarding: a single-node KindQuery goes to
-// a live replica of its owner, while the cluster-wide aggregate
-// scatter-gathers every known node's series from the shards in parallel
-// and merges them serially in sorted node order with tsdb.MergeNodeSeries
-// — the exact accumulation discipline the tsdb's own parallel Aggregate
-// uses. Floating-point addition is not associative, so that shared merge
-// is what makes a fleet's QuerySeries, Aggregate and Stats answers
-// byte-identical to a single service fed the same samples. KindStats
+// a live replica of its owner, and the shard's reply frame is relayed to a
+// binary front end as it arrived — checked for shape, not decoded — while
+// the cluster-wide aggregate scatter-gathers every known node's series
+// from the shards in parallel and merges them serially in sorted node
+// order with tsdb.MergeNodeSeries — the exact accumulation discipline the
+// tsdb's own parallel Aggregate uses. Floating-point addition is not
+// associative, so that shared merge, run once the full set has arrived, is
+// what makes a fleet's QuerySeries, Aggregate and Stats answers
+// byte-identical to a single service fed the same samples. Both kinds of
+// read share one back hop: a shard is asked for a group of nodes with the
+// requests pipelined over its query connection inside a bounded window
+// (a single-node query is a group of one), the replies come back in order
+// because every server answers a connection's frames in order, and a node
+// the group left unanswered — rejected by that shard, or cut off when its
+// connection died — is re-read from its next replica on its own. KindStats
 // scatter-gathers and sums the per-shard statistics the same way.
 package fleet

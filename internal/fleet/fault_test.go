@@ -38,6 +38,12 @@ func startFaultFleet(t *testing.T) *faultFixture { return startFaultFleetN(t, 2)
 // startFaultFleetN is the fixture with n shards, every node replicated to
 // all of them.
 func startFaultFleetN(t *testing.T, n int) *faultFixture {
+	return startFaultFleetWith(t, n, faultAgentOptions())
+}
+
+// startFaultFleetWith is startFaultFleetN with the pooled backend
+// connections tuned by agent.
+func startFaultFleetWith(t *testing.T, n int, agent cluster.AgentOptions) *faultFixture {
 	t.Helper()
 	f := &faultFixture{ref: startBackend(t)}
 	top := Topology{}
@@ -54,7 +60,7 @@ func startFaultFleetN(t *testing.T, n int) *faultFixture {
 	}
 	opts := DefaultTopologyOptions()
 	opts.Replication = n
-	opts.Agent = faultAgentOptions()
+	opts.Agent = agent
 	r, err := NewRouter(top, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -129,11 +135,71 @@ func runFaultScenarioCodec(t *testing.T, codec string, fault, heal func(t *testi
 		}
 	}
 
+	// Reads through the outage: the aggregate first, then every node, each
+	// answer byte-identical to the reference's. Issued once with the fleet
+	// healthy (which also opens the query connection the fault then kills),
+	// once the instant the shard is gone — the router still believes it up, so
+	// its pipelined group dies mid-flight and every node of it is re-read from
+	// its follower — and once more after the router has marked it down.
+	fq := dialFront(t, f.r, "query-client", codec)
+	defer fq.Close()
+	rq, err := cluster.Dial(f.ref.Addr(), "query-client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rq.Close()
+	checkReads := func(when string, upTo int) {
+		t.Helper()
+		qs := []cluster.QueryRequest{{Channel: "p_node", From: 0, To: float64(upTo), ResolutionS: 1}}
+		for _, node := range nodes {
+			qs = append(qs, cluster.QueryRequest{NodeID: node, Channel: "p_node", From: 0, To: float64(upTo), ResolutionS: 1})
+		}
+		for _, q := range qs {
+			fb, err := fq.Query(q)
+			if err != nil {
+				t.Fatalf("%s: fleet query %+v: %v", when, q, err)
+			}
+			rb, err := rq.Query(q)
+			if err != nil {
+				t.Fatalf("%s: ref query %+v: %v", when, q, err)
+			}
+			if fj, rj := mustJSON(t, fb), mustJSON(t, rb); fj != rj {
+				t.Fatalf("%s: answer to %+v diverges:\nfleet %s\nref   %s", when, q, fj, rj)
+			}
+			if len(fb.Points) != upTo+1 {
+				t.Fatalf("%s: %+v answered %d points, want %d", when, q, len(fb.Points), upTo+1)
+			}
+		}
+	}
+
 	for i := 0; i < seconds; i++ {
 		switch i {
+		case faultAt - 1:
+			// The fault is meant to kill established query connections, so both
+			// are opened first (a stats fan-out dials every shard), again if the
+			// fixture's 300 ms dial budget was lost to a busy box.
+			for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(f.r.opts.DialRetry) {
+				_, _ = f.r.MergedStats() // the connections, not the answer, are the point
+				opened := 0
+				for _, st := range f.r.shards {
+					if st.qview.Load() != 0 {
+						opened++
+					}
+				}
+				if opened == len(f.r.shards) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d of %d query connections opened", opened, len(f.r.shards))
+				}
+			}
+			checkReads("before the fault", i-1)
 		case faultAt:
 			t.Logf("fault: injecting on shard %d at second %d", faultShard, i)
 			fault(t, f, faultShard)
+			checkReads("the instant the shard is gone", i-1)
+		case faultAt + 5:
+			checkReads("with the shard marked down", i-1)
 		case healAt:
 			t.Logf("fault: healing shard %d at second %d", faultShard, i)
 			heal(t, f, faultShard)
@@ -144,13 +210,6 @@ func runFaultScenarioCodec(t *testing.T, codec string, fault, heal func(t *testi
 
 	// Queries during the tail of the outage-recovery window still merge
 	// correctly: reads drain to live replicas.
-	fq := dialFront(t, f.r, "query-client", codec)
-	defer fq.Close()
-	rq, err := cluster.Dial(f.ref.Addr(), "query-client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rq.Close()
 	agg := cluster.QueryRequest{Channel: "p_node", From: 0, To: seconds - 1, ResolutionS: 1}
 	fb, err := fq.Query(agg)
 	if err != nil {

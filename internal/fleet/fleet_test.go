@@ -208,41 +208,116 @@ func mustJSON(t testing.TB, v any) string {
 // and returns the reply frame's body.
 func sendEmptyBatch(t testing.TB, addr, codec string) []byte {
 	t.Helper()
+	c := dialRaw(t, addr, codec)
+	var err error
+	if c.binary {
+		// Length prefix, kind 7 (record batch), node string, u32 count 0.
+		_, err = c.conn.Write([]byte{0, 0, 0, 12, 7, 0, 5, 'g', 'h', 'o', 's', 't', 0, 0, 0, 0})
+	} else {
+		err = cluster.WriteMsg(c.conn, cluster.KindRecordBatch, cluster.RecordBatch{NodeID: "ghost", Samples: []cluster.BatchSample{}})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.reply()
+}
+
+// rawClient is a connection past its Hello that sends queries and hands back
+// the reply frames as they are on the wire, undecoded — what the frame
+// comparisons of the equivalence suites read.
+type rawClient struct {
+	t      testing.TB
+	conn   net.Conn
+	r      *bufio.Reader
+	binary bool
+}
+
+func dialRaw(t testing.TB, addr, codec string) *rawClient {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	r := bufio.NewReader(conn)
-	hello := cluster.Hello{NodeID: "ghost-sender"}
-	if codec == cluster.CodecBinary {
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	c := &rawClient{t: t, conn: conn, r: bufio.NewReader(conn), binary: codec == cluster.CodecBinary}
+	hello := cluster.Hello{NodeID: "frame-client"}
+	if c.binary {
 		hello.Codecs = []string{cluster.CodecBinary}
 	}
 	if err := cluster.WriteMsg(conn, cluster.KindHello, hello); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cluster.ReadMsg(r); err != nil {
+	if _, err := cluster.ReadMsg(c.r); err != nil {
 		t.Fatal(err)
 	}
-	if codec == cluster.CodecBinary {
-		// Length prefix, kind 7 (record batch), node string, u32 count 0.
-		_, err = conn.Write([]byte{0, 0, 0, 12, 7, 0, 5, 'g', 'h', 'o', 's', 't', 0, 0, 0, 0})
+	return c
+}
+
+// queryFrame sends q and returns the reply frame's body, kind byte included.
+func (c *rawClient) queryFrame(q cluster.QueryRequest) []byte {
+	c.t.Helper()
+	var err error
+	if c.binary {
+		// Kind 4: node string, channel string, f64 from, f64 to, u32 resolution.
+		body := []byte{4}
+		body = binary.BigEndian.AppendUint16(body, uint16(len(q.NodeID)))
+		body = append(body, q.NodeID...)
+		body = binary.BigEndian.AppendUint16(body, uint16(len(q.Channel)))
+		body = append(body, q.Channel...)
+		body = binary.BigEndian.AppendUint64(body, math.Float64bits(q.From))
+		body = binary.BigEndian.AppendUint64(body, math.Float64bits(q.To))
+		body = binary.BigEndian.AppendUint32(body, uint32(q.ResolutionS))
+		_, err = c.conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...))
 	} else {
-		err = cluster.WriteMsg(conn, cluster.KindRecordBatch, cluster.RecordBatch{NodeID: "ghost", Samples: []cluster.BatchSample{}})
+		err = cluster.WriteMsg(c.conn, cluster.KindQuery, q)
 	}
 	if err != nil {
-		t.Fatal(err)
+		c.t.Fatal(err)
 	}
+	return c.reply()
+}
+
+// reply reads one reply frame and returns its body.
+func (c *rawClient) reply() []byte {
+	c.t.Helper()
 	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		t.Fatal(err)
+	if _, err := io.ReadFull(c.r, lenBuf[:]); err != nil {
+		c.t.Fatal(err)
 	}
-	body := make([]byte, binary.BigEndian.Uint32(lenBuf[:]))
-	if _, err := io.ReadFull(r, body); err != nil {
-		t.Fatal(err)
+	frame := make([]byte, binary.BigEndian.Uint32(lenBuf[:]))
+	if _, err := io.ReadFull(c.r, frame); err != nil {
+		c.t.Fatal(err)
 	}
-	return body
+	return frame
+}
+
+// requireSameFrames sends every query to the fleet and to the reference
+// service over codec and requires the reply frames byte-identical: what a
+// client reads off the socket does not depend on a router being in the way,
+// relayed whole or merged from a scatter.
+func requireSameFrames(t testing.TB, fleetAddr, refAddr, codec string, queries []cluster.QueryRequest) {
+	t.Helper()
+	fc, rc := dialRaw(t, fleetAddr, codec), dialRaw(t, refAddr, codec)
+	for _, q := range queries {
+		if ff, rf := fc.queryFrame(q), rc.queryFrame(q); !bytes.Equal(ff, rf) {
+			t.Fatalf("reply frame for %+v over %s diverges:\nfleet %x\nref   %x", q, codec, ff, rf)
+		}
+	}
+}
+
+// everyQuery lists one query per node, channel and resolution, and the
+// aggregate per channel and resolution, over [0, to].
+func everyQuery(nodes []string, to float64) []cluster.QueryRequest {
+	var qs []cluster.QueryRequest
+	for _, node := range append([]string{""}, nodes...) {
+		for _, ch := range tsdb.Channels() {
+			for _, res := range []int{1, 10, 60} {
+				qs = append(qs, cluster.QueryRequest{NodeID: node, Channel: string(ch), From: 0, To: to, ResolutionS: res})
+			}
+		}
+	}
+	return qs
 }
 
 // stripTransport zeroes the Stats fields that depend on connection count,
@@ -370,6 +445,11 @@ func testFleetEquivalence(t *testing.T, codec string) {
 		}
 	}
 
+	// The same answers as frames on the wire, every node and the aggregate,
+	// every channel, every resolution. The connections are the frame clients'
+	// own, so the accounting below counts them.
+	requireSameFrames(t, r.Addr(), ref.Addr(), codec, everyQuery(nodes, seconds-1))
+
 	// Errors must read byte-identical too: unknown channels and bad
 	// resolutions are rejected with the service's own message whether the
 	// query names a node or scatters.
@@ -422,7 +502,7 @@ func testFleetEquivalence(t *testing.T, codec string) {
 	// The front hop spoke the pinned codec, and only that: a JSON agent
 	// shows up as JSON frames, a binary one as one JSON Hello per
 	// connection and binary frames after it.
-	conns := int64(len(nodes) + 2) // one per node, the query client, the empty-batch peer
+	conns := int64(len(nodes) + 3) // one per node, the query client, the empty-batch peer, the frame client
 	switch codec {
 	case cluster.CodecBinary:
 		if st.BinConns != conns || st.JSONFrames != conns || st.BinFrames == 0 {
@@ -608,9 +688,16 @@ func testFleetReplicatedEquivalence(t *testing.T, codec string) {
 		}
 	}
 
+	requireSameFrames(t, r.Addr(), ref.Addr(), codec, everyQuery(nodes, seconds-1))
+
 	st := r.Stats()
 	if st.Replicated != int64(len(nodes)*seconds) {
 		t.Fatalf("replicated = %d, want %d", st.Replicated, len(nodes)*seconds)
+	}
+	// On a binary front end every single-node answer crossed the router as
+	// the shard framed it; a JSON front end has them decoded.
+	if relayed := st.SeriesRelayed; st.NodeQueries == 0 || (codec == cluster.CodecBinary) != (relayed == st.NodeQueries) || (codec == cluster.CodecJSON) != (relayed == 0) {
+		t.Fatalf("%s front end: %d node queries, %d relayed undecoded", codec, st.NodeQueries, relayed)
 	}
 }
 
@@ -721,5 +808,41 @@ func TestRouterValidation(t *testing.T) {
 	}
 	if r.Addr() != "" {
 		t.Fatal("unbound router reports an address")
+	}
+}
+
+// TestRouterQueryAllocs is the relay's allocation guard: a single-node query
+// through a one-shard router costs what it costs against the service itself
+// — the client's own result, the point slice and two header strings — however
+// many points the window holds. The shard writes its blocks into its
+// connection's scratch, the router copies the payload across, and neither
+// allocates.
+func TestRouterQueryAllocs(t *testing.T) {
+	checkNoLeaks(t)
+	r, backends := startFleet(t, 1, DefaultTopologyOptions())
+	const node = "node-alloc"
+	// 1100 seconds seal two 512-point blocks, which hold both windows: a warm
+	// read is served from the decoded-block cache alone.
+	seedOutOfBand(t, node, 1100, backends[0])
+	// A Hello is what gives the router a route for the node, as an agent's
+	// first connection does; the query client is a connection of its own.
+	dialFront(t, r, node, cluster.CodecBinary).Close()
+	qa := dialFront(t, r, "query-alloc", cluster.CodecBinary)
+	defer qa.Close()
+	const clientAllocs = 3 // the []SeriesPoint, the node string, the channel string
+	for _, window := range []int{60, 600} {
+		q := cluster.QueryRequest{NodeID: node, Channel: "p_node", From: 0, To: float64(window - 1), ResolutionS: 1}
+		query := func() {
+			if body, err := qa.Query(q); err != nil || len(body.Points) != window {
+				t.Fatalf("query: %d points, err %v, want %d", len(body.Points), err, window)
+			}
+		}
+		query() // warm the block cache and every connection's scratch
+		if allocs := testing.AllocsPerRun(100, query); allocs != clientAllocs {
+			t.Fatalf("a %d-point query through the router allocates %.1f times, want the client's %d and none in router or shard", window, allocs, clientAllocs)
+		}
+	}
+	if st := r.Stats(); st.SeriesRelayed != st.NodeQueries || st.NodeQueries == 0 {
+		t.Fatalf("queries were decoded on the way: %d answered, %d relayed", st.NodeQueries, st.SeriesRelayed)
 	}
 }

@@ -54,6 +54,11 @@ type Stats struct {
 	FailedOver     int64 `json:"failed_over"`
 	RouteErrors    int64 `json:"route_errors"`
 	ScatterGathers int64 `json:"scatter_gathers"`
+	// NodeQueries counts answered single-node history reads; SeriesRelayed
+	// the ones whose reply reached the front end as the shard framed it,
+	// without a point being decoded on the way (binary on both hops).
+	NodeQueries   int64 `json:"node_queries"`
+	SeriesRelayed int64 `json:"series_relayed"`
 }
 
 // Stats snapshots the router's routing state: per-shard health and
@@ -75,6 +80,8 @@ func (r *Router) Stats() Stats {
 		FailedOver:     r.failedOver.Load(),
 		RouteErrors:    r.routeErrors.Load(),
 		ScatterGathers: r.scatters.Load(),
+		NodeQueries:    r.nodeQueries.Load(),
+		SeriesRelayed:  r.seriesRelayed.Load(),
 	}
 	agents := make([]int, len(r.shards))
 	degraded := make([]int, len(r.shards))
@@ -102,14 +109,12 @@ func (r *Router) Stats() Stats {
 		nr.mu.Unlock()
 	}
 	for i, st := range r.shards {
-		st.qmu.Lock()
-		if st.query != nil {
+		if v := st.qview.Load(); v != 0 {
 			agents[i]++
-			if st.query.Mode() == cluster.ModeDegraded {
+			if cluster.Mode(v-1) == cluster.ModeDegraded {
 				degraded[i]++
 			}
 		}
-		st.qmu.Unlock()
 		out.Shards = append(out.Shards, ShardStatus{
 			Name:       st.shard.Name,
 			Addr:       st.shard.Addr,
@@ -150,6 +155,8 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	failedOver := reg.Counter("highrpm_fleet_failovers_total", "Replies taken over by a follower while the primary was down.")
 	routeErrors := reg.Counter("highrpm_fleet_route_errors_total", "Front-end requests answered with an error.")
 	scatters := reg.Counter("highrpm_fleet_scatter_gathers_total", "Scatter-gather fan-outs (aggregate queries and merged stats).")
+	nodeQueries := reg.Counter("highrpm_fleet_node_queries_total", "Single-node history reads answered.")
+	seriesRelayed := reg.Counter("highrpm_fleet_series_relayed_total", "Single-node replies forwarded to the front end as the shard framed them, undecoded.")
 
 	hist := reg.Histogram("highrpm_fleet_scatter_seconds",
 		"Wall-clock latency of one scatter-gather fan-out across all shards.",
@@ -182,6 +189,8 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 		failedOver.Set(float64(st.FailedOver))
 		routeErrors.Set(float64(st.RouteErrors))
 		scatters.Set(float64(st.ScatterGathers))
+		nodeQueries.Set(float64(st.NodeQueries))
+		seriesRelayed.Set(float64(st.SeriesRelayed))
 	})
 }
 

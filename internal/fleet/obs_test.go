@@ -65,6 +65,13 @@ func TestFleetObsScrape(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// One binary agent also reads its own history back: a single-node
+		// query the router relays without decoding.
+		if ni == 0 {
+			if _, err := ag.Query(cluster.QueryRequest{NodeID: node, Channel: "p_node", From: 0, To: seconds - 1, ResolutionS: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
 		ag.Close()
 	}
 	// The query client is a JSON straggler: pinned to the old codec, its
@@ -75,6 +82,11 @@ func TestFleetObsScrape(t *testing.T) {
 	}
 	defer qa.Close()
 	if _, err := qa.Query(cluster.QueryRequest{Channel: "p_node", From: 0, To: seconds - 1, ResolutionS: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// The straggler's own single-node read is answered too, but decoded on
+	// the way: a JSON front end cannot take the shard's binary frame.
+	if _, err := qa.Query(cluster.QueryRequest{NodeID: nodes[1], Channel: "p_node", From: 0, To: seconds - 1, ResolutionS: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,10 +105,11 @@ func TestFleetObsScrape(t *testing.T) {
 		"highrpm_fleet_connections ",
 		"highrpm_fleet_connections_peak ",
 		// Two binary agents: one JSON Hello each, then five binary samples
-		// each. The straggler: a JSON Hello and a JSON query.
+		// each and one binary query. The straggler: a JSON Hello and two JSON
+		// queries.
 		"highrpm_fleet_binary_connections_total 2",
-		`highrpm_fleet_frames_total{codec="binary"} 10`,
-		`highrpm_fleet_frames_total{codec="json"} 4`,
+		`highrpm_fleet_frames_total{codec="binary"} 11`,
+		`highrpm_fleet_frames_total{codec="json"} 5`,
 		"highrpm_fleet_rejected_total 0",
 		"highrpm_fleet_timed_out_total 0",
 		"highrpm_fleet_routed_total 10",
@@ -107,6 +120,8 @@ func TestFleetObsScrape(t *testing.T) {
 		"highrpm_fleet_failovers_total 0",
 		"highrpm_fleet_route_errors_total 0",
 		"highrpm_fleet_scatter_gathers_total 1",
+		"highrpm_fleet_node_queries_total 2",
+		"highrpm_fleet_series_relayed_total 1",
 		"highrpm_fleet_scatter_seconds_count 1",
 		"highrpm_fleet_scatter_seconds_sum ",
 	} {

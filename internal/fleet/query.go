@@ -12,69 +12,138 @@ import (
 	"highrpm/internal/tsdb"
 )
 
-// answerQuery resolves a front-end KindQuery: one node's history is read
-// from a live replica of its owner shard, the cluster-wide aggregate
+// answerQuery resolves a front-end KindQuery into w: one node's history is
+// read from a live replica of its owner shard and relayed — on a binary
+// front end, without decoding a point — and the cluster-wide aggregate
 // (empty NodeID) is scatter-gathered from every shard.
-func (r *Router) answerQuery(q cluster.QueryRequest) (cluster.SeriesBody, error) {
-	if q.NodeID != "" {
-		return r.queryNode(q)
+func (r *Router) answerQuery(q cluster.QueryRequest, w *cluster.SeriesWriter) error {
+	if q.NodeID == "" {
+		return r.scatterAggregate(q, w)
 	}
-	return r.scatterAggregate(q)
+	verbatim := false
+	err := r.queryNode(q, -1, nil, func(rep *cluster.SeriesReply) (err error) {
+		verbatim, err = w.Relay(rep)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	r.nodeQueries.Add(1)
+	if verbatim {
+		r.seriesRelayed.Add(1)
+	}
+	return nil
+}
+
+// isRejection reports whether err carries a service's refusal: the link is
+// healthy, the request was not acceptable.
+func isRejection(err error) bool {
+	if err == nil {
+		return false
+	}
+	var se *cluster.ServiceError
+	return errors.As(err, &se)
 }
 
 // queryNode reads one node's series, walking its replicas until one
 // answers: healthy replicas first (degraded shards are drained from the
-// read path), primary order within each class. A *ServiceError does not
-// end the walk — the primary may legitimately lack history the follower
-// holds while a replay is still catching up — but if every replica
-// rejects, the first rejection is returned (so an unknown channel reads
-// the same as on a single service).
-func (r *Router) queryNode(q cluster.QueryRequest) (cluster.SeriesBody, error) {
+// read path), primary order within each class. take receives the answering
+// replica's undecoded reply; a reply it refuses counts against that
+// replica. A *ServiceError does not end the walk — the primary may
+// legitimately lack history the follower holds while a replay is still
+// catching up — but if every replica rejects, the first rejection is
+// returned (so an unknown channel reads the same as on a single service).
+// A caller that already asked shard tried, and got prior for it, passes
+// both and the walk covers the other replicas; -1 and nil walk them all.
+func (r *Router) queryNode(q cluster.QueryRequest, tried int, prior error, take func(*cluster.SeriesReply) error) error {
 	var firstRejection, firstErr error
-	for _, idx := range r.readOrder(q.NodeID) {
-		var body cluster.SeriesBody
-		err := r.onShard(idx, func(ag *cluster.ResilientAgent) (err error) {
-			body, err = ag.Query(q)
-			return err
-		})
-		if err == nil {
-			return body, nil
+	if isRejection(prior) {
+		firstRejection = prior
+	} else {
+		firstErr = prior
+	}
+	var buf [8]int
+	nodes := [1]string{q.NodeID}
+	for _, idx := range r.readOrder(q.NodeID, buf[:0]) {
+		if idx == tried {
+			continue
 		}
-		var se *cluster.ServiceError
-		if errors.As(err, &se) {
-			if firstRejection == nil {
-				firstRejection = err
+		var errs [1]error
+		r.fetch(idx, q, nodes[:], errs[:], func(_ int, rep *cluster.SeriesReply) error { return take(rep) })
+		switch err := errs[0]; {
+		case err == nil:
+			return nil
+		case !isRejection(err):
+			if firstErr == nil {
+				firstErr = err
 			}
-		} else if firstErr == nil {
-			firstErr = err
+		case firstRejection == nil:
+			firstRejection = err
 		}
 	}
 	if firstRejection != nil {
-		return cluster.SeriesBody{}, firstRejection
+		return firstRejection
 	}
-	return cluster.SeriesBody{}, firstErr
+	return firstErr
 }
 
-// readOrder lists node's replicas in the order reads try them: healthy
-// shards first (degraded ones are drained from the read path), primary
-// order within each class. Each health bit is read once, so the result is
-// always a permutation of the owners.
-func (r *Router) readOrder(node string) []int {
-	owners := r.ring.owners(node, r.opts.Replication)
-	ordered := make([]int, 0, len(owners))
-	var down []int
-	for _, idx := range owners {
+// fetch is the router's one back-hop read: it asks shard idx for q of every
+// node in nodes over the shard's pooled query connection — pipelined, see
+// cluster.ResilientAgent.QueryNodes, and holding the connection for the
+// whole group — and hands reply i to take. errs[i] receives node i's
+// outcome: nil once take accepted its reply, the shard's rejection of that
+// node, or, from the node the group broke at onwards, the error that broke
+// it. A single-node query is a group of one.
+func (r *Router) fetch(idx int, q cluster.QueryRequest, nodes []string, errs []error, take func(i int, rep *cluster.SeriesReply) error) {
+	done := 0
+	err := r.onShard(idx, func(ag *cluster.ResilientAgent) (err error) {
+		done, err = ag.QueryNodes(q, nodes, func(i int, rep *cluster.SeriesReply, rejected *cluster.ServiceError) error {
+			if rejected != nil {
+				errs[i] = rejected
+				return nil
+			}
+			errs[i] = nil
+			return take(i, rep)
+		})
+		return err
+	})
+	for i := done; i < len(nodes); i++ {
+		errs[i] = err
+	}
+}
+
+// replicas returns node's owner shards, primary first: the placement its
+// route already holds when the router has forwarded for it, the ring's
+// otherwise — a query never registers a node.
+func (r *Router) replicas(node string) []int {
+	r.nmu.Lock()
+	nr := r.routes[node]
+	r.nmu.Unlock()
+	if nr != nil {
+		return nr.owners
+	}
+	return r.ring.owners(node, r.opts.Replication)
+}
+
+// readOrder appends to buf node's replicas in the order reads try them:
+// healthy shards first (degraded ones are drained from the read path),
+// primary order within each class. Each health bit is read once, so the
+// result is always a permutation of the owners.
+func (r *Router) readOrder(node string, buf []int) []int {
+	var downBuf [8]int
+	down := downBuf[:0]
+	for _, idx := range r.replicas(node) {
 		if r.shards[idx].up.Load() {
-			ordered = append(ordered, idx)
+			buf = append(buf, idx)
 		} else {
 			down = append(down, idx)
 		}
 	}
-	return append(ordered, down...)
+	return append(buf, down...)
 }
 
 // onShard runs call on idx's pooled query connection, maintaining the
-// shard's health bit.
+// shard's health bit and the view of the connection Stats reads.
 func (r *Router) onShard(idx int, call func(*cluster.ResilientAgent) error) error {
 	st := r.shards[idx]
 	st.qmu.Lock()
@@ -84,8 +153,8 @@ func (r *Router) onShard(idx int, call func(*cluster.ResilientAgent) error) erro
 		return err
 	}
 	err = call(ag)
-	var se *cluster.ServiceError
-	st.up.Store(err == nil || errors.As(err, &se))
+	st.up.Store(err == nil || isRejection(err))
+	st.publishQuery()
 	return err
 }
 
@@ -106,13 +175,17 @@ func (r *Router) queryAgentLocked(st *shardState) (*cluster.ResilientAgent, erro
 	}
 	st.query = ag
 	st.up.Store(true)
+	st.publishQuery()
 	return ag, nil
 }
 
 // queryTarget picks the shard to read node's history from: the primary
 // when healthy, otherwise the first healthy follower, falling back to the
 // primary when every replica looks down.
-func (r *Router) queryTarget(node string) int { return r.readOrder(node)[0] }
+func (r *Router) queryTarget(node string) int {
+	var buf [8]int
+	return r.readOrder(node, buf[:0])[0]
+}
 
 // validChannel mirrors the store's channel validation so an aggregate
 // over zero known nodes still rejects unknown channels like a single
@@ -127,73 +200,105 @@ func validChannel(ch string) bool {
 }
 
 // scatterAggregate answers the cluster-wide aggregate: every known node's
-// series is fetched from a live replica of its owner (nodes grouped by
-// target shard, shards read in parallel), then merged serially in sorted
-// node order by tsdb.MergeNodeSeries — the exact accumulation a single
-// service's Aggregate performs after its own parallel fan-out.
-// Floating-point addition is not associative, so fetching per-node series
-// and sharing that merge is what keeps a fleet's aggregate byte-identical
-// to the single-store answer; merging per-shard pre-aggregates would not
-// be.
-func (r *Router) scatterAggregate(q cluster.QueryRequest) (cluster.SeriesBody, error) {
+// series is fetched from a live replica of its owner — nodes grouped by
+// target shard, each group pipelined over its shard's query connection,
+// the groups in parallel — then merged serially in sorted node order by
+// tsdb.MergeNodeSeries, the exact accumulation a single service's
+// Aggregate performs after its own parallel fan-out. Floating-point
+// addition is not associative, so fetching per-node series and sharing
+// that merge is what keeps a fleet's aggregate byte-identical to the
+// single-store answer; merging per-shard pre-aggregates, or folding
+// replies in as they arrive, would not be. The merge therefore waits for
+// the full set.
+func (r *Router) scatterAggregate(q cluster.QueryRequest, w *cluster.SeriesWriter) error {
 	res, err := tsdb.ParseResolution(q.ResolutionS)
 	if err != nil {
-		return cluster.SeriesBody{}, err
+		return err
 	}
 	if !validChannel(q.Channel) {
-		return cluster.SeriesBody{}, fmt.Errorf("tsdb: unknown channel %q", q.Channel)
+		return fmt.Errorf("tsdb: unknown channel %q", q.Channel)
 	}
 	start := time.Now()
 	nodes := r.recordedNodes()
 	results := make([][]tsdb.Point, len(nodes))
 	errs := make([]error, len(nodes))
-	// Group nodes by target shard: each shard's query connection serves
-	// its group's reads in order while the groups run in parallel —
-	// per-shard serialization is free (the connection is serialized
-	// anyway) and cross-shard reads genuinely overlap.
-	groups := map[int][]int{}
-	order := make([]int, 0, len(r.shards))
+	groups := make([]shardGroup, len(r.shards))
 	for i, node := range nodes {
-		idx := r.queryTarget(node)
-		if _, ok := groups[idx]; !ok {
-			order = append(order, idx)
-		}
-		groups[idx] = append(groups[idx], i)
+		g := &groups[r.queryTarget(node)]
+		g.nodes, g.pos = append(g.nodes, node), append(g.pos, i)
 	}
+	var bufs []*[]tsdb.Point
 	var wg sync.WaitGroup
-	for _, idx := range order {
-		batch := groups[idx]
+	for idx, g := range groups {
+		if len(g.nodes) == 0 {
+			continue
+		}
+		buf := r.gatherBufs.Get().(*[]tsdb.Point)
+		bufs = append(bufs, buf)
 		wg.Add(1)
-		go func(batch []int) {
+		go func() {
 			defer wg.Done()
-			for _, i := range batch {
-				req := q
-				req.NodeID = nodes[i]
-				body, err := r.queryNode(req)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i] = body.StorePoints()
-			}
-		}(batch)
+			r.gather(idx, q, g, results, errs, buf)
+		}()
 	}
 	wg.Wait()
+	// results alias the pooled buffers until the merge has copied out of them.
+	defer func() {
+		for _, buf := range bufs {
+			r.gatherBufs.Put(buf)
+		}
+	}()
 	for i := range errs {
 		if errs[i] != nil {
-			return cluster.SeriesBody{}, errs[i]
+			return errs[i]
 		}
 	}
 	merged := tsdb.MergeNodeSeries(results)
+	w.Begin("", q.Channel, int(res), len(merged))
+	for _, p := range merged {
+		w.Point(p)
+	}
 	r.scatters.Add(1)
 	if h := r.scatterHist.Load(); h != nil {
 		h.Observe(time.Since(start).Seconds())
 	}
-	return cluster.SeriesBody{
-		Channel:     q.Channel,
-		ResolutionS: int(res),
-		Points:      tsdb.ToSeriesPoints(merged),
-	}, nil
+	return nil
+}
+
+// shardGroup is the part of a scatter one shard is asked first: the nodes,
+// and where each sits in the scatter's sorted node order.
+type shardGroup struct {
+	nodes []string
+	pos   []int
+}
+
+// gather fetches group g from its target shard idx and leaves each node's
+// points in results and its outcome in errs, at the node's position. Every
+// reply of the group decodes into buf, one pooled buffer the results slice
+// up. A node the pipelined pass left without an answer — the shard rejected
+// it, or the connection died under the group — is read again through
+// queryNode's replica walk, from the next replica on: failover and "first
+// rejection wins" stay per node.
+func (r *Router) gather(idx int, q cluster.QueryRequest, g shardGroup, results [][]tsdb.Point, errs []error, buf *[]tsdb.Point) {
+	pts := (*buf)[:0]
+	take := func(k int, rep *cluster.SeriesReply) (err error) {
+		lo := len(pts)
+		pts, err = rep.AppendPoints(pts)
+		// A later append may move pts to a larger array; this slice then keeps
+		// the old one, where the node's points stay as decoded.
+		results[g.pos[k]] = pts[lo:]
+		return err
+	}
+	gerrs := make([]error, len(g.nodes))
+	r.fetch(idx, q, g.nodes, gerrs, take)
+	for k, err := range gerrs {
+		if err != nil {
+			q.NodeID = g.nodes[k]
+			err = r.queryNode(q, idx, err, func(rep *cluster.SeriesReply) error { return take(k, rep) })
+		}
+		errs[g.pos[k]] = err
+	}
+	*buf = pts
 }
 
 // recordedNodes lists the nodes with at least one routed estimate, sorted

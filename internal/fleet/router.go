@@ -10,6 +10,7 @@ import (
 
 	"highrpm/internal/cluster"
 	"highrpm/internal/obs"
+	"highrpm/internal/tsdb"
 )
 
 // Router fronts N cluster.Service backends behind one listener speaking
@@ -46,6 +47,15 @@ type Router struct {
 	failedOver  atomic.Int64
 	routeErrors atomic.Int64
 	scatters    atomic.Int64
+	// nodeQueries counts answered single-node reads, seriesRelayed the ones
+	// whose reply went to the front end as the shard framed it, undecoded.
+	nodeQueries   atomic.Int64
+	seriesRelayed atomic.Int64
+
+	// gatherBufs pools the point buffers a scatter-gather decodes its replies
+	// into (*[]tsdb.Point, one per shard group), so an aggregate's scratch is
+	// reused instead of re-allocated per query.
+	gatherBufs sync.Pool
 
 	// scatterHist, when set (RegisterMetrics), observes each
 	// scatter-gather's wall-clock latency.
@@ -65,7 +75,15 @@ type shardState struct {
 	qmu      sync.Mutex
 	query    *cluster.ResilientAgent // lazily dialed; serves queries, stats, model
 	nextDial time.Time
+	// qview is what Stats reports of the query connection — 0 while there is
+	// none, else 1 + its cluster.Mode — published under qmu and read without
+	// it: qmu is held across whole round trips (a pipelined group of them),
+	// and a scrape must not wait out a request parked on a dead shard.
+	qview atomic.Int32
 }
+
+// publishQuery refreshes qview from the query connection. Callers hold qmu.
+func (st *shardState) publishQuery() { st.qview.Store(1 + int32(st.query.Mode())) }
 
 // nodeRoute is one node's forwarding state: the owning shards (primary
 // first) and one pooled ResilientAgent per owner. mu serializes the
@@ -132,6 +150,7 @@ func NewRouter(top Topology, opts TopologyOptions) (*Router, error) {
 		routes: map[string]*nodeRoute{},
 		Logf:   log.Printf,
 	}
+	r.gatherBufs.New = func() any { return new([]tsdb.Point) }
 	// Logf is read at call time: callers replace it after construction.
 	r.srv = cluster.NewServer("fleet", routerHandler{r}, opts.FrontEnd, func(format string, args ...any) { r.Logf(format, args...) })
 	for _, sh := range top.Shards {
@@ -242,9 +261,8 @@ func (h routerHandler) Batch(rb *cluster.RecordBatch, _ []cluster.Estimate) ([]c
 	return ests, h.r.countError(err)
 }
 
-func (h routerHandler) Query(q cluster.QueryRequest) (cluster.SeriesBody, error) {
-	body, err := h.r.answerQuery(q)
-	return body, h.r.countError(err)
+func (h routerHandler) Query(q cluster.QueryRequest, w *cluster.SeriesWriter) error {
+	return h.r.countError(h.r.answerQuery(q, w))
 }
 
 func (h routerHandler) Stats() (cluster.Stats, error) {

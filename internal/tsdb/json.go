@@ -56,17 +56,22 @@ type SeriesBody struct {
 	Points      []SeriesPoint `json:"points"`
 }
 
+// Wire converts one store point for the wire.
+func (p Point) Wire() SeriesPoint {
+	return SeriesPoint{
+		Time:  p.Time,
+		Value: NullFloat(p.Value),
+		Min:   NullFloat(p.Min),
+		Max:   NullFloat(p.Max),
+		Count: p.Count,
+	}
+}
+
 // ToSeriesPoints converts store points for the wire.
 func ToSeriesPoints(pts []Point) []SeriesPoint {
 	out := make([]SeriesPoint, len(pts))
 	for i, p := range pts {
-		out[i] = SeriesPoint{
-			Time:  p.Time,
-			Value: NullFloat(p.Value),
-			Min:   NullFloat(p.Min),
-			Max:   NullFloat(p.Max),
-			Count: p.Count,
-		}
+		out[i] = p.Wire()
 	}
 	return out
 }
@@ -87,29 +92,58 @@ func (b SeriesBody) StorePoints() []Point {
 	return out
 }
 
-// QuerySeries resolves one series request in its wire form: a node's
-// channel (or, with node empty, the cluster-wide aggregate) over
-// [from, to] seconds at resolutionS (0 selects raw). The TCP KindQuery
-// handler and the HTTP /api/v1/series endpoint both answer through this
-// method, which is what keeps their JSON byte-for-byte identical.
-func (st *Store) QuerySeries(node, channel string, from, to float64, resolutionS int) (SeriesBody, error) {
+// SeriesSink receives one series in wire order: Begin once the request is
+// validated, carrying the reply header and n, an upper bound on the points
+// to follow, then Point for each, oldest first. A node's points arrive
+// under its shard lock, so a sink only appends to memory; whatever it does
+// with a socket waits until WalkSeries has returned.
+type SeriesSink interface {
+	Begin(node, channel string, resolutionS, n int)
+	Point(p Point)
+}
+
+// WalkSeries resolves one series request into sink: a node's channel (or,
+// with node empty, the cluster-wide aggregate) over [from, to] seconds at
+// resolutionS (0 selects raw). A node's points go from the block walk to
+// the sink one at a time, never through a []Point. After an error the sink
+// may hold a partial series; the caller discards it.
+func (st *Store) WalkSeries(node, channel string, from, to float64, resolutionS int, sink SeriesSink) error {
 	res, err := ParseResolution(resolutionS)
 	if err != nil {
-		return SeriesBody{}, err
+		return err
 	}
-	var pts []Point
-	if node == "" {
-		pts, err = st.Aggregate(Channel(channel), from, to, res)
-	} else {
-		pts, err = st.Query(node, Channel(channel), from, to, res)
+	if node != "" {
+		return st.walk(node, Channel(channel), from, to, res,
+			func(n int) { sink.Begin(node, channel, int(res), n) }, sink.Point)
 	}
+	pts, err := st.Aggregate(Channel(channel), from, to, res)
 	if err != nil {
+		return err
+	}
+	sink.Begin("", channel, int(res), len(pts))
+	for _, p := range pts {
+		sink.Point(p)
+	}
+	return nil
+}
+
+// bodySink is the SeriesSink that collects a SeriesBody.
+type bodySink struct{ body SeriesBody }
+
+func (s *bodySink) Begin(node, channel string, resolutionS, n int) {
+	s.body = SeriesBody{NodeID: node, Channel: channel, ResolutionS: resolutionS, Points: make([]SeriesPoint, 0, n)}
+}
+
+func (s *bodySink) Point(p Point) { s.body.Points = append(s.body.Points, p.Wire()) }
+
+// QuerySeries resolves one series request in its wire form, collecting
+// WalkSeries into a SeriesBody. The TCP KindQuery handler answers through
+// the same walk and the HTTP /api/v1/series endpoint through this method,
+// which is what keeps their JSON byte-for-byte identical.
+func (st *Store) QuerySeries(node, channel string, from, to float64, resolutionS int) (SeriesBody, error) {
+	var s bodySink
+	if err := st.WalkSeries(node, channel, from, to, resolutionS, &s); err != nil {
 		return SeriesBody{}, err
 	}
-	return SeriesBody{
-		NodeID:      node,
-		Channel:     channel,
-		ResolutionS: int(res),
-		Points:      ToSeriesPoints(pts),
-	}, nil
+	return s.body, nil
 }

@@ -46,23 +46,29 @@ func validRes(res Resolution) error {
 	return fmt.Errorf("tsdb: unsupported resolution %ds (want 1, 10 or 60)", int(res))
 }
 
-// Query returns node's channel points with from ≤ t ≤ to (seconds) at the
-// requested resolution, oldest first. Raw queries decode the exact
-// ingested float64s. The node's shard is locked for the duration of the
-// decode; other nodes' ingest paths are unaffected.
-func (st *Store) Query(node string, ch Channel, from, to float64, res Resolution) ([]Point, error) {
+// walk is the store's one read path for a node's channel: it validates the
+// request, counts it in Stats.Queries and — under the node's shard lock —
+// calls begin with an upper bound on the points in the window (the
+// overlapping blocks' point counts, known without decoding anything), then
+// emit for every point with from ≤ t ≤ to (seconds) at the requested
+// resolution, oldest first; what it emitted lands in Stats.PointsReturned.
+// Query collects the points into a slice and WalkSeries hands them to a
+// SeriesSink: one walk, two sinks. begin and emit run under the shard lock,
+// so they may only touch memory — a callback that blocks on a socket or
+// another lock would stall the node's ingest behind a reader.
+func (st *Store) walk(node string, ch Channel, from, to float64, res Resolution, begin func(n int), emit func(Point)) error {
 	idx, err := channelIndex(ch)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := validRes(res); err != nil {
-		return nil, err
+		return err
 	}
 	st.mu.RLock()
 	sh := st.shards[node]
 	st.mu.RUnlock()
 	if sh == nil {
-		return nil, fmt.Errorf("tsdb: no history for node %q", node)
+		return fmt.Errorf("tsdb: no history for node %q", node)
 	}
 	fromMs := clampMillis(math.Floor(from * 1000))
 	toMs := clampMillis(math.Ceil(to * 1000))
@@ -70,35 +76,51 @@ func (st *Store) Query(node string, ch Channel, from, to float64, res Resolution
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cs := sh.chans[idx]
+	emitted := 0
 	if res == Raw {
-		// sizeHint counts the overlapping blocks' points without decoding
-		// anything, so the result slice is allocated exactly once — on a
-		// cache hit that single make is the query's only per-point
-		// allocation.
-		pts := make([]Point, 0, cs.raw.sizeHint(fromMs, toMs))
+		begin(cs.raw.sizeHint(fromMs, toMs))
 		err = cs.raw.query(fromMs, toMs, func(t int64, vals []float64) {
 			v := vals[0]
-			pts = append(pts, Point{Time: float64(t) / 1000, Value: v, Min: v, Max: v, Count: 1})
+			emitted++
+			emit(Point{Time: float64(t) / 1000, Value: v, Min: v, Max: v, Count: 1})
 		})
-		st.pointsOut.Add(int64(len(pts)))
-		return pts, err
+	} else {
+		ru := cs.rollupFor(res)
+		begin(ru.ser.sizeHint(fromMs, toMs) + 1)
+		err = ru.ser.query(fromMs, toMs, func(t int64, vals []float64) {
+			emitted++
+			emit(Point{
+				Time:  float64(t) / 1000,
+				Value: vals[0], Min: vals[1], Max: vals[2],
+				Count: int(vals[3]),
+			})
+		})
+		if err == nil {
+			if p, ok := ru.openPoint(fromMs, toMs); ok {
+				emitted++
+				emit(p)
+			}
+		}
 	}
-	ru := cs.rollupFor(res)
-	pts := make([]Point, 0, ru.ser.sizeHint(fromMs, toMs)+1)
-	err = ru.ser.query(fromMs, toMs, func(t int64, vals []float64) {
-		pts = append(pts, Point{
-			Time:  float64(t) / 1000,
-			Value: vals[0], Min: vals[1], Max: vals[2],
-			Count: int(vals[3]),
-		})
-	})
+	st.pointsOut.Add(int64(emitted))
+	return err
+}
+
+// Query returns node's channel points with from ≤ t ≤ to (seconds) at the
+// requested resolution, oldest first. Raw queries decode the exact
+// ingested float64s. The node's shard is locked for the duration of the
+// decode; other nodes' ingest paths are unaffected. It is the collecting
+// sink over walk: the size hint allocates the result slice exactly once,
+// so on a cache hit that single make is the query's only per-point
+// allocation.
+func (st *Store) Query(node string, ch Channel, from, to float64, res Resolution) ([]Point, error) {
+	var pts []Point
+	err := st.walk(node, ch, from, to, res,
+		func(n int) { pts = make([]Point, 0, n) },
+		func(p Point) { pts = append(pts, p) })
 	if err != nil {
 		return nil, err
 	}
-	if p, ok := ru.openPoint(fromMs, toMs); ok {
-		pts = append(pts, p)
-	}
-	st.pointsOut.Add(int64(len(pts)))
 	return pts, nil
 }
 
@@ -208,20 +230,33 @@ func (st *Store) Aggregate(ch Channel, from, to float64, res Resolution) ([]Poin
 // deployment's aggregates byte-for-byte equal to a single store's.
 func MergeNodeSeries(results [][]Point) []Point {
 	type agg struct {
+		key           int64
 		sum, min, max float64
 		count         int
 		nodes         int
 	}
-	acc := map[int64]*agg{}
+	// The accumulators are values in one slice, in first-seen key order; the
+	// map only indexes them. A merge therefore allocates per growth step of
+	// two slices and a map, never per timestamp.
+	longest := 0
+	for i := range results {
+		longest = max(longest, len(results[i]))
+	}
+	accs := make([]agg, 0, longest)
+	index := make(map[int64]int, longest)
+	ascending := true
 	for i := range results {
 		for _, p := range results[i] {
 			key := int64(math.Round(p.Time * 1000))
-			a := acc[key]
-			if a == nil {
-				a = &agg{}
-				acc[key] = a
+			j, ok := index[key]
+			if !ok {
+				j = len(accs)
+				ascending = ascending && (j == 0 || accs[j-1].key < key)
+				accs = append(accs, agg{key: key})
+				index[key] = j
 			}
 			if !math.IsNaN(p.Value) {
+				a := &accs[j]
 				a.sum += p.Value
 				a.min += p.Min
 				a.max += p.Max
@@ -230,19 +265,19 @@ func MergeNodeSeries(results [][]Point) []Point {
 			}
 		}
 	}
-	keys := make([]int64, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
+	// Time-ordered inputs — every series a store returns — meet their keys
+	// in ascending order already; anything else is sorted once accumulation
+	// is over, so the order keys were met in never reaches the result.
+	if !ascending {
+		sort.Slice(accs, func(i, j int) bool { return accs[i].key < accs[j].key })
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	pts := make([]Point, 0, len(keys))
-	for _, k := range keys {
-		a := acc[k]
-		p := Point{Time: float64(k) / 1000, Value: math.NaN(), Min: math.NaN(), Max: math.NaN()}
+	pts := make([]Point, len(accs))
+	for i := range accs {
+		a := &accs[i]
+		pts[i] = Point{Time: float64(a.key) / 1000, Value: math.NaN(), Min: math.NaN(), Max: math.NaN()}
 		if a.nodes > 0 {
-			p.Value, p.Min, p.Max, p.Count = a.sum, a.min, a.max, a.count
+			pts[i].Value, pts[i].Min, pts[i].Max, pts[i].Count = a.sum, a.min, a.max, a.count
 		}
-		pts = append(pts, p)
 	}
 	return pts
 }

@@ -15,7 +15,9 @@
 # wire-protocol decoders briefly (JSON envelope, binary framing, and the
 # cross-codec agreement law), both ends of a connection over arbitrary
 # byte streams (FuzzServeConn for the server's request loop, FuzzAgentReply
-# for the agent's reply path), the durability decoders (WAL segment
+# for the agent's reply path), the law the router's verbatim series relay
+# stands on (FuzzSeriesShape: the O(1) framing check accepts exactly what
+# the strict decoder does), the durability decoders (WAL segment
 # scanner, snapshot loader), and the fleet placement ring. Performance is
 # not measured here: `bash bench/run.sh` is the repo's one benchmark.
 set -eu
@@ -48,6 +50,8 @@ go test -run '^$' -fuzz '^FuzzCrossCodecSample$' -fuzztime=10s ./internal/cluste
 echo "== fuzz shared serve loop and agent reply path (10s per target)"
 go test -run '^$' -fuzz '^FuzzServeConn$' -fuzztime=10s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzAgentReply$' -fuzztime=10s ./internal/cluster
+echo "== fuzz the series relay's shape check (10s)"
+go test -run '^$' -fuzz '^FuzzSeriesShape$' -fuzztime=10s ./internal/cluster
 echo "== fuzz durability decoders (10s per target)"
 go test -run '^$' -fuzz '^FuzzWALRecord$' -fuzztime=10s ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzSnapshotFile$' -fuzztime=10s ./internal/tsdb
