@@ -7,7 +7,8 @@
 //
 // Without arguments every experiment runs in presentation order. Pass
 // experiment IDs (fig1, fig2, tab5, tab7, tab9, fig7, fig8, fig9, hyper,
-// overhead, jitter) to run a subset; -list prints them.
+// overhead, jitter, ablation, gpu, dvfs, governor) to run a subset; -list
+// prints them.
 //
 // The -scale flag picks the compute budget: "bench" (seconds), "quick"
 // (default, minutes), or "full" (the paper-faithful 1000 samples/suite over
@@ -30,7 +31,6 @@ func main() {
 		scaleFlag  = flag.String("scale", "quick", "compute budget: bench, quick, or full")
 		seed       = flag.Int64("seed", 1, "simulation and model seed")
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
-		workers    = flag.Int("workers", 0, "training goroutines per model (0 = all CPUs, 1 = bit-exact serial)")
 		parallel   = flag.Int("parallel", 1, "experiments run concurrently (1 = serial, streaming output)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -81,15 +81,18 @@ func main() {
 
 	cfg := experiments.NewConfig(scale)
 	cfg.Seed = *seed
-	cfg.Workers = *workers
 	ws := experiments.NewWorkspace(cfg)
 
 	ids := flag.Args()
 	if len(ids) == 0 {
 		ids = experiments.DefaultOrder()
 	}
-	fmt.Printf("highrpm-bench: scale=%s samples/suite=%d combos=%d seed=%d workers=%d parallel=%d\n\n",
-		*scaleFlag, cfg.SamplesPerSuite, len(idsOrAll(cfg)), *seed, *workers, *parallel)
+	combos := cfg.MaxCombos // 0 = all seven Table 3 combinations
+	if combos <= 0 {
+		combos = 7
+	}
+	fmt.Printf("highrpm-bench: scale=%s samples/suite=%d combos=%d seed=%d parallel=%d\n\n",
+		*scaleFlag, cfg.SamplesPerSuite, combos, *seed, *parallel)
 	start := time.Now()
 	if *parallel > 1 {
 		if err := experiments.RunAndRenderParallel(ws, ids, os.Stdout, *parallel); err != nil {
@@ -125,14 +128,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// idsOrAll reports how many Table 3 combinations the config evaluates, for
-// the banner line.
-func idsOrAll(cfg experiments.Config) []int {
-	n := cfg.MaxCombos
-	if n <= 0 {
-		n = 7
-	}
-	return make([]int, n)
 }

@@ -26,7 +26,6 @@ func main() {
 		suites   = flag.String("suites", "", "comma-separated training suites (default: all seven)")
 		seed     = flag.Int64("seed", 1, "simulation and model seed")
 		noActive = flag.Bool("no-active-learning", false, "skip the active learning stage")
-		workers  = flag.Int("workers", 0, "training goroutines per model (0 = all CPUs, 1 = bit-exact serial)")
 	)
 	flag.Parse()
 
@@ -60,7 +59,6 @@ func main() {
 
 	opts := highrpm.DefaultOptions()
 	opts.SetMissInterval(*miss)
-	opts.SetWorkers(*workers)
 	opts.ActiveLearning = !*noActive
 	opts.Seed = *seed
 

@@ -47,8 +47,8 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &parsed); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out)
 	}
-	if len(parsed.Diagnostics) != 20 {
-		t.Fatalf("got %d diagnostics, want 20", len(parsed.Diagnostics))
+	if len(parsed.Diagnostics) != 21 {
+		t.Fatalf("got %d diagnostics, want 21", len(parsed.Diagnostics))
 	}
 	rules := make(map[string]bool)
 	for _, d := range parsed.Diagnostics {
@@ -80,8 +80,8 @@ func TestRulesFlagSubset(t *testing.T) {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d findings, want 3:\n%s", len(lines), out)
+	if len(lines) != 4 {
+		t.Fatalf("got %d findings, want 4:\n%s", len(lines), out)
 	}
 	for _, l := range lines {
 		if !strings.Contains(l, " determinism: ") {

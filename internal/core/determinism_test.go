@@ -1,19 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"math"
+	"runtime"
 	"testing"
 )
 
 // Golden hashes of a fixed-seed online DynamicTRR run (float64 bit patterns
 // of the estimate series, and the persisted network after its online
-// fine-tunes), captured before the rolling-window buffer and the parallel
-// training engine landed. With Workers=1 the run must reproduce both
-// byte-for-byte: the incremental window refresh emits exactly the features
-// the full per-step rebuild emitted.
+// fine-tunes), captured from the original implementation. The run must
+// reproduce both byte-for-byte on any machine.
 const (
 	goldenDynRunBitsHash = "41c0fc0e97c7f58f5e113a018bff9fb14efa58e3936c1a76712ad3961f3327cb"
 	goldenDynNetHash     = "7146bb72468d812da6aec84f316ce1cf8cfa42e29396ef94c1b797037601f496"
@@ -24,7 +25,6 @@ func TestDynamicRunMatchesGolden(t *testing.T) {
 	opts := DefaultDynamicTRROptions()
 	opts.Epochs = 3
 	opts.MaxWindows = 200
-	opts.Workers = 1
 	dyn, err := FitDynamicTRR(train, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -51,5 +51,97 @@ func TestDynamicRunMatchesGolden(t *testing.T) {
 	sum := sha256.Sum256(b)
 	if got := hex.EncodeToString(sum[:]); got != goldenDynNetHash {
 		t.Errorf("DynamicTRR fine-tuned net hash = %s, want golden %s", got, goldenDynNetHash)
+	}
+}
+
+// TestTrainIndependentOfGOMAXPROCS pins that a trained model is a function
+// of seed and data, not of the machine: the same Train call under one and
+// under four Ps must persist to the same bytes.
+func TestTrainIndependentOfGOMAXPROCS(t *testing.T) {
+	train := trainSet(t, 150)
+	opts := DefaultOptions()
+	opts.Dynamic.Epochs = 4
+	opts.Dynamic.MaxWindows = 150
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var models [2][]byte
+	for k, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		h, err := Train(train, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if models[k], err = Marshal(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(models[0], models[1]) {
+		t.Fatal("the model trained under GOMAXPROCS=1 differs from the one trained under GOMAXPROCS=4")
+	}
+}
+
+// addWorkers returns the JSON object obj with a "Workers" member added to
+// the sub-object at path, as model files written before the knob was
+// deleted carry it.
+func addWorkers(t *testing.T, obj json.RawMessage, path ...string) json.RawMessage {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(obj, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(path) == 0 {
+		m["Workers"] = json.RawMessage("2")
+	} else {
+		m[path[0]] = addWorkers(t, m[path[0]], path[1:]...)
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestUnmarshalLegacyWorkersField: model files written so far carry
+// "Workers" in opts.Static, opts.Dynamic, opts.SRR and static.opts; they
+// must keep decoding, to a model that estimates exactly as it did.
+func TestUnmarshalLegacyWorkersField(t *testing.T) {
+	data, err := Marshal(trainedModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"Workers"`)) {
+		t.Fatal("a freshly marshalled model still persists a Workers field")
+	}
+	legacy := json.RawMessage(data)
+	for _, path := range [][]string{{"opts", "Static"}, {"opts", "Dynamic"}, {"opts", "SRR"}, {"static", "opts"}} {
+		legacy = addWorkers(t, legacy, path...)
+	}
+	if n := bytes.Count(legacy, []byte(`"Workers":2`)); n != 4 {
+		t.Fatalf("injected %d Workers fields, want 4", n)
+	}
+	want, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Unmarshal(legacy)
+	if err != nil {
+		t.Fatalf("legacy model file rejected: %v", err)
+	}
+	ref, mon := NewMonitor(want), NewMonitor(got)
+	for i, sm := range testSet(t, 60).Samples {
+		var measured *float64
+		if i%10 == 0 {
+			measured = &sm.PNode
+		}
+		a, err := ref.Push(sm.PMC, measured)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := mon.Push(sm.PMC, measured)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameMonitorEstimate(a, b) {
+			t.Fatalf("step %d: legacy model estimates %+v, current %+v", i, b, a)
+		}
 	}
 }

@@ -25,9 +25,6 @@ type DynamicTRROptions struct {
 	// FineTuneOnline enables per-measurement refinement during Run.
 	FineTuneOnline bool
 	Seed           int64
-	// Workers shards LSTM mini-batches across a worker pool: 0 uses every
-	// CPU, 1 forces the bit-exact serial path (see internal/neural).
-	Workers int
 }
 
 // DefaultDynamicTRROptions returns the §6.1 configuration sized for the
@@ -82,7 +79,6 @@ func FitDynamicTRR(train *dataset.Set, opts DynamicTRROptions) (*DynamicTRR, err
 	seqs, targets := dataset.WindowsToSeqs(windows)
 	net := neural.NewLSTM(opts.Hidden, opts.Layers, opts.Seed)
 	net.Epochs = opts.Epochs
-	net.Workers = opts.Workers
 	if err := net.FitSeq(seqs, targets); err != nil {
 		return nil, fmt.Errorf("core: DynamicTRR fit: %w", err)
 	}
@@ -143,58 +139,11 @@ func (d *DynamicTRR) Run(set *dataset.Set, measuredIdx []int, vals []float64) ([
 		}
 		return trendAt(i - 1)
 	}
-	// Rolling window buffer. Each prediction needs the trailing miss rows of
-	// (PMC, prevAt) features. PMCs never change, and a row's prev feature is
-	// frozen once it comes from a measurement; only trend-extrapolated prev
-	// features change, and only when the trend state advances (a new
-	// measurement, or est[0] being written at step 0). So instead of
-	// rebuilding miss rows per step, the window slides one reused row per
-	// step and refreshes exactly the rows whose prev feature went stale,
-	// tracked with an epoch counter. The emitted features — and therefore
-	// the estimates — are identical to rebuilding every window from scratch.
-	prevEpoch := 1
+	// win is the trailing miss rows of (PMC, prevAt) features, rebuilt in
+	// place for every prediction.
 	win := make([][]float64, miss)
-	winIdx := make([]int, miss)    // sample index of each row
-	winEpoch := make([]int, miss)  // prevEpoch when the row's prev was computed
-	winFixed := make([]bool, miss) // prev came from a measurement: never stale
 	for j := range win {
 		win[j] = make([]float64, pmu.NumEvents+1)
-	}
-	winEnd := -2 // sample index of the window's last row; -2 = unfilled
-	fillRow := func(j, i int) {
-		copy(win[j], set.Samples[i].PMC)
-		win[j][pmu.NumEvents] = prevAt(i)
-		winIdx[j] = i
-		winEpoch[j] = prevEpoch
-		_, m0 := measured[0]
-		_, mp := measured[i-1]
-		winFixed[j] = (i <= 0 && m0) || (i > 0 && mp)
-	}
-	window := func(end int) [][]float64 {
-		if winEnd < 0 || winEnd < end-miss { // unfilled or too far behind: refill outright
-			for j := 0; j < miss; j++ {
-				fillRow(j, max(0, end-miss+1+j))
-			}
-		} else {
-			for winEnd < end { // slide, reusing the evicted row's buffer
-				winEnd++
-				first := win[0]
-				copy(win, win[1:])
-				copy(winIdx, winIdx[1:])
-				copy(winEpoch, winEpoch[1:])
-				copy(winFixed, winFixed[1:])
-				win[miss-1] = first
-				fillRow(miss-1, winEnd)
-			}
-			for j := 0; j < miss; j++ {
-				if !winFixed[j] && winEpoch[j] != prevEpoch {
-					win[j][pmu.NumEvents] = prevAt(winIdx[j])
-					winEpoch[j] = prevEpoch
-				}
-			}
-		}
-		winEnd = end
-		return win
 	}
 
 	var lastMeasured = -1
@@ -213,12 +162,13 @@ func (d *DynamicTRR) Run(set *dataset.Set, measuredIdx []int, vals []float64) ([
 			}
 			lastMeasured = i
 			lastIdx, lastVal = i, v
-			prevEpoch++ // trend state advanced: extrapolated rows are stale
 		} else {
-			est[i] = d.Net.PredictLast(window(i))
-		}
-		if i == 0 {
-			prevEpoch++ // est[0] was just written; prevAt(0) reads it
+			for j, row := range win {
+				k := max(0, i-miss+1+j)
+				copy(row, set.Samples[k].PMC)
+				row[pmu.NumEvents] = prevAt(k)
+			}
+			est[i] = d.Net.PredictLast(win)
 		}
 	}
 	return est, nil

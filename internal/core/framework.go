@@ -46,13 +46,13 @@ func (o *Options) SetMissInterval(samples int) {
 	o.Dynamic.MissInterval = samples
 }
 
-// SetWorkers adjusts every sub-model's training worker count together:
-// 0 uses every CPU, 1 forces the bit-exact serial paths.
-func (o *Options) SetWorkers(workers int) {
-	o.Static.Workers = workers
-	o.Dynamic.Workers = workers
-	o.SRR.Workers = workers
-}
+// SetWorkers does nothing: training is one serial path whose result depends
+// on seed and data alone.
+//
+// Deprecated: kept only because bench/gen.go, frozen with the rest of bench/,
+// still calls SetWorkers(1); the benchmark PR that drops that call deletes
+// this method with it.
+func (o *Options) SetWorkers(int) {}
 
 // HighRPM bundles the trained TRR and SRR models (Fig. 3).
 type HighRPM struct {

@@ -20,9 +20,6 @@ type SRROptions struct {
 	// the Table 8 ablation.
 	UseNode bool
 	Seed    int64
-	// Workers shards MLP mini-batches across a worker pool: 0 uses every
-	// CPU, 1 forces the bit-exact serial path (see internal/neural).
-	Workers int
 }
 
 // DefaultSRROptions returns the §6.2 configuration.
@@ -67,7 +64,6 @@ func FitSRR(train *dataset.Set, nodeFeature []float64, opts SRROptions) (*SRR, e
 	}
 	net := neural.NewMLP([]int{opts.Hidden}, 2, opts.Seed)
 	net.Epochs = opts.Epochs
-	net.Workers = opts.Workers
 	if err := net.FitMulti(x, y); err != nil {
 		return nil, fmt.Errorf("core: SRR fit: %w", err)
 	}

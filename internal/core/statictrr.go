@@ -28,10 +28,6 @@ type StaticTRROptions struct {
 	Alpha, Beta float64
 	// Seed drives the ResModel's internal randomness.
 	Seed int64
-	// Workers bounds the goroutines the ResModel's split scan may use:
-	// 0 uses every CPU, 1 forces serial fitting. The fitted tree is
-	// identical either way.
-	Workers int
 }
 
 // DefaultStaticTRROptions returns the §6.1 configuration.
@@ -99,7 +95,6 @@ func FitStaticTRR(train *dataset.Set, opts StaticTRROptions) (*StaticTRR, error)
 	dt.Seed = opts.Seed
 	dt.MaxDepth = 16
 	dt.MinSamplesLeaf = 3
-	dt.Workers = opts.Workers
 	res := &model.ScaledRegressor{Inner: dt}
 	if err := res.Fit(xTrain, resid); err != nil {
 		return nil, fmt.Errorf("core: StaticTRR ResModel: %w", err)

@@ -53,10 +53,6 @@ type Config struct {
 	UnseenOnly bool
 	// Seed drives all simulation and model randomness.
 	Seed int64
-	// Workers bounds the training goroutines of every model an experiment
-	// fits (see core.Options.SetWorkers): 0 uses every CPU, 1 forces the
-	// bit-exact serial paths.
-	Workers int
 }
 
 // seenVariants lists the split kinds an experiment evaluates.
@@ -116,7 +112,6 @@ func (c Config) genConfig() dataset.GenerateConfig {
 func (c Config) coreOptions() core.Options {
 	opts := core.DefaultOptions()
 	opts.SetMissInterval(c.MissInterval)
-	opts.SetWorkers(c.Workers)
 	opts.Dynamic.Epochs = c.RNNEpochs
 	opts.Dynamic.MaxWindows = c.RNNMaxWindows
 	opts.Seed = c.Seed

@@ -12,7 +12,6 @@ import (
 // given, whatever order the experiments finish in.
 func TestRunAndRenderParallel(t *testing.T) {
 	cfg := NewConfig(ScaleBench)
-	cfg.Workers = 1
 	ids := []string{"fig2", "fig1"}
 
 	var serial bytes.Buffer

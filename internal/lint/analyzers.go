@@ -87,7 +87,7 @@ type determinism struct{}
 
 func (determinism) Name() string { return "determinism" }
 func (determinism) Doc() string {
-	return "forbid global math/rand, wall-clock time.Now/time.Since and os.Getenv in the deterministic model packages"
+	return "forbid global math/rand, wall-clock time.Now/time.Since, os.Getenv and runtime.GOMAXPROCS/NumCPU in the deterministic model packages"
 }
 
 // seededRandCtors are the math/rand entry points that construct an
@@ -123,6 +123,10 @@ func (determinism) Run(pass *Pass) {
 		case "os":
 			if name == "Getenv" || name == "LookupEnv" || name == "Environ" {
 				pass.Reportf(call.Pos(), "os.%s makes model behavior depend on the environment; plumb the value through Options", name)
+			}
+		case "runtime":
+			if name == "GOMAXPROCS" || name == "NumCPU" {
+				pass.Reportf(call.Pos(), "runtime.%s makes model behavior depend on the machine's core count; a model must be a function of seed and data alone", name)
 			}
 		}
 		return true

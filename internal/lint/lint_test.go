@@ -51,6 +51,7 @@ func TestFixtureFiresEveryAnalyzer(t *testing.T) {
 		"floateq internal/core/core.go:32",
 		"maporder internal/core/core.go:37",
 		"maporder internal/core/core.go:46",
+		"determinism internal/core/cores.go:6",
 		"errdrop internal/fleet/router.go:33",
 		"errdrop internal/fleet/router.go:38",
 		"leakcheck internal/fleet/router_test.go:10",
@@ -133,8 +134,8 @@ func TestRuleSubset(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(res.Diagnostics) != 3 {
-		t.Fatalf("got %d diagnostics, want 3: %v", len(res.Diagnostics), res.Diagnostics)
+	if len(res.Diagnostics) != 4 {
+		t.Fatalf("got %d diagnostics, want 4: %v", len(res.Diagnostics), res.Diagnostics)
 	}
 	for _, d := range res.Diagnostics {
 		if d.Rule != "determinism" {

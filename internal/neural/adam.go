@@ -46,13 +46,6 @@ func (t *tensor) zeroGrad() {
 	}
 }
 
-// shadow returns a view sharing this tensor's parameters with a private
-// gradient buffer. Parallel training workers accumulate into shadows and
-// the reducer folds them back into the primary tensor in shard order.
-func (t *tensor) shadow() *tensor {
-	return &tensor{W: t.W, G: make([]float64, len(t.G)), R: t.R, C: t.C}
-}
-
 // adam holds optimizer state shared by all tensors of a network.
 type adam struct {
 	LR      float64

@@ -3,7 +3,6 @@ package neural
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,11 +10,10 @@ import (
 	"highrpm/internal/mat"
 )
 
-// Golden hashes of fixed-seed serially-trained models, captured from the
-// pre-parallelism implementation. Workers=1 must keep reproducing them
-// byte-for-byte: the determinism contract promises that the serial path is
-// bit-exact with single-threaded training regardless of the buffer-reuse
-// and worker machinery added around it.
+// Golden hashes of fixed-seed trained models, captured from the original
+// allocate-per-step implementation. Training must keep reproducing them
+// byte-for-byte on any machine: the result is a function of seed and data,
+// whatever buffer reuse the executors do.
 const (
 	goldenLSTMHash = "8ede5d794035210fe2e4903404aad6ad543a6cb46ad1d7ec39c9cab13eadcf96"
 	goldenGRUHash  = "d9e3cd4433cacffcc066cc3eef723c7e190ec1a97b2115b740e615728ae34e6b"
@@ -51,12 +49,11 @@ func stateHash(t *testing.T, m interface{ MarshalState() ([]byte, error) }) stri
 	return hex.EncodeToString(sum[:])
 }
 
-func fitLSTM(t *testing.T, workers int) *LSTM {
+func fitLSTM(t *testing.T) *LSTM {
 	t.Helper()
 	seqs, targets := goldenData(42, 24, 12, 6)
 	l := NewLSTM(8, 2, 7)
 	l.Epochs = 4
-	l.Workers = workers
 	if err := l.FitSeq(seqs, targets); err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +63,11 @@ func fitLSTM(t *testing.T, workers int) *LSTM {
 	return l
 }
 
-func fitGRU(t *testing.T, workers int) *GRU {
+func fitGRU(t *testing.T) *GRU {
 	t.Helper()
 	seqs, targets := goldenData(42, 24, 12, 6)
 	g := NewGRU(8, 2, 7)
 	g.Epochs = 4
-	g.Workers = workers
 	if err := g.FitSeq(seqs, targets); err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +92,11 @@ func mlpData() (*mat.Dense, *mat.Dense) {
 	return x, y
 }
 
-func fitMLP(t *testing.T, workers int) *MLP {
+func fitMLP(t *testing.T) *MLP {
 	t.Helper()
 	x, y := mlpData()
 	m := NewMLP([]int{16}, 2, 5)
 	m.Epochs = 6
-	m.Workers = workers
 	if err := m.FitMulti(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -112,51 +107,14 @@ func fitMLP(t *testing.T, workers int) *MLP {
 }
 
 func TestSerialTrainingMatchesGolden(t *testing.T) {
-	if h := stateHash(t, fitLSTM(t, 1)); h != goldenLSTMHash {
-		t.Errorf("LSTM Workers=1 hash = %s, want golden %s", h, goldenLSTMHash)
+	if h := stateHash(t, fitLSTM(t)); h != goldenLSTMHash {
+		t.Errorf("LSTM hash = %s, want golden %s", h, goldenLSTMHash)
 	}
-	if h := stateHash(t, fitGRU(t, 1)); h != goldenGRUHash {
-		t.Errorf("GRU Workers=1 hash = %s, want golden %s", h, goldenGRUHash)
+	if h := stateHash(t, fitGRU(t)); h != goldenGRUHash {
+		t.Errorf("GRU hash = %s, want golden %s", h, goldenGRUHash)
 	}
-	if h := stateHash(t, fitMLP(t, 1)); h != goldenMLPHash {
-		t.Errorf("MLP Workers=1 hash = %s, want golden %s", h, goldenMLPHash)
-	}
-}
-
-// TestParallelTrainingDeterministic pins the weaker contract for Workers>1:
-// for a fixed worker count, repeated fixed-seed runs are bit-identical
-// (gradient shards are reduced in fixed order), and the result stays within
-// numerical tolerance of the serial model — the shard reduction reorders
-// floating-point sums but changes nothing else.
-func TestParallelTrainingDeterministic(t *testing.T) {
-	serialL := fitLSTM(t, 1)
-	serialM := fitMLP(t, 1)
-	seqs, _ := goldenData(42, 24, 12, 6)
-	x, _ := mlpData()
-	for _, w := range []int{2, 4} {
-		la, lb := fitLSTM(t, w), fitLSTM(t, w)
-		if ha, hb := stateHash(t, la), stateHash(t, lb); ha != hb {
-			t.Errorf("LSTM Workers=%d: run-to-run hashes differ: %s vs %s", w, ha, hb)
-		}
-		assertClose(t, serialL.PredictSeq(seqs[0]), la.PredictSeq(seqs[0]), 1e-2, "LSTM", w)
-
-		ma, mb := fitMLP(t, w), fitMLP(t, w)
-		if ha, hb := stateHash(t, ma), stateHash(t, mb); ha != hb {
-			t.Errorf("MLP Workers=%d: run-to-run hashes differ: %s vs %s", w, ha, hb)
-		}
-		assertClose(t, serialM.PredictMulti(x.Row(0)), ma.PredictMulti(x.Row(0)), 1e-2, "MLP", w)
-	}
-}
-
-func assertClose(t *testing.T, want, got []float64, tol float64, label string, workers int) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s Workers=%d: %d vs %d outputs", label, workers, len(want), len(got))
-	}
-	for i := range want {
-		if d := math.Abs(want[i] - got[i]); d > tol*(1+math.Abs(want[i])) {
-			t.Errorf("%s Workers=%d: output %d diverged from serial: %g vs %g", label, workers, i, want[i], got[i])
-		}
+	if h := stateHash(t, fitMLP(t)); h != goldenMLPHash {
+		t.Errorf("MLP hash = %s, want golden %s", h, goldenMLPHash)
 	}
 }
 
@@ -164,8 +122,8 @@ func assertClose(t *testing.T, want, got []float64, tol float64, label string, w
 // the cluster service does: many goroutines sharing one fitted model. Run
 // under -race this is the regression test for scratch sharing.
 func TestConcurrentPrediction(t *testing.T) {
-	l := fitLSTM(t, 1)
-	m := fitMLP(t, 1)
+	l := fitLSTM(t)
+	m := fitMLP(t)
 	seqs, _ := goldenData(42, 24, 12, 6)
 	x, _ := mlpData()
 	wantSeq := l.PredictSeq(seqs[1])

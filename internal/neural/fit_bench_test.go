@@ -1,28 +1,18 @@
 package neural
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
-// BenchmarkLSTMFit measures a full fixed-seed LSTM fit at several worker
-// counts. Workers=1 is the allocation-lean serial path (the allocs/op figure
-// is the PR 3 acceptance metric); higher counts show the data-parallel
-// speedup on multi-core machines.
+// BenchmarkLSTMFit measures a full fixed-seed LSTM fit; its allocs/op
+// figure shows the executor allocating per fit, not per step.
 func BenchmarkLSTMFit(b *testing.B) {
 	seqs, targets := goldenData(42, 32, 16, 8)
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				l := NewLSTM(16, 2, 7)
-				l.Epochs = 2
-				l.Workers = w
-				if err := l.FitSeq(seqs, targets); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l := NewLSTM(16, 2, 7)
+		l.Epochs = 2
+		if err := l.FitSeq(seqs, targets); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -33,7 +23,6 @@ func BenchmarkFineTuneLatency(b *testing.B) {
 	seqs, targets := goldenData(42, 32, 16, 8)
 	l := NewLSTM(16, 2, 7)
 	l.Epochs = 2
-	l.Workers = 1
 	if err := l.FitSeq(seqs, targets); err != nil {
 		b.Fatal(err)
 	}

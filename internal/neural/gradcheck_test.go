@@ -146,7 +146,7 @@ func TestMLPGradients(t *testing.T) {
 	for _, tns := range append(append([]*tensor{}, n.Win...), n.Bin...) {
 		tns.zeroGrad()
 	}
-	ex := n.trainExec()
+	ex := n.exec
 	ex.backprop(&n.XScaler, n.YScaler, xs, ys)
 
 	loss := func() float64 {

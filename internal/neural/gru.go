@@ -1,11 +1,8 @@
 package neural
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
-
-	"highrpm/internal/model"
+	"math/rand"
 )
 
 // gruCell is one GRU layer. Gate blocks in the 3H dimension are ordered
@@ -18,7 +15,7 @@ type gruCell struct {
 	b       *tensor // 1 × 3H
 }
 
-func newGRUCell(in, hid int, rng interface{ NormFloat64() float64 }) *gruCell {
+func newGRUCell(in, hid int, rng *rand.Rand) cell {
 	c := &gruCell{in: in, hid: hid,
 		wx: newTensor(in, 3*hid), wh: newTensor(hid, 3*hid), b: newTensor(1, 3*hid)}
 	scaleX := 1 / math.Sqrt(float64(in))
@@ -86,11 +83,6 @@ func (s *gruScratch) begin(T int) (cellState, cellState) {
 func (g *gruCell) inputSize() int     { return g.in }
 func (g *gruCell) hiddenSize() int    { return g.hid }
 func (g *gruCell) tensors() []*tensor { return []*tensor{g.wx, g.wh, g.b} }
-
-func (g *gruCell) shadow() cell {
-	return &gruCell{in: g.in, hid: g.hid,
-		wx: g.wx.shadow(), wh: g.wh.shadow(), b: g.b.shadow()}
-}
 
 func (g *gruCell) step(scr cellScratch, t int, x []float64, st cellState) cellState {
 	s := scr.(*gruScratch)
@@ -186,128 +178,3 @@ func (g *gruCell) back(scr cellScratch, t int, dst cellState) ([]float64, cellSt
 	}
 	return dx, cellState{h: dhPrev}
 }
-
-// GRU is the gated-recurrent-unit baseline of Table 4, structured like the
-// paper's DynamicTRR network (two recurrent layers + linear readout).
-type GRU struct {
-	Hidden         int     `json:"hidden"`
-	Layers         int     `json:"layers"`
-	LR             float64 `json:"lr"`
-	Epochs         int     `json:"epochs"`
-	BatchSize      int     `json:"batch_size"`
-	FineTuneEpochs int     `json:"fine_tune_epochs"`
-	Seed           int64   `json:"seed"`
-	// Workers shards mini-batches across a worker pool during FitSeq and
-	// FineTune: 0 uses every CPU, 1 forces the bit-exact serial path, N>1
-	// uses N workers (deterministic for a fixed N). Never persisted.
-	Workers int `json:"-"`
-
-	inputDim int
-	net      *seqNet
-}
-
-// NewGRU returns a GRU with the paper's two layers; hidden defaults to 16.
-func NewGRU(hidden, layers int, seed int64) *GRU {
-	if hidden <= 0 {
-		hidden = 16
-	}
-	if layers <= 0 {
-		layers = 2
-	}
-	return &GRU{Hidden: hidden, Layers: layers, LR: 0.01, Epochs: 30, BatchSize: 16, FineTuneEpochs: 2, Seed: seed}
-}
-
-func (g *GRU) build(inputDim int) {
-	g.inputDim = inputDim
-	rng := newDetRand(g.Seed)
-	var cells []cell
-	in := inputDim
-	for k := 0; k < g.Layers; k++ {
-		cells = append(cells, newGRUCell(in, g.Hidden, rng))
-		in = g.Hidden
-	}
-	g.net = newSeqNet(cells, g.LR, g.Seed+1)
-}
-
-// FitSeq trains the network on windows with per-step targets.
-func (g *GRU) FitSeq(seqs [][][]float64, targets [][]float64) error {
-	if len(seqs) == 0 {
-		return fmt.Errorf("neural: no training windows")
-	}
-	g.build(len(seqs[0][0]))
-	g.net.workers = resolveWorkers(g.Workers)
-	g.net.fitScalers(seqs, targets)
-	return g.net.trainWindows(seqs, targets, g.Epochs, g.BatchSize)
-}
-
-// FineTune runs a few additional epochs without re-initialising.
-func (g *GRU) FineTune(seqs [][][]float64, targets [][]float64) error {
-	if g.net == nil || !g.net.fitted {
-		return fmt.Errorf("neural: FineTune before FitSeq")
-	}
-	epochs := g.FineTuneEpochs
-	if epochs <= 0 {
-		epochs = 2
-	}
-	g.net.workers = resolveWorkers(g.Workers)
-	return g.net.trainWindows(seqs, targets, epochs, g.BatchSize)
-}
-
-// PredictSeq returns one prediction per window step.
-func (g *GRU) PredictSeq(window [][]float64) []float64 {
-	if g.net == nil {
-		panic("neural: GRU is not fitted")
-	}
-	return g.net.predictWindow(window)
-}
-
-// Kind implements model.Persistable.
-func (g *GRU) Kind() string { return "neural.gru" }
-
-// MarshalState implements model.Persistable.
-func (g *GRU) MarshalState() ([]byte, error) {
-	if g.net == nil {
-		return nil, fmt.Errorf("neural: marshal of unfitted GRU")
-	}
-	st := rnnState{
-		Hidden: g.Hidden, Layers: g.Layers, LR: g.LR, Epochs: g.Epochs,
-		Batch: g.BatchSize, Seed: g.Seed, InputDim: g.inputDim,
-		Wy: g.net.wy.W, By: g.net.by.W[0],
-		XScaler: g.net.xScaler, YScaler: g.net.yScaler,
-	}
-	for _, c := range g.net.layers {
-		gc := c.(*gruCell)
-		st.Tensors = append(st.Tensors, [][]float64{gc.wx.W, gc.wh.W, gc.b.W})
-	}
-	return json.Marshal(st)
-}
-
-func decodeGRU(b []byte) (any, error) {
-	var st rnnState
-	if err := json.Unmarshal(b, &st); err != nil {
-		return nil, err
-	}
-	g := NewGRU(st.Hidden, st.Layers, st.Seed)
-	g.LR, g.Epochs, g.BatchSize = st.LR, st.Epochs, st.Batch
-	g.build(st.InputDim)
-	for k, c := range g.net.layers {
-		gc := c.(*gruCell)
-		copy(gc.wx.W, st.Tensors[k][0])
-		copy(gc.wh.W, st.Tensors[k][1])
-		copy(gc.b.W, st.Tensors[k][2])
-	}
-	copy(g.net.wy.W, st.Wy)
-	g.net.by.W[0] = st.By
-	g.net.xScaler, g.net.yScaler = st.XScaler, st.YScaler
-	g.net.fitted = true
-	return g, nil
-}
-
-func init() {
-	model.RegisterKind("neural.gru", decodeGRU)
-}
-
-var (
-	_ model.SeqRegressor = (*GRU)(nil)
-	_ model.FineTuner    = (*GRU)(nil)
-)

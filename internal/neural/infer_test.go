@@ -10,9 +10,10 @@ import (
 // recording step: PredictSeq (which runs stepInfer via the prediction
 // pool) must produce bit-identical outputs to a forward pass through the
 // training executor's step path, before and after further training moves
-// the weights. PredictLast rides the same check: it must equal the final
-// element of PredictSeq bit for bit (that it allocates nothing is pinned
-// where it matters, by core's TestMonitorPushZeroAlloc).
+// the weights. PredictLast rides the same check, for the GRU (which has no
+// fused step) as well: it must equal the final element of PredictSeq bit
+// for bit (that it allocates nothing is pinned where it matters, by core's
+// TestMonitorPushZeroAlloc).
 func TestLSTMInferPathBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const dim, T, nwin = 7, 12, 24
@@ -36,8 +37,12 @@ func TestLSTMInferPathBitExact(t *testing.T) {
 	seqs, targets := makeData()
 	l := NewLSTM(8, 2, 3)
 	l.Epochs = 2
-	l.Workers = 1
 	if err := l.FitSeq(seqs, targets); err != nil {
+		t.Fatal(err)
+	}
+	g := NewGRU(8, 2, 3)
+	g.Epochs = 2
+	if err := g.FitSeq(seqs, targets); err != nil {
 		t.Fatal(err)
 	}
 
@@ -62,9 +67,12 @@ func TestLSTMInferPathBitExact(t *testing.T) {
 						stage, w, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 				}
 			}
-			if last := l.PredictLast(seqs[w]); math.Float64bits(last) != math.Float64bits(got[T-1]) {
-				t.Fatalf("%s: window %d: PredictLast %x != PredictSeq[T-1] %x",
-					stage, w, math.Float64bits(last), math.Float64bits(got[T-1]))
+			for _, m := range []*seqModel{&l.seqModel, &g.seqModel} {
+				last, seq := m.PredictLast(seqs[w]), m.PredictSeq(seqs[w])
+				if math.Float64bits(last) != math.Float64bits(seq[T-1]) {
+					t.Fatalf("%s: %s window %d: PredictLast %x != PredictSeq[T-1] %x",
+						stage, m.kind, w, math.Float64bits(last), math.Float64bits(seq[T-1]))
+				}
 			}
 		}
 	}
@@ -72,6 +80,9 @@ func TestLSTMInferPathBitExact(t *testing.T) {
 
 	// Move the weights and confirm the cached transposes refresh.
 	if err := l.FineTune(seqs[:8], targets[:8]); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.FineTune(seqs[:8], targets[:8]); err != nil {
 		t.Fatal(err)
 	}
 	check("after fine-tune")

@@ -1,12 +1,9 @@
 package neural
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
+	"math/rand"
 	"sync"
-
-	"highrpm/internal/model"
 )
 
 // lstmCell is one LSTM layer. Gate blocks in the 4H dimension are ordered
@@ -27,7 +24,7 @@ type lstmCell struct {
 	}
 }
 
-func newLSTMCell(in, hid int, rng interface{ NormFloat64() float64 }) *lstmCell {
+func newLSTMCell(in, hid int, rng *rand.Rand) cell {
 	c := &lstmCell{in: in, hid: hid,
 		wx: newTensor(in, 4*hid), wh: newTensor(hid, 4*hid), b: newTensor(1, 4*hid)}
 	scaleX := 1 / math.Sqrt(float64(in))
@@ -101,11 +98,6 @@ func (s *lstmScratch) begin(T int) (cellState, cellState) {
 func (l *lstmCell) inputSize() int     { return l.in }
 func (l *lstmCell) hiddenSize() int    { return l.hid }
 func (l *lstmCell) tensors() []*tensor { return []*tensor{l.wx, l.wh, l.b} }
-
-func (l *lstmCell) shadow() cell {
-	return &lstmCell{in: l.in, hid: l.hid,
-		wx: l.wx.shadow(), wh: l.wh.shadow(), b: l.b.shadow()}
-}
 
 func (l *lstmCell) step(scr cellScratch, t int, x []float64, st cellState) cellState {
 	s := scr.(*lstmScratch)
@@ -274,169 +266,4 @@ func (l *lstmCell) back(scr cellScratch, t int, dst cellState) ([]float64, cellS
 		dhPrev[i] = acc
 	}
 	return dx, cellState{h: dhPrev, c: dcPrev}
-}
-
-// LSTM is the recurrent sequence model used by DynamicTRR (§4.2.2: "a
-// compact LSTM model with an input layer, two hidden layers, and a fully
-// connected layer") and as the Table 4 LSTM baseline.
-type LSTM struct {
-	Hidden    int     `json:"hidden"`
-	Layers    int     `json:"layers"`
-	LR        float64 `json:"lr"`
-	Epochs    int     `json:"epochs"`
-	BatchSize int     `json:"batch_size"`
-	// FineTuneEpochs controls how many passes FineTune runs (default 2).
-	FineTuneEpochs int   `json:"fine_tune_epochs"`
-	Seed           int64 `json:"seed"`
-	// Workers shards mini-batches across a worker pool during FitSeq and
-	// FineTune: 0 uses every CPU, 1 forces the bit-exact serial path, N>1
-	// uses N workers (deterministic for a fixed N). Not part of the model
-	// state: it never persists.
-	Workers int `json:"-"`
-
-	inputDim int
-	net      *seqNet
-}
-
-// NewLSTM returns an LSTM with the paper's two layers; hidden defaults to 16
-// when non-positive (kept compact per §6.4.3's finding that small networks
-// work best).
-func NewLSTM(hidden, layers int, seed int64) *LSTM {
-	if hidden <= 0 {
-		hidden = 16
-	}
-	if layers <= 0 {
-		layers = 2
-	}
-	return &LSTM{Hidden: hidden, Layers: layers, LR: 0.01, Epochs: 30, BatchSize: 16, FineTuneEpochs: 2, Seed: seed}
-}
-
-func (l *LSTM) build(inputDim int) {
-	l.inputDim = inputDim
-	var cells []cell
-	// One shared RNG via a throwaway seqNet would be circular; build the
-	// net first with empty layers is awkward, so seed a local source.
-	rng := newDetRand(l.Seed)
-	in := inputDim
-	for k := 0; k < l.Layers; k++ {
-		cells = append(cells, newLSTMCell(in, l.Hidden, rng))
-		in = l.Hidden
-	}
-	l.net = newSeqNet(cells, l.LR, l.Seed+1)
-}
-
-// FitSeq trains the network on windows with per-step targets.
-func (l *LSTM) FitSeq(seqs [][][]float64, targets [][]float64) error {
-	if len(seqs) == 0 {
-		return fmt.Errorf("neural: no training windows")
-	}
-	l.build(len(seqs[0][0]))
-	l.net.workers = resolveWorkers(l.Workers)
-	l.net.fitScalers(seqs, targets)
-	return l.net.trainWindows(seqs, targets, l.Epochs, l.BatchSize)
-}
-
-// FineTune runs a few additional epochs without re-initialising (§4.2.2:
-// per-window refinement when a measured reading arrives; §6.4.5 reports this
-// costs < 2 s).
-func (l *LSTM) FineTune(seqs [][][]float64, targets [][]float64) error {
-	if l.net == nil || !l.net.fitted {
-		return fmt.Errorf("neural: FineTune before FitSeq")
-	}
-	epochs := l.FineTuneEpochs
-	if epochs <= 0 {
-		epochs = 2
-	}
-	l.net.workers = resolveWorkers(l.Workers)
-	return l.net.trainWindows(seqs, targets, epochs, l.BatchSize)
-}
-
-// PredictSeq returns one prediction per window step.
-func (l *LSTM) PredictSeq(window [][]float64) []float64 {
-	if l.net == nil {
-		panic("neural: LSTM is not fitted")
-	}
-	return l.net.predictWindow(window)
-}
-
-// PredictLast returns the prediction for the window's final step —
-// bit-identical to PredictSeq(window)[len(window)-1] — without allocating
-// the per-step result slice. It is what a streaming caller wants: every
-// step but the newest was already answered by an earlier window.
-func (l *LSTM) PredictLast(window [][]float64) float64 {
-	if l.net == nil {
-		panic("neural: LSTM is not fitted")
-	}
-	return l.net.predictLast(window)
-}
-
-var (
-	_ model.SeqRegressor = (*LSTM)(nil)
-	_ model.FineTuner    = (*LSTM)(nil)
-)
-
-// rnnState is the shared JSON schema for LSTM and GRU persistence.
-type rnnState struct {
-	Hidden   int           `json:"hidden"`
-	Layers   int           `json:"layers"`
-	LR       float64       `json:"lr"`
-	Epochs   int           `json:"epochs"`
-	Batch    int           `json:"batch_size"`
-	Seed     int64         `json:"seed"`
-	InputDim int           `json:"input_dim"`
-	Tensors  [][][]float64 `json:"tensors"` // per layer: wx, wh, b
-	Wy       []float64     `json:"wy"`
-	By       float64       `json:"by"`
-	XScaler  scalerND      `json:"x_scaler"`
-	YScaler  scaler1d      `json:"y_scaler"`
-}
-
-func (l *LSTM) snapshot() rnnState {
-	st := rnnState{
-		Hidden: l.Hidden, Layers: l.Layers, LR: l.LR, Epochs: l.Epochs,
-		Batch: l.BatchSize, Seed: l.Seed, InputDim: l.inputDim,
-		Wy: l.net.wy.W, By: l.net.by.W[0],
-		XScaler: l.net.xScaler, YScaler: l.net.yScaler,
-	}
-	for _, c := range l.net.layers {
-		lc := c.(*lstmCell)
-		st.Tensors = append(st.Tensors, [][]float64{lc.wx.W, lc.wh.W, lc.b.W})
-	}
-	return st
-}
-
-// Kind implements model.Persistable.
-func (l *LSTM) Kind() string { return "neural.lstm" }
-
-// MarshalState implements model.Persistable.
-func (l *LSTM) MarshalState() ([]byte, error) {
-	if l.net == nil {
-		return nil, fmt.Errorf("neural: marshal of unfitted LSTM")
-	}
-	return json.Marshal(l.snapshot())
-}
-
-func decodeLSTM(b []byte) (any, error) {
-	var st rnnState
-	if err := json.Unmarshal(b, &st); err != nil {
-		return nil, err
-	}
-	l := NewLSTM(st.Hidden, st.Layers, st.Seed)
-	l.LR, l.Epochs, l.BatchSize = st.LR, st.Epochs, st.Batch
-	l.build(st.InputDim)
-	for k, c := range l.net.layers {
-		lc := c.(*lstmCell)
-		copy(lc.wx.W, st.Tensors[k][0])
-		copy(lc.wh.W, st.Tensors[k][1])
-		copy(lc.b.W, st.Tensors[k][2])
-	}
-	copy(l.net.wy.W, st.Wy)
-	l.net.by.W[0] = st.By
-	l.net.xScaler, l.net.yScaler = st.XScaler, st.YScaler
-	l.net.fitted = true
-	return l, nil
-}
-
-func init() {
-	model.RegisterKind("neural.lstm", decodeLSTM)
 }

@@ -25,10 +25,6 @@ type MLP struct {
 	Epochs    int     `json:"epochs"`     // training epochs
 	BatchSize int     `json:"batch_size"` // mini-batch size
 	Seed      int64   `json:"seed"`
-	// Workers shards mini-batches across a worker pool during Fit and
-	// TrainMore: 0 uses every CPU, 1 forces the bit-exact serial path, N>1
-	// uses N workers (deterministic for a fixed N). Never persisted.
-	Workers int `json:"-"`
 
 	// Fitted state.
 	Win     []*tensor // weight matrices, layer l: (in_l × out_l)
@@ -38,18 +34,16 @@ type MLP struct {
 
 	rng  *rand.Rand
 	opt  *adam
-	exec *mlpExec   // serial-path training executor, lazily built
-	pool []*mlpExec // parallel training workers, lazily built
+	exec *mlpExec // training executor
 
 	// predPool recycles prediction scratch so concurrent Predict callers
 	// stay race-free without reallocating activations per call.
 	predPool sync.Pool
 }
 
-// mlpExec owns the forward/backward scratch of one training goroutine: the
-// standardized input, per-layer activations and per-layer deltas. Workers
-// additionally carry shadow tensors sharing the network weights with
-// private gradients.
+// mlpExec owns the forward/backward scratch of one goroutine (the trainer,
+// or a pooled predictor): the standardized input, per-layer activations and
+// per-layer deltas.
 type mlpExec struct {
 	win, bin []*tensor
 	sx       []float64
@@ -65,17 +59,6 @@ func newMLPExec(win, bin []*tensor, inputs int) *mlpExec {
 		e.deltas = append(e.deltas, make([]float64, w.C))
 	}
 	return e
-}
-
-// shadowMLPExec clones the layer tensors with private gradients.
-func shadowMLPExec(win, bin []*tensor, inputs int) *mlpExec {
-	sw := make([]*tensor, len(win))
-	sb := make([]*tensor, len(bin))
-	for l := range win {
-		sw[l] = win[l].shadow()
-		sb[l] = bin[l].shadow()
-	}
-	return newMLPExec(sw, sb, inputs)
 }
 
 // forward runs the network on a raw input, standardizing into the exec's
@@ -204,11 +187,10 @@ func (n *MLP) initNet(inputs int) {
 		tensors = append(tensors, w, b)
 	}
 	n.opt = newAdam(n.LR, tensors...)
-	// The layer tensors changed identity: drop executors bound to the old
-	// ones (stale prediction executors age out of predPool via the pointer
-	// check in predExec).
-	n.exec = nil
-	n.pool = nil
+	// The layer tensors changed identity: the training executor is rebuilt
+	// against the new ones (stale prediction executors age out of predPool
+	// via the pointer check in predExec).
+	n.exec = newMLPExec(n.Win, n.Bin, inputs)
 }
 
 // Fit trains a single-output network (model.Regressor).
@@ -261,7 +243,6 @@ func (n *MLP) train(x, y *mat.Dense, epochs int) error {
 	if batch <= 0 {
 		batch = 32
 	}
-	workers := resolveWorkers(n.Workers)
 	order := n.rng.Perm(r)
 	for e := 0; e < epochs; e++ {
 		n.rng.Shuffle(r, func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -270,63 +251,13 @@ func (n *MLP) train(x, y *mat.Dense, epochs int) error {
 			if end > r {
 				end = r
 			}
-			idxs := order[start:end]
-			if w := min(workers, len(idxs)); w <= 1 {
-				ex := n.trainExec()
-				for _, i := range idxs {
-					ex.backprop(&n.XScaler, n.YScaler, x.Row(i), y.Row(i))
-				}
-			} else {
-				n.parallelBatch(idxs, x, y, w)
+			for _, i := range order[start:end] {
+				n.exec.backprop(&n.XScaler, n.YScaler, x.Row(i), y.Row(i))
 			}
 			n.opt.Step(end-start, 5)
 		}
 	}
 	return nil
-}
-
-// trainExec returns the serial-path executor, building it on first use.
-func (n *MLP) trainExec() *mlpExec {
-	if n.exec == nil {
-		n.exec = newMLPExec(n.Win, n.Bin, n.Win[0].R)
-	}
-	return n.exec
-}
-
-// parallelBatch shards one mini-batch across w workers, each accumulating
-// into shadow gradients, then reduces the shadows into the primary tensors
-// in fixed shard order so results are deterministic for a given w.
-func (n *MLP) parallelBatch(idxs []int, x, y *mat.Dense, w int) {
-	for len(n.pool) < w {
-		n.pool = append(n.pool, shadowMLPExec(n.Win, n.Bin, n.Win[0].R))
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		lo, hi := shardRange(len(idxs), w, k)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(ex *mlpExec, part []int) {
-			defer wg.Done()
-			for _, i := range part {
-				ex.backprop(&n.XScaler, n.YScaler, x.Row(i), y.Row(i))
-			}
-		}(n.pool[k], idxs[lo:hi])
-	}
-	wg.Wait()
-	for _, ex := range n.pool[:w] {
-		for l := range n.Win {
-			for i, g := range ex.win[l].G {
-				n.Win[l].G[i] += g
-			}
-			clear(ex.win[l].G)
-			for i, g := range ex.bin[l].G {
-				n.Bin[l].G[i] += g
-			}
-			clear(ex.bin[l].G)
-		}
-	}
 }
 
 // predExec borrows a prediction executor, dropping pooled ones built

@@ -1,6 +1,7 @@
 package neural
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -268,6 +269,29 @@ func TestRNNPersistenceRoundTrips(t *testing.T) {
 			if math.Abs(got[i]-want[i]) > 1e-9 {
 				t.Fatalf("%T round trip diverged at step %d: %g vs %g", m, i, got[i], want[i])
 			}
+		}
+	}
+
+	// A state file missing a layer's tensors is an error, not an index panic.
+	state, err := l.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st rnnState
+	if err := json.Unmarshal(state, &st); err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []struct {
+		name string
+		do   func()
+	}{
+		{"tensor", func() { st.Tensors[1] = st.Tensors[1][:2] }},
+		{"layer", func() { st.Tensors = st.Tensors[:1] }},
+	} {
+		cut.do()
+		bad, _ := json.Marshal(st)
+		if err := NewLSTM(0, 0, 0).restore(bad); err == nil {
+			t.Errorf("restore accepted a state with a %s missing", cut.name)
 		}
 	}
 }

@@ -1,17 +1,19 @@
 package neural
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
+
+	"highrpm/internal/model"
 )
 
 // cell is one recurrent layer's parameters with step/backprop functions.
 // Implementations: lstmCell, gruCell. Cells hold no per-window state: all
-// scratch lives in a cellScratch so several executors (the serial trainer,
-// parallel workers, pooled predictors) can share one parameter set without
-// races.
+// scratch lives in a cellScratch so several executors (the trainer, pooled
+// predictors) can share one parameter set without races.
 type cell interface {
 	// newScratch allocates the per-executor workspace for this layer.
 	newScratch() cellScratch
@@ -23,11 +25,9 @@ type cell interface {
 	// step, accumulates parameter gradients into the cell's tensors, and
 	// returns gradients for the input and the previous state.
 	back(sc cellScratch, t int, dst cellState) (dx []float64, dprev cellState)
-	// tensors exposes the layer's parameters for the optimizer.
+	// tensors exposes the layer's parameters {wx, wh, b} for the optimizer
+	// and for persistence.
 	tensors() []*tensor
-	// shadow returns a cell sharing this cell's weights with private
-	// gradient buffers, for worker-local accumulation.
-	shadow() cell
 	// inputSize and hiddenSize describe the layer shape.
 	inputSize() int
 	hiddenSize() int
@@ -67,8 +67,6 @@ func growRows(dst [][]float64, n, w int) [][]float64 {
 // seqExec runs forward/backward passes for one goroutine. It owns every
 // intermediate buffer (scaled inputs, per-layer activations, state-gradient
 // ping-pong buffers), so a whole training epoch allocates nothing per step.
-// The cells it references may be the network's primary cells (serial
-// training, prediction) or shadows with private gradients (workers).
 type seqExec struct {
 	layers []cell
 	scr    []cellScratch
@@ -148,9 +146,7 @@ func (e *seqExec) forward(window [][]float64, xs *scalerND) []float64 {
 	return preds
 }
 
-// backprop accumulates gradients for one window into the executor's
-// tensors (the primary tensors for the serial path, shadow gradients for
-// workers).
+// backprop accumulates gradients for one window into the network's tensors.
 func (e *seqExec) backprop(window [][]float64, target []float64, xs *scalerND, ys scaler1d) {
 	preds := e.forward(window, xs)
 	top := len(e.layers) - 1
@@ -182,16 +178,8 @@ func (e *seqExec) backprop(window [][]float64, target []float64, xs *scalerND, y
 	}
 }
 
-// seqWorker is one parallel training worker: shadow cells sharing the
-// network weights with private gradient buffers, plus the executor scratch.
-type seqWorker struct {
-	exec  *seqExec
-	grads []*tensor // shadow tensors in the optimizer's reduce order
-}
-
 // seqNet is a stack of recurrent layers with a per-step linear readout,
-// trained on windows with full backpropagation through time. It backs both
-// the LSTM and GRU public types.
+// trained on windows with full backpropagation through time.
 type seqNet struct {
 	layers []cell
 	wy     *tensor // hidden × 1 readout
@@ -199,11 +187,7 @@ type seqNet struct {
 	opt    *adam
 	rng    *rand.Rand
 
-	// workers is the effective worker count for training (set by the
-	// public model types before each fit).
-	workers int
-	exec    *seqExec     // serial-path executor, lazily built
-	pool    []*seqWorker // parallel workers, lazily built
+	exec *seqExec // training executor, lazily built
 
 	// predPool recycles prediction executors so concurrent PredictSeq
 	// callers (e.g. per-connection cluster goroutines sharing one model)
@@ -243,35 +227,8 @@ func newSeqNet(layers []cell, lr float64, seed int64) *seqNet {
 	return n
 }
 
-// trainExec returns the serial-path executor, building it on first use.
-func (n *seqNet) trainExec() *seqExec {
-	if n.exec == nil {
-		n.exec = newSeqExec(n.layers, n.wy, n.by)
-	}
-	return n.exec
-}
-
-// workerPool grows the worker set to w and returns the first w workers.
-func (n *seqNet) workerPool(w int) []*seqWorker {
-	for len(n.pool) < w {
-		shadows := make([]cell, len(n.layers))
-		var grads []*tensor
-		for i, l := range n.layers {
-			sl := l.shadow()
-			shadows[i] = sl
-			grads = append(grads, sl.tensors()...)
-		}
-		swy, sby := n.wy.shadow(), n.by.shadow()
-		grads = append(grads, swy, sby)
-		n.pool = append(n.pool, &seqWorker{exec: newSeqExec(shadows, swy, sby), grads: grads})
-	}
-	return n.pool[:w]
-}
-
-// trainWindows runs epochs of BPTT over the given windows. Mini-batches are
-// sharded across the configured workers; with one worker the exact serial
-// path runs, keeping fixed-seed results bit-identical to single-threaded
-// training.
+// trainWindows runs epochs of BPTT over the given windows on one executor,
+// in shuffle order: the result depends on the seed and the data alone.
 func (n *seqNet) trainWindows(seqs [][][]float64, targets [][]float64, epochs, batch int) error {
 	if len(seqs) != len(targets) {
 		return fmt.Errorf("neural: %d windows vs %d target rows", len(seqs), len(targets))
@@ -287,9 +244,8 @@ func (n *seqNet) trainWindows(seqs [][][]float64, targets [][]float64, epochs, b
 	if batch <= 0 {
 		batch = 16
 	}
-	workers := n.workers
-	if workers < 1 {
-		workers = 1
+	if n.exec == nil {
+		n.exec = newSeqExec(n.layers, n.wy, n.by)
 	}
 	order := n.rng.Perm(len(seqs))
 	for e := 0; e < epochs; e++ {
@@ -299,18 +255,10 @@ func (n *seqNet) trainWindows(seqs [][][]float64, targets [][]float64, epochs, b
 			if end > len(order) {
 				end = len(order)
 			}
-			idxs := order[start:end]
 			steps := 0
-			for _, i := range idxs {
+			for _, i := range order[start:end] {
 				steps += len(seqs[i])
-			}
-			if w := min(workers, len(idxs)); w <= 1 {
-				ex := n.trainExec()
-				for _, i := range idxs {
-					ex.backprop(seqs[i], targets[i], &n.xScaler, n.yScaler)
-				}
-			} else {
-				n.parallelBatch(idxs, seqs, targets, w)
+				n.exec.backprop(seqs[i], targets[i], &n.xScaler, n.yScaler)
 			}
 			n.opt.Step(steps, 5)
 		}
@@ -318,37 +266,6 @@ func (n *seqNet) trainWindows(seqs [][][]float64, targets [][]float64, epochs, b
 	n.fitted = true
 	n.weightsVer.Add(1)
 	return nil
-}
-
-// parallelBatch shards one mini-batch across w workers, each accumulating
-// into its own shadow gradients, then reduces the shadows into the primary
-// tensors in fixed shard order so results are deterministic for a given w.
-func (n *seqNet) parallelBatch(idxs []int, seqs [][][]float64, targets [][]float64, w int) {
-	pool := n.workerPool(w)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		lo, hi := shardRange(len(idxs), w, k)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(wk *seqWorker, part []int) {
-			defer wg.Done()
-			for _, i := range part {
-				wk.exec.backprop(seqs[i], targets[i], &n.xScaler, n.yScaler)
-			}
-		}(pool[k], idxs[lo:hi])
-	}
-	wg.Wait()
-	for _, wk := range pool {
-		for ti, sh := range wk.grads {
-			dst := n.opt.tensors[ti].G
-			for i, g := range sh.G {
-				dst[i] += g
-			}
-			clear(sh.G)
-		}
-	}
 }
 
 // predictWindow evaluates the network on a window, de-standardizing
@@ -393,3 +310,196 @@ func (n *seqNet) fitScalers(seqs [][][]float64, targets [][]float64) {
 	n.xScaler = fitScalerND(rows)
 	n.yScaler = fitScaler1d(ys)
 }
+
+// seqModel is the recurrent model behind both public kinds: hyper-parameters,
+// a seqNet built from newCell layers, and persistence. LSTM and GRU embed it
+// and differ only in the cell they stack and the kind they persist under.
+type seqModel struct {
+	Hidden    int     `json:"hidden"`
+	Layers    int     `json:"layers"`
+	LR        float64 `json:"lr"`
+	Epochs    int     `json:"epochs"`
+	BatchSize int     `json:"batch_size"`
+	// FineTuneEpochs controls how many passes FineTune runs (default 2).
+	FineTuneEpochs int   `json:"fine_tune_epochs"`
+	Seed           int64 `json:"seed"`
+
+	kind     string
+	newCell  func(in, hid int, rng *rand.Rand) cell
+	inputDim int
+	net      *seqNet
+}
+
+// newSeqModel applies the shared defaults: the paper's two layers, and 16
+// hidden units (kept compact per §6.4.3's finding that small networks work
+// best) when the arguments are non-positive.
+func newSeqModel(kind string, newCell func(in, hid int, rng *rand.Rand) cell, hidden, layers int, seed int64) seqModel {
+	if hidden <= 0 {
+		hidden = 16
+	}
+	if layers <= 0 {
+		layers = 2
+	}
+	return seqModel{Hidden: hidden, Layers: layers, LR: 0.01, Epochs: 30, BatchSize: 16, FineTuneEpochs: 2, Seed: seed,
+		kind: kind, newCell: newCell}
+}
+
+// LSTM is the recurrent sequence model used by DynamicTRR (§4.2.2: "a
+// compact LSTM model with an input layer, two hidden layers, and a fully
+// connected layer") and as the Table 4 LSTM baseline.
+type LSTM struct{ seqModel }
+
+// NewLSTM returns an LSTM; non-positive hidden and layers default to 16 and 2.
+func NewLSTM(hidden, layers int, seed int64) *LSTM {
+	return &LSTM{newSeqModel("neural.lstm", newLSTMCell, hidden, layers, seed)}
+}
+
+// GRU is the gated-recurrent-unit baseline of Table 4, structured like the
+// paper's DynamicTRR network (two recurrent layers + linear readout).
+type GRU struct{ seqModel }
+
+// NewGRU returns a GRU; non-positive hidden and layers default to 16 and 2.
+func NewGRU(hidden, layers int, seed int64) *GRU {
+	return &GRU{newSeqModel("neural.gru", newGRUCell, hidden, layers, seed)}
+}
+
+func (m *seqModel) build(inputDim int) {
+	m.inputDim = inputDim
+	rng := newDetRand(m.Seed)
+	var cells []cell
+	in := inputDim
+	for k := 0; k < m.Layers; k++ {
+		cells = append(cells, m.newCell(in, m.Hidden, rng))
+		in = m.Hidden
+	}
+	m.net = newSeqNet(cells, m.LR, m.Seed+1)
+}
+
+// FitSeq trains the network on windows with per-step targets.
+func (m *seqModel) FitSeq(seqs [][][]float64, targets [][]float64) error {
+	if len(seqs) == 0 {
+		return fmt.Errorf("neural: no training windows")
+	}
+	m.build(len(seqs[0][0]))
+	m.net.fitScalers(seqs, targets)
+	return m.net.trainWindows(seqs, targets, m.Epochs, m.BatchSize)
+}
+
+// FineTune runs a few additional epochs without re-initialising (§4.2.2:
+// per-window refinement when a measured reading arrives; §6.4.5 reports this
+// costs < 2 s).
+func (m *seqModel) FineTune(seqs [][][]float64, targets [][]float64) error {
+	if m.net == nil || !m.net.fitted {
+		return fmt.Errorf("neural: FineTune before FitSeq")
+	}
+	epochs := m.FineTuneEpochs
+	if epochs <= 0 {
+		epochs = 2
+	}
+	return m.net.trainWindows(seqs, targets, epochs, m.BatchSize)
+}
+
+// PredictSeq returns one prediction per window step.
+func (m *seqModel) PredictSeq(window [][]float64) []float64 {
+	if m.net == nil {
+		panic(m.kind + " is not fitted")
+	}
+	return m.net.predictWindow(window)
+}
+
+// PredictLast returns the prediction for the window's final step —
+// bit-identical to PredictSeq(window)[len(window)-1] — without allocating
+// the per-step result slice. It is what a streaming caller wants: every
+// step but the newest was already answered by an earlier window.
+func (m *seqModel) PredictLast(window [][]float64) float64 {
+	if m.net == nil {
+		panic(m.kind + " is not fitted")
+	}
+	return m.net.predictLast(window)
+}
+
+// rnnState is the JSON schema both recurrent kinds persist under.
+type rnnState struct {
+	Hidden   int           `json:"hidden"`
+	Layers   int           `json:"layers"`
+	LR       float64       `json:"lr"`
+	Epochs   int           `json:"epochs"`
+	Batch    int           `json:"batch_size"`
+	Seed     int64         `json:"seed"`
+	InputDim int           `json:"input_dim"`
+	Tensors  [][][]float64 `json:"tensors"` // per layer: wx, wh, b
+	Wy       []float64     `json:"wy"`
+	By       float64       `json:"by"`
+	XScaler  scalerND      `json:"x_scaler"`
+	YScaler  scaler1d      `json:"y_scaler"`
+}
+
+// Kind implements model.Persistable.
+func (m *seqModel) Kind() string { return m.kind }
+
+// MarshalState implements model.Persistable.
+func (m *seqModel) MarshalState() ([]byte, error) {
+	if m.net == nil {
+		return nil, fmt.Errorf("neural: marshal of unfitted %s", m.kind)
+	}
+	st := rnnState{
+		Hidden: m.Hidden, Layers: m.Layers, LR: m.LR, Epochs: m.Epochs,
+		Batch: m.BatchSize, Seed: m.Seed, InputDim: m.inputDim,
+		Wy: m.net.wy.W, By: m.net.by.W[0],
+		XScaler: m.net.xScaler, YScaler: m.net.yScaler,
+	}
+	for _, c := range m.net.layers {
+		var ws [][]float64
+		for _, t := range c.tensors() {
+			ws = append(ws, t.W)
+		}
+		st.Tensors = append(st.Tensors, ws)
+	}
+	return json.Marshal(st)
+}
+
+// restore rebuilds a fitted model of m's kind from MarshalState's output.
+func (m *seqModel) restore(b []byte) error {
+	var st rnnState
+	if err := json.Unmarshal(b, &st); err != nil {
+		return err
+	}
+	*m = newSeqModel(m.kind, m.newCell, st.Hidden, st.Layers, st.Seed)
+	m.LR, m.Epochs, m.BatchSize = st.LR, st.Epochs, st.Batch
+	m.build(st.InputDim)
+	if len(st.Tensors) != len(m.net.layers) {
+		return fmt.Errorf("neural: %s state has %d layers of tensors, want %d", m.kind, len(st.Tensors), len(m.net.layers))
+	}
+	for k, c := range m.net.layers {
+		ts := c.tensors()
+		if len(st.Tensors[k]) != len(ts) {
+			return fmt.Errorf("neural: %s layer %d has %d tensors, want %d", m.kind, k, len(st.Tensors[k]), len(ts))
+		}
+		for i, t := range ts {
+			copy(t.W, st.Tensors[k][i])
+		}
+	}
+	copy(m.net.wy.W, st.Wy)
+	m.net.by.W[0] = st.By
+	m.net.xScaler, m.net.yScaler = st.XScaler, st.YScaler
+	m.net.fitted = true
+	return nil
+}
+
+func init() {
+	model.RegisterKind("neural.lstm", func(b []byte) (any, error) {
+		l := NewLSTM(0, 0, 0)
+		return l, l.restore(b)
+	})
+	model.RegisterKind("neural.gru", func(b []byte) (any, error) {
+		g := NewGRU(0, 0, 0)
+		return g, g.restore(b)
+	})
+}
+
+var (
+	_ model.SeqRegressor = (*LSTM)(nil)
+	_ model.FineTuner    = (*LSTM)(nil)
+	_ model.SeqRegressor = (*GRU)(nil)
+	_ model.FineTuner    = (*GRU)(nil)
+)

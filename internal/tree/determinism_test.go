@@ -3,18 +3,17 @@ package tree
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"highrpm/internal/mat"
 )
 
-// Golden hashes of fixed-seed fitted ensembles, captured from the
-// pre-parallelism implementation (sort.Slice presort, per-tree workspaces,
-// global-gain split scan). The refactored code must keep reproducing them
-// byte-for-byte: the presort's comparison order, the workspace rebinding and
-// the per-feature split reduction are all provably bit-exact rewrites.
+// Golden hashes of fixed-seed fitted ensembles, captured from the original
+// implementation (sort.Slice presort, per-tree workspaces, global-gain split
+// scan). Every rewrite since — the presort's comparison order, the rebound
+// workspace, the per-feature split scan, the forest's single bootstrap
+// buffer — must keep reproducing them byte-for-byte.
 const (
 	goldenTreeHash   = "fcfa25b9a78fd6138bca3be3bc8938daf0a666f3083790c71d5c2e73fde04e1a"
 	goldenForestHash = "0a4c84935a2d1ab94c331bfea345be70b6c2c9e07f6c034632b4dc098ea715b1"
@@ -51,83 +50,47 @@ func marshalHash(t *testing.T, m interface{ MarshalState() ([]byte, error) }) st
 
 func TestFittedModelsMatchGolden(t *testing.T) {
 	x, y := goldenXY(3, 600, 9)
-	for _, workers := range []int{1, 4} {
-		tr := NewRegressor()
-		tr.MaxDepth = 12
-		tr.MinSamplesLeaf = 2
-		tr.Seed = 11
-		tr.Workers = workers
-		if err := tr.Fit(x, y); err != nil {
-			t.Fatal(err)
-		}
-		if h := marshalHash(t, tr); h != goldenTreeHash {
-			t.Errorf("Regressor Workers=%d hash = %s, want golden %s", workers, h, goldenTreeHash)
-		}
+	tr := NewRegressor()
+	tr.MaxDepth = 12
+	tr.MinSamplesLeaf = 2
+	tr.Seed = 11
+	if err := tr.Fit(x, y); err != nil {
+		t.Fatal(err)
+	}
+	if h := marshalHash(t, tr); h != goldenTreeHash {
+		t.Errorf("Regressor hash = %s, want golden %s", h, goldenTreeHash)
+	}
 
-		f := NewForest(5, 13)
-		f.MaxDepth = 10
-		f.Workers = workers
-		if err := f.Fit(x, y); err != nil {
-			t.Fatal(err)
-		}
-		if h := marshalHash(t, f); h != goldenForestHash {
-			t.Errorf("Forest Workers=%d hash = %s, want golden %s", workers, h, goldenForestHash)
-		}
+	f := NewForest(5, 13)
+	f.MaxDepth = 10
+	if err := f.Fit(x, y); err != nil {
+		t.Fatal(err)
+	}
+	if h := marshalHash(t, f); h != goldenForestHash {
+		t.Errorf("Forest hash = %s, want golden %s", h, goldenForestHash)
+	}
 
-		g := NewGradientBoosting(5, 17)
-		g.Workers = workers
-		if err := g.Fit(x, y); err != nil {
-			t.Fatal(err)
-		}
-		if h := marshalHash(t, g); h != goldenGBHash {
-			t.Errorf("GradientBoosting Workers=%d hash = %s, want golden %s", workers, h, goldenGBHash)
-		}
+	g := NewGradientBoosting(5, 17)
+	if err := g.Fit(x, y); err != nil {
+		t.Fatal(err)
+	}
+	if h := marshalHash(t, g); h != goldenGBHash {
+		t.Errorf("GradientBoosting hash = %s, want golden %s", h, goldenGBHash)
 	}
 }
 
-// TestParallelSplitScanExact fits a dataset large enough to cross the
-// parallel split-scan cutoff and asserts the sharded feature scan produces
-// a bit-identical tree: the per-feature maxima and fixed-order reduction
-// select exactly the candidate the serial scan selects.
-func TestParallelSplitScanExact(t *testing.T) {
-	x, y := goldenXY(21, 2*parallelSplitCutoff, 8)
-	fit := func(workers int) string {
+// BenchmarkTreeFit measures a deep single-tree fit on 6 144 rows × 10
+// features, where the split scan over the large top-of-tree nodes dominates.
+func BenchmarkTreeFit(b *testing.B) {
+	x, y := goldenXY(21, 6144, 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
 		tr := NewRegressor()
-		tr.MaxDepth = 8
+		tr.MaxDepth = 10
 		tr.MinSamplesLeaf = 2
 		tr.Seed = 5
-		tr.Workers = workers
 		if err := tr.Fit(x, y); err != nil {
-			t.Fatal(err)
+			b.Fatal(err)
 		}
-		return marshalHash(t, tr)
-	}
-	serial := fit(1)
-	for _, w := range []int{2, 4, 7} {
-		if h := fit(w); h != serial {
-			t.Errorf("Workers=%d tree differs from serial: %s vs %s", w, h, serial)
-		}
-	}
-}
-
-// BenchmarkTreeFit measures a deep single-tree fit at several worker counts
-// on a node-count large enough to keep the split scan parallel for the top
-// of the tree.
-func BenchmarkTreeFit(b *testing.B) {
-	x, y := goldenXY(21, 3*parallelSplitCutoff, 10)
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tr := NewRegressor()
-				tr.MaxDepth = 10
-				tr.MinSamplesLeaf = 2
-				tr.Seed = 5
-				tr.Workers = w
-				if err := tr.Fit(x, y); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"highrpm/internal/mat"
 	"highrpm/internal/model"
@@ -34,14 +33,8 @@ type Regressor struct {
 	MaxFeatures int    `json:"max_features"`
 	Seed        int64  `json:"seed"`
 	Nodes       []Node `json:"nodes"`
-	// Workers bounds the goroutines used to scan split candidates on large
-	// nodes: 0 uses every CPU, 1 forces the serial path. Either way the
-	// fitted tree is bit-identical — the feature scan is reduced in fixed
-	// feature order. Never persisted.
-	Workers int `json:"-"`
 
 	rng *rand.Rand
-	par int // resolved worker count for the current Fit
 }
 
 // NewRegressor returns a tree with scikit-like defaults
@@ -52,9 +45,9 @@ func NewRegressor() *Regressor { return &Regressor{MinSamplesLeaf: 1} }
 // sample indices of the current node's range sorted by that feature. The
 // arrays are stable-partitioned on each split, so no node ever re-sorts —
 // total work is O(n·features·depth) instead of O(n log n·features·nodes).
-// A workspace is rebindable: Forest reuses one per worker across member
-// trees and GradientBoosting reuses one across stages, so ensemble fits
-// stop re-allocating O(rows·features) index state per tree.
+// A workspace is rebindable: Forest reuses one across member trees and
+// GradientBoosting one across stages, so ensemble fits stop re-allocating
+// O(rows·features) index state per tree.
 type workspace struct {
 	x *mat.Dense
 	y []float64
@@ -66,9 +59,6 @@ type workspace struct {
 	left []bool
 	// keys buffers one feature column during the presort.
 	keys []float64
-	// featGain/featThr hold per-feature results of a parallel split scan.
-	featGain []float64
-	featThr  []float64
 }
 
 // indexByKey sorts sample indices by their key (one feature column). A
@@ -99,11 +89,6 @@ func (ws *workspace) bind(x *mat.Dense, y []float64) {
 		ws.sorted = append(ws.sorted, nil)
 	}
 	ws.sorted = ws.sorted[:c]
-	if cap(ws.featGain) < c {
-		ws.featGain = make([]float64, c)
-		ws.featThr = make([]float64, c)
-	}
-	ws.featGain, ws.featThr = ws.featGain[:c], ws.featThr[:c]
 	for j := 0; j < c; j++ {
 		if cap(ws.sorted[j]) < r {
 			ws.sorted[j] = make([]int32, r)
@@ -139,7 +124,6 @@ func (t *Regressor) fitBound(ws *workspace) {
 		t.MinSamplesLeaf = 1
 	}
 	t.rng = rand.New(rand.NewSource(t.Seed))
-	t.par = resolveWorkers(t.Workers)
 	t.Nodes = t.Nodes[:0]
 	t.grow(ws, 0, len(ws.y), 1)
 }
@@ -185,11 +169,8 @@ func meanSSE(ws *workspace, lo, hi int) (mean, sse float64) {
 }
 
 // bestSplit scans candidate features for the split maximising variance
-// reduction over the presorted range. Large nodes shard the feature scan
-// across goroutines; per-feature results are reduced in fixed feature order
-// with a strict > comparison, which selects exactly the candidate the serial
-// scan selects (the first boundary, in scan order, attaining the maximum
-// gain), so parallel and serial fits are bit-identical.
+// reduction over the presorted range. The strict > keeps the first
+// candidate, in feature order, attaining the maximum gain.
 func (t *Regressor) bestSplit(ws *workspace, lo, hi int, parentSSE float64) (feat int, thr, gain float64) {
 	_, cols := ws.x.Dims()
 	features := make([]int, cols)
@@ -200,37 +181,12 @@ func (t *Regressor) bestSplit(ws *workspace, lo, hi int, parentSSE float64) (fea
 		t.rng.Shuffle(cols, func(a, b int) { features[a], features[b] = features[b], features[a] })
 		features = features[:t.MaxFeatures]
 	}
-	n := hi - lo
 	var sumAll, sumSqAll float64
 	for _, i := range ws.sorted[0][lo:hi] {
 		sumAll += ws.y[i]
 		sumSqAll += ws.y[i] * ws.y[i]
 	}
 	feat = -1
-	if w := min(t.par, len(features)); w > 1 && n >= parallelSplitCutoff {
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			flo, fhi := shardRange(len(features), w, k)
-			if flo >= fhi {
-				continue
-			}
-			wg.Add(1)
-			go func(flo, fhi int) {
-				defer wg.Done()
-				for fi := flo; fi < fhi; fi++ {
-					ws.featGain[fi], ws.featThr[fi] =
-						t.scanFeature(ws, lo, hi, features[fi], parentSSE, sumAll, sumSqAll)
-				}
-			}(flo, fhi)
-		}
-		wg.Wait()
-		for fi, j := range features {
-			if ws.featGain[fi] > gain {
-				gain, feat, thr = ws.featGain[fi], j, ws.featThr[fi]
-			}
-		}
-		return feat, thr, gain
-	}
 	for _, j := range features {
 		g, th := t.scanFeature(ws, lo, hi, j, parentSSE, sumAll, sumSqAll)
 		if g > gain {
@@ -347,11 +303,6 @@ type Forest struct {
 	MaxFeatures int          `json:"max_features"` // 0: ceil(cols/3), sklearn-style for regression
 	Seed        int64        `json:"seed"`
 	Trees       []*Regressor `json:"trees"`
-	// Workers bounds the goroutines fitting member trees: 0 uses every CPU,
-	// 1 fits serially. Bootstrap draws and member seeds are taken from the
-	// forest rng before any tree is grown, so the fitted forest is identical
-	// at every worker count. Never persisted.
-	Workers int `json:"-"`
 }
 
 // NewForest returns a Random Forest with the paper's 10 trees.
@@ -380,54 +331,26 @@ func (f *Forest) Fit(x *mat.Dense, y []float64) error {
 	}
 	rng := rand.New(rand.NewSource(f.Seed))
 	f.Trees = make([]*Regressor, f.NumTrees)
-	// Draw every bootstrap sample and member seed serially, in the same rng
-	// order as the legacy loop, so the fitted forest does not depend on how
-	// many workers grow the trees afterwards.
-	type bootstrap struct {
-		bx *mat.Dense
-		by []float64
-	}
-	boots := make([]bootstrap, f.NumTrees)
+	// One bootstrap buffer and one workspace serve every member: tree k's
+	// resample and seed are drawn from the forest rng, the tree is grown
+	// (from its own rng), and the buffers are overwritten for tree k+1.
+	bx := mat.NewDense(r, c)
+	by := make([]float64, r)
+	ws := &workspace{}
 	for k := range f.Trees {
-		bx := mat.NewDense(r, c)
-		by := make([]float64, r)
 		for i := 0; i < r; i++ {
 			j := rng.Intn(r)
 			copy(bx.Row(i), x.Row(j))
 			by[i] = y[j]
 		}
-		boots[k] = bootstrap{bx: bx, by: by}
 		t := NewRegressor()
 		t.MaxDepth = f.MaxDepth
 		t.MaxFeatures = maxFeat
 		t.Seed = rng.Int63()
-		t.Workers = 1 // the forest parallelises at tree granularity
+		ws.bind(bx, by)
+		t.fitBound(ws)
 		f.Trees[k] = t
 	}
-	w := min(resolveWorkers(f.Workers), f.NumTrees)
-	if w <= 1 {
-		// Serial path: one workspace rebinds across members, so a forest fit
-		// allocates its presorted index state once instead of per tree.
-		ws := &workspace{}
-		for k, t := range f.Trees {
-			ws.bind(boots[k].bx, boots[k].by)
-			t.fitBound(ws)
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ws := &workspace{} // per-worker, rebinds across this worker's trees
-			for k := g; k < f.NumTrees; k += w {
-				ws.bind(boots[k].bx, boots[k].by)
-				f.Trees[k].fitBound(ws)
-			}
-		}(g)
-	}
-	wg.Wait()
 	return nil
 }
 
@@ -452,10 +375,6 @@ type GradientBoosting struct {
 	Seed         int64        `json:"seed"`
 	Base         float64      `json:"base"`
 	Trees        []*Regressor `json:"trees"`
-	// Workers is passed to each stage tree's split scan (stages themselves
-	// are inherently sequential: each fits the previous stages' residuals).
-	// Never persisted.
-	Workers int `json:"-"`
 }
 
 // NewGradientBoosting returns a GB ensemble with the paper's 10 trees and
@@ -512,7 +431,6 @@ func (g *GradientBoosting) Fit(x *mat.Dense, y []float64) error {
 		t.MaxDepth = g.MaxDepth
 		t.MinSamplesLeaf = 2
 		t.Seed = rng.Int63()
-		t.Workers = g.Workers
 		t.fitBound(ws)
 		g.Trees = append(g.Trees, t)
 		for i := 0; i < r; i++ {

@@ -9,8 +9,8 @@
 # paths including the persisttest crash-injection harness, the cluster
 # service + fault-injection harness, the fleet router's replicated
 # forwarding and scatter-gather, the obs metric registry and HTTP
-# exposition server, the parallel training engine in
-# neural/tree/experiments, and the attribution ledger) so
+# exposition server, concurrent prediction on one fitted neural model,
+# the parallel experiment runner, and the attribution ledger) so
 # locking regressions surface immediately. It then fuzzes the
 # wire-protocol decoders briefly (JSON envelope, binary framing, and the
 # cross-codec agreement law), both ends of a connection over arbitrary
@@ -40,8 +40,8 @@ echo "== go test"
 go test ./...
 echo "== go test -race (tsdb incl. persisttest, cluster incl. faultnet, fleet, obs)"
 go test -race ./internal/tsdb/... ./internal/cluster/... ./internal/fleet/... ./internal/obs
-echo "== go test -race (parallel training: neural, tree, experiments; attribution)"
-go test -race ./internal/neural ./internal/tree ./internal/experiments/... ./internal/attribution
+echo "== go test -race (concurrent prediction, parallel experiments; attribution)"
+go test -race ./internal/neural ./internal/experiments/... ./internal/attribution
 echo "== fuzz wire protocol (10s per target)"
 go test -run '^$' -fuzz '^FuzzReadEnvelope$' -fuzztime=10s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzEnvelopeRoundTrip$' -fuzztime=10s ./internal/cluster
