@@ -155,18 +155,3 @@ func (l *Ledger) Entries() []Entry {
 	})
 	return out
 }
-
-// TotalJ returns the summed energy across jobs. Jobs are visited in
-// sorted ID order so the float sum is bit-reproducible run to run.
-func (l *Ledger) TotalJ() float64 {
-	ids := make([]string, 0, len(l.energyJ))
-	for id := range l.energyJ {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var s float64
-	for _, id := range ids {
-		s += l.energyJ[id]
-	}
-	return s
-}

@@ -13,11 +13,14 @@ import (
 
 // Golden hashes of a fixed-seed online DynamicTRR run (float64 bit patterns
 // of the estimate series, and the persisted network after its online
-// fine-tunes), captured from the original implementation. The run must
-// reproduce both byte-for-byte on any machine.
+// fine-tunes). The run must reproduce both byte-for-byte on any machine.
+// Re-pinned when Run became a replay through Monitor's stream: the loop
+// they had pinned since the original implementation rebuilt every window
+// row's P'_Node feature from the newest trend before each prediction, so a
+// later IM reading revised features the row had already been served with.
 const (
-	goldenDynRunBitsHash = "41c0fc0e97c7f58f5e113a018bff9fb14efa58e3936c1a76712ad3961f3327cb"
-	goldenDynNetHash     = "7146bb72468d812da6aec84f316ce1cf8cfa42e29396ef94c1b797037601f496"
+	goldenDynRunBitsHash = "dfd3777759edadc7790cb676bf609be75f312cdb7268cd5a65e96f6fa04c911c"
+	goldenDynNetHash     = "0a15879e6ac30a64deddf535123dfa0832c38dbe2a3690ce95a340952a319b2d"
 )
 
 func TestDynamicRunMatchesGolden(t *testing.T) {

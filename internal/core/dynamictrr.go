@@ -6,7 +6,6 @@ import (
 	"highrpm/internal/dataset"
 	"highrpm/internal/interp"
 	"highrpm/internal/neural"
-	"highrpm/internal/pmu"
 	"highrpm/internal/stats"
 )
 
@@ -58,6 +57,9 @@ func (o *DynamicTRROptions) fill() {
 type DynamicTRR struct {
 	Opts DynamicTRROptions
 	Net  *neural.LSTM
+	// cold is the previous-node feature before the first IM reading: the
+	// midpoint of the training power band.
+	cold float64
 }
 
 // FitDynamicTRR trains the LSTM offline on the labeled initial samples.
@@ -82,16 +84,18 @@ func FitDynamicTRR(train *dataset.Set, opts DynamicTRROptions) (*DynamicTRR, err
 	if err := net.FitSeq(seqs, targets); err != nil {
 		return nil, fmt.Errorf("core: DynamicTRR fit: %w", err)
 	}
-	return &DynamicTRR{Opts: opts, Net: net}, nil
+	lo, hi := minMax(train.NodePower())
+	return &DynamicTRR{Opts: opts, Net: net, cold: 0.5 * (lo + hi)}, nil
 }
 
-// Run performs online restoration over an ordered set: at each step the
-// model predicts the node power from the trailing window; at measured steps
-// the IM reading overrides the estimate and, when FineTuneOnline is set,
-// the window anchored at the previous measurement fine-tunes the network
-// (labels are the spline-anchored estimates with the measured step exact,
-// the best labels available online). vals supplies IM readings for
-// measuredIdx; nil uses ground truth at those indices.
+// Run performs online restoration over an ordered set by replaying it, one
+// second at a time, through the stream Monitor serves from: at measured
+// steps the IM reading is the estimate, elsewhere the network predicts from
+// the trailing window. When FineTuneOnline is set, each reading also
+// fine-tunes the network on the segment it closes — the rows the stream
+// held since the previous reading, labelled with the spline through the
+// readings so far (the best labels available online). vals supplies IM
+// readings for measuredIdx; nil uses ground truth at those indices.
 func (d *DynamicTRR) Run(set *dataset.Set, measuredIdx []int, vals []float64) ([]float64, error) {
 	n := set.Len()
 	if n == 0 {
@@ -105,79 +109,46 @@ func (d *DynamicTRR) Run(set *dataset.Set, measuredIdx []int, vals []float64) ([
 			measured[i] = set.Samples[i].PNode
 		}
 	}
-	miss := d.Opts.MissInterval
 	est := make([]float64, n)
 	times := set.Times()
-
-	// Spline over the measurements seen so far, for fine-tune labels.
-	var seenX, seenY []float64
-
-	// The previous-node feature follows §4.2.2: "P'_Node at the (i−1)-th
-	// moment ... can be determined from either the observed value or the
-	// spline model". Online, the spline model over *past* readings is a
-	// linear trend extrapolation; feeding it instead of the network's own
-	// recursive output keeps per-step errors from compounding across the
-	// gap and matches the splined feature used during offline training.
-	var lastIdx = -1       // most recent measured index ≤ current step
-	var lastVal float64    // its reading
-	var trendSlope float64 // watts per step from the last two readings
-	trendAt := func(i int) float64 {
-		if lastIdx < 0 {
-			return est[0]
-		}
-		return lastVal + trendSlope*float64(i-lastIdx)
-	}
-	prevAt := func(i int) float64 {
-		if i <= 0 {
-			if v, ok := measured[0]; ok {
-				return v
-			}
-			return est[0]
-		}
-		if v, ok := measured[i-1]; ok {
-			return v
-		}
-		return trendAt(i - 1)
-	}
-	// win is the trailing miss rows of (PMC, prevAt) features, rebuilt in
-	// place for every prediction.
-	win := make([][]float64, miss)
-	for j := range win {
-		win[j] = make([]float64, pmu.NumEvents+1)
-	}
-
-	var lastMeasured = -1
-	for i := 0; i < n; i++ {
+	s := d.newStream()
+	var seenX, seenY []float64 // the readings so far
+	var seg [][]float64        // the stream's rows since the previous reading, inclusive
+	for i, sm := range set.Samples {
+		var reading *float64
 		if v, ok := measured[i]; ok {
-			est[i] = v
-			seenX = append(seenX, times[i])
-			seenY = append(seenY, v)
-			if d.Opts.FineTuneOnline && lastMeasured >= 0 && i-lastMeasured >= 2 && len(seenX) >= 2 {
-				if err := d.fineTuneSegment(set, prevAt, seenX, seenY, lastMeasured, i); err != nil {
-					return nil, err
-				}
-			}
-			if lastMeasured >= 0 && i > lastMeasured {
-				trendSlope = (v - lastVal) / float64(i-lastMeasured)
-			}
-			lastMeasured = i
-			lastIdx, lastVal = i, v
-		} else {
-			for j, row := range win {
-				k := max(0, i-miss+1+j)
-				copy(row, set.Samples[k].PMC)
-				row[pmu.NumEvents] = prevAt(k)
-			}
-			est[i] = d.Net.PredictLast(win)
+			reading = &v
 		}
+		prime, err := s.observe(sm.PMC, reading)
+		if err != nil {
+			return nil, err
+		}
+		est[i] = s.estimate(prime, reading)
+		if !d.Opts.FineTuneOnline {
+			continue
+		}
+		seg = append(seg, append([]float64(nil), s.rows[len(s.rows)-1]...))
+		if reading == nil {
+			continue
+		}
+		seenX = append(seenX, times[i])
+		seenY = append(seenY, *reading)
+		// A segment to learn from has a reading at each end and at least
+		// one second in between.
+		if len(seenX) >= 2 && len(seg) >= 3 {
+			if err := d.fineTuneSegment(seg, times[i+1-len(seg):i+1], seenX, seenY); err != nil {
+				return nil, err
+			}
+		}
+		seg = seg[len(seg)-1:]
 	}
 	return est, nil
 }
 
-// fineTuneSegment refines the network on the just-completed segment
-// [lo, hi] between two measurements. prevAt supplies the same previous-node
-// feature the online windows used for that segment.
-func (d *DynamicTRR) fineTuneSegment(set *dataset.Set, prevAt func(int) float64, seenX, seenY []float64, lo, hi int) error {
+// fineTuneSegment refines the network on the just-completed segment between
+// two measurements: rows are the stream's inputs over it, endpoints
+// included, and times their timestamps.
+func (d *DynamicTRR) fineTuneSegment(rows [][]float64, times, seenX, seenY []float64) error {
 	sp, err := interp.NewCubicSpline(seenX, seenY)
 	if err != nil {
 		if err == interp.ErrTooFewPoints {
@@ -185,20 +156,14 @@ func (d *DynamicTRR) fineTuneSegment(set *dataset.Set, prevAt func(int) float64,
 		}
 		return err
 	}
-	times := set.Times()
-	win := make([][]float64, 0, hi-lo+1)
-	labels := make([]float64, 0, hi-lo+1)
-	for i := lo; i <= hi; i++ {
-		f := make([]float64, pmu.NumEvents+1)
-		copy(f, set.Samples[i].PMC)
-		f[pmu.NumEvents] = prevAt(i)
-		win = append(win, f)
-		labels = append(labels, sp.At(times[i]))
+	labels := make([]float64, len(rows))
+	for k, t := range times {
+		labels[k] = sp.At(t)
 	}
 	// Measured endpoints are exact.
 	labels[0] = seenY[len(seenY)-2]
 	labels[len(labels)-1] = seenY[len(seenY)-1]
-	return d.Net.FineTune([][][]float64{win}, [][]float64{labels})
+	return d.Net.FineTune([][][]float64{rows}, [][]float64{labels})
 }
 
 // Evaluate runs online restoration with a perfect sensor at the configured

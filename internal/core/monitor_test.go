@@ -178,3 +178,57 @@ func TestMonitorPushZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestRunReplaysMonitor: with fine-tuning off, DynamicTRR.Run over a
+// recorded set is Monitor.Push over the same seconds, bit for bit, and the
+// full offline pipeline in dynamic mode is the monitor's three outputs — on
+// a regular sensor, timestamps jittered as the §6.4.6 experiment jitters
+// them, every third reading dropped, and a first reading that arrives late.
+func TestRunReplaysMonitor(t *testing.T) {
+	h := trainedModel(t)
+	h.Dynamic.Opts.FineTuneOnline = false
+	miss := h.Dynamic.Opts.MissInterval
+	for _, n := range []int{120, 300, 600} {
+		set := testSet(t, n)
+		regular := set.MeasuredIndices(miss)
+		jittered := make([]int, len(regular))
+		var dropped, late []int
+		for k, i := range regular {
+			j := min(max(i+(k%3-1)*miss*2/5, 0), n-1)
+			if k > 0 && j <= jittered[k-1] {
+				j = jittered[k-1] + 1
+			}
+			jittered[k] = j
+			if k%3 != 2 {
+				dropped = append(dropped, i)
+			}
+			if i >= 20 {
+				late = append(late, i)
+			}
+		}
+		for name, idx := range map[string][]int{"regular": regular, "jittered": jittered, "dropped": dropped, "late": late} {
+			node, pcpu, pmem, err := h.Restore(set, idx, nil, ModeDynamic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mon := NewMonitor(h)
+			differ := 0
+			for i, sm := range set.Samples {
+				var measured *float64
+				if len(idx) > 0 && idx[0] == i {
+					measured, idx = &sm.PNode, idx[1:]
+				}
+				est, err := mon.Push(sm.PMC, measured)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameMonitorEstimate(est, MonitorEstimate{node[i], pcpu[i], pmem[i], est.PNodePrime, est.FromMeasurement}) {
+					differ++
+				}
+			}
+			if differ > 0 {
+				t.Errorf("%d samples, %s readings: Restore(ModeDynamic) differs from Monitor.Push on %d seconds", n, name, differ)
+			}
+		}
+	}
+}

@@ -104,7 +104,7 @@ func Unmarshal(data []byte) (*HighRPM, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: DynamicTRR payload has type %T", dynAny)
 	}
-	h.Dynamic = &DynamicTRR{Opts: st.Opts.Dynamic, Net: dyn}
+	h.Dynamic = &DynamicTRR{Opts: st.Opts.Dynamic, Net: dyn, cold: 0.5 * (st.Static.PBottom + st.Static.PUpper)}
 	srrNet, ok := srrAny.(*neural.MLP)
 	if !ok {
 		return nil, fmt.Errorf("core: SRR payload has type %T", srrAny)

@@ -86,9 +86,6 @@ func FromTrace(tr *platform.Trace, suite, bench string) *Set {
 	return out
 }
 
-// FeatureNames returns the PMC feature names in column order.
-func FeatureNames() []string { return pmu.EventNames() }
-
 // PMCMatrix assembles the PMC feature matrix (one row per sample).
 func (s *Set) PMCMatrix() *mat.Dense {
 	x := mat.NewDense(len(s.Samples), pmu.NumEvents)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"time"
 
 	"highrpm/internal/core"
@@ -66,21 +67,7 @@ func RunHyper(ws *Workspace) (*HyperResult, error) {
 }
 
 func label(name string, v int) string {
-	return name + "=" + itoa(v)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return name + "=" + strconv.Itoa(v)
 }
 
 // Table renders the hyperparameter sweep.
@@ -246,8 +233,6 @@ func (r *JitterResult) Table() *Table {
 	t.AddRow("clean (fixed interval)", f2(r.Clean.MAPE), f2(r.Clean.RMSE), f2(r.Clean.MAE))
 	t.AddRow("jittered timestamps", f2(r.Jittered.MAPE), f2(r.Jittered.RMSE), f2(r.Jittered.MAE))
 	t.AddRow("every 3rd reading dropped", f2(r.Dropped.MAPE), f2(r.Dropped.RMSE), f2(r.Dropped.MAE))
-	t.Notes = append(t.Notes,
-		"paper §6.4.6 expects degradation; this implementation's trend-extrapolated P'_Node feature",
-		"degrades gracefully, so jitter/drops stay within noise of the clean sensor (see EXPERIMENTS.md)")
+	t.Notes = append(t.Notes, "shape target: readings that move or vanish degrade accuracy (paper §6.4.6)")
 	return t
 }

@@ -15,7 +15,7 @@ func TestRunAndRenderParallel(t *testing.T) {
 	ids := []string{"fig2", "fig1"}
 
 	var serial bytes.Buffer
-	if err := RunAndRender(NewWorkspace(cfg), ids, &serial); err != nil {
+	if err := RunAndRenderParallel(NewWorkspace(cfg), ids, &serial, 1); err != nil {
 		t.Fatal(err)
 	}
 	var par bytes.Buffer

@@ -10,24 +10,29 @@ import (
 // runnerFunc produces the tables of one experiment.
 type runnerFunc func(ws *Workspace) ([]*Table, error)
 
+// one adapts a single-table experiment over the shared workspace.
+func one[R interface{ Table() *Table }](run func(*Workspace) (R, error)) runnerFunc {
+	return func(ws *Workspace) ([]*Table, error) {
+		r, err := run(ws)
+		if err != nil {
+			return nil, err
+		}
+		return []*Table{r.Table()}, nil
+	}
+}
+
+// oneCfg is one for experiments that generate their own data from the
+// configuration alone.
+func oneCfg[R interface{ Table() *Table }](run func(Config) (R, error)) runnerFunc {
+	return one(func(ws *Workspace) (R, error) { return run(ws.Config()) })
+}
+
 var registry = map[string]struct {
 	desc string
 	run  runnerFunc
 }{
-	"fig1": {"Graph500 power capping under PI/AI sweeps (motivation)", func(ws *Workspace) ([]*Table, error) {
-		r, err := RunFig1(ws.Config())
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table()}, nil
-	}},
-	"fig2": {"FFT vs Stream component power divergence (motivation)", func(ws *Workspace) ([]*Table, error) {
-		r, err := RunFig2(ws.Config())
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table()}, nil
-	}},
+	"fig1": {"Graph500 power capping under PI/AI sweeps (motivation)", oneCfg(RunFig1)},
+	"fig2": {"FFT vs Stream component power divergence (motivation)", oneCfg(RunFig2)},
 	"tab5": {"TRR vs 12 baselines on node power (with tab6)", func(ws *Workspace) ([]*Table, error) {
 		r, err := RunTRRComparison(ws)
 		if err != nil {
@@ -49,76 +54,16 @@ var registry = map[string]struct {
 		}
 		return []*Table{r.Table9()}, nil
 	}},
-	"fig7": {"miss_interval sweep: spline vs StaticTRR", func(ws *Workspace) ([]*Table, error) {
-		r, err := RunFig7(ws)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table()}, nil
-	}},
-	"fig8": {"miss_interval sensitivity of HighRPM", func(ws *Workspace) ([]*Table, error) {
-		r, err := RunFig8(ws)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table()}, nil
-	}},
-	"fig9": {"CPU frequency sensitivity on Graph500", func(ws *Workspace) ([]*Table, error) {
-		r, err := RunFig9(ws.Config())
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table()}, nil
-	}},
-	"hyper": {"§6.4.3 hyperparametric analysis", func(ws *Workspace) ([]*Table, error) {
-		r, err := RunHyper(ws)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table()}, nil
-	}},
-	"overhead": {"§6.4.5 training and prediction overhead", func(ws *Workspace) ([]*Table, error) {
-		r, err := RunOverhead(ws)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table()}, nil
-	}},
-	"governor": {"power-capping control stacks driven by HighRPM vs raw IM", func(ws *Workspace) ([]*Table, error) {
-		r, err := RunGovernor(ws.Config())
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table()}, nil
-	}},
-	"dvfs": {"deployment: one mixed-frequency model vs per-level training", func(ws *Workspace) ([]*Table, error) {
-		r, err := RunDVFS(ws.Config())
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table()}, nil
-	}},
-	"gpu": {"§6.4.4 extension: GPU power restoration", func(ws *Workspace) ([]*Table, error) {
-		r, err := RunGPU(ws.Config())
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table()}, nil
-	}},
-	"ablation": {"design-choice ablations (Algorithm 1, P'_Node feature, active learning, AR)", func(ws *Workspace) ([]*Table, error) {
-		r, err := RunAblations(ws)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table()}, nil
-	}},
-	"jitter": {"§6.4.6 robustness to fluctuating miss_interval", func(ws *Workspace) ([]*Table, error) {
-		r, err := RunJitter(ws)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table()}, nil
-	}},
+	"fig7":     {"miss_interval sweep: spline vs StaticTRR", one(RunFig7)},
+	"fig8":     {"miss_interval sensitivity of HighRPM", one(RunFig8)},
+	"fig9":     {"CPU frequency sensitivity on Graph500", oneCfg(RunFig9)},
+	"hyper":    {"§6.4.3 hyperparametric analysis", one(RunHyper)},
+	"overhead": {"§6.4.5 training and prediction overhead", one(RunOverhead)},
+	"governor": {"power-capping control stacks driven by HighRPM vs raw IM", oneCfg(RunGovernor)},
+	"dvfs":     {"deployment: one mixed-frequency model vs per-level training", oneCfg(RunDVFS)},
+	"gpu":      {"§6.4.4 extension: GPU power restoration", oneCfg(RunGPU)},
+	"ablation": {"design-choice ablations (Algorithm 1, P'_Node feature, active learning, AR)", one(RunAblations)},
+	"jitter":   {"§6.4.6 robustness to fluctuating miss_interval", one(RunJitter)},
 }
 
 // IDs returns the experiment identifiers in stable order.
@@ -141,11 +86,6 @@ func Run(ws *Workspace, id string) ([]*Table, error) {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
 	return ent.run(ws)
-}
-
-// RunAndRender executes experiments in order and renders their tables.
-func RunAndRender(ws *Workspace, ids []string, w io.Writer) error {
-	return RunAndRenderParallel(ws, ids, w, 1)
 }
 
 // RunAndRenderParallel executes independent experiments concurrently,

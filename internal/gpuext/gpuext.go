@@ -42,15 +42,6 @@ func (c Counter) String() string {
 	return counterNames[c]
 }
 
-// CounterNames returns the mnemonics in feature order.
-func CounterNames() []string {
-	out := make([]string, NumCounters)
-	for i := range out {
-		out[i] = Counter(i).String()
-	}
-	return out
-}
-
 // DeviceConfig describes a simulated GPU.
 type DeviceConfig struct {
 	Name     string

@@ -125,13 +125,6 @@ func (s *CubicSpline) Sample(xs []float64) []float64 {
 	return out
 }
 
-// Knots returns copies of the spline's knot coordinates.
-func (s *CubicSpline) Knots() (xs, ys []float64) {
-	xs = append([]float64(nil), s.xs...)
-	ys = append([]float64(nil), s.ys...)
-	return xs, ys
-}
-
 // Linear is a piecewise-linear interpolant with constant extrapolation.
 type Linear struct {
 	xs, ys []float64

@@ -31,14 +31,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewDenseData wraps data (length rows*cols, row-major) without copying.
-func NewDenseData(rows, cols int, data []float64) *Dense {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("mat: data length %d does not match %dx%d", len(data), rows, cols))
-	}
-	return &Dense{rows: rows, cols: cols, data: data}
-}
-
 // FromRows builds a matrix by copying the given rows, which must all have the
 // same length.
 func FromRows(rows [][]float64) *Dense {
@@ -61,9 +53,6 @@ func (m *Dense) Dims() (rows, cols int) { return m.rows, m.cols }
 
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Dense) Cols() int { return m.cols }
 
 // At returns the element at (i, j).
 func (m *Dense) At(i, j int) float64 {
@@ -213,15 +202,6 @@ func Dot(a, b []float64) float64 {
 		s += av * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // AXPY computes y += alpha*x in place.

@@ -276,9 +276,6 @@ func TestDotAXPYScaleNorm(t *testing.T) {
 	if y[0] != 3.5 || y[1] != 4.5 {
 		t.Fatalf("Scale = %v", y)
 	}
-	if !almostEq(Norm2([]float64{3, 4}), 5, 1e-12) {
-		t.Fatal("Norm2 wrong")
-	}
 }
 
 func TestMeanVariance(t *testing.T) {

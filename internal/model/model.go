@@ -1,15 +1,14 @@
 // Package model defines the contracts shared by every regression model in
 // the repository — the 12 baselines of Table 4 and the HighRPM networks —
 // together with the supporting machinery the paper's methodology requires:
-// feature standardization, k-fold cross-validation (§5.3 uses 5-fold),
-// grid search over hyperparameters (§5.4), and JSON persistence.
+// feature standardization, k-fold cross-validation (§5.3 uses 5-fold)
+// and JSON persistence.
 package model
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"highrpm/internal/mat"
 )
@@ -57,18 +56,6 @@ func PredictBatch(r Regressor, x *mat.Dense) []float64 {
 	out := make([]float64, x.Rows())
 	for i := range out {
 		out[i] = r.Predict(x.Row(i))
-	}
-	return out
-}
-
-// PredictMultiBatch evaluates r on every row of x, returning a matrix with
-// one prediction row per input row.
-func PredictMultiBatch(r MultiRegressor, x *mat.Dense) *mat.Dense {
-	first := r.PredictMulti(x.Row(0))
-	out := mat.NewDense(x.Rows(), len(first))
-	copy(out.Row(0), first)
-	for i := 1; i < x.Rows(); i++ {
-		copy(out.Row(i), r.PredictMulti(x.Row(i)))
 	}
 	return out
 }
@@ -192,74 +179,4 @@ func Subset(x *mat.Dense, y []float64, rows []int) (*mat.Dense, []float64) {
 		}
 	}
 	return sx, sy
-}
-
-// GridPoint is one hyperparameter assignment tried by GridSearch.
-type GridPoint map[string]float64
-
-// GridSearch exhaustively evaluates factory-built models over the cross
-// product of the parameter grid using k-fold CV and returns the assignment
-// with the lowest mean validation RMSE. The paper tunes its RNN baselines
-// this way (§5.4).
-func GridSearch(
-	grid map[string][]float64,
-	factory func(GridPoint) Regressor,
-	x *mat.Dense, y []float64,
-	k int, rng *rand.Rand,
-) (GridPoint, float64) {
-	points := expandGrid(grid)
-	bestScore := inf()
-	var best GridPoint
-	folds := KFold(len(y), k, rng)
-	for _, p := range points {
-		var total float64
-		for _, fold := range folds {
-			tx, ty := Subset(x, y, fold[0])
-			vx, vy := Subset(x, y, fold[1])
-			m := factory(p)
-			if err := m.Fit(tx, ty); err != nil {
-				total = inf()
-				break
-			}
-			var sq float64
-			for i, row := 0, 0; i < len(vy); i, row = i+1, row+1 {
-				d := m.Predict(vx.Row(i)) - vy[i]
-				sq += d * d
-			}
-			total += sq / float64(len(vy))
-		}
-		if total < bestScore {
-			bestScore = total
-			best = p
-		}
-	}
-	return best, bestScore / float64(len(folds))
-}
-
-func inf() float64 { return 1e308 }
-
-func expandGrid(grid map[string][]float64) []GridPoint {
-	keys := make([]string, 0, len(grid))
-	for k := range grid {
-		keys = append(keys, k)
-	}
-	// Deterministic order: insertion order is unavailable for maps, so sort.
-	sort.Strings(keys)
-	points := []GridPoint{{}}
-	for _, key := range keys {
-		vals := grid[key]
-		next := make([]GridPoint, 0, len(points)*len(vals))
-		for _, p := range points {
-			for _, v := range vals {
-				np := GridPoint{}
-				for k2, v2 := range p {
-					np[k2] = v2
-				}
-				np[key] = v
-				next = append(next, np)
-			}
-		}
-		points = next
-	}
-	return points
 }

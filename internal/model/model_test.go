@@ -131,41 +131,13 @@ func TestSubset(t *testing.T) {
 }
 
 // meanModel predicts a constant; usable as a trivial Regressor.
-type meanModel struct{ mean, bias float64 }
+type meanModel struct{ mean float64 }
 
 func (m *meanModel) Fit(x *mat.Dense, y []float64) error {
-	m.mean = mat.Mean(y) + m.bias
+	m.mean = mat.Mean(y)
 	return nil
 }
 func (m *meanModel) Predict([]float64) float64 { return m.mean }
-
-func TestGridSearchPicksBetter(t *testing.T) {
-	// The "bias" hyperparameter 0 is strictly better than 100.
-	x := mat.NewDense(40, 1)
-	y := make([]float64, 40)
-	for i := range y {
-		x.Set(i, 0, float64(i))
-		y[i] = 5
-	}
-	best, score := GridSearch(
-		map[string][]float64{"bias": {100, 0, 50}},
-		func(p GridPoint) Regressor { return &meanModel{bias: p["bias"]} },
-		x, y, 4, rand.New(rand.NewSource(1)),
-	)
-	if best["bias"] != 0 {
-		t.Fatalf("GridSearch picked bias=%g want 0", best["bias"])
-	}
-	if score > 1e-9 {
-		t.Fatalf("best score = %g want ~0", score)
-	}
-}
-
-func TestGridSearchCrossProduct(t *testing.T) {
-	pts := expandGrid(map[string][]float64{"a": {1, 2}, "b": {3, 4, 5}})
-	if len(pts) != 6 {
-		t.Fatalf("grid size = %d want 6", len(pts))
-	}
-}
 
 func TestScaledRegressorRoundTrip(t *testing.T) {
 	// ScaledRegressor must be transparent for a scale-invariant model.

@@ -82,15 +82,6 @@ func Evaluate(observed, predicted []float64) Metrics {
 	return m
 }
 
-// MAPE is a convenience wrapper returning only the MAPE of Evaluate.
-func MAPE(observed, predicted []float64) float64 { return Evaluate(observed, predicted).MAPE }
-
-// RMSE is a convenience wrapper returning only the RMSE of Evaluate.
-func RMSE(observed, predicted []float64) float64 { return Evaluate(observed, predicted).RMSE }
-
-// MAE is a convenience wrapper returning only the MAE of Evaluate.
-func MAE(observed, predicted []float64) float64 { return Evaluate(observed, predicted).MAE }
-
 // Average returns the element-wise mean of several Metrics, used to report
 // the mean over the seven Table 3 train/test combinations.
 func Average(ms []Metrics) Metrics {
@@ -170,42 +161,4 @@ func (r *Running) Std() float64 {
 		return 0
 	}
 	return math.Sqrt(r.m2 / float64(r.n))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of v using linear
-// interpolation between order statistics. v is not modified.
-func Quantile(v []float64, q float64) float64 {
-	if len(v) == 0 {
-		return math.NaN()
-	}
-	s := make([]float64, len(v))
-	copy(s, v)
-	insertionSort(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-func insertionSort(v []float64) {
-	// Quantile inputs in this repo are short windows; a branch-light
-	// insertion sort beats sort.Float64s allocation-wise at these sizes.
-	for i := 1; i < len(v); i++ {
-		x := v[i]
-		j := i - 1
-		for j >= 0 && v[j] > x {
-			v[j+1] = v[j]
-			j--
-		}
-		v[j+1] = x
-	}
 }

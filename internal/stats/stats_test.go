@@ -145,26 +145,6 @@ func TestRunningMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	v := []float64{3, 1, 2, 5, 4}
-	if Quantile(v, 0) != 1 || Quantile(v, 1) != 5 {
-		t.Fatal("extreme quantiles wrong")
-	}
-	if got := Quantile(v, 0.5); got != 3 {
-		t.Fatalf("median = %g want 3", got)
-	}
-	if got := Quantile(v, 0.25); got != 2 {
-		t.Fatalf("q25 = %g want 2", got)
-	}
-	// Input must not be modified.
-	if v[0] != 3 {
-		t.Fatal("Quantile modified its input")
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatal("empty quantile must be NaN")
-	}
-}
-
 func TestMetricsString(t *testing.T) {
 	s := Metrics{MAPE: 4.46, RMSE: 3.19, MAE: 2.78, R2: 0.91, N: 100}.String()
 	if s == "" {

@@ -276,26 +276,6 @@ func (t *Regressor) Predict(features []float64) float64 {
 	}
 }
 
-// Depth returns the maximum depth of the fitted tree (root = 1).
-func (t *Regressor) Depth() int {
-	if len(t.Nodes) == 0 {
-		return 0
-	}
-	var walk func(id int32) int
-	walk = func(id int32) int {
-		n := t.Nodes[id]
-		if n.Feature < 0 {
-			return 1
-		}
-		l, r := walk(n.Left), walk(n.Right)
-		if l > r {
-			return 1 + l
-		}
-		return 1 + r
-	}
-	return walk(0)
-}
-
 // Forest is a bagged ensemble of regression trees (Table 4: RF, 10 trees).
 type Forest struct {
 	NumTrees    int          `json:"num_trees"`

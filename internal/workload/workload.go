@@ -204,21 +204,6 @@ func (in *Instance) Advance(dt, speed float64) State {
 // Done reports whether the program has completed.
 func (in *Instance) Done() bool { return in.progress >= in.total }
 
-// Progress returns the fraction of the program completed in [0, 1].
-func (in *Instance) Progress() float64 {
-	if in.total == 0 {
-		return 1
-	}
-	f := in.progress / in.total
-	if f > 1 {
-		return 1
-	}
-	return f
-}
-
-// Elapsed returns wall-clock seconds since the instance started.
-func (in *Instance) Elapsed() float64 { return in.wall }
-
 func clamp01(v float64) float64 {
 	if v < 0 {
 		return 0

@@ -109,9 +109,6 @@ func TestInstanceProgressAndDone(t *testing.T) {
 	if !in.Done() {
 		t.Fatal("not done after 10 s at full speed")
 	}
-	if in.Progress() != 1 {
-		t.Fatalf("progress = %g want 1", in.Progress())
-	}
 }
 
 func TestFrequencyCappingSlowsComputeBoundWork(t *testing.T) {
