@@ -4,21 +4,29 @@
 // power modeling to restore temporal resolution (1 Sa/s node power) and
 // spatial resolution (per-component CPU and memory power).
 //
-// The package re-exports the curated surface of the internal packages:
+// The package re-exports the part of the internal packages that the
+// commands, examples and benchmark harness actually call — a name lives
+// here because a caller spells it or a function that stays needs it in its
+// signature:
 //
-//   - Training and restoration: Train, Options, Model, the TRR models
-//     (StaticTRR, DynamicTRR) and the SRR spatial model.
-//   - Streaming monitoring: Monitor (one node) and the cluster service /
-//     agent pair (many nodes over TCP).
+//   - Training and restoration: Train, Options, Model (its Static, Dynamic
+//     and SRR fields are the TRR and SRR models), SaveModel/LoadModel.
+//   - Streaming monitoring: Monitor (one node), the cluster Service with its
+//     Agent / ResilientAgent clients (many nodes over TCP), and the fleet
+//     router that shards services.
+//   - Power history: Store (in-memory or durable), its channels,
+//     resolutions and fsync policy.
 //   - The simulated evaluation platforms: ARMPlatform, X86Platform, the 96
-//     benchmark workloads, sensors (IPMI, DirectProbe, RAPL) and the
-//     power-capping governor.
-//   - Dataset construction: suite generation, Table 3 train/test splits,
-//     and DynamicTRR window building.
+//     benchmark workloads, the IPMI and RAPL sensors, and the power-capping
+//     governor policies.
+//   - Dataset construction: suite generation and the Table 3 combinations.
 //   - Metrics: MAPE/RMSE/MAE/R² evaluation.
+//   - Per-job power attribution on shared nodes.
 //   - Observability: a stdlib-only metric registry and HTTP server
-//     (Prometheus /metrics, JSON series endpoints, health probes) plus
-//     self-metering of the monitor's own overhead.
+//     (Prometheus /metrics, JSON series endpoints, health probes).
+//
+// The GPU extension (§6.4.4) is not re-exported; examples/gpu imports
+// internal/gpuext directly.
 //
 // See examples/quickstart for a five-minute tour and DESIGN.md for the
 // paper-to-module map.
@@ -31,7 +39,6 @@ import (
 	"highrpm/internal/dataset"
 	"highrpm/internal/fleet"
 	"highrpm/internal/governor"
-	"highrpm/internal/gpuext"
 	"highrpm/internal/obs"
 	"highrpm/internal/platform"
 	"highrpm/internal/stats"
@@ -46,23 +53,10 @@ type (
 	// Options configures training (miss interval, network sizes, active
 	// learning).
 	Options = core.Options
-	// StaticTRR is the offline temporal-restoration model (spline + PMC
-	// residual tree + Algorithm 1).
-	StaticTRR = core.StaticTRR
-	// DynamicTRR is the online temporal-restoration model (windowed LSTM
-	// with per-measurement fine-tuning).
-	DynamicTRR = core.DynamicTRR
-	// SRR is the spatial-restoration model (shallow MLP over PMCs +
-	// node power).
-	SRR = core.SRR
 	// Monitor is the streaming per-node form of a trained Model.
 	Monitor = core.Monitor
-	// MonitorEstimate is one second's restored power from a Monitor.
-	MonitorEstimate = core.MonitorEstimate
 	// RestoreMode selects StaticTRR or DynamicTRR restoration.
 	RestoreMode = core.RestoreMode
-	// Report bundles node/CPU/memory accuracy metrics.
-	Report = core.Report
 )
 
 // Restoration modes.
@@ -93,24 +87,15 @@ func LoadModel(path string) (*Model, error) { return core.Load(path) }
 type (
 	// Set is an ordered collection of (PMC, power) samples.
 	Set = dataset.Set
-	// Sample is one 1 Sa/s observation.
-	Sample = dataset.Sample
 	// GenerateConfig controls evaluation-trace collection.
 	GenerateConfig = dataset.GenerateConfig
 	// Combo is one Table 3 train/test combination.
 	Combo = dataset.Combo
-	// Split is a materialised train/test pair.
-	Split = dataset.Split
 )
 
 // GenerateSuite simulates a benchmark suite into 1 Sa/s samples.
 func GenerateSuite(cfg GenerateConfig, suite string) (*Set, error) {
 	return dataset.GenerateSuite(cfg, suite)
-}
-
-// BuildSplit materialises one Table 3 combination (seen or unseen).
-func BuildSplit(cfg GenerateConfig, combo Combo, seen bool) (*Split, error) {
-	return dataset.BuildSplit(cfg, combo, seen)
 }
 
 // Combos returns the seven Table 3 combinations.
@@ -129,16 +114,8 @@ type (
 	Trace = platform.Trace
 	// IPMISensor models the sparse BMC/IPMI measurement path.
 	IPMISensor = platform.IPMISensor
-	// DirectProbe models the 1 Sa/s bench measurement rig.
-	DirectProbe = platform.DirectProbe
 	// RAPL models the x86 energy-counter interface.
 	RAPL = platform.RAPL
-	// Reading is one sensor observation.
-	Reading = platform.Reading
-	// CappingConfig drives the power-capping governor.
-	CappingConfig = platform.CappingConfig
-	// CappingResult summarises a capped run.
-	CappingResult = platform.CappingResult
 )
 
 // ARMPlatform returns the paper's ARM evaluation node model.
@@ -155,24 +132,11 @@ func NewIPMISensor(intervalSeconds float64, seed int64) *IPMISensor {
 	return platform.NewIPMISensor(intervalSeconds, seed)
 }
 
-// NewDirectProbe returns the 0.1 W ground-truth probe.
-func NewDirectProbe(seed int64) *DirectProbe { return platform.NewDirectProbe(seed) }
-
-// RunCapped executes a benchmark under a power cap.
-func RunCapped(n *Node, b Benchmark, cfg CappingConfig) (*CappingResult, error) {
-	return platform.RunCapped(n, b, cfg)
-}
-
 // FromTrace converts a simulation trace into dataset samples.
 func FromTrace(tr *Trace, suite, bench string) *Set { return dataset.FromTrace(tr, suite, bench) }
 
-// Workload types.
-type (
-	// Benchmark is a named phase-programmed workload.
-	Benchmark = workload.Benchmark
-	// Phase is one execution phase of a benchmark.
-	Phase = workload.Phase
-)
+// Benchmark is a named phase-programmed workload.
+type Benchmark = workload.Benchmark
 
 // Benchmarks returns the full 96-benchmark evaluation suite.
 func Benchmarks() []Benchmark { return workload.Suite() }
@@ -183,11 +147,8 @@ func FindBenchmark(name string) (Benchmark, error) { return workload.Find(name) 
 // SuiteNames returns the seven suite names of Table 3.
 func SuiteNames() []string { return workload.SuiteNames() }
 
-// Metrics types.
-type (
-	// Metrics bundles MAPE/RMSE/MAE/R².
-	Metrics = stats.Metrics
-)
+// Metrics bundles MAPE/RMSE/MAE/R².
+type Metrics = stats.Metrics
 
 // Evaluate scores predictions against observations.
 func Evaluate(observed, predicted []float64) Metrics { return stats.Evaluate(observed, predicted) }
@@ -208,10 +169,6 @@ type (
 	// AgentOptions tunes a ResilientAgent's backoff, retry, and buffering
 	// behaviour.
 	AgentOptions = cluster.AgentOptions
-	// AgentCounters reports a ResilientAgent's lifetime activity.
-	AgentCounters = cluster.AgentCounters
-	// AgentMode is a ResilientAgent's health state (connected or degraded).
-	AgentMode = cluster.Mode
 	// BatchOptions tunes agent-side sample coalescing (Agent.Record /
 	// ResilientAgent.Record flush a KindRecordBatch once MaxSamples are
 	// pending or the oldest has waited MaxDelay).
@@ -222,18 +179,6 @@ type (
 	QueryRequest = cluster.QueryRequest
 	// Series answers a QueryRequest with decoded points.
 	Series = cluster.SeriesBody
-	// SeriesPoint is one wire-encoded history point.
-	SeriesPoint = cluster.SeriesPoint
-)
-
-// ResilientAgent modes.
-const (
-	// AgentConnected: the agent is talking to the service.
-	AgentConnected = cluster.ModeConnected
-	// AgentDegraded: the service is unreachable; estimates are computed
-	// locally from the fetched model snapshot and samples are buffered for
-	// replay.
-	AgentDegraded = cluster.ModeDegraded
 )
 
 // Wire codecs an agent can ask for in its Hello offer.
@@ -246,9 +191,6 @@ const (
 	// JSON.
 	CodecBinary = cluster.CodecBinary
 )
-
-// ErrFrameTooLarge reports a wire frame over the configured size cap.
-var ErrFrameTooLarge = cluster.ErrFrameTooLarge
 
 // NewService wraps a trained model as a network service with default
 // robustness options.
@@ -296,28 +238,21 @@ type (
 	StoreSample = tsdb.Sample
 	// StorePoint is one decoded sample or rollup bucket.
 	StorePoint = tsdb.Point
-	// StoreStats summarises a Store's footprint and compression ratio.
-	StoreStats = tsdb.Stats
 	// StoreChannel names one stored series per node.
 	StoreChannel = tsdb.Channel
-	// StoreResolution is a query granularity in seconds (1, 10, 60).
-	StoreResolution = tsdb.Resolution
 )
 
-// The five channels a Store records per node.
+// Two of the five channels a Store records per node; StoreChannels lists
+// them all.
 const (
-	ChannelPNode      = tsdb.ChanPNode
-	ChannelPCPU       = tsdb.ChanPCPU
-	ChannelPMEM       = tsdb.ChanPMEM
-	ChannelPNodePrime = tsdb.ChanPNodePrime
-	ChannelIPMI       = tsdb.ChanIPMI
+	ChannelPNode = tsdb.ChanPNode
+	ChannelPCPU  = tsdb.ChanPCPU
 )
 
-// The three stored resolutions.
+// Query granularities: raw seconds and the 10 s rollup.
 const (
 	ResolutionRaw = tsdb.Raw
 	Resolution10s = tsdb.TenSeconds
-	Resolution60s = tsdb.Minute
 )
 
 // NewStore creates an empty power-history store. Query it with
@@ -342,12 +277,8 @@ type (
 	StoreRecovery = tsdb.Recovery
 )
 
-// The three WAL fsync policies.
-const (
-	FsyncBatch  = tsdb.FsyncBatch
-	FsyncAlways = tsdb.FsyncAlways
-	FsyncNever  = tsdb.FsyncNever
-)
+// FsyncBatch is the default WAL policy; ParseFsyncPolicy names the others.
+const FsyncBatch = tsdb.FsyncBatch
 
 // OpenStore opens (or creates) a durable store rooted at opts.Dir,
 // replaying the newest valid snapshot plus the WAL tail. Data sealed by
@@ -382,14 +313,8 @@ type (
 	// Health is a component's readiness answer, including the
 	// ready-but-degraded posture.
 	Health = obs.Health
-	// SelfMeter prices the monitor's own overhead (per-tick wall time,
-	// cumulative allocations) as highrpm_overhead_* series.
-	SelfMeter = obs.SelfMeter
 	// AgentMetrics exports ResilientAgent mode and counters as gauges.
 	AgentMetrics = cluster.AgentMetrics
-	// LatestEstimate is the newest restored power the service holds for
-	// one node — what backs the highrpm_node_power_watts gauges.
-	LatestEstimate = cluster.LatestEstimate
 )
 
 // NewMetricsRegistry returns an empty metric registry.
@@ -423,8 +348,6 @@ type (
 	TopologyOptions = fleet.TopologyOptions
 	// FleetStats is the router's own routing/replication accounting.
 	FleetStats = fleet.Stats
-	// FleetShardStatus is the router's live view of one shard.
-	FleetShardStatus = fleet.ShardStatus
 )
 
 // NewRouter builds a fleet router over the given topology. Call Listen to
@@ -444,8 +367,6 @@ type (
 	JobActivity = attribution.JobActivity
 	// JobPower is one job's attributed power for a second.
 	JobPower = attribution.JobPower
-	// EnergyLedger accumulates per-job energy over time.
-	EnergyLedger = attribution.Ledger
 	// AttributionConfig sets the idle-power split.
 	AttributionConfig = attribution.Config
 )
@@ -455,12 +376,6 @@ type (
 func AttributePower(pcpuW, pmemW float64, jobs []JobActivity, cfg AttributionConfig) ([]JobPower, error) {
 	return attribution.Attribute(pcpuW, pmemW, jobs, cfg)
 }
-
-// NewEnergyLedger returns an empty per-job energy ledger.
-func NewEnergyLedger() *EnergyLedger { return attribution.NewLedger() }
-
-// DefaultAttributionConfig matches the simulated ARM node's idle power.
-func DefaultAttributionConfig() AttributionConfig { return attribution.DefaultConfig() }
 
 // Governor types: power-capping control stacks built on HighRPM estimates
 // (the Fig. 1 motivation turned into an application; see examples/powercap).
@@ -473,8 +388,6 @@ type (
 	GovernorOutcome = governor.Outcome
 	// HysteresisPolicy is the classic step governor with a hysteresis band.
 	HysteresisPolicy = governor.Hysteresis
-	// PIDPolicy is a cap-constrained PID controller.
-	PIDPolicy = governor.PID
 	// PredictivePolicy preempts cap crossings from the estimate's slope.
 	PredictivePolicy = governor.Predictive
 )
@@ -489,34 +402,3 @@ func RunGoverned(n *Node, b Benchmark, src GovernorSource, pol GovernorPolicy, c
 
 // GovernorConfig drives RunGoverned.
 type GovernorConfig = governor.Config
-
-// GPU extension types (§6.4.4): the HighRPM methodology retargeted at an
-// accelerator with its own counters. See examples/gpu.
-type (
-	// GPUDeviceConfig describes a simulated GPU.
-	GPUDeviceConfig = gpuext.DeviceConfig
-	// GPUDevice is a running GPU simulation.
-	GPUDevice = gpuext.Device
-	// GPUKernel is a named GPU workload.
-	GPUKernel = gpuext.Kernel
-	// GPUTrace is a completed GPU run.
-	GPUTrace = gpuext.Trace
-	// GPUTRR restores the temporal resolution of sparse GPU power readings.
-	GPUTRR = gpuext.TRR
-)
-
-// DefaultGPUDevice returns the reference accelerator model.
-func DefaultGPUDevice() GPUDeviceConfig { return gpuext.DefaultDevice() }
-
-// NewGPUDevice creates a GPU simulation.
-func NewGPUDevice(cfg GPUDeviceConfig, seed int64) (*GPUDevice, error) {
-	return gpuext.NewDevice(cfg, seed)
-}
-
-// GPUKernels returns the GPU workload suite.
-func GPUKernels() []GPUKernel { return gpuext.Kernels() }
-
-// FitGPUTRR trains the GPU restoration model on a labeled device trace.
-func FitGPUTRR(train *GPUTrace, missInterval int) (*GPUTRR, error) {
-	return gpuext.FitTRR(train, missInterval)
-}

@@ -171,6 +171,59 @@ func TestServiceIsolatesNodes(t *testing.T) {
 	}
 }
 
+// TestServiceSameNodeTwoConnections is the reconnect-while-the-old-request-
+// is-in-flight case: two connections carry one node id and send at once.
+// The node's lock must serialise them (the race detector is the referee for
+// the monitor), and every sample must be counted, stored and gauged once.
+func TestServiceSameNodeTwoConnections(t *testing.T) {
+	checkNoLeaks(t)
+	svc := startService(t)
+	const perConn = 400
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for c := 0; c < 2; c++ {
+		agent, err := Dial(svc.Addr(), "node-dup")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer agent.Close()
+		wg.Add(1)
+		go func(base float64) {
+			defer wg.Done()
+			pmc := benchPMC()
+			for i := 0; i < perConn; i++ {
+				var measured *float64
+				if i%10 == 0 {
+					v := 80 + float64(i%7)
+					measured = &v
+				}
+				if _, err := agent.Send(base+float64(i), pmc, measured); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(float64(c * 1000))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := svc.Stats(); st.Samples != 2*perConn || st.Nodes != 1 {
+		t.Fatalf("stats = %d samples on %d nodes, want %d on 1", st.Samples, st.Nodes, 2*perConn)
+	}
+	raw, err := svc.Store().QuerySeries("node-dup", "p_node", 0, 2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw.Points) != 2*perConn {
+		t.Fatalf("store holds %d raw p_node points, want %d", len(raw.Points), 2*perConn)
+	}
+	if latest := svc.LatestEstimates(); len(latest) != 1 {
+		t.Fatalf("%d latest estimates, want 1: %v", len(latest), latest)
+	}
+}
+
 func TestServiceRejectsBadSample(t *testing.T) {
 	checkNoLeaks(t)
 	svc := startService(t)

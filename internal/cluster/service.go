@@ -46,10 +46,17 @@ func DefaultServiceOptions() ServiceOptions {
 }
 
 // Service is the control-node HighRPM service. One trained model is shared
-// by every compute node; each node gets its own streaming Monitor so power
-// histories never mix. Every estimate is recorded into an embedded tsdb
-// store so agents and tools can query power history (KindQuery) instead of
-// only watching the live stream.
+// by every compute node and only ever read here; each node gets its own
+// nodeState so power histories never mix. Every estimate is recorded into
+// an embedded tsdb store so agents and tools can query power history
+// (KindQuery) instead of only watching the live stream.
+//
+// Everything a sample changes belongs to its node and is guarded by that
+// node's lock: a sample takes mu for the map lookup, then its nodeState's
+// mu across monitor, latest estimate and store ingest. Concurrent
+// connections carrying one node id — a reconnect while the old request is
+// still in flight — are therefore serialised in arrival order, and the
+// node's monitor order is its store order.
 type Service struct {
 	model *core.HighRPM
 	store *tsdb.Store
@@ -58,8 +65,8 @@ type Service struct {
 	// service is its Handler.
 	srv *Server
 
-	mu   sync.Mutex
-	mons map[string]*core.Monitor
+	mu    sync.Mutex
+	nodes map[string]*nodeState
 
 	samples   atomic.Int64
 	estimates atomic.Int64
@@ -74,12 +81,6 @@ type Service struct {
 	// batchHist, when set (RegisterMetrics), observes the size of each
 	// record batch — the coalescing factor agents actually achieve.
 	batchHist atomic.Pointer[obs.Histogram]
-
-	// lmu guards latest, the newest estimate per node — what the obs
-	// highrpm_node_power_watts gauges and dashboards read. A dedicated
-	// mutex keeps the per-sample update off the monitor-table lock.
-	lmu    sync.Mutex
-	latest map[string]LatestEstimate
 
 	// meter, when set (RegisterMetrics), prices each estimation tick for
 	// the highrpm_overhead_* self-metering series.
@@ -105,7 +106,7 @@ func NewServiceWith(model *core.HighRPM, opts ServiceOptions) *Service {
 		model: model,
 		store: tsdb.New(tsdb.DefaultOptions()),
 		opts:  opts,
-		mons:  map[string]*core.Monitor{},
+		nodes: map[string]*nodeState{},
 		Logf:  log.Printf,
 	}
 	// Logf is read at call time: callers replace it after construction.
@@ -168,16 +169,28 @@ func (s *Service) Shutdown(grace time.Duration) error {
 	return err
 }
 
-// monitorFor returns the per-node monitor, creating it on first use.
-func (s *Service) monitorFor(nodeID string) *core.Monitor {
+// nodeState is everything the service keeps for one node. mu guards the
+// rest and is held across a whole sample.
+type nodeState struct {
+	mu  sync.Mutex
+	mon *core.Monitor
+	// latest is the newest estimate — what the obs
+	// highrpm_node_power_watts gauges and dashboards read; estimated says
+	// there is one (a Hello alone creates the node without it).
+	latest    LatestEstimate
+	estimated bool
+}
+
+// node returns the per-node state, creating it on first use.
+func (s *Service) node(nodeID string) *nodeState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.mons[nodeID]
+	n, ok := s.nodes[nodeID]
 	if !ok {
-		m = core.NewMonitor(s.model)
-		s.mons[nodeID] = m
+		n = &nodeState{mon: core.NewMonitor(s.model)}
+		s.nodes[nodeID] = n
 	}
-	return m
+	return n
 }
 
 // serviceHandler is the Service's Handler face: each request kind the
@@ -185,7 +198,7 @@ func (s *Service) monitorFor(nodeID string) *core.Monitor {
 // so the scratch-borrowing methods stay out of the Service's public API.
 type serviceHandler struct{ s *Service }
 
-func (h serviceHandler) Hello(nodeID string) { h.s.monitorFor(nodeID) }
+func (h serviceHandler) Hello(nodeID string) { h.s.node(nodeID) }
 
 func (h serviceHandler) Sample(smp *Sample) (Estimate, error) {
 	return h.s.processSample(smp.NodeID, smp.Time, smp.PMC, smp.Measured, smp.Relayed)
@@ -208,18 +221,20 @@ func (h serviceHandler) Stats() (Stats, error) { return h.s.Stats(), nil }
 func (h serviceHandler) Model() ([]byte, error) { return core.Marshal(h.s.model) }
 
 // processSample runs one second of telemetry through the per-node monitor
-// and into the history store — the one path every framing (JSON, binary,
-// batched) funnels into. It borrows pmc only for the call. With rel, the
-// estimate another replica already computed for this sample, the monitor
-// only Observes: rel is what gets counted, gauged, stored and answered,
-// exactly as the monitor's own estimate would be, and the stored trend
-// value still comes from this service's monitor.
+// and into the history store, under the node's lock — the one path every
+// framing (JSON, binary, batched) funnels into. It borrows pmc only for the
+// call. With rel, the estimate another replica already computed for this
+// sample, the monitor only Observes: rel is what gets counted, gauged,
+// stored and answered, exactly as the monitor's own estimate would be, and
+// the stored trend value still comes from this service's monitor.
 func (s *Service) processSample(nodeID string, tm float64, pmc []float64, measured *float64, rel *RelayedEstimate) (Estimate, error) {
 	s.samples.Add(1)
 	if measured != nil {
 		s.measured.Add(1)
 	}
-	mon := s.monitorFor(nodeID)
+	n := s.node(nodeID)
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	// One estimation tick — model inference plus the history record — is
 	// the unit the overhead self-metering prices.
 	tickDone := s.meter.Load().Tick()
@@ -227,9 +242,9 @@ func (s *Service) processSample(nodeID string, tm float64, pmc []float64, measur
 	var err error
 	if rel != nil {
 		est = core.MonitorEstimate{PNode: rel.PNode, PCPU: rel.PCPU, PMEM: rel.PMEM, FromMeasurement: rel.FromMeasurement}
-		est.PNodePrime, err = mon.Observe(pmc, measured)
+		est.PNodePrime, err = n.mon.Observe(pmc, measured)
 	} else {
-		est, err = mon.Push(pmc, measured)
+		est, err = n.mon.Push(pmc, measured)
 	}
 	if err != nil {
 		tickDone()
@@ -239,7 +254,17 @@ func (s *Service) processSample(nodeID string, tm float64, pmc []float64, measur
 		s.relayed.Add(1)
 	}
 	s.estimates.Add(1)
-	s.record(Sample{NodeID: nodeID, Time: tm, PMC: pmc, Measured: measured}, est)
+	rec := tsdb.Sample{PNode: est.PNode, PCPU: est.PCPU, PMEM: est.PMEM, PNodePrime: est.PNodePrime, IPMI: math.NaN()}
+	if measured != nil {
+		rec.IPMI = *measured
+	}
+	n.latest, n.estimated = LatestEstimate{Time: tm, Sample: rec, FromMeasurement: est.FromMeasurement}, true
+	// History is best-effort, estimates are not: an ErrClosed during
+	// shutdown is expected (Close is racing the last samples); anything
+	// else is logged but never fails the connection.
+	if err := s.store.Ingest(nodeID, tm, rec); err != nil && !errors.Is(err, tsdb.ErrClosed) {
+		s.Logf("cluster: store ingest %s: %v", nodeID, err)
+	}
 	tickDone()
 	return Estimate{
 		NodeID: nodeID, Time: tm,
@@ -271,61 +296,31 @@ func (s *Service) processBatch(rb *RecordBatch, dst []Estimate) ([]Estimate, err
 	return dst, nil
 }
 
-// record stores one estimate into the history store. An ErrClosed during
-// shutdown is expected (Close is racing the last samples); anything else
-// is logged but never fails the connection — history is best-effort,
-// estimates are not.
-func (s *Service) record(smp Sample, est core.MonitorEstimate) {
-	ipmi := math.NaN()
-	if smp.Measured != nil {
-		ipmi = *smp.Measured
-	}
-	s.lmu.Lock()
-	if s.latest == nil {
-		s.latest = map[string]LatestEstimate{}
-	}
-	s.latest[smp.NodeID] = LatestEstimate{
-		Time:            smp.Time,
-		PNode:           est.PNode,
-		PCPU:            est.PCPU,
-		PMEM:            est.PMEM,
-		PNodePrime:      est.PNodePrime,
-		IPMI:            ipmi,
-		FromMeasurement: est.FromMeasurement,
-	}
-	s.lmu.Unlock()
-	err := s.store.Ingest(smp.NodeID, smp.Time, tsdb.Sample{
-		PNode:      est.PNode,
-		PCPU:       est.PCPU,
-		PMEM:       est.PMEM,
-		PNodePrime: est.PNodePrime,
-		IPMI:       ipmi,
-	})
-	if err != nil && !errors.Is(err, tsdb.ErrClosed) {
-		s.Logf("cluster: store ingest %s: %v", smp.NodeID, err)
-	}
-}
-
 // LatestEstimate is the newest restored power the service computed for
 // one node — what the per-node power gauges export.
 type LatestEstimate struct {
 	Time            float64
-	PNode           float64
-	PCPU            float64
-	PMEM            float64
-	PNodePrime      float64
-	IPMI            float64 // NaN when the sample carried no IM reading
+	tsdb.Sample     // as stored; IPMI is NaN when the sample carried no IM reading
 	FromMeasurement bool
 }
 
 // LatestEstimates snapshots the newest estimate per node (a copy; safe to
-// range without holding service locks).
+// range without holding service locks). It never waits for a node while
+// holding the node table.
 func (s *Service) LatestEstimates() map[string]LatestEstimate {
-	s.lmu.Lock()
-	defer s.lmu.Unlock()
-	out := make(map[string]LatestEstimate, len(s.latest))
-	for k, v := range s.latest {
-		out[k] = v
+	s.mu.Lock()
+	nodes := make(map[string]*nodeState, len(s.nodes))
+	for id, n := range s.nodes {
+		nodes[id] = n
+	}
+	s.mu.Unlock()
+	out := make(map[string]LatestEstimate, len(nodes))
+	for id, n := range nodes {
+		n.mu.Lock()
+		if n.estimated {
+			out[id] = n.latest
+		}
+		n.mu.Unlock()
 	}
 	return out
 }
@@ -333,7 +328,7 @@ func (s *Service) LatestEstimates() map[string]LatestEstimate {
 // Stats snapshots service counters.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
-	nodes := len(s.mons)
+	nodes := len(s.nodes)
 	s.mu.Unlock()
 	cs := s.srv.Stats()
 	return Stats{

@@ -177,6 +177,15 @@ func (s scalerND) fwd(row []float64) []float64 {
 	return out
 }
 
+// width is the row width the scaler standardizes, or -1 when a decoded
+// scaler's mean and std disagree.
+func (s scalerND) width() int {
+	if len(s.Mean) != len(s.Std) {
+		return -1
+	}
+	return len(s.Mean)
+}
+
 // fwdInto standardizes row into dst, which must have the same length.
 func (s scalerND) fwdInto(dst, row []float64) {
 	for j, v := range row {

@@ -7,8 +7,10 @@ import (
 )
 
 // seqLoss runs a window through a single cell and returns
-// L = Σ_t ½‖h_t‖², the simplest loss touching every gate path.
+// L = Σ_t ½‖h_t‖², the simplest loss touching every gate path. gradCheck
+// perturbs tensors between calls, so it syncs the cell first.
 func seqLoss(c cell, xs [][]float64) float64 {
+	c.sync()
 	sc := c.newScratch()
 	st, _ := sc.begin(len(xs))
 	var loss float64
@@ -29,7 +31,7 @@ func seqBackward(c cell, xs [][]float64) {
 	states := make([]cellState, 0, len(xs))
 	for t, x := range xs {
 		st = c.step(sc, t, x, st)
-		states = append(states, st.clone())
+		states = append(states, cellState{h: append([]float64(nil), st.h...)})
 	}
 	for t := len(xs) - 1; t >= 0; t-- {
 		for i, h := range states[t].h {

@@ -84,6 +84,9 @@ func (g *gruCell) inputSize() int     { return g.in }
 func (g *gruCell) hiddenSize() int    { return g.hid }
 func (g *gruCell) tensors() []*tensor { return []*tensor{g.wx, g.wh, g.b} }
 
+// sync has nothing to do: step reads the tensors as they lie.
+func (g *gruCell) sync() {}
+
 func (g *gruCell) step(scr cellScratch, t int, x []float64, st cellState) cellState {
 	s := scr.(*gruScratch)
 	H := g.hid

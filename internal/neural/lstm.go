@@ -3,7 +3,6 @@ package neural
 import (
 	"math"
 	"math/rand"
-	"sync"
 )
 
 // lstmCell is one LSTM layer. Gate blocks in the 4H dimension are ordered
@@ -14,19 +13,16 @@ type lstmCell struct {
 	wh      *tensor // H × 4H
 	b       *tensor // 1 × 4H
 
-	// inf caches the weights transposed to [4H][in] / [4H][hid] (row =
-	// gate*H+unit) for the fused inference step. ver is the network
-	// weightsVer the transposes were built at; 0 means never built.
-	inf struct {
-		mu       sync.Mutex
-		ver      int64
-		wxT, whT []float64
-	}
+	// wxT/whT are wx/wh transposed to [4H][in] / [4H][hid] (row =
+	// gate*H+unit), the layout step reads. The tensors stay the parameters
+	// (optimizer, persistence, back); whoever writes them calls sync.
+	wxT, whT []float64
 }
 
 func newLSTMCell(in, hid int, rng *rand.Rand) cell {
 	c := &lstmCell{in: in, hid: hid,
-		wx: newTensor(in, 4*hid), wh: newTensor(hid, 4*hid), b: newTensor(1, 4*hid)}
+		wx: newTensor(in, 4*hid), wh: newTensor(hid, 4*hid), b: newTensor(1, 4*hid),
+		wxT: make([]float64, in*4*hid), whT: make([]float64, hid*4*hid)}
 	scaleX := 1 / math.Sqrt(float64(in))
 	scaleH := 1 / math.Sqrt(float64(hid))
 	for i := range c.wx.W {
@@ -39,36 +35,34 @@ func newLSTMCell(in, hid int, rng *rand.Rand) cell {
 	for j := hid; j < 2*hid; j++ {
 		c.b.W[j] = 1
 	}
+	c.sync()
 	return c
 }
 
 // lstmStep records one timestep's activations for backprop. The gate
-// slices are owned by the scratch; x, hPrev, cPrev and c reference buffers
+// slices are owned by the scratch; x, hPrev and cPrev reference buffers
 // that stay live for the whole window.
 type lstmStep struct {
 	x, hPrev, cPrev []float64
 	i, f, g, o, tc  []float64
-	c               []float64
 }
 
 // lstmScratch is the reusable per-executor workspace of one LSTM layer:
-// pre-activation and gradient slabs plus per-timestep state and gate
-// buffers, grown once to the window length and reused for every window.
+// the gradient slab plus per-timestep state and gate buffers, grown once to
+// the window length and reused for every window.
 type lstmScratch struct {
-	in, hid int
-	z, dz   []float64    // 4H pre-activations / their gradients
-	dx      []float64    // input gradient
-	dbuf    [2]cellState // ping-pong backward state gradients
-	hs, cs  [][]float64  // states; hs[0]/cs[0] stay all-zero
-	steps   []lstmStep
+	hid    int
+	dz     []float64    // 4H pre-activation gradients
+	dx     []float64    // input gradient
+	dbuf   [2]cellState // ping-pong backward state gradients
+	hs, cs [][]float64  // states; hs[0]/cs[0] stay all-zero
+	steps  []lstmStep
 }
 
 func (l *lstmCell) newScratch() cellScratch {
 	H := l.hid
 	return &lstmScratch{
-		in: l.in, hid: H,
-		z: make([]float64, 4*H), dz: make([]float64, 4*H),
-		dx: make([]float64, l.in),
+		hid: H, dz: make([]float64, 4*H), dx: make([]float64, l.in),
 		dbuf: [2]cellState{
 			{h: make([]float64, H), c: make([]float64, H)},
 			{h: make([]float64, H), c: make([]float64, H)},
@@ -99,94 +93,43 @@ func (l *lstmCell) inputSize() int     { return l.in }
 func (l *lstmCell) hiddenSize() int    { return l.hid }
 func (l *lstmCell) tensors() []*tensor { return []*tensor{l.wx, l.wh, l.b} }
 
+// sync refreshes wxT/whT from wx/wh. Destination rows are written
+// contiguously; the strided side is the read.
+func (l *lstmCell) sync() {
+	transposeInto(l.wxT, l.wx.W, l.in, 4*l.hid)
+	transposeInto(l.whT, l.wh.W, l.hid, 4*l.hid)
+}
+
+// transposeInto writes the rows×cols row-major src into dst as cols×rows.
+func transposeInto(dst, src []float64, rows, cols int) {
+	for j := 0; j < cols; j++ {
+		row := dst[j*rows : (j+1)*rows]
+		for i := range row {
+			row[i] = src[i*cols+j]
+		}
+	}
+}
+
+// step accumulates the four gate pre-activations of each hidden unit in
+// registers over the transposed weight rows — bias, then x contributions in
+// input order, then h contributions in hidden order — and records the gate
+// activations back needs. It reads the cell and writes only the scratch.
 func (l *lstmCell) step(scr cellScratch, t int, x []float64, st cellState) cellState {
 	s := scr.(*lstmScratch)
 	H := l.hid
-	z := s.z
-	copy(z, l.b.W)
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := l.wx.W[i*4*H : (i+1)*4*H]
-		for j, wv := range row {
-			z[j] += xv * wv
-		}
-	}
-	for i, hv := range st.h {
-		if hv == 0 {
-			continue
-		}
-		row := l.wh.W[i*4*H : (i+1)*4*H]
-		for j, wv := range row {
-			z[j] += hv * wv
-		}
-	}
-	g := &s.steps[t]
-	g.x, g.hPrev, g.cPrev = x, st.h, st.c
-	c, h := s.cs[t+1], s.hs[t+1]
-	g.c = c
-	for j := 0; j < H; j++ {
-		g.i[j] = sigmoid(z[j])
-		g.f[j] = sigmoid(z[H+j])
-		g.g[j] = math.Tanh(z[2*H+j])
-		g.o[j] = sigmoid(z[3*H+j])
-		c[j] = g.f[j]*st.c[j] + g.i[j]*g.g[j]
-		g.tc[j] = math.Tanh(c[j])
-		h[j] = g.o[j] * g.tc[j]
-	}
-	return cellState{h: h, c: c}
-}
-
-// inferWeights returns the transposed weight copies for version ver,
-// rebuilding them when training has moved the weights since the last
-// build. The transpose is ~4H·(in+H) copies — trivial next to one window
-// of inference — and is amortized across every prediction at that version.
-func (l *lstmCell) inferWeights(ver int64) (wxT, whT []float64) {
-	l.inf.mu.Lock()
-	defer l.inf.mu.Unlock()
-	if l.inf.ver != ver {
-		H := l.hid
-		if l.inf.wxT == nil {
-			l.inf.wxT = make([]float64, l.in*4*H)
-			l.inf.whT = make([]float64, H*4*H)
-		}
-		for i := 0; i < l.in; i++ {
-			for j := 0; j < 4*H; j++ {
-				l.inf.wxT[j*l.in+i] = l.wx.W[i*4*H+j]
-			}
-		}
-		for i := 0; i < H; i++ {
-			for j := 0; j < 4*H; j++ {
-				l.inf.whT[j*H+i] = l.wh.W[i*4*H+j]
-			}
-		}
-		l.inf.ver = ver
-	}
-	return l.inf.wxT, l.inf.whT
-}
-
-// stepInfer is the prediction-only fast path of step: the four gate
-// pre-activations of each hidden unit accumulate in registers over
-// transposed weight rows, so the 4H-wide z slab and the per-gate recording
-// for backprop disappear. Every accumulator sums the same terms in the
-// same order as step (bias, then x contributions in input order, then h
-// contributions in hidden order), so the produced states are bit-identical
-// — PredictSeq through this path equals PredictSeq through step exactly.
-func (l *lstmCell) stepInfer(scr cellScratch, t int, x []float64, st cellState, ver int64) cellState {
-	s := scr.(*lstmScratch)
-	H := l.hid
 	in := l.in
-	wxT, whT := l.inferWeights(ver)
+	wxT, whT := l.wxT, l.whT
 	bw := l.b.W
 	hPrev := st.h
+	g := &s.steps[t]
+	g.x, g.hPrev, g.cPrev = x, hPrev, st.c
 	c, h := s.cs[t+1], s.hs[t+1]
 	for j := 0; j < H; j++ {
 		zi, zf, zg, zo := bw[j], bw[H+j], bw[2*H+j], bw[3*H+j]
 		// Re-slicing each row to len(x)/len(hPrev) lets the compiler prove
 		// i is in range for all four rows and drop the bounds checks (the
 		// rows are in/H long; inputs are never longer in a well-formed net,
-		// and a malformed one panics here just as step would index past wx).
+		// and a malformed one panics here).
 		rxi := wxT[j*in : (j+1)*in][:len(x)]
 		rxf := wxT[(H+j)*in : (H+j+1)*in][:len(x)]
 		rxg := wxT[(2*H+j)*in : (2*H+j+1)*in][:len(x)]
@@ -213,9 +156,12 @@ func (l *lstmCell) stepInfer(scr cellScratch, t int, x []float64, st cellState, 
 			zg += hv * rhg[i]
 			zo += hv * rho[i]
 		}
-		cj := sigmoid(zf)*st.c[j] + sigmoid(zi)*math.Tanh(zg)
+		iv, fv, gv, ov := sigmoid(zi), sigmoid(zf), math.Tanh(zg), sigmoid(zo)
+		cj := fv*st.c[j] + iv*gv
+		tc := math.Tanh(cj)
+		g.i[j], g.f[j], g.g[j], g.o[j], g.tc[j] = iv, fv, gv, ov, tc
 		c[j] = cj
-		h[j] = sigmoid(zo) * math.Tanh(cj)
+		h[j] = ov * tc
 	}
 	return cellState{h: h, c: c}
 }

@@ -324,6 +324,24 @@ func decodeMLP(b []byte) (any, error) {
 	if err := json.Unmarshal(b, &st); err != nil {
 		return nil, err
 	}
+	// The state arrives from disk or the network: every count and dimension
+	// must be spelled out by a slice the frame actually carried before
+	// anything is indexed or allocated by it.
+	if len(st.Dims) == 0 || len(st.Weights) != len(st.Dims) || len(st.Biases) != len(st.Dims) {
+		return nil, fmt.Errorf("neural: mlp state has %d dims, %d weights, %d biases", len(st.Dims), len(st.Weights), len(st.Biases))
+	}
+	in := st.XScaler.width()
+	for l, dims := range st.Dims {
+		r, c := dims[0], dims[1]
+		if r <= 0 || r != in || c <= 0 || c != len(st.Biases[l]) || r > len(st.Weights[l]) || r*c != len(st.Weights[l]) {
+			return nil, fmt.Errorf("neural: mlp layer %d is %d×%d after width %d with %d weights and %d biases",
+				l, r, c, in, len(st.Weights[l]), len(st.Biases[l]))
+		}
+		in = c
+	}
+	if len(st.YScaler) != in {
+		return nil, fmt.Errorf("neural: mlp has %d outputs but %d target scalers", in, len(st.YScaler))
+	}
 	n := NewMLP(st.Hidden, st.Outputs, st.Seed)
 	n.LR, n.Epochs, n.BatchSize = st.LR, st.Epochs, st.Batch
 	n.XScaler, n.YScaler = st.XScaler, st.YScaler

@@ -5,15 +5,16 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"highrpm/internal/model"
 )
 
 // cell is one recurrent layer's parameters with step/backprop functions.
 // Implementations: lstmCell, gruCell. Cells hold no per-window state: all
-// scratch lives in a cellScratch so several executors (the trainer, pooled
-// predictors) can share one parameter set without races.
+// scratch lives in a cellScratch, and step only reads the cell, so several
+// executors (the trainer, pooled predictors) share one parameter set without
+// locks. A cell is written by training alone — back's gradients, the
+// optimizer step, restore — never while anyone predicts from it.
 type cell interface {
 	// newScratch allocates the per-executor workspace for this layer.
 	newScratch() cellScratch
@@ -28,6 +29,9 @@ type cell interface {
 	// tensors exposes the layer's parameters {wx, wh, b} for the optimizer
 	// and for persistence.
 	tensors() []*tensor
+	// sync brings whatever the cell derives from its tensors up to date;
+	// whoever writes a tensor's W calls it before the next step.
+	sync()
 	// inputSize and hiddenSize describe the layer shape.
 	inputSize() int
 	hiddenSize() int
@@ -47,14 +51,6 @@ type cellState struct {
 	c []float64
 }
 
-func (s cellState) clone() cellState {
-	out := cellState{h: append([]float64(nil), s.h...)}
-	if s.c != nil {
-		out.c = append([]float64(nil), s.c...)
-	}
-	return out
-}
-
 // growRows ensures dst has at least n rows of width w, reusing existing
 // buffers.
 func growRows(dst [][]float64, n, w int) [][]float64 {
@@ -71,12 +67,6 @@ type seqExec struct {
 	layers []cell
 	scr    []cellScratch
 	wy, by *tensor
-
-	// inferVer, when non-nil, marks this executor as prediction-only and
-	// points at the owning network's weights version; layers that provide a
-	// fused inference step (lstmCell.stepInfer) run it instead of the
-	// recording step. Training executors leave it nil.
-	inferVer *atomic.Int64
 
 	xrows   [][]float64 // standardized input per timestep
 	topH    [][]float64 // top-layer output per timestep
@@ -125,13 +115,6 @@ func (e *seqExec) forward(window [][]float64, xs *scalerND) []float64 {
 		x := e.xrows[t][:len(raw)]
 		xs.fwdInto(x, raw)
 		for li, l := range e.layers {
-			if e.inferVer != nil {
-				if lc, ok := l.(*lstmCell); ok {
-					e.states[li] = lc.stepInfer(e.scr[li], t, x, e.states[li], e.inferVer.Load())
-					x = e.states[li].h
-					continue
-				}
-			}
 			e.states[li] = l.step(e.scr[li], t, x, e.states[li])
 			x = e.states[li].h
 		}
@@ -194,13 +177,6 @@ type seqNet struct {
 	// stay race-free without per-call allocation of the whole workspace.
 	predPool sync.Pool
 
-	// weightsVer versions the parameter tensors for the inference fast
-	// path: trainWindows bumps it when an optimisation pass finishes, and
-	// cells rebuild their transposed inference weights when the version
-	// they cached falls behind. It starts at 1 so freshly built (or
-	// freshly decoded) weights are always newer than a cell's zero.
-	weightsVer atomic.Int64
-
 	xScaler scalerND
 	yScaler scaler1d
 	fitted  bool
@@ -218,12 +194,7 @@ func newSeqNet(layers []cell, lr float64, seed int64) *seqNet {
 	}
 	tensors = append(tensors, n.wy, n.by)
 	n.opt = newAdam(lr, tensors...)
-	n.weightsVer.Store(1)
-	n.predPool.New = func() any {
-		e := newSeqExec(n.layers, n.wy, n.by)
-		e.inferVer = &n.weightsVer
-		return e
-	}
+	n.predPool.New = func() any { return newSeqExec(n.layers, n.wy, n.by) }
 	return n
 }
 
@@ -261,11 +232,18 @@ func (n *seqNet) trainWindows(seqs [][][]float64, targets [][]float64, epochs, b
 				n.exec.backprop(seqs[i], targets[i], &n.xScaler, n.yScaler)
 			}
 			n.opt.Step(steps, 5)
+			n.sync()
 		}
 	}
 	n.fitted = true
-	n.weightsVer.Add(1)
 	return nil
+}
+
+// sync re-derives every layer's step-side weight copies from its tensors.
+func (n *seqNet) sync() {
+	for _, l := range n.layers {
+		l.sync()
+	}
 }
 
 // predictWindow evaluates the network on a window, de-standardizing
@@ -464,23 +442,36 @@ func (m *seqModel) restore(b []byte) error {
 	if err := json.Unmarshal(b, &st); err != nil {
 		return err
 	}
+	// The state arrives from disk or the network. Before build allocates by
+	// its shape, every dimension must be positive and spelled out by a slice
+	// the frame actually carried, and each layer's tensors must agree with
+	// one another; after build they must be exactly this kind's.
+	H, in := st.Hidden, st.InputDim
+	if H <= 0 || in <= 0 || st.Layers <= 0 || len(st.Tensors) != st.Layers ||
+		len(st.Wy) != H || st.XScaler.width() != in {
+		return fmt.Errorf("neural: %s state is hidden=%d layers=%d input_dim=%d with %d layers of tensors, %d readout weights, input scaler width %d",
+			m.kind, H, st.Layers, in, len(st.Tensors), len(st.Wy), st.XScaler.width())
+	}
+	for k, ts := range st.Tensors {
+		if len(ts) != 3 || len(ts[2]) < H || len(ts[0]) != in*len(ts[2]) || len(ts[1]) != H*len(ts[2]) {
+			return fmt.Errorf("neural: %s layer %d tensors do not form a %d→%d layer", m.kind, k, in, H)
+		}
+		in = H
+	}
 	*m = newSeqModel(m.kind, m.newCell, st.Hidden, st.Layers, st.Seed)
 	m.LR, m.Epochs, m.BatchSize = st.LR, st.Epochs, st.Batch
 	m.build(st.InputDim)
-	if len(st.Tensors) != len(m.net.layers) {
-		return fmt.Errorf("neural: %s state has %d layers of tensors, want %d", m.kind, len(st.Tensors), len(m.net.layers))
-	}
 	for k, c := range m.net.layers {
-		ts := c.tensors()
-		if len(st.Tensors[k]) != len(ts) {
-			return fmt.Errorf("neural: %s layer %d has %d tensors, want %d", m.kind, k, len(st.Tensors[k]), len(ts))
-		}
-		for i, t := range ts {
+		for i, t := range c.tensors() {
+			if len(st.Tensors[k][i]) != len(t.W) {
+				return fmt.Errorf("neural: %s layer %d tensor %d has %d weights, want %d", m.kind, k, i, len(st.Tensors[k][i]), len(t.W))
+			}
 			copy(t.W, st.Tensors[k][i])
 		}
 	}
 	copy(m.net.wy.W, st.Wy)
 	m.net.by.W[0] = st.By
+	m.net.sync()
 	m.net.xScaler, m.net.yScaler = st.XScaler, st.YScaler
 	m.net.fitted = true
 	return nil
