@@ -1,12 +1,13 @@
-// Package highrpm's benchmark harness: one testing.B benchmark per table
-// and figure of the paper's motivation and evaluation sections, each
-// regenerating its artifact at bench scale and reporting the headline
-// metric alongside the usual ns/op. For paper-scale runs use
+// Package highrpm's benchmark harness: BenchmarkExperiment regenerates each
+// table and figure of the paper's motivation and evaluation sections at
+// bench scale, one sub-benchmark per registered experiment; the Store
+// benchmarks measure the tsdb. For paper-scale runs use
 //
 //	go run ./cmd/highrpm-bench -scale full
 package highrpm_test
 
 import (
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,213 +16,23 @@ import (
 	"highrpm/internal/experiments"
 )
 
-func benchConfig(seed int64) experiments.Config {
-	cfg := experiments.NewConfig(experiments.ScaleBench)
-	cfg.Seed = seed
-	return cfg
-}
-
-// BenchmarkFig1PowerCapping regenerates Fig. 1: Graph500 under a power cap
-// with varying reading (PI) and action (AI) intervals.
-func BenchmarkFig1PowerCapping(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFig1(benchConfig(int64(i + 1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := r.Scenarios[len(r.Scenarios)-1]
-		b.ReportMetric(last.Result.PeakW, "peakW/AI30")
-		b.ReportMetric(last.Result.EnergyJ/1000, "kJ/AI30")
-	}
-}
-
-// BenchmarkFig2ComponentDivergence regenerates Fig. 2: FFT vs Stream
-// CPU/DRAM power split.
-func BenchmarkFig2ComponentDivergence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFig2(benchConfig(int64(i + 1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Runs[0].AvgCPU, "fftCPUW")
-		b.ReportMetric(r.Runs[1].AvgMEM, "streamMEMW")
-	}
-}
-
-// BenchmarkTable5TRR regenerates Table 5 (and Table 6): TRR vs the twelve
-// baselines on node-power restoration.
-func BenchmarkTable5TRR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ws := experiments.NewWorkspace(benchConfig(int64(i + 1)))
-		r, err := experiments.RunTRRComparison(ws)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Unseen["DynamicTRR"].MAPE, "dynTRR-MAPE%")
-		b.ReportMetric(r.Unseen["LR"].MAPE, "LR-MAPE%")
-	}
-}
-
-// BenchmarkTable6TRRModels regenerates Table 6: spline vs StaticTRR vs
-// DynamicTRR. It shares Table 5's computation, so it runs only the TRR
-// family here.
-func BenchmarkTable6TRRModels(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(int64(i + 1))
-		ws := experiments.NewWorkspace(cfg)
-		r, err := experiments.RunFig7(ws) // spline + StaticTRR sweep, point 0 = 10 s
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Points[0].Spline.MAPE, "spline-MAPE%")
-		b.ReportMetric(r.Points[0].StaticTRR.MAPE, "staticTRR-MAPE%")
-	}
-}
-
-// BenchmarkTable7SRR regenerates Table 7: SRR vs the baselines on
-// component power.
-func BenchmarkTable7SRR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ws := experiments.NewWorkspace(benchConfig(int64(i + 1)))
-		r, err := experiments.RunSRRComparison(ws)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.CPUUnseen["SRR"].MAPE, "srrCPU-MAPE%")
-		b.ReportMetric(r.MEMUnseen["SRR"].MAPE, "srrMEM-MAPE%")
-	}
-}
-
-// BenchmarkTable8PNodeAblation regenerates Table 8: SRR with vs without
-// the P_Node input feature (computed inside RunSRRComparison).
-func BenchmarkTable8PNodeAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ws := experiments.NewWorkspace(benchConfig(int64(i + 1)))
-		r, err := experiments.RunSRRComparison(ws)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.WithNode["cpu/unseen"].MAPE, "withPNode-MAPE%")
-		b.ReportMetric(r.WithoutNode["cpu/unseen"].MAPE, "withoutPNode-MAPE%")
-	}
-}
-
-// BenchmarkTable9X86 regenerates Table 9: the full method on the x86/RAPL
-// platform with deliberately sparsified readings, unseen applications.
-func BenchmarkTable9X86(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunX86(benchConfig(int64(i + 1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.TRR.Unseen["DynamicTRR"].MAPE, "dynTRR-MAPE%")
-		b.ReportMetric(r.SRR.CPUUnseen["SRR"].MAPE, "srrCPU-MAPE%")
-	}
-}
-
-// BenchmarkFig7MissIntervalModels regenerates Fig. 7: spline vs StaticTRR
-// across miss_interval settings.
-func BenchmarkFig7MissIntervalModels(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ws := experiments.NewWorkspace(benchConfig(int64(i + 1)))
-		r, err := experiments.RunFig7(ws)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := r.Points[len(r.Points)-1]
-		b.ReportMetric(last.Spline.MAPE, "spline@max-MAPE%")
-	}
-}
-
-// BenchmarkFig8Sensitivity regenerates Fig. 8: HighRPM's sensitivity to the
-// miss_interval.
-func BenchmarkFig8Sensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ws := experiments.NewWorkspace(benchConfig(int64(i + 1)))
-		r, err := experiments.RunFig8(ws)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Points[0].Dynamic.MAPE, "dyn@10s-MAPE%")
-		last := r.Points[len(r.Points)-1]
-		b.ReportMetric(last.Dynamic.MAPE, "dyn@max-MAPE%")
-	}
-}
-
-// BenchmarkFig9Frequency regenerates Fig. 9: accuracy across the ARM DVFS
-// levels on Graph500.
-func BenchmarkFig9Frequency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFig9(benchConfig(int64(i + 1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Points[0].CPU.MAPE, "cpu@1.4GHz-MAPE%")
-		b.ReportMetric(r.Points[len(r.Points)-1].CPU.MAPE, "cpu@2.2GHz-MAPE%")
-	}
-}
-
-// BenchmarkHyperparameterSweep regenerates the §6.4.3 analysis.
-func BenchmarkHyperparameterSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ws := experiments.NewWorkspace(benchConfig(int64(i + 1)))
-		r, err := experiments.RunHyper(ws)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.LSTMLayers[1].Node.MAPE, "2layer-MAPE%")
-	}
-}
-
-// BenchmarkPredictionLatency measures the §6.4.5 per-sample prediction
-// cost (paper claim: < 1 ms at node and component level).
-func BenchmarkPredictionLatency(b *testing.B) {
-	ws := experiments.NewWorkspace(benchConfig(1))
-	r, err := experiments.RunOverhead(ws)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		_ = r
-	}
-	b.ReportMetric(float64(r.PredictNode.Microseconds()), "node-us")
-	b.ReportMetric(float64(r.PredictSpatial.Microseconds()), "component-us")
-}
-
-// BenchmarkGPUExtension regenerates the §6.4.4 GPU restoration experiment.
-func BenchmarkGPUExtension(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunGPU(benchConfig(int64(i + 1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Rows[0].TRR.MAPE, "gemmTRR-MAPE%")
-	}
-}
-
-// BenchmarkDesignAblations regenerates the design-choice ablation table.
-func BenchmarkDesignAblations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ws := experiments.NewWorkspace(benchConfig(int64(i + 1)))
-		r, err := experiments.RunAblations(ws)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.StaticFull.MAPE, "static-MAPE%")
-		b.ReportMetric(r.StaticNoPost.MAPE, "noAlg1-MAPE%")
-	}
-}
-
-// BenchmarkJitterRobustness regenerates the §6.4.6 limitation probe.
-func BenchmarkJitterRobustness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ws := experiments.NewWorkspace(benchConfig(int64(i + 1)))
-		r, err := experiments.RunJitter(ws)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Clean.MAPE, "clean-MAPE%")
-		b.ReportMetric(r.Dropped.MAPE, "dropped-MAPE%")
+// BenchmarkExperiment runs every experiment `highrpm-bench -list` prints, on
+// a fresh workspace and a new seed per iteration, and renders its tables.
+func BenchmarkExperiment(b *testing.B) {
+	for _, id := range experiments.DefaultOrder() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cfg := experiments.NewConfig(experiments.ScaleBench)
+				cfg.Seed = int64(i + 1)
+				tables, err := experiments.Run(experiments.NewWorkspace(cfg), id)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, t := range tables {
+					t.Render(io.Discard)
+				}
+			}
+		})
 	}
 }
 

@@ -6,9 +6,7 @@
 //	highrpm-bench [flags] [experiment ...]
 //
 // Without arguments every experiment runs in presentation order. Pass
-// experiment IDs (fig1, fig2, tab5, tab7, tab9, fig7, fig8, fig9, hyper,
-// overhead, jitter, ablation, gpu, dvfs, governor) to run a subset; -list
-// prints them.
+// experiment IDs to run a subset; -list prints them.
 //
 // The -scale flag picks the compute budget: "bench" (seconds), "quick"
 // (default, minutes), or "full" (the paper-faithful 1000 samples/suite over
@@ -18,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -25,6 +24,13 @@ import (
 
 	"highrpm/internal/experiments"
 )
+
+// catalogue prints one "id description" line per registered experiment.
+func catalogue(w io.Writer, indent string) {
+	for _, id := range experiments.IDs() {
+		fmt.Fprintf(w, "%s%-9s %s\n", indent, id, experiments.Describe(id))
+	}
+}
 
 func main() {
 	var (
@@ -39,16 +45,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "usage: highrpm-bench [flags] [experiment ...]\n\nflags:\n")
 		flag.PrintDefaults()
 		fmt.Fprintf(os.Stderr, "\nexperiments:\n")
-		for _, id := range experiments.IDs() {
-			fmt.Fprintf(os.Stderr, "  %-9s %s\n", id, experiments.Describe(id))
-		}
+		catalogue(os.Stderr, "  ")
 	}
 	flag.Parse()
 
 	if *list {
-		for _, id := range experiments.IDs() {
-			fmt.Printf("%-9s %s\n", id, experiments.Describe(id))
-		}
+		catalogue(os.Stdout, "")
 		return
 	}
 
@@ -94,22 +96,19 @@ func main() {
 	fmt.Printf("highrpm-bench: scale=%s samples/suite=%d combos=%d seed=%d parallel=%d\n\n",
 		*scaleFlag, cfg.SamplesPerSuite, combos, *seed, *parallel)
 	start := time.Now()
-	if *parallel > 1 {
+	run := func(ids []string) {
 		if err := experiments.RunAndRenderParallel(ws, ids, os.Stdout, *parallel); err != nil {
 			fmt.Fprintf(os.Stderr, "highrpm-bench: %v\n", err)
 			os.Exit(1)
 		}
+	}
+	if *parallel > 1 {
+		run(ids)
 	} else {
+		// Serial: stream each experiment's tables as it finishes.
 		for _, id := range ids {
 			t0 := time.Now()
-			tables, err := experiments.Run(ws, id)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "highrpm-bench: %s: %v\n", id, err)
-				os.Exit(1)
-			}
-			for _, t := range tables {
-				t.Render(os.Stdout)
-			}
+			run([]string{id})
 			fmt.Printf("[%s took %v]\n\n", id, time.Since(t0).Round(time.Millisecond))
 		}
 	}

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"fmt"
-
 	"highrpm/internal/dataset"
 	"highrpm/internal/linmodel"
 	"highrpm/internal/model"
 	"highrpm/internal/neighbors"
 	"highrpm/internal/neural"
 	"highrpm/internal/pmu"
-	"highrpm/internal/stats"
 	"highrpm/internal/svm"
 	"highrpm/internal/tree"
 )
@@ -80,78 +77,16 @@ func Baselines() []Baseline {
 	}
 }
 
-// target selects a prediction label.
-type target int
-
-const (
-	targetNode target = iota
-	targetCPU
-	targetMEM
-)
-
-func (t target) labels(s *dataset.Set) []float64 {
-	switch t {
-	case targetCPU:
-		return s.CPUPower()
-	case targetMEM:
-		return s.MemPower()
-	default:
-		return s.NodePower()
-	}
-}
-
-// evalTabular fits a tabular baseline PMC→target and scores it on the test
-// set. The baselines see only PMCs — they are the "software-centric power
-// modeling" side of the comparison and get no node-power readings.
-func evalTabular(b Baseline, sp *dataset.Split, tgt target, seed int64) (stats.Metrics, error) {
-	m := b.New(seed)
-	if err := m.Fit(sp.Train.PMCMatrix(), tgt.labels(sp.Train)); err != nil {
-		return stats.Metrics{}, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	pred := model.PredictBatch(m, sp.Test.PMCMatrix())
-	return stats.Evaluate(tgt.labels(sp.Test), pred), nil
-}
-
-// evalSeq fits a sequence baseline on PMC-only windows (per-step labels)
-// and scores one-step-ahead predictions over the test set. Like the other
-// baselines it never sees node power — that is HighRPM's differentiator.
-func evalSeq(b Baseline, cfg Config, sp *dataset.Split, tgt target, seed int64) (stats.Metrics, error) {
-	miss := cfg.MissInterval
-	m := b.NewSeq(cfg, seed)
-	trainWins := pmcWindows(sp.Train, tgt, miss)
-	trainWins = dataset.SubsampleWindows(trainWins, cfg.RNNMaxWindows)
-	seqs, targets := dataset.WindowsToSeqs(trainWins)
-	if err := m.FitSeq(seqs, targets); err != nil {
-		return stats.Metrics{}, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	labels := tgt.labels(sp.Test)
-	pred := make([]float64, sp.Test.Len())
-	for i := range pred {
-		w := pmcWindowAt(sp.Test, i, miss)
-		out := m.PredictSeq(w)
-		pred[i] = out[len(out)-1]
-	}
-	return stats.Evaluate(labels, pred), nil
-}
-
-// pmcWindows builds PMC-only sliding windows with per-step labels.
+// pmcWindows builds every full PMC-only sliding window of the set, with
+// per-step labels.
 func pmcWindows(s *dataset.Set, tgt target, miss int) []dataset.Window {
 	labels := tgt.labels(s)
-	n := s.Len()
-	if n < miss {
-		return nil
-	}
-	out := make([]dataset.Window, 0, n-miss+1)
-	for start := 0; start+miss <= n; start++ {
-		w := dataset.Window{Features: make([][]float64, miss), Labels: make([]float64, miss)}
-		for j := 0; j < miss; j++ {
-			i := start + j
-			f := make([]float64, pmu.NumEvents)
-			copy(f, s.Samples[i].PMC)
-			w.Features[j] = f
-			w.Labels[j] = labels[i]
-		}
-		out = append(out, w)
+	var out []dataset.Window
+	for end := miss - 1; end < s.Len(); end++ {
+		out = append(out, dataset.Window{
+			Features: pmcWindowAt(s, end, miss),
+			Labels:   append([]float64(nil), labels[end-miss+1:end+1]...),
+		})
 	}
 	return out
 }

@@ -1,17 +1,16 @@
 // Package experiments regenerates every table and figure of the paper's
 // motivation and evaluation sections (Figs. 1, 2, 7, 8, 9 and Tables 5–9)
-// plus the §6.4 discussion artifacts, on the simulated platforms. Each
-// experiment has a generator function returning structured results and a
-// rendered Table; cmd/highrpm-bench drives them from the command line and
-// bench_test.go exposes one testing.B benchmark per artifact.
+// plus the §6.4 discussion artifacts, on the simulated platforms. Every
+// accuracy table is a list of methods scored on a list of trials (trial.go,
+// compare.go); the registry in runner.go is the one list of experiments,
+// which cmd/highrpm-bench and bench_test.go drive.
 //
 // Absolute error values depend on the synthetic noise model; the assertions
 // the reproduction targets are the paper's *shape* claims (who wins, rough
-// factors, crossovers), listed per experiment in DESIGN.md §2.
+// factors, crossovers), stated in each table's "shape target" note.
 package experiments
 
 import (
-	"fmt"
 	"sync"
 
 	"highrpm/internal/core"
@@ -124,12 +123,17 @@ type Workspace struct {
 	cfg Config
 
 	mu     sync.Mutex
-	splits map[string]*dataset.Split
+	splits map[splitKey]*dataset.Split
+}
+
+type splitKey struct {
+	suite string
+	seen  bool
 }
 
 // NewWorkspace wraps a config with split caching.
 func NewWorkspace(cfg Config) *Workspace {
-	return &Workspace{cfg: cfg, splits: map[string]*dataset.Split{}}
+	return &Workspace{cfg: cfg, splits: map[splitKey]*dataset.Split{}}
 }
 
 // Config returns the workspace configuration.
@@ -138,7 +142,7 @@ func (w *Workspace) Config() Config { return w.cfg }
 // Split returns the materialised split for a combination, building it on
 // first use.
 func (w *Workspace) Split(combo dataset.Combo, seen bool) (*dataset.Split, error) {
-	key := fmt.Sprintf("%s/%v", combo.TestSuite, seen)
+	key := splitKey{combo.TestSuite, seen}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if sp, ok := w.splits[key]; ok {
@@ -150,4 +154,19 @@ func (w *Workspace) Split(combo dataset.Combo, seen bool) (*dataset.Split, error
 	}
 	w.splits[key] = sp
 	return sp, nil
+}
+
+// trial puts one combination's split under evaluation.
+func (w *Workspace) trial(combo dataset.Combo, seen bool) (*trial, error) {
+	sp, err := w.Split(combo, seen)
+	if err != nil {
+		return nil, err
+	}
+	return newTrial(w.cfg, w.cfg.coreOptions(), sp.Train, seen).on(sp.Test), nil
+}
+
+// firstUnseen is the trial the sweeps and ablations run on: the first
+// combination with its test suite held out of training.
+func (w *Workspace) firstUnseen() (*trial, error) {
+	return w.trial(w.cfg.combos()[0], false)
 }

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"highrpm/internal/dataset"
 )
 
 func benchWorkspace() *Workspace {
@@ -37,19 +42,31 @@ func TestSeenVariants(t *testing.T) {
 	}
 }
 
+// TestWorkspaceCachesSplits asks for one split from several goroutines at
+// once, as -parallel experiments do: every caller must get the same
+// materialised split (and the race pass in scripts/verify.sh covers the
+// cache's lock through it).
 func TestWorkspaceCachesSplits(t *testing.T) {
 	ws := benchWorkspace()
 	combo := ws.Config().combos()[0]
-	a, err := ws.Split(combo, false)
-	if err != nil {
-		t.Fatal(err)
+	got := make([]*dataset.Split, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sp, err := ws.Split(combo, false)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = sp
+		}()
 	}
-	b, err := ws.Split(combo, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("workspace must cache splits")
+	wg.Wait()
+	for _, sp := range got {
+		if sp == nil || sp != got[0] {
+			t.Fatal("workspace must cache splits")
+		}
 	}
 }
 
@@ -60,8 +77,16 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("experiment %s not registered", id)
 		}
 	}
-	if len(DefaultOrder()) != len(IDs()) {
-		t.Fatalf("DefaultOrder lists %d experiments, registry has %d", len(DefaultOrder()), len(IDs()))
+	// The presentation order is a permutation of the catalogue.
+	order := DefaultOrder()
+	sort.Strings(order)
+	if !reflect.DeepEqual(order, IDs()) {
+		t.Fatalf("DefaultOrder %v is not a permutation of IDs %v", DefaultOrder(), IDs())
+	}
+	for i := 1; i < len(order); i++ {
+		if order[i] == order[i-1] {
+			t.Fatalf("experiment %s registered twice", order[i])
+		}
 	}
 }
 
@@ -116,7 +141,7 @@ func TestFig2Shape(t *testing.T) {
 			t.Fatalf("%s other power %g W, paper says ~25 W", run.Benchmark, run.AvgOther)
 		}
 	}
-	if r.Table().String() == "" {
+	if r.Tables()[0].String() == "" {
 		t.Fatal("empty table")
 	}
 }

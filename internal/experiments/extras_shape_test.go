@@ -1,6 +1,12 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"highrpm/internal/dataset"
+	"highrpm/internal/stats"
+)
 
 func TestAblationShape(t *testing.T) {
 	if testing.Short() {
@@ -11,19 +17,31 @@ func TestAblationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.StaticNoPost.MAPE <= r.StaticFull.MAPE {
+	node := func(name string) stats.Metrics { return r.At(name, targetNode, unseenApps) }
+	if node(ablStaticNoPost).MAPE <= node(ablStaticFull).MAPE {
 		t.Errorf("Algorithm 1 should reduce StaticTRR error: %.2f vs %.2f",
-			r.StaticFull.MAPE, r.StaticNoPost.MAPE)
+			node(ablStaticFull).MAPE, node(ablStaticNoPost).MAPE)
 	}
-	if r.DynamicNoPNode.MAPE <= r.DynamicFull.MAPE {
+	if node(ablDynamicNoNode).MAPE <= node(ablDynamicFull).MAPE {
 		t.Errorf("P'_Node feature should reduce DynamicTRR error: %.2f vs %.2f",
-			r.DynamicFull.MAPE, r.DynamicNoPNode.MAPE)
+			node(ablDynamicFull).MAPE, node(ablDynamicNoNode).MAPE)
 	}
-	if r.ARExtrapolation.N == 0 || r.WithActive.N == 0 || r.WithoutActive.N == 0 {
+	if node(ablAR).N == 0 || r.At(ablActive, targetCPU, unseenApps).N == 0 || r.At(ablNoActive, targetCPU, unseenApps).N == 0 {
 		t.Fatal("missing ablation results")
 	}
-	if r.Table().String() == "" {
-		t.Fatal("empty table")
+	requireTables(t, r, "ablation")
+
+	// A training set with 11 IM readings is one short of what AR(5) can be
+	// fitted on: that is an error naming the method, not a 0.00 row.
+	combo, miss := ws.cfg.combos()[0], ws.cfg.MissInterval
+	sp, err := ws.Split(combo, unseenApps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := NewWorkspace(ws.cfg)
+	short.splits[splitKey{combo.TestSuite, unseenApps}] = &dataset.Split{Train: sp.Train.Slice(0, 10*miss+5), Test: sp.Test}
+	if r, err := RunAblations(short); err == nil || !strings.Contains(err.Error(), ablAR) {
+		t.Fatalf("AR(5) on 11 readings: want an error naming %q and no table, got %v and %v", ablAR, err, r)
 	}
 }
 
@@ -35,17 +53,17 @@ func TestDVFSShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("%d rows want 3 (one per ARM DVFS level)", len(r.Rows))
+	if len(r.Points) != 3 {
+		t.Fatalf("%d rows want 3 (one per ARM DVFS level)", len(r.Points))
 	}
-	for _, row := range r.Rows {
-		if row.PerLevel.N == 0 || row.Mixed.N == 0 {
-			t.Fatalf("missing results at %.1f GHz", row.FreqGHz)
+	for _, p := range r.Points {
+		pl, mx := p.At(perLevel, targetCPU, unseenApps), p.At(mixed, targetCPU, unseenApps)
+		if pl.N == 0 || mx.N == 0 {
+			t.Fatalf("missing results at %.1f GHz", p.X)
 		}
 		// The documented finding: per-level training is at least as good.
-		if row.PerLevel.MAPE > row.Mixed.MAPE*1.1 {
-			t.Errorf("%.1f GHz: per-level %.2f unexpectedly worse than mixed %.2f",
-				row.FreqGHz, row.PerLevel.MAPE, row.Mixed.MAPE)
+		if pl.MAPE > mx.MAPE*1.1 {
+			t.Errorf("%.1f GHz: per-level %.2f unexpectedly worse than mixed %.2f", p.X, pl.MAPE, mx.MAPE)
 		}
 	}
 }

@@ -74,8 +74,8 @@ func (r *Fig1Result) SpikesObserved(sc Fig1Scenario) int {
 	return n
 }
 
-// Table renders the Fig. 1 summary rows.
-func (r *Fig1Result) Table() *Table {
+// Tables renders the Fig. 1 summary rows.
+func (r *Fig1Result) Tables() []*Table {
 	t := &Table{
 		ID:     "fig1",
 		Title:  fmt.Sprintf("Fig. 1: Graph500 power capping at %.0f W, varying PI and AI", r.CapWatts),
@@ -92,5 +92,5 @@ func (r *Fig1Result) Table() *Table {
 	t.Notes = append(t.Notes,
 		"shape target: (b) observes far fewer over-cap spikes than (a) despite identical actual power (PI hides sudden changes);",
 		"peak power, over-cap time and energy grow (c) -> (d) -> (e) as AI lengthens")
-	return t
+	return []*Table{t}
 }

@@ -53,8 +53,8 @@ func RunFig2(cfg Config) (*Fig2Result, error) {
 	return out, nil
 }
 
-// Table renders the Fig. 2 summary rows.
-func (r *Fig2Result) Table() *Table {
+// Tables renders the Fig. 2 summary rows.
+func (r *Fig2Result) Tables() []*Table {
 	t := &Table{
 		ID:     "fig2",
 		Title:  "Fig. 2: CPU/DRAM power split of FFT vs Stream on the ARM node",
@@ -65,5 +65,5 @@ func (r *Fig2Result) Table() *Table {
 	}
 	t.Notes = append(t.Notes,
 		"shape target: node powers comparable (~90 W line); FFT CPU-dominated, Stream DRAM-dominated; Other ~25 W")
-	return t
+	return []*Table{t}
 }

@@ -104,8 +104,8 @@ func RunGovernor(cfg Config) (*GovernorResult, error) {
 	return out, nil
 }
 
-// Table renders the control-stack comparison.
-func (r *GovernorResult) Table() *Table {
+// Tables renders the control-stack comparison.
+func (r *GovernorResult) Tables() []*Table {
 	t := &Table{
 		ID:     "governor",
 		Title:  "Power-capping control stacks on Graph500 (cap 100 W, IM every 10 s)",
@@ -119,5 +119,5 @@ func (r *GovernorResult) Table() *Table {
 	t.Notes = append(t.Notes,
 		"expected: the highrpm source cuts over-cap time vs raw IM at the same policy (it sees spikes between",
 		"readings); PID/predictive trade over-cap time against retained frequency")
-	return t
+	return []*Table{t}
 }

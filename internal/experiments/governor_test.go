@@ -41,7 +41,5 @@ func TestGovernorExperimentShape(t *testing.T) {
 		t.Errorf("predictive over-cap %.1f should not exceed plain hysteresis %.1f",
 			r.Rows[pred].OverCapSeconds, r.Rows[hr].OverCapSeconds)
 	}
-	if r.Table().String() == "" {
-		t.Fatal("empty table")
-	}
+	requireTables(t, r, "governor")
 }

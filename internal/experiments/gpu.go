@@ -85,11 +85,7 @@ func RunGPU(cfg Config) (*GPUResult, error) {
 	// the §6.4.6 limitation. Reading faster than the kernel's shortest
 	// phase (2 s vs its 4 s trough) removes the aliasing; the extra row
 	// demonstrates the remedy.
-	dev5, err := gpuext.NewDevice(gpuext.DefaultDevice(), cfg.Seed+31)
-	if err != nil {
-		return nil, err
-	}
-	trr5, err := gpuext.FitTRR(dev5.RunMix(gpuext.Kernels(), perDur), 2)
+	trr5, err := gpuext.FitTRR(train, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -99,8 +95,8 @@ func RunGPU(cfg Config) (*GPUResult, error) {
 	return out, nil
 }
 
-// Table renders the GPU extension results.
-func (r *GPUResult) Table() *Table {
+// Tables renders the GPU extension results.
+func (r *GPUResult) Tables() []*Table {
 	t := &Table{
 		ID:     "gpu",
 		Title:  "§6.4.4 extension: GPU power restoration (0.1 Sa/s readings -> 1 Sa/s)",
@@ -113,5 +109,5 @@ func (r *GPUResult) Table() *Table {
 		"expected: the StaticTRR recipe transfers to GPU counters and beats counter-only modeling, EXCEPT on",
 		"kernels whose relaunch period aliases the reading interval (reduction: 16 s vs 10 s) — the GPU analogue",
 		"of the paper's §6.4.6 limitation; reading at 2 s — faster than the kernel's shortest phase — removes it (last row)")
-	return t
+	return []*Table{t}
 }

@@ -2,7 +2,24 @@ package experiments
 
 import (
 	"testing"
+
+	"highrpm/internal/stats"
 )
+
+// requireTables checks a result renders exactly the named artifacts, none
+// of them empty.
+func requireTables(t *testing.T, r interface{ Tables() []*Table }, ids ...string) {
+	t.Helper()
+	tables := r.Tables()
+	if len(tables) != len(ids) {
+		t.Fatalf("%d tables, want %v", len(tables), ids)
+	}
+	for i, tb := range tables {
+		if tb.ID != ids[i] || len(tb.Rows) == 0 || tb.String() == "" {
+			t.Fatalf("table %d is %q with %d rows, want a non-empty %s", i, tb.ID, len(tb.Rows), ids[i])
+		}
+	}
+}
 
 // The shape tests run the heavier evaluation experiments at bench scale and
 // assert the paper's qualitative claims. They are skipped under -short.
@@ -16,19 +33,20 @@ func TestTRRComparisonShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn := r.Unseen["DynamicTRR"]
+	unseen := func(name string) stats.Metrics { return r.At(name, targetNode, unseenApps) }
+	dyn := unseen("DynamicTRR")
 	if dyn.N == 0 {
 		t.Fatal("no DynamicTRR result")
 	}
 	// Headline claim: DynamicTRR beats every baseline on unseen apps.
 	for _, b := range Baselines() {
-		if m := r.Unseen[b.Name]; dyn.MAPE >= m.MAPE {
+		if m := unseen(b.Name); dyn.MAPE >= m.MAPE {
 			t.Errorf("DynamicTRR MAPE %.2f must beat %s %.2f (unseen)", dyn.MAPE, b.Name, m.MAPE)
 		}
 	}
 	// Table 6 ordering: spline ≤ StaticTRR ≤ DynamicTRR (loose ≈ checks —
 	// spline and StaticTRR are close by construction).
-	spl, st := r.Unseen["Spline"], r.Unseen["StaticTRR"]
+	spl, st := unseen("Spline"), unseen("StaticTRR")
 	if spl.MAPE > st.MAPE*1.3 {
 		t.Errorf("spline MAPE %.2f should not exceed StaticTRR %.2f by >30%%", spl.MAPE, st.MAPE)
 	}
@@ -38,7 +56,7 @@ func TestTRRComparisonShape(t *testing.T) {
 	// Linear models must cluster: max/min within a few percent.
 	var lmin, lmax float64 = 1e9, 0
 	for _, n := range []string{"LR", "LaR", "RR", "SGD"} {
-		m := r.Unseen[n].MAPE
+		m := unseen(n).MAPE
 		if m < lmin {
 			lmin = m
 		}
@@ -49,9 +67,7 @@ func TestTRRComparisonShape(t *testing.T) {
 	if lmax-lmin > 2 {
 		t.Errorf("linear baselines spread too wide: %.2f..%.2f", lmin, lmax)
 	}
-	if r.Table5().String() == "" || r.Table6().String() == "" {
-		t.Fatal("empty tables")
-	}
+	requireTables(t, r, "tab5", "tab6")
 }
 
 func TestSRRComparisonShape(t *testing.T) {
@@ -63,30 +79,28 @@ func TestSRRComparisonShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srrCPU := r.CPUUnseen["SRR"]
+	srrCPU := r.At("SRR", targetCPU, unseenApps)
 	if srrCPU.N == 0 {
 		t.Fatal("no SRR result")
 	}
 	// SRR beats every baseline on unseen P_CPU (the paper's strongest
 	// spatial claim, 7–24% MAPE reduction).
 	for _, b := range Baselines() {
-		if m := r.CPUUnseen[b.Name]; srrCPU.MAPE >= m.MAPE {
+		if m := r.At(b.Name, targetCPU, unseenApps); srrCPU.MAPE >= m.MAPE {
 			t.Errorf("SRR P_CPU MAPE %.2f must beat %s %.2f (unseen)", srrCPU.MAPE, b.Name, m.MAPE)
 		}
 	}
 	// Unseen P_MEM stays within ~2 W MAE (paper §6.2.2).
-	if mem := r.MEMUnseen["SRR"]; mem.MAE > 3 {
+	if mem := r.At("SRR", targetMEM, unseenApps); mem.MAE > 3 {
 		t.Errorf("SRR unseen P_MEM MAE %.2f W, paper keeps it ≲ 2 W", mem.MAE)
 	}
 	// Table 8 ablation: removing P_Node hurts P_CPU substantially.
-	with := r.WithNode["cpu/unseen"]
-	without := r.WithoutNode["cpu/unseen"]
+	with := srrCPU
+	without := r.At(srrNoNode.name, targetCPU, unseenApps)
 	if without.MAPE < 1.5*with.MAPE {
 		t.Errorf("P_Node ablation too weak: %.2f vs %.2f", with.MAPE, without.MAPE)
 	}
-	if r.Table7().String() == "" || r.Table8().String() == "" {
-		t.Fatal("empty tables")
-	}
+	requireTables(t, r, "tab7", "tab8")
 }
 
 func TestFig7Shape(t *testing.T) {
@@ -102,13 +116,13 @@ func TestFig7Shape(t *testing.T) {
 		t.Fatalf("only %d sweep points", len(r.Points))
 	}
 	first, last := r.Points[0], r.Points[len(r.Points)-1]
-	if first.MissInterval != 10 {
+	if first.X != 10 {
 		t.Fatalf("sweep must start at 10 s")
 	}
 	// Spline degrades as the interval grows.
-	if last.Spline.MAPE <= first.Spline.MAPE {
-		t.Errorf("spline MAPE should grow with miss_interval: %.2f -> %.2f",
-			first.Spline.MAPE, last.Spline.MAPE)
+	a, b := first.At("Spline", targetNode, unseenApps), last.At("Spline", targetNode, unseenApps)
+	if b.MAPE <= a.MAPE {
+		t.Errorf("spline MAPE should grow with miss_interval: %.2f -> %.2f", a.MAPE, b.MAPE)
 	}
 }
 
@@ -121,15 +135,18 @@ func TestJitterShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Clean.N == 0 || r.Jittered.N == 0 || r.Dropped.N == 0 {
+	clean := r.At(jitterClean, targetNode, unseenApps)
+	jittered := r.At(jitterJittered, targetNode, unseenApps)
+	dropped := r.At(jitterDropped, targetNode, unseenApps)
+	if clean.N == 0 || jittered.N == 0 || dropped.N == 0 {
 		t.Fatal("missing results")
 	}
 	// §6.4.6: readings that move or vanish degrade DynamicTRR.
-	if r.Jittered.MAPE < r.Clean.MAPE {
-		t.Errorf("jittered readings improved accuracy: %.2f vs clean %.2f", r.Jittered.MAPE, r.Clean.MAPE)
+	if jittered.MAPE < clean.MAPE {
+		t.Errorf("jittered readings improved accuracy: %.2f vs clean %.2f", jittered.MAPE, clean.MAPE)
 	}
-	if r.Dropped.MAPE < r.Clean.MAPE {
-		t.Errorf("dropped readings improved accuracy: %.2f vs clean %.2f", r.Dropped.MAPE, r.Clean.MAPE)
+	if dropped.MAPE < clean.MAPE {
+		t.Errorf("dropped readings improved accuracy: %.2f vs clean %.2f", dropped.MAPE, clean.MAPE)
 	}
 }
 

@@ -81,14 +81,5 @@ func (t *Table) String() string {
 // f2 formats a float with two decimals.
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
-// m2 formats a metric value, rendering "-" for absent results (N == 0),
-// which happens when a config evaluates only one of the seen/unseen splits.
-func m2(n int, v float64) string {
-	if n == 0 {
-		return "-"
-	}
-	return f2(v)
-}
-
 // f1 formats a float with one decimal.
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

@@ -437,8 +437,14 @@ func mergeStoreStats(dst *tsdb.Stats, s tsdb.Stats) {
 func (r *Router) fetchModel() ([]byte, error) {
 	var firstErr error
 	for _, st := range r.shards {
+		// A redial under qmu replaces the agent's model: read the pointer
+		// under the lock, marshal the immutable model outside it.
 		st.qmu.Lock()
+		var model *core.HighRPM
 		ag, err := r.queryAgentLocked(st)
+		if err == nil {
+			model = ag.Model()
+		}
 		st.qmu.Unlock()
 		if err != nil {
 			if firstErr == nil {
@@ -446,7 +452,7 @@ func (r *Router) fetchModel() ([]byte, error) {
 			}
 			continue
 		}
-		return core.Marshal(ag.Model())
+		return core.Marshal(model)
 	}
 	return nil, firstErr
 }

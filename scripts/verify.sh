@@ -11,7 +11,12 @@
 # forwarding and scatter-gather, the obs metric registry and HTTP
 # exposition server, concurrent prediction on one fitted neural model,
 # the parallel experiment runner, and the attribution ledger) so
-# locking regressions surface immediately. It then fuzzes the
+# locking regressions surface immediately. Of internal/experiments only
+# the tests that start goroutines or share the Workspace split cache are
+# raced (-run 'Parallel|WorkspaceCaches', ~1 s): the shape tests and the
+# transcript golden train dozens of models on one goroutine each, run once
+# un-raced in the `go test ./...` step, and cost minutes under -race for
+# no added coverage. It then fuzzes the
 # wire-protocol decoders briefly (JSON envelope, binary framing, and the
 # cross-codec agreement law), both ends of a connection over arbitrary
 # byte streams (FuzzServeConn for the server's request loop, FuzzAgentReply
@@ -41,7 +46,8 @@ go test ./...
 echo "== go test -race (tsdb incl. persisttest, cluster incl. faultnet, fleet, obs)"
 go test -race ./internal/tsdb/... ./internal/cluster/... ./internal/fleet/... ./internal/obs
 echo "== go test -race (concurrent prediction, parallel experiments; attribution)"
-go test -race ./internal/neural ./internal/experiments/... ./internal/attribution
+go test -race ./internal/neural ./internal/attribution
+go test -race -run 'Parallel|WorkspaceCaches' ./internal/experiments/...
 echo "== fuzz wire protocol (10s per target)"
 go test -run '^$' -fuzz '^FuzzReadEnvelope$' -fuzztime=10s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzEnvelopeRoundTrip$' -fuzztime=10s ./internal/cluster
