@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 
+	"highrpm/internal/core"
 	"highrpm/internal/gpuext"
 	"highrpm/internal/stats"
 )
@@ -22,17 +23,18 @@ func main() {
 	cfg := gpuext.DefaultDevice()
 	fmt.Printf("device: %s (%d SMs @ %.1f GHz, %.0f GB/s)\n\n", cfg.Name, cfg.SMs, cfg.ClockGHz, cfg.MemBWGBs)
 
-	// Train on a kernel mix covering the device's power band.
+	// Train StaticTRR on a kernel mix covering the device's power band, the
+	// GPU counters standing in for the CPU's PMCs.
 	dev, err := gpuext.NewDevice(cfg, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	train := dev.RunMix(gpuext.Kernels(), 200)
-	trr, err := gpuext.FitTRR(train, 10)
+	train := dev.RunMix(gpuext.Kernels(), 200).Set()
+	trr, err := core.FitStaticTRR(train, core.StaticTRROptions{MissInterval: 10})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("trained GPU TRR on %d seconds of mixed kernels\n\n", len(train.Samples))
+	fmt.Printf("trained StaticTRR on %d seconds of mixed GPU kernels\n\n", train.Len())
 
 	fmt.Println("restoration accuracy per kernel (10 s readings -> 1 Sa/s):")
 	for _, k := range gpuext.Kernels() {
@@ -40,8 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		test := testDev.Run(k, 200)
-		m, err := trr.Evaluate(test)
+		m, err := trr.Evaluate(testDev.Run(k, 200).Set())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,11 +56,7 @@ func main() {
 			reduction = k
 		}
 	}
-	dev2, err := gpuext.NewDevice(cfg, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	trr2, err := gpuext.FitTRR(dev2.RunMix(gpuext.Kernels(), 200), 2)
+	trr2, err := core.FitStaticTRR(train, core.StaticTRROptions{MissInterval: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	test := testDev.Run(reduction, 200)
+	test := testDev.Run(reduction, 200).Set()
 	slow, err := trr.Evaluate(test)
 	if err != nil {
 		log.Fatal(err)

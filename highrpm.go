@@ -26,7 +26,7 @@
 //     (Prometheus /metrics, JSON series endpoints, health probes).
 //
 // The GPU extension (§6.4.4) is not re-exported; examples/gpu imports
-// internal/gpuext directly.
+// internal/gpuext and internal/core directly.
 //
 // See examples/quickstart for a five-minute tour and DESIGN.md for the
 // paper-to-module map.

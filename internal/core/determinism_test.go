@@ -82,19 +82,19 @@ func TestTrainIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// addWorkers returns the JSON object obj with a "Workers" member added to
-// the sub-object at path, as model files written before the knob was
-// deleted carry it.
-func addWorkers(t *testing.T, obj json.RawMessage, path ...string) json.RawMessage {
+// addMember returns the JSON object obj with the member name: value added to
+// the sub-object at path, as model files written before a knob was deleted
+// carry it.
+func addMember(t *testing.T, obj json.RawMessage, name, value string, path ...string) json.RawMessage {
 	t.Helper()
 	var m map[string]json.RawMessage
 	if err := json.Unmarshal(obj, &m); err != nil {
 		t.Fatal(err)
 	}
 	if len(path) == 0 {
-		m["Workers"] = json.RawMessage("2")
+		m[name] = json.RawMessage(value)
 	} else {
-		m[path[0]] = addWorkers(t, m[path[0]], path[1:]...)
+		m[path[0]] = addMember(t, m[path[0]], name, value, path[1:]...)
 	}
 	out, err := json.Marshal(m)
 	if err != nil {
@@ -104,22 +104,32 @@ func addWorkers(t *testing.T, obj json.RawMessage, path ...string) json.RawMessa
 }
 
 // TestUnmarshalLegacyWorkersField: model files written so far carry
-// "Workers" in opts.Static, opts.Dynamic, opts.SRR and static.opts; they
-// must keep decoding, to a model that estimates exactly as it did.
+// "Workers" in opts.Static, opts.Dynamic, opts.SRR and static.opts, and
+// "ReinforceFraction" and "FineTuneEpochs" in opts; they must keep decoding,
+// to a model that estimates exactly as it did.
 func TestUnmarshalLegacyWorkersField(t *testing.T) {
 	data, err := Marshal(trainedModel(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(data, []byte(`"Workers"`)) {
-		t.Fatal("a freshly marshalled model still persists a Workers field")
+	for _, name := range []string{"Workers", "ReinforceFraction", "FineTuneEpochs"} {
+		if bytes.Contains(data, []byte(`"`+name+`"`)) {
+			t.Fatalf("a freshly marshalled model still persists a %s field", name)
+		}
 	}
 	legacy := json.RawMessage(data)
 	for _, path := range [][]string{{"opts", "Static"}, {"opts", "Dynamic"}, {"opts", "SRR"}, {"static", "opts"}} {
-		legacy = addWorkers(t, legacy, path...)
+		legacy = addMember(t, legacy, "Workers", "2", path...)
 	}
-	if n := bytes.Count(legacy, []byte(`"Workers":2`)); n != 4 {
-		t.Fatalf("injected %d Workers fields, want 4", n)
+	legacy = addMember(t, legacy, "ReinforceFraction", "0.3", "opts")
+	legacy = addMember(t, legacy, "FineTuneEpochs", "5", "opts")
+	for _, c := range []struct {
+		member string
+		n      int
+	}{{`"Workers":2`, 4}, {`"ReinforceFraction":0.3`, 1}, {`"FineTuneEpochs":5`, 1}} {
+		if got := bytes.Count(legacy, []byte(c.member)); got != c.n {
+			t.Fatalf("injected %d %s members, want %d", got, c.member, c.n)
+		}
 	}
 	want, err := Unmarshal(data)
 	if err != nil {

@@ -18,25 +18,27 @@ type Options struct {
 	// the initial samples, a sampler draws reinforcement samples, and the
 	// models are fine-tuned on them.
 	ActiveLearning bool
-	// ReinforceFraction is the share of the combined sample set drawn as
-	// reinforcement samples (default 0.3).
-	ReinforceFraction float64
-	// FineTuneEpochs bounds fine-tuning cost (default 5 for SRR).
-	FineTuneEpochs int
 	Seed           int64
 }
+
+// The active learning stage's fixed sizes.
+const (
+	// reinforceFraction is the share of the combined sample set drawn as
+	// reinforcement samples.
+	reinforceFraction = 0.3
+	// srrFineTuneEpochs bounds SRR's fine-tuning cost.
+	srrFineTuneEpochs = 5
+)
 
 // DefaultOptions returns the paper's evaluation configuration
 // (miss_interval 10 s, active learning on).
 func DefaultOptions() Options {
 	return Options{
-		Static:            DefaultStaticTRROptions(),
-		Dynamic:           DefaultDynamicTRROptions(),
-		SRR:               DefaultSRROptions(),
-		ActiveLearning:    true,
-		ReinforceFraction: 0.3,
-		FineTuneEpochs:    5,
-		Seed:              1,
+		Static:         DefaultStaticTRROptions(),
+		Dynamic:        DefaultDynamicTRROptions(),
+		SRR:            DefaultSRROptions(),
+		ActiveLearning: true,
+		Seed:           1,
 	}
 }
 
@@ -127,10 +129,6 @@ func wallClock() time.Time {
 // samples, and a random sampler draws reinforcement samples to fine-tune
 // SRR. DynamicTRR is refreshed on windows built from the restored series.
 func (h *HighRPM) activeLearn(initial *dataset.Set) error {
-	frac := h.Opts.ReinforceFraction
-	if frac <= 0 || frac > 1 {
-		frac = 0.3
-	}
 	idx := initial.MeasuredIndices(h.Opts.Static.MissInterval)
 	restored, err := h.Static.Restore(initial, idx, nil)
 	if err != nil {
@@ -143,7 +141,7 @@ func (h *HighRPM) activeLearn(initial *dataset.Set) error {
 	// both the clean and the deployment-realistic feature distribution.
 	rng := rand.New(rand.NewSource(h.Opts.Seed*2654435761 + 97))
 	n := initial.Len()
-	count := int(frac * float64(n))
+	count := int(reinforceFraction * float64(n))
 	if count < 1 {
 		count = 1
 	}
@@ -161,7 +159,7 @@ func (h *HighRPM) activeLearn(initial *dataset.Set) error {
 		}
 	}
 	h.TrainStats.ReinforceCount = count
-	if err := h.SRR.FineTune(re, reNode, h.Opts.FineTuneEpochs); err != nil {
+	if err := h.SRR.FineTune(re, reNode, srrFineTuneEpochs); err != nil {
 		return fmt.Errorf("core: active learning SRR fine-tune: %w", err)
 	}
 	// Refresh DynamicTRR with windows whose previous-node feature is the

@@ -2,8 +2,8 @@ package core
 
 import "math"
 
-// PostProcessConfig parameterises Algorithm 1.
-type PostProcessConfig struct {
+// postProcessConfig parameterises Algorithm 1.
+type postProcessConfig struct {
 	// PUpper and PBottom bound plausible node power.
 	PUpper, PBottom float64
 	// Alpha and Beta are the relative-agreement thresholds: estimates that
@@ -15,7 +15,7 @@ type PostProcessConfig struct {
 	MissInterval int
 }
 
-// PostProcess implements the paper's Algorithm 1, reconciling the spline
+// postProcess implements the paper's Algorithm 1, reconciling the spline
 // and ResModel estimates of StaticTRR:
 //
 //   - Operation 1 propagates spline-detected spikes: where the spline
@@ -30,10 +30,10 @@ type PostProcessConfig struct {
 //     disagreement using Alpha and Beta.
 //
 // The input slices are not modified; the blended P_trr series is returned.
-func PostProcess(psplined, presidual []float64, cfg PostProcessConfig) []float64 {
+func postProcess(psplined, presidual []float64, cfg postProcessConfig) []float64 {
 	n := len(psplined)
 	if len(presidual) != n {
-		panic("core: PostProcess length mismatch")
+		panic("core: postProcess length mismatch")
 	}
 	if cfg.MissInterval < 2 {
 		cfg.MissInterval = 10

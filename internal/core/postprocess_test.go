@@ -7,14 +7,14 @@ import (
 	"testing/quick"
 )
 
-func defaultPPConfig() PostProcessConfig {
-	return PostProcessConfig{PUpper: 120, PBottom: 40, Alpha: 0.05, Beta: 0.20, MissInterval: 10}
+func defaultPPConfig() postProcessConfig {
+	return postProcessConfig{PUpper: 120, PBottom: 40, Alpha: 0.05, Beta: 0.20, MissInterval: 10}
 }
 
 func TestPostProcessAgreementUsesSpline(t *testing.T) {
 	spl := []float64{80, 80, 80}
 	res := []float64{81, 80.5, 79} // within 5% of min
-	out := PostProcess(spl, res, defaultPPConfig())
+	out := postProcess(spl, res, defaultPPConfig())
 	for i := range out {
 		if out[i] != spl[i] {
 			t.Fatalf("close agreement must keep the spline at %d: %g", i, out[i])
@@ -25,7 +25,7 @@ func TestPostProcessAgreementUsesSpline(t *testing.T) {
 func TestPostProcessMidDisagreementAverages(t *testing.T) {
 	spl := []float64{80}
 	res := []float64{88} // 10% gap: between alpha and beta
-	out := PostProcess(spl, res, defaultPPConfig())
+	out := postProcess(spl, res, defaultPPConfig())
 	if out[0] != 84 {
 		t.Fatalf("mid disagreement must average: %g want 84", out[0])
 	}
@@ -34,7 +34,7 @@ func TestPostProcessMidDisagreementAverages(t *testing.T) {
 func TestPostProcessLargeDisagreementTrustsSpline(t *testing.T) {
 	spl := []float64{80}
 	res := []float64{110} // far beyond beta
-	out := PostProcess(spl, res, defaultPPConfig())
+	out := postProcess(spl, res, defaultPPConfig())
 	if out[0] != 80 {
 		t.Fatalf("large disagreement must fall back to spline: %g", out[0])
 	}
@@ -45,7 +45,7 @@ func TestPostProcessClampsImplausibleResidual(t *testing.T) {
 	// (Operations 2 and 3), so the output equals the spline.
 	spl := []float64{80, 80}
 	res := []float64{130, 20} // above PUpper, below PBottom
-	out := PostProcess(spl, res, defaultPPConfig())
+	out := postProcess(spl, res, defaultPPConfig())
 	for i := range out {
 		if out[i] != 80 {
 			t.Fatalf("clamp failed at %d: %g", i, out[i])
@@ -65,7 +65,7 @@ func TestPostProcessSpikePropagation(t *testing.T) {
 	}
 	spl[10] = 118 // deviation 58 ≥ 0.3·80
 	cfg := defaultPPConfig()
-	out := PostProcess(spl, res, cfg)
+	out := postProcess(spl, res, cfg)
 	for i := 10 - cfg.MissInterval/2; i <= 10+cfg.MissInterval/2; i++ {
 		if out[i] < 100 {
 			t.Fatalf("spike not propagated to %d: %g", i, out[i])
@@ -82,13 +82,13 @@ func TestPostProcessLengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	PostProcess([]float64{1}, []float64{1, 2}, defaultPPConfig())
+	postProcess([]float64{1}, []float64{1, 2}, defaultPPConfig())
 }
 
 func TestPostProcessDoesNotMutateInputs(t *testing.T) {
 	spl := []float64{80, 90}
 	res := []float64{130, 95}
-	PostProcess(spl, res, defaultPPConfig())
+	postProcess(spl, res, defaultPPConfig())
 	if res[0] != 130 || spl[0] != 80 {
 		t.Fatal("inputs were mutated")
 	}
@@ -107,7 +107,7 @@ func TestPostProcessBlendBoundsProperty(t *testing.T) {
 			spl[i] = 60 + rng.Float64()*20 // keep spline tame so Op1 is quiet
 			res[i] = 40 + rng.Float64()*80
 		}
-		out := PostProcess(spl, res, cfg)
+		out := postProcess(spl, res, cfg)
 		for i := range out {
 			lo := math.Min(spl[i], res[i])
 			hi := math.Max(spl[i], res[i])
@@ -127,7 +127,7 @@ func TestPostProcessBlendBoundsProperty(t *testing.T) {
 
 func TestPostProcessDefaultsFill(t *testing.T) {
 	// Zero alpha/beta/missInterval must not panic or divide by zero.
-	out := PostProcess([]float64{50, 60}, []float64{55, 62}, PostProcessConfig{PUpper: 100, PBottom: 10})
+	out := postProcess([]float64{50, 60}, []float64{55, 62}, postProcessConfig{PUpper: 100, PBottom: 10})
 	for _, v := range out {
 		if math.IsNaN(v) {
 			t.Fatal("NaN from default config")

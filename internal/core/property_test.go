@@ -70,9 +70,9 @@ func TestPostProcessDeterministicProperty(t *testing.T) {
 			spl[i] = 50 + rng.Float64()*60
 			res[i] = 50 + rng.Float64()*60
 		}
-		cfg := PostProcessConfig{PUpper: 120, PBottom: 40, Alpha: 0.05, Beta: 0.2, MissInterval: 10}
-		a := PostProcess(spl, res, cfg)
-		b := PostProcess(spl, res, cfg)
+		cfg := postProcessConfig{PUpper: 120, PBottom: 40, Alpha: 0.05, Beta: 0.2, MissInterval: 10}
+		a := postProcess(spl, res, cfg)
+		b := postProcess(spl, res, cfg)
 		if len(a) != n {
 			return false
 		}

@@ -162,7 +162,7 @@ func (s *StaticTRR) Restore(set *dataset.Set, measuredIdx []int, vals []float64)
 	for i := range residual {
 		residual[i] = splined[i] + s.Res.Predict(set.Samples[i].PMC)
 	}
-	out := PostProcess(splined, residual, PostProcessConfig{
+	out := postProcess(splined, residual, postProcessConfig{
 		PUpper:       s.PUpper,
 		PBottom:      s.PBottom,
 		Alpha:        s.Opts.Alpha,

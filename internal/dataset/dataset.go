@@ -53,12 +53,13 @@ func (s *Set) Append(other *Set) {
 	s.Benchmarks = append(s.Benchmarks, other.Benchmarks...)
 }
 
-// Slice returns the subset [lo, hi) as a view-backed copy of headers.
+// Slice returns the subset [lo, hi) as a view-backed copy of headers. The
+// view has no spare capacity, so appending to it never writes into s.
 func (s *Set) Slice(lo, hi int) *Set {
 	return &Set{
-		Samples:    s.Samples[lo:hi],
-		Suites:     s.Suites[lo:hi],
-		Benchmarks: s.Benchmarks[lo:hi],
+		Samples:    s.Samples[lo:hi:hi],
+		Suites:     s.Suites[lo:hi:hi],
+		Benchmarks: s.Benchmarks[lo:hi:hi],
 	}
 }
 
@@ -86,9 +87,18 @@ func FromTrace(tr *platform.Trace, suite, bench string) *Set {
 	return out
 }
 
+// pmcWidth is the length of the samples' PMC vectors: pmu.NumEvents on a
+// CPU set, the device's counter count on a peripheral's.
+func (s *Set) pmcWidth() int {
+	if len(s.Samples) == 0 {
+		return 0
+	}
+	return len(s.Samples[0].PMC)
+}
+
 // PMCMatrix assembles the PMC feature matrix (one row per sample).
 func (s *Set) PMCMatrix() *mat.Dense {
-	x := mat.NewDense(len(s.Samples), pmu.NumEvents)
+	x := mat.NewDense(len(s.Samples), s.pmcWidth())
 	for i, sm := range s.Samples {
 		copy(x.Row(i), sm.PMC)
 	}
@@ -102,11 +112,12 @@ func (s *Set) PMCWithNode(nodePower []float64) *mat.Dense {
 	if len(nodePower) != len(s.Samples) {
 		panic(fmt.Sprintf("dataset: %d node-power values for %d samples", len(nodePower), len(s.Samples)))
 	}
-	x := mat.NewDense(len(s.Samples), pmu.NumEvents+1)
+	w := s.pmcWidth()
+	x := mat.NewDense(len(s.Samples), w+1)
 	for i, sm := range s.Samples {
 		row := x.Row(i)
 		copy(row, sm.PMC)
-		row[pmu.NumEvents] = nodePower[i]
+		row[w] = nodePower[i]
 	}
 	return x
 }

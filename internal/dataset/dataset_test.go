@@ -58,33 +58,53 @@ func TestAppendRebasesTime(t *testing.T) {
 }
 
 func TestAppendDoesNotMutateSource(t *testing.T) {
-	a := smallSet(t, 10, 4)
 	b := smallSet(t, 10, 5)
-	before := b.Samples[0].Time
-	a.Append(b)
-	if b.Samples[0].Time != before {
-		t.Fatal("Append mutated its argument")
+	parent := smallSet(t, 10, 6)
+	for name, c := range map[string]struct{ dst, src, watched *Set }{
+		"argument": {smallSet(t, 10, 4), b, b},
+		// A slice must not share its parent's spare capacity.
+		"slice's parent": {parent.Slice(0, 5), b, parent},
+	} {
+		before := append([]Sample(nil), c.watched.Samples...)
+		benches := append([]string(nil), c.watched.Benchmarks...)
+		c.dst.Append(c.src)
+		for i, sm := range c.watched.Samples {
+			if sm.Time != before[i].Time || sm.PNode != before[i].PNode || c.watched.Benchmarks[i] != benches[i] {
+				t.Fatalf("%s: Append mutated sample %d", name, i)
+			}
+		}
 	}
 }
 
 func TestMatrixHelpers(t *testing.T) {
-	s := smallSet(t, 30, 6)
-	x := s.PMCMatrix()
-	r, c := x.Dims()
-	if r != 30 || c != pmu.NumEvents {
-		t.Fatalf("PMCMatrix dims %dx%d", r, c)
+	gpu := &Set{}
+	for i := 0; i < 30; i++ {
+		gpu.Samples = append(gpu.Samples, Sample{Time: float64(i), PMC: []float64{1, 2, 3, float64(i)}, PNode: 100 + float64(i)})
 	}
-	node := s.NodePower()
-	xn := s.PMCWithNode(node)
-	_, c2 := xn.Dims()
-	if c2 != pmu.NumEvents+1 {
-		t.Fatalf("PMCWithNode cols = %d", c2)
-	}
-	if xn.At(5, pmu.NumEvents) != node[5] {
-		t.Fatal("node feature misplaced")
-	}
-	if len(s.CPUPower()) != 30 || len(s.MemPower()) != 30 {
-		t.Fatal("label lengths wrong")
+	for name, c := range map[string]struct {
+		set   *Set
+		width int
+	}{
+		"CPU":                 {smallSet(t, 30, 6), pmu.NumEvents},
+		"four-counter device": {gpu, 4},
+	} {
+		s := c.set
+		x := s.PMCMatrix()
+		r, cols := x.Dims()
+		if r != 30 || cols != c.width {
+			t.Fatalf("%s: PMCMatrix dims %dx%d", name, r, cols)
+		}
+		node := s.NodePower()
+		xn := s.PMCWithNode(node)
+		if _, c2 := xn.Dims(); c2 != c.width+1 {
+			t.Fatalf("%s: PMCWithNode cols = %d", name, c2)
+		}
+		if xn.At(5, c.width) != node[5] {
+			t.Fatalf("%s: node feature misplaced", name)
+		}
+		if len(s.CPUPower()) != 30 || len(s.MemPower()) != 30 {
+			t.Fatalf("%s: label lengths wrong", name)
+		}
 	}
 }
 

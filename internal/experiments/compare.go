@@ -118,9 +118,10 @@ func (c *Comparison) rows(t *Table, typed bool, keep func(method) bool, fields [
 }
 
 // RunTRRComparison evaluates the twelve baselines and the TRR models on
-// node-power restoration (Tables 5 and 6).
+// node-power restoration (Tables 5 and 6), the DynamicTRR the service runs
+// included.
 func RunTRRComparison(ws *Workspace) (*Comparison, error) {
-	return compare(ws, paperMethods(targetNode), func(c *Comparison) []*Table {
+	return compare(ws, append(paperMethods(targetNode), dynamicServed), func(c *Comparison) []*Table {
 		node := []column{{targetNode, seenApps}, {targetNode, unseenApps}}
 		return []*Table{
 			c.rows(&Table{

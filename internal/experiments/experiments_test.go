@@ -156,7 +156,7 @@ func TestFig1Shape(t *testing.T) {
 	}
 	a, b := r.Scenarios[0], r.Scenarios[1]
 	// Coarser PI must observe far fewer over-cap spikes.
-	if sa, sb := r.SpikesObserved(a), r.SpikesObserved(b); sb*3 > sa {
+	if sa, sb := a.Result.OverCapReadings, b.Result.OverCapReadings; sb*3 > sa {
 		t.Fatalf("PI=10s observed %d spikes vs %d at PI=1s — should hide most", sb, sa)
 	}
 	// Peak power grows with the action interval (c→e).

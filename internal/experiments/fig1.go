@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"highrpm/internal/governor"
 	"highrpm/internal/platform"
 	"highrpm/internal/workload"
 )
@@ -10,9 +11,9 @@ import (
 // Fig1Scenario is one power-capping configuration of the motivation figure.
 type Fig1Scenario struct {
 	Label        string
-	ReadInterval float64 // PI, seconds
-	ActInterval  float64 // AI, seconds
-	Result       *platform.CappingResult
+	ReadInterval int // PI, seconds
+	ActInterval  int // AI, seconds
+	Result       governor.Outcome
 }
 
 // Fig1Result holds the Fig. 1 scenarios.
@@ -23,8 +24,9 @@ type Fig1Result struct {
 
 // RunFig1 reproduces the Fig. 1 motivation: Graph500 BFS under a power cap
 // with varying power-reading intervals (PI) and capping-action intervals
-// (AI) on the ARM platform. Coarse readings miss spikes; slow actions let
-// peak power rise toward the uncapped level and add kilojoule-scale energy.
+// (AI) on the ARM platform, governed by the hysteresis policy on raw IM
+// readings. Coarse readings miss spikes; slow actions let peak power rise
+// toward the uncapped level and add kilojoule-scale energy.
 func RunFig1(cfg Config) (*Fig1Result, error) {
 	bench, err := workload.Find("Graph500/bfs")
 	if err != nil {
@@ -48,33 +50,20 @@ func RunFig1(cfg Config) (*Fig1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := platform.RunCapped(node, bench, platform.CappingConfig{
-			CapWatts:     cap,
-			ReadInterval: sc.ReadInterval,
-			ActInterval:  sc.ActInterval,
+		sc.Result, err = governor.Run(node, bench, &governor.RawIM{}, &governor.Hysteresis{}, governor.Config{
+			CapWatts: cap, MissInterval: sc.ReadInterval, ActInterval: sc.ActInterval,
 		})
 		if err != nil {
 			return nil, err
 		}
-		sc.Result = res
 		out.Scenarios = append(out.Scenarios, sc)
 	}
 	return out, nil
 }
 
-// SpikesObserved counts the monitor readings above the cap — the "spiking
-// points" of Fig. 1(a) that a coarse reading interval fails to capture.
-func (r *Fig1Result) SpikesObserved(sc Fig1Scenario) int {
-	var n int
-	for _, rd := range sc.Result.Readings {
-		if rd.Power > r.CapWatts {
-			n++
-		}
-	}
-	return n
-}
-
-// Tables renders the Fig. 1 summary rows.
+// Tables renders the Fig. 1 summary rows. The "seen" column counts the
+// readings above the cap — the spiking points of Fig. 1(a) that a coarse
+// reading interval fails to capture.
 func (r *Fig1Result) Tables() []*Table {
 	t := &Table{
 		ID:     "fig1",
@@ -86,7 +75,7 @@ func (r *Fig1Result) Tables() []*Table {
 			f1(sc.Result.PeakW),
 			f2(sc.Result.EnergyJ/1000),
 			f1(sc.Result.OverCapSeconds),
-			fmt.Sprintf("%d", r.SpikesObserved(sc)),
+			fmt.Sprintf("%d", sc.Result.OverCapReadings),
 			f1(sc.Result.CompletionSeconds))
 	}
 	t.Notes = append(t.Notes,

@@ -12,7 +12,7 @@ import (
 // ScaleBench, seed 1. Since PR 20 a table is a pure function of seed and
 // data, so any edit that moves a number, a title, a note or a cell format
 // moves this hash; re-pin it only together with EXPERIMENTS.md.
-const benchTranscriptSHA256 = "0a91d026b358bcf8e1776f3a8ef81fbfe2aaa6a59fb003b61e07c07478bfe2ea"
+const benchTranscriptSHA256 = "724d31ab8b754bef505cfaa7923fd241bf5ad97a2c8f8ec626854f8ecc9b13ad"
 
 // TestBenchTranscriptGolden regenerates the tables EXPERIMENTS.md reports
 // and checks them bit for bit. overhead is left out: its rows are wall-clock.

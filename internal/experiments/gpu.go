@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"highrpm/internal/core"
 	"highrpm/internal/gpuext"
 	"highrpm/internal/linmodel"
-	"highrpm/internal/mat"
 	"highrpm/internal/model"
 	"highrpm/internal/stats"
 )
@@ -22,9 +22,9 @@ type GPURow struct {
 	LinearCO stats.Metrics // counter-only linear model
 }
 
-// RunGPU trains the GPU TRR on a kernel mix and evaluates restoration on
-// each kernel individually (training device ≠ test device seed, so wander
-// histories differ).
+// RunGPU trains StaticTRR on a GPU kernel mix, the counters standing in for
+// the PMCs, and evaluates restoration on each kernel individually (training
+// device ≠ test device seed, so wander histories differ).
 func RunGPU(cfg Config) (*GPUResult, error) {
 	dev, err := gpuext.NewDevice(gpuext.DefaultDevice(), cfg.Seed+31)
 	if err != nil {
@@ -34,40 +34,35 @@ func RunGPU(cfg Config) (*GPUResult, error) {
 	if perDur < 120 {
 		perDur = 120
 	}
-	train := dev.RunMix(gpuext.Kernels(), perDur)
-	trr, err := gpuext.FitTRR(train, cfg.MissInterval)
+	train := dev.RunMix(gpuext.Kernels(), perDur).Set()
+	fit := func(missInterval int) (*core.StaticTRR, error) {
+		return core.FitStaticTRR(train, core.StaticTRROptions{MissInterval: missInterval})
+	}
+	trr, err := fit(cfg.MissInterval)
 	if err != nil {
 		return nil, err
 	}
 	// Counter-only linear baseline on the same training data.
-	x := mat.NewDense(len(train.Samples), gpuext.NumCounters)
-	for i, s := range train.Samples {
-		copy(x.Row(i), s.Counters[:])
-	}
 	lr := &model.ScaledRegressor{Inner: linmodel.NewLinear()}
-	if err := lr.Fit(x, train.Power()); err != nil {
+	if err := lr.Fit(train.PMCMatrix(), train.NodePower()); err != nil {
 		return nil, err
 	}
 
 	out := &GPUResult{}
-	evalKernel := func(k gpuext.Kernel, label string, t *gpuext.TRR) error {
+	evalKernel := func(k gpuext.Kernel, label string, t *core.StaticTRR) error {
 		testDev, err := gpuext.NewDevice(gpuext.DefaultDevice(), cfg.Seed+97)
 		if err != nil {
 			return err
 		}
-		test := testDev.Run(k, 200)
+		test := testDev.Run(k, 200).Set()
 		m, err := t.Evaluate(test)
 		if err != nil {
 			return err
 		}
-		pred := make([]float64, len(test.Samples))
-		for i, s := range test.Samples {
-			pred[i] = lr.Predict(s.Counters[:])
-		}
 		out.Rows = append(out.Rows, GPURow{
 			Kernel:   label,
 			TRR:      m,
-			LinearCO: stats.Evaluate(test.Power(), pred),
+			LinearCO: stats.Evaluate(test.NodePower(), model.PredictBatch(lr, test.PMCMatrix())),
 		})
 		return nil
 	}
@@ -85,11 +80,11 @@ func RunGPU(cfg Config) (*GPUResult, error) {
 	// the §6.4.6 limitation. Reading faster than the kernel's shortest
 	// phase (2 s vs its 4 s trough) removes the aliasing; the extra row
 	// demonstrates the remedy.
-	trr5, err := gpuext.FitTRR(train, 2)
+	trr2, err := fit(2)
 	if err != nil {
 		return nil, err
 	}
-	if err := evalKernel(reduction, "reduction (2s readings)", trr5); err != nil {
+	if err := evalKernel(reduction, "reduction (2s readings)", trr2); err != nil {
 		return nil, err
 	}
 	return out, nil

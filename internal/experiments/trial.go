@@ -192,6 +192,16 @@ var (
 	dynamicTRR = method{"DynamicTRR", "TRR", nodeOnly, func(t *trial, _ target) (stats.Metrics, error) {
 		return t.dynamic(t.opts.Dynamic)
 	}}
+	// dynamicServed is the DynamicTRR core.Monitor serves: core.Train's,
+	// refreshed by active learning, and never fine-tuned online.
+	dynamicServed = method{"DynamicTRR (as served)", "TRR", nodeOnly, func(t *trial, _ target) (stats.Metrics, error) {
+		h, err := core.Train(t.train, t.opts)
+		if err != nil {
+			return stats.Metrics{}, err
+		}
+		h.Dynamic.Opts.FineTuneOnline = false
+		return h.Dynamic.Evaluate(t.test)
+	}}
 	srr = method{"SRR", "SRR", components, func(t *trial, tgt target) (stats.Metrics, error) {
 		return t.srr(t.opts.SRR, tgt)
 	}}

@@ -37,12 +37,13 @@ type Policy interface {
 	Reset()
 }
 
-// Hysteresis is the classic step governor: lower above the cap, raise only
-// below cap−margin. It is what platform.RunCapped implements inline; here
-// it is reusable and comparable.
+// Hysteresis is the classic step governor of Fig. 1: lower above the cap,
+// raise only below cap−margin.
 type Hysteresis struct {
-	// MarginFrac is the hysteresis band as a fraction of the cap
-	// (default 0.30, sized to the coarse DVFS ladder).
+	// MarginFrac is the hysteresis band as a fraction of the cap. The
+	// default, 0.30, is sized to the coarse DVFS ladder: one level down
+	// moves CPU dynamic power by ~(f₁/f₀)^α ≈ 35%, so a narrower band makes
+	// the governor oscillate between levels and defeats the cap.
 	MarginFrac float64
 }
 
@@ -235,8 +236,11 @@ func (s *ModelSource) Estimate(pmc []float64, measured *float64) (float64, error
 // Config drives a governed run.
 type Config struct {
 	CapWatts float64
-	// MissInterval is the IM reading gap in seconds.
+	// MissInterval is the IM reading gap in seconds (Fig. 1's PI).
 	MissInterval int
+	// ActInterval is the gap between policy actions in seconds (Fig. 1's
+	// AI, default 1).
+	ActInterval int
 	// MaxDuration bounds the run (default 4× nominal program length).
 	MaxDuration float64
 }
@@ -248,18 +252,26 @@ type Outcome struct {
 	EnergyJ           float64
 	OverCapSeconds    float64
 	CompletionSeconds float64
+	// OverCapReadings counts the IM readings above the cap: the over-cap
+	// time a governor on raw readings can see.
+	OverCapReadings int
 	// MeanFreqGHz indicates how much performance the policy preserved.
 	MeanFreqGHz float64
 }
 
-// Run executes the benchmark on the node under the policy and source,
-// acting once per second.
+// Run executes the benchmark on the node under the policy and source. The
+// loop is closed: stale readings (large MissInterval) and slow actions
+// (large ActInterval) let power overshoot the cap, raising peak power and
+// total energy as Fig. 1 demonstrates.
 func Run(node *platform.Node, b workload.Benchmark, src Source, pol Policy, cfg Config) (Outcome, error) {
 	if cfg.CapWatts <= 0 {
 		return Outcome{}, fmt.Errorf("governor: cap must be positive")
 	}
 	if cfg.MissInterval <= 0 {
 		cfg.MissInterval = 10
+	}
+	if cfg.ActInterval <= 0 {
+		cfg.ActInterval = 1
 	}
 	if cfg.MaxDuration <= 0 {
 		cfg.MaxDuration = 4 * b.TotalDuration()
@@ -272,7 +284,7 @@ func Run(node *platform.Node, b workload.Benchmark, src Source, pol Policy, cfg 
 	out := Outcome{Policy: pol.Name(), Source: src.Name()}
 	var freqSum float64
 	t := 0
-	for !node.Idle() && float64(t) < cfg.MaxDuration {
+	for ; !node.Idle() && float64(t) < cfg.MaxDuration; t++ {
 		s := node.Step(1)
 		out.EnergyJ += s.PNode
 		if s.PNode > out.PeakW {
@@ -286,10 +298,16 @@ func Run(node *platform.Node, b workload.Benchmark, src Source, pol Policy, cfg 
 		if t%cfg.MissInterval == 0 {
 			v := s.PNode
 			measured = &v
+			if v > cfg.CapWatts {
+				out.OverCapReadings++
+			}
 		}
 		est, err := src.Estimate(s.Counters.Slice(), measured)
 		if err != nil {
 			return Outcome{}, err
+		}
+		if t%cfg.ActInterval != 0 {
+			continue
 		}
 		switch pol.Act(est, cfg.CapWatts) {
 		case Lower:
@@ -297,7 +315,6 @@ func Run(node *platform.Node, b workload.Benchmark, src Source, pol Policy, cfg 
 		case Raise:
 			node.StepFrequency(+1)
 		}
-		t++
 	}
 	out.CompletionSeconds = float64(t)
 	if t > 0 {

@@ -134,6 +134,81 @@ func governedBench(t *testing.T) workload.Benchmark {
 	return b
 }
 
+func armNode(t *testing.T, seed int64) *platform.Node {
+	t.Helper()
+	n, err := platform.NewNode(platform.ARMConfig(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+func cappingBench(t *testing.T) workload.Benchmark {
+	t.Helper()
+	b := governedBench(t)
+	b.Repeat = 10
+	return b
+}
+
+// capped runs Fig. 1's governor: hysteresis on raw IM readings every pi
+// seconds, acting every ai seconds.
+func capped(t *testing.T, seed int64, cap float64, pi, ai int, maxDuration float64) Outcome {
+	t.Helper()
+	out, err := Run(armNode(t, seed), cappingBench(t), &RawIM{}, &Hysteresis{},
+		Config{CapWatts: cap, MissInterval: pi, ActInterval: ai, MaxDuration: maxDuration})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestCappingReducesPeakPower(t *testing.T) {
+	uncapped := armNode(t, 2).Run(cappingBench(t), 2000, 1)
+	res := capped(t, 2, 90, 1, 1, 0)
+	if res.PeakW >= uncapped.PeakPower() {
+		t.Fatalf("capping did not reduce peak: %g vs %g", res.PeakW, uncapped.PeakPower())
+	}
+	// Over-cap time must be a small fraction of the run with 1 s reactions.
+	if res.OverCapSeconds > 0.35*res.CompletionSeconds {
+		t.Fatalf("over-cap %g s of %g s — governor ineffective", res.OverCapSeconds, res.CompletionSeconds)
+	}
+}
+
+func TestSlowerActionsRaisePeak(t *testing.T) {
+	fast, slow := capped(t, 3, 90, 1, 1, 0), capped(t, 3, 90, 1, 30, 0)
+	if slow.PeakW <= fast.PeakW {
+		t.Fatalf("AI=30 peak %g must exceed AI=1 peak %g (Fig. 1 shape)", slow.PeakW, fast.PeakW)
+	}
+	if slow.OverCapSeconds <= fast.OverCapSeconds {
+		t.Fatalf("AI=30 over-cap %g must exceed AI=1 %g", slow.OverCapSeconds, fast.OverCapSeconds)
+	}
+}
+
+func TestCappingExtendsRuntime(t *testing.T) {
+	uncapped := armNode(t, 4).Run(cappingBench(t), 4000, 1)
+	res := capped(t, 4, 80, 1, 1, 0)
+	if res.CompletionSeconds <= uncapped.Duration() {
+		t.Fatalf("aggressive capping should slow the program: %g vs %g s",
+			res.CompletionSeconds, uncapped.Duration())
+	}
+}
+
+func TestCappingRecordsActionsAndReadings(t *testing.T) {
+	res := capped(t, 5, 90, 10, 10, 200)
+	if res.CompletionSeconds != 200 {
+		t.Fatalf("ran %g s, bounded at 200", res.CompletionSeconds)
+	}
+	// 200 s at one reading per 10 s: 20 readings, each over-cap one an
+	// over-cap second.
+	if res.OverCapReadings == 0 || res.OverCapReadings > 20 || float64(res.OverCapReadings) > res.OverCapSeconds {
+		t.Fatalf("%d over-cap readings, %g over-cap seconds over 200 s at PI=10",
+			res.OverCapReadings, res.OverCapSeconds)
+	}
+	if res.MeanFreqGHz < 1.4 || res.MeanFreqGHz > 2.2 {
+		t.Fatalf("mean frequency %g outside DVFS range", res.MeanFreqGHz)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	node, err := platform.NewNode(platform.ARMConfig(), 1)
 	if err != nil {

@@ -1,20 +1,20 @@
 // Package gpuext implements the paper's §6.4.4 extension: applying the
 // HighRPM methodology to a peripheral device with its own performance
 // counters. It models a discrete GPU — kernel-phase workloads, four
-// device counters, a power process with PMC-invisible wander — and restores
-// the temporal resolution of sparse out-of-band GPU power readings with the
-// same spline + residual-tree + Algorithm 1 recipe as StaticTRR.
+// device counters, a power process with PMC-invisible wander — and hands
+// its traces to core.StaticTRR as sample sets, counters in place of PMCs.
 //
 // As §6.4.4 says, "the methodology for training and using the models would
-// remain largely unchanged": this package reuses interp, tree and
-// core-equivalent post-processing wholesale; only the counter model and
-// the device simulator are new.
+// remain largely unchanged": the restoration is StaticTRR itself; only the
+// counter model and the device simulator are new.
 package gpuext
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"highrpm/internal/dataset"
 )
 
 // Counter identifies one GPU performance-counter event.
@@ -122,20 +122,14 @@ type Trace struct {
 	Samples []Sample
 }
 
-// Power returns the ground-truth power series.
-func (t *Trace) Power() []float64 {
-	out := make([]float64, len(t.Samples))
-	for i, s := range t.Samples {
-		out[i] = s.Power
-	}
-	return out
-}
-
-// Times returns the sample timestamps.
-func (t *Trace) Times() []float64 {
-	out := make([]float64, len(t.Samples))
-	for i, s := range t.Samples {
-		out[i] = s.Time
+// Set adapts the trace to the sample set the core models take: the
+// counters are the PMC vector and the device power is the node power.
+func (t *Trace) Set() *dataset.Set {
+	out := &dataset.Set{}
+	for _, s := range t.Samples {
+		out.Samples = append(out.Samples, dataset.Sample{Time: s.Time, PMC: append([]float64(nil), s.Counters[:]...), PNode: s.Power})
+		out.Suites = append(out.Suites, "GPU")
+		out.Benchmarks = append(out.Benchmarks, t.Kernel)
 	}
 	return out
 }

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"highrpm/internal/core"
 	"highrpm/internal/linmodel"
-	"highrpm/internal/mat"
 	"highrpm/internal/model"
 	"highrpm/internal/stats"
 )
@@ -85,16 +85,21 @@ func TestComputeVsMemoryKernelsDiffer(t *testing.T) {
 	}
 }
 
+// fitTRR trains core's StaticTRR on a device trace, the counters standing in
+// for the PMCs.
+func fitTRR(train *Trace, missInterval int) (*core.StaticTRR, error) {
+	return core.FitStaticTRR(train.Set(), core.StaticTRROptions{MissInterval: missInterval})
+}
+
 func TestTRRRestoresGPUPower(t *testing.T) {
 	d := device(t, 3)
 	// Train on a mix covering the device's power band, test on one kernel.
 	train := d.RunMix(Kernels()[:3], 150)
-	trr, err := FitTRR(train, 10)
+	trr, err := fitTRR(train, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dTest := device(t, 4)
-	test := dTest.Run(Kernels()[3], 200)
+	test := device(t, 4).Run(Kernels()[3], 200).Set()
 	m, err := trr.Evaluate(test)
 	if err != nil {
 		t.Fatal(err)
@@ -107,20 +112,12 @@ func TestTRRRestoresGPUPower(t *testing.T) {
 	}
 
 	// It must beat the counter-only linear model, as on the CPU side.
-	x := mat.NewDense(len(train.Samples), NumCounters)
-	y := train.Power()
-	for i, s := range train.Samples {
-		copy(x.Row(i), s.Counters[:])
-	}
 	lr := &model.ScaledRegressor{Inner: linmodel.NewLinear()}
-	if err := lr.Fit(x, y); err != nil {
+	set := train.Set()
+	if err := lr.Fit(set.PMCMatrix(), set.NodePower()); err != nil {
 		t.Fatal(err)
 	}
-	pred := make([]float64, len(test.Samples))
-	for i, s := range test.Samples {
-		pred[i] = lr.Predict(s.Counters[:])
-	}
-	lrM := stats.Evaluate(test.Power(), pred)
+	lrM := stats.Evaluate(test.NodePower(), model.PredictBatch(lr, test.PMCMatrix()))
 	if m.MAPE >= lrM.MAPE {
 		t.Fatalf("GPU TRR %.2f%% must beat counter-only LR %.2f%%", m.MAPE, lrM.MAPE)
 	}
@@ -128,17 +125,16 @@ func TestTRRRestoresGPUPower(t *testing.T) {
 
 func TestTRRMeasuredPointsExact(t *testing.T) {
 	d := device(t, 5)
-	train := d.Run(Kernels()[1], 250)
-	trr, err := FitTRR(train, 10)
+	trr, err := fitTRR(d.Run(Kernels()[1], 250), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	test := device(t, 6).Run(Kernels()[3], 150)
-	est, err := trr.Restore(test)
+	test := device(t, 6).Run(Kernels()[3], 150).Set()
+	est, err := trr.Restore(test, test.MeasuredIndices(10), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	power := test.Power()
+	power := test.NodePower()
 	for i := 0; i < len(power); i += 10 {
 		if est[i] != power[i] {
 			t.Fatalf("measured point %d not exact", i)
@@ -154,7 +150,7 @@ func TestTRRMeasuredPointsExact(t *testing.T) {
 func TestFitTRRTooShort(t *testing.T) {
 	d := device(t, 7)
 	tr := d.Run(Kernels()[0], 15)
-	if _, err := FitTRR(tr, 10); err == nil {
+	if _, err := fitTRR(tr, 10); err == nil {
 		t.Fatal("expected too-short error")
 	}
 }

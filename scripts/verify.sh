@@ -5,7 +5,7 @@
 # that this script gates formatting (gofmt), vets the tree with both
 # `go vet` and the project-specific highrpm-vet analyzers (determinism,
 # maporder, floateq, leakcheck, errdrop, layering — see internal/lint),
-# and race-checks the concurrent subsystems (the tsdb ingest/query/WAL
+# runs the GPU and power-capping examples end to end, and race-checks the concurrent subsystems (the tsdb ingest/query/WAL
 # paths including the persisttest crash-injection harness, the cluster
 # service + fault-injection harness, the fleet router's replicated
 # forwarding and scatter-gather, the obs metric registry and HTTP
@@ -43,6 +43,9 @@ echo "== highrpm-vet (project static analysis)"
 go run ./cmd/highrpm-vet ./...
 echo "== go test"
 go test ./...
+echo "== run the examples built on core.StaticTRR and governor.Run (~3 s)"
+go run ./examples/gpu >/dev/null
+go run ./examples/powercap >/dev/null
 echo "== go test -race (tsdb incl. persisttest, cluster incl. faultnet, fleet, obs)"
 go test -race ./internal/tsdb/... ./internal/cluster/... ./internal/fleet/... ./internal/obs
 echo "== go test -race (concurrent prediction, parallel experiments; attribution)"
