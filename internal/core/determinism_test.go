@@ -19,8 +19,8 @@ import (
 // row's P'_Node feature from the newest trend before each prediction, so a
 // later IM reading revised features the row had already been served with.
 const (
-	goldenDynRunBitsHash = "dfd3777759edadc7790cb676bf609be75f312cdb7268cd5a65e96f6fa04c911c"
-	goldenDynNetHash     = "0a15879e6ac30a64deddf535123dfa0832c38dbe2a3690ce95a340952a319b2d"
+	goldenDynRunBitsHash = "211721d83623c160111f43a696ffd4677ece55ce5d970467e1cd4d66cbdd8615"
+	goldenDynNetHash     = "586590244930b49ae60ccb5763c45c71abf2d97251c9d5bc4070c84f3dc0951f"
 )
 
 func TestDynamicRunMatchesGolden(t *testing.T) {

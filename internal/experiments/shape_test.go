@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"highrpm/internal/core"
 	"highrpm/internal/stats"
 )
 
@@ -172,4 +173,32 @@ func TestOverheadClaims(t *testing.T) {
 	if r.PredictSpatial.Milliseconds() > 1 {
 		t.Errorf("component prediction latency %v, paper claims < 1 ms", r.PredictSpatial)
 	}
+}
+
+// TestHyperKnee pins the shipped DynamicTRR depth to the knee of §6.4.3:
+// the default must be the lowest-MAPE depth RunHyper scores, so the served
+// model cannot drift off it silently.
+func TestHyperKnee(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains seven models; skipped in -short")
+	}
+	ws := benchWorkspace()
+	r, err := RunHyper(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, bestMAPE := 0, 0.0
+	for _, layers := range hyperLayers {
+		m := r.At(hyperLayersRow(layers), targetNode, unseenApps)
+		if m.N == 0 {
+			t.Fatalf("no result for %s", hyperLayersRow(layers))
+		}
+		if best == 0 || m.MAPE < bestMAPE {
+			best, bestMAPE = layers, m.MAPE
+		}
+	}
+	if def := core.DefaultDynamicTRROptions().Layers; def != best {
+		t.Errorf("DefaultDynamicTRROptions().Layers = %d, but %s has the lowest MAPE (%.2f)", def, hyperLayersRow(best), bestMAPE)
+	}
+	requireTables(t, r, "hyper")
 }

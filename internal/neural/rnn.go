@@ -324,7 +324,8 @@ func newSeqModel(kind string, newCell func(in, hid int, rng *rand.Rand) cell, hi
 
 // LSTM is the recurrent sequence model used by DynamicTRR (§4.2.2: "a
 // compact LSTM model with an input layer, two hidden layers, and a fully
-// connected layer") and as the Table 4 LSTM baseline.
+// connected layer"; core.DefaultDynamicTRROptions ships one) and as the
+// Table 4 LSTM baseline, which keeps two.
 type LSTM struct{ seqModel }
 
 // NewLSTM returns an LSTM; non-positive hidden and layers default to 16 and 2.

@@ -23,8 +23,11 @@
 # for the agent's reply path), the law the router's verbatim series relay
 # stands on (FuzzSeriesShape: the O(1) framing check accepts exactly what
 # the strict decoder does), the durability decoders (WAL segment
-# scanner, snapshot loader), and the fleet placement ring. Performance is
-# not measured here: `bash bench/run.sh` is the repo's one benchmark.
+# scanner, snapshot loader), and the fleet placement ring. The served
+# DynamicTRR shape is pinned in the `go test` step: TestHyperKnee fails
+# when DefaultDynamicTRROptions().Layers stops being the lowest-MAPE depth
+# of the §6.4.3 `hyper` sweep. Performance is not measured here:
+# `bash bench/run.sh` is the repo's one benchmark.
 set -eu
 cd "$(dirname "$0")/.."
 
