@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"testing"
+	"time"
 
 	"highrpm/internal/tsdb"
 )
@@ -634,11 +635,17 @@ func TestResilientBatchDegradedReplay(t *testing.T) {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
 	t.Cleanup(func() { svc2.Close() })
+	// The agent redials from inside Record once its backoff (at most
+	// BackoffMax) has run out, so the loop is bounded by wall time and paced
+	// by it: a degraded Record is one local inference, a few microseconds,
+	// and a loop bounded by a count could end inside a single backoff delay.
+	deadline := time.Now().Add(5 * time.Second)
 	for i := 12; ra.Mode() != ModeConnected || ra.Pending() > 0; i++ {
-		if i > 2000 {
+		if time.Now().After(deadline) {
 			t.Fatalf("agent never recovered: mode %v, %d pending", ra.Mode(), ra.Pending())
 		}
 		record(i)
+		time.Sleep(opts.BackoffMin)
 	}
 	// The recovery loop keeps batching while degraded, so more than the
 	// original 6 samples pass through the buffer; what matters is that the

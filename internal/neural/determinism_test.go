@@ -107,15 +107,17 @@ func fitMLP(t *testing.T) *MLP {
 }
 
 func TestSerialTrainingMatchesGolden(t *testing.T) {
-	if h := stateHash(t, fitLSTM(t)); h != goldenLSTMHash {
-		t.Errorf("LSTM hash = %s, want golden %s", h, goldenLSTMHash)
-	}
-	if h := stateHash(t, fitGRU(t)); h != goldenGRUHash {
-		t.Errorf("GRU hash = %s, want golden %s", h, goldenGRUHash)
-	}
-	if h := stateHash(t, fitMLP(t)); h != goldenMLPHash {
-		t.Errorf("MLP hash = %s, want golden %s", h, goldenMLPHash)
-	}
+	eachKernelPath(t, func(t *testing.T) {
+		if h := stateHash(t, fitLSTM(t)); h != goldenLSTMHash {
+			t.Errorf("LSTM hash = %s, want golden %s", h, goldenLSTMHash)
+		}
+		if h := stateHash(t, fitGRU(t)); h != goldenGRUHash {
+			t.Errorf("GRU hash = %s, want golden %s", h, goldenGRUHash)
+		}
+		if h := stateHash(t, fitMLP(t)); h != goldenMLPHash {
+			t.Errorf("MLP hash = %s, want golden %s", h, goldenMLPHash)
+		}
+	})
 }
 
 // TestConcurrentPrediction exercises the pooled prediction executors the way

@@ -7,10 +7,8 @@ import (
 )
 
 // seqLoss runs a window through a single cell and returns
-// L = Σ_t ½‖h_t‖², the simplest loss touching every gate path. gradCheck
-// perturbs tensors between calls, so it syncs the cell first.
+// L = Σ_t ½‖h_t‖², the simplest loss touching every gate path.
 func seqLoss(c cell, xs [][]float64) float64 {
-	c.sync()
 	sc := c.newScratch()
 	st, _ := sc.begin(len(xs))
 	var loss float64

@@ -84,35 +84,16 @@ func (g *gruCell) inputSize() int     { return g.in }
 func (g *gruCell) hiddenSize() int    { return g.hid }
 func (g *gruCell) tensors() []*tensor { return []*tensor{g.wx, g.wh, g.b} }
 
-// sync has nothing to do: step reads the tensors as they lie.
-func (g *gruCell) sync() {}
-
 func (g *gruCell) step(scr cellScratch, t int, x []float64, st cellState) cellState {
 	s := scr.(*gruScratch)
 	H := g.hid
 	// zx = Wx·x + b for all three blocks; ah = Uh·h for all three blocks.
 	zx := s.zx
 	copy(zx, g.b.W)
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := g.wx.W[i*3*H : (i+1)*3*H]
-		for j, wv := range row {
-			zx[j] += xv * wv
-		}
-	}
+	gemvRows(zx, x, g.wx.W)
 	ah := s.ah
 	clear(ah)
-	for i, hv := range st.h {
-		if hv == 0 {
-			continue
-		}
-		row := g.wh.W[i*3*H : (i+1)*3*H]
-		for j, wv := range row {
-			ah[j] += hv * wv
-		}
-	}
+	gemvRows(ah, st.h, g.wh.W)
 	c := &s.steps[t]
 	c.x, c.hPrev = x, st.h
 	copy(c.a, ah[2*H:3*H])

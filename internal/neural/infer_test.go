@@ -58,13 +58,12 @@ func textbookLSTM(n *seqNet, window [][]float64) []float64 {
 	return out
 }
 
-// TestLSTMInferPathBitExact pins lstmCell.step — the one kernel training
-// and serving run, over transposed weight copies — to the textbook step
-// above, bit for bit, before and after further training moves the weights
-// (so a missed sync shows as stale transposes). PredictLast rides the same
-// check, for the GRU as well: it must equal the final element of PredictSeq
-// bit for bit (that it allocates nothing is pinned where it matters, by
-// core's TestMonitorPushZeroAlloc).
+// TestLSTMInferPathBitExact pins lstmCell.step — the one step training and
+// serving run, on either kernel path — to the textbook step above, bit for
+// bit, before and after further training moves the weights. PredictLast
+// rides the same check, for the GRU as well: it must equal the final element
+// of PredictSeq bit for bit (that it allocates nothing is pinned where it
+// matters, by core's TestMonitorPushZeroAlloc).
 func TestLSTMInferPathBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const dim, T, nwin = 7, 12, 24
@@ -86,45 +85,47 @@ func TestLSTMInferPathBitExact(t *testing.T) {
 		return seqs, targets
 	}
 	seqs, targets := makeData()
-	l := NewLSTM(8, 2, 3)
-	l.Epochs = 2
-	if err := l.FitSeq(seqs, targets); err != nil {
-		t.Fatal(err)
-	}
-	g := NewGRU(8, 2, 3)
-	g.Epochs = 2
-	if err := g.FitSeq(seqs, targets); err != nil {
-		t.Fatal(err)
-	}
+	eachKernelPath(t, func(t *testing.T) {
+		l := NewLSTM(8, 2, 3)
+		l.Epochs = 2
+		if err := l.FitSeq(seqs, targets); err != nil {
+			t.Fatal(err)
+		}
+		g := NewGRU(8, 2, 3)
+		g.Epochs = 2
+		if err := g.FitSeq(seqs, targets); err != nil {
+			t.Fatal(err)
+		}
 
-	check := func(stage string) {
-		t.Helper()
-		for w := 0; w < 4; w++ {
-			want := textbookLSTM(l.net, seqs[w])
-			got := l.PredictSeq(seqs[w])
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s: window %d step %d: step %x != textbook %x",
-						stage, w, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		check := func(stage string) {
+			t.Helper()
+			for w := 0; w < 4; w++ {
+				want := textbookLSTM(l.net, seqs[w])
+				got := l.PredictSeq(seqs[w])
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: window %d step %d: step %x != textbook %x",
+							stage, w, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
 				}
-			}
-			for _, m := range []*seqModel{&l.seqModel, &g.seqModel} {
-				last, seq := m.PredictLast(seqs[w]), m.PredictSeq(seqs[w])
-				if math.Float64bits(last) != math.Float64bits(seq[T-1]) {
-					t.Fatalf("%s: %s window %d: PredictLast %x != PredictSeq[T-1] %x",
-						stage, m.kind, w, math.Float64bits(last), math.Float64bits(seq[T-1]))
+				for _, m := range []*seqModel{&l.seqModel, &g.seqModel} {
+					last, seq := m.PredictLast(seqs[w]), m.PredictSeq(seqs[w])
+					if math.Float64bits(last) != math.Float64bits(seq[T-1]) {
+						t.Fatalf("%s: %s window %d: PredictLast %x != PredictSeq[T-1] %x",
+							stage, m.kind, w, math.Float64bits(last), math.Float64bits(seq[T-1]))
+					}
 				}
 			}
 		}
-	}
-	check("after fit")
+		check("after fit")
 
-	// Move the weights and confirm the transposes followed.
-	if err := l.FineTune(seqs[:8], targets[:8]); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.FineTune(seqs[:8], targets[:8]); err != nil {
-		t.Fatal(err)
-	}
-	check("after fine-tune")
+		// Move the weights and check again.
+		if err := l.FineTune(seqs[:8], targets[:8]); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.FineTune(seqs[:8], targets[:8]); err != nil {
+			t.Fatal(err)
+		}
+		check("after fine-tune")
+	})
 }

@@ -12,17 +12,11 @@ type lstmCell struct {
 	wx      *tensor // in × 4H
 	wh      *tensor // H × 4H
 	b       *tensor // 1 × 4H
-
-	// wxT/whT are wx/wh transposed to [4H][in] / [4H][hid] (row =
-	// gate*H+unit), the layout step reads. The tensors stay the parameters
-	// (optimizer, persistence, back); whoever writes them calls sync.
-	wxT, whT []float64
 }
 
 func newLSTMCell(in, hid int, rng *rand.Rand) cell {
 	c := &lstmCell{in: in, hid: hid,
-		wx: newTensor(in, 4*hid), wh: newTensor(hid, 4*hid), b: newTensor(1, 4*hid),
-		wxT: make([]float64, in*4*hid), whT: make([]float64, hid*4*hid)}
+		wx: newTensor(in, 4*hid), wh: newTensor(hid, 4*hid), b: newTensor(1, 4*hid)}
 	scaleX := 1 / math.Sqrt(float64(in))
 	scaleH := 1 / math.Sqrt(float64(hid))
 	for i := range c.wx.W {
@@ -35,15 +29,16 @@ func newLSTMCell(in, hid int, rng *rand.Rand) cell {
 	for j := hid; j < 2*hid; j++ {
 		c.b.W[j] = 1
 	}
-	c.sync()
 	return c
 }
 
-// lstmStep records one timestep's activations for backprop. The gate
-// slices are owned by the scratch; x, hPrev and cPrev reference buffers
-// that stay live for the whole window.
+// lstmStep records one timestep's activations for backprop. gates is the
+// 4H pre-activation slab step works in, which ends up holding the gate
+// activations i, f, g, o (views of it); it and tc are owned by the scratch.
+// x, hPrev and cPrev reference buffers that stay live for the whole window.
 type lstmStep struct {
 	x, hPrev, cPrev []float64
+	gates           []float64
 	i, f, g, o, tc  []float64
 }
 
@@ -77,9 +72,9 @@ func (s *lstmScratch) begin(T int) (cellState, cellState) {
 		s.cs = append(s.cs, make([]float64, H))
 	}
 	for len(s.steps) < T {
+		z := make([]float64, 4*H)
 		s.steps = append(s.steps, lstmStep{
-			i: make([]float64, H), f: make([]float64, H),
-			g: make([]float64, H), o: make([]float64, H),
+			gates: z, i: z[:H], f: z[H : 2*H], g: z[2*H : 3*H], o: z[3*H:],
 			tc: make([]float64, H),
 		})
 	}
@@ -93,75 +88,29 @@ func (l *lstmCell) inputSize() int     { return l.in }
 func (l *lstmCell) hiddenSize() int    { return l.hid }
 func (l *lstmCell) tensors() []*tensor { return []*tensor{l.wx, l.wh, l.b} }
 
-// sync refreshes wxT/whT from wx/wh. Destination rows are written
-// contiguously; the strided side is the read.
-func (l *lstmCell) sync() {
-	transposeInto(l.wxT, l.wx.W, l.in, 4*l.hid)
-	transposeInto(l.whT, l.wh.W, l.hid, 4*l.hid)
-}
-
-// transposeInto writes the rows×cols row-major src into dst as cols×rows.
-func transposeInto(dst, src []float64, rows, cols int) {
-	for j := 0; j < cols; j++ {
-		row := dst[j*rows : (j+1)*rows]
-		for i := range row {
-			row[i] = src[i*cols+j]
-		}
-	}
-}
-
-// step accumulates the four gate pre-activations of each hidden unit in
-// registers over the transposed weight rows — bias, then x contributions in
-// input order, then h contributions in hidden order — and records the gate
-// activations back needs. It reads the cell and writes only the scratch.
+// step computes the 4H gate pre-activations in the step's gate slab — bias,
+// then x contributions in input order, then h contributions in hidden order,
+// over the row-major tensors — activates them in place, and derives c and h.
+// It reads the cell and writes only the scratch.
 func (l *lstmCell) step(scr cellScratch, t int, x []float64, st cellState) cellState {
 	s := scr.(*lstmScratch)
 	H := l.hid
-	in := l.in
-	wxT, whT := l.wxT, l.whT
-	bw := l.b.W
-	hPrev := st.h
 	g := &s.steps[t]
-	g.x, g.hPrev, g.cPrev = x, hPrev, st.c
+	g.x, g.hPrev, g.cPrev = x, st.h, st.c
+	z := g.gates
+	copy(z, l.b.W)
+	gemvRows(z, x, l.wx.W)
+	gemvRows(z, st.h, l.wh.W)
+	sigmoidInto(z[:2*H], z[:2*H])
+	tanhInto(g.g, g.g)
+	sigmoidInto(g.o, g.o)
 	c, h := s.cs[t+1], s.hs[t+1]
-	for j := 0; j < H; j++ {
-		zi, zf, zg, zo := bw[j], bw[H+j], bw[2*H+j], bw[3*H+j]
-		// Re-slicing each row to len(x)/len(hPrev) lets the compiler prove
-		// i is in range for all four rows and drop the bounds checks (the
-		// rows are in/H long; inputs are never longer in a well-formed net,
-		// and a malformed one panics here).
-		rxi := wxT[j*in : (j+1)*in][:len(x)]
-		rxf := wxT[(H+j)*in : (H+j+1)*in][:len(x)]
-		rxg := wxT[(2*H+j)*in : (2*H+j+1)*in][:len(x)]
-		rxo := wxT[(3*H+j)*in : (3*H+j+1)*in][:len(x)]
-		for i, xv := range x {
-			if xv == 0 {
-				continue
-			}
-			zi += xv * rxi[i]
-			zf += xv * rxf[i]
-			zg += xv * rxg[i]
-			zo += xv * rxo[i]
-		}
-		rhi := whT[j*H : (j+1)*H][:len(hPrev)]
-		rhf := whT[(H+j)*H : (H+j+1)*H][:len(hPrev)]
-		rhg := whT[(2*H+j)*H : (2*H+j+1)*H][:len(hPrev)]
-		rho := whT[(3*H+j)*H : (3*H+j+1)*H][:len(hPrev)]
-		for i, hv := range hPrev {
-			if hv == 0 {
-				continue
-			}
-			zi += hv * rhi[i]
-			zf += hv * rhf[i]
-			zg += hv * rhg[i]
-			zo += hv * rho[i]
-		}
-		iv, fv, gv, ov := sigmoid(zi), sigmoid(zf), math.Tanh(zg), sigmoid(zo)
-		cj := fv*st.c[j] + iv*gv
-		tc := math.Tanh(cj)
-		g.i[j], g.f[j], g.g[j], g.o[j], g.tc[j] = iv, fv, gv, ov, tc
-		c[j] = cj
-		h[j] = ov * tc
+	for j, cp := range st.c {
+		c[j] = g.f[j]*cp + g.i[j]*g.g[j]
+	}
+	tanhInto(g.tc, c)
+	for j, tc := range g.tc {
+		h[j] = g.o[j] * tc
 	}
 	return cellState{h: h, c: c}
 }

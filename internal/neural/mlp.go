@@ -69,15 +69,7 @@ func (e *mlpExec) forward(xs *scalerND, rawX []float64) [][]float64 {
 	for l, w := range e.win {
 		out := e.acts[l+1]
 		copy(out, e.bin[l].W)
-		for i, xv := range cur {
-			if xv == 0 {
-				continue
-			}
-			row := w.W[i*w.C : (i+1)*w.C]
-			for j, wv := range row {
-				out[j] += xv * wv
-			}
-		}
+		gemvRows(out, cur, w.W)
 		if l < len(e.win)-1 { // hidden: ReLU
 			for j := range out {
 				if out[j] < 0 {

@@ -29,9 +29,6 @@ type cell interface {
 	// tensors exposes the layer's parameters {wx, wh, b} for the optimizer
 	// and for persistence.
 	tensors() []*tensor
-	// sync brings whatever the cell derives from its tensors up to date;
-	// whoever writes a tensor's W calls it before the next step.
-	sync()
 	// inputSize and hiddenSize describe the layer shape.
 	inputSize() int
 	hiddenSize() int
@@ -232,18 +229,10 @@ func (n *seqNet) trainWindows(seqs [][][]float64, targets [][]float64, epochs, b
 				n.exec.backprop(seqs[i], targets[i], &n.xScaler, n.yScaler)
 			}
 			n.opt.Step(steps, 5)
-			n.sync()
 		}
 	}
 	n.fitted = true
 	return nil
-}
-
-// sync re-derives every layer's step-side weight copies from its tensors.
-func (n *seqNet) sync() {
-	for _, l := range n.layers {
-		l.sync()
-	}
 }
 
 // predictWindow evaluates the network on a window, de-standardizing
@@ -472,7 +461,6 @@ func (m *seqModel) restore(b []byte) error {
 	}
 	copy(m.net.wy.W, st.Wy)
 	m.net.by.W[0] = st.By
-	m.net.sync()
 	m.net.xScaler, m.net.yScaler = st.XScaler, st.YScaler
 	m.net.fitted = true
 	return nil

@@ -2,8 +2,9 @@
 # Repo verification: run before every PR.
 #
 # Tier-1 (the ROADMAP gate) is `go build ./... && go test ./...`; on top of
-# that this script gates formatting (gofmt), vets the tree with both
-# `go vet` and the project-specific highrpm-vet analyzers (determinism,
+# that this script gates formatting (gofmt), builds the portable kernel path
+# for arm64 (vet) and 386 (the whole tree), vets the tree with both
+# `go vet` (asmdecl included) and the project-specific highrpm-vet analyzers (determinism,
 # maporder, floateq, leakcheck, errdrop, layering — see internal/lint),
 # runs the GPU and power-capping examples end to end, and race-checks the concurrent subsystems (the tsdb ingest/query/WAL
 # paths including the persisttest crash-injection harness, the cluster
@@ -23,7 +24,8 @@
 # for the agent's reply path), the law the router's verbatim series relay
 # stands on (FuzzSeriesShape: the O(1) framing check accepts exactly what
 # the strict decoder does), the durability decoders (WAL segment
-# scanner, snapshot loader), and the fleet placement ring. The served
+# scanner, snapshot loader), the fleet placement ring, and the vector
+# forward kernels against the portable ones (FuzzKernels). The served
 # DynamicTRR shape is pinned in the `go test` step: TestHyperKnee fails
 # when DefaultDynamicTRROptions().Layers stops being the lowest-MAPE depth
 # of the §6.4.3 `hyper` sweep. Performance is not measured here:
@@ -40,6 +42,9 @@ if [ -n "$unformatted" ]; then
 fi
 echo "== go build"
 go build ./...
+echo "== the portable kernel path builds off amd64 (internal/neural has amd64 assembly)"
+GOARCH=arm64 go vet ./internal/neural
+GOARCH=386 go build ./...
 echo "== go vet"
 go vet ./...
 echo "== highrpm-vet (project static analysis)"
@@ -69,4 +74,6 @@ go test -run '^$' -fuzz '^FuzzWALRecord$' -fuzztime=10s ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzSnapshotFile$' -fuzztime=10s ./internal/tsdb
 echo "== fuzz fleet placement ring (10s)"
 go test -run '^$' -fuzz '^FuzzRingPlacement$' -fuzztime=10s ./internal/fleet
+echo "== fuzz the vector forward kernels against the portable ones (10s)"
+go test -run '^$' -fuzz '^FuzzKernels$' -fuzztime=10s ./internal/neural
 echo "verify: OK"
