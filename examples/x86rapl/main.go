@@ -1,7 +1,8 @@
 // X86rapl: the §6.3 / Table 9 scenario end to end — HighRPM on an x86 node
 // where RAPL provides accurate 1 Sa/s package and DRAM power, deliberately
 // sparsified to one reading every 10 seconds to create the restoration
-// problem, then restored and scored against the full RAPL series.
+// problem, then restored and scored against the full-rate series. The
+// simulator's ground truth stands in for RAPL's 1 Sa/s readings.
 //
 //	go run ./examples/x86rapl
 package main
@@ -37,7 +38,7 @@ func main() {
 	}
 	fmt.Printf("trained on %d samples in %v\n\n", train.Len(), model.TrainStats.InitialDuration.Round(1e6))
 
-	// Unseen application: HPCG. Capture the trace and derive RAPL readings.
+	// Unseen application: HPCG.
 	bench, err := highrpm.FindBenchmark("HPCG/hpcg")
 	if err != nil {
 		log.Fatal(err)
@@ -47,9 +48,6 @@ func main() {
 		log.Fatal(err)
 	}
 	trace := node.RunFor(bench, 300, 1)
-	rapl := highrpm.RAPL{Error: 0.3}
-	_ = rapl // the dataset layer reads ground truth; RAPL power shown below
-
 	test := highrpm.FromTrace(trace, "HPCG", bench.Name)
 
 	// Sparsify: keep one node reading every 10 s (perf would normally give

@@ -17,8 +17,8 @@
 //   - Power history: Store (in-memory or durable), its channels,
 //     resolutions and fsync policy.
 //   - The simulated evaluation platforms: ARMPlatform, X86Platform, the 96
-//     benchmark workloads, the IPMI and RAPL sensors, and the power-capping
-//     governor policies.
+//     benchmark workloads, the IPMI sensor, and the power-capping governor
+//     policies.
 //   - Dataset construction: suite generation and the Table 3 combinations.
 //   - Metrics: MAPE/RMSE/MAE/R² evaluation.
 //   - Per-job power attribution on shared nodes.
@@ -114,8 +114,6 @@ type (
 	Trace = platform.Trace
 	// IPMISensor models the sparse BMC/IPMI measurement path.
 	IPMISensor = platform.IPMISensor
-	// RAPL models the x86 energy-counter interface.
-	RAPL = platform.RAPL
 )
 
 // ARMPlatform returns the paper's ARM evaluation node model.

@@ -57,6 +57,22 @@ func TestDynamicRunMatchesGolden(t *testing.T) {
 	}
 }
 
+// goldenSnapshotHash is the SHA-256 of Marshal(trainedModel(t)): the model
+// file a control node ships to its agents, pinned so that a change to how
+// the file is written must show here before it reaches a peer.
+const goldenSnapshotHash = "3b23c47ee08c27e9fcdf7eb6dc1ec465943777fce0a6c9c06a2f313cac0872b4"
+
+func TestSnapshotBytesGolden(t *testing.T) {
+	data, err := Marshal(trainedModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != goldenSnapshotHash {
+		t.Errorf("model file (%d B) hash = %s, want golden %s", len(data), got, goldenSnapshotHash)
+	}
+}
+
 // TestTrainIndependentOfGOMAXPROCS pins that a trained model is a function
 // of seed and data, not of the machine: the same Train call under one and
 // under four Ps must persist to the same bytes.

@@ -7,15 +7,29 @@ import (
 
 	"highrpm/internal/model"
 	"highrpm/internal/neural"
+	"highrpm/internal/pmu"
 	"highrpm/internal/tree"
+)
+
+// The kind tags of the two networks in a model file.
+const (
+	lstmKind = "neural.lstm"
+	mlpKind  = "neural.mlp"
 )
 
 // frameworkState is the JSON schema of a trained HighRPM instance.
 type frameworkState struct {
-	Opts    Options         `json:"opts"`
-	Static  staticState     `json:"static"`
-	Dynamic json.RawMessage `json:"dynamic"` // neural.LSTM envelope
-	SRR     json.RawMessage `json:"srr"`     // neural.MLP envelope
+	Opts    Options     `json:"opts"`
+	Static  staticState `json:"static"`
+	Dynamic netState    `json:"dynamic"` // tagged lstmKind
+	SRR     netState    `json:"srr"`     // tagged mlpKind
+}
+
+// netState is one network of the model file: its kind tag and the state
+// the network marshals itself to.
+type netState struct {
+	Kind  string          `json:"kind"`
+	State json.RawMessage `json:"state"`
 }
 
 // staticState persists StaticTRR: the residual tree with its scaler plus
@@ -50,11 +64,11 @@ func Marshal(h *HighRPM) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unexpected ResModel inner type %T", scaled.Inner)
 	}
-	dyn, err := model.Encode(h.Dynamic.Net)
+	dyn, err := h.Dynamic.Net.MarshalState()
 	if err != nil {
 		return nil, fmt.Errorf("core: encode DynamicTRR: %w", err)
 	}
-	srr, err := model.Encode(h.SRR.Net)
+	srr, err := h.SRR.Net.MarshalState()
 	if err != nil {
 		return nil, fmt.Errorf("core: encode SRR: %w", err)
 	}
@@ -64,8 +78,8 @@ func Marshal(h *HighRPM) ([]byte, error) {
 			Opts: h.Static.Opts, PUpper: h.Static.PUpper, PBottom: h.Static.PBottom,
 			Scaler: scaled.Scaler, Tree: dt,
 		},
-		Dynamic: dyn,
-		SRR:     srr,
+		Dynamic: netState{Kind: lstmKind, State: dyn},
+		SRR:     netState{Kind: mlpKind, State: srr},
 	}
 	return json.MarshalIndent(st, "", " ")
 }
@@ -79,19 +93,36 @@ func Load(path string) (*HighRPM, error) {
 	return Unmarshal(data)
 }
 
-// Unmarshal deserialises a trained framework.
+// Unmarshal deserialises a trained framework. The bytes may come from a
+// peer, so each network must carry its slot's kind tag and be exactly as
+// wide as the framework feeds it: a network that decodes but is the wrong
+// width would otherwise panic at the first estimate.
 func Unmarshal(data []byte) (*HighRPM, error) {
 	var st frameworkState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("core: bad framework state: %w", err)
 	}
-	dynAny, err := model.Decode(st.Dynamic)
+	if st.Dynamic.Kind != lstmKind || st.SRR.Kind != mlpKind {
+		return nil, fmt.Errorf("core: model file holds a %q DynamicTRR and a %q SRR, want %q and %q",
+			st.Dynamic.Kind, st.SRR.Kind, lstmKind, mlpKind)
+	}
+	dyn, err := neural.UnmarshalLSTM(st.Dynamic.State)
 	if err != nil {
 		return nil, fmt.Errorf("core: decode DynamicTRR: %w", err)
 	}
-	srrAny, err := model.Decode(st.SRR)
+	if in := dyn.InputDim(); in != pmu.NumEvents+1 {
+		return nil, fmt.Errorf("core: DynamicTRR takes %d inputs, want %d", in, pmu.NumEvents+1)
+	}
+	srrNet, err := neural.UnmarshalMLP(st.SRR.State)
 	if err != nil {
 		return nil, fmt.Errorf("core: decode SRR: %w", err)
+	}
+	srrIn := pmu.NumEvents
+	if st.Opts.SRR.UseNode {
+		srrIn++
+	}
+	if in, out := srrNet.Dims(); in != srrIn || out != 2 {
+		return nil, fmt.Errorf("core: SRR is %d→%d, want %d→2", in, out, srrIn)
 	}
 	h := &HighRPM{Opts: st.Opts}
 	h.Static = &StaticTRR{
@@ -100,15 +131,7 @@ func Unmarshal(data []byte) (*HighRPM, error) {
 		PBottom: st.Static.PBottom,
 		Res:     &model.ScaledRegressor{Inner: st.Static.Tree, Scaler: st.Static.Scaler},
 	}
-	dyn, ok := dynAny.(*neural.LSTM)
-	if !ok {
-		return nil, fmt.Errorf("core: DynamicTRR payload has type %T", dynAny)
-	}
 	h.Dynamic = &DynamicTRR{Opts: st.Opts.Dynamic, Net: dyn, cold: 0.5 * (st.Static.PBottom + st.Static.PUpper)}
-	srrNet, ok := srrAny.(*neural.MLP)
-	if !ok {
-		return nil, fmt.Errorf("core: SRR payload has type %T", srrAny)
-	}
 	h.SRR = &SRR{Opts: st.Opts.SRR, Net: srrNet}
 	return h, nil
 }

@@ -3,10 +3,19 @@ package core
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"highrpm/internal/mat"
+	"highrpm/internal/neural"
+	"highrpm/internal/pmu"
 )
 
+// TestFrameworkPersistenceRoundTrip: JSON carries a float64 exactly, so
+// the loaded model estimates bit for bit as the saved one, served and
+// offline.
 func TestFrameworkPersistenceRoundTrip(t *testing.T) {
 	train := trainSet(t, 150)
 	opts := DefaultOptions()
@@ -24,10 +33,36 @@ func TestFrameworkPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	test := testSet(t, 100)
+	same := func(what string, a, b []float64) {
+		t.Helper()
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s diverged at %d: %g vs %g", what, i, a[i], b[i])
+			}
+		}
+	}
+
+	ref, mon := NewMonitor(h), NewMonitor(back)
+	for i, sm := range test.Samples {
+		var measured *float64
+		if i%10 == 0 {
+			measured = &sm.PNode
+		}
+		a, err := ref.Push(sm.PMC, measured)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := mon.Push(sm.PMC, measured)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameMonitorEstimate(a, b) {
+			t.Fatalf("step %d: loaded model serves %+v, original %+v", i, b, a)
+		}
+	}
+
 	idx := test.MeasuredIndices(10)
-	// StaticTRR restorations must match exactly.
 	a, err := h.Static.Restore(test, idx, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -36,13 +71,9 @@ func TestFrameworkPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-9 {
-			t.Fatalf("StaticTRR diverged at %d: %g vs %g", i, a[i], b[i])
-		}
-	}
-	// DynamicTRR predictions (without online fine-tuning, which mutates
-	// the nets differently once they diverge) must match.
+	same("StaticTRR", a, b)
+	// The file carries weights, not the optimiser's moments, so an online
+	// fine-tune of the loaded network takes other steps than the original's.
 	h.Dynamic.Opts.FineTuneOnline = false
 	back.Dynamic.Opts.FineTuneOnline = false
 	da, err := h.Dynamic.Run(test, idx, nil)
@@ -53,19 +84,11 @@ func TestFrameworkPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range da {
-		if math.Abs(da[i]-db[i]) > 1e-9 {
-			t.Fatalf("DynamicTRR diverged at %d: %g vs %g", i, da[i], db[i])
-		}
-	}
-	// SRR predictions must match.
+	same("DynamicTRR", da, db)
 	ca, ma := h.SRR.PredictSet(test, nil)
 	cb, mb := back.SRR.PredictSet(test, nil)
-	for i := range ca {
-		if math.Abs(ca[i]-cb[i]) > 1e-9 || math.Abs(ma[i]-mb[i]) > 1e-9 {
-			t.Fatalf("SRR diverged at %d", i)
-		}
-	}
+	same("SRR P_CPU", ca, cb)
+	same("SRR P_MEM", ma, mb)
 }
 
 func TestMarshalIncompleteFramework(t *testing.T) {
@@ -86,65 +109,131 @@ func TestLoadMissing(t *testing.T) {
 	}
 }
 
-// withState returns the model file data with one member of the named
-// network's persisted state ("srr" or "dynamic") replaced.
-func withState(t *testing.T, data []byte, net, member, value string) []byte {
+// withMember returns the JSON object obj with the member at path replaced by
+// value, or deleted when value is empty.
+func withMember(t *testing.T, obj json.RawMessage, value string, path ...string) json.RawMessage {
 	t.Helper()
-	edit := func(obj json.RawMessage, key string, f func(json.RawMessage) json.RawMessage) json.RawMessage {
-		var m map[string]json.RawMessage
-		if err := json.Unmarshal(obj, &m); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := m[key]; !ok {
-			t.Fatalf("no %q member to replace", key)
-		}
-		m[key] = f(m[key])
-		out, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(obj, &m); err != nil {
+		t.Fatal(err)
 	}
-	return edit(data, net, func(env json.RawMessage) json.RawMessage {
-		return edit(env, "state", func(st json.RawMessage) json.RawMessage {
-			return edit(st, member, func(json.RawMessage) json.RawMessage { return json.RawMessage(value) })
-		})
-	})
+	key := path[0]
+	if _, ok := m[key]; !ok {
+		t.Fatalf("no %q member to replace", key)
+	}
+	switch {
+	case len(path) > 1:
+		m[key] = withMember(t, m[key], value, path[1:]...)
+	case value == "":
+		delete(m, key)
+	default:
+		m[key] = json.RawMessage(value)
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// lstmState and mlpState return the persisted state of a small fitted
+// network of the given widths: self-consistent in every count, so only a
+// check against the width the framework feeds it can refuse it.
+func lstmState(t *testing.T, in int) string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	seqs, targets := make([][][]float64, 8), make([][]float64, 8)
+	for i := range seqs {
+		seqs[i] = [][]float64{randRow(rng, in), randRow(rng, in), randRow(rng, in)}
+		targets[i] = randRow(rng, 3)
+	}
+	l := neural.NewLSTM(2, 1, 1)
+	l.Epochs = 1
+	if err := l.FitSeq(seqs, targets); err != nil {
+		t.Fatal(err)
+	}
+	b, err := l.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func mlpState(t *testing.T, in, out int) string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	x, y := mat.NewDense(16, in), mat.NewDense(16, out)
+	for i := 0; i < 16; i++ {
+		copy(x.Row(i), randRow(rng, in))
+		copy(y.Row(i), randRow(rng, out))
+	}
+	n := neural.NewMLP([]int{2}, out, 1)
+	n.Epochs = 1
+	if err := n.FitMulti(x, y); err != nil {
+		t.Fatal(err)
+	}
+	b, err := n.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func randRow(rng *rand.Rand, n int) []float64 {
+	r := make([]float64, n)
+	for j := range r {
+		r[j] = rng.NormFloat64()
+	}
+	return r
 }
 
 // TestUnmarshalMalformedSnapshot: model bytes also arrive from the network
 // (ResilientAgent fetches its fallback model from a shard), so a snapshot
-// whose counts, dimensions or tensor lengths disagree must be an error,
+// whose counts, dimensions, tensor lengths or kind tags disagree, or whose
+// networks are not as wide as the framework feeds them, must be an error,
 // never a panic — at decode or at the first estimate.
 func TestUnmarshalMalformedSnapshot(t *testing.T) {
 	data, err := Marshal(trainedModel(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Unmarshal(withState(t, data, "srr", "seed", "7")); err != nil {
+	if _, err := Unmarshal(withMember(t, data, "7", "srr", "state", "seed")); err != nil {
 		t.Fatalf("a harmless edit was rejected: %v", err)
 	}
-	for _, c := range []struct{ name, net, member, value string }{
-		{"short weights", "srr", "weights", `[]`},
-		{"short biases", "srr", "biases", `[[0]]`},
-		{"negative dims", "srr", "dims", `[[-1,5],[5,2]]`},
-		{"huge dims", "srr", "dims", `[[4611686018427387904,4],[4,2]]`},
-		{"no dims", "srr", "dims", `[]`},
-		{"narrow srr x_scaler", "srr", "x_scaler", `{"mean":[0],"std":[1]}`},
-		{"no y_scaler", "srr", "y_scaler", `[]`},
-		{"tensors length != layers", "dynamic", "tensors", `[]`},
-		{"empty layer", "dynamic", "tensors", `[[],[]]`},
-		{"short tensor", "dynamic", "tensors", `[[[1],[1],[1]],[[1],[1],[1]]]`},
-		{"negative hidden", "dynamic", "hidden", `-16`},
-		{"huge hidden", "dynamic", "hidden", `1000000000`},
-		{"negative layers", "dynamic", "layers", `-2`},
-		{"huge input_dim", "dynamic", "input_dim", `1000000000`},
-		{"narrow x_scaler", "dynamic", "x_scaler", `{"mean":[0],"std":[1]}`},
-		{"ragged x_scaler", "dynamic", "x_scaler", `{"mean":[0,0],"std":[1]}`},
-		{"short wy", "dynamic", "wy", `[]`},
+	noNode := withMember(t, data, "false", "opts", "SRR", "UseNode")
+	if _, err := Unmarshal(withMember(t, noNode, mlpState(t, pmu.NumEvents, 2), "srr", "state")); err != nil {
+		t.Fatalf("a PMC-only SRR without the node feature was rejected: %v", err)
+	}
+	for _, c := range []struct{ name, at, value string }{
+		{"short weights", "srr.state.weights", `[]`},
+		{"short biases", "srr.state.biases", `[[0]]`},
+		{"negative dims", "srr.state.dims", `[[-1,5],[5,2]]`},
+		{"huge dims", "srr.state.dims", `[[4611686018427387904,4],[4,2]]`},
+		{"no dims", "srr.state.dims", `[]`},
+		{"narrow srr x_scaler", "srr.state.x_scaler", `{"mean":[0],"std":[1]}`},
+		{"no y_scaler", "srr.state.y_scaler", `[]`},
+		{"tensors length != layers", "dynamic.state.tensors", `[]`},
+		{"empty layer", "dynamic.state.tensors", `[[],[]]`},
+		{"short tensor", "dynamic.state.tensors", `[[[1],[1],[1]],[[1],[1],[1]]]`},
+		{"negative hidden", "dynamic.state.hidden", `-16`},
+		{"huge hidden", "dynamic.state.hidden", `1000000000`},
+		{"negative layers", "dynamic.state.layers", `-2`},
+		{"huge input_dim", "dynamic.state.input_dim", `1000000000`},
+		{"narrow x_scaler", "dynamic.state.x_scaler", `{"mean":[0],"std":[1]}`},
+		{"ragged x_scaler", "dynamic.state.x_scaler", `{"mean":[0,0],"std":[1]}`},
+		{"short wy", "dynamic.state.wy", `[]`},
+		{"dynamic tagged neural.gru", "dynamic.kind", `"neural.gru"`},
+		{"srr tagged neural.lstm", "srr.kind", `"neural.lstm"`},
+		{"empty kind", "dynamic.kind", `""`},
+		{"missing state", "srr.state", ""},
+		{"3-input dynamic", "dynamic.state", lstmState(t, 3)},
+		{"3-input srr", "srr.state", mlpState(t, 3, 2)},
+		{"3-output srr", "srr.state", mlpState(t, pmu.NumEvents+1, 3)},
+		{"1-output srr", "srr.state", mlpState(t, pmu.NumEvents+1, 1)},
+		{"node-fed srr without the node feature", "opts.SRR.UseNode", "false"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if h, err := Unmarshal(withState(t, data, c.net, c.member, c.value)); err == nil {
+			if h, err := Unmarshal(withMember(t, data, c.value, strings.Split(c.at, ".")...)); err == nil {
 				t.Fatalf("malformed snapshot decoded to %+v", h.Opts)
 			}
 		})

@@ -5,7 +5,6 @@
 package linmodel
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -274,41 +273,6 @@ func (s *SGD) Predict(features []float64) float64 {
 		panic(ErrNotFitted)
 	}
 	return mat.Dot(s.Weights, features) + s.Intercept
-}
-
-// --- persistence -----------------------------------------------------------
-
-// Kind implements model.Persistable.
-func (l *Linear) Kind() string { return "linmodel.linear" }
-
-// MarshalState implements model.Persistable.
-func (l *Linear) MarshalState() ([]byte, error) { return json.Marshal(l) }
-
-// Kind implements model.Persistable.
-func (rr *Ridge) Kind() string { return "linmodel.ridge" }
-
-// MarshalState implements model.Persistable.
-func (rr *Ridge) MarshalState() ([]byte, error) { return json.Marshal(rr) }
-
-// Kind implements model.Persistable.
-func (la *Lasso) Kind() string { return "linmodel.lasso" }
-
-// MarshalState implements model.Persistable.
-func (la *Lasso) MarshalState() ([]byte, error) { return json.Marshal(la) }
-
-func init() {
-	model.RegisterKind("linmodel.linear", func(b []byte) (any, error) {
-		m := &Linear{}
-		return m, json.Unmarshal(b, m)
-	})
-	model.RegisterKind("linmodel.ridge", func(b []byte) (any, error) {
-		m := &Ridge{}
-		return m, json.Unmarshal(b, m)
-	})
-	model.RegisterKind("linmodel.lasso", func(b []byte) (any, error) {
-		m := &Lasso{}
-		return m, json.Unmarshal(b, m)
-	})
 }
 
 // Interface conformance checks.

@@ -1,6 +1,7 @@
 package linmodel
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -191,26 +192,21 @@ func TestPersistenceRoundTrips(t *testing.T) {
 	x, y := linearData(80, coef, 1, 0, 9)
 	probe := []float64{0.3, -0.7}
 
-	for _, m := range []interface {
-		model.Regressor
-		model.Persistable
-	}{NewLinear(), NewRidge(1.0), NewLasso(0.001)} {
+	for _, c := range []struct{ m, back model.Regressor }{
+		{NewLinear(), &Linear{}}, {NewRidge(1.0), &Ridge{}}, {NewLasso(0.001), &Lasso{}},
+	} {
+		m := c.m
 		if err := m.Fit(x, y); err != nil {
 			t.Fatal(err)
 		}
-		data, err := model.Encode(m)
+		data, err := json.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := model.Decode(data)
-		if err != nil {
+		if err := json.Unmarshal(data, c.back); err != nil {
 			t.Fatal(err)
 		}
-		reg, ok := back.(model.Regressor)
-		if !ok {
-			t.Fatalf("decoded %T is not a Regressor", back)
-		}
-		if got, want := reg.Predict(probe), m.Predict(probe); math.Abs(got-want) > 1e-12 {
+		if got, want := c.back.Predict(probe), m.Predict(probe); got != want {
 			t.Fatalf("%T round trip: %g vs %g", m, got, want)
 		}
 	}

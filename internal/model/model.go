@@ -1,8 +1,7 @@
 // Package model defines the contracts shared by every regression model in
 // the repository — the 12 baselines of Table 4 and the HighRPM networks —
 // together with the supporting machinery the paper's methodology requires:
-// feature standardization, k-fold cross-validation (§5.3 uses 5-fold)
-// and JSON persistence.
+// feature standardization and k-fold cross-validation (§5.3 uses 5-fold).
 package model
 
 import (
@@ -22,15 +21,6 @@ type Regressor interface {
 	Predict(features []float64) float64
 }
 
-// MultiRegressor is a multi-output regression model; the SRR MLP emits
-// (P_CPU, P_MEM) jointly (§4.3).
-type MultiRegressor interface {
-	// FitMulti trains on rows of x against rows of y.
-	FitMulti(x, y *mat.Dense) error
-	// PredictMulti evaluates the model on one feature vector.
-	PredictMulti(features []float64) []float64
-}
-
 // SeqRegressor is a sequence-to-sequence regression model. DynamicTRR feeds
 // windows of miss_interval consecutive samples and reads back the power at
 // each step (§4.2.2, Fig. 4).
@@ -40,15 +30,6 @@ type SeqRegressor interface {
 	FitSeq(seqs [][][]float64, targets [][]float64) error
 	// PredictSeq returns one prediction per step of the window.
 	PredictSeq(window [][]float64) []float64
-}
-
-// FineTuner is implemented by models that support cheap online refinement;
-// the active-learning stage (§4.1) and DynamicTRR's per-window refresh
-// (§4.2.2) rely on it.
-type FineTuner interface {
-	// FineTune performs a small number of additional optimisation steps on
-	// the given sequences without re-initialising the model.
-	FineTune(seqs [][][]float64, targets [][]float64) error
 }
 
 // PredictBatch evaluates r on every row of x.

@@ -4,7 +4,6 @@ package neighbors
 
 import (
 	"container/heap"
-	"encoding/json"
 	"fmt"
 
 	"highrpm/internal/mat"
@@ -95,19 +94,6 @@ func sqDist(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// Kind implements model.Persistable.
-func (k *KNN) Kind() string { return "neighbors.knn" }
-
-// MarshalState implements model.Persistable.
-func (k *KNN) MarshalState() ([]byte, error) { return json.Marshal(k) }
-
-func init() {
-	model.RegisterKind("neighbors.knn", func(b []byte) (any, error) {
-		m := &KNN{}
-		return m, json.Unmarshal(b, m)
-	})
 }
 
 var _ model.Regressor = (*KNN)(nil)

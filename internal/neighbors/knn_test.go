@@ -1,6 +1,7 @@
 package neighbors
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"sort"
@@ -8,7 +9,6 @@ import (
 	"testing/quick"
 
 	"highrpm/internal/mat"
-	"highrpm/internal/model"
 )
 
 func TestKNNExactNeighbors(t *testing.T) {
@@ -116,16 +116,16 @@ func TestKNNPersistenceRoundTrips(t *testing.T) {
 	if err := k.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	data, err := model.Encode(k)
+	data, err := json.Marshal(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := model.Decode(data)
-	if err != nil {
+	var back KNN
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	probe := []float64{1.4}
-	if got, want := back.(model.Regressor).Predict(probe), k.Predict(probe); got != want {
+	if got, want := back.Predict(probe), k.Predict(probe); got != want {
 		t.Fatalf("round trip: %g vs %g", got, want)
 	}
 }

@@ -294,10 +294,10 @@ func (n *MLP) PredictInto(dst, features []float64) {
 	n.predPool.Put(e)
 }
 
-// Kind implements model.Persistable.
-func (n *MLP) Kind() string { return "neural.mlp" }
+// Dims returns the fitted network's input and output widths.
+func (n *MLP) Dims() (in, out int) { return n.Win[0].R, n.Win[len(n.Win)-1].C }
 
-// MarshalState implements model.Persistable.
+// MarshalState serialises the fitted network's hyper-parameters and weights.
 func (n *MLP) MarshalState() ([]byte, error) {
 	st := mlpState{
 		Hidden: n.Hidden, Outputs: n.Outputs, LR: n.LR, Epochs: n.Epochs,
@@ -311,7 +311,8 @@ func (n *MLP) MarshalState() ([]byte, error) {
 	return json.Marshal(st)
 }
 
-func decodeMLP(b []byte) (any, error) {
+// UnmarshalMLP rebuilds a fitted MLP from its MarshalState output.
+func UnmarshalMLP(b []byte) (*MLP, error) {
 	var st mlpState
 	if err := json.Unmarshal(b, &st); err != nil {
 		return nil, err
@@ -348,11 +349,4 @@ func decodeMLP(b []byte) (any, error) {
 	return n, nil
 }
 
-func init() {
-	model.RegisterKind("neural.mlp", decodeMLP)
-}
-
-var (
-	_ model.Regressor      = (*MLP)(nil)
-	_ model.MultiRegressor = (*MLP)(nil)
-)
+var _ model.Regressor = (*MLP)(nil)

@@ -247,38 +247,38 @@ func TestRNNPersistenceRoundTrips(t *testing.T) {
 	if err := g.FitSeq(seqs, targets); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []interface {
-		model.SeqRegressor
-		model.Persistable
-	}{l, g} {
-		data, err := model.Encode(m)
+	for _, m := range []*seqModel{&l.seqModel, &g.seqModel} {
+		data, err := m.MarshalState()
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := model.Decode(data)
-		if err != nil {
+		back := newSeqModel(m.kind, m.newCell, 0, 0, 0)
+		if err := back.restore(data); err != nil {
 			t.Fatal(err)
-		}
-		sr, ok := back.(model.SeqRegressor)
-		if !ok {
-			t.Fatalf("decoded %T is not a SeqRegressor", back)
 		}
 		want := m.PredictSeq(probe)
-		got := sr.PredictSeq(probe)
+		got := back.PredictSeq(probe)
 		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
-				t.Fatalf("%T round trip diverged at step %d: %g vs %g", m, i, got[i], want[i])
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s round trip diverged at step %d: %g vs %g", m.kind, i, got[i], want[i])
 			}
 		}
 	}
-
-	// A state file missing a layer's tensors is an error, not an index panic.
-	state, err := l.MarshalState()
+	data, err := l.MarshalState()
 	if err != nil {
 		t.Fatal(err)
 	}
+	back, err := UnmarshalLSTM(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.InputDim() != l.InputDim() {
+		t.Fatalf("UnmarshalLSTM input dim %d, want %d", back.InputDim(), l.InputDim())
+	}
+
+	// A state file missing a layer's tensors is an error, not an index panic.
 	var st rnnState
-	if err := json.Unmarshal(state, &st); err != nil {
+	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []struct {
@@ -290,8 +290,8 @@ func TestRNNPersistenceRoundTrips(t *testing.T) {
 	} {
 		cut.do()
 		bad, _ := json.Marshal(st)
-		if err := NewLSTM(0, 0, 0).restore(bad); err == nil {
-			t.Errorf("restore accepted a state with a %s missing", cut.name)
+		if _, err := UnmarshalLSTM(bad); err == nil {
+			t.Errorf("UnmarshalLSTM accepted a state with a %s missing", cut.name)
 		}
 	}
 }
@@ -310,17 +310,20 @@ func TestMLPPersistenceRoundTrips(t *testing.T) {
 	if err := n.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	data, err := model.Encode(n)
+	data, err := n.MarshalState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := model.Decode(data)
+	back, err := UnmarshalMLP(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	probe := []float64{0.4, -0.6}
-	if got, want := back.(*MLP).Predict(probe), n.Predict(probe); math.Abs(got-want) > 1e-12 {
+	if got, want := back.Predict(probe), n.Predict(probe); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("round trip: %g vs %g", got, want)
+	}
+	if in, out := back.Dims(); in != 2 || out != 1 {
+		t.Fatalf("round trip is %d→%d, want 2→1", in, out)
 	}
 }
 

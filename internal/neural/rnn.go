@@ -280,7 +280,7 @@ func (n *seqNet) fitScalers(seqs [][][]float64, targets [][]float64) {
 
 // seqModel is the recurrent model behind both public kinds: hyper-parameters,
 // a seqNet built from newCell layers, and persistence. LSTM and GRU embed it
-// and differ only in the cell they stack and the kind they persist under.
+// and differ only in the cell they stack and the kind named in messages.
 type seqModel struct {
 	Hidden    int     `json:"hidden"`
 	Layers    int     `json:"layers"`
@@ -386,7 +386,7 @@ func (m *seqModel) PredictLast(window [][]float64) float64 {
 	return m.net.predictLast(window)
 }
 
-// rnnState is the JSON schema both recurrent kinds persist under.
+// rnnState is the JSON schema both recurrent kinds marshal to.
 type rnnState struct {
 	Hidden   int           `json:"hidden"`
 	Layers   int           `json:"layers"`
@@ -402,10 +402,10 @@ type rnnState struct {
 	YScaler  scaler1d      `json:"y_scaler"`
 }
 
-// Kind implements model.Persistable.
-func (m *seqModel) Kind() string { return m.kind }
+// InputDim returns the width of the feature rows the fitted model takes.
+func (m *seqModel) InputDim() int { return m.inputDim }
 
-// MarshalState implements model.Persistable.
+// MarshalState serialises the fitted model's hyper-parameters and weights.
 func (m *seqModel) MarshalState() ([]byte, error) {
 	if m.net == nil {
 		return nil, fmt.Errorf("neural: marshal of unfitted %s", m.kind)
@@ -466,20 +466,16 @@ func (m *seqModel) restore(b []byte) error {
 	return nil
 }
 
-func init() {
-	model.RegisterKind("neural.lstm", func(b []byte) (any, error) {
-		l := NewLSTM(0, 0, 0)
-		return l, l.restore(b)
-	})
-	model.RegisterKind("neural.gru", func(b []byte) (any, error) {
-		g := NewGRU(0, 0, 0)
-		return g, g.restore(b)
-	})
+// UnmarshalLSTM rebuilds a fitted LSTM from its MarshalState output.
+func UnmarshalLSTM(b []byte) (*LSTM, error) {
+	l := NewLSTM(0, 0, 0)
+	if err := l.restore(b); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
 var (
 	_ model.SeqRegressor = (*LSTM)(nil)
-	_ model.FineTuner    = (*LSTM)(nil)
 	_ model.SeqRegressor = (*GRU)(nil)
-	_ model.FineTuner    = (*GRU)(nil)
 )

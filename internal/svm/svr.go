@@ -8,7 +8,6 @@
 package svm
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -151,19 +150,6 @@ func (s *SVR) Predict(features []float64) float64 {
 	}
 	phi := s.featurize(features)
 	return (mat.Dot(s.Weights, phi)+s.Bias)*s.YScale + s.YMean
-}
-
-// Kind implements model.Persistable.
-func (s *SVR) Kind() string { return "svm.svr" }
-
-// MarshalState implements model.Persistable.
-func (s *SVR) MarshalState() ([]byte, error) { return json.Marshal(s) }
-
-func init() {
-	model.RegisterKind("svm.svr", func(b []byte) (any, error) {
-		m := &SVR{}
-		return m, json.Unmarshal(b, m)
-	})
 }
 
 var _ model.Regressor = (*SVR)(nil)

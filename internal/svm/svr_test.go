@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -122,16 +123,16 @@ func TestSVRPersistenceRoundTrips(t *testing.T) {
 	if err := s.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	data, err := model.Encode(s)
+	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := model.Decode(data)
-	if err != nil {
+	var back SVR
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	probe := []float64{1.2}
-	if got, want := back.(model.Regressor).Predict(probe), s.Predict(probe); math.Abs(got-want) > 1e-12 {
+	if got, want := back.Predict(probe), s.Predict(probe); got != want {
 		t.Fatalf("round trip: %g vs %g", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package tree
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -38,9 +39,9 @@ func goldenXY(seed int64, n, c int) (*mat.Dense, []float64) {
 	return x, y
 }
 
-func marshalHash(t *testing.T, m interface{ MarshalState() ([]byte, error) }) string {
+func marshalHash(t *testing.T, m any) string {
 	t.Helper()
-	b, err := m.MarshalState()
+	b, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@
 package tree
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -430,41 +429,6 @@ func (g *GradientBoosting) Predict(features []float64) float64 {
 		s += g.LearningRate * t.Predict(features)
 	}
 	return s
-}
-
-// --- persistence -----------------------------------------------------------
-
-// Kind implements model.Persistable.
-func (t *Regressor) Kind() string { return "tree.regressor" }
-
-// MarshalState implements model.Persistable.
-func (t *Regressor) MarshalState() ([]byte, error) { return json.Marshal(t) }
-
-// Kind implements model.Persistable.
-func (f *Forest) Kind() string { return "tree.forest" }
-
-// MarshalState implements model.Persistable.
-func (f *Forest) MarshalState() ([]byte, error) { return json.Marshal(f) }
-
-// Kind implements model.Persistable.
-func (g *GradientBoosting) Kind() string { return "tree.gboost" }
-
-// MarshalState implements model.Persistable.
-func (g *GradientBoosting) MarshalState() ([]byte, error) { return json.Marshal(g) }
-
-func init() {
-	model.RegisterKind("tree.regressor", func(b []byte) (any, error) {
-		m := &Regressor{}
-		return m, json.Unmarshal(b, m)
-	})
-	model.RegisterKind("tree.forest", func(b []byte) (any, error) {
-		m := &Forest{}
-		return m, json.Unmarshal(b, m)
-	})
-	model.RegisterKind("tree.gboost", func(b []byte) (any, error) {
-		m := &GradientBoosting{}
-		return m, json.Unmarshal(b, m)
-	})
 }
 
 var (

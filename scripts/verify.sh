@@ -6,7 +6,9 @@
 # for arm64 (vet) and 386 (the whole tree), vets the tree with both
 # `go vet` (asmdecl included) and the project-specific highrpm-vet analyzers (determinism,
 # maporder, floateq, leakcheck, errdrop, layering — see internal/lint),
-# runs the GPU and power-capping examples end to end, and race-checks the concurrent subsystems (the tsdb ingest/query/WAL
+# runs the GPU and power-capping examples end to end, drives one model
+# file across binaries (highrpm-trace → highrpm-train → highrpm-analyze),
+# and race-checks the concurrent subsystems (the tsdb ingest/query/WAL
 # paths including the persisttest crash-injection harness, the cluster
 # service + fault-injection harness, the fleet router's replicated
 # forwarding and scatter-gather, the obs metric registry and HTTP
@@ -54,6 +56,12 @@ go test ./...
 echo "== run the examples built on core.StaticTRR and governor.Run (~3 s)"
 go run ./examples/gpu >/dev/null
 go run ./examples/powercap >/dev/null
+echo "== a model file written by highrpm-train is read by highrpm-analyze (~2 s)"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+go run ./cmd/highrpm-trace -bench HPCG/hpcg -duration 120 -o "$tmp/run.csv"
+go run ./cmd/highrpm-train -samples 60 -suites SPEC,HPCC -out "$tmp/m.json"
+go run ./cmd/highrpm-analyze -model "$tmp/m.json" "$tmp/run.csv" >/dev/null
 echo "== go test -race (tsdb incl. persisttest, cluster incl. faultnet, fleet, obs)"
 go test -race ./internal/tsdb/... ./internal/cluster/... ./internal/fleet/... ./internal/obs
 echo "== go test -race (concurrent prediction, parallel experiments; attribution)"
