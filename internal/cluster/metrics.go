@@ -52,8 +52,8 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 	storeQueries := reg.Counter("highrpm_store_queries_total", "Per-series reads served by the store.")
 	storePointsOut := reg.Counter("highrpm_store_points_returned_total", "Points returned by store reads.")
 	storeEvicted := reg.Counter("highrpm_store_evicted_points_total", "Raw and rollup points dropped by retention.")
-	cacheHits := reg.Counter("highrpm_store_cache_hits_total", "Decoded-block cache hits on sealed-block reads.")
-	cacheMisses := reg.Counter("highrpm_store_cache_misses_total", "Decoded-block cache misses (block decoded and inserted).")
+	cacheHits := reg.Counter("highrpm_store_cache_hits_total", "Decoded-block cache hits (a block read through its existing entry).")
+	cacheMisses := reg.Counter("highrpm_store_cache_misses_total", "Decoded-block cache misses (a block read that created its entry).")
 	cachePoints := reg.Gauge("highrpm_store_cache_points", "Decoded points currently held by the block cache.")
 
 	walBytes := reg.Counter("highrpm_store_wal_bytes_total", "Bytes appended to the write-ahead log since open (0 on in-memory stores).")

@@ -2,25 +2,29 @@ package tsdb
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// blockCache is the store-wide LRU of decoded sealed blocks. Sealed blocks
-// are immutable — a block only ever gains points while it is the youngest
-// of its series, and retention evicts whole blocks — so the cache needs
-// exactly one coherence rule: an entry is dropped when retention evicts
-// its block. Open blocks are never cached (they still mutate), which is
-// what makes every cached entry safe to serve without re-validation.
+// blockCache is the store-wide LRU of decoded blocks. An entry is a
+// decoded prefix of its block plus the cursor that produced it, so a
+// query extends the entry by the points appended since the last one
+// instead of decoding the block again from its header. A prefix is never
+// stale: blocks only append, and retention evicts whole sealed blocks,
+// which drops their entries (invalidate). Once a sealed block is fully
+// decoded its entry lets go of the cursor.
 //
 // Keys are the block epoch: a store-wide counter stamped onto each block
-// at creation, so a (shard, channel, seal-generation) triple never reuses
-// a key even after eviction. The budget is counted in decoded points; one
-// decoded raw point costs 16 B (timestamp + value), a rollup point 40 B.
+// when it opens, so a key is stable for the block's whole life and never
+// reused after eviction. Only the owning shard extends an entry, under
+// its exclusive lock; the cache's own mutex guards the map, the LRU order
+// and the charges. The budget is counted in decoded points; one decoded
+// raw point costs 16 B (timestamp + value), a rollup point 40 B.
 type blockCache struct {
 	mu      sync.Mutex
 	cap     int        // decoded-point budget
-	size    int        // decoded points currently held
+	size    int        // decoded points currently charged
 	lru     *list.List // of *cacheEntry, most recently used at front
 	entries map[uint64]*list.Element
 
@@ -29,21 +33,55 @@ type blockCache struct {
 	misses atomic.Int64
 }
 
+// cacheEntry is one cached block. points is what the cache has been
+// charged for it; it changes only under blockCache.mu, so eviction never
+// reads the decodedBlock another shard may be extending.
 type cacheEntry struct {
-	id uint64
-	db *decodedBlock
+	id     uint64
+	db     *decodedBlock
+	points int
 }
 
-// decodedBlock is one fully decoded block: parallel timestamps plus
-// k-interleaved values (point p occupies vals[p*k : (p+1)*k]). Once built
-// it is read-only and safe to share across queries without locks.
+// decodedBlock is a decoded prefix of one block: parallel timestamps plus
+// k-interleaved values (point p occupies vals[p*k : (p+1)*k]). cur resumes
+// the decode where the prefix ends; it is nil once a sealed block is
+// fully decoded. Entries grow in place, so they are read and extended
+// only under the owning shard's lock.
 type decodedBlock struct {
 	k    int
 	ts   []int64
 	vals []float64
+	cur  *cursor
 }
 
 func (db *decodedBlock) points() int { return len(db.ts) }
+
+// extend decodes the points b gained since the prefix ended and reports
+// how many it added. Arrays grow by append, never to the full block size:
+// a rollup block may stay nearly empty for its whole cached life. sealed
+// says b will not grow again, so a complete prefix drops its cursor.
+func (db *decodedBlock) extend(b *block, sealed bool) (int, error) {
+	if db.cur == nil {
+		return 0, nil
+	}
+	before := len(db.ts)
+	if grow := b.n - before; grow > 0 {
+		db.ts = slices.Grow(db.ts, grow)
+		db.vals = slices.Grow(db.vals, grow*db.k)
+	}
+	err := b.decodeWith(db.cur, func(t int64, vals []float64) bool {
+		db.ts = append(db.ts, t)
+		db.vals = append(db.vals, vals...)
+		return true
+	})
+	if err != nil {
+		return 0, err
+	}
+	if sealed {
+		db.cur = nil
+	}
+	return len(db.ts) - before, nil
+}
 
 // emitRange replays the cached points with from ≤ t ≤ to, oldest first.
 // The slice handed to emit aliases the cached array — callers copy, same
@@ -79,41 +117,56 @@ func newBlockCache(capPoints int) *blockCache {
 // nextEpoch stamps a freshly opened block.
 func (c *blockCache) nextEpoch() uint64 { return c.epochs.Add(1) }
 
-// get returns the decoded form of block id, or nil on a miss.
-func (c *blockCache) get(id uint64) *decodedBlock {
+// lookup returns block id's entry, creating an empty one (a miss) when
+// there is none; finding one counts as a hit.
+func (c *blockCache) lookup(id uint64, k int) *decodedBlock {
 	c.mu.Lock()
-	el := c.entries[id]
-	if el == nil {
+	if el := c.entries[id]; el != nil {
+		c.lru.MoveToFront(el)
+		db := el.Value.(*cacheEntry).db
 		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil
+		c.hits.Add(1)
+		return db
 	}
-	c.lru.MoveToFront(el)
-	db := el.Value.(*cacheEntry).db
+	db := &decodedBlock{k: k, cur: newCursor(k)}
+	c.entries[id] = c.lru.PushFront(&cacheEntry{id: id, db: db})
 	c.mu.Unlock()
-	c.hits.Add(1)
+	c.misses.Add(1)
 	return db
 }
 
-// put inserts a decoded block and evicts from the LRU tail until the
-// point budget holds again (the newest entry always stays, so one block
-// larger than the whole budget still caches).
-func (c *blockCache) put(id uint64, db *decodedBlock) {
+// charge records that id's entry now holds points decoded points and
+// evicts from the LRU tail until the budget holds again. It never evicts
+// id itself, so one block larger than the whole budget still caches. An
+// entry evicted while it was being extended stays evicted.
+func (c *blockCache) charge(id uint64, points int) {
 	c.mu.Lock()
-	if _, ok := c.entries[id]; ok {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	el := c.entries[id]
+	if el == nil {
 		return
 	}
-	c.entries[id] = c.lru.PushFront(&cacheEntry{id: id, db: db})
-	c.size += db.points()
-	for c.size > c.cap && c.lru.Len() > 1 {
-		el := c.lru.Back()
-		ent := el.Value.(*cacheEntry)
-		c.lru.Remove(el)
-		delete(c.entries, ent.id)
-		c.size -= ent.db.points()
+	ent := el.Value.(*cacheEntry)
+	c.size += points - ent.points
+	ent.points = points
+	for c.size > c.cap {
+		victim := c.lru.Back()
+		if victim == el {
+			victim = el.Prev()
+		}
+		if victim == nil {
+			return
+		}
+		c.remove(victim)
 	}
-	c.mu.Unlock()
+}
+
+// remove drops one entry; c.mu must be held.
+func (c *blockCache) remove(el *list.Element) {
+	ent := el.Value.(*cacheEntry)
+	c.size -= ent.points
+	c.lru.Remove(el)
+	delete(c.entries, ent.id)
 }
 
 // invalidate drops one block's entry; retention calls it when the block
@@ -121,9 +174,7 @@ func (c *blockCache) put(id uint64, db *decodedBlock) {
 func (c *blockCache) invalidate(id uint64) {
 	c.mu.Lock()
 	if el := c.entries[id]; el != nil {
-		c.size -= el.Value.(*cacheEntry).db.points()
-		c.lru.Remove(el)
-		delete(c.entries, id)
+		c.remove(el)
 	}
 	c.mu.Unlock()
 }
@@ -145,22 +196,4 @@ func (c *blockCache) stats() (hits, misses int64, points int) {
 	points = c.size
 	c.mu.Unlock()
 	return hits, misses, points
-}
-
-// decodeFull decodes a whole block into its cacheable form.
-func decodeFull(b *block) (*decodedBlock, error) {
-	db := &decodedBlock{
-		k:    b.k,
-		ts:   make([]int64, 0, b.n),
-		vals: make([]float64, 0, b.n*b.k),
-	}
-	err := b.decode(func(t int64, vals []float64) bool {
-		db.ts = append(db.ts, t)
-		db.vals = append(db.vals, vals...)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return db, nil
 }

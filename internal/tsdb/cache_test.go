@@ -134,6 +134,123 @@ func TestQueryWarmAllocs(t *testing.T) {
 	if allocs > 4 {
 		t.Fatalf("warm raw query of ~1900 points allocates %.1f times, want <= 4 (result slice + closure)", allocs)
 	}
+	// A window ending at the newest point reads the open block too. Once
+	// its entry is warm and nothing was appended, it costs no more.
+	newest := func() {
+		pts, err := st.Query("n", ChanPNode, 1500, 1999, Raw)
+		if err != nil || len(pts) != 500 {
+			t.Fatalf("query: %d points, err %v", len(pts), err)
+		}
+	}
+	newest()
+	allocs = testing.AllocsPerRun(50, newest)
+	if allocs > 4 {
+		t.Fatalf("warm raw query through the open block allocates %.1f times, want <= 4", allocs)
+	}
+}
+
+// TestCacheChargesAppendedPoints pins the cost law of the open block's
+// entry: a query after k appends decodes those k points and nothing else,
+// so the cache's charge rises by exactly k, and the lookups it makes are
+// hits. The rollup resolutions obey the same law per sealed bucket.
+func TestCacheChargesAppendedPoints(t *testing.T) {
+	st := New(Options{BlockPoints: 128, RetainRaw: 5000})
+	defer st.Close()
+	seedSealed(t, st, "n", 1000) // 7 sealed raw blocks, 104 points open
+	query := func(res Resolution) {
+		t.Helper()
+		if _, err := st.Query("n", ChanPNode, 0, 1e9, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, res := range Resolutions() {
+		query(res)
+	}
+	n := 1000
+	for _, k := range []int{1, 7, 24, 50} { // the last one seals a block
+		before := st.Stats()
+		for end := n + k; n < end; n++ {
+			if err := st.Ingest("n", float64(n), Sample{PNode: float64(n), IPMI: math.NaN()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		query(Raw)
+		after := st.Stats()
+		if got := after.CachePoints - before.CachePoints; got != int64(k) {
+			t.Fatalf("after %d appends the cache grew by %d points, want %d", k, got, k)
+		}
+		if after.CacheMisses-before.CacheMisses > 1 {
+			t.Fatalf("after %d appends: %d misses, want at most the one new block", k, after.CacheMisses-before.CacheMisses)
+		}
+	}
+	// The rollups' open buckets are never cached: from 1000 to 1082 raw
+	// points, 9 ten-second and 2 minute buckets sealed.
+	before := st.Stats().CachePoints
+	query(TenSeconds)
+	query(Minute)
+	if got := st.Stats().CachePoints - before; got != 9+2 {
+		t.Fatalf("rollup entries grew by %d points, want the 11 buckets sealed since the first read", got)
+	}
+}
+
+// TestCacheChargeKeepsExtendedEntry: an entry that outgrows the whole
+// budget evicts every other entry but never itself, and the budget holds
+// again as soon as anything smaller is charged.
+func TestCacheChargeKeepsExtendedEntry(t *testing.T) {
+	c := newBlockCache(10)
+	for id := uint64(1); id <= 3; id++ {
+		c.lookup(id, 1)
+		c.charge(id, 3)
+	}
+	c.lookup(1, 1) // most recently used; 2 is now the LRU tail
+	c.charge(4, 5) // no such entry: a no-op
+	if _, _, points := c.stats(); points != 9 {
+		t.Fatalf("%d points charged, want 9", points)
+	}
+	c.lookup(2, 1)
+	c.charge(2, 12)
+	if _, _, points := c.stats(); points != 12 || len(c.entries) != 1 || c.entries[2] == nil {
+		t.Fatalf("after outgrowing the budget: %d points in %d entries, want block 2 alone with 12", points, len(c.entries))
+	}
+	c.lookup(5, 1)
+	c.charge(5, 1)
+	if _, _, points := c.stats(); points != 1 || c.entries[5] == nil {
+		t.Fatalf("%d points after a small charge, want the new entry's 1", points)
+	}
+}
+
+// TestLatestMatchesQuery: under interleaved ingests, Latest is the last
+// raw point Query returns, with the cache on (Latest extends the open
+// block's entry) and off (Latest decodes the block directly).
+func TestLatestMatchesQuery(t *testing.T) {
+	for _, cachePoints := range []int{0, -1} {
+		st := New(Options{BlockPoints: 16, RetainRaw: 64, CachePoints: cachePoints})
+		for i := 0; i < 200; i++ {
+			v := 80 + float64(i%13)
+			if i%9 == 0 {
+				v = math.NaN()
+			}
+			if err := st.Ingest("n", float64(i)*1.5, Sample{PNode: v, IPMI: math.NaN()}); err != nil {
+				t.Fatal(err)
+			}
+			if i%3 != 0 {
+				continue
+			}
+			p, err := st.Latest("n", ChanPNode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts, err := st.Query("n", ChanPNode, 0, 1e9, Raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := pts[len(pts)-1]
+			if p.Time != want.Time || !sameBits(p.Value, want.Value) || p.Count != 1 {
+				t.Fatalf("CachePoints %d, after %d ingests: Latest %+v, last queried point %+v", cachePoints, i+1, p, want)
+			}
+		}
+		st.Close()
+	}
 }
 
 // BenchmarkQueryCached measures the sealed-block read path cold (cache

@@ -99,3 +99,68 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentReadersOfOpenBlock: readers of one node extend the open
+// block's cache entry in place while a writer appends to that block, so
+// walk and Latest must hold the shard lock exclusively. Under -race this
+// fails the moment either reads under a shared lock; without -race every
+// raw point read must still carry the value ingested with it.
+func TestConcurrentReadersOfOpenBlock(t *testing.T) {
+	checkNoLeaks(t)
+	const (
+		readers = 4
+		seconds = 600
+	)
+	st := New(Options{BlockPoints: 256, RetainRaw: 10000})
+	defer st.Close()
+	if err := st.Ingest("n", 0, Sample{PNode: 0, IPMI: math.NaN()}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	errc := make(chan error, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				pts, err := st.Query("n", ChanPNode, float64(i%50), seconds, Resolutions()[(i+r)%3])
+				if err == nil && (i+r)%3 == 0 {
+					for j, p := range pts {
+						if p.Value != p.Time {
+							err = fmt.Errorf("point %d of a raw read: t=%v v=%v", j, p.Time, p.Value)
+							break
+						}
+					}
+				}
+				if err == nil {
+					var p Point
+					if p, err = st.Latest("n", ChanPNode); err == nil && p.Value != p.Time {
+						err = fmt.Errorf("Latest: t=%v v=%v", p.Time, p.Value)
+					}
+				}
+				if err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 1; i < seconds; i++ {
+		if err := st.Ingest("n", float64(i), Sample{PNode: float64(i), IPMI: math.NaN()}); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+}

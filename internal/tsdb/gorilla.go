@@ -85,8 +85,9 @@ type block struct {
 	n  int
 
 	// id is the block's store-wide epoch, assigned by the owning series
-	// when a decoded-block cache is attached. A (shard, channel, seal
-	// epoch) triple never repeats, so the id alone is a sound cache key.
+	// when the block opens and a decoded-block cache is attached. Epochs
+	// never repeat, so the id alone is a sound cache key for the block's
+	// whole life.
 	id uint64
 
 	first, last int64 // timestamp range, valid when n > 0
@@ -183,94 +184,105 @@ func (b *block) writeValue(i int, bits uint64) {
 	b.bs.writeBits(xor>>trail, sig)
 }
 
-// decodeState is the scratch one block scan needs: the value vector handed
-// to emit plus the per-chain XOR predecessors and zero windows. States are
-// pooled so the query hot path does not allocate four slices per block.
-type decodeState struct {
-	vals     []float64
+// cursor is a resumable scan of one block: how many points it has
+// decoded, the bit position just past the last of them, and the state
+// decoding the next point needs — the running timestamp and delta plus
+// each value chain's XOR predecessor and leading/trailing-zero window.
+// Blocks only ever append, so a cursor stays valid while its block grows
+// and a later scan picks up exactly where the previous one stopped.
+type cursor struct {
+	r        bitReader
+	n        int
+	t        int64
+	tDelta   int64
 	cur      []uint64
 	leading  []uint8
 	trailing []uint8
+	vals     []float64 // the last point's values, handed to emit
 }
 
-var decodeStatePool = sync.Pool{New: func() any { return &decodeState{} }}
-
-// reset sizes the scratch for k value chains and clears the decoder state
-// a previous use may have left behind.
-func (st *decodeState) reset(k int) {
-	if cap(st.vals) < k {
-		st.vals = make([]float64, k)
-		st.cur = make([]uint64, k)
-		st.leading = make([]uint8, k)
-		st.trailing = make([]uint8, k)
-	}
-	st.vals = st.vals[:k]
-	st.cur = st.cur[:k]
-	st.leading = st.leading[:k]
-	st.trailing = st.trailing[:k]
-	for i := 0; i < k; i++ {
-		st.cur[i] = 0
-		st.leading[i] = 0
-		st.trailing[i] = 0
-	}
+func newCursor(k int) *cursor {
+	c := &cursor{}
+	c.reset(k)
+	return c
 }
 
-// decode replays the block in append order. emit returning false stops the
-// scan early (points are time-ordered, so a range query can cut off once
-// past its upper bound). vals is reused between calls — copy to retain.
-// The scratch comes from a pool, so a steady-state decode allocates
-// nothing.
+// cursorPool serves the one-shot scans (block.decode), so a steady-state
+// decode without a cache allocates nothing.
+var cursorPool = sync.Pool{New: func() any { return &cursor{} }}
+
+// reset rewinds the cursor to a block's header and sizes it for k value
+// chains.
+func (c *cursor) reset(k int) {
+	if cap(c.vals) < k {
+		c.vals = make([]float64, k)
+		c.cur = make([]uint64, k)
+		c.leading = make([]uint8, k)
+		c.trailing = make([]uint8, k)
+	}
+	c.vals = c.vals[:k]
+	c.cur = c.cur[:k]
+	c.leading = c.leading[:k]
+	c.trailing = c.trailing[:k]
+	clear(c.cur)
+	clear(c.leading)
+	clear(c.trailing)
+	c.r = bitReader{}
+	c.n, c.t, c.tDelta = 0, 0, 0
+}
+
+// decode replays the block from its header in append order. emit
+// returning false stops the scan early (points are time-ordered, so a
+// range query can cut off once past its upper bound). vals is reused
+// between calls — copy to retain.
 func (b *block) decode(emit func(t int64, vals []float64) bool) error {
-	st := decodeStatePool.Get().(*decodeState)
-	err := b.decodeWith(st, emit)
-	decodeStatePool.Put(st)
+	c := cursorPool.Get().(*cursor)
+	c.reset(b.k)
+	err := b.decodeWith(c, emit)
+	cursorPool.Put(c)
 	return err
 }
 
-// decodeWith replays the block using caller-provided scratch.
-func (b *block) decodeWith(st *decodeState, emit func(t int64, vals []float64) bool) error {
-	if b.n == 0 {
-		return nil
-	}
-	st.reset(b.k)
-	r := bitReader{b: b.bs.b}
-	vals := st.vals
-	cur := st.cur
-	leading := st.leading
-	trailing := st.trailing
-
-	ts, err := r.readBits(64)
-	if err != nil {
-		return err
-	}
-	t := int64(ts)
-	for i := range cur {
-		if cur[i], err = r.readBits(64); err != nil {
-			return err
-		}
-		vals[i] = math.Float64frombits(cur[i])
-	}
-	if !emit(t, vals) {
-		return nil
-	}
-
-	var tDelta int64
-	for p := 1; p < b.n; p++ {
-		dod, err := r.readDoD()
-		if err != nil {
-			return err
-		}
-		tDelta += dod
-		t += tDelta
-		for i := range cur {
-			xor, err := r.readXOR(&leading[i], &trailing[i])
+// decodeWith is the one Gorilla decode loop: it resumes c at its next
+// point and replays the block's points from there on, advancing c past
+// each one it hands to emit. A cursor must only ever scan the block it
+// was reset for. After an error the cursor is unusable.
+func (b *block) decodeWith(c *cursor, emit func(t int64, vals []float64) bool) error {
+	// Appends may have moved the stream, and filled the low bits of the
+	// byte the cursor stopped in; the bits it already read never change.
+	c.r.b = b.bs.b
+	for c.n < b.n {
+		if c.n == 0 {
+			// Block header: raw 64-bit timestamp and values.
+			ts, err := c.r.readBits(64)
 			if err != nil {
 				return err
 			}
-			cur[i] ^= xor
-			vals[i] = math.Float64frombits(cur[i])
+			c.t = int64(ts)
+			for i := range c.cur {
+				if c.cur[i], err = c.r.readBits(64); err != nil {
+					return err
+				}
+				c.vals[i] = math.Float64frombits(c.cur[i])
+			}
+		} else {
+			dod, err := c.r.readDoD()
+			if err != nil {
+				return err
+			}
+			c.tDelta += dod
+			c.t += c.tDelta
+			for i := range c.cur {
+				xor, err := c.r.readXOR(&c.leading[i], &c.trailing[i])
+				if err != nil {
+					return err
+				}
+				c.cur[i] ^= xor
+				c.vals[i] = math.Float64frombits(c.cur[i])
+			}
 		}
-		if !emit(t, vals) {
+		c.n++
+		if !emit(c.t, c.vals) {
 			return nil
 		}
 	}

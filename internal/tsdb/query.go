@@ -73,6 +73,9 @@ func (st *Store) walk(node string, ch Channel, from, to float64, res Resolution,
 	fromMs := clampMillis(math.Floor(from * 1000))
 	toMs := clampMillis(math.Ceil(to * 1000))
 	st.queries.Add(1)
+	// An exclusive lock, not a read lock, although walk writes no point:
+	// reading a block through the cache extends its entry in place, and
+	// two readers of one shard must never extend the same entry at once.
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cs := sh.chans[idx]
@@ -125,9 +128,10 @@ func (st *Store) Query(node string, ch Channel, from, to float64, res Resolution
 }
 
 // Latest returns the newest retained raw point of node's channel without
-// decoding the whole series: only the youngest non-empty block is walked.
-// It backs the obs /api/v1/query instant endpoint and dashboard-style
-// "current power" reads.
+// reading the whole series: only the youngest non-empty block is walked,
+// and with the cache on only the points appended since the last read of
+// that block are decoded. It backs the obs /api/v1/query instant endpoint
+// and dashboard-style "current power" reads.
 func (st *Store) Latest(node string, ch Channel) (Point, error) {
 	idx, err := channelIndex(ch)
 	if err != nil {
@@ -139,28 +143,23 @@ func (st *Store) Latest(node string, ch Channel) (Point, error) {
 	if sh == nil {
 		return Point{}, fmt.Errorf("tsdb: no history for node %q", node)
 	}
+	// Exclusive, like walk's: reading through the cache extends an entry.
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	blocks := sh.chans[idx].raw.blocks
-	for i := len(blocks) - 1; i >= 0; i-- {
-		blk := blocks[i]
-		if blk.n == 0 {
-			continue
-		}
-		var last Point
-		err := blk.decode(func(t int64, vals []float64) bool {
-			v := vals[0]
-			last = Point{Time: float64(t) / 1000, Value: v, Min: v, Max: v, Count: 1}
-			return true
-		})
-		if err != nil {
-			return Point{}, err
-		}
-		st.queries.Add(1)
-		st.pointsOut.Add(1)
-		return last, nil
+	var last Point
+	ok, err := sh.chans[idx].raw.latest(func(t int64, vals []float64) {
+		v := vals[0]
+		last = Point{Time: float64(t) / 1000, Value: v, Min: v, Max: v, Count: 1}
+	})
+	if err != nil {
+		return Point{}, err
 	}
-	return Point{}, fmt.Errorf("tsdb: no points for node %q channel %q", node, ch)
+	if !ok {
+		return Point{}, fmt.Errorf("tsdb: no points for node %q channel %q", node, ch)
+	}
+	st.queries.Add(1)
+	st.pointsOut.Add(1)
+	return last, nil
 }
 
 // Aggregate sums a channel across every node: per timestamp (raw) or
@@ -308,9 +307,10 @@ type Stats struct {
 	Queries        int64 `json:"queries"`
 	PointsReturned int64 `json:"points_returned"`
 	EvictedPoints  int64 `json:"evicted_points"`
-	// CacheHits/CacheMisses count sealed-block lookups in the decoded-block
-	// cache and CachePoints the decoded points it currently holds; all zero
-	// when the cache is disabled (Options.CachePoints < 0).
+	// CacheHits/CacheMisses count block lookups in the decoded-block cache
+	// (a hit extends an existing entry, a miss creates one) and CachePoints
+	// the decoded points it currently holds; all zero when the cache is
+	// disabled (Options.CachePoints < 0).
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	CachePoints int64 `json:"cache_points"`

@@ -21,9 +21,9 @@ type series struct {
 	// the owning store can report them (Stats.EvictedPoints). It is
 	// shared store-wide; bumps happen under the shard lock.
 	evicted *atomic.Int64
-	// cache, when set, is the store-wide decoded-block cache. Sealed
-	// blocks are read through it; the open block never is, and retention
-	// eviction invalidates the evicted block's entry.
+	// cache, when set, is the store-wide decoded-block cache. Every block
+	// is read through it, the open one included; retention eviction
+	// invalidates the evicted block's entry.
 	cache *blockCache
 }
 
@@ -57,23 +57,19 @@ func (s *series) append(t int64, vals []float64) {
 }
 
 // query emits every retained point with from ≤ t ≤ to, oldest first.
-// Sealed blocks go through the decoded-block cache when one is attached;
-// the open block (still mutating) always decodes directly with pooled
-// scratch.
+// With a cache attached every overlapping block, the open one included,
+// is read through its cache entry, extended first by whatever the block
+// gained since the entry was last read; without one each block decodes
+// directly with pooled scratch.
 func (s *series) query(from, to int64, emit func(t int64, vals []float64)) error {
 	for i, blk := range s.blocks {
 		if blk.n == 0 || blk.last < from || blk.first > to {
 			continue
 		}
-		sealed := i < len(s.blocks)-1 || blk.n >= s.blockPoints
-		if sealed && s.cache != nil {
-			db := s.cache.get(blk.id)
-			if db == nil {
-				var err error
-				if db, err = decodeFull(blk); err != nil {
-					return err
-				}
-				s.cache.put(blk.id, db)
+		if s.cache != nil {
+			db, err := s.decoded(i)
+			if err != nil {
+				return err
 			}
 			db.emitRange(from, to, emit)
 			continue
@@ -92,6 +88,55 @@ func (s *series) query(from, to int64, emit func(t int64, vals []float64)) error
 		}
 	}
 	return nil
+}
+
+// decoded returns block i's cache entry, extended to every point the
+// block holds, and charges the cache for what the extension added. The
+// caller holds the owning shard's lock exclusively: an entry grows in
+// place, so two readers of one shard must never extend it at once.
+func (s *series) decoded(i int) (*decodedBlock, error) {
+	blk := s.blocks[i]
+	db := s.cache.lookup(blk.id, blk.k)
+	sealed := i < len(s.blocks)-1 || blk.n >= s.blockPoints
+	added, err := db.extend(blk, sealed)
+	if err != nil {
+		s.cache.invalidate(blk.id)
+		return nil, err
+	}
+	if added > 0 {
+		s.cache.charge(blk.id, db.points())
+	}
+	return db, nil
+}
+
+// latest hands emit the newest retained point; ok is false when the
+// series is empty. With a cache it is the last point of the youngest
+// block's entry, so a repeated "current power" read decodes only what
+// was appended since the previous one.
+func (s *series) latest(emit func(t int64, vals []float64)) (ok bool, err error) {
+	for i := len(s.blocks) - 1; i >= 0; i-- {
+		blk := s.blocks[i]
+		if blk.n == 0 {
+			continue
+		}
+		if s.cache == nil {
+			n := 0
+			return true, blk.decode(func(t int64, vals []float64) bool {
+				if n++; n == blk.n {
+					emit(t, vals)
+				}
+				return true
+			})
+		}
+		db, err := s.decoded(i)
+		if err != nil {
+			return false, err
+		}
+		p := db.points() - 1
+		emit(db.ts[p], db.vals[p*db.k:(p+1)*db.k])
+		return true, nil
+	}
+	return false, nil
 }
 
 // sizeHint upper-bounds how many points query(from, to) can emit without

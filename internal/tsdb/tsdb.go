@@ -113,10 +113,10 @@ type Options struct {
 	RetainRaw int
 	Retain10s int
 	Retain60s int
-	// CachePoints budgets the decoded-block cache in points: sealed
-	// Gorilla blocks touched by queries are kept decoded (LRU) so repeat
-	// reads skip the bit-level decode. 0 selects DefaultCachePoints;
-	// negative disables the cache.
+	// CachePoints budgets the decoded-block cache in points: Gorilla
+	// blocks touched by queries, the open one included, are kept decoded
+	// (LRU) so a repeat read decodes only the points appended since the
+	// last one. 0 selects DefaultCachePoints; negative disables the cache.
 	CachePoints int
 
 	// Dir is the durability directory holding the write-ahead log and

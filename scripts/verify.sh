@@ -26,7 +26,9 @@
 # for the agent's reply path), the law the router's verbatim series relay
 # stands on (FuzzSeriesShape: the O(1) framing check accepts exactly what
 # the strict decoder does), the durability decoders (WAL segment
-# scanner, snapshot loader), the fleet placement ring, and the vector
+# scanner, snapshot loader), the decoded-block cache against an uncached
+# store (FuzzCachedQueryMatchesUncached: byte-identical answers while
+# seals and evictions land between reads), the fleet placement ring, and the vector
 # forward kernels against the portable ones (FuzzKernels). The served
 # DynamicTRR shape is pinned in the `go test` step: TestHyperKnee fails
 # when DefaultDynamicTRROptions().Layers stops being the lowest-MAPE depth
@@ -80,6 +82,8 @@ go test -run '^$' -fuzz '^FuzzSeriesShape$' -fuzztime=10s ./internal/cluster
 echo "== fuzz durability decoders (10s per target)"
 go test -run '^$' -fuzz '^FuzzWALRecord$' -fuzztime=10s ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzSnapshotFile$' -fuzztime=10s ./internal/tsdb
+echo "== fuzz the decoded-block cache against an uncached store (10s)"
+go test -run '^$' -fuzz '^FuzzCachedQueryMatchesUncached$' -fuzztime=10s ./internal/tsdb
 echo "== fuzz fleet placement ring (10s)"
 go test -run '^$' -fuzz '^FuzzRingPlacement$' -fuzztime=10s ./internal/fleet
 echo "== fuzz the vector forward kernels against the portable ones (10s)"
