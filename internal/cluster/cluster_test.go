@@ -3,8 +3,10 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"math"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -329,5 +331,40 @@ func TestAgentFetchModel(t *testing.T) {
 	v := 85.0
 	if _, err := agent.Send(0, pmc, &v); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStatsJSONKeyOrder pins the KindStats reply body: a populated Stats
+// marshals to exactly these bytes — every key, in this order — and decodes
+// back to itself, so where the connection accounting lives in the Go types
+// cannot show on the wire.
+func TestStatsJSONKeyOrder(t *testing.T) {
+	var st Stats
+	st.Nodes, st.Samples, st.Estimates, st.Measured, st.Relayed = 1, 2, 3, 4, 5
+	st.Conns, st.PeakConns, st.Rejected, st.TimedOut = 6, 7, 8, 9
+	st.NodeConns = map[string]int{"node-a": 10}
+	st.BinConns, st.BinFrames, st.JSONFrames = 11, 12, 13
+	st.Batches, st.BatchSamples = 14, 15
+	st.Store.Nodes = 16
+	got, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"nodes":1,"samples":2,"estimates":3,"measured":4,"relayed":5,` +
+		`"conns":6,"peak_conns":7,"rejected":8,"timed_out":9,"node_conns":{"node-a":10},` +
+		`"bin_conns":11,"bin_frames":12,"json_frames":13,"batches":14,"batch_samples":15,` +
+		`"store":{"nodes":16,"series":0,"points":0,"bytes":0,"raw_bytes":0,"bytes_per_point":0,` +
+		`"compression_ratio":0,"ingested":0,"queries":0,"points_returned":0,"evicted_points":0,` +
+		`"cache_hits":0,"cache_misses":0,"cache_points":0,"wal_bytes":0,"wal_fsyncs":0,` +
+		`"wal_records":0,"wal_replayed_records":0,"snapshots":0,"snapshot_age_seconds":0}}`
+	if string(got) != want {
+		t.Fatalf("Stats JSON:\ngot  %s\nwant %s", got, want)
+	}
+	var back Stats
+	if err := json.Unmarshal(got, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, st) {
+		t.Fatalf("Stats JSON round trip: got %+v, want %+v", back, st)
 	}
 }

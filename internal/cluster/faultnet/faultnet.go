@@ -125,22 +125,6 @@ func (p *Proxy) BlackholeAll() { p.silenceAll.Store(true) }
 // a healed partition: peers must redial.
 func (p *Proxy) Restore() { p.silenceAll.Store(false) }
 
-// SeverAll severs every currently proxied connection (reset: RST instead
-// of FIN) while the listener keeps accepting, modelling a service restart
-// that kills in-flight connections but lets redials through.
-func (p *Proxy) SeverAll(reset bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for c := range p.conns {
-		if reset {
-			if tc, ok := c.(*net.TCPConn); ok {
-				tc.SetLinger(0)
-			}
-		}
-		_ = c.Close()
-	}
-}
-
 // Close stops the listener, severs every proxied connection, and waits for
 // the forwarding goroutines to drain.
 func (p *Proxy) Close() error {

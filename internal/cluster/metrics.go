@@ -16,8 +16,9 @@ import (
 // of highrpm_node_power_watts, in exposition order.
 var powerComponents = []string{"cpu", "ipmi", "mem", "node", "node_prime"}
 
-// RegisterMetrics exports the service onto reg: Stats counters, store
-// stats, per-node power gauges, and the highrpm_overhead_* self-metering
+// RegisterMetrics exports the service onto reg: Stats counters (the
+// connection series through Server.RegisterMetrics), store stats,
+// per-node power gauges, and the highrpm_overhead_* self-metering
 // of the estimation tick. Gauges are refreshed from one Stats snapshot
 // per scrape via the registry's gather hook. Call once, before or after
 // Listen; the meter attaches atomically.
@@ -29,13 +30,7 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 	estimates := reg.Counter("highrpm_service_estimates_total", "Estimates computed and answered.")
 	measured := reg.Counter("highrpm_service_measured_total", "Samples that carried an IM (IPMI) reading.")
 	relayed := reg.Counter("highrpm_service_relayed_samples_total", "Samples recorded from a relayed estimate instead of an inference of the service's own.")
-	conns := reg.Gauge("highrpm_service_connections", "Live agent connections.")
-	peak := reg.Gauge("highrpm_service_connections_peak", "Highwater mark of live connections.")
-	rejected := reg.Counter("highrpm_service_rejected_total", "Connections dropped at accept by the MaxConns cap.")
-	timedOut := reg.Counter("highrpm_service_timed_out_total", "Connections reaped by the read deadline.")
-
-	binConns := reg.Counter("highrpm_service_binary_connections_total", "Connections that negotiated the binary codec.")
-	frames := reg.CounterVec("highrpm_service_frames_total", "Requests handled, by wire codec.", "codec")
+	s.srv.RegisterMetrics(reg, "highrpm_service")
 	batches := reg.Counter("highrpm_service_batches_total", "Record batches handled.")
 	batchSamples := reg.Counter("highrpm_service_batch_samples_total", "Samples delivered inside record batches.")
 	batchHist := reg.Histogram("highrpm_service_batch_size",
@@ -76,14 +71,6 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 		estimates.Set(float64(st.Estimates))
 		measured.Set(float64(st.Measured))
 		relayed.Set(float64(st.Relayed))
-		conns.Set(float64(st.Conns))
-		peak.Set(float64(st.PeakConns))
-		rejected.Set(float64(st.Rejected))
-		timedOut.Set(float64(st.TimedOut))
-
-		binConns.Set(float64(st.BinConns))
-		frames.With("binary").Set(float64(st.BinFrames))
-		frames.With("json").Set(float64(st.JSONFrames))
 		batches.Set(float64(st.Batches))
 		batchSamples.Set(float64(st.BatchSamples))
 

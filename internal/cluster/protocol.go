@@ -188,24 +188,8 @@ type Stats struct {
 	// an inference of the service's own: Samples − Relayed is what the
 	// models actually ran on. 0 on a service no router replicates to.
 	Relayed int64 `json:"relayed"`
-	// Conns is the number of currently tracked connections; PeakConns the
-	// highwater mark since the service started.
-	Conns     int `json:"conns"`
-	PeakConns int `json:"peak_conns"`
-	// Rejected counts connections dropped at accept by the MaxConns cap;
-	// TimedOut counts connections reaped by the per-connection read
-	// deadline (dead or blackholed peers).
-	Rejected int64 `json:"rejected"`
-	TimedOut int64 `json:"timed_out"`
-	// NodeConns maps node ID to its live connection count (connections
-	// that have said Hello); nil when no node is connected.
-	NodeConns map[string]int `json:"node_conns,omitempty"`
-	// BinConns counts connections that negotiated the binary codec
-	// (cumulative); BinFrames/JSONFrames count requests handled per codec,
-	// so operators can see which peers still speak JSON.
-	BinConns   int64 `json:"bin_conns"`
-	BinFrames  int64 `json:"bin_frames"`
-	JSONFrames int64 `json:"json_frames"`
+	// ConnStats is the connection server's accounting (Server.Stats).
+	ConnStats
 	// Batches counts KindRecordBatch requests and BatchSamples the samples
 	// they carried (BatchSamples/Batches is the mean coalescing factor).
 	Batches      int64 `json:"batches"`

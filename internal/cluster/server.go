@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"highrpm/internal/obs"
 )
 
 // Handler answers the requests a Server decodes. Service (local model and
@@ -52,18 +54,27 @@ type Handler interface {
 }
 
 // ConnStats is a Server's own accounting: live and peak connections, the
-// ones refused or reaped, and the frames handled per wire codec.
+// ones refused or reaped, and the frames handled per wire codec. Stats
+// embeds it, so its JSON keys sit in the KindStats reply in this order.
 type ConnStats struct {
-	Conns, PeakConns int
+	// Conns is the number of currently tracked connections; PeakConns the
+	// highwater mark since the server started.
+	Conns     int `json:"conns"`
+	PeakConns int `json:"peak_conns"`
+	// Rejected counts connections dropped at accept by the MaxConns cap;
+	// TimedOut counts connections reaped by the per-connection read
+	// deadline (dead or blackholed peers).
+	Rejected int64 `json:"rejected"`
+	TimedOut int64 `json:"timed_out"`
 	// NodeConns maps node ID to its live connection count (connections
 	// that have said Hello); nil when no node is connected.
-	NodeConns map[string]int
-	// Rejected counts connections dropped at accept by the MaxConns cap;
-	// TimedOut the ones reaped by the read deadline.
-	Rejected, TimedOut int64
-	// BinConns counts connections that negotiated the binary codec;
-	// BinFrames/JSONFrames the requests handled per codec.
-	BinConns, BinFrames, JSONFrames int64
+	NodeConns map[string]int `json:"node_conns,omitempty"`
+	// BinConns counts connections that negotiated the binary codec
+	// (cumulative); BinFrames/JSONFrames count requests handled per codec,
+	// so operators can see which peers still speak JSON.
+	BinConns   int64 `json:"bin_conns"`
+	BinFrames  int64 `json:"bin_frames"`
+	JSONFrames int64 `json:"json_frames"`
 }
 
 // Server is the one connection server in the tree: it accepts agents,
@@ -209,6 +220,30 @@ func (s *Server) Stats() ConnStats {
 		out.NodeConns[id]++
 	}
 	return out
+}
+
+// RegisterMetrics exports the server's ConnStats onto reg as six series
+// named prefix_connections, _connections_peak, _rejected_total,
+// _timed_out_total, _binary_connections_total and _frames_total{codec},
+// refreshed from one Stats snapshot per scrape. Service and fleet.Router
+// both export their front end through it. Call once.
+func (s *Server) RegisterMetrics(reg *obs.Registry, prefix string) {
+	conns := reg.Gauge(prefix+"_connections", "Live agent connections.")
+	peak := reg.Gauge(prefix+"_connections_peak", "Highwater mark of live connections.")
+	rejected := reg.Counter(prefix+"_rejected_total", "Connections dropped at accept by the MaxConns cap.")
+	timedOut := reg.Counter(prefix+"_timed_out_total", "Connections reaped by the read deadline.")
+	binConns := reg.Counter(prefix+"_binary_connections_total", "Connections that negotiated the binary codec.")
+	frames := reg.CounterVec(prefix+"_frames_total", "Requests handled, by wire codec.", "codec")
+	reg.OnGather(func() {
+		st := s.Stats()
+		conns.Set(float64(st.Conns))
+		peak.Set(float64(st.PeakConns))
+		rejected.Set(float64(st.Rejected))
+		timedOut.Set(float64(st.TimedOut))
+		binConns.Set(float64(st.BinConns))
+		frames.With("binary").Set(float64(st.BinFrames))
+		frames.With("json").Set(float64(st.JSONFrames))
+	})
 }
 
 // track registers a live connection; it reports false when the server is

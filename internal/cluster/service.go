@@ -330,21 +330,13 @@ func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	nodes := len(s.nodes)
 	s.mu.Unlock()
-	cs := s.srv.Stats()
 	return Stats{
 		Nodes:        nodes,
 		Samples:      s.samples.Load(),
 		Estimates:    s.estimates.Load(),
 		Measured:     s.measured.Load(),
 		Relayed:      s.relayed.Load(),
-		Conns:        cs.Conns,
-		PeakConns:    cs.PeakConns,
-		Rejected:     cs.Rejected,
-		TimedOut:     cs.TimedOut,
-		NodeConns:    cs.NodeConns,
-		BinConns:     cs.BinConns,
-		BinFrames:    cs.BinFrames,
-		JSONFrames:   cs.JSONFrames,
+		ConnStats:    s.srv.Stats(),
 		Batches:      s.batches.Load(),
 		BatchSamples: s.batchSamples.Load(),
 		Store:        s.store.Stats(),

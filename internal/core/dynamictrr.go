@@ -97,10 +97,12 @@ func FitDynamicTRR(train *dataset.Set, opts DynamicTRROptions) (*DynamicTRR, err
 // second at a time, through the stream Monitor serves from: at measured
 // steps the IM reading is the estimate, elsewhere the network predicts from
 // the trailing window. When FineTuneOnline is set, each reading also
-// fine-tunes the network on the segment it closes — the rows the stream
+// fine-tunes d.Net in place on the segment it closes — the rows the stream
 // held since the previous reading, labelled with the spline through the
-// readings so far (the best labels available online). vals supplies IM
-// readings for measuredIdx; nil uses ground truth at those indices.
+// readings so far (the best labels available online) — so a network being
+// served must not be run this way; HighRPM.RestoreTemporal turns it off.
+// vals supplies IM readings for measuredIdx; nil uses ground truth at
+// those indices.
 func (d *DynamicTRR) Run(set *dataset.Set, measuredIdx []int, vals []float64) ([]float64, error) {
 	n := set.Len()
 	if n == 0 {

@@ -189,12 +189,17 @@ const (
 
 // RestoreTemporal estimates the 1 Sa/s node-power series of a set from IM
 // readings at measuredIdx (vals nil = perfect sensor at those indices).
+// Like every path that serves h, it only reads the model: ModeDynamic
+// replays the set through the served stream with online fine-tuning off,
+// which is Monitor.Push over the same seconds.
 func (h *HighRPM) RestoreTemporal(set *dataset.Set, measuredIdx []int, vals []float64, mode RestoreMode) ([]float64, error) {
 	switch mode {
 	case ModeStatic:
 		return h.Static.Restore(set, measuredIdx, vals)
 	case ModeDynamic:
-		return h.Dynamic.Run(set, measuredIdx, vals)
+		served := *h.Dynamic
+		served.Opts.FineTuneOnline = false
+		return served.Run(set, measuredIdx, vals)
 	default:
 		return nil, fmt.Errorf("core: unknown restore mode %d", mode)
 	}

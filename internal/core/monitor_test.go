@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -179,14 +180,13 @@ func TestMonitorPushZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRunReplaysMonitor: with fine-tuning off, DynamicTRR.Run over a
-// recorded set is Monitor.Push over the same seconds, bit for bit, and the
-// full offline pipeline in dynamic mode is the monitor's three outputs — on
-// a regular sensor, timestamps jittered as the §6.4.6 experiment jitters
-// them, every third reading dropped, and a first reading that arrives late.
+// TestRunReplaysMonitor: the full offline pipeline in dynamic mode — which
+// replays the set through DynamicTRR.Run with fine-tuning off — is the
+// monitor's three outputs over the same seconds, bit for bit, on a regular
+// sensor, timestamps jittered as the §6.4.6 experiment jitters them, every
+// third reading dropped, and a first reading that arrives late.
 func TestRunReplaysMonitor(t *testing.T) {
 	h := trainedModel(t)
-	h.Dynamic.Opts.FineTuneOnline = false
 	miss := h.Dynamic.Opts.MissInterval
 	for _, n := range []int{120, 300, 600} {
 		set := testSet(t, n)
@@ -228,6 +228,85 @@ func TestRunReplaysMonitor(t *testing.T) {
 			}
 			if differ > 0 {
 				t.Errorf("%d samples, %s readings: Restore(ModeDynamic) differs from Monitor.Push on %d seconds", n, name, differ)
+			}
+		}
+	}
+}
+
+// TestRestoreLeavesModelUnchanged: restoring a set reads the served model
+// and never writes it — the model file is byte-identical before and after
+// Restore in either mode, with DynamicTRR's online fine-tuning at its
+// default (on).
+func TestRestoreLeavesModelUnchanged(t *testing.T) {
+	h := trainedModel(t)
+	if !h.Dynamic.Opts.FineTuneOnline {
+		t.Fatal("the default model does not fine-tune online; the test would prove nothing")
+	}
+	before, err := Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := testSet(t, 200)
+	for _, mode := range []RestoreMode{ModeStatic, ModeDynamic} {
+		if _, _, _, err := h.Restore(set, set.MeasuredIndices(h.Dynamic.Opts.MissInterval), nil, mode); err != nil {
+			t.Fatal(err)
+		}
+		after, err := Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("Restore(mode %d) changed the model file", mode)
+		}
+	}
+}
+
+// TestRestoreConcurrentWithMonitor: a dynamic Restore may run while a
+// Monitor serves the same model on another goroutine. The monitor's
+// estimates equal the ones it gives on a model nothing else touches, and
+// under -race (scripts/verify.sh) the two share no write.
+func TestRestoreConcurrentWithMonitor(t *testing.T) {
+	h := trainedModel(t)
+	set := testSet(t, 200)
+	push := func() []MonitorEstimate {
+		mon := NewMonitor(h)
+		out := make([]MonitorEstimate, len(set.Samples))
+		for i, sm := range set.Samples {
+			var measured *float64
+			if i%h.Dynamic.Opts.MissInterval == 0 {
+				measured = &sm.PNode
+			}
+			est, err := mon.Push(sm.PMC, measured)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			out[i] = est
+		}
+		return out
+	}
+	want := push()
+	var got []MonitorEstimate
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		got = push()
+	}()
+	for range 3 {
+		if _, _, _, err := h.Restore(set, set.MeasuredIndices(h.Dynamic.Opts.MissInterval), nil, ModeDynamic); err != nil {
+			t.Error(err)
+		}
+	}
+	<-done
+	if t.Failed() {
+		return
+	}
+	// A second pass after the restores have finished sees the model they
+	// left behind.
+	for _, run := range [][]MonitorEstimate{got, push()} {
+		for i := range want {
+			if !sameMonitorEstimate(run[i], want[i]) {
+				t.Fatalf("second %d: monitor beside Restore answered %+v, alone %+v", i, run[i], want[i])
 			}
 		}
 	}

@@ -12,11 +12,9 @@
 // retries, degraded-mode buffering, and in-order replay — with optional
 // replication factor R: the ring owner is the primary and the next R-1
 // distinct shards clockwise are followers, written synchronously. Only
-// the primary runs the models: a request with a sample that lacks an IM
-// reading is answered by the primary first and forwarded to the followers
-// with its estimates attached, which they record while advancing nothing
-// but their monitor state; a request with a reading on every sample, which
-// no replica would run the network for, goes to all replicas in parallel.
+// the primary runs the models: every request is answered by the primary
+// first and forwarded to the followers with its estimates attached, which
+// they record while advancing nothing but their monitor state.
 // When the primary can only answer from its local model
 // snapshot, the first follower with a live service answer takes over the
 // reply (failover), and the primary's buffered samples replay in order

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -341,4 +343,65 @@ func TestFleetSurvivesShardBlackhole(t *testing.T) {
 	runFaultScenario(t,
 		func(_ *testing.T, f *faultFixture, shard int) { f.proxies[shard].BlackholeAll() },
 		func(_ *testing.T, f *faultFixture, shard int) { f.proxies[shard].Restore() })
+}
+
+// TestDialGateOncePerRetry pins the dial gate: a shard that accepts and
+// hangs up at once costs one attempt per connection slot per DialRetry —
+// the node's owner slot for ingest, the shard's query slot for reads —
+// however many requests arrive meanwhile, and the shard reads down.
+func TestDialGateOncePerRetry(t *testing.T) {
+	checkNoLeaks(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted atomic.Int64
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			c.Close()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-served
+	})
+	opts := DefaultTopologyOptions()
+	opts.DialRetry = time.Hour
+	opts.Agent = faultAgentOptions()
+	r, err := NewRouter(Topology{Shards: []Shard{{Name: "hangup", Addr: ln.Addr().String()}}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+
+	ag := dialFront(t, r, "gated-node", cluster.CodecBinary)
+	defer ag.Close()
+	q := cluster.QueryRequest{NodeID: "gated-node", Channel: "p_node", From: 0, To: 10, ResolutionS: 1}
+	for i, smp := range genSamples(t, 61, 10) {
+		if _, err := ag.Send(smp.Time, smp.PMC, smp.Measured); err == nil {
+			t.Fatalf("send %d through a shard that hangs up succeeded", i)
+		}
+		if _, err := ag.Query(q); err == nil {
+			t.Fatalf("query %d through a shard that hangs up succeeded", i)
+		}
+	}
+	if _, err := ag.Stats(); err == nil {
+		t.Fatal("stats through a shard that hangs up succeeded")
+	}
+	if got := accepted.Load(); got != 2 {
+		t.Fatalf("the shard accepted %d connections, want 2: one per slot within DialRetry", got)
+	}
+	if st := r.Stats(); len(st.Shards) != 1 || st.Shards[0].Up {
+		t.Fatalf("the shard that hangs up reads up: %+v", st.Shards)
+	}
 }

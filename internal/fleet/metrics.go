@@ -29,27 +29,19 @@ type ShardStatus struct {
 // not exist on any single backend. Backend-shaped totals come from
 // MergedStats instead.
 type Stats struct {
-	Shards    []ShardStatus `json:"shards"`
-	Nodes     int           `json:"nodes"`
-	Conns     int           `json:"conns"`
-	PeakConns int           `json:"peak_conns"`
-	// Frames counts front-end requests handled, BinFrames/JSONFrames the
-	// same per wire codec, and BinConns the front-end connections that
-	// negotiated binary — JSONFrames growing faster than one Hello per
-	// connection means some agent still speaks JSON on the front hop.
-	Frames     int64 `json:"frames"`
-	BinFrames  int64 `json:"bin_frames"`
-	JSONFrames int64 `json:"json_frames"`
-	BinConns   int64 `json:"bin_conns"`
-	// Rejected counts front-end connections dropped at accept by the
-	// MaxConns cap, TimedOut the ones reaped by the read deadline.
-	Rejected   int64 `json:"rejected"`
-	TimedOut   int64 `json:"timed_out"`
+	Shards []ShardStatus `json:"shards"`
+	Nodes  int           `json:"nodes"`
+	// ConnStats is the front end's accounting (cluster.Server.Stats): its
+	// BinFrames/JSONFrames count front-end requests per wire codec, and
+	// JSONFrames growing faster than one Hello per connection means some
+	// agent still speaks JSON on the front hop.
+	cluster.ConnStats
 	Routed     int64 `json:"routed"`
 	Replicated int64 `json:"replicated"`
 	// Relayed counts the samples live followers recorded from the primary's
 	// estimate instead of inferring them again — inferences replication did
-	// not cost. All-measured requests are never relayed.
+	// not cost. A request the primary answered live is relayed whole,
+	// measured samples included.
 	Relayed        int64 `json:"relayed"`
 	FailedOver     int64 `json:"failed_over"`
 	RouteErrors    int64 `json:"route_errors"`
@@ -64,16 +56,8 @@ type Stats struct {
 // Stats snapshots the router's routing state: per-shard health and
 // connection pools plus the fleet counters.
 func (r *Router) Stats() Stats {
-	front := r.srv.Stats()
 	out := Stats{
-		Conns:          front.Conns,
-		PeakConns:      front.PeakConns,
-		Frames:         front.BinFrames + front.JSONFrames,
-		BinFrames:      front.BinFrames,
-		JSONFrames:     front.JSONFrames,
-		BinConns:       front.BinConns,
-		Rejected:       front.Rejected,
-		TimedOut:       front.TimedOut,
+		ConnStats:      r.srv.Stats(),
 		Routed:         r.routed.Load(),
 		Replicated:     r.replicated.Load(),
 		Relayed:        r.relayed.Load(),
@@ -129,10 +113,11 @@ func (r *Router) Stats() Stats {
 }
 
 // RegisterMetrics exports the router onto reg: per-shard health and pool
-// gauges, routing/replication/failover counters, and the scatter-gather
-// latency histogram. Counters are refreshed from one Stats snapshot per
-// scrape via the registry's gather hook (the same mirroring discipline
-// cluster.Service.RegisterMetrics uses). Call once.
+// gauges, the front end's connection series (cluster.Server.RegisterMetrics
+// under highrpm_fleet), routing/replication/failover counters, and the
+// scatter-gather latency histogram. Counters are refreshed from one Stats
+// snapshot per scrape via the registry's gather hook (the same mirroring
+// discipline cluster.Service.RegisterMetrics uses). Call once.
 func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	shardUp := reg.GaugeVec("highrpm_fleet_shard_up",
 		"1 while the shard is routable, 0 while it is drained from reads and failed over on writes.", "shard")
@@ -143,12 +128,7 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	shardPending := reg.GaugeVec("highrpm_fleet_shard_pending",
 		"Samples buffered for in-order replay to the shard.", "shard")
 	nodes := reg.Gauge("highrpm_fleet_nodes", "Nodes the router has routed estimates for.")
-	conns := reg.Gauge("highrpm_fleet_connections", "Live front-end connections.")
-	peak := reg.Gauge("highrpm_fleet_connections_peak", "Highwater mark of live front-end connections.")
-	binConns := reg.Counter("highrpm_fleet_binary_connections_total", "Front-end connections that negotiated the binary codec.")
-	frames := reg.CounterVec("highrpm_fleet_frames_total", "Front-end requests handled, by wire codec.", "codec")
-	rejected := reg.Counter("highrpm_fleet_rejected_total", "Front-end connections dropped at accept by the MaxConns cap.")
-	timedOut := reg.Counter("highrpm_fleet_timed_out_total", "Front-end connections reaped by the read deadline.")
+	r.srv.RegisterMetrics(reg, "highrpm_fleet")
 	routed := reg.Counter("highrpm_fleet_routed_total", "Samples and batches answered live by their primary shard.")
 	replicated := reg.Counter("highrpm_fleet_replicated_total", "Live follower writes (per replica beyond the primary).")
 	relayed := reg.Counter("highrpm_fleet_relayed_total", "Samples live followers recorded from the primary's estimate instead of inferring them again.")
@@ -176,13 +156,6 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 			shardPending.With(sh.Name).Set(float64(sh.Pending))
 		}
 		nodes.Set(float64(st.Nodes))
-		conns.Set(float64(st.Conns))
-		peak.Set(float64(st.PeakConns))
-		binConns.Set(float64(st.BinConns))
-		frames.With("binary").Set(float64(st.BinFrames))
-		frames.With("json").Set(float64(st.JSONFrames))
-		rejected.Set(float64(st.Rejected))
-		timedOut.Set(float64(st.TimedOut))
 		routed.Set(float64(st.Routed))
 		replicated.Set(float64(st.Replicated))
 		relayed.Set(float64(st.Relayed))

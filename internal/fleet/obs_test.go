@@ -113,10 +113,10 @@ func TestFleetObsScrape(t *testing.T) {
 		"highrpm_fleet_rejected_total 0",
 		"highrpm_fleet_timed_out_total 0",
 		"highrpm_fleet_routed_total 10",
-		// Every sample reached its follower; the four per node without an IM
-		// reading carried the primary's estimate there.
+		// Every sample reached its follower carrying the primary's estimate,
+		// the one per node with an IM reading included.
 		"highrpm_fleet_replicated_total 10",
-		"highrpm_fleet_relayed_total 8",
+		"highrpm_fleet_relayed_total 10",
 		"highrpm_fleet_failovers_total 0",
 		"highrpm_fleet_route_errors_total 0",
 		"highrpm_fleet_scatter_gathers_total 1",

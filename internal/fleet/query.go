@@ -161,22 +161,15 @@ func (r *Router) onShard(idx int, call func(*cluster.ResilientAgent) error) erro
 // queryAgentLocked returns st's query connection, dialing on first use
 // and again DialRetry after a failed attempt. Callers hold st.qmu.
 func (r *Router) queryAgentLocked(st *shardState) (*cluster.ResilientAgent, error) {
-	if st.query != nil {
-		return st.query, nil
+	if st.query == nil {
+		ag, err := r.dial(st, "fleet-router", &st.nextDial)
+		if err != nil {
+			return nil, err
+		}
+		st.query = ag
+		st.publishQuery()
 	}
-	if time.Now().Before(st.nextDial) {
-		return nil, errShardUnreachable(st.shard.Name)
-	}
-	ag, err := cluster.DialResilientShared(st.shard.Addr, "fleet-router", r.opts.Agent, &r.models)
-	if err != nil {
-		st.nextDial = time.Now().Add(r.opts.DialRetry)
-		st.up.Store(false)
-		return nil, fmt.Errorf("fleet: dial shard %s: %w", st.shard.Name, err)
-	}
-	st.query = ag
-	st.up.Store(true)
-	st.publishQuery()
-	return ag, nil
+	return st.query, nil
 }
 
 // queryTarget picks the shard to read node's history from: the primary

@@ -98,8 +98,8 @@ func recordBoth(t *testing.T, fa, ra *cluster.Agent, smp cluster.Sample) {
 	}
 }
 
-// TestFleetInfersOncePerSample: on sparse traffic a replicated fleet runs
-// the models once per front-end sample — the backends' summed
+// TestFleetInfersOncePerSample: a replicated fleet runs the models once per
+// front-end sample, measured ones included — the backends' summed
 // Samples − Relayed equals what the agents sent — while every replica's
 // store stays byte-identical to a single service fed the same stream.
 func TestFleetInfersOncePerSample(t *testing.T) {
@@ -120,9 +120,9 @@ func testFleetInfersOncePerSample(t *testing.T, codec string, replication int) {
 	ref := startBackend(t)
 	nodes := balancedNodes(t, r, 1) // one node whose primary is each shard
 
-	// Batches of 8 with an IM reading every tenth second: every batch holds
-	// a sample without one, so every batch takes the ask-primary-first path
-	// and each of its samples is inferred by the primary alone.
+	// Batches of 8 with an IM reading every tenth second: every batch goes
+	// to the primary first and each of its samples is inferred by the
+	// primary alone.
 	const seconds = 48
 	for ni, node := range nodes {
 		fa, ra := batchAgent(t, r.Addr(), node, codec), batchAgent(t, ref.Addr(), node, cluster.CodecBinary)
@@ -142,9 +142,9 @@ func testFleetInfersOncePerSample(t *testing.T, codec string, replication int) {
 		t.Fatalf("batched: router counters %+v, want %d relayed", st, wantRelayed)
 	}
 
-	// The same again one Sample frame at a time. A second that carries an
-	// IM reading has nothing to infer and goes to every replica plain, as
-	// it always did; every other second is inferred once.
+	// The same again one Sample frame at a time: a second that carries an
+	// IM reading is relayed like any other, so every second is inferred
+	// once.
 	var measured int64
 	for ni, node := range nodes {
 		fa := dialFront(t, r, node, codec)
@@ -166,29 +166,37 @@ func testFleetInfersOncePerSample(t *testing.T, codec string, replication int) {
 		fa.Close()
 		ra.Close()
 	}
-	if got, want := inferred(backends), 2*sent+measured*int64(replication-1); got != want {
-		t.Fatalf("single: models ran on %d samples fleet-wide, want %d (%d sent, %d measured ones on every replica)", got, want, 2*sent, measured)
+	if measured == 0 {
+		t.Fatal("the single-frame stream carried no IM reading")
 	}
-	if got, want := relayedTo(backends), wantRelayed+(sent-measured)*int64(replication-1); got != want {
+	if got, want := inferred(backends), 2*sent; got != want {
+		t.Fatalf("single: models ran on %d samples fleet-wide, want %d (%d of them measured)", got, want, measured)
+	}
+	if got, want := relayedTo(backends), 2*wantRelayed; got != want {
 		t.Fatalf("single: backends recorded %d relayed samples, want %d", got, want)
 	}
 	requireReplicasMatch(t, r, backends, ref, nodes, 2*seconds)
 }
 
-// TestFleetRelayBoundaries pins where the relay must not reach: a batch the
-// primary rejects, traffic with nothing to infer, and estimates a front-end
-// peer attaches itself.
+// TestFleetRelayBoundaries pins where the relay must not reach — a batch
+// the primary rejects, and estimates a front-end peer attaches itself — and
+// that it reaches all-measured traffic: at R = 2 and R = 3 every replica
+// holds every node, byte-identical to the reference on all five channels.
 func TestFleetRelayBoundaries(t *testing.T) {
 	for _, codec := range frontCodecs {
-		t.Run(codec, func(t *testing.T) { testFleetRelayBoundaries(t, codec) })
+		t.Run(codec, func(t *testing.T) {
+			for _, replication := range []int{2, 3} {
+				t.Run(fmt.Sprintf("R=%d", replication), func(t *testing.T) { testFleetRelayBoundaries(t, codec, replication) })
+			}
+		})
 	}
 }
 
-func testFleetRelayBoundaries(t *testing.T, codec string) {
+func testFleetRelayBoundaries(t *testing.T, codec string, replication int) {
 	checkNoLeaks(t)
 	opts := DefaultTopologyOptions()
-	opts.Replication = 2
-	r, backends := startFleet(t, 2, opts)
+	opts.Replication = replication
+	r, backends := startFleet(t, replication, opts) // every shard owns every node
 	ref := startBackend(t)
 
 	// A batch whose sample 5 is malformed: the primary records the first
@@ -221,26 +229,28 @@ func testFleetRelayBoundaries(t *testing.T, codec string) {
 	}
 	requireReplicasMatch(t, r, backends, ref, []string{"node-rejected"}, 100)
 
-	// Every sample carries an IM reading: nothing to infer, nothing relayed,
-	// every replica records it plain.
+	// Every sample carries an IM reading: the primary still answers first,
+	// and its estimates — the SRR split included — ride to every follower.
 	fa, ra = batchAgent(t, r.Addr(), "node-dense", codec), batchAgent(t, ref.Addr(), "node-dense", cluster.CodecBinary)
 	for _, smp := range genSamples(t, 42, 16) {
 		v := smp.PMC[0] * 1e-9
 		smp.Measured = &v
 		recordBoth(t, fa, ra, smp)
 	}
-	if got := relayedTo(backends); got != 0 || r.Stats().Relayed != 0 {
-		t.Fatalf("all-measured batches were relayed: backends %d, router %d", got, r.Stats().Relayed)
+	wantRelayed := int64(16 * (replication - 1))
+	if got := relayedTo(backends); got != wantRelayed || r.Stats().Relayed != wantRelayed {
+		t.Fatalf("all-measured batches: backends recorded %d relayed samples, router counted %d, want %d", got, r.Stats().Relayed, wantRelayed)
 	}
 	for bi, be := range backends {
 		if st := be.Stats(); st.Estimates != bad+16 {
 			t.Fatalf("backend %d holds %d estimates, want %d", bi, st.Estimates, bad+16)
 		}
 	}
+	requireReplicasMatch(t, r, backends, ref, []string{"node-dense"}, 100)
 
 	// A front-end peer attaches estimates of its own, to a single sample
 	// and to a batch: the router drops them, the primary infers, and only
-	// the primary's answer travels on to the follower.
+	// the primary's answer travels on to the followers.
 	bogus := &cluster.RelayedEstimate{PNode: 1, PCPU: 2, PMEM: 3}
 	aopts := cluster.DefaultAgentOptions()
 	aopts.Codec = codec
@@ -286,8 +296,7 @@ func testFleetRelayBoundaries(t *testing.T, codec string) {
 			t.Fatalf("forged batch[%d]: fleet answered %+v, ref %+v", i, fests[i], rest)
 		}
 	}
-	// forged[0] carries the IM reading and went to both replicas plain.
-	if got, want := inferred(backends)-before, int64(len(forged)+1); got != want {
+	if got, want := inferred(backends)-before, int64(len(forged)); got != want {
 		t.Fatalf("forged estimates: models ran on %d samples, want %d — the primary must infer each", got, want)
 	}
 	requireReplicasMatch(t, r, backends, ref, []string{"node-forged"}, 100)

@@ -305,22 +305,31 @@ func (r *Router) routeFor(nodeID string) *nodeRoute {
 // is unreachable and no model snapshot was ever fetched for this node —
 // there is nothing to degrade to. Callers hold nr.mu.
 func (r *Router) agentFor(nr *nodeRoute, i int, nodeID string) *cluster.ResilientAgent {
-	if nr.agents[i] != nil {
-		return nr.agents[i]
+	if nr.agents[i] == nil {
+		// The cause is dropped: replicate answers a slot without an agent
+		// with errShardUnreachable, whatever kept it from dialing.
+		nr.agents[i], _ = r.dial(r.shards[nr.owners[i]], nodeID, &nr.nextDial[i])
 	}
-	if time.Now().Before(nr.nextDial[i]) {
-		return nil
+	return nr.agents[i]
+}
+
+// dial is the router's one way to open a pooled backend connection: it
+// dials st as nodeID unless *next, the earliest time the next attempt may
+// run, is still ahead — so a dead shard costs at most one attempt per
+// DialRetry per connection slot — and sets the shard's health bit from
+// the outcome. Callers hold the lock that guards *next.
+func (r *Router) dial(st *shardState, nodeID string, next *time.Time) (*cluster.ResilientAgent, error) {
+	if time.Now().Before(*next) {
+		return nil, errShardUnreachable(st.shard.Name)
 	}
-	st := r.shards[nr.owners[i]]
 	ag, err := cluster.DialResilientShared(st.shard.Addr, nodeID, r.opts.Agent, &r.models)
 	if err != nil {
-		nr.nextDial[i] = time.Now().Add(r.opts.DialRetry)
+		*next = time.Now().Add(r.opts.DialRetry)
 		st.up.Store(false)
-		return nil
+		return nil, fmt.Errorf("fleet: dial shard %s: %w", st.shard.Name, err)
 	}
-	nr.agents[i] = ag
 	st.up.Store(true)
-	return ag
+	return ag, nil
 }
 
 // errShardUnreachable marks a replica that could not even be dialed.
@@ -333,18 +342,16 @@ func errShardUnreachable(name string) error {
 // node's primary shard and, with R > 1, to its followers (synchronous
 // replication), each on that replica's pooled agent.
 //
-// A request in which every sample carries an IM reading goes to all
-// replicas at once: no replica runs the network for it, so there is
-// nothing to save. As soon as one sample lacks a reading the primary is
-// asked first, and its estimates ride to the followers — in parallel with
-// each other, the last one on the calling goroutine — attached in place to
-// the same samples (the slice is the caller's to overwrite), so each sample
-// is inferred once and a follower only advances its monitor state. When
-// the primary's answer is not a live, complete one (a local-snapshot
-// fallback, an unreachable shard, a rejection) the followers get the
-// request plain, as they always did: a batch the primary rejected at
-// sample i is rejected by them at sample i too, and every replica holds
-// the same prefix.
+// With R > 1 the primary is asked first, on the calling goroutine. A live,
+// complete answer rides to the followers attached in place to the same
+// samples (the slice is the caller's to overwrite), measured ones
+// included, so each sample is inferred once and a follower only advances
+// its monitor state. Any other answer (a local-snapshot fallback, an
+// unreachable shard, a rejection) sends the followers the request plain:
+// a batch the primary rejected at sample i is rejected by them at sample i
+// too, and every replica holds the same prefix. The followers run in
+// parallel with each other, the last one on the calling goroutine, so at
+// R = 2 the follower leg costs a round trip and no goroutine handoff.
 //
 // The primary's estimates are the reply; when the primary can only answer
 // from its local snapshot (its shard is down, the samples are buffered for
@@ -369,30 +376,22 @@ func (r *Router) replicate(nodeID string, samples []cluster.BatchSample, send fu
 			errs[i] = errShardUnreachable(r.shards[nr.owners[i]].shard.Name)
 		}
 	}
-	// inline is the replica this goroutine serves itself while the others
-	// are served beside it: the primary, or — once the primary has answered
-	// — the last follower, so at R = 2 the follower leg costs a round trip
-	// and no goroutine handoff.
-	relaying, inline := false, 0
-	if n > 1 && needsInference(samples) {
-		run(0)
-		if relaying = liveAnswer(ests[0], errs[0], len(samples)); relaying {
-			nr.attachEstimates(samples, ests[0])
-		}
-		inline = n - 1
+	run(0)
+	relaying := n > 1 && liveAnswer(ests[0], errs[0], len(samples))
+	if relaying {
+		nr.attachEstimates(samples, ests[0])
 	}
 	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		if i == inline {
-			continue
-		}
+	for i := 1; i < n-1; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			run(i)
 		}()
 	}
-	run(inline)
+	if n > 1 {
+		run(n - 1)
+	}
 	wg.Wait()
 	if relaying {
 		for i := 1; i < n; i++ {
@@ -406,17 +405,6 @@ func (r *Router) replicate(nodeID string, samples []cluster.BatchSample, send fu
 		return nil, err
 	}
 	return ests[pick], nil
-}
-
-// needsInference reports whether any sample lacks an IM reading — the input
-// property that decides whether replicas would each run the network.
-func needsInference(samples []cluster.BatchSample) bool {
-	for i := range samples {
-		if samples[i].Measured == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // liveAnswer reports whether a replica answered all want samples from the

@@ -161,15 +161,12 @@ func (h Histogram) Sum() float64 {
 	return h.m.hsum
 }
 
-// CounterVec / GaugeVec / HistogramVec address a family's series by label
-// values.
+// CounterVec / GaugeVec address a family's series by label values.
 type (
 	// CounterVec is a counter family with labels.
 	CounterVec struct{ f *family }
 	// GaugeVec is a gauge family with labels.
 	GaugeVec struct{ f *family }
-	// HistogramVec is a histogram family with labels.
-	HistogramVec struct{ f *family }
 )
 
 // With returns the counter for the given label values (created on first
@@ -181,11 +178,6 @@ func (v CounterVec) With(values ...string) Counter {
 // With returns the gauge for the given label values.
 func (v GaugeVec) With(values ...string) Gauge {
 	return Gauge{v.f.get(values)}
-}
-
-// With returns the histogram for the given label values.
-func (v HistogramVec) With(values ...string) Histogram {
-	return Histogram{v.f.get(values), v.f.buckets}
 }
 
 const labelSep = "\xff"
@@ -264,11 +256,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) CounterVec {
 // GaugeVec registers (or fetches) a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) GaugeVec {
 	return GaugeVec{r.register(name, help, KindGauge, labels, nil)}
-}
-
-// HistogramVec registers (or fetches) a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) HistogramVec {
-	return HistogramVec{r.register(name, help, KindHistogram, labels, buckets)}
 }
 
 // OnGather registers a callback run (in registration order) at the start

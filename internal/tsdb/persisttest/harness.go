@@ -64,16 +64,6 @@ func Workload(seed int64, n int) []Op {
 	return ops
 }
 
-// Apply replays ops into st in order.
-func Apply(st *tsdb.Store, ops []Op) error {
-	for i, op := range ops {
-		if err := st.Ingest(op.Node, op.T, op.S); err != nil {
-			return fmt.Errorf("persisttest: op %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // Build creates a durable store in dir, applies ops with a manual
 // snapshot after each 1-based count in snapAt, and closes it. Fsync is
 // forced to FsyncNever (write-through) and automatic snapshots off, so

@@ -13,6 +13,8 @@
 # service + fault-injection harness, the fleet router's replicated
 # forwarding and scatter-gather, the obs metric registry and HTTP
 # exposition server, concurrent prediction on one fitted neural model,
+# a dynamic Restore beside a Monitor serving the same model
+# (TestRestoreConcurrentWithMonitor: restoring only reads the model),
 # the parallel experiment runner, and the attribution ledger) so
 # locking regressions surface immediately. Of internal/experiments only
 # the tests that start goroutines or share the Workspace split cache are
@@ -66,8 +68,9 @@ go run ./cmd/highrpm-train -samples 60 -suites SPEC,HPCC -out "$tmp/m.json"
 go run ./cmd/highrpm-analyze -model "$tmp/m.json" "$tmp/run.csv" >/dev/null
 echo "== go test -race (tsdb incl. persisttest, cluster incl. faultnet, fleet, obs)"
 go test -race ./internal/tsdb/... ./internal/cluster/... ./internal/fleet/... ./internal/obs
-echo "== go test -race (concurrent prediction, parallel experiments; attribution)"
+echo "== go test -race (concurrent prediction, Restore beside a Monitor, parallel experiments; attribution)"
 go test -race ./internal/neural ./internal/attribution
+go test -race -run '^TestRestoreConcurrentWithMonitor$' ./internal/core
 go test -race -run 'Parallel|WorkspaceCaches' ./internal/experiments/...
 echo "== fuzz wire protocol (10s per target)"
 go test -run '^$' -fuzz '^FuzzReadEnvelope$' -fuzztime=10s ./internal/cluster
