@@ -58,7 +58,7 @@ func DialCodec(addr, nodeID, codec string, timeout time.Duration) (*Agent, error
 		conn.SetDeadline(time.Now().Add(timeout))
 		defer conn.SetDeadline(time.Time{})
 	}
-	hello := Hello{NodeID: nodeID, Relay: true}
+	hello := Hello{NodeID: nodeID, Relay: true, RawSeries: true}
 	if codec == CodecBinary {
 		hello.Codecs = []string{CodecBinary}
 	}

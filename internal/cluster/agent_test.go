@@ -223,6 +223,10 @@ func FuzzAgentReply(f *testing.F) {
 		f.Add(uint8(1), enc == encBinary, []byte{0xFF, 0xFF, 0xFF, 0xFF})
 		f.Add(uint8(3), enc == encBinary, []byte{})
 	}
+	// The 16-byte raw point answering Query, whole and cut short.
+	raw := frameIn(f, encBinary, func(g *binFramer, enc wireEnc) error { return g.replySeriesAs(enc, true, rawSeriesBody()) })
+	f.Add(uint8(2), true, raw)
+	f.Add(uint8(2), true, shortPayload(raw))
 	// testdata/fuzz/FuzzAgentReply holds the hand-built adversarial replies:
 	// counts that overclaim the frame, bad flag bits, trailing bytes, the
 	// reserved kind, envelopes in the wrong framing.

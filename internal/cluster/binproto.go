@@ -35,6 +35,10 @@ const (
 	binKindError         byte = 6
 	binKindRecordBatch   byte = 7
 	binKindEstimateBatch byte = 8
+	// binKindRawSeries is a series whose every point is a raw point, sent
+	// as (time, value) pairs; only a connection whose Hello echoed
+	// RawSeries carries it.
+	binKindRawSeries byte = 9
 )
 
 // Estimate flag bits (binKindEstimate payloads, and a sample body's relayed
@@ -76,10 +80,11 @@ type binFramer struct {
 	rbuf []byte // frame payload scratch, reused across reads
 	wbuf []byte // frame build scratch, reused across writes
 
-	// lenBuf is the length-prefix scratch. A local would do, but locals
-	// handed to io.ReadFull / Writer.Write escape to the heap (the byte
-	// slice leaks into an interface call), costing an allocation per
-	// frame; a field rides the framer's own allocation instead.
+	// lenBuf is the read side's length-prefix scratch (the write side
+	// reserves its prefix in wbuf). A local would do, but a local handed to
+	// io.ReadFull escapes to the heap (the byte slice leaks into an
+	// interface call), costing an allocation per frame; a field rides the
+	// framer's own allocation instead.
 	lenBuf [4]byte
 	node   nodeIntern
 	// qnode and qchan intern a query's node and channel apart from the sample
@@ -142,11 +147,17 @@ func (f *binFramer) readFrame() (byte, []byte, error) {
 	return kind, buf, nil
 }
 
+// framePrefix is the length prefix every frame starts with. begin reserves
+// it at the front of the write scratch and end patches it in, so a frame
+// reaches the connection's buffer in one Write — a frame larger than the
+// buffer then costs one write syscall, not a buffer's worth and the rest.
+const framePrefix = 4
+
 // begin starts building one outgoing frame; end length-prefixes and writes
 // it. Nothing reaches the connection until end, so a frame that trips the
 // size cap is dropped whole and the caller can send an error instead.
 func (f *binFramer) begin(kind byte) {
-	f.wbuf = append(f.wbuf[:0], kind)
+	f.wbuf = append(f.wbuf[:0], 0, 0, 0, 0, kind)
 }
 
 func (f *binFramer) end() error { return f.endWith(nil) }
@@ -154,15 +165,12 @@ func (f *binFramer) end() error { return f.endWith(nil) }
 // endWith finishes the frame begun in the write scratch with tail appended
 // on the wire only — a body too large to be worth keeping scratch for.
 func (f *binFramer) endWith(tail []byte) error {
-	n := len(f.wbuf) + len(tail)
+	n := len(f.wbuf) - framePrefix + len(tail)
 	if n > f.maxFrame {
 		return fmt.Errorf("%w: binary frame is %d bytes, cap %d", ErrFrameTooLarge, n, f.maxFrame)
 	}
-	binary.BigEndian.PutUint32(f.lenBuf[:], uint32(n))
-	if _, err := f.w.Write(f.lenBuf[:]); err != nil {
-		return err
-	}
-	if _, err := f.w.Write(f.wbuf); err != nil {
+	binary.BigEndian.PutUint32(f.wbuf, uint32(n))
+	if _, err := f.w.Write(f.wbuf); err != nil || len(tail) == 0 {
 		return err
 	}
 	_, err := f.w.Write(tail)
@@ -575,21 +583,38 @@ func (f *binFramer) readQuery(payload []byte) (QueryRequest, error) {
 }
 
 // Series: node string, channel string, u32 resolution, u32 point count,
-// then per point f64 time/value/min/max and u32 count. Values travel as
-// raw bit patterns, so the decoded SeriesBody is bit-identical to what the
-// JSON path produces (JSON round-trips float64 exactly; NaN becomes null
-// and back). The one encoder is SeriesWriter (series.go).
+// then the points in one of two layouts, told apart by the frame's kind.
+// Kind 5 carries any point: f64 time/value/min/max and u32 count, 36 bytes.
+// Kind 9 carries raw points only, as f64 time and f64 value, 16 bytes; a
+// raw point's Min and Max are its Value and its Count is 1, so the decoder
+// restores them and the two layouts decode to the same body. Values travel
+// as raw bit patterns, so the decoded SeriesBody is bit-identical to what
+// the JSON path produces (JSON round-trips float64 exactly; NaN becomes
+// null and back). The one encoder is SeriesWriter (series.go).
 
-// seriesPointLen is one point on the wire.
-const seriesPointLen = 4*8 + 4
+// Point widths on the wire: seriesPointLen for kind 5, rawPointLen for
+// kind 9.
+const (
+	seriesPointLen = 4*8 + 4
+	rawPointLen    = 2 * 8
+)
 
-// seriesShape checks a Series payload's framing without touching a point:
-// the header parses and exactly n points follow it. It returns where they
-// start and how many there are. These are the only two ways the strict
-// readSeries can refuse a payload — a point is five fixed-width fields and
-// every bit pattern is a value — so a payload seriesShape accepts may be
-// forwarded as it is (FuzzSeriesShape pins the equivalence).
-func seriesShape(payload []byte) (pointsAt, n int, err error) {
+// pointLen is one point of a series frame of kind on the wire.
+func pointLen(kind byte) int {
+	if kind == binKindRawSeries {
+		return rawPointLen
+	}
+	return seriesPointLen
+}
+
+// seriesShape checks a Series payload of kind (5 or 9) without touching a
+// point: the header parses and exactly n points of the kind's width follow
+// it. It returns where they start and how many there are. These are the
+// only two ways the strict readSeries can refuse a payload — a point is
+// fixed-width fields and every bit pattern is a value — so a payload
+// seriesShape accepts may be forwarded as it is (FuzzSeriesShape pins the
+// equivalence for both kinds).
+func seriesShape(kind byte, payload []byte) (pointsAt, n int, err error) {
 	r := binReader{b: payload}
 	r.bytes(int(r.u16())) // node
 	r.bytes(int(r.u16())) // channel
@@ -598,30 +623,38 @@ func seriesShape(payload []byte) (pointsAt, n int, err error) {
 	if r.err {
 		return 0, 0, fmt.Errorf("cluster: truncated series header")
 	}
-	if rest := len(payload) - r.off; rest%seriesPointLen != 0 || rest/seriesPointLen != n {
+	width := pointLen(kind)
+	if rest := len(payload) - r.off; rest%width != 0 || rest/width != n {
 		return 0, 0, fmt.Errorf("cluster: series claims %d points, %d bytes follow its header", n, rest)
 	}
 	return r.off, n, nil
 }
 
-func (f *binFramer) readSeries(payload []byte) (SeriesBody, error) {
+func (f *binFramer) readSeries(kind byte, payload []byte) (SeriesBody, error) {
 	r := binReader{b: payload}
 	node := r.bytes(int(r.u16()))
 	channel := r.bytes(int(r.u16()))
 	res := int(r.u32())
 	n := int(r.u32())
-	if n > len(payload)/seriesPointLen {
+	if n > len(payload)/pointLen(kind) {
 		return SeriesBody{}, fmt.Errorf("cluster: series claims %d points in a %d-byte payload", n, len(payload))
 	}
 	pts := make([]SeriesPoint, 0, n)
-	for i := 0; i < n; i++ {
-		pts = append(pts, SeriesPoint{
-			Time:  r.f64(),
-			Value: NullFloat(r.f64()),
-			Min:   NullFloat(r.f64()),
-			Max:   NullFloat(r.f64()),
-			Count: int(r.u32()),
-		})
+	if kind == binKindRawSeries {
+		for i := 0; i < n; i++ {
+			t, v := r.f64(), NullFloat(r.f64())
+			pts = append(pts, SeriesPoint{Time: t, Value: v, Min: v, Max: v, Count: 1})
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			pts = append(pts, SeriesPoint{
+				Time:  r.f64(),
+				Value: NullFloat(r.f64()),
+				Min:   NullFloat(r.f64()),
+				Max:   NullFloat(r.f64()),
+				Count: int(r.u32()),
+			})
+		}
 	}
 	if err := r.done(); err != nil {
 		return SeriesBody{}, err

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -36,9 +37,16 @@ func encodeBinFrame(t testing.TB, write func(f *binFramer) error) []byte {
 }
 
 // replySeries frames body as a series reply in enc the way the serve loop
-// does for a handler: through SeriesWriter, the one series encoder.
+// does for a handler on a connection without the RawSeries echo: through
+// SeriesWriter, the one series encoder.
 func (f *binFramer) replySeries(enc wireEnc, body SeriesBody) error {
-	w := SeriesWriter{f: f}
+	return f.replySeriesAs(enc, false, body)
+}
+
+// replySeriesAs is replySeries on a connection whose Hello echoed RawSeries
+// (raw) or did not.
+func (f *binFramer) replySeriesAs(enc wireEnc, raw bool, body SeriesBody) error {
+	w := SeriesWriter{f: f, raw: raw}
 	w.reset(enc)
 	w.Begin(body.NodeID, body.Channel, body.ResolutionS, len(body.Points))
 	for _, p := range body.StorePoints() {
@@ -84,12 +92,14 @@ func decodeBinPayload(f *binFramer, kind byte, payload []byte) (func(g *binFrame
 			return nil, true, err
 		}
 		return func(g *binFramer) error { return g.writeQuery(q) }, true, nil
-	case binKindSeries:
-		body, err := f.readSeries(payload)
+	case binKindSeries, binKindRawSeries:
+		body, err := f.readSeries(kind, payload)
 		if err != nil {
 			return nil, true, err
 		}
-		return func(g *binFramer) error { return g.replySeries(encBinary, body) }, true, nil
+		// Kind 9 is what a writer on a connection that echoed RawSeries
+		// writes for raw points; kind 5 what any other writes.
+		return func(g *binFramer) error { return g.replySeriesAs(encBinary, kind == binKindRawSeries, body) }, true, nil
 	case binKindError:
 		msg, err := f.readError(payload)
 		if err != nil {
@@ -181,6 +191,16 @@ func FuzzBinaryEnvelopeRoundTrip(f *testing.F) {
 	} {
 		f.Add(frame[4], frame[5:])
 	}
+	// The 16-byte raw point: a raw series with a NaN payload and a −0, and
+	// an empty one.
+	for _, frame := range [][]byte{
+		encodeBinFrame(f, func(g *binFramer) error { return g.replySeriesAs(encBinary, true, rawSeriesBody()) }),
+		encodeBinFrame(f, func(g *binFramer) error {
+			return g.replySeriesAs(encBinary, true, SeriesBody{NodeID: "n", Channel: "ipmi", ResolutionS: 1})
+		}),
+	} {
+		f.Add(frame[4], frame[5:])
+	}
 
 	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
 		fr := newBinFramer(bufio.NewReader(bytes.NewReader(nil)), nil, DefaultMaxFrame)
@@ -195,47 +215,103 @@ func FuzzBinaryEnvelopeRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSeriesShape is the law the router's verbatim relay stands on: the O(1)
-// framing check accepts a Series payload exactly when the strict point-by-
-// point decoder does. For every accepted payload the three readers then
-// agree: relaying it whole produces the frame re-encoding the decoded body
-// would, and the points-only decode yields the body's points bit for bit.
-func FuzzSeriesShape(f *testing.F) {
-	// testdata/fuzz/FuzzSeriesShape holds the named cases: a valid raw series
-	// and a valid rollup (NaN buckets included), the same raw payload with its
-	// count one too large and one too small, a truncated header, a trailing
-	// byte. Here: a series without points, and nothing.
-	empty := encodeBinFrame(f, func(g *binFramer) error {
-		return g.replySeries(encBinary, SeriesBody{NodeID: "empty", Channel: "p_node", ResolutionS: 1})
-	})
-	f.Add(empty[5:])
-	f.Add([]byte{})
+// rawSeriesBody is a raw series as a store sends it: every point's Min and
+// Max are its Value, Count 1, a NaN with a payload and a −0 among them.
+func rawSeriesBody() SeriesBody {
+	pts := []SeriesPoint{}
+	for i, v := range []float64{90, math.Float64frombits(0x7ff8000000000001), math.Copysign(0, -1), 88.25} {
+		pts = append(pts, SeriesPoint{Time: float64(i + 1), Value: NullFloat(v), Min: NullFloat(v), Max: NullFloat(v), Count: 1})
+	}
+	return SeriesBody{NodeID: "cn0001", Channel: "p_node", ResolutionS: 1, Points: pts}
+}
 
-	f.Fuzz(func(t *testing.T, payload []byte) {
+// sameSeriesBits compares two series bodies bit for bit, NaN payloads
+// included.
+func sameSeriesBits(a, b SeriesBody) error {
+	if a.NodeID != b.NodeID || a.Channel != b.Channel || a.ResolutionS != b.ResolutionS || len(a.Points) != len(b.Points) {
+		return fmt.Errorf("header %q/%q/%d with %d points against %q/%q/%d with %d", a.NodeID, a.Channel, a.ResolutionS, len(a.Points),
+			b.NodeID, b.Channel, b.ResolutionS, len(b.Points))
+	}
+	bits := func(v NullFloat) uint64 { return math.Float64bits(float64(v)) }
+	for i, p := range a.Points {
+		q := b.Points[i]
+		if math.Float64bits(p.Time) != math.Float64bits(q.Time) || bits(p.Value) != bits(q.Value) ||
+			bits(p.Min) != bits(q.Min) || bits(p.Max) != bits(q.Max) || p.Count != q.Count {
+			return fmt.Errorf("point %d: %+v against %+v", i, p, q)
+		}
+	}
+	return nil
+}
+
+// FuzzSeriesShape is the law the router's verbatim relay stands on, for
+// both series layouts (kind 5 and kind 9): the O(1) framing check accepts
+// a payload exactly when the strict point-by-point decoder does. For every
+// accepted payload the readers then agree: the points-only decode yields
+// the body's points bit for bit, and relaying it through a writer on either
+// kind of connection — one whose Hello echoed RawSeries and one whose did
+// not — produces the frame re-encoding the decoded body would when the
+// payload is what that writer would write, and otherwise a frame that
+// decodes to the same body bit for bit. A kind-9 payload only crosses as it
+// is to a connection that can carry it.
+func FuzzSeriesShape(f *testing.F) {
+	// testdata/fuzz/FuzzSeriesShape holds the named cases: for kind 5 a
+	// valid raw series (the all-conforming frame a peer without the echo is
+	// sent) and a valid rollup (NaN buckets included), the same raw payload
+	// with its count one too large and one too small, a truncated header, a
+	// trailing byte; for kind 9 the raw series again and the same four
+	// corruptions. Here: a series without points in each kind, and nothing.
+	for _, raw := range []bool{false, true} {
+		empty := encodeBinFrame(f, func(g *binFramer) error {
+			return g.replySeriesAs(encBinary, raw, SeriesBody{NodeID: "empty", Channel: "p_node", ResolutionS: 1})
+		})
+		f.Add(empty[4], empty[5:])
+	}
+	f.Add(binKindSeries, []byte{})
+	f.Add(binKindRawSeries, []byte{})
+
+	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
+		if kind != binKindSeries && kind != binKindRawSeries {
+			return
+		}
 		fr := newBinFramer(nil, nil, DefaultMaxFrame)
-		at, n, shapeErr := seriesShape(payload)
-		body, readErr := fr.readSeries(payload)
+		at, n, shapeErr := seriesShape(kind, payload)
+		body, readErr := fr.readSeries(kind, payload)
 		if (shapeErr == nil) != (readErr == nil) {
-			t.Fatalf("seriesShape says %v, readSeries says %v", shapeErr, readErr)
+			t.Fatalf("kind %d: seriesShape says %v, readSeries says %v", kind, shapeErr, readErr)
 		}
 		if shapeErr != nil {
 			return
 		}
-		if n != len(body.Points) || at+n*seriesPointLen != len(payload) {
-			t.Fatalf("shape: %d points from offset %d of %d bytes; decoder read %d", n, at, len(payload), len(body.Points))
+		if n != len(body.Points) || at+n*pointLen(kind) != len(payload) {
+			t.Fatalf("kind %d shape: %d points from offset %d of %d bytes; decoder read %d", kind, n, at, len(payload), len(body.Points))
 		}
-		rep := &SeriesReply{f: fr, msg: wireMsg{enc: encBinary, kind: KindSeries, binKind: binKindSeries, payload: payload}}
-		relayed := encodeBinFrame(t, func(g *binFramer) error {
-			w := SeriesWriter{f: g}
-			w.reset(encBinary)
-			if verbatim, err := w.Relay(rep); err != nil || !verbatim {
-				t.Fatalf("relay of an accepted payload: verbatim %v, err %v", verbatim, err)
+		rep := &SeriesReply{f: fr, msg: wireMsg{enc: encBinary, kind: KindSeries, binKind: kind, payload: payload}}
+		for _, raw := range []bool{false, true} {
+			var verbatim bool
+			relayed := encodeBinFrame(t, func(g *binFramer) error {
+				w := SeriesWriter{f: g, raw: raw}
+				w.reset(encBinary)
+				var err error
+				if verbatim, err = w.Relay(rep); err != nil {
+					t.Fatalf("relay of an accepted kind-%d payload: %v", kind, err)
+				}
+				return w.finish()
+			})
+			if want := kind == binKindSeries || raw; verbatim != want {
+				t.Fatalf("kind %d to a writer with raw=%v: verbatim %v, want %v", kind, raw, verbatim, want)
 			}
-			return w.finish()
-		})
-		reencoded := encodeBinFrame(t, func(g *binFramer) error { return g.replySeries(encBinary, body) })
-		if !bytes.Equal(relayed, reencoded) {
-			t.Fatalf("relayed frame differs from the re-encoded one:\n relay:    %x\n reencode: %x", relayed, reencoded)
+			if verbatim && (relayed[4] != kind || !bytes.Equal(relayed[5:], payload)) {
+				t.Fatalf("kind %d relayed verbatim as kind %d %x", kind, relayed[4], relayed[5:])
+			}
+			reencoded := encodeBinFrame(t, func(g *binFramer) error { return g.replySeriesAs(encBinary, raw, body) })
+			if reencoded[4] == kind && bytes.Equal(reencoded[5:], payload) && !bytes.Equal(relayed, reencoded) {
+				t.Fatalf("raw=%v: relayed frame differs from the re-encoded one:\n relay:    %x\n reencode: %x", raw, relayed, reencoded)
+			}
+			for what, frame := range map[string][]byte{"relayed": relayed, "re-encoded": reencoded} {
+				if err := sameSeriesBits(decodeFrameBody(t, frame[framePrefix:]), body); err != nil {
+					t.Fatalf("kind %d, raw=%v: the %s frame decodes to another body: %v", kind, raw, what, err)
+				}
+			}
 		}
 		pts, err := rep.AppendPoints(nil)
 		if err != nil || len(pts) != len(body.Points) {

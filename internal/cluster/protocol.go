@@ -13,7 +13,11 @@
 // codec of peers that never offer binary, and — wrapped in a kind-0 binary
 // frame — the escape hatch for the kinds without a binary layout (stats,
 // model transfer). The codec changes framing only: estimates, series and
-// error messages are identical either way.
+// error messages are identical either way. Two more offers ride the same
+// Hello, each made by every agent and acted on only once echoed: relayed
+// estimates (Relay) and the 16-byte raw series point (RawSeries, binary
+// kind 9). A peer that predates either is sent exactly the frames it
+// always was.
 //
 // A connection carries one request at a time or several: a server answers
 // the frames of a connection strictly in order, so a client may write a
@@ -80,12 +84,13 @@ type Envelope struct {
 	Body json.RawMessage `json:"body,omitempty"`
 }
 
-// Hello registers a compute node and negotiates the wire codec. The
-// handshake itself is always JSON: an agent offers codecs it speaks in
-// Codecs, the service echoes its pick in Codec, and both switch after the
-// reply. Peers predating the binary codec simply drop the unknown fields —
-// the offer reads as empty, the reply's Codec as "", and both sides keep
-// speaking JSON. No version check, no second round trip.
+// Hello registers a compute node and negotiates the wire codec and the
+// optional layouts. The handshake itself is always JSON: an agent offers
+// codecs it speaks in Codecs, the service echoes its pick in Codec, and
+// both switch after the reply; Relay and RawSeries are offered and echoed
+// the same way. Peers predating a field simply drop it — the offer reads
+// as empty or false, so does the echo, and both sides keep to what they
+// spoke before. No version check, no second round trip.
 type Hello struct {
 	NodeID string `json:"node_id"`
 	// Codecs is the agent's offer, most preferred first (request only).
@@ -99,6 +104,13 @@ type Hello struct {
 	// false, and the agent sends it plain samples — byte-identical to the
 	// ones it always received — which it estimates itself.
 	Relay bool `json:"relay,omitempty"`
+	// RawSeries negotiates the 16-byte raw point the same way: every agent
+	// offers it, a service that understands binary kind 9 echoes it, and
+	// only then does the service send a series whose every point is a raw
+	// point (Min and Max equal to Value, Count 1) as (time, value) pairs.
+	// Without the echo the agent is sent kind 5 alone, byte-identical to the
+	// series it always received.
+	RawSeries bool `json:"raw_series,omitempty"`
 }
 
 // RelayedEstimate is the estimate another service already computed for the

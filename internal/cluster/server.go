@@ -335,6 +335,7 @@ var binMsgKinds = [...]MsgKind{
 	binKindError:         KindError,
 	binKindRecordBatch:   KindRecordBatch,
 	binKindEstimateBatch: KindEstimateBatch,
+	binKindRawSeries:     KindSeries,
 }
 
 // readMsg reads the next frame in the connection's current codec. Both ends
@@ -492,7 +493,8 @@ func (s *Server) serveConn(conn net.Conn) error {
 			}
 			s.h.Hello(h.NodeID)
 			s.identify(conn, h.NodeID)
-			reply := Hello{NodeID: h.NodeID, Relay: h.Relay}
+			reply := Hello{NodeID: h.NodeID, Relay: h.Relay, RawSeries: h.RawSeries}
+			series.raw = h.RawSeries
 			for _, c := range h.Codecs {
 				if c == CodecBinary {
 					reply.Codec = CodecBinary

@@ -234,17 +234,24 @@ type rawClient struct {
 
 func dialRaw(t testing.TB, addr, codec string) *rawClient {
 	t.Helper()
+	hello := cluster.Hello{NodeID: "frame-client"}
+	if codec == cluster.CodecBinary {
+		hello.Codecs = []string{cluster.CodecBinary}
+	}
+	return dialRawHello(t, addr, hello)
+}
+
+// dialRawHello is dialRaw with the Hello as given: an offer of the binary
+// codec makes the client binary.
+func dialRawHello(t testing.TB, addr string, hello cluster.Hello) *rawClient {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	c := &rawClient{t: t, conn: conn, r: bufio.NewReader(conn), binary: codec == cluster.CodecBinary}
-	hello := cluster.Hello{NodeID: "frame-client"}
-	if c.binary {
-		hello.Codecs = []string{cluster.CodecBinary}
-	}
+	c := &rawClient{t: t, conn: conn, r: bufio.NewReader(conn), binary: len(hello.Codecs) > 0}
 	if err := cluster.WriteMsg(conn, cluster.KindHello, hello); err != nil {
 		t.Fatal(err)
 	}
@@ -685,16 +692,70 @@ func testFleetReplicatedEquivalence(t *testing.T, codec string) {
 		}
 	}
 
-	requireSameFrames(t, r.Addr(), ref.Addr(), codec, everyQuery(nodes, seconds-1))
-
-	st := r.Stats()
-	if st.Replicated != int64(len(nodes)*seconds) {
-		t.Fatalf("replicated = %d, want %d", st.Replicated, len(nodes)*seconds)
+	// The router's agents offered RawSeries, so a shard answers in kind 9
+	// every series whose points are all raw points — every raw series, and a
+	// rollup whose buckets each hold one reading (the sparse ipmi channel at
+	// 10 s). A front-end client that never offers it — the frame client — is
+	// sent kind 5 only, byte-identical to the reference: the router relays a
+	// kind-5 answer as the shard framed it and re-encodes a kind-9 one. An
+	// Agent offers it, and every single-node answer it asks for crosses the
+	// router as the shard framed it. A JSON front end has them all decoded.
+	queries := everyQuery(nodes, seconds-1)
+	var nodeQueries, kind5 int64
+	for _, q := range queries {
+		if q.NodeID == "" {
+			continue
+		}
+		nodeQueries++
+		body, err := ra.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range body.StorePoints() {
+			if math.Float64bits(p.Min) != math.Float64bits(p.Value) || math.Float64bits(p.Max) != math.Float64bits(p.Value) || p.Count != 1 {
+				kind5++
+				break
+			}
+		}
 	}
-	// On a binary front end every single-node answer crossed the router as
-	// the shard framed it; a JSON front end has them decoded.
-	if relayed := st.SeriesRelayed; st.NodeQueries == 0 || (codec == cluster.CodecBinary) != (relayed == st.NodeQueries) || (codec == cluster.CodecJSON) != (relayed == 0) {
-		t.Fatalf("%s front end: %d node queries, %d relayed undecoded", codec, st.NodeQueries, relayed)
+	if kind5 == 0 || kind5 == nodeQueries {
+		t.Fatalf("%d of %d node series need kind 5; the count below no longer tells the kinds apart", kind5, nodeQueries)
+	}
+	binaryFront := codec == cluster.CodecBinary
+	relayCount := func(what string, queried func(), wantRelayed int64) {
+		t.Helper()
+		before := r.Stats()
+		queried()
+		after := r.Stats()
+		if !binaryFront {
+			wantRelayed = 0
+		}
+		if answered, relayed := after.NodeQueries-before.NodeQueries, after.SeriesRelayed-before.SeriesRelayed; answered != nodeQueries || relayed != wantRelayed {
+			t.Fatalf("%s front end, %s: %d node queries, %d relayed undecoded; want %d, %d", codec, what, answered, relayed, nodeQueries, wantRelayed)
+		}
+	}
+	relayCount("client without the RawSeries offer", func() { requireSameFrames(t, r.Addr(), ref.Addr(), codec, queries) }, kind5)
+	relayCount("agent offering RawSeries", func() {
+		for _, q := range queries {
+			if q.NodeID == "" {
+				continue
+			}
+			fb, err := fa.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := ra.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fj, rj := mustJSON(t, fb), mustJSON(t, rb); fj != rj {
+				t.Fatalf("series %+v diverges:\nfleet %s\nref   %s", q, fj, rj)
+			}
+		}
+	}, nodeQueries)
+
+	if st := r.Stats(); st.Replicated != int64(len(nodes)*seconds) {
+		t.Fatalf("replicated = %d, want %d", st.Replicated, len(nodes)*seconds)
 	}
 }
 

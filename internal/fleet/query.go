@@ -14,8 +14,9 @@ import (
 
 // answerQuery resolves a front-end KindQuery into w: one node's history is
 // read from a live replica of its owner shard and relayed — on a binary
-// front end, without decoding a point — and the cluster-wide aggregate
-// (empty NodeID) is scatter-gathered from every shard.
+// front end that can carry the shard's frame kind, without decoding a
+// point — and the cluster-wide aggregate (empty NodeID) is
+// scatter-gathered from every shard.
 func (r *Router) answerQuery(q cluster.QueryRequest, w *cluster.SeriesWriter) error {
 	if q.NodeID == "" {
 		return r.scatterAggregate(q, w)

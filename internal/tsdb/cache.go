@@ -3,6 +3,7 @@ package tsdb
 import (
 	"container/list"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -69,10 +70,9 @@ func (db *decodedBlock) extend(b *block, sealed bool) (int, error) {
 		db.ts = slices.Grow(db.ts, grow)
 		db.vals = slices.Grow(db.vals, grow*db.k)
 	}
-	err := b.decodeWith(db.cur, func(t int64, vals []float64) bool {
+	err := b.decodeWith(db.cur, func(t int64, vals []float64) {
 		db.ts = append(db.ts, t)
 		db.vals = append(db.vals, vals...)
-		return true
 	})
 	if err != nil {
 		return 0, err
@@ -83,25 +83,15 @@ func (db *decodedBlock) extend(b *block, sealed bool) (int, error) {
 	return len(db.ts) - before, nil
 }
 
-// emitRange replays the cached points with from ≤ t ≤ to, oldest first.
-// The slice handed to emit aliases the cached array — callers copy, same
-// contract as block.decode.
-func (db *decodedBlock) emitRange(from, to int64, emit func(t int64, vals []float64)) {
-	// Binary-search the first point at or after from; points are ordered.
-	lo, hi := 0, len(db.ts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if db.ts[mid] < from {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for p := lo; p < len(db.ts); p++ {
-		if db.ts[p] > to {
-			return
-		}
-		emit(db.ts[p], db.vals[p*db.k:(p+1)*db.k])
+// emitRange hands emit the cached points with from ≤ t ≤ to as one run:
+// their timestamps and their k-interleaved values, oldest first, with both
+// ends found by binary search. Nothing is called for an empty range. The
+// slices alias the entry's arrays — callers copy.
+func (db *decodedBlock) emitRange(from, to int64, emit func(ts []int64, vals []float64)) {
+	lo := sort.Search(len(db.ts), func(i int) bool { return db.ts[i] >= from })
+	hi := sort.Search(len(db.ts), func(i int) bool { return db.ts[i] > to })
+	if lo < hi {
+		emit(db.ts[lo:hi], db.vals[lo*db.k:hi*db.k])
 	}
 }
 

@@ -183,7 +183,10 @@ func (p *fuzzProgram) value() float64 {
 // differential law: a store whose cache is tiny (CachePoints 16, so open
 // entries are evicted and rebuilt mid-block) and a store with no cache at
 // all, fed the same samples, give byte-identical answers to every
-// interleaved node query, aggregate and Latest, at all three resolutions.
+// interleaved node query, aggregate and Latest, at all three resolutions;
+// the runs a node query's walk hands a sink, the points Query collects and
+// the QuerySeries body agree bit for bit across both stores, which count
+// the same Stats.Queries and Stats.PointsReturned.
 // Blocks of 8 points and small retention budgets make seals and retention
 // evictions land between reads. Timestamps never decrease, as every
 // writer's do; the gaps between them are irregular.
@@ -259,9 +262,31 @@ func FuzzCachedQueryMatchesUncached(f *testing.F) {
 				if span := p.next(); span != 255 {
 					to = from + float64(span)
 				}
+				what := fmt.Sprintf("query %q/%s/%d [%v, %v]", node, ch, res, from, to)
 				a, aErr := cached.QuerySeries(node, string(ch), from, to, int(res))
 				b, bErr := plain.QuerySeries(node, string(ch), from, to, int(res))
-				same(fmt.Sprintf("query %q/%s/%d [%v, %v]", node, ch, res, from, to), a, b, aErr, bErr)
+				same(what, a, b, aErr, bErr)
+				if node == "" || aErr != nil {
+					continue
+				}
+				// What each store's walk hands a sink — runs for raw — and
+				// what its Query collects are one series, bit for bit.
+				var sa, sb recordingSink
+				aErr = cached.WalkSeries(node, string(ch), from, to, int(res), &sa)
+				bErr = plain.WalkSeries(node, string(ch), from, to, int(res), &sb)
+				pa, qaErr := cached.Query(node, ch, from, to, res)
+				pb, qbErr := plain.Query(node, ch, from, to, res)
+				if aErr != nil || bErr != nil || qaErr != nil || qbErr != nil {
+					t.Fatalf("%s: walks %v / %v, queries %v / %v", what, aErr, bErr, qaErr, qbErr)
+				}
+				for _, c := range []struct {
+					name string
+					a, b []Point
+				}{{"cached walk", sa.pts, pa}, {"uncached walk", sb.pts, pa}, {"uncached query", pb, pa}} {
+					if err := samePointBits(c.a, c.b); err != nil {
+						t.Fatalf("%s: %s against the cached query: %v", what, c.name, err)
+					}
+				}
 			case opLatest:
 				node, ch := nodes[p.next()&1], Channels()[int(p.next())%NumChannels]
 				a, aErr := cached.Latest(node, ch)
@@ -271,6 +296,9 @@ func FuzzCachedQueryMatchesUncached(f *testing.F) {
 					t.Fatalf("latest %q/%s: value bits %x vs %x", node, ch, math.Float64bits(a.Value), math.Float64bits(b.Value))
 				}
 			}
+		}
+		if a, b := cached.Stats(), plain.Stats(); a.Queries != b.Queries || a.PointsReturned != b.PointsReturned {
+			t.Fatalf("cached store counted %d queries / %d points, uncached %d / %d", a.Queries, a.PointsReturned, b.Queries, b.PointsReturned)
 		}
 		// Finally every series, whole, raw values compared bit for bit.
 		for _, node := range nodes[:2] {

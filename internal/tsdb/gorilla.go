@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	stdbits "math/bits"
-	"sync"
 )
 
 // bstream is an append-only bit stream.
@@ -207,10 +206,6 @@ func newCursor(k int) *cursor {
 	return c
 }
 
-// cursorPool serves the one-shot scans (block.decode), so a steady-state
-// decode without a cache allocates nothing.
-var cursorPool = sync.Pool{New: func() any { return &cursor{} }}
-
 // reset rewinds the cursor to a block's header and sizes it for k value
 // chains.
 func (c *cursor) reset(k int) {
@@ -231,23 +226,11 @@ func (c *cursor) reset(k int) {
 	c.n, c.t, c.tDelta = 0, 0, 0
 }
 
-// decode replays the block from its header in append order. emit
-// returning false stops the scan early (points are time-ordered, so a
-// range query can cut off once past its upper bound). vals is reused
-// between calls — copy to retain.
-func (b *block) decode(emit func(t int64, vals []float64) bool) error {
-	c := cursorPool.Get().(*cursor)
-	c.reset(b.k)
-	err := b.decodeWith(c, emit)
-	cursorPool.Put(c)
-	return err
-}
-
 // decodeWith is the one Gorilla decode loop: it resumes c at its next
 // point and replays the block's points from there on, advancing c past
 // each one it hands to emit. A cursor must only ever scan the block it
 // was reset for. After an error the cursor is unusable.
-func (b *block) decodeWith(c *cursor, emit func(t int64, vals []float64) bool) error {
+func (b *block) decodeWith(c *cursor, emit func(t int64, vals []float64)) error {
 	// Appends may have moved the stream, and filled the low bits of the
 	// byte the cursor stopped in; the bits it already read never change.
 	c.r.b = b.bs.b
@@ -282,9 +265,7 @@ func (b *block) decodeWith(c *cursor, emit func(t int64, vals []float64) bool) e
 			}
 		}
 		c.n++
-		if !emit(c.t, c.vals) {
-			return nil
-		}
+		emit(c.t, c.vals)
 	}
 	return nil
 }

@@ -6,13 +6,23 @@ import (
 	"testing"
 )
 
+// eachPoint adapts a per-point callback to series.query's runs.
+func eachPoint(emit func(tm int64, v []float64)) func(ts []int64, vals []float64) {
+	return func(ts []int64, vals []float64) {
+		k := len(vals) / len(ts)
+		for i, tm := range ts {
+			emit(tm, vals[i*k:(i+1)*k])
+		}
+	}
+}
+
 // collect decodes a whole series into parallel slices.
 func collect(t *testing.T, s *series) (ts []int64, vals [][]float64) {
 	t.Helper()
-	err := s.query(math.MinInt64, math.MaxInt64, func(tm int64, v []float64) {
+	err := s.query(math.MinInt64, math.MaxInt64, eachPoint(func(tm int64, v []float64) {
 		ts = append(ts, tm)
 		vals = append(vals, append([]float64(nil), v...))
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +155,9 @@ func TestSeriesRangeQuery(t *testing.T) {
 		s.append(int64(i)*1000, []float64{float64(i)})
 	}
 	var got []int64
-	if err := s.query(100_000, 199_000, func(tm int64, _ []float64) {
+	if err := s.query(100_000, 199_000, eachPoint(func(tm int64, _ []float64) {
 		got = append(got, tm)
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 100 || got[0] != 100_000 || got[len(got)-1] != 199_000 {
@@ -169,10 +179,10 @@ func TestSeriesRetentionEvictsOldest(t *testing.T) {
 	ts, vals := func() ([]int64, [][]float64) {
 		var ts []int64
 		var vals [][]float64
-		s.query(math.MinInt64, math.MaxInt64, func(tm int64, v []float64) {
+		s.query(math.MinInt64, math.MaxInt64, eachPoint(func(tm int64, v []float64) {
 			ts = append(ts, tm)
 			vals = append(vals, append([]float64(nil), v...))
-		})
+		}))
 		return ts, vals
 	}()
 	if len(ts) != s.points {
@@ -195,7 +205,7 @@ func TestBitstreamTruncationDetected(t *testing.T) {
 		b.append(int64(i)*1000, []float64{float64(i) * 1.7})
 	}
 	b.bs.b = b.bs.b[:len(b.bs.b)/2]
-	err := b.decode(func(int64, []float64) bool { return true })
+	err := b.decodeWith(newCursor(b.k), func(int64, []float64) {})
 	if err == nil {
 		t.Fatal("decode of truncated stream succeeded")
 	}

@@ -94,27 +94,32 @@ func (b SeriesBody) StorePoints() []Point {
 
 // SeriesSink receives one series in wire order: Begin once the request is
 // validated, carrying the reply header and n, an upper bound on the points
-// to follow, then Point for each, oldest first. A node's points arrive
-// under its shard lock, so a sink only appends to memory; whatever it does
-// with a socket waits until WalkSeries has returned.
+// to follow, then the points, oldest first. A node's raw points arrive as
+// runs — Raw, one call per decoded block, tms[i] milliseconds and vals[i]
+// the exact ingested float64 — and read as RawPoint(tms[i], vals[i]);
+// rollup buckets and aggregate points arrive one Point at a time. A run
+// aliases the store's decoded blocks: a sink copies what it keeps and never
+// writes to it. A node's points arrive under its shard lock, so a sink only
+// appends to memory; whatever it does with a socket waits until WalkSeries
+// has returned.
 type SeriesSink interface {
 	Begin(node, channel string, resolutionS, n int)
 	Point(p Point)
+	Raw(tms []int64, vals []float64)
 }
 
 // WalkSeries resolves one series request into sink: a node's channel (or,
 // with node empty, the cluster-wide aggregate) over [from, to] seconds at
 // resolutionS (0 selects raw). A node's points go from the block walk to
-// the sink one at a time, never through a []Point. After an error the sink
-// may hold a partial series; the caller discards it.
+// the sink without a []Point in between. After an error the sink may hold
+// a partial series; the caller discards it.
 func (st *Store) WalkSeries(node, channel string, from, to float64, resolutionS int, sink SeriesSink) error {
 	res, err := ParseResolution(resolutionS)
 	if err != nil {
 		return err
 	}
 	if node != "" {
-		return st.walk(node, Channel(channel), from, to, res,
-			func(n int) { sink.Begin(node, channel, int(res), n) }, sink.Point)
+		return st.walk(node, Channel(channel), from, to, res, sink)
 	}
 	pts, err := st.Aggregate(Channel(channel), from, to, res)
 	if err != nil {
@@ -135,6 +140,12 @@ func (s *bodySink) Begin(node, channel string, resolutionS, n int) {
 }
 
 func (s *bodySink) Point(p Point) { s.body.Points = append(s.body.Points, p.Wire()) }
+
+func (s *bodySink) Raw(tms []int64, vals []float64) {
+	for i, t := range tms {
+		s.body.Points = append(s.body.Points, RawPoint(t, vals[i]).Wire())
+	}
+}
 
 // QuerySeries resolves one series request in its wire form, collecting
 // WalkSeries into a SeriesBody. The TCP KindQuery handler answers through

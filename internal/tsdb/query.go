@@ -48,15 +48,17 @@ func validRes(res Resolution) error {
 
 // walk is the store's one read path for a node's channel: it validates the
 // request, counts it in Stats.Queries and — under the node's shard lock —
-// calls begin with an upper bound on the points in the window (the
+// calls sink.Begin with an upper bound on the points in the window (the
 // overlapping blocks' point counts, known without decoding anything), then
-// emit for every point with from ≤ t ≤ to (seconds) at the requested
-// resolution, oldest first; what it emitted lands in Stats.PointsReturned.
-// Query collects the points into a slice and WalkSeries hands them to a
-// SeriesSink: one walk, two sinks. begin and emit run under the shard lock,
-// so they may only touch memory — a callback that blocks on a socket or
-// another lock would stall the node's ingest behind a reader.
-func (st *Store) walk(node string, ch Channel, from, to float64, res Resolution, begin func(n int), emit func(Point)) error {
+// hands the sink every point with from ≤ t ≤ to (seconds) at the requested
+// resolution, oldest first; what it handed over lands in
+// Stats.PointsReturned. Raw points leave as runs (sink.Raw), one per
+// overlapping block, straight from the decoded block; rollup buckets leave
+// one Point at a time. Query collects into a slice and WalkSeries hands a
+// caller's sink the same walk. The sink runs under the shard lock, so it
+// may only touch memory — a sink that blocks on a socket or another lock
+// would stall the node's ingest behind a reader.
+func (st *Store) walk(node string, ch Channel, from, to float64, res Resolution, sink SeriesSink) error {
 	idx, err := channelIndex(ch)
 	if err != nil {
 		return err
@@ -81,32 +83,52 @@ func (st *Store) walk(node string, ch Channel, from, to float64, res Resolution,
 	cs := sh.chans[idx]
 	emitted := 0
 	if res == Raw {
-		begin(cs.raw.sizeHint(fromMs, toMs))
-		err = cs.raw.query(fromMs, toMs, func(t int64, vals []float64) {
-			v := vals[0]
-			emitted++
-			emit(Point{Time: float64(t) / 1000, Value: v, Min: v, Max: v, Count: 1})
+		sink.Begin(node, string(ch), int(res), cs.raw.sizeHint(fromMs, toMs))
+		err = cs.raw.query(fromMs, toMs, func(ts []int64, vals []float64) {
+			emitted += len(ts)
+			sink.Raw(ts, vals)
 		})
 	} else {
 		ru := cs.rollupFor(res)
-		begin(ru.ser.sizeHint(fromMs, toMs) + 1)
-		err = ru.ser.query(fromMs, toMs, func(t int64, vals []float64) {
-			emitted++
-			emit(Point{
-				Time:  float64(t) / 1000,
-				Value: vals[0], Min: vals[1], Max: vals[2],
-				Count: int(vals[3]),
-			})
+		sink.Begin(node, string(ch), int(res), ru.ser.sizeHint(fromMs, toMs)+1)
+		err = ru.ser.query(fromMs, toMs, func(ts []int64, vals []float64) {
+			emitted += len(ts)
+			for i, t := range ts {
+				v := vals[i*rollupChains : (i+1)*rollupChains]
+				sink.Point(Point{
+					Time:  float64(t) / 1000,
+					Value: v[0], Min: v[1], Max: v[2],
+					Count: int(v[3]),
+				})
+			}
 		})
 		if err == nil {
 			if p, ok := ru.openPoint(fromMs, toMs); ok {
 				emitted++
-				emit(p)
+				sink.Point(p)
 			}
 		}
 	}
 	st.pointsOut.Add(int64(emitted))
 	return err
+}
+
+// RawPoint is the Point a raw sample at t milliseconds with value v reads
+// as — how a run handed to SeriesSink.Raw widens to points: Min and Max
+// are the value, Count is 1.
+func RawPoint(t int64, v float64) Point {
+	return Point{Time: float64(t) / 1000, Value: v, Min: v, Max: v, Count: 1}
+}
+
+// pointSink is the SeriesSink Query collects into.
+type pointSink struct{ pts []Point }
+
+func (s *pointSink) Begin(_, _ string, _, n int) { s.pts = make([]Point, 0, n) }
+func (s *pointSink) Point(p Point)               { s.pts = append(s.pts, p) }
+func (s *pointSink) Raw(tms []int64, vals []float64) {
+	for i, t := range tms {
+		s.pts = append(s.pts, RawPoint(t, vals[i]))
+	}
 }
 
 // Query returns node's channel points with from ≤ t ≤ to (seconds) at the
@@ -117,14 +139,11 @@ func (st *Store) walk(node string, ch Channel, from, to float64, res Resolution,
 // so on a cache hit that single make is the query's only per-point
 // allocation.
 func (st *Store) Query(node string, ch Channel, from, to float64, res Resolution) ([]Point, error) {
-	var pts []Point
-	err := st.walk(node, ch, from, to, res,
-		func(n int) { pts = make([]Point, 0, n) },
-		func(p Point) { pts = append(pts, p) })
-	if err != nil {
+	var s pointSink
+	if err := st.walk(node, ch, from, to, res, &s); err != nil {
 		return nil, err
 	}
-	return pts, nil
+	return s.pts, nil
 }
 
 // Latest returns the newest retained raw point of node's channel without
@@ -147,10 +166,7 @@ func (st *Store) Latest(node string, ch Channel) (Point, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	var last Point
-	ok, err := sh.chans[idx].raw.latest(func(t int64, vals []float64) {
-		v := vals[0]
-		last = Point{Time: float64(t) / 1000, Value: v, Min: v, Max: v, Count: 1}
-	})
+	ok, err := sh.chans[idx].raw.latest(func(t int64, vals []float64) { last = RawPoint(t, vals[0]) })
 	if err != nil {
 		return Point{}, err
 	}

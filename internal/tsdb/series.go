@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"highrpm/internal/stats"
@@ -56,39 +57,50 @@ func (s *series) append(t int64, vals []float64) {
 	}
 }
 
-// query emits every retained point with from ≤ t ≤ to, oldest first.
-// With a cache attached every overlapping block, the open one included,
-// is read through its cache entry, extended first by whatever the block
-// gained since the entry was last read; without one each block decodes
-// directly with pooled scratch.
-func (s *series) query(from, to int64, emit func(t int64, vals []float64)) error {
+// query hands emit every retained point with from ≤ t ≤ to, oldest first,
+// one run per overlapping block: the run's timestamps and its k-interleaved
+// values (point p's are vals[p*k : (p+1)*k]). A run aliases memory the next
+// read reuses: emit copies what it keeps.
+func (s *series) query(from, to int64, emit func(ts []int64, vals []float64)) error {
 	for i, blk := range s.blocks {
 		if blk.n == 0 || blk.last < from || blk.first > to {
 			continue
 		}
-		if s.cache != nil {
-			db, err := s.decoded(i)
-			if err != nil {
-				return err
-			}
-			db.emitRange(from, to, emit)
-			continue
-		}
-		err := blk.decode(func(t int64, vals []float64) bool {
-			if t > to {
-				return false
-			}
-			if t >= from {
-				emit(t, vals)
-			}
-			return true
-		})
-		if err != nil {
+		if err := s.read(i, func(db *decodedBlock) { db.emitRange(from, to, emit) }); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// read hands use block i decoded in full. With a cache attached that is
+// the block's cache entry, extended first by whatever the block gained
+// since the entry was last read — the open block included; without one the
+// block decodes into a pooled entry that use must not keep.
+func (s *series) read(i int, use func(db *decodedBlock)) error {
+	if s.cache != nil {
+		db, err := s.decoded(i)
+		if err != nil {
+			return err
+		}
+		use(db)
+		return nil
+	}
+	blk := s.blocks[i]
+	db := scratchPool.Get().(*decodedBlock)
+	defer scratchPool.Put(db)
+	db.k, db.ts, db.vals = blk.k, db.ts[:0], db.vals[:0]
+	db.cur.reset(blk.k)
+	if _, err := db.extend(blk, false); err != nil {
+		return err
+	}
+	use(db)
+	return nil
+}
+
+// scratchPool serves the uncached read path: a block decodes into a pooled
+// entry, never cached, and is read like a cached one.
+var scratchPool = sync.Pool{New: func() any { return &decodedBlock{cur: &cursor{}} }}
 
 // decoded returns block i's cache entry, extended to every point the
 // block holds, and charges the cache for what the extension added. The
@@ -110,31 +122,18 @@ func (s *series) decoded(i int) (*decodedBlock, error) {
 }
 
 // latest hands emit the newest retained point; ok is false when the
-// series is empty. With a cache it is the last point of the youngest
-// block's entry, so a repeated "current power" read decodes only what
-// was appended since the previous one.
+// series is empty. It is the last point of the youngest block, so with a
+// cache a repeated "current power" read decodes only what was appended
+// since the previous one.
 func (s *series) latest(emit func(t int64, vals []float64)) (ok bool, err error) {
 	for i := len(s.blocks) - 1; i >= 0; i-- {
-		blk := s.blocks[i]
-		if blk.n == 0 {
+		if s.blocks[i].n == 0 {
 			continue
 		}
-		if s.cache == nil {
-			n := 0
-			return true, blk.decode(func(t int64, vals []float64) bool {
-				if n++; n == blk.n {
-					emit(t, vals)
-				}
-				return true
-			})
-		}
-		db, err := s.decoded(i)
-		if err != nil {
-			return false, err
-		}
-		p := db.points() - 1
-		emit(db.ts[p], db.vals[p*db.k:(p+1)*db.k])
-		return true, nil
+		return true, s.read(i, func(db *decodedBlock) {
+			p := db.points() - 1
+			emit(db.ts[p], db.vals[p*db.k:(p+1)*db.k])
+		})
 	}
 	return false, nil
 }

@@ -224,6 +224,7 @@ func (r *snapReader) str(what string) string {
 // last timestamps, so an installed snapshot can never poison queries.
 func readSeries(r *snapReader, s *series, k int) error {
 	blocks := int(r.u32("block count"))
+	c := newCursor(k)
 	for bi := 0; bi < blocks && r.err == nil; bi++ {
 		blk := newBlock(k)
 		blk.n = int(r.u32("block points"))
@@ -248,13 +249,13 @@ func readSeries(r *snapReader, s *series, k int) error {
 			count       int
 			first, last int64
 		)
-		err := blk.decode(func(t int64, vals []float64) bool {
+		c.reset(k)
+		err := blk.decodeWith(c, func(t int64, vals []float64) {
 			if count == 0 {
 				first = t
 			}
 			last = t
 			count++
-			return true
 		})
 		if err != nil {
 			return fmt.Errorf("tsdb: snapshot block does not decode: %w", err)

@@ -121,12 +121,14 @@ func TestMergeNodeSeriesMatchesReference(t *testing.T) {
 	}
 }
 
-// recordingSink is a SeriesSink that keeps what it is handed.
+// recordingSink is a SeriesSink that keeps what it is handed: the points,
+// raw runs widened through RawPoint, and how they arrived.
 type recordingSink struct {
 	begins, hint int
 	node, ch     string
 	res          int
 	pts          []Point
+	runs, points int // Raw calls, Point calls
 }
 
 func (s *recordingSink) Begin(node, channel string, resolutionS, n int) {
@@ -135,68 +137,115 @@ func (s *recordingSink) Begin(node, channel string, resolutionS, n int) {
 	s.pts = s.pts[:0]
 }
 
-func (s *recordingSink) Point(p Point) { s.pts = append(s.pts, p) }
+func (s *recordingSink) Point(p Point) { s.points++; s.pts = append(s.pts, p) }
+
+func (s *recordingSink) Raw(tms []int64, vals []float64) {
+	s.runs++
+	for i, t := range tms {
+		s.pts = append(s.pts, RawPoint(t, vals[i]))
+	}
+}
 
 // TestWalkSeriesIsTheQueryPath: WalkSeries hands a sink exactly what the
 // collecting Query, Aggregate and QuerySeries return — every channel, every
 // resolution, the open rollup bucket, the aggregate — announces a size hint
 // that bounds it, validates like them, and moves Stats.Queries and
-// Stats.PointsReturned as they do.
+// Stats.PointsReturned as they do. A node's raw points arrive as runs, at
+// most one per block the window overlaps and never empty, and the runs of a
+// store with the decoded-block cache and of one without it are the same
+// points bit for bit. The windows start and end mid-block, span blocks, sit
+// inside one block, and hold nothing at all.
 func TestWalkSeriesIsTheQueryPath(t *testing.T) {
 	checkNoLeaks(t)
-	st := New(Options{BlockPoints: 64})
-	defer st.Close()
-	ingestRamp(t, st, "a", 400, 10)
-	ingestRamp(t, st, "b", 333, 7)
+	const blockPoints = 64
+	cached := New(Options{BlockPoints: blockPoints})
+	uncached := New(Options{BlockPoints: blockPoints, CachePoints: -1})
+	defer cached.Close()
+	defer uncached.Close()
+	for _, st := range []*Store{cached, uncached} {
+		ingestRamp(t, st, "a", 400, 10)
+		ingestRamp(t, st, "b", 333, 7)
+	}
+	windows := [][2]float64{
+		{17.5, 390},   // mid-block to mid-block, across blocks
+		{70.2, 100.9}, // inside one block
+		{64, 127},     // exactly one block
+		{0, 1e9},      // everything
+		{50.2, 50.8},  // between two points
+		{1000, 2000},  // past the newest point
+		{90, 80},      // from after to
+	}
 	for _, node := range []string{"a", "b", ""} {
 		for _, ch := range Channels() {
 			for _, res := range []Resolution{Raw, TenSeconds, Minute} {
-				var want []Point
-				var err error
-				before := st.Stats()
-				if node == "" {
-					want, err = st.Aggregate(ch, 17.5, 390, res)
-				} else {
-					want, err = st.Query(node, ch, 17.5, 390, res)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				mid := st.Stats()
-				var sink recordingSink
-				if err := st.WalkSeries(node, string(ch), 17.5, 390, int(res), &sink); err != nil {
-					t.Fatal(err)
-				}
-				after := st.Stats()
-				what := fmt.Sprintf("%q/%s@%ds", node, ch, int(res))
-				if err := samePointBits(sink.pts, want); err != nil {
-					t.Fatalf("%s: walk against collector: %v", what, err)
-				}
-				if sink.begins != 1 || sink.node != node || sink.ch != string(ch) || sink.res != int(res) || sink.hint < len(want) {
-					t.Fatalf("%s: Begin ×%d (%q, %q, %d) with hint %d for %d points", what, sink.begins, sink.node, sink.ch, sink.res, sink.hint, len(want))
-				}
-				if dq, dp := after.Queries-mid.Queries, after.PointsReturned-mid.PointsReturned; dq != mid.Queries-before.Queries || dp != mid.PointsReturned-before.PointsReturned {
-					t.Fatalf("%s: walk counted %d queries / %d points, collector %d / %d", what, dq, dp, mid.Queries-before.Queries, mid.PointsReturned-before.PointsReturned)
-				}
-				body, err := st.QuerySeries(node, string(ch), 17.5, 390, int(res))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gerr := json.Marshal(body)
-				wantJSON, werr := json.Marshal(SeriesBody{NodeID: node, Channel: string(ch), ResolutionS: int(res), Points: ToSeriesPoints(want)})
-				if gerr != nil || werr != nil || !bytes.Equal(got, wantJSON) {
-					t.Fatalf("%s: QuerySeries marshals to\n%s\nthe collected points to\n%s", what, got, wantJSON)
+				for _, win := range windows {
+					from, to := win[0], win[1]
+					what := fmt.Sprintf("%q/%s@%ds [%v, %v]", node, ch, int(res), from, to)
+					var first []Point
+					for si, st := range []*Store{cached, uncached} {
+						what := fmt.Sprintf("%s store %d", what, si)
+						var want []Point
+						var err error
+						before := st.Stats()
+						if node == "" {
+							want, err = st.Aggregate(ch, from, to, res)
+						} else {
+							want, err = st.Query(node, ch, from, to, res)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						mid := st.Stats()
+						var sink recordingSink
+						if err := st.WalkSeries(node, string(ch), from, to, int(res), &sink); err != nil {
+							t.Fatal(err)
+						}
+						after := st.Stats()
+						if err := samePointBits(sink.pts, want); err != nil {
+							t.Fatalf("%s: walk against collector: %v", what, err)
+						}
+						if sink.begins != 1 || sink.node != node || sink.ch != string(ch) || sink.res != int(res) || sink.hint < len(want) {
+							t.Fatalf("%s: Begin ×%d (%q, %q, %d) with hint %d for %d points", what, sink.begins, sink.node, sink.ch, sink.res, sink.hint, len(want))
+						}
+						rawNode := node != "" && res == Raw
+						if rawNode && (sink.points != 0 || (sink.runs > 0) != (len(want) > 0)) || !rawNode && sink.runs != 0 {
+							t.Fatalf("%s: %d runs and %d single points for %d points", what, sink.runs, sink.points, len(want))
+						}
+						if sink.runs > 0 && (sink.runs > len(want)/blockPoints+2 || sink.runs > len(want)) {
+							t.Fatalf("%s: %d runs for %d points in %d-point blocks", what, sink.runs, len(want), blockPoints)
+						}
+						if dq, dp := after.Queries-mid.Queries, after.PointsReturned-mid.PointsReturned; dq != mid.Queries-before.Queries || dp != mid.PointsReturned-before.PointsReturned {
+							t.Fatalf("%s: walk counted %d queries / %d points, collector %d / %d", what, dq, dp, mid.Queries-before.Queries, mid.PointsReturned-before.PointsReturned)
+						}
+						body, err := st.QuerySeries(node, string(ch), from, to, int(res))
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, gerr := json.Marshal(body)
+						wantJSON, werr := json.Marshal(SeriesBody{NodeID: node, Channel: string(ch), ResolutionS: int(res), Points: ToSeriesPoints(want)})
+						if gerr != nil || werr != nil || !bytes.Equal(got, wantJSON) {
+							t.Fatalf("%s: QuerySeries marshals to\n%s\nthe collected points to\n%s", what, got, wantJSON)
+						}
+						if si == 0 {
+							first = want
+						} else if err := samePointBits(want, first); err != nil {
+							t.Fatalf("%s: uncached store against cached: %v", what, err)
+						}
+					}
 				}
 			}
 		}
+	}
+	if a, b := cached.Stats(), uncached.Stats(); a.Queries != b.Queries || a.PointsReturned != b.PointsReturned {
+		t.Fatalf("cached store counted %d queries / %d points, uncached %d / %d", a.Queries, a.PointsReturned, b.Queries, b.PointsReturned)
 	}
 	var sink recordingSink
 	for _, bad := range []struct {
 		node, ch string
 		res      int
 	}{{"a", "bogus", 1}, {"", "bogus", 1}, {"a", "p_node", 7}, {"ghost", "p_node", 1}} {
-		_, want := st.QuerySeries(bad.node, bad.ch, 0, 10, bad.res)
-		got := st.WalkSeries(bad.node, bad.ch, 0, 10, bad.res, &sink)
+		_, want := cached.QuerySeries(bad.node, bad.ch, 0, 10, bad.res)
+		got := cached.WalkSeries(bad.node, bad.ch, 0, 10, bad.res, &sink)
 		if got == nil || want == nil || got.Error() != want.Error() {
 			t.Fatalf("%+v: walk says %v, QuerySeries says %v", bad, got, want)
 		}

@@ -48,6 +48,8 @@ if [ -n "$unformatted" ]; then
 fi
 echo "== go build"
 go build ./...
+echo "== scripts/benchpair.sh parses"
+bash -n scripts/benchpair.sh
 echo "== the portable kernel path builds off amd64 (internal/neural has amd64 assembly)"
 GOARCH=arm64 go vet ./internal/neural
 GOARCH=386 go build ./...
