@@ -16,26 +16,6 @@ func ExampleEvaluate() {
 	// Output: MAPE=5% RMSE=7.07 MAE=5
 }
 
-// ExampleAttributePower splits component power between two co-located jobs
-// by their counter shares.
-func ExampleAttributePower() {
-	jobs := []highrpm.JobActivity{
-		{JobID: "compute", Cycles: 9e10, MemAccesses: 1e8, CoreShare: 0.5},
-		{JobID: "memory", Cycles: 1e10, MemAccesses: 9e8, CoreShare: 0.5},
-	}
-	cfg := highrpm.AttributionConfig{CPUIdleW: 10, MEMIdleW: 6}
-	powers, err := highrpm.AttributePower(60, 26, jobs, cfg)
-	if err != nil {
-		panic(err)
-	}
-	for _, p := range powers {
-		fmt.Printf("%s: cpu %.0f W, mem %.0f W\n", p.JobID, p.CPUW, p.MEMW)
-	}
-	// Output:
-	// compute: cpu 50 W, mem 5 W
-	// memory: cpu 10 W, mem 21 W
-}
-
 // ExampleFindBenchmark looks up one of the 96 evaluation workloads.
 func ExampleFindBenchmark() {
 	b, err := highrpm.FindBenchmark("HPCC/STREAM")

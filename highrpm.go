@@ -21,7 +21,6 @@
 //     policies.
 //   - Dataset construction: suite generation and the Table 3 combinations.
 //   - Metrics: MAPE/RMSE/MAE/R² evaluation.
-//   - Per-job power attribution on shared nodes.
 //   - Observability: a stdlib-only metric registry and HTTP server
 //     (Prometheus /metrics, JSON series endpoints, health probes).
 //
@@ -33,7 +32,6 @@
 package highrpm
 
 import (
-	"highrpm/internal/attribution"
 	"highrpm/internal/cluster"
 	"highrpm/internal/core"
 	"highrpm/internal/dataset"
@@ -357,23 +355,6 @@ func NewRouter(top FleetTopology, opts TopologyOptions) (*FleetRouter, error) {
 // DefaultTopologyOptions returns the deployment defaults (64 virtual
 // nodes per shard, no replication).
 func DefaultTopologyOptions() TopologyOptions { return fleet.DefaultTopologyOptions() }
-
-// Attribution types: per-job energy accounting on shared nodes (see
-// examples/accounting).
-type (
-	// JobActivity is one job's per-second counter aggregate.
-	JobActivity = attribution.JobActivity
-	// JobPower is one job's attributed power for a second.
-	JobPower = attribution.JobPower
-	// AttributionConfig sets the idle-power split.
-	AttributionConfig = attribution.Config
-)
-
-// AttributePower splits one second's component power among jobs by counter
-// share (dynamic) and core share (idle).
-func AttributePower(pcpuW, pmemW float64, jobs []JobActivity, cfg AttributionConfig) ([]JobPower, error) {
-	return attribution.Attribute(pcpuW, pmemW, jobs, cfg)
-}
 
 // Governor types: power-capping control stacks built on HighRPM estimates
 // (the Fig. 1 motivation turned into an application; see examples/powercap).

@@ -10,7 +10,7 @@ import (
 )
 
 // trainSet builds a compact multi-suite training set for core tests.
-func trainSet(t *testing.T, perSuite int) *dataset.Set {
+func trainSet(t testing.TB, perSuite int) *dataset.Set {
 	t.Helper()
 	cfg := dataset.DefaultGenerateConfig()
 	cfg.SamplesPerSuite = perSuite

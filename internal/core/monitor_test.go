@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 )
 
-func trainedModel(t *testing.T) *HighRPM {
+func trainedModel(t testing.TB) *HighRPM {
 	t.Helper()
 	train := trainSet(t, 150)
 	opts := DefaultOptions()

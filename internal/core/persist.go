@@ -17,6 +17,11 @@ const (
 	mlpKind  = "neural.mlp"
 )
 
+// maxMissInterval bounds a model file's DynamicTRR window: an hour of
+// 1 Sa/s samples. A Monitor holds a window of that many rows, so a file
+// from a peer must not size it freely.
+const maxMissInterval = 3600
+
 // frameworkState is the JSON schema of a trained HighRPM instance.
 type frameworkState struct {
 	Opts    Options     `json:"opts"`
@@ -95,12 +100,16 @@ func Load(path string) (*HighRPM, error) {
 
 // Unmarshal deserialises a trained framework. The bytes may come from a
 // peer, so each network must carry its slot's kind tag and be exactly as
-// wide as the framework feeds it: a network that decodes but is the wrong
-// width would otherwise panic at the first estimate.
+// wide as the framework feeds it, and the DynamicTRR window must lie in
+// 2…maxMissInterval: a network of the wrong width would otherwise panic at
+// the first estimate, and a huge window exhaust memory there.
 func Unmarshal(data []byte) (*HighRPM, error) {
 	var st frameworkState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("core: bad framework state: %w", err)
+	}
+	if miss := st.Opts.Dynamic.MissInterval; miss < 2 || miss > maxMissInterval {
+		return nil, fmt.Errorf("core: DynamicTRR window of %d samples, want 2 to %d", miss, maxMissInterval)
 	}
 	if st.Dynamic.Kind != lstmKind || st.SRR.Kind != mlpKind {
 		return nil, fmt.Errorf("core: model file holds a %q DynamicTRR and a %q SRR, want %q and %q",

@@ -111,7 +111,7 @@ func TestLoadMissing(t *testing.T) {
 
 // withMember returns the JSON object obj with the member at path replaced by
 // value, or deleted when value is empty.
-func withMember(t *testing.T, obj json.RawMessage, value string, path ...string) json.RawMessage {
+func withMember(t testing.TB, obj json.RawMessage, value string, path ...string) json.RawMessage {
 	t.Helper()
 	var m map[string]json.RawMessage
 	if err := json.Unmarshal(obj, &m); err != nil {
@@ -139,7 +139,7 @@ func withMember(t *testing.T, obj json.RawMessage, value string, path ...string)
 // lstmState and mlpState return the persisted state of a small fitted
 // network of the given widths: self-consistent in every count, so only a
 // check against the width the framework feeds it can refuse it.
-func lstmState(t *testing.T, in int) string {
+func lstmState(t testing.TB, in int) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	seqs, targets := make([][][]float64, 8), make([][]float64, 8)
@@ -159,7 +159,7 @@ func lstmState(t *testing.T, in int) string {
 	return string(b)
 }
 
-func mlpState(t *testing.T, in, out int) string {
+func mlpState(t testing.TB, in, out int) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	x, y := mat.NewDense(16, in), mat.NewDense(16, out)
@@ -190,8 +190,9 @@ func randRow(rng *rand.Rand, n int) []float64 {
 // TestUnmarshalMalformedSnapshot: model bytes also arrive from the network
 // (ResilientAgent fetches its fallback model from a shard), so a snapshot
 // whose counts, dimensions, tensor lengths or kind tags disagree, or whose
-// networks are not as wide as the framework feeds them, must be an error,
-// never a panic — at decode or at the first estimate.
+// networks are not as wide as the framework feeds them, or whose window is
+// out of bounds, must be an error, never a panic or an out-of-memory crash —
+// at decode or at the first estimate.
 func TestUnmarshalMalformedSnapshot(t *testing.T) {
 	data, err := Marshal(trainedModel(t))
 	if err != nil {
@@ -231,6 +232,10 @@ func TestUnmarshalMalformedSnapshot(t *testing.T) {
 		{"3-output srr", "srr.state", mlpState(t, pmu.NumEvents+1, 3)},
 		{"1-output srr", "srr.state", mlpState(t, pmu.NumEvents+1, 1)},
 		{"node-fed srr without the node feature", "opts.SRR.UseNode", "false"},
+		{"zero window", "opts.Dynamic.MissInterval", "0"},
+		{"one-sample window", "opts.Dynamic.MissInterval", "1"},
+		{"negative window", "opts.Dynamic.MissInterval", "-5"},
+		{"huge window", "opts.Dynamic.MissInterval", "1000000000000"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if h, err := Unmarshal(withMember(t, data, c.value, strings.Split(c.at, ".")...)); err == nil {
@@ -238,4 +243,61 @@ func TestUnmarshalMalformedSnapshot(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzUnmarshalMonitor runs arbitrary model bytes down the path a degraded
+// ResilientAgent takes with the model a shard sent it: Unmarshal, NewMonitor,
+// then Pushes with and without readings. The law: every input yields an
+// error or estimates, never a panic or a fatal error.
+func FuzzUnmarshalMonitor(f *testing.F) {
+	// A small trained model keeps the seeds short, so minimising an
+	// interesting input stays cheap.
+	opts := DefaultOptions()
+	opts.Dynamic.Hidden, opts.Dynamic.Epochs, opts.Dynamic.MaxWindows = 2, 1, 50
+	opts.SRR.Hidden, opts.SRR.Epochs = 2, 1
+	opts.ActiveLearning = false
+	h, err := Train(trainSet(f, 40), opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := Marshal(h)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	for _, c := range []struct{ at, value string }{
+		{"dynamic.state", lstmState(f, pmu.NumEvents+1)},
+		{"dynamic.state", lstmState(f, 3)},
+		{"srr.state", mlpState(f, 3, 2)},
+		{"srr.state", mlpState(f, pmu.NumEvents+1, 3)},
+		{"srr.state", mlpState(f, pmu.NumEvents+1, 1)},
+		{"opts.SRR.UseNode", "false"},
+		{"opts.Dynamic.MissInterval", "0"},
+		{"opts.Dynamic.MissInterval", "1"},
+		{"opts.Dynamic.MissInterval", "-5"},
+		{"opts.Dynamic.MissInterval", "1000000000000"},
+	} {
+		f.Add([]byte(withMember(f, data, c.value, strings.Split(c.at, ".")...)))
+	}
+	pmc := make([]float64, pmu.NumEvents)
+	for i := range pmc {
+		pmc[i] = float64(i + 1)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		mon := NewMonitor(h)
+		for i := 0; i < 25; i++ {
+			var measured *float64
+			if i%10 == 3 {
+				reading := 100.0 + float64(i)
+				measured = &reading
+			}
+			if _, err := mon.Push(pmc, measured); err != nil {
+				return
+			}
+		}
+	})
 }

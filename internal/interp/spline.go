@@ -1,7 +1,7 @@
 // Package interp implements the interpolation methods StaticTRR builds on
 // (§4.2.1): natural cubic splines for recovering the long-term node-power
-// trend from sparse integrated-measurement readings, and piecewise-linear
-// interpolation as a robust fallback for short inputs.
+// trend from sparse integrated-measurement readings, and the AR baseline the
+// ablation contrasts them with.
 package interp
 
 import (
@@ -121,64 +121,6 @@ func (s *CubicSpline) Sample(xs []float64) []float64 {
 	out := make([]float64, len(xs))
 	for i, x := range xs {
 		out[i] = s.At(x)
-	}
-	return out
-}
-
-// Linear is a piecewise-linear interpolant with constant extrapolation.
-type Linear struct {
-	xs, ys []float64
-}
-
-// NewLinear builds a piecewise-linear interpolant; inputs are copied and
-// sorted by x.
-func NewLinear(xs, ys []float64) (*Linear, error) {
-	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("interp: %d xs vs %d ys", len(xs), len(ys))
-	}
-	if len(xs) < 1 {
-		return nil, ErrTooFewPoints
-	}
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	l := &Linear{xs: make([]float64, len(xs)), ys: make([]float64, len(xs))}
-	for i, j := range idx {
-		l.xs[i] = xs[j]
-		l.ys[i] = ys[j]
-	}
-	return l, nil
-}
-
-// At evaluates the interpolant at x; outside the knot range the nearest knot
-// value is returned.
-func (l *Linear) At(x float64) float64 {
-	n := len(l.xs)
-	if x <= l.xs[0] {
-		return l.ys[0]
-	}
-	if x >= l.xs[n-1] {
-		return l.ys[n-1]
-	}
-	i := sort.SearchFloat64s(l.xs, x) - 1
-	if i < 0 {
-		i = 0
-	}
-	span := l.xs[i+1] - l.xs[i]
-	if span == 0 {
-		return l.ys[i]
-	}
-	t := (x - l.xs[i]) / span
-	return l.ys[i]*(1-t) + l.ys[i+1]*t
-}
-
-// Sample evaluates the interpolant at each x in xs.
-func (l *Linear) Sample(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = l.At(x)
 	}
 	return out
 }

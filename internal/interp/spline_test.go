@@ -153,40 +153,3 @@ func TestSplineSampleAndKnots(t *testing.T) {
 		t.Fatalf("Sample = %v", out)
 	}
 }
-
-func TestLinearInterp(t *testing.T) {
-	l, err := NewLinear([]float64{0, 10}, []float64{0, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := l.At(5); got != 50 {
-		t.Fatalf("At(5) = %g want 50", got)
-	}
-	// Constant extrapolation.
-	if l.At(-5) != 0 || l.At(20) != 100 {
-		t.Fatal("linear extrapolation must clamp to boundary knots")
-	}
-	out := l.Sample([]float64{2.5, 7.5})
-	if out[0] != 25 || out[1] != 75 {
-		t.Fatalf("Sample = %v", out)
-	}
-}
-
-func TestLinearErrors(t *testing.T) {
-	if _, err := NewLinear(nil, nil); err != ErrTooFewPoints {
-		t.Fatalf("want ErrTooFewPoints, got %v", err)
-	}
-	if _, err := NewLinear([]float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("want length-mismatch error")
-	}
-}
-
-func TestLinearSinglePoint(t *testing.T) {
-	l, err := NewLinear([]float64{3}, []float64{7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.At(0) != 7 || l.At(100) != 7 {
-		t.Fatal("single-knot interpolant must be constant")
-	}
-}

@@ -1,13 +1,12 @@
 // Package model defines the contracts shared by every regression model in
 // the repository — the 12 baselines of Table 4 and the HighRPM networks —
-// together with the supporting machinery the paper's methodology requires:
-// feature standardization and k-fold cross-validation (§5.3 uses 5-fold).
+// together with the feature standardization the paper's methodology
+// requires.
 package model
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"highrpm/internal/mat"
 )
@@ -110,39 +109,6 @@ func (s *ScaledRegressor) Fit(x *mat.Dense, y []float64) error {
 // Predict standardizes the feature vector and delegates to the inner model.
 func (s *ScaledRegressor) Predict(features []float64) float64 {
 	return s.Inner.Predict(s.Scaler.TransformRow(features))
-}
-
-// KFold yields k train/test index splits over n samples. When shuffle is
-// true the order is permuted with rng first (rng may be nil for the
-// identity order).
-func KFold(n, k int, rng *rand.Rand) [][2][]int {
-	if k < 2 || n < k {
-		panic(fmt.Sprintf("model: invalid KFold n=%d k=%d", n, k))
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	if rng != nil {
-		rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	}
-	folds := make([][2][]int, 0, k)
-	foldSize := n / k
-	rem := n % k
-	start := 0
-	for f := 0; f < k; f++ {
-		size := foldSize
-		if f < rem {
-			size++
-		}
-		test := append([]int(nil), idx[start:start+size]...)
-		train := make([]int, 0, n-size)
-		train = append(train, idx[:start]...)
-		train = append(train, idx[start+size:]...)
-		folds = append(folds, [2][]int{train, test})
-		start += size
-	}
-	return folds
 }
 
 // Subset extracts the given rows of x and entries of y.

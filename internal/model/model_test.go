@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"highrpm/internal/mat"
 )
@@ -56,62 +55,6 @@ func TestTransformShapePanics(t *testing.T) {
 		}
 	}()
 	s.TransformRow([]float64{1})
-}
-
-// Property: KFold partitions all indices exactly once across test folds,
-// and train/test are disjoint within every fold.
-func TestKFoldProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 10 + rng.Intn(90)
-		k := 2 + rng.Intn(4)
-		folds := KFold(n, k, rng)
-		if len(folds) != k {
-			return false
-		}
-		seen := map[int]int{}
-		for _, fold := range folds {
-			train, test := fold[0], fold[1]
-			if len(train)+len(test) != n {
-				return false
-			}
-			inTest := map[int]bool{}
-			for _, i := range test {
-				seen[i]++
-				inTest[i] = true
-			}
-			for _, i := range train {
-				if inTest[i] {
-					return false
-				}
-			}
-		}
-		if len(seen) != n {
-			return false
-		}
-		for _, c := range seen {
-			if c != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestKFoldInvalid(t *testing.T) {
-	for _, tc := range [][2]int{{5, 1}, {2, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("KFold(%d,%d) should panic", tc[0], tc[1])
-				}
-			}()
-			KFold(tc[0], tc[1], nil)
-		}()
-	}
 }
 
 func TestSubset(t *testing.T) {

@@ -78,99 +78,3 @@ func (s *IPMISensor) Rate() float64 { return 1 / s.Interval }
 func (s *IPMISensor) String() string {
 	return fmt.Sprintf("ipmi(%.2gSa/s, ±%.1fW)", s.Rate(), s.Error)
 }
-
-// DirectProbe models the paper's bench-measurement rig (§5.2): jumper wires
-// on the voltage domains read through registers 0x8b/0x8c, giving CPU and
-// memory power at 1 Sa/s with 0.1 W error. It supplies ground-truth labels
-// for training and evaluation and is explicitly not deployable at scale.
-type DirectProbe struct {
-	// Error is the gaussian sigma in watts (paper: 0.1 W).
-	Error float64
-	rng   *rand.Rand
-}
-
-// NewDirectProbe returns a probe with the paper's 0.1 W error.
-func NewDirectProbe(seed int64) *DirectProbe {
-	return &DirectProbe{Error: 0.1, rng: rand.New(rand.NewSource(seed))}
-}
-
-// ComponentPower returns 1 Sa/s CPU and memory power observations.
-func (p *DirectProbe) ComponentPower(tr *Trace) (pcpu, pmem []float64) {
-	step := int(1 / tr.Dt)
-	if step < 1 {
-		step = 1
-	}
-	for i := 0; i < len(tr.Samples); i += step {
-		s := tr.Samples[i]
-		pcpu = append(pcpu, s.PCPU+p.rng.NormFloat64()*p.Error)
-		pmem = append(pmem, s.PMEM+p.rng.NormFloat64()*p.Error)
-	}
-	return pcpu, pmem
-}
-
-// RAPL models Intel's running-average-power-limit interface on the x86
-// platform (§6.3): energy counters for the package and DRAM domains read at
-// 1 Sa/s through perf (/power/energy-pkg/ and /power/energy-ram/). RAPL is
-// accurate; the Table 9 experiment deliberately sparsifies its output to
-// 0.1 Sa/s to create the restoration problem.
-type RAPL struct {
-	// Error is the gaussian sigma on derived power, watts.
-	Error float64
-	rng   *rand.Rand
-}
-
-// NewRAPL returns a RAPL reader.
-func NewRAPL(seed int64) *RAPL {
-	return &RAPL{Error: 0.3, rng: rand.New(rand.NewSource(seed))}
-}
-
-// EnergyCounters returns cumulative package and DRAM energy in joules at
-// 1-second boundaries, as perf would report.
-func (r *RAPL) EnergyCounters(tr *Trace) (pkg, ram []float64) {
-	var ePkg, eRAM float64
-	step := int(1 / tr.Dt)
-	if step < 1 {
-		step = 1
-	}
-	for i := 0; i < len(tr.Samples); i++ {
-		s := tr.Samples[i]
-		ePkg += s.PCPU * tr.Dt
-		eRAM += s.PMEM * tr.Dt
-		if (i+1)%step == 0 {
-			pkg = append(pkg, ePkg)
-			ram = append(ram, eRAM)
-		}
-	}
-	return pkg, ram
-}
-
-// Power differentiates the energy counters into 1 Sa/s power readings.
-func (r *RAPL) Power(tr *Trace) (pkg, ram []float64) {
-	ePkg, eRAM := r.EnergyCounters(tr)
-	pkg = diffPower(ePkg, r.rng, r.Error)
-	ram = diffPower(eRAM, r.rng, r.Error)
-	return pkg, ram
-}
-
-func diffPower(energy []float64, rng *rand.Rand, sigma float64) []float64 {
-	out := make([]float64, len(energy))
-	prev := 0.0
-	for i, e := range energy {
-		out[i] = (e - prev) + rng.NormFloat64()*sigma
-		prev = e
-	}
-	return out
-}
-
-// Sparsify keeps every k-th element of a 1 Sa/s series, simulating the
-// §6.3 miss_interval on RAPL data. It returns the kept indices and values.
-func Sparsify(series []float64, k int) (idx []int, vals []float64) {
-	if k < 1 {
-		k = 1
-	}
-	for i := 0; i < len(series); i += k {
-		idx = append(idx, i)
-		vals = append(vals, series[i])
-	}
-	return idx, vals
-}

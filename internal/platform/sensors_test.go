@@ -83,66 +83,3 @@ func TestIPMIRateAndString(t *testing.T) {
 		t.Fatal("empty String")
 	}
 }
-
-func TestDirectProbeAccuracy(t *testing.T) {
-	tr := traceFor(t, 200, 9)
-	p := NewDirectProbe(10)
-	pcpu, pmem := p.ComponentPower(tr)
-	if len(pcpu) != 200 || len(pmem) != 200 {
-		t.Fatalf("probe lengths %d/%d want 200", len(pcpu), len(pmem))
-	}
-	var maxErr float64
-	for i := range pcpu {
-		if e := math.Abs(pcpu[i] - tr.Samples[i].PCPU); e > maxErr {
-			maxErr = e
-		}
-	}
-	// 0.1 W gaussian: max error over 200 samples stays below ~0.5 W.
-	if maxErr > 0.6 {
-		t.Fatalf("direct probe max error %g W, paper says 0.1 W class", maxErr)
-	}
-}
-
-func TestRAPLEnergyMonotone(t *testing.T) {
-	n := mustNode(t, X86Config(), 11)
-	tr := n.RunFor(mustBench(t, "HPCG/hpcg"), 120, 1)
-	r := NewRAPL(12)
-	pkg, ram := r.EnergyCounters(tr)
-	if len(pkg) != 120 {
-		t.Fatalf("pkg energy has %d entries", len(pkg))
-	}
-	for i := 1; i < len(pkg); i++ {
-		if pkg[i] <= pkg[i-1] || ram[i] <= ram[i-1] {
-			t.Fatal("energy counters must be strictly increasing under load")
-		}
-	}
-}
-
-func TestRAPLPowerMatchesGroundTruth(t *testing.T) {
-	n := mustNode(t, X86Config(), 13)
-	tr := n.RunFor(mustBench(t, "HPCC/DGEMM"), 150, 1)
-	r := NewRAPL(14)
-	pkg, _ := r.Power(tr)
-	var sumErr float64
-	for i := range pkg {
-		sumErr += math.Abs(pkg[i] - tr.Samples[i].PCPU)
-	}
-	if avg := sumErr / float64(len(pkg)); avg > 1.5 {
-		t.Fatalf("RAPL mean error %g W too high", avg)
-	}
-}
-
-func TestSparsify(t *testing.T) {
-	series := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	idx, vals := Sparsify(series, 5)
-	if len(idx) != 3 || idx[0] != 0 || idx[1] != 5 || idx[2] != 10 {
-		t.Fatalf("Sparsify idx = %v", idx)
-	}
-	if vals[1] != 5 {
-		t.Fatalf("Sparsify vals = %v", vals)
-	}
-	idx, _ = Sparsify(series, 0) // clamps to 1
-	if len(idx) != len(series) {
-		t.Fatal("k=0 must keep everything")
-	}
-}

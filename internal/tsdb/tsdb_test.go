@@ -249,8 +249,8 @@ func TestStoreStats(t *testing.T) {
 	}
 }
 
-// quantize rounds to the sensors' 0.1 W resolution (the DirectProbe error
-// floor; the IPMI path quantises too — see internal/platform).
+// quantize rounds to 0.1 W, the paper's bench-probe resolution (§5.2; the
+// IPMI path quantises too — see internal/platform).
 func quantize(v float64) float64 { return math.Round(v*10) / 10 }
 
 // monitorWorkload generates the synthetic monitor workload used by the

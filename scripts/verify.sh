@@ -15,23 +15,28 @@
 # exposition server, concurrent prediction on one fitted neural model,
 # a dynamic Restore beside a Monitor serving the same model
 # (TestRestoreConcurrentWithMonitor: restoring only reads the model),
-# the parallel experiment runner, and the attribution ledger) so
-# locking regressions surface immediately. Of internal/experiments only
-# the tests that start goroutines or share the Workspace split cache are
-# raced (-run 'Parallel|WorkspaceCaches', ~1 s): the shape tests and the
-# transcript golden train dozens of models on one goroutine each, run once
-# un-raced in the `go test ./...` step, and cost minutes under -race for
-# no added coverage. It then fuzzes the
-# wire-protocol decoders briefly (JSON envelope, binary framing, and the
-# cross-codec agreement law), both ends of a connection over arbitrary
-# byte streams (FuzzServeConn for the server's request loop, FuzzAgentReply
-# for the agent's reply path), the law the router's verbatim series relay
-# stands on (FuzzSeriesShape: the O(1) framing check accepts exactly what
-# the strict decoder does), the durability decoders (WAL segment
-# scanner, snapshot loader), the decoded-block cache against an uncached
-# store (FuzzCachedQueryMatchesUncached: byte-identical answers while
-# seals and evictions land between reads), the fleet placement ring, and the vector
-# forward kernels against the portable ones (FuzzKernels). The served
+# and the parallel experiment runner) so locking regressions surface
+# immediately. Of internal/experiments only the tests that start
+# goroutines or share the Workspace split cache are raced (-run
+# 'Parallel|WorkspaceCaches', ~1 s): the shape tests and the transcript
+# golden train dozens of models on one goroutine each, run once un-raced
+# in the `go test ./...` step, and cost minutes under -race for no added
+# coverage. It then fuzzes briefly: the wire-protocol decoders (JSON
+# envelope, binary framing, and the cross-codec agreement law), both ends
+# of a connection over arbitrary byte streams (FuzzServeConn for the
+# server's request loop, FuzzAgentReply for the agent's reply path), the
+# law the router's verbatim series relay stands on (FuzzSeriesShape: the
+# O(1) framing check accepts exactly what the strict decoder does), the
+# durability decoders (WAL segment scanner, snapshot loader), the
+# decoded-block cache against an uncached store
+# (FuzzCachedQueryMatchesUncached: byte-identical answers while seals and
+# evictions land between reads), the fleet placement ring, the vector
+# forward kernels against the portable ones (FuzzKernels), and the path a
+# degraded agent runs on a peer's model file (FuzzUnmarshalMonitor:
+# Unmarshal → NewMonitor → Pushes yields an error or estimates, never a
+# panic; its seeds are whole model files, so minimising an interesting
+# input is capped at 1 s to leave the 10 s for fuzzing). It fails when
+# DESIGN.md outgrows its 40 KB budget (40 960 bytes). The served
 # DynamicTRR shape is pinned in the `go test` step: TestHyperKnee fails
 # when DefaultDynamicTRROptions().Layers stops being the lowest-MAPE depth
 # of the §6.4.3 `hyper` sweep. Performance is not measured here:
@@ -44,6 +49,12 @@ unformatted="$(gofmt -l .)"
 if [ -n "$unformatted" ]; then
     echo "gofmt: the following files are not formatted:" >&2
     echo "$unformatted" >&2
+    exit 1
+fi
+echo "== DESIGN.md within its 40 KB budget"
+design_bytes=$(wc -c < DESIGN.md)
+if [ "$design_bytes" -gt 40960 ]; then
+    echo "DESIGN.md is $design_bytes bytes, over its 40960-byte budget" >&2
     exit 1
 fi
 echo "== go build"
@@ -70,8 +81,8 @@ go run ./cmd/highrpm-train -samples 60 -suites SPEC,HPCC -out "$tmp/m.json"
 go run ./cmd/highrpm-analyze -model "$tmp/m.json" "$tmp/run.csv" >/dev/null
 echo "== go test -race (tsdb incl. persisttest, cluster incl. faultnet, fleet, obs)"
 go test -race ./internal/tsdb/... ./internal/cluster/... ./internal/fleet/... ./internal/obs
-echo "== go test -race (concurrent prediction, Restore beside a Monitor, parallel experiments; attribution)"
-go test -race ./internal/neural ./internal/attribution
+echo "== go test -race (concurrent prediction, Restore beside a Monitor, parallel experiments)"
+go test -race ./internal/neural
 go test -race -run '^TestRestoreConcurrentWithMonitor$' ./internal/core
 go test -race -run 'Parallel|WorkspaceCaches' ./internal/experiments/...
 echo "== fuzz wire protocol (10s per target)"
@@ -93,4 +104,6 @@ echo "== fuzz fleet placement ring (10s)"
 go test -run '^$' -fuzz '^FuzzRingPlacement$' -fuzztime=10s ./internal/fleet
 echo "== fuzz the vector forward kernels against the portable ones (10s)"
 go test -run '^$' -fuzz '^FuzzKernels$' -fuzztime=10s ./internal/neural
+echo "== fuzz a peer's model file down the degraded agent's path (10s)"
+go test -run '^$' -fuzz '^FuzzUnmarshalMonitor$' -fuzztime=10s -fuzzminimizetime=1s ./internal/core
 echo "verify: OK"
