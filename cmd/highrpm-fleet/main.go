@@ -8,8 +8,8 @@
 // Usage:
 //
 //	highrpm-fleet -shards ingest-a=10.0.0.1:9000,ingest-b=10.0.0.2:9000
-//	              [-listen 127.0.0.1:9200] [-replication 2] [-vnodes 64]
-//	              [-codec binary] [-read-timeout 5m] [-max-conns 0]
+//	              [-listen 127.0.0.1:9200] [-replication 2] [-dial-retry 1s]
+//	              [-read-timeout 5m] [-max-conns 0]
 //	              [-http 127.0.0.1:9090] [-pprof] [-grace 2s] [-duration 0]
 //
 // Each -shards entry is name=host:port (or a bare host:port, which names
@@ -17,7 +17,9 @@
 // renaming moves its keys, re-addressing does not. -replication R writes
 // every node's stream to R distinct shards (ring owner plus clockwise
 // followers) so any R-1 shard outages lose nothing; reads drain to live
-// replicas automatically.
+// replicas automatically. Every shard contributes 64 points to the ring,
+// and every backend connection offers the binary codec, falling back to
+// JSON against a service without it.
 //
 // -http exposes the router on the observability endpoint: per-shard
 // highrpm_fleet_shard_up/agents/degraded/pending gauges, routing and
@@ -42,9 +44,9 @@ import (
 
 // flagGroups orders -help by subsystem (see internal/cliutil).
 var flagGroups = []cliutil.Group{
-	{Title: "Topology", Names: []string{"shards", "replication", "vnodes"}},
+	{Title: "Topology", Names: []string{"shards", "replication"}},
 	{Title: "Front-end hardening", Names: []string{"listen", "read-timeout", "write-timeout", "max-frame", "max-conns"}},
-	{Title: "Backend connections", Names: []string{"codec", "dial-retry"}},
+	{Title: "Backend connections", Names: []string{"dial-retry"}},
 	{Title: "Observability & shutdown", Names: []string{"http", "pprof", "grace", "duration"}},
 }
 
@@ -52,7 +54,6 @@ func main() {
 	var (
 		shardsFlag  = flag.String("shards", "", "comma-separated backend shards, each name=host:port or host:port (required)")
 		replication = flag.Int("replication", 1, "distinct shards holding each node's stream (1: no replication)")
-		vnodes      = flag.Int("vnodes", highrpm.DefaultTopologyOptions().VirtualNodes, "ring points per shard")
 
 		listen       = flag.String("listen", "127.0.0.1:9200", "front-end address agents and query clients dial")
 		readTimeout  = flag.Duration("read-timeout", highrpm.DefaultServiceOptions().ReadTimeout, "reap a front-end connection after this long without a message (0: never)")
@@ -60,7 +61,6 @@ func main() {
 		maxFrame     = flag.Int("max-frame", highrpm.DefaultServiceOptions().MaxFrame, "largest wire frame in bytes")
 		maxConns     = flag.Int("max-conns", 0, "concurrent front-end connection cap (0: unlimited)")
 
-		codec     = flag.String("codec", highrpm.CodecBinary, "wire codec offered to the backends: binary or json")
 		dialRetry = flag.Duration("dial-retry", highrpm.DefaultTopologyOptions().DialRetry, "wait between dial attempts to a shard the router has never reached")
 
 		httpAddr  = flag.String("http", "", "observability HTTP address, e.g. 127.0.0.1:9090 (empty: disabled)")
@@ -77,16 +77,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *codec != highrpm.CodecBinary && *codec != highrpm.CodecJSON {
-		fmt.Fprintf(os.Stderr, "highrpm-fleet: -codec must be %q or %q\n", highrpm.CodecBinary, highrpm.CodecJSON)
-		os.Exit(2)
-	}
-
 	opts := highrpm.DefaultTopologyOptions()
-	opts.VirtualNodes = *vnodes
 	opts.Replication = *replication
 	opts.DialRetry = *dialRetry
-	opts.Agent.Codec = *codec
 	opts.FrontEnd.ReadTimeout = *readTimeout
 	opts.FrontEnd.WriteTimeout = *writeTimeout
 	opts.FrontEnd.MaxFrame = *maxFrame
@@ -102,8 +95,8 @@ func main() {
 	if err := router.Listen(*listen); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("fleet router on %s: %d shards, replication %d, %d virtual nodes/shard\n",
-		router.Addr(), len(top.Shards), router.Options().Replication, router.Options().VirtualNodes)
+	fmt.Printf("fleet router on %s: %d shards, replication %d\n",
+		router.Addr(), len(top.Shards), router.Options().Replication)
 	for _, sh := range top.Shards {
 		fmt.Printf("  shard %-16s %s\n", sh.Name, sh.Addr)
 	}

@@ -1,31 +1,30 @@
 // Command highrpm-monitor runs live high-resolution power monitoring over a
 // simulated cluster: it starts the HighRPM control-node service, launches
-// one simulated compute node per -nodes, streams telemetry through agents,
-// and prints per-second restored power next to the sparse IPMI readings the
-// service actually received.
+// one simulated compute node per -nodes, streams telemetry through
+// fault-tolerant agents, and prints per-second restored power next to the
+// sparse IPMI readings the service actually received.
 //
 // Usage:
 //
 //	highrpm-monitor [-model highrpm-model.json] [-nodes 2] [-bench HPCC/FFT]
 //	                [-duration 60] [-miss 10] [-read-timeout 5m] [-max-conns 0]
-//	                [-resilient] [-codec binary] [-batch 8] [-batch-interval 2s]
+//	                [-batch 8] [-batch-interval 2s]
 //	                [-data-dir ./highrpm-data] [-fsync batch] [-snapshot-every 65536]
 //	                [-http 127.0.0.1:9090] [-pprof] [-grace 2s]
 //
 // -help groups the knobs by subsystem (simulation, service hardening,
-// agent & wire protocol, observability). Without -model a small model is
-// trained in-process first (~seconds).
+// agent batching, durability, observability). Without -model a small
+// model is trained in-process first (~seconds).
 //
 // The service-hardening flags map onto ServiceOptions: -read-timeout reaps
 // connections that go silent, -write-timeout bounds each reply, -max-frame
 // caps one wire frame, and -max-conns drops connections beyond the cap at
-// accept time. -resilient switches the simulated agents to the
-// fault-tolerant client, which reconnects with backoff and falls back to
-// local inference when the service is unreachable. -codec pins the wire
-// codec (binary offers the zero-allocation framing in Hello, json keeps
-// the original protocol), and -batch/-batch-interval coalesce samples
-// into KindRecordBatch frames, amortizing one round trip over many
-// samples without changing any estimate.
+// accept time. Every simulated node runs the one agent the library ships
+// for production, ResilientAgent: it offers the binary codec in Hello,
+// reconnects with backoff and falls back to local inference when the
+// service is unreachable. -batch/-batch-interval coalesce samples into
+// KindRecordBatch frames, amortizing one round trip over many samples
+// without changing any estimate.
 //
 // -data-dir makes the history store durable: every estimate is written to
 // a CRC-checked write-ahead log before it lands in memory, the log is
@@ -69,8 +68,6 @@ func main() {
 		maxFrame     = flag.Int("max-frame", highrpm.DefaultServiceOptions().MaxFrame, "largest wire frame in bytes")
 		maxConns     = flag.Int("max-conns", 0, "concurrent connection cap (0: unlimited)")
 
-		resilient     = flag.Bool("resilient", false, "use fault-tolerant agents (reconnect + degraded-mode fallback)")
-		codec         = flag.String("codec", highrpm.CodecBinary, "wire codec the agents offer: binary or json")
 		batch         = flag.Int("batch", 1, "coalesce this many samples per RecordBatch frame (<2: one frame per sample)")
 		batchInterval = flag.Duration("batch-interval", 0, "flush a partial batch once its oldest sample has waited this long (0: size-only)")
 
@@ -84,10 +81,6 @@ func main() {
 	)
 	flag.Usage = cliutil.GroupedUsage(flag.CommandLine, "highrpm-monitor", flagGroups)
 	flag.Parse()
-	if *codec != highrpm.CodecBinary && *codec != highrpm.CodecJSON {
-		fmt.Fprintf(os.Stderr, "highrpm-monitor: -codec must be %q or %q\n", highrpm.CodecBinary, highrpm.CodecJSON)
-		os.Exit(2)
-	}
 
 	model, err := loadOrTrain(*modelPath, *miss, *seed)
 	if err != nil {
@@ -148,16 +141,14 @@ func main() {
 	if *httpAddr != "" {
 		reg := highrpm.NewMetricsRegistry()
 		svc.RegisterMetrics(reg)
-		if *resilient {
-			am = highrpm.NewAgentMetrics(reg)
-		}
+		am = highrpm.NewAgentMetrics(reg)
 		opts := highrpm.DefaultMetricsServerOptions()
 		opts.EnablePprof = *pprofFlag
 		osrv = highrpm.NewMetricsServer(reg, opts)
 		osrv.SetStore(svc.Store())
 		osrv.SetHealth(func() highrpm.Health {
 			h := svc.Health()
-			if h.Ready && am != nil && am.AnyDegraded() {
+			if h.Ready && am.AnyDegraded() {
 				h.Degraded = true
 				h.Detail = "agent(s) serving local estimates"
 			}
@@ -192,10 +183,9 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			agent, err := dialAgent(svc.Addr(), nodeID, *resilient, *codec, highrpm.BatchOptions{
-				MaxSamples: *batch,
-				MaxDelay:   *batchInterval,
-			})
+			opts := highrpm.DefaultAgentOptions()
+			opts.Batch = highrpm.BatchOptions{MaxSamples: *batch, MaxDelay: *batchInterval}
+			agent, err := highrpm.DialResilientService(svc.Addr(), nodeID, opts)
 			if err != nil {
 				fatal(err)
 			}
@@ -244,8 +234,8 @@ func main() {
 				if err != nil {
 					fatal(err)
 				}
-				if ra, ok := agent.(*highrpm.ResilientAgent); ok && am != nil {
-					am.Observe(ra)
+				if am != nil {
+					am.Observe(agent)
 				}
 				handle(ests)
 			}
@@ -282,39 +272,13 @@ func main() {
 	}
 }
 
-// sender is the part of Agent / ResilientAgent the monitor loop needs:
-// Record queues a sample (returning estimates when a batch flushed), Flush
-// drains a partial final batch.
-type sender interface {
-	Record(t float64, pmc []float64, measured *float64) ([]highrpm.Estimate, error)
-	Flush() ([]highrpm.Estimate, error)
-	Close() error
-}
-
-// dialAgent connects either the plain agent or the fault-tolerant one,
-// with the requested wire codec and batching configuration.
-func dialAgent(addr, nodeID string, resilient bool, codec string, batch highrpm.BatchOptions) (sender, error) {
-	if resilient {
-		opts := highrpm.DefaultAgentOptions()
-		opts.Codec = codec
-		opts.Batch = batch
-		return highrpm.DialResilientService(addr, nodeID, opts)
-	}
-	a, err := highrpm.DialServiceCodec(addr, nodeID, codec)
-	if err != nil {
-		return nil, err
-	}
-	a.SetBatching(batch)
-	return a, nil
-}
-
 // flagGroups orders -help by subsystem (see internal/cliutil): flags
 // registered but not listed here surface under "Other" so new knobs can
 // never silently vanish from the help text.
 var flagGroups = []cliutil.Group{
 	{Title: "Simulation", Names: []string{"model", "nodes", "bench", "duration", "miss", "retain", "seed", "quiet"}},
 	{Title: "Service hardening", Names: []string{"read-timeout", "write-timeout", "max-frame", "max-conns"}},
-	{Title: "Agent & wire protocol", Names: []string{"resilient", "codec", "batch", "batch-interval"}},
+	{Title: "Agent batching", Names: []string{"batch", "batch-interval"}},
 	{Title: "Durability", Names: []string{"data-dir", "fsync", "snapshot-every"}},
 	{Title: "Observability & shutdown", Names: []string{"http", "pprof", "grace"}},
 }

@@ -60,7 +60,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	agent, err := highrpm.DialService(*addr, "highrpm-query")
+	// An empty node ID: a query client is not a node, and the service
+	// registers none for it.
+	agent, err := highrpm.DialService(*addr, "")
 	if err != nil {
 		fatal(err)
 	}

@@ -2,14 +2,13 @@
 // internal/lint over the module: determinism of the model packages,
 // map-iteration-order hygiene, float-equality discipline, the cluster
 // goroutine-leak-guard convention, discarded Close/Flush/Write/Shutdown
-// errors, and package layering.
+// errors, and package layering. A lint:ignore directive that suppresses
+// nothing is a finding too.
 //
-// Exit codes: 0 clean, 1 findings (or stale ignores with -fix-ignore),
-// 2 usage, load or type-check failure.
+// Exit codes: 0 clean, 1 findings, 2 usage, load or type-check failure.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -28,9 +27,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("highrpm-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("C", ".", "run as if started in `dir`")
-	rules := fs.String("rules", "", "comma-separated `subset` of rules to run (default: all)")
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
-	fixIgnore := fs.Bool("fix-ignore", false, "list every lint:ignore directive and fail on stale ones")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: highrpm-vet [flags] [package patterns]\n\nFlags:\n")
 		fs.PrintDefaults()
@@ -38,30 +34,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		for _, a := range lint.Default() {
 			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name(), a.Doc())
 		}
-		fmt.Fprintf(stderr, "\nSuppress a finding with //lint:ignore <rule> <reason> on (or directly\nabove) the offending line, or //lint:file-ignore <rule> <reason> for a file.\n")
+		fmt.Fprintf(stderr, "\nSuppress a finding with //lint:ignore <rule> <reason> on (or directly\nabove) the offending line, or //lint:file-ignore <rule> <reason> for a file.\nA directive that suppresses nothing is reported under the rule \"lint\".\n")
 	}
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
 
-	analyzers := lint.Default()
-	if *rules != "" {
-		byName := make(map[string]lint.Analyzer, len(analyzers))
-		for _, a := range analyzers {
-			byName[a.Name()] = a
-		}
-		analyzers = analyzers[:0]
-		for _, r := range strings.Split(*rules, ",") {
-			a, ok := byName[strings.TrimSpace(r)]
-			if !ok {
-				fmt.Fprintf(stderr, "highrpm-vet: unknown rule %q\n", r)
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
-
-	res, err := lint.Run(*dir, fs.Args(), analyzers)
+	res, err := lint.Run(*dir, fs.Args(), lint.Default())
 	if err != nil {
 		fmt.Fprintf(stderr, "highrpm-vet: %v\n", err)
 		return 2
@@ -77,62 +56,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		absDir = *dir
 	}
-	rel := func(path string) string {
+	for _, d := range res.Diagnostics {
+		path := d.Pos.Filename
 		if r, err := filepath.Rel(absDir, path); err == nil && !strings.HasPrefix(r, "..") {
-			return r
+			path = r
 		}
-		return path
-	}
-
-	if *fixIgnore {
-		stale := 0
-		for _, ig := range res.Ignores {
-			status := "used"
-			switch {
-			case !ig.Evaluated:
-				status = "rule not enabled this run"
-			case !ig.Used:
-				status = "STALE (suppresses nothing)"
-				stale++
-			}
-			kind := "ignore"
-			if ig.File {
-				kind = "file-ignore"
-			}
-			fmt.Fprintf(stdout, "%s:%d: lint:%s %s (%s) — %s\n",
-				rel(ig.Pos.Filename), ig.Pos.Line, kind, strings.Join(ig.Rules, ","), ig.Reason, status)
-		}
-		fmt.Fprintf(stdout, "%d directives, %d stale\n", len(res.Ignores), stale)
-		if stale > 0 {
-			return 1
-		}
-		return 0
-	}
-
-	if *jsonOut {
-		type jsonDiag struct {
-			File    string `json:"file"`
-			Line    int    `json:"line"`
-			Col     int    `json:"col"`
-			Rule    string `json:"rule"`
-			Message string `json:"message"`
-		}
-		out := struct {
-			Diagnostics []jsonDiag `json:"diagnostics"`
-		}{Diagnostics: []jsonDiag{}}
-		for _, d := range res.Diagnostics {
-			out.Diagnostics = append(out.Diagnostics, jsonDiag{rel(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Rule, d.Message})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(stderr, "highrpm-vet: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, d := range res.Diagnostics {
-			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", rel(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
-		}
+		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", path, d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
 	}
 	if len(res.Diagnostics) > 0 {
 		return 1

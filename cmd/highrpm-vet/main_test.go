@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -31,72 +30,27 @@ func TestGoldenFixtureOutput(t *testing.T) {
 	}
 }
 
-func TestJSONOutput(t *testing.T) {
-	out, _, code := runVet(t, "-C", fixtureDir, "-json", "./...")
+// TestStaleDirectiveIsAFinding: the plain run reports a lint:ignore that
+// suppresses nothing as a finding of its own, and fails on it.
+func TestStaleDirectiveIsAFinding(t *testing.T) {
+	out, _, code := runVet(t, "-C", fixtureDir, "./...")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
-	var parsed struct {
-		Diagnostics []struct {
-			File    string `json:"file"`
-			Line    int    `json:"line"`
-			Rule    string `json:"rule"`
-			Message string `json:"message"`
-		} `json:"diagnostics"`
+	want := "internal/core/core.go:28:1: lint: lint:ignore floateq suppresses nothing; delete the directive\n"
+	if !strings.Contains(out, want) {
+		t.Errorf("the stale directive is not reported:\n%s", out)
 	}
-	if err := json.Unmarshal([]byte(out), &parsed); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, out)
-	}
-	if len(parsed.Diagnostics) != 21 {
-		t.Fatalf("got %d diagnostics, want 21", len(parsed.Diagnostics))
-	}
-	rules := make(map[string]bool)
-	for _, d := range parsed.Diagnostics {
-		rules[d.Rule] = true
-	}
-	for _, want := range []string{"determinism", "maporder", "floateq", "leakcheck", "errdrop", "layering"} {
-		if !rules[want] {
-			t.Errorf("rule %s missing from JSON output", want)
+}
+
+// TestRemovedFlagsAreUsageErrors: the tool has one mode; the flags of the
+// old ones are usage errors, not silently ignored.
+func TestRemovedFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{{"-json"}, {"-fix-ignore"}, {"-rules", "determinism"}} {
+		_, errb, code := runVet(t, append(append([]string{"-C", fixtureDir}, args...), "./...")...)
+		if code != 2 || !strings.Contains(errb, "flag provided but not defined") {
+			t.Errorf("%v: exit code %d, stderr %q; want a usage error", args, code, errb)
 		}
-	}
-}
-
-func TestFixIgnoreListsStaleDirectives(t *testing.T) {
-	out, _, code := runVet(t, "-C", fixtureDir, "-fix-ignore", "./...")
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1 (one stale directive)", code)
-	}
-	if !strings.Contains(out, "STALE") {
-		t.Errorf("listing does not mark the stale directive:\n%s", out)
-	}
-	if !strings.Contains(out, "2 directives, 1 stale") {
-		t.Errorf("listing summary wrong:\n%s", out)
-	}
-}
-
-func TestRulesFlagSubset(t *testing.T) {
-	out, _, code := runVet(t, "-C", fixtureDir, "-rules", "determinism", "./...")
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1", code)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d findings, want 4:\n%s", len(lines), out)
-	}
-	for _, l := range lines {
-		if !strings.Contains(l, " determinism: ") {
-			t.Errorf("unexpected finding with -rules determinism: %s", l)
-		}
-	}
-}
-
-func TestUnknownRuleIsUsageError(t *testing.T) {
-	_, errb, code := runVet(t, "-C", fixtureDir, "-rules", "nosuchrule", "./...")
-	if code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-	if !strings.Contains(errb, "unknown rule") {
-		t.Errorf("stderr does not name the unknown rule: %s", errb)
 	}
 }
 

@@ -177,17 +177,6 @@ type (
 	Series = cluster.SeriesBody
 )
 
-// Wire codecs an agent can ask for in its Hello offer.
-const (
-	// CodecJSON is the length-prefixed JSON framing (the original
-	// protocol, and what every pre-binary peer speaks).
-	CodecJSON = cluster.CodecJSON
-	// CodecBinary is the length-prefixed binary framing negotiated in
-	// Hello; services that predate it silently keep the connection on
-	// JSON.
-	CodecBinary = cluster.CodecBinary
-)
-
 // NewService wraps a trained model as a network service with default
 // robustness options.
 func NewService(m *Model) *Service { return cluster.NewService(m) }
@@ -203,17 +192,11 @@ func DefaultServiceOptions() ServiceOptions { return cluster.DefaultServiceOptio
 // binary codec and falling back to JSON against older services.
 func DialService(addr, nodeID string) (*Agent, error) { return cluster.Dial(addr, nodeID) }
 
-// DialServiceCodec connects with an explicit wire-codec preference:
-// CodecBinary offers the binary framing in Hello (JSON fallback),
-// CodecJSON pins the JSON protocol outright.
-func DialServiceCodec(addr, nodeID, codec string) (*Agent, error) {
-	return cluster.DialCodec(addr, nodeID, codec, 0)
-}
-
-// DialResilientService connects a fault-tolerant agent: it reconnects with
-// jittered exponential backoff, retries failed sends, and after repeated
-// failures serves estimates locally from the fetched model while buffering
-// samples for replay.
+// DialResilientService connects a fault-tolerant agent: like DialService
+// it offers the binary codec, and it reconnects with jittered exponential
+// backoff (the jitter seeded from addr and nodeID), retries failed sends,
+// and after repeated failures serves estimates locally from the fetched
+// model while buffering samples for replay.
 func DialResilientService(addr, nodeID string, opts AgentOptions) (*ResilientAgent, error) {
 	return cluster.DialResilient(addr, nodeID, opts)
 }
@@ -303,8 +286,7 @@ type (
 	// MetricsServer serves /metrics, /api/v1/query, /api/v1/series,
 	// /healthz and /readyz (plus optional pprof) over net/http.
 	MetricsServer = obs.Server
-	// MetricsServerOptions configures the MetricsServer (pprof gate,
-	// header read timeout).
+	// MetricsServerOptions configures the MetricsServer (the pprof gate).
 	MetricsServerOptions = obs.ServerOptions
 	// Health is a component's readiness answer, including the
 	// ready-but-degraded posture.

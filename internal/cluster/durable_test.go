@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -172,5 +173,75 @@ func TestDurableMetricsExposition(t *testing.T) {
 		if !strings.Contains(expo, name+" ") {
 			t.Errorf("exposition missing metric %s", name)
 		}
+	}
+}
+
+// TestServiceRefusesInvalidNodeIDs: the Server checks a node ID before any
+// handler sees it, so an in-memory and a durable service answer alike. An
+// empty ID (an empty QueryRequest.NodeID reads the aggregate, so its
+// history could never be read back) and one over tsdb.MaxNodeIDLen bytes
+// (a WAL record cannot carry it) are refused with a *ServiceError, singly
+// and batched, and register no node even through a Hello; an ID of
+// exactly the limit is stored and read back.
+func TestServiceRefusesInvalidNodeIDs(t *testing.T) {
+	checkNoLeaks(t)
+	durable, _, err := NewDurableService(sharedModel(t), DefaultServiceOptions(), durableStoreOpts(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable.Logf = t.Logf
+	if err := durable.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { durable.Close() })
+	longest := strings.Repeat("n", tsdb.MaxNodeIDLen)
+	for _, tc := range []struct {
+		name string
+		svc  *Service
+	}{{"memory", startService(t)}, {"durable", durable}} {
+		svc := tc.svc
+		t.Run(tc.name, func(t *testing.T) {
+			for _, bad := range []string{"", longest + "x"} {
+				ag, err := Dial(svc.Addr(), bad)
+				if err != nil {
+					t.Fatalf("a Hello with a %d-byte ID must still negotiate: %v", len(bad), err)
+				}
+				var se *ServiceError
+				if _, err := ag.Send(0, benchPMC(), nil); !errors.As(err, &se) {
+					t.Fatalf("%d-byte node ID: sample answered with %v, want a *ServiceError", len(bad), err)
+				}
+				ag.SetBatching(BatchOptions{MaxSamples: 2})
+				for i := 0; i < 2 && err == nil; i++ {
+					_, err = ag.Record(float64(i), benchPMC(), nil)
+				}
+				if !errors.As(err, &se) {
+					t.Fatalf("%d-byte node ID: batch answered with %v, want a *ServiceError", len(bad), err)
+				}
+				ag.Close()
+			}
+			if st := svc.Stats(); st.Nodes != 0 || st.Samples != 0 || st.Store.Nodes != 0 {
+				t.Fatalf("after refusing every sample: %d nodes, %d samples, %d stored nodes", st.Nodes, st.Samples, st.Store.Nodes)
+			}
+			ag, err := Dial(svc.Addr(), longest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ag.Close()
+			v := 80.0
+			est, err := ag.Send(7, benchPMC(), &v)
+			if err != nil {
+				t.Fatalf("%d-byte node ID refused: %v", len(longest), err)
+			}
+			body, err := ag.Query(QueryRequest{NodeID: longest, Channel: "p_node", From: 0, To: 10, ResolutionS: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(body.Points) != 1 || float64(body.Points[0].Value) != est.PNode {
+				t.Fatalf("%d-byte node ID reads back %+v, want the one estimate %v", len(longest), body.Points, est.PNode)
+			}
+			if st := svc.Stats(); st.Nodes != 1 || st.Store.Nodes != 1 {
+				t.Fatalf("after one valid sample: %d nodes, %d stored nodes, want 1 and 1", st.Nodes, st.Store.Nodes)
+			}
+		})
 	}
 }

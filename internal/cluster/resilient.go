@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sync"
 	"time"
@@ -46,9 +47,6 @@ type AgentOptions struct {
 	// consecutive failure up to BackoffMax.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// Jitter spreads each backoff delay by ±Jitter (fraction of the
-	// delay) so a cluster of agents does not reconnect in lockstep.
-	Jitter float64
 	// SendRetries is how many network attempts one Send makes (first try
 	// included) before falling back to the local model.
 	SendRetries int
@@ -59,12 +57,6 @@ type AgentOptions struct {
 	// BufferLimit caps the samples buffered while degraded; beyond it the
 	// oldest sample is dropped (and counted) so memory stays bounded.
 	BufferLimit int
-	// Seed feeds the jitter RNG, keeping backoff sequences reproducible.
-	Seed int64
-	// Codec is the wire codec preference passed to each dial: "" or
-	// CodecBinary offers the binary framing (falling back to JSON against
-	// older services), CodecJSON pins JSON.
-	Codec string
 	// Batch configures sample coalescing for Record (zero: disabled).
 	Batch BatchOptions
 }
@@ -76,12 +68,23 @@ func DefaultAgentOptions() AgentOptions {
 		RequestTimeout: 5 * time.Second,
 		BackoffMin:     100 * time.Millisecond,
 		BackoffMax:     30 * time.Second,
-		Jitter:         0.2,
 		SendRetries:    2,
 		FailThreshold:  3,
 		BufferLimit:    4096,
-		Seed:           1,
 	}
+}
+
+// backoffJitter spreads each backoff delay by ±20 % so a cluster of agents
+// does not reconnect in lockstep.
+const backoffJitter = 0.2
+
+// jitterSource seeds an agent's jitter RNG from the service address and
+// its node ID: agents of different nodes draw different delays, while one
+// node redialling the same service repeats its own sequence.
+func jitterSource(addr, nodeID string) rand.Source {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(addr + "\x00" + nodeID))
+	return rand.NewSource(int64(h.Sum64()))
 }
 
 // AgentCounters snapshots a ResilientAgent's activity.
@@ -191,7 +194,8 @@ func (c *ModelCache) decode(data []byte) (*core.HighRPM, error) {
 // DialResilient connects a ResilientAgent to the service: it dials,
 // registers the node, and fetches the model snapshot the degraded-mode
 // fallback will run on. The initial connect must succeed — without a
-// snapshot there is nothing to degrade to.
+// snapshot there is nothing to degrade to. Every dial offers the binary
+// codec, and the Hello falls back to JSON against a service without it.
 func DialResilient(addr, nodeID string, opts AgentOptions) (*ResilientAgent, error) {
 	return DialResilientShared(addr, nodeID, opts, nil)
 }
@@ -214,15 +218,12 @@ func DialResilientShared(addr, nodeID string, opts AgentOptions, models *ModelCa
 	if opts.BackoffMax < opts.BackoffMin {
 		opts.BackoffMax = opts.BackoffMin
 	}
-	if opts.Codec == "" {
-		opts.Codec = CodecBinary
-	}
 	ra := &ResilientAgent{
 		addr:    addr,
 		nodeID:  nodeID,
 		opts:    opts,
 		backoff: opts.BackoffMin,
-		rng:     rand.New(rand.NewSource(opts.Seed)),
+		rng:     rand.New(jitterSource(addr, nodeID)),
 		models:  models,
 	}
 	ra.batch.opts = opts.Batch
@@ -240,7 +241,7 @@ func DialResilientShared(addr, nodeID string, opts AgentOptions, models *ModelCa
 // the model fetch (models are bigger than samples, so RequestTimeout would
 // be too tight a bound on a slow link).
 func (ra *ResilientAgent) connect() (*Agent, *core.HighRPM, error) {
-	agent, err := DialCodec(ra.addr, ra.nodeID, ra.opts.Codec, ra.opts.DialTimeout)
+	agent, err := DialTimeout(ra.addr, ra.nodeID, ra.opts.DialTimeout)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -534,12 +535,8 @@ func (ra *ResilientAgent) onHealthy() {
 // failProbe schedules the next recovery attempt with jittered exponential
 // backoff.
 func (ra *ResilientAgent) failProbe() {
-	d := ra.backoff
-	if ra.opts.Jitter > 0 {
-		f := 1 + ra.opts.Jitter*(2*ra.rng.Float64()-1)
-		d = time.Duration(float64(d) * f)
-	}
-	ra.nextProbe = time.Now().Add(d)
+	f := 1 + backoffJitter*(2*ra.rng.Float64()-1)
+	ra.nextProbe = time.Now().Add(time.Duration(float64(ra.backoff) * f))
 	ra.backoff *= 2
 	if ra.backoff > ra.opts.BackoffMax {
 		ra.backoff = ra.opts.BackoffMax

@@ -24,7 +24,6 @@ func faultAgentOptions() AgentOptions {
 	opts.SendRetries = 2
 	opts.FailThreshold = 2
 	opts.BufferLimit = 256
-	opts.Seed = 7
 	return opts
 }
 
@@ -597,5 +596,30 @@ func TestModelCacheSharesDecodedSnapshot(t *testing.T) {
 	}
 	if len(cache.models) != 1 {
 		t.Fatalf("a failed decode was cached: %d entries", len(cache.models))
+	}
+}
+
+// TestJitterSeededPerNode: an agent's backoff jitter is seeded from the
+// service address and its node ID, so the agents of different nodes draw
+// different delays and do not retry in lockstep, while a node that dials
+// the same service again draws its own sequence again.
+func TestJitterSeededPerNode(t *testing.T) {
+	checkNoLeaks(t)
+	svc := startService(t)
+	firstDraw := func(node string) float64 {
+		t.Helper()
+		ra, err := DialResilient(svc.Addr(), node, DefaultAgentOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ra.Close()
+		return ra.rng.Float64()
+	}
+	a, b, again := firstDraw("node-a"), firstDraw("node-b"), firstDraw("node-a")
+	if a == b {
+		t.Fatalf("node-a and node-b both draw %v first: their agents back off in lockstep", a)
+	}
+	if a != again {
+		t.Fatalf("node-a drew %v, then %v after a redial", a, again)
 	}
 }

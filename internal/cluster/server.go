@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"highrpm/internal/obs"
+	"highrpm/internal/tsdb"
 )
 
 // Handler answers the requests a Server decodes. Service (local model and
@@ -34,6 +35,9 @@ import (
 // up. A *ServiceError anywhere in the error's chain is relayed as its
 // Message alone, so a proxying handler passes a backend's rejection
 // through byte-identical to a direct connection.
+//
+// The Server checks every node ID before a handler sees it (see
+// checkNodeID): Hello, Sample and Batch only ever receive a valid one.
 type Handler interface {
 	// Hello registers the node an agent announced.
 	Hello(nodeID string)
@@ -433,6 +437,21 @@ func (f *binFramer) replyError(enc wireEnc, err error) error {
 	return f.writeJSON(enc, KindError, ErrorBody{Message: msg})
 }
 
+// checkNodeID refuses a node ID no store can keep: an empty one, whose
+// history could never be read back (an empty QueryRequest.NodeID asks for
+// the aggregate), and one longer than tsdb.MaxNodeIDLen, which a WAL
+// record cannot carry. The refusal is a *ServiceError, so a router answers
+// it byte-identically to a service.
+func checkNodeID(id string) error {
+	if id == "" {
+		return &ServiceError{Message: "empty node ID"}
+	}
+	if len(id) > tsdb.MaxNodeIDLen {
+		return &ServiceError{Message: fmt.Sprintf("node ID of %d bytes exceeds %d", len(id), tsdb.MaxNodeIDLen)}
+	}
+	return nil
+}
+
 // errSeriesTooLarge answers a query whose reply would not fit one frame.
 var errSeriesTooLarge = errors.New("series reply too large; narrow the query window or coarsen the resolution")
 
@@ -491,8 +510,13 @@ func (s *Server) serveConn(conn net.Conn) error {
 			if err := DecodeBody(req.env, &h); err != nil {
 				return err
 			}
-			s.h.Hello(h.NodeID)
-			s.identify(conn, h.NodeID)
+			// A Hello without a valid ID still negotiates — query clients
+			// and the fleet router's query connection send an empty one —
+			// but registers nothing.
+			if checkNodeID(h.NodeID) == nil {
+				s.h.Hello(h.NodeID)
+				s.identify(conn, h.NodeID)
+			}
 			reply := Hello{NodeID: h.NodeID, Relay: h.Relay, RawSeries: h.RawSeries}
 			series.raw = h.RawSeries
 			for _, c := range h.Codecs {
@@ -515,17 +539,21 @@ func (s *Server) serveConn(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			var est Estimate
-			if est, herr = s.h.Sample(smp); herr == nil {
-				werr = f.replyEstimate(req.enc, &est)
+			if herr = checkNodeID(smp.NodeID); herr == nil {
+				var est Estimate
+				if est, herr = s.h.Sample(smp); herr == nil {
+					werr = f.replyEstimate(req.enc, &est)
+				}
 			}
 		case KindRecordBatch:
 			rb, err := f.requestBatch(&req)
 			if err != nil {
 				return err
 			}
-			if ests, herr = s.h.Batch(rb, ests[:0]); herr == nil {
-				werr = f.replyEstimates(req.enc, ests)
+			if herr = checkNodeID(rb.NodeID); herr == nil {
+				if ests, herr = s.h.Batch(rb, ests[:0]); herr == nil {
+					werr = f.replyEstimates(req.enc, ests)
+				}
 			}
 		case KindQuery:
 			q, err := f.requestQuery(&req)

@@ -3,9 +3,9 @@
 // already use, so a fleet is a drop-in replacement for a single service.
 //
 // Node IDs are consistent-hash-sharded across the backends (ring.go):
-// each shard contributes configurable virtual nodes to a deterministic
-// hash ring (FNV-64a plus an avalanche finaliser, so sequential node names
-// spread evenly), so the same topology always yields the same placement and
+// each shard contributes 64 virtual nodes to a deterministic hash ring
+// (FNV-64a plus an avalanche finaliser, so sequential node names spread
+// evenly), so the same topology always yields the same placement and
 // removing a shard moves only that shard's keys. Ingest traffic (Hello,
 // Sample, RecordBatch) is forwarded over pooled ResilientAgent
 // connections — one per (node, shard) so per-node sample order survives
@@ -37,5 +37,7 @@
 // because every server answers a connection's frames in order, and a node
 // the group left unanswered — rejected by that shard, or cut off when its
 // connection died — is re-read from its next replica on its own. KindStats
-// scatter-gathers and sums the per-shard statistics the same way.
+// scatter-gathers and sums the per-shard statistics the same way. The
+// query connection says Hello with an empty node ID, so no shard counts
+// the router as one of its nodes.
 package fleet

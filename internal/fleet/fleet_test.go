@@ -779,14 +779,7 @@ func testFleetBatchForwarding(t *testing.T, codec string) {
 
 	send := func(addr, codec string) []cluster.Estimate {
 		t.Helper()
-		opts := cluster.DefaultAgentOptions()
-		opts.Codec = codec
-		opts.Batch = cluster.BatchOptions{MaxSamples: 8}
-		ag, err := cluster.DialResilient(addr, node, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ag.Close()
+		ag := batchAgent(t, addr, node, codec)
 		var ests []cluster.Estimate
 		for _, smp := range samples {
 			got, err := ag.Record(smp.Time, smp.PMC, smp.Measured)
@@ -855,7 +848,7 @@ func TestRouterValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := r.Options()
-	if o.VirtualNodes != DefaultVirtualNodes || o.Replication != 2 || o.DialRetry != DefaultDialRetry {
+	if o.Replication != 2 || o.DialRetry != DefaultDialRetry {
 		t.Fatalf("resolved options = %+v", o)
 	}
 	if o.Agent.RequestTimeout == 0 || o.FrontEnd.MaxFrame == 0 {

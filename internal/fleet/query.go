@@ -163,7 +163,7 @@ func (r *Router) onShard(idx int, call func(*cluster.ResilientAgent) error) erro
 // and again DialRetry after a failed attempt. Callers hold st.qmu.
 func (r *Router) queryAgentLocked(st *shardState) (*cluster.ResilientAgent, error) {
 	if st.query == nil {
-		ag, err := r.dial(st, "fleet-router", &st.nextDial)
+		ag, err := r.dial(st, "", &st.nextDial)
 		if err != nil {
 			return nil, err
 		}
@@ -303,7 +303,6 @@ func (r *Router) recordedNodes() []string {
 	r.nmu.Lock()
 	defer r.nmu.Unlock()
 	nodes := make([]string, 0, len(r.routes))
-	//lint:ignore maporder the slice is sorted before use
 	for id, nr := range r.routes {
 		if nr.recorded.Load() {
 			nodes = append(nodes, id)

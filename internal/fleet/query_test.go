@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -281,5 +282,52 @@ func TestRouterRawSeriesNeedsTheEcho(t *testing.T) {
 	}
 	if st := r.Stats(); st.SeriesRelayed-before.SeriesRelayed != 2 {
 		t.Fatalf("offering client: %d of 2 answers relayed undecoded", st.SeriesRelayed-before.SeriesRelayed)
+	}
+}
+
+// TestRouterIsNoShardNode: the router's query connection to a shard says
+// Hello with an empty node ID, so a node query, a stats call and a model
+// fetch through the router leave every shard with no node and no node
+// connection. And the router refuses the node IDs a service refuses, in
+// the service's words, because both run the same cluster.Server.
+func TestRouterIsNoShardNode(t *testing.T) {
+	checkNoLeaks(t)
+	r, backends := startFleet(t, 2, DefaultTopologyOptions())
+	qa := dialFront(t, r, "query-client", cluster.CodecBinary)
+	defer qa.Close()
+	if _, err := qa.Query(cluster.QueryRequest{NodeID: "nobody", Channel: "p_node", From: 0, To: 10, ResolutionS: 1}); err != nil && !isRejection(err) {
+		t.Fatal(err)
+	}
+	if _, err := qa.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := qa.FetchModel(); err != nil {
+		t.Fatal(err)
+	}
+	for i, be := range backends {
+		if st := be.Stats(); st.Nodes != 0 || st.NodeConns != nil {
+			t.Fatalf("shard %d counts %d nodes, node connections %v: the router registered itself", i, st.Nodes, st.NodeConns)
+		}
+	}
+
+	ref := startBackend(t)
+	pmc := genSamples(t, 1, 1)[0].PMC
+	for _, node := range []string{"", strings.Repeat("n", tsdb.MaxNodeIDLen+1)} {
+		fa := dialFront(t, r, node, cluster.CodecBinary)
+		ra, err := cluster.Dial(ref.Addr(), node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fse, rse *cluster.ServiceError
+		_, ferr := fa.Send(0, pmc, nil)
+		_, rerr := ra.Send(0, pmc, nil)
+		fa.Close()
+		ra.Close()
+		if !errors.As(ferr, &fse) || !errors.As(rerr, &rse) || fse.Message != rse.Message {
+			t.Fatalf("%d-byte node ID: router answered %v, service %v; want the same refusal", len(node), ferr, rerr)
+		}
+	}
+	if st, err := qa.Stats(); err != nil || st.Nodes != 1 {
+		t.Fatalf("router counts %d nodes (err %v), want query-client alone", st.Nodes, err)
 	}
 }

@@ -252,13 +252,7 @@ func testFleetRelayBoundaries(t *testing.T, codec string, replication int) {
 	// and to a batch: the router drops them, the primary infers, and only
 	// the primary's answer travels on to the followers.
 	bogus := &cluster.RelayedEstimate{PNode: 1, PCPU: 2, PMEM: 3}
-	aopts := cluster.DefaultAgentOptions()
-	aopts.Codec = codec
-	fr, err := cluster.DialResilient(r.Addr(), "node-forged", aopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fr.Close()
+	fr := dialForger(t, r.Addr(), "node-forged", codec)
 	rr, err := cluster.Dial(ref.Addr(), "node-forged")
 	if err != nil {
 		t.Fatal(err)
@@ -267,10 +261,7 @@ func testFleetRelayBoundaries(t *testing.T, codec string, replication int) {
 	forged := genSamples(t, 43, 12)
 	before := inferred(backends)
 	for _, smp := range forged[:4] {
-		fest, err := fr.SendRelayed(smp.Time, smp.PMC, smp.Measured, bogus)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fest := fr.send(smp, bogus)
 		rest, err := rr.Send(smp.Time, smp.PMC, smp.Measured)
 		if err != nil {
 			t.Fatal(err)
@@ -283,9 +274,9 @@ func testFleetRelayBoundaries(t *testing.T, codec string, replication int) {
 	for _, smp := range forged[4:] {
 		batch = append(batch, cluster.BatchSample{Time: smp.Time, PMC: smp.PMC, Measured: smp.Measured, Relayed: bogus})
 	}
-	fests, err := fr.SendSamples(batch)
-	if err != nil || len(fests) != len(batch) {
-		t.Fatalf("forged batch: %d estimates, err %v", len(fests), err)
+	fests := fr.sendBatch(batch)
+	if len(fests) != len(batch) {
+		t.Fatalf("forged batch: %d estimates, want %d", len(fests), len(batch))
 	}
 	for i, smp := range forged[4:] {
 		rest, err := rr.Send(smp.Time, smp.PMC, smp.Measured)
@@ -300,6 +291,77 @@ func testFleetRelayBoundaries(t *testing.T, codec string, replication int) {
 		t.Fatalf("forged estimates: models ran on %d samples, want %d — the primary must infer each", got, want)
 	}
 	requireReplicasMatch(t, r, backends, ref, []string{"node-forged"}, 100)
+}
+
+// forger is a front-end peer that attaches estimates of its own. On binary
+// it is a ResilientAgent, whose relayed sends are what the router's own
+// backend hop runs; every agent offers binary, so on JSON it writes the
+// envelopes itself.
+type forger struct {
+	t    *testing.T
+	node string
+	ag   *cluster.ResilientAgent
+	raw  *rawClient
+}
+
+func dialForger(t *testing.T, addr, node, codec string) *forger {
+	t.Helper()
+	f := &forger{t: t, node: node}
+	if codec == cluster.CodecJSON {
+		f.raw = dialRawHello(t, addr, cluster.Hello{NodeID: node, Relay: true})
+		return f
+	}
+	ag, err := cluster.DialResilient(addr, node, cluster.DefaultAgentOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ag.Close() })
+	f.ag = ag
+	return f
+}
+
+// call writes one JSON request and decodes its reply into out.
+func (f *forger) call(kind cluster.MsgKind, body, out any) {
+	f.t.Helper()
+	if err := cluster.WriteMsg(f.raw.conn, kind, body); err != nil {
+		f.t.Fatal(err)
+	}
+	env, err := cluster.ReadMsg(f.raw.r)
+	if err == nil {
+		err = cluster.DecodeBody(env, out)
+	}
+	if err != nil {
+		f.t.Fatal(err)
+	}
+}
+
+func (f *forger) send(smp cluster.Sample, rel *cluster.RelayedEstimate) cluster.Estimate {
+	f.t.Helper()
+	if f.ag != nil {
+		est, err := f.ag.SendRelayed(smp.Time, smp.PMC, smp.Measured, rel)
+		if err != nil {
+			f.t.Fatal(err)
+		}
+		return est
+	}
+	smp.NodeID, smp.Relayed = f.node, rel
+	var est cluster.Estimate
+	f.call(cluster.KindSample, smp, &est)
+	return est
+}
+
+func (f *forger) sendBatch(samples []cluster.BatchSample) []cluster.Estimate {
+	f.t.Helper()
+	if f.ag != nil {
+		ests, err := f.ag.SendSamples(samples)
+		if err != nil {
+			f.t.Fatal(err)
+		}
+		return ests
+	}
+	var eb cluster.EstimateBatch
+	f.call(cluster.KindRecordBatch, cluster.RecordBatch{NodeID: f.node, Samples: samples}, &eb)
+	return eb.Estimates
 }
 
 // TestFleetRelayAcrossPrimaryKill: inference-once holds before a shard is

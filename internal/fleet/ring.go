@@ -7,7 +7,7 @@ import (
 )
 
 // ring is the consistent-hash placement structure: every shard contributes
-// VirtualNodes points on a 64-bit circle (hashKey of "name#i"), and a node
+// virtualNodes points on a 64-bit circle (hashKey of "name#i"), and a node
 // ID lands on the first point clockwise of its own hash. Placement depends
 // only on the shard *names* — points sort by (hash, name), so shuffling
 // the topology's shard order, re-addressing a shard, or rebuilding the

@@ -101,7 +101,7 @@ func TestRingOwners(t *testing.T) {
 }
 
 func TestRingSpread(t *testing.T) {
-	r := mustRing(t, shardList("alpha", "beta", "gamma", "delta"), DefaultVirtualNodes)
+	r := mustRing(t, shardList("alpha", "beta", "gamma", "delta"), virtualNodes)
 	counts := make([]int, 4)
 	const keys = 4000
 	for i := 0; i < keys; i++ {
@@ -123,7 +123,7 @@ func TestRingSpread(t *testing.T) {
 		for i := range names {
 			names[i] = fmt.Sprintf("shard-%d", i)
 		}
-		r := mustRing(t, shardList(names...), DefaultVirtualNodes)
+		r := mustRing(t, shardList(names...), virtualNodes)
 		for _, n := range []int{64, 100, 256, 1000} {
 			checkSequentialBalance(t, r, shards, n)
 		}
@@ -204,7 +204,7 @@ func FuzzRingPlacement(f *testing.F) {
 		// "twice the fair share" seven deviations out. (At exactly 64 names
 		// about one random topology in a hundred crosses it by sampling
 		// noise alone; TestRingSpread pins that size on fixed topologies.)
-		checkSequentialBalance(t, mustRing(t, shardList(names...), DefaultVirtualNodes), len(names), 256*len(names))
+		checkSequentialBalance(t, mustRing(t, shardList(names...), virtualNodes), len(names), 256*len(names))
 
 		// Remove the key's owner: the key lands on its first follower.
 		// Remove any other shard: the key does not move.

@@ -118,10 +118,7 @@ func (nr *nodeRoute) attachEstimates(samples []cluster.BatchSample, ests []clust
 // NewRouter validates the topology, builds the ring, and returns a router
 // ready to Listen. Option zero values take the documented defaults.
 func NewRouter(top Topology, opts TopologyOptions) (*Router, error) {
-	if opts.VirtualNodes <= 0 {
-		opts.VirtualNodes = DefaultVirtualNodes
-	}
-	rg, err := newRing(top.Shards, opts.VirtualNodes)
+	rg, err := newRing(top.Shards, virtualNodes)
 	if err != nil {
 		return nil, err
 	}

@@ -23,10 +23,10 @@ type Topology struct {
 }
 
 const (
-	// DefaultVirtualNodes is the ring points per shard: enough to keep the
-	// key distribution within a few percent of even for small fleets,
-	// cheap enough that the ring stays a flat sorted slice.
-	DefaultVirtualNodes = 64
+	// virtualNodes is the ring points per shard: enough to keep the key
+	// distribution within a few percent of even for small fleets, cheap
+	// enough that the ring stays a flat sorted slice.
+	virtualNodes = 64
 	// DefaultDialRetry spaces attempts to dial a shard the router has
 	// never reached (once connected, reconnects follow the agent backoff).
 	DefaultDialRetry = time.Second
@@ -34,16 +34,12 @@ const (
 
 // TopologyOptions tunes a Router.
 type TopologyOptions struct {
-	// VirtualNodes is how many ring points each shard contributes
-	// (0: DefaultVirtualNodes). More points smooth the key distribution
-	// at the cost of a bigger ring.
-	VirtualNodes int
 	// Replication is the number of distinct shards holding each node's
 	// stream (R): the ring owner plus R-1 clockwise followers. 0 and 1
 	// both mean no replication; values above the shard count are clamped.
 	Replication int
-	// Agent tunes the pooled backend connections (codec, timeouts,
-	// backoff, degraded-mode buffering and replay). The zero value means
+	// Agent tunes the pooled backend connections (timeouts, backoff,
+	// degraded-mode buffering and replay). The zero value means
 	// cluster.DefaultAgentOptions.
 	Agent cluster.AgentOptions
 	// FrontEnd hardens the router's own listener exactly like a service's
@@ -55,15 +51,13 @@ type TopologyOptions struct {
 	DialRetry time.Duration
 }
 
-// DefaultTopologyOptions returns deployment defaults: 64 virtual nodes,
-// no replication, and the cluster layer's default agent and service
-// hardening.
+// DefaultTopologyOptions returns deployment defaults: no replication, and
+// the cluster layer's default agent and service hardening.
 func DefaultTopologyOptions() TopologyOptions {
 	return TopologyOptions{
-		VirtualNodes: DefaultVirtualNodes,
-		Replication:  1,
-		Agent:        cluster.DefaultAgentOptions(),
-		FrontEnd:     cluster.DefaultServiceOptions(),
-		DialRetry:    DefaultDialRetry,
+		Replication: 1,
+		Agent:       cluster.DefaultAgentOptions(),
+		FrontEnd:    cluster.DefaultServiceOptions(),
+		DialRetry:   DefaultDialRetry,
 	}
 }

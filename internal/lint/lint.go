@@ -15,9 +15,9 @@
 //	//lint:ignore <rule>[,<rule>...] <reason>
 //
 // placed on, or on the line directly above, the offending line, or for a
-// whole file with //lint:file-ignore. A reason is mandatory; directives
-// that suppress nothing are tracked so `highrpm-vet -fix-ignore` can list
-// stale ones.
+// whole file with //lint:file-ignore. A reason is mandatory, and a
+// directive whose rules all ran but that suppressed nothing is itself a
+// finding: a stale directive would silently hide the next real one.
 package lint
 
 import (
@@ -104,45 +104,53 @@ func (p *Package) BasePath() string {
 	return p.ImportPath
 }
 
-// Ignore is one lint:ignore / lint:file-ignore directive found in source.
-type Ignore struct {
-	Pos   token.Position
-	Rules []string
-	// Reason is the mandatory justification text.
-	Reason string
-	// File marks a file-scoped directive (lint:file-ignore).
-	File bool
-	// Used is set when the directive suppressed at least one diagnostic
-	// of an enabled rule.
-	Used bool
-	// Evaluated is set when at least one of the directive's rules was
-	// enabled for the run; unused-but-unevaluated directives are not
-	// stale, the rule just wasn't selected.
-	Evaluated bool
+// ignore is one lint:ignore / lint:file-ignore directive found in source.
+type ignore struct {
+	pos   token.Position
+	rules []string
+	// file marks a file-scoped directive (lint:file-ignore).
+	file bool
+	// used is set when the directive suppressed at least one diagnostic.
+	used bool
 }
 
-func (ig *Ignore) matches(rule string, pos token.Position) bool {
+func (ig *ignore) matches(rule string, pos token.Position) bool {
 	ruleOK := false
-	for _, r := range ig.Rules {
+	for _, r := range ig.rules {
 		if r == rule {
 			ruleOK = true
 			break
 		}
 	}
-	if !ruleOK || ig.Pos.Filename != pos.Filename {
+	if !ruleOK || ig.pos.Filename != pos.Filename {
 		return false
 	}
-	if ig.File {
+	if ig.file {
 		return true
 	}
-	return ig.Pos.Line == pos.Line || ig.Pos.Line == pos.Line-1
+	return ig.pos.Line == pos.Line || ig.pos.Line == pos.Line-1
+}
+
+// stale reports whether the directive suppressed nothing although every
+// rule it names ran. A directive naming a rule that did not run is not
+// stale: that rule might have needed it.
+func (ig *ignore) stale(enabled map[string]bool) bool {
+	if ig.used {
+		return false
+	}
+	for _, r := range ig.rules {
+		if !enabled[r] {
+			return false
+		}
+	}
+	return true
 }
 
 // Result is the outcome of one engine run.
 type Result struct {
+	// Diagnostics holds the findings, stale directives included (under
+	// the "lint" pseudo-rule).
 	Diagnostics []Diagnostic
-	// Ignores lists every directive seen, with usage accounting.
-	Ignores []*Ignore
 	// TypeErrors collects go/types errors; the tree is expected to
 	// compile (verify.sh builds before vetting), so these indicate an
 	// engine or environment problem rather than a lint finding.
@@ -155,8 +163,8 @@ const directiveMarker = "//lint:"
 // parseIgnores extracts lint directives from a file. Malformed directives
 // (no rule, or no reason) are reported as diagnostics under the "lint"
 // pseudo-rule so they cannot silently suppress nothing.
-func parseIgnores(fset *token.FileSet, f *ast.File, report func(Diagnostic)) []*Ignore {
-	var out []*Ignore
+func parseIgnores(fset *token.FileSet, f *ast.File, report func(Diagnostic)) []*ignore {
+	var out []*ignore
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := c.Text
@@ -188,11 +196,10 @@ func parseIgnores(fset *token.FileSet, f *ast.File, report func(Diagnostic)) []*
 				})
 				continue
 			}
-			out = append(out, &Ignore{
-				Pos:    fset.Position(c.Pos()),
-				Rules:  strings.Split(fields[0], ","),
-				Reason: strings.Join(fields[1:], " "),
-				File:   isFile,
+			out = append(out, &ignore{
+				pos:   fset.Position(c.Pos()),
+				rules: strings.Split(fields[0], ","),
+				file:  isFile,
 			})
 		}
 	}
@@ -201,8 +208,8 @@ func parseIgnores(fset *token.FileSet, f *ast.File, report func(Diagnostic)) []*
 
 // Run loads the packages matched by patterns (relative to dir) and runs
 // every analyzer over every loaded unit. Diagnostics are returned sorted
-// by position; suppressed findings are dropped and accounted on their
-// directive.
+// by position; suppressed findings are dropped, and every stale directive
+// becomes a finding of its own.
 func Run(dir string, patterns []string, analyzers []Analyzer) (*Result, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -218,26 +225,18 @@ func Run(dir string, patterns []string, analyzers []Analyzer) (*Result, error) {
 		enabled[a.Name()] = true
 	}
 
-	var ignores []*Ignore
+	var ignores []*ignore
 	collect := func(d Diagnostic) { res.Diagnostics = append(res.Diagnostics, d) }
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			ignores = append(ignores, parseIgnores(fset, f.Ast, collect)...)
 		}
 	}
-	for _, ig := range ignores {
-		for _, r := range ig.Rules {
-			if enabled[r] {
-				ig.Evaluated = true
-			}
-		}
-	}
-	res.Ignores = ignores
 
 	suppressed := func(d Diagnostic) bool {
 		for _, ig := range ignores {
 			if ig.matches(d.Rule, d.Pos) {
-				ig.Used = true
+				ig.used = true
 				return true
 			}
 		}
@@ -256,6 +255,19 @@ func Run(dir string, patterns []string, analyzers []Analyzer) (*Result, error) {
 				},
 			}
 			a.Run(pass)
+		}
+	}
+	for _, ig := range ignores {
+		if ig.stale(enabled) {
+			kind := "ignore"
+			if ig.file {
+				kind = "file-ignore"
+			}
+			collect(Diagnostic{
+				Pos:     ig.pos,
+				Rule:    "lint",
+				Message: fmt.Sprintf("lint:%s %s suppresses nothing; delete the directive", kind, strings.Join(ig.rules, ",")),
+			})
 		}
 	}
 	sort.Slice(res.Diagnostics, func(i, j int) bool {

@@ -31,7 +31,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 func (f *family) sortedSeries() []*instrument {
 	f.mu.Lock()
 	out := make([]*instrument, 0, len(f.series))
-	//lint:ignore maporder collected then sorted immediately below
 	for _, m := range f.series {
 		out = append(out, m)
 	}

@@ -272,7 +272,6 @@ func (r *Registry) OnGather(fn func()) {
 func (r *Registry) snapshot() ([]*family, []func()) {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))
-	//lint:ignore maporder collected then sorted immediately below
 	for _, f := range r.families {
 		fams = append(fams, f)
 	}

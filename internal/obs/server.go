@@ -33,15 +33,16 @@ type ServerOptions struct {
 	// default: profiling endpoints expose internals and cost CPU, so they
 	// are opt-in per deployment.
 	EnablePprof bool
-	// ReadHeaderTimeout bounds reading a request's header (default 5s) so
-	// an idle or hostile peer cannot pin a connection goroutine.
-	ReadHeaderTimeout time.Duration
 }
 
-// DefaultServerOptions returns the deployment defaults.
+// DefaultServerOptions returns the deployment defaults: pprof off.
 func DefaultServerOptions() ServerOptions {
-	return ServerOptions{ReadHeaderTimeout: 5 * time.Second}
+	return ServerOptions{}
 }
+
+// readHeaderTimeout bounds reading a request's header so an idle or
+// hostile peer cannot pin a connection goroutine.
+const readHeaderTimeout = 5 * time.Second
 
 // Server is the embeddable observability endpoint: /metrics in Prometheus
 // text format, /api/v1/query and /api/v1/series JSON over the tsdb query
@@ -67,9 +68,6 @@ type Server struct {
 // API request lands in highrpm_http_requests_total, so the cost of being
 // observed is itself observable.
 func NewServer(reg *Registry, opts ServerOptions) *Server {
-	if opts.ReadHeaderTimeout <= 0 {
-		opts.ReadHeaderTimeout = DefaultServerOptions().ReadHeaderTimeout
-	}
 	return &Server{
 		reg:  reg,
 		opts: opts,
@@ -118,7 +116,7 @@ func (s *Server) Listen(addr string) error {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: s.opts.ReadHeaderTimeout}
+	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()

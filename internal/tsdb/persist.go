@@ -30,9 +30,9 @@ import (
 // records (one record per Ingest call).
 const DefaultSnapshotEvery = 1 << 16
 
-// DefaultFlushEvery is the default FsyncBatch flush interval — the upper
-// bound on how much acknowledged data a crash can lose under that policy.
-const DefaultFlushEvery = 100 * time.Millisecond
+// flushEvery is the FsyncBatch flush interval — the upper bound on how
+// much acknowledged data a crash can lose under that policy.
+const flushEvery = 100 * time.Millisecond
 
 // Recovery reports what Open found on disk. It is informational: Open only
 // fails on I/O errors, never on corruption (corruption truncates, it does
@@ -186,12 +186,12 @@ func (st *Store) installSnapshot(snap *snapshotState) {
 	}
 }
 
-// flusher is the FsyncBatch background loop: one fsync per FlushEvery
+// flusher is the FsyncBatch background loop: one fsync per flushEvery
 // tick. WAL errors are sticky, so a failed sync here surfaces on the next
 // Ingest; the flusher just stops (nothing it retries can succeed).
 func (st *Store) flusher() {
 	defer close(st.flushDone)
-	t := time.NewTicker(st.opts.FlushEvery)
+	t := time.NewTicker(flushEvery)
 	defer t.Stop()
 	for {
 		select {

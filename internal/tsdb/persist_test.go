@@ -307,7 +307,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 			t.Fatalf("channel %d: %x != %x", i, math.Float64bits(got.vals[i]), math.Float64bits(rec.vals[i]))
 		}
 	}
-	if _, err := appendWALRecord(nil, &walRecord{node: strings.Repeat("x", maxNodeIDLen+1)}); err == nil {
+	if _, err := appendWALRecord(nil, &walRecord{node: strings.Repeat("x", MaxNodeIDLen+1)}); err == nil {
 		t.Fatal("oversized node ID should fail to encode")
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Channel names one stored power series per node.
@@ -129,9 +128,6 @@ type Options struct {
 	// record per Ingest). 0 selects DefaultSnapshotEvery; negative
 	// disables automatic snapshots (Snapshot still works manually).
 	SnapshotEvery int
-	// FlushEvery is the FsyncBatch flush interval — the loss bound under
-	// that policy. 0 selects DefaultFlushEvery.
-	FlushEvery time.Duration
 }
 
 // DefaultCachePoints is the default decoded-block cache budget: a million
@@ -176,9 +172,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SnapshotEvery < 0 {
 		o.SnapshotEvery = 0 // automatic snapshots disabled
-	}
-	if o.FlushEvery <= 0 {
-		o.FlushEvery = DefaultFlushEvery
 	}
 	return o
 }

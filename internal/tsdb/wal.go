@@ -41,16 +41,18 @@ const walMagic = "HRPMWAL1"
 // never force a large allocation: the real maximum is 8+8+1+255+8×5 bytes.
 const maxWALRecord = 4096
 
-// maxNodeIDLen bounds the node ID a WAL record can carry (u8 length field).
-const maxNodeIDLen = 255
+// MaxNodeIDLen bounds the node ID a WAL record can carry (u8 length
+// field). The cluster service refuses a longer ID before it reaches any
+// store, so an in-memory and a durable store keep the same nodes.
+const MaxNodeIDLen = 255
 
 // FsyncPolicy selects when the WAL is fsynced to stable storage.
 type FsyncPolicy int
 
 const (
 	// FsyncBatch (the default) groups fsyncs: appends land in the OS
-	// buffer immediately and a background flusher fsyncs every
-	// Options.FlushEvery. A crash loses at most one flush interval of
+	// buffer immediately and a background flusher fsyncs every 100 ms.
+	// A crash loses at most one flush interval of
 	// unsealed tail.
 	FsyncBatch FsyncPolicy = iota
 	// FsyncAlways fsyncs after every append: no acknowledged sample is
@@ -99,8 +101,8 @@ type walRecord struct {
 // appendWALRecord serialises rec onto dst (framing included) and returns
 // the extended slice.
 func appendWALRecord(dst []byte, rec *walRecord) ([]byte, error) {
-	if len(rec.node) > maxNodeIDLen {
-		return dst, fmt.Errorf("tsdb: node ID %q exceeds %d bytes", rec.node, maxNodeIDLen)
+	if len(rec.node) > MaxNodeIDLen {
+		return dst, fmt.Errorf("tsdb: node ID %q exceeds %d bytes", rec.node, MaxNodeIDLen)
 	}
 	payloadLen := 8 + 8 + 1 + len(rec.node) + 8*NumChannels
 	base := len(dst)

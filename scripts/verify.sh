@@ -7,7 +7,10 @@
 # `go vet` (asmdecl included) and the project-specific highrpm-vet analyzers (determinism,
 # maporder, floateq, leakcheck, errdrop, layering — see internal/lint),
 # runs the GPU and power-capping examples end to end, drives one model
-# file across binaries (highrpm-trace → highrpm-train → highrpm-analyze),
+# file across binaries (highrpm-trace → highrpm-train → highrpm-analyze)
+# and then serves it with highrpm-monitor — the one command that runs the
+# ResilientAgent, the only client the monitor has, against a live service
+# (two nodes, 30 simulated seconds, binary codec negotiated in Hello) —
 # and race-checks the concurrent subsystems (the tsdb ingest/query/WAL
 # paths including the persisttest crash-injection harness, the cluster
 # service + fault-injection harness, the fleet router's replicated
@@ -36,7 +39,8 @@
 # Unmarshal → NewMonitor → Pushes yields an error or estimates, never a
 # panic; its seeds are whole model files, so minimising an interesting
 # input is capped at 1 s to leave the 10 s for fuzzing). It fails when
-# DESIGN.md outgrows its 40 KB budget (40 960 bytes). The served
+# DESIGN.md outgrows its 40 KB budget (40 960 bytes) or README.md its
+# 32 KB one (32 768 bytes). The served
 # DynamicTRR shape is pinned in the `go test` step: TestHyperKnee fails
 # when DefaultDynamicTRROptions().Layers stops being the lowest-MAPE depth
 # of the §6.4.3 `hyper` sweep. Performance is not measured here:
@@ -57,6 +61,12 @@ if [ "$design_bytes" -gt 40960 ]; then
     echo "DESIGN.md is $design_bytes bytes, over its 40960-byte budget" >&2
     exit 1
 fi
+echo "== README.md within its 32 KB budget"
+readme_bytes=$(wc -c < README.md)
+if [ "$readme_bytes" -gt 32768 ]; then
+    echo "README.md is $readme_bytes bytes, over its 32768-byte budget" >&2
+    exit 1
+fi
 echo "== go build"
 go build ./...
 echo "== scripts/benchpair.sh parses"
@@ -73,12 +83,13 @@ go test ./...
 echo "== run the examples built on core.StaticTRR and governor.Run (~3 s)"
 go run ./examples/gpu >/dev/null
 go run ./examples/powercap >/dev/null
-echo "== a model file written by highrpm-train is read by highrpm-analyze (~2 s)"
+echo "== a model file written by highrpm-train is read by highrpm-analyze and served by highrpm-monitor (~3 s)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/highrpm-trace -bench HPCG/hpcg -duration 120 -o "$tmp/run.csv"
 go run ./cmd/highrpm-train -samples 60 -suites SPEC,HPCC -out "$tmp/m.json"
 go run ./cmd/highrpm-analyze -model "$tmp/m.json" "$tmp/run.csv" >/dev/null
+go run ./cmd/highrpm-monitor -model "$tmp/m.json" -nodes 2 -duration 30 -quiet >/dev/null
 echo "== go test -race (tsdb incl. persisttest, cluster incl. faultnet, fleet, obs)"
 go test -race ./internal/tsdb/... ./internal/cluster/... ./internal/fleet/... ./internal/obs
 echo "== go test -race (concurrent prediction, Restore beside a Monitor, parallel experiments)"
