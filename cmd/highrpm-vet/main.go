@@ -1,9 +1,9 @@
 // Command highrpm-vet runs the project-aware static-analysis rules in
 // internal/lint over the module: determinism of the model packages,
-// map-iteration-order hygiene, float-equality discipline, the cluster
-// goroutine-leak-guard convention, discarded Close/Flush/Write/Shutdown
-// errors, and package layering. A lint:ignore directive that suppresses
-// nothing is a finding too.
+// map-iteration-order hygiene, float-equality discipline, the
+// goroutine-leak guard in the serving tests, and discarded
+// Close/Flush/Write/Sync/Shutdown errors. A lint:ignore directive that
+// suppresses nothing, or names no rule, is a finding too.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage, load or type-check failure.
 package main
@@ -34,13 +34,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		for _, a := range lint.Default() {
 			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name(), a.Doc())
 		}
-		fmt.Fprintf(stderr, "\nSuppress a finding with //lint:ignore <rule> <reason> on (or directly\nabove) the offending line, or //lint:file-ignore <rule> <reason> for a file.\nA directive that suppresses nothing is reported under the rule \"lint\".\n")
+		fmt.Fprintf(stderr, "\nSuppress a finding with //lint:ignore <rule> <reason> on (or directly\nabove) the offending line. A directive that suppresses nothing or names\nan unknown rule is reported under the rule \"lint\".\n")
 	}
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
 
-	res, err := lint.Run(*dir, fs.Args(), lint.Default())
+	res, err := lint.Run(*dir, fs.Args())
 	if err != nil {
 		fmt.Fprintf(stderr, "highrpm-vet: %v\n", err)
 		return 2
@@ -57,11 +57,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		absDir = *dir
 	}
 	for _, d := range res.Diagnostics {
-		path := d.Pos.Filename
-		if r, err := filepath.Rel(absDir, path); err == nil && !strings.HasPrefix(r, "..") {
-			path = r
+		if r, err := filepath.Rel(absDir, d.Pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
+			d.Pos.Filename = r
 		}
-		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", path, d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
+		fmt.Fprintln(stdout, d)
 	}
 	if len(res.Diagnostics) > 0 {
 		return 1

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"testing"
+
+	"highrpm/internal/leaktest"
 )
 
 // agentVerb is one Agent verb as the scripted-peer tests drive it: the call,
@@ -118,7 +120,7 @@ func scriptedPeer(t *testing.T, conn net.Conn, check func(req []byte), replies .
 // scripted peer and requires the same outcome class per kind of reply,
 // whatever the verb and codec: the one roundTrip they all share decides it.
 func TestAgentRoundTripScripted(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	const (
 		ok       = iota // nil error
 		rejected        // *ServiceError with the bare message, connection still usable

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"highrpm/internal/leaktest"
 	"highrpm/internal/tsdb"
 )
 
@@ -455,7 +456,7 @@ func FuzzCrossCodecSample(f *testing.F) {
 // this service lands on binary, a JSON dial stays JSON, and both speak to
 // the same service concurrently.
 func TestCodecNegotiation(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	bin, err := Dial(svc.Addr(), "node-bin")
 	if err != nil {
@@ -491,7 +492,7 @@ func TestCodecNegotiation(t *testing.T) {
 // requires the JSON renderings to match byte-for-byte. This is the
 // acceptance gate for the binary codec: framing changed, results did not.
 func TestCodecInteropByteIdentical(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	bin, err := DialCodec(svc.Addr(), "node-bin", CodecBinary, 0)
 	if err != nil {
@@ -571,7 +572,7 @@ func TestCodecInteropByteIdentical(t *testing.T) {
 // coalesces, the flush returns one estimate per sample in order, and the
 // estimates equal what unbatched Sends produce for the same stream.
 func TestRecordBatch(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	for _, codec := range []string{CodecBinary, CodecJSON} {
 		t.Run(codec, func(t *testing.T) {
@@ -642,7 +643,7 @@ func TestRecordBatch(t *testing.T) {
 // dies must serve flushes locally, keep the samples in order in the replay
 // buffer, and deliver the whole backlog in order once a service returns.
 func TestResilientBatchDegradedReplay(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := NewService(sharedModel(t))
 	svc.Logf = t.Logf
 	if err := svc.Listen("127.0.0.1:0"); err != nil {
@@ -737,7 +738,7 @@ func TestResilientBatchDegradedReplay(t *testing.T) {
 // sample must not allocate at all. Everything lives in the framer scratch
 // — the write buffer, the read buffer, the PMC slice, the interned node.
 func TestBinaryCodecZeroAlloc(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	pmc := benchPMC()
 	meas := 90.5
 	var buf bytes.Buffer

@@ -4,14 +4,18 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"net"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"highrpm/internal/core"
 	"highrpm/internal/dataset"
+	"highrpm/internal/leaktest"
 	"highrpm/internal/platform"
 	"highrpm/internal/workload"
 )
@@ -74,7 +78,7 @@ func startServiceWith(t testing.TB, opts ServiceOptions) *Service {
 }
 
 func TestServiceAgentRoundTrip(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	agent, err := Dial(svc.Addr(), "node-a")
 	if err != nil {
@@ -129,7 +133,7 @@ func TestServiceAgentRoundTrip(t *testing.T) {
 }
 
 func TestServiceIsolatesNodes(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	a, err := Dial(svc.Addr(), "node-1")
 	if err != nil {
@@ -174,14 +178,17 @@ func TestServiceIsolatesNodes(t *testing.T) {
 }
 
 // TestServiceSameNodeTwoConnections is the reconnect-while-the-old-request-
-// is-in-flight case: two connections carry one node id and send at once.
-// The node's lock must serialise them (the race detector is the referee for
-// the monitor), and every sample must be counted, stored and gauged once.
+// is-in-flight case: two connections carry one node id and send at once,
+// one from t = 0 and one from t = 1000. The node's lock must serialise them
+// (the race detector is the referee for the monitor); a sample behind the
+// other connection's newest time is refused, and every sample is counted
+// once and either refused or estimated, stored and gauged once.
 func TestServiceSameNodeTwoConnections(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	const perConn = 400
 	var wg sync.WaitGroup
+	var accepted, refused atomic.Int64
 	errs := make(chan error, 2)
 	for c := 0; c < 2; c++ {
 		agent, err := Dial(svc.Addr(), "node-dup")
@@ -199,7 +206,14 @@ func TestServiceSameNodeTwoConnections(t *testing.T) {
 					v := 80 + float64(i%7)
 					measured = &v
 				}
-				if _, err := agent.Send(base+float64(i), pmc, measured); err != nil {
+				_, err := agent.Send(base+float64(i), pmc, measured)
+				var se *ServiceError
+				switch {
+				case err == nil:
+					accepted.Add(1)
+				case errors.As(err, &se):
+					refused.Add(1) // behind the other connection's newest time
+				default:
 					errs <- err
 					return
 				}
@@ -211,23 +225,104 @@ func TestServiceSameNodeTwoConnections(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if st := svc.Stats(); st.Samples != 2*perConn || st.Nodes != 1 {
-		t.Fatalf("stats = %d samples on %d nodes, want %d on 1", st.Samples, st.Nodes, 2*perConn)
+	if a, r := accepted.Load(), refused.Load(); a+r != 2*perConn || a < perConn {
+		t.Fatalf("%d accepted + %d refused, want %d sent and at least %d accepted", a, r, 2*perConn, perConn)
+	}
+	if st := svc.Stats(); st.Samples != 2*perConn || st.Estimates != accepted.Load() || st.Nodes != 1 {
+		t.Fatalf("stats = %d samples, %d estimates on %d nodes, want %d, %d on 1", st.Samples, st.Estimates, st.Nodes, 2*perConn, accepted.Load())
 	}
 	raw, err := svc.Store().QuerySeries("node-dup", "p_node", 0, 2000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw.Points) != 2*perConn {
-		t.Fatalf("store holds %d raw p_node points, want %d", len(raw.Points), 2*perConn)
+	if int64(len(raw.Points)) != accepted.Load() {
+		t.Fatalf("store holds %d raw p_node points, want the %d accepted", len(raw.Points), accepted.Load())
+	}
+	for i := 1; i < len(raw.Points); i++ {
+		if raw.Points[i].Time < raw.Points[i-1].Time {
+			t.Fatalf("stored time goes back at point %d: %g after %g", i, raw.Points[i].Time, raw.Points[i-1].Time)
+		}
 	}
 	if latest := svc.LatestEstimates(); len(latest) != 1 {
 		t.Fatalf("%d latest estimates, want 1: %v", len(latest), latest)
 	}
 }
 
+// TestServiceKeepsNodeTimeOrder: a sample whose time is not finite or runs
+// behind the node's newest accepted one is a *ServiceError, alone or in a
+// batch, and changes nothing of the node, and so is a NaN reading; a raw
+// query then reads the node's history in order (one accepted sample at
+// t = 0 after t = 4 would make a raw [2, 7] query answer [5 6 7]).
+func TestServiceKeepsNodeTimeOrder(t *testing.T) {
+	leaktest.Check(t)
+	svc, ref := startService(t), startService(t)
+	agent, err := Dial(svc.Addr(), "node-t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	refAgent, err := Dial(ref.Addr(), "node-t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer refAgent.Close()
+	pmc := benchPMC()
+	send := func(tm float64) {
+		t.Helper()
+		v := 80 + tm
+		got, err := agent.Send(tm, pmc, &v)
+		if err != nil {
+			t.Fatalf("t = %g: %v", tm, err)
+		}
+		want, err := refAgent.Send(tm, pmc, &v)
+		if err != nil || got != want {
+			t.Fatalf("t = %g: %+v, a service never sent the refused samples %+v (err %v)", tm, got, want, err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		send(float64(i))
+	}
+	var se *ServiceError
+	for _, bad := range []float64{0, 3.5, math.NaN(), math.Inf(1)} {
+		if _, err := agent.Send(bad, pmc, nil); !errors.As(err, &se) {
+			t.Fatalf("t = %g after t = 4: %v, want a *ServiceError", bad, err)
+		}
+	}
+	agent.SetBatching(BatchOptions{MaxSamples: 2})
+	for _, tm := range []float64{5, 2} {
+		_, err = agent.Record(tm, pmc, nil)
+	}
+	if !errors.As(err, &se) {
+		t.Fatalf("batch [5 2]: %v, want a *ServiceError", err)
+	}
+	if _, err := refAgent.Send(5, pmc, nil); err != nil {
+		t.Fatal(err)
+	}
+	agent.SetBatching(BatchOptions{})
+	for i := 6; i < 10; i++ {
+		send(float64(i))
+	}
+	body, err := agent.Query(QueryRequest{NodeID: "node-t", Channel: "p_node", From: 2, To: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var times []float64
+	for _, p := range body.Points {
+		times = append(times, p.Time)
+	}
+	if fmt.Sprint(times) != "[2 3 4 5 6 7]" {
+		t.Fatalf("raw [2, 7] times = %v, want [2 3 4 5 6 7]", times)
+	}
+	// A non-finite reading is the monitor's refusal, answered the same way.
+	nan := math.NaN()
+	if _, err := agent.Send(10, pmc, &nan); !errors.As(err, &se) {
+		t.Fatalf("NaN reading: %v, want a *ServiceError", err)
+	}
+	send(10)
+}
+
 func TestServiceRejectsBadSample(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	agent, err := Dial(svc.Addr(), "node-x")
 	if err != nil {
@@ -246,7 +341,7 @@ func TestServiceRejectsBadSample(t *testing.T) {
 }
 
 func TestServiceUnknownKind(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	conn, err := net.Dial("tcp", svc.Addr())
 	if err != nil {
@@ -270,7 +365,7 @@ func TestServiceUnknownKind(t *testing.T) {
 }
 
 func TestProtocolFrameRoundTrip(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	var buf bytes.Buffer
 	want := Sample{NodeID: "n", Time: 3, PMC: []float64{1, 2, 3}}
 	if err := WriteMsg(&buf, KindSample, want); err != nil {
@@ -290,7 +385,7 @@ func TestProtocolFrameRoundTrip(t *testing.T) {
 }
 
 func TestProtocolOversizedFrameRejected(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // 4 GiB frame length
 	if _, err := ReadMsg(bufio.NewReader(&buf)); err == nil {
@@ -299,14 +394,14 @@ func TestProtocolOversizedFrameRejected(t *testing.T) {
 }
 
 func TestDialUnreachable(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	if _, err := Dial("127.0.0.1:1", "x"); err == nil {
 		t.Fatal("expected dial error")
 	}
 }
 
 func TestAgentFetchModel(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	agent, err := Dial(svc.Addr(), "fetcher")
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"highrpm/internal/leaktest"
 	"highrpm/internal/obs"
 	"highrpm/internal/platform"
 	"highrpm/internal/tsdb"
@@ -84,7 +85,7 @@ func historyImage(t *testing.T, st *tsdb.Store) []byte {
 // the same directory must replay every recorded estimate and answer the
 // exact same history queries.
 func TestDurableServiceRecovery(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	dir := t.TempDir()
 	const n = 25
 
@@ -129,7 +130,7 @@ func TestDurableServiceRecovery(t *testing.T) {
 // TestDurableMetricsExposition checks the WAL/snapshot gauges reach the
 // Prometheus exposition with live values from the durable store.
 func TestDurableMetricsExposition(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	opts := durableStoreOpts(t.TempDir())
 	svc, _, err := NewDurableService(sharedModel(t), DefaultServiceOptions(), opts)
 	if err != nil {
@@ -184,7 +185,7 @@ func TestDurableMetricsExposition(t *testing.T) {
 // and batched, and register no node even through a Hello; an ID of
 // exactly the limit is stored and read back.
 func TestServiceRefusesInvalidNodeIDs(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	durable, _, err := NewDurableService(sharedModel(t), DefaultServiceOptions(), durableStoreOpts(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"highrpm/internal/leaktest"
 )
 
 // Failure-injection tests: the service must survive misbehaving peers and
@@ -12,7 +14,7 @@ import (
 // deployment layer).
 
 func TestServiceSurvivesAbruptDisconnect(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	// Connect and slam the connection shut mid-handshake.
 	conn, err := net.Dial("tcp", svc.Addr())
@@ -38,7 +40,7 @@ func TestServiceSurvivesAbruptDisconnect(t *testing.T) {
 }
 
 func TestServiceRejectsOversizedFrame(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	conn, err := net.Dial("tcp", svc.Addr())
 	if err != nil {
@@ -64,7 +66,7 @@ func TestServiceRejectsOversizedFrame(t *testing.T) {
 }
 
 func TestServiceSurvivesGarbageJSON(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	conn, err := net.Dial("tcp", svc.Addr())
 	if err != nil {
@@ -85,7 +87,7 @@ func TestServiceSurvivesGarbageJSON(t *testing.T) {
 }
 
 func TestServiceCloseUnblocksAgents(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := NewService(sharedModel(t))
 	svc.Logf = t.Logf
 	if err := svc.Listen("127.0.0.1:0"); err != nil {
@@ -125,7 +127,7 @@ func TestServiceCloseUnblocksAgents(t *testing.T) {
 }
 
 func TestReadMsgTruncatedBody(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	conn1, conn2 := net.Pipe()
 	go func() {
 		conn1.Write([]byte{0, 0, 0, 50, 'x'}) // claims 50 bytes, sends 1

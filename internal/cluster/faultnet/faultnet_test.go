@@ -5,33 +5,11 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
-	"runtime"
 	"testing"
 	"time"
-)
 
-// checkNoLeaks fails the test if goroutines outlive its cleanup phase.
-func checkNoLeaks(t *testing.T) {
-	t.Helper()
-	before := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		deadline := time.Now().Add(5 * time.Second)
-		var n int
-		for {
-			n = runtime.NumGoroutine()
-			if n <= before {
-				return
-			}
-			if time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		t.Errorf("goroutine leak: %d before, %d after\n%s", before, n, buf)
-	})
-}
+	"highrpm/internal/leaktest"
+)
 
 // startEcho runs a TCP echo server and returns its address.
 func startEcho(t *testing.T) string {
@@ -79,7 +57,7 @@ func frame(n int) []byte {
 }
 
 func TestProxyPassthrough(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	p := startProxy(t, startEcho(t))
 	conn, err := net.Dial("tcp", p.Addr())
 	if err != nil {
@@ -135,7 +113,7 @@ func startSink(t *testing.T) (addr string, received func() int) {
 }
 
 func TestProxyDropAtFrame(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	addr, received := startSink(t)
 	p := startProxy(t, addr, ConnScript{Up: Fault{AfterFrames: 3, Action: ActClose}})
 	conn, err := net.Dial("tcp", p.Addr())
@@ -155,7 +133,7 @@ func TestProxyDropAtFrame(t *testing.T) {
 }
 
 func TestProxyTruncatesMidFrame(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	// Cut after 10 bytes of frame 2: the receiver sees frame 1 whole and
 	// a truncated frame 2.
 	addr, received := startSink(t)
@@ -173,7 +151,7 @@ func TestProxyTruncatesMidFrame(t *testing.T) {
 }
 
 func TestProxyReset(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	p := startProxy(t, startEcho(t), ConnScript{Up: Fault{AfterBytes: 8, Action: ActReset}})
 	conn, err := net.Dial("tcp", p.Addr())
 	if err != nil {
@@ -189,7 +167,7 @@ func TestProxyReset(t *testing.T) {
 }
 
 func TestProxyBlackhole(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	p := startProxy(t, startEcho(t), ConnScript{Up: Fault{Action: ActBlackhole}})
 	conn, err := net.Dial("tcp", p.Addr())
 	if err != nil {
@@ -210,7 +188,7 @@ func TestProxyBlackhole(t *testing.T) {
 }
 
 func TestProxyLatency(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	delay := 150 * time.Millisecond
 	p := startProxy(t, startEcho(t), ConnScript{Up: Fault{Latency: delay}})
 	conn, err := net.Dial("tcp", p.Addr())
@@ -231,7 +209,7 @@ func TestProxyLatency(t *testing.T) {
 }
 
 func TestProxySecondConnectionClean(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	// Only connection 0 is scripted; connection 1 must pass untouched.
 	p := startProxy(t, startEcho(t), ConnScript{Up: Fault{Action: ActClose}})
 	c0, err := net.Dial("tcp", p.Addr())

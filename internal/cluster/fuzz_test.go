@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"testing"
 	"unicode/utf8"
+
+	"highrpm/internal/leaktest"
 )
 
 // frameFor frames raw bytes with a length prefix, bypassing WriteMsg's JSON
@@ -101,7 +103,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 // cap but sends only a handful of bytes must cost at most one read chunk of
 // memory, not the claimed length.
 func TestReadMsgNoOverAllocation(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	claim := DefaultMaxFrame - 1
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(claim))

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"highrpm/internal/leaktest"
 	"highrpm/internal/platform"
 	"highrpm/internal/tsdb"
 	"highrpm/internal/workload"
@@ -53,7 +54,7 @@ func streamSamples(t *testing.T, agent *Agent, n, missInterval int, seed int64) 
 // stream 60 s of telemetry, then fetch a 60 s window of p_cpu at 10 s
 // rollup over TCP and check it against the live estimates.
 func TestServiceRecordsAndServesHistory(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	agent, err := Dial(svc.Addr(), "node-h")
 	if err != nil {
@@ -133,7 +134,7 @@ func TestServiceRecordsAndServesHistory(t *testing.T) {
 // TestServiceAggregateQuery sums a channel across nodes with an empty
 // NodeID.
 func TestServiceAggregateQuery(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	a, err := Dial(svc.Addr(), "agg-1")
 	if err != nil {
@@ -166,7 +167,7 @@ func TestServiceAggregateQuery(t *testing.T) {
 // TestServiceQueryErrors: bad channel / node / resolution come back as
 // KindError without killing the connection.
 func TestServiceQueryErrors(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	agent, err := Dial(svc.Addr(), "node-q")
 	if err != nil {
@@ -193,7 +194,7 @@ func TestServiceQueryErrors(t *testing.T) {
 // the per-connection handlers, seals the open rollup buckets, and leaves
 // the store queryable but read-only.
 func TestServiceCloseFlushesStore(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := NewService(sharedModel(t))
 	svc.Logf = func(string, ...any) {}
 	if err := svc.Listen("127.0.0.1:0"); err != nil {
@@ -225,7 +226,7 @@ func TestServiceCloseFlushesStore(t *testing.T) {
 // TestServiceSetStore: a custom-sized store (the monitor CLI's -retain
 // flag) is honoured and enforces retention.
 func TestServiceSetStore(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := NewService(sharedModel(t))
 	svc.Logf = func(string, ...any) {}
 	opts := tsdb.Options{BlockPoints: 16, RetainRaw: 40, Retain10s: 40, Retain60s: 40}

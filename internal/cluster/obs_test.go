@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"highrpm/internal/leaktest"
 	"highrpm/internal/obs"
 	"highrpm/internal/platform"
 	"highrpm/internal/workload"
@@ -57,7 +58,7 @@ func scrape(t *testing.T, c *http.Client, url string) []byte {
 // self-metering must all be present, and the JSON series endpoint must
 // return byte-for-byte the same encoding as the TCP query path.
 func TestObsEndToEndScrape(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	reg := obs.NewRegistry()
 	svc.RegisterMetrics(reg)
@@ -173,7 +174,7 @@ func TestObsEndToEndScrape(t *testing.T) {
 // ResilientAgent degradation: gauges must reflect the flip and readiness
 // must report ready-but-degraded.
 func TestObsAgentMetricsDegraded(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	reg := obs.NewRegistry()
 	svc.RegisterMetrics(reg)

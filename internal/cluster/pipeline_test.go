@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"highrpm/internal/leaktest"
 )
 
 // groupNodes names n nodes for a pipelined group.
@@ -72,7 +74,7 @@ func withholdingPeer(t *testing.T, conn net.Conn, n, reject int) {
 // order, a rejection in the middle of the group delivered as that node's and
 // disturbing no other.
 func TestQueryNodesPipelines(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	const n, reject = 21, 7
 	nodes := groupNodes(n, "")
 	q := QueryRequest{Channel: "p_node", From: 0, To: 10, ResolutionS: 1}
@@ -172,7 +174,7 @@ func TestQueryFrameLen(t *testing.T) {
 // nobody is reading yet, which the first half shows, and the window is what
 // lets queryNodes through.
 func TestQueryNodesWindow(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	const n = 300
 	nodes := groupNodes(n, strings.Repeat("-pad", 10)) // ≈ 75-byte frames: 22 KB of requests
 	q := QueryRequest{Channel: "p_node", From: 0, To: 3, ResolutionS: 1}

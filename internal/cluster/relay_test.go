@@ -8,6 +8,8 @@ import (
 	"net"
 	"strings"
 	"testing"
+
+	"highrpm/internal/leaktest"
 )
 
 func sameWireEstimate(a, b Estimate) bool {
@@ -27,7 +29,7 @@ func sameWireEstimate(a, b Estimate) bool {
 // have kept its monitor in step, so once window and trend have caught up
 // it answers plain samples bit-identically: it can take over.
 func TestColdReplicaFedRelayedSamples(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	const node, joinAt, relayUntil, total = "node-r", 25, 60, 80
 	samples := simSamples(t, total, 10, 9)
 	primary, follower, plain := startService(t), startService(t), startService(t)
@@ -145,7 +147,7 @@ func TestRelayNeedsTheEcho(t *testing.T) {
 			name = tc.codec + "/echo"
 		}
 		t.Run(name, func(t *testing.T) {
-			checkNoLeaks(t)
+			leaktest.Check(t)
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)

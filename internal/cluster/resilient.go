@@ -581,16 +581,6 @@ func (ra *ResilientAgent) Stats() (st Stats, err error) {
 	return st, err
 }
 
-// Query fetches stored power history over the current connection. Like
-// Stats it has no local fallback (see direct).
-func (ra *ResilientAgent) Query(req QueryRequest) (body SeriesBody, err error) {
-	err = ra.direct(func(a *Agent) (err error) {
-		body, err = a.Query(req)
-		return err
-	})
-	return body, err
-}
-
 // QueryNodes asks q of every node in nodes over the current connection,
 // pipelined (see Agent.queryNodes): each receives node i's undecoded reply,
 // or the service's rejection of that node, in order, and RequestTimeout

@@ -9,6 +9,7 @@ import (
 
 	"highrpm/internal/cluster/faultnet"
 	"highrpm/internal/core"
+	"highrpm/internal/leaktest"
 	"highrpm/internal/platform"
 	"highrpm/internal/workload"
 )
@@ -167,7 +168,7 @@ func verifyRecovered(t *testing.T, ra *ResilientAgent, locals []localRecord, wan
 // matching replies down-frames 1 and 2); each reconnect is the next
 // connection.
 func TestResilientAgentFaults(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	cases := []struct {
 		name    string
 		scripts []faultnet.ConnScript
@@ -233,7 +234,7 @@ func TestResilientAgentFaults(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			checkNoLeaks(t)
+			leaktest.Check(t)
 			svc := startServiceWith(t, ServiceOptions{
 				ReadTimeout:  2 * time.Second,
 				WriteTimeout: 2 * time.Second,
@@ -259,7 +260,7 @@ func TestResilientAgentFaults(t *testing.T) {
 // all), the agent flips to degraded and buffers, and a fresh service on
 // the same address gets the whole backlog on reconnect.
 func TestResilientAgentDegradedBuffersAndReplays(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := NewService(sharedModel(t))
 	svc.Logf = t.Logf
 	if err := svc.Listen("127.0.0.1:0"); err != nil {
@@ -358,7 +359,7 @@ func TestResilientAgentDegradedBuffersAndReplays(t *testing.T) {
 // TestResilientAgentBufferCap: the replay buffer must stay bounded, with
 // overflow counted, not crashed on.
 func TestResilientAgentBufferCap(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := NewService(sharedModel(t))
 	svc.Logf = t.Logf
 	if err := svc.Listen("127.0.0.1:0"); err != nil {
@@ -399,7 +400,7 @@ func TestResilientAgentBufferCap(t *testing.T) {
 // healthy transport — it must surface to the caller, not trigger
 // reconnects or local fallback.
 func TestResilientAgentServiceErrorPassesThrough(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	ra, err := DialResilient(svc.Addr(), "node-se", faultAgentOptions())
 	if err != nil {
@@ -435,7 +436,7 @@ func TestResilientAgentServiceErrorPassesThrough(t *testing.T) {
 // The caller here scribbles over its buffers after every Send; the replayed
 // history must match a reference service fed pristine copies.
 func TestResilientSendCopiesBufferedSample(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := NewService(sharedModel(t))
 	svc.Logf = t.Logf
 	if err := svc.Listen("127.0.0.1:0"); err != nil {
@@ -564,7 +565,7 @@ func TestResilientSendCopiesBufferedSample(t *testing.T) {
 // each fetch their own snapshot (ModelSyncs counts it) but share a single
 // decoded model; an agent dialed without the cache keeps a private one.
 func TestModelCacheSharesDecodedSnapshot(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	var cache ModelCache
 	dial := func(node string, models *ModelCache) *ResilientAgent {
@@ -604,7 +605,7 @@ func TestModelCacheSharesDecodedSnapshot(t *testing.T) {
 // different delays and do not retry in lockstep, while a node that dials
 // the same service again draws its own sequence again.
 func TestJitterSeededPerNode(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	firstDraw := func(node string) float64 {
 		t.Helper()

@@ -9,6 +9,7 @@ import (
 	"net"
 	"testing"
 
+	"highrpm/internal/leaktest"
 	"highrpm/internal/tsdb"
 )
 
@@ -109,7 +110,7 @@ func decodeFrameBody(t testing.TB, frame []byte) SeriesBody {
 // body, 20 bytes a point shorter — and the unchanged kind-5 frame for the
 // rollup. An Agent decodes either to the parent's body bit for bit.
 func TestRawSeriesNeedsTheEcho(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	seedPinHistory(t, svc.Store())
 	parent := [2][]byte{}

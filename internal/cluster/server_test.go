@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"highrpm/internal/leaktest"
 	"highrpm/internal/tsdb"
 )
 
@@ -344,7 +345,7 @@ func TestServeConnScripted(t *testing.T) {
 // test and the handler benchmarks rely on: closing the client ends
 // serveConn with EOF, not a hang.
 func TestServerServeLoopExitsOnEOF(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	srv := NewServer("test", stubHandler{}, ServiceOptions{}, t.Logf)
 	client, server := net.Pipe()
 	done := make(chan error, 1)
@@ -380,7 +381,7 @@ func (h blockingHandler) Sample(smp *Sample) (Estimate, error) {
 // deadline without looking at closed used to park it, reply long delivered,
 // until the force-close at the end of grace.
 func TestShutdownDrainsInFlightRequest(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	h := blockingHandler{entered: make(chan struct{}), release: make(chan struct{})}
 	var logMu sync.Mutex
 	var logged []string

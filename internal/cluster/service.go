@@ -60,7 +60,6 @@ func DefaultServiceOptions() ServiceOptions {
 type Service struct {
 	model *core.HighRPM
 	store *tsdb.Store
-	opts  ServiceOptions
 	// srv owns the listener, the connections and the request loop; the
 	// service is its Handler.
 	srv *Server
@@ -105,7 +104,6 @@ func NewServiceWith(model *core.HighRPM, opts ServiceOptions) *Service {
 	s := &Service{
 		model: model,
 		store: tsdb.New(tsdb.DefaultOptions()),
-		opts:  opts,
 		nodes: map[string]*nodeState{},
 		Logf:  log.Printf,
 	}
@@ -138,9 +136,6 @@ func (s *Service) SetStore(st *tsdb.Store) { s.store = st }
 // Store exposes the history store for in-process queries (the monitor CLI
 // reads stats from it; tests query it directly).
 func (s *Service) Store() *tsdb.Store { return s.store }
-
-// Options reports the robustness options the service runs with.
-func (s *Service) Options() ServiceOptions { return s.opts }
 
 // Listen starts accepting agents on addr ("host:port"; ":0" picks a free
 // port). It returns immediately; Addr reports the bound address.
@@ -179,6 +174,21 @@ type nodeState struct {
 	// there is one (a Hello alone creates the node without it).
 	latest    LatestEstimate
 	estimated bool
+}
+
+// checkTime refuses a sample time that is not finite or runs behind the
+// node's newest accepted one, before anything of the node changes: a
+// node's history is ordered by time, and its monitor sees samples in the
+// order the store keeps them. An equal time (a replay whose
+// acknowledgement was lost) is accepted.
+func (n *nodeState) checkTime(tm float64) error {
+	if math.IsNaN(tm) || math.IsInf(tm, 0) {
+		return &ServiceError{Message: fmt.Sprintf("sample time %g is not finite", tm)}
+	}
+	if n.estimated && tm < n.latest.Time {
+		return &ServiceError{Message: fmt.Sprintf("sample time %g is before the node's latest %g", tm, n.latest.Time)}
+	}
+	return nil
 }
 
 // node returns the per-node state, creating it on first use.
@@ -235,6 +245,9 @@ func (s *Service) processSample(nodeID string, tm float64, pmc []float64, measur
 	n := s.node(nodeID)
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if err := n.checkTime(tm); err != nil {
+		return Estimate{}, err
+	}
 	// One estimation tick — model inference plus the history record — is
 	// the unit the overhead self-metering prices.
 	tickDone := s.meter.Load().Tick()

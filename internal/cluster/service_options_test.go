@@ -5,13 +5,14 @@ import (
 	"testing"
 	"time"
 
+	"highrpm/internal/leaktest"
 	"highrpm/internal/tsdb"
 )
 
 // TestServiceReadTimeoutReapsIdle: a peer that connects and goes silent is
 // reaped by the per-connection read deadline and counted in Stats.
 func TestServiceReadTimeoutReapsIdle(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startServiceWith(t, ServiceOptions{ReadTimeout: 100 * time.Millisecond})
 	conn, err := net.Dial("tcp", svc.Addr())
 	if err != nil {
@@ -30,7 +31,7 @@ func TestServiceReadTimeoutReapsIdle(t *testing.T) {
 // TestServiceMaxConns: connections beyond the cap are dropped at accept
 // and counted; a freed slot is reusable.
 func TestServiceMaxConns(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startServiceWith(t, ServiceOptions{MaxConns: 1})
 	first, err := Dial(svc.Addr(), "holder")
 	if err != nil {
@@ -57,7 +58,7 @@ func TestServiceMaxConns(t *testing.T) {
 // TestServiceStatsNodeConns: Stats maps node IDs to their live connection
 // counts once agents have said Hello.
 func TestServiceStatsNodeConns(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := startService(t)
 	a, err := Dial(svc.Addr(), "nc-a")
 	if err != nil {
@@ -86,7 +87,7 @@ func TestServiceStatsNodeConns(t *testing.T) {
 // TestServiceShutdownDrains: Shutdown answers the in-flight request, then
 // lets the handler go; the drained sample is flushed into the store.
 func TestServiceShutdownDrains(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	svc := NewService(sharedModel(t))
 	svc.Logf = t.Logf
 	if err := svc.Listen("127.0.0.1:0"); err != nil {

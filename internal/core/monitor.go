@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"highrpm/internal/pmu"
 )
@@ -50,10 +51,21 @@ func (s *stream) trendAt(i int64) float64 {
 
 // observe advances the stream by one second: the IM trend takes the
 // reading, if any, and the window takes the row. It returns the second's
-// P'_Node trend value.
+// P'_Node trend value. A PMC vector of the wrong width, or a PMC value or
+// reading that is not finite, is refused before any state changes: the
+// trend slope and the window would otherwise carry it into the estimates
+// of later seconds.
 func (s *stream) observe(pmc []float64, measured *float64) (float64, error) {
 	if len(pmc) != pmu.NumEvents {
 		return 0, fmt.Errorf("core: monitor expects %d PMC features, got %d", pmu.NumEvents, len(pmc))
+	}
+	for i, v := range pmc {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, fmt.Errorf("core: PMC feature %d is %g", i, v)
+		}
+	}
+	if measured != nil && (math.IsNaN(*measured) || math.IsInf(*measured, 0)) {
+		return 0, fmt.Errorf("core: IM reading is %g", *measured)
 	}
 	prevFeature := s.trendAt(s.n - 1)
 	if measured != nil {

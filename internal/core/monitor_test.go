@@ -149,6 +149,61 @@ func TestMonitorObservePushInterleavingProperty(t *testing.T) {
 	}
 }
 
+// TestMonitorRefusesNonFiniteTelemetry: a NaN or infinite IM reading or
+// PMC value is refused by Push and Observe alike, and the monitor that
+// refused it goes on bit-identical to one that was never sent it: the trend
+// slope would carry one NaN reading into most of the following estimates.
+func TestMonitorRefusesNonFiniteTelemetry(t *testing.T) {
+	h := trainedModel(t)
+	test := testSet(t, 40)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		pmc  func([]float64) []float64
+		meas *float64
+	}{
+		{"NaN reading", nil, &nan},
+		{"+Inf reading", nil, &inf},
+		{"NaN PMC", func(p []float64) []float64 { p[3] = nan; return p }, nil},
+		{"-Inf PMC", func(p []float64) []float64 { p[0] = math.Inf(-1); return p }, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ref, mon := NewMonitor(h), NewMonitor(h)
+			for i, sm := range test.Samples {
+				var measured *float64
+				if i%10 == 0 {
+					v := sm.PNode
+					measured = &v
+				}
+				if i == 15 {
+					bad := append([]float64(nil), sm.PMC...)
+					if c.pmc != nil {
+						bad = c.pmc(bad)
+					}
+					if _, err := mon.Push(bad, c.meas); err == nil {
+						t.Fatal("Push accepted a non-finite sample")
+					}
+					if _, err := mon.Observe(bad, c.meas); err == nil {
+						t.Fatal("Observe accepted a non-finite sample")
+					}
+				}
+				want, err := ref.Push(sm.PMC, measured)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := mon.Push(sm.PMC, measured)
+				if err != nil || !sameMonitorEstimate(got, want) {
+					t.Fatalf("step %d: %+v (err %v), never sent the bad sample %+v", i, got, err, want)
+				}
+			}
+			if mon.Samples() != ref.Samples() {
+				t.Fatalf("Samples = %d, want %d", mon.Samples(), ref.Samples())
+			}
+		})
+	}
+}
+
 // TestMonitorPushZeroAlloc: once the window is full a push allocates
 // nothing on either path — the IM reading or the DynamicTRR window — and
 // neither does Observe.

@@ -9,6 +9,7 @@ import (
 
 	"highrpm/internal/cluster"
 	"highrpm/internal/cluster/faultnet"
+	"highrpm/internal/leaktest"
 )
 
 // faultAgentOptions are tight enough that a faulted shard is detected,
@@ -93,7 +94,7 @@ func runFaultScenario(t *testing.T, fault, heal func(t *testing.T, f *faultFixtu
 }
 
 func runFaultScenarioCodec(t *testing.T, codec string, fault, heal func(t *testing.T, f *faultFixture, shard int)) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	f := startFaultFleet(t)
 
 	nodes := balancedNodes(t, f.r, 1) // one node owned by each shard
@@ -350,7 +351,7 @@ func TestFleetSurvivesShardBlackhole(t *testing.T) {
 // the node's owner slot for ingest, the shard's query slot for reads —
 // however many requests arrive meanwhile, and the shard reads down.
 func TestDialGateOncePerRetry(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"math"
 	"net"
 	"reflect"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -20,6 +19,7 @@ import (
 	"highrpm/internal/cluster"
 	"highrpm/internal/core"
 	"highrpm/internal/dataset"
+	"highrpm/internal/leaktest"
 	"highrpm/internal/platform"
 	"highrpm/internal/tsdb"
 	"highrpm/internal/workload"
@@ -57,31 +57,6 @@ func sharedModel(t testing.TB) *core.HighRPM {
 		t.Fatal(modelErr)
 	}
 	return testModel
-}
-
-// checkNoLeaks arms a goroutine-leak assertion for the calling test (the
-// cluster package's discipline): call it first, before t.Cleanup-registered
-// servers, so the count is checked after every server shut down.
-func checkNoLeaks(t testing.TB) {
-	t.Helper()
-	before := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		deadline := time.Now().Add(5 * time.Second)
-		var n int
-		for {
-			n = runtime.NumGoroutine()
-			if n <= before {
-				return
-			}
-			if time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		t.Errorf("goroutine leak: %d before, %d after\n%s", before, n, buf)
-	})
 }
 
 // startBackend spins up one real cluster.Service on a loopback port.
@@ -348,7 +323,7 @@ func TestFleetEquivalence(t *testing.T) {
 }
 
 func testFleetEquivalence(t *testing.T, codec string) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	r, _ := startFleet(t, 2, DefaultTopologyOptions())
 	ref := startBackend(t)
 
@@ -526,7 +501,7 @@ func testFleetEquivalence(t *testing.T, codec string) {
 // dials a router with no codec preference gets the binary codec, exactly
 // as it would from a service.
 func TestRouterNegotiatesBinary(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	r, _ := startFleet(t, 1, DefaultTopologyOptions())
 	ag, err := cluster.Dial(r.Addr(), "default-dial")
 	if err != nil {
@@ -550,7 +525,7 @@ func TestRouterNegotiatesBinary(t *testing.T) {
 // the model for itself, but the router keeps one decoded copy for all of
 // them instead of one each.
 func TestRouterSharesModelSnapshot(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	r, _ := startFleet(t, 2, DefaultTopologyOptions())
 	nodes := balancedNodes(t, r, 2)
 	for ni, node := range nodes {
@@ -614,7 +589,7 @@ func TestFleetReplicatedEquivalence(t *testing.T) {
 }
 
 func testFleetReplicatedEquivalence(t *testing.T, codec string) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	opts := DefaultTopologyOptions()
 	opts.Replication = 2
 	r, backends := startFleet(t, 2, opts)
@@ -769,7 +744,7 @@ func TestFleetBatchForwarding(t *testing.T) {
 }
 
 func testFleetBatchForwarding(t *testing.T, codec string) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	r, _ := startFleet(t, 2, DefaultTopologyOptions())
 	ref := startBackend(t)
 
@@ -828,7 +803,7 @@ func testFleetBatchForwarding(t *testing.T, codec string) {
 }
 
 func TestRouterValidation(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	for _, tc := range []struct {
 		name string
 		top  Topology
@@ -869,7 +844,7 @@ func TestRouterValidation(t *testing.T) {
 // connection's scratch, the router copies the payload across, and neither
 // allocates.
 func TestRouterQueryAllocs(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	r, backends := startFleet(t, 1, DefaultTopologyOptions())
 	const node = "node-alloc"
 	// 1100 seconds seal two 512-point blocks, which hold both windows: a warm

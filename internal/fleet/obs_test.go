@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"highrpm/internal/cluster"
+	"highrpm/internal/leaktest"
 	"highrpm/internal/obs"
 )
 
@@ -30,7 +31,7 @@ func scrape(t *testing.T, c *http.Client, url string) (int, string) {
 // routing counters, and the scatter-gather histogram must all be present,
 // and /readyz must reflect the router's health callback.
 func TestFleetObsScrape(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	opts := DefaultTopologyOptions()
 	opts.Replication = 2 // so the replication and relay counters move
 	r, _ := startFleet(t, 2, opts)
@@ -148,7 +149,7 @@ func TestFleetObsScrape(t *testing.T) {
 // TestFleetHealthTransitions walks the router health state machine:
 // listening with live shards is ready, a closed router is not.
 func TestFleetHealthTransitions(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	top := Topology{Shards: []Shard{{Name: "a", Addr: "127.0.0.1:1"}}}
 	r, err := NewRouter(top, DefaultTopologyOptions())
 	if err != nil {

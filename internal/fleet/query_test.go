@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"highrpm/internal/cluster"
+	"highrpm/internal/leaktest"
 	"highrpm/internal/tsdb"
 )
 
@@ -30,7 +31,7 @@ func patientDialOptions() cluster.AgentOptions {
 // Stats used to take that lock to look at the connection, and so stalled for
 // the rest of RequestTimeout exactly when an operator scrapes.
 func TestStatsDoesNotWaitForShardQuery(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	agent := patientDialOptions()
 	agent.RequestTimeout = 3 * time.Second
 	f := startFaultFleetWith(t, 2, agent)
@@ -118,7 +119,7 @@ func TestScatterGroupFallback(t *testing.T) {
 }
 
 func testScatterGroupFallback(t *testing.T, codec string) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	f := startFaultFleetWith(t, 2, patientDialOptions())
 	const seconds = 20
 	nodes := balancedNodes(t, f.r, 3)
@@ -244,7 +245,7 @@ func seedPinHistory(t *testing.T, svcs ...*cluster.Service) {
 // relays the rollup as it is — while a client that offers gets the shard's
 // own kind-9 frame relayed undecoded, and the rollup unchanged.
 func TestRouterRawSeriesNeedsTheEcho(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	r, backends := startFleet(t, 1, DefaultTopologyOptions())
 	seedPinHistory(t, backends[0])
 	queries := [2]cluster.QueryRequest{
@@ -291,7 +292,7 @@ func TestRouterRawSeriesNeedsTheEcho(t *testing.T) {
 // connection. And the router refuses the node IDs a service refuses, in
 // the service's words, because both run the same cluster.Server.
 func TestRouterIsNoShardNode(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	r, backends := startFleet(t, 2, DefaultTopologyOptions())
 	qa := dialFront(t, r, "query-client", cluster.CodecBinary)
 	defer qa.Close()

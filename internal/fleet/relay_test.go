@@ -8,6 +8,7 @@ import (
 
 	"highrpm/internal/cluster"
 	"highrpm/internal/cluster/faultnet"
+	"highrpm/internal/leaktest"
 	"highrpm/internal/tsdb"
 )
 
@@ -113,7 +114,7 @@ func TestFleetInfersOncePerSample(t *testing.T) {
 }
 
 func testFleetInfersOncePerSample(t *testing.T, codec string, replication int) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	opts := DefaultTopologyOptions()
 	opts.Replication = replication
 	r, backends := startFleet(t, 3, opts)
@@ -193,7 +194,7 @@ func TestFleetRelayBoundaries(t *testing.T) {
 }
 
 func testFleetRelayBoundaries(t *testing.T, codec string, replication int) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	opts := DefaultTopologyOptions()
 	opts.Replication = replication
 	r, backends := startFleet(t, replication, opts) // every shard owns every node
@@ -377,7 +378,7 @@ func TestFleetRelayAcrossPrimaryKill(t *testing.T) {
 }
 
 func testFleetRelayAcrossPrimaryKill(t *testing.T, replication int) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	f := startFaultFleetN(t, replication)
 	nodes := balancedNodes(t, f.r, 1) // shard 0 is primary for one node, follower for the rest
 	type stream struct {

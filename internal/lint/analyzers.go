@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"strconv"
-	"strings"
 )
 
 // modulePath is the import-path root the project-specific rules key off.
@@ -26,13 +24,6 @@ var deterministicPkgs = map[string]bool{
 	modulePath + "/internal/stats":    true,
 }
 
-// leafPkgs must depend on the standard library and each other only.
-var leafPkgs = map[string]bool{
-	modulePath + "/internal/mat":    true,
-	modulePath + "/internal/stats":  true,
-	modulePath + "/internal/interp": true,
-}
-
 // Default returns the full project rule set.
 func Default() []Analyzer {
 	return []Analyzer{
@@ -41,7 +32,6 @@ func Default() []Analyzer {
 		floateq{},
 		leakcheck{},
 		errdrop{},
-		layering{},
 	}
 }
 
@@ -233,41 +223,4 @@ func (errdrop) Run(pass *Pass) {
 		pass.Reportf(call.Pos(), "error returned by %s is silently discarded; handle it or assign to _ explicitly", name)
 		return true
 	})
-}
-
-// ---------------------------------------------------------------------------
-// layering
-
-type layering struct{}
-
-func (layering) Name() string { return "layering" }
-func (layering) Doc() string {
-	return "internal packages must not import the highrpm facade; mat/stats/interp must stay leaf packages"
-}
-
-func (layering) Run(pass *Pass) {
-	base := pass.Pkg.BasePath()
-	internalPkg := strings.HasPrefix(base, modulePath+"/internal/")
-	leaf := leafPkgs[base]
-	if !internalPkg && !leaf {
-		return
-	}
-	for _, f := range pass.Pkg.Files {
-		for _, imp := range f.Ast.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if internalPkg && path == modulePath {
-				pass.Reportf(imp.Pos(), "internal package %s imports the highrpm facade; depend on internal packages directly", base)
-				continue
-			}
-			// Leaf packages may depend on each other (interp builds on
-			// mat), and an external test package importing the package
-			// under test is not a layering edge.
-			if leaf && path != base && !leafPkgs[path] && strings.HasPrefix(path, modulePath+"/") {
-				pass.Reportf(imp.Pos(), "leaf package %s must only depend on the standard library or other leaf packages, but imports %s", base, path)
-			}
-		}
-	}
 }

@@ -12,14 +12,14 @@ import (
 // internal/cluster/..., internal/obs/..., internal/tsdb/... or
 // internal/fleet/... that spawns goroutines — directly, through package
 // helpers, by starting a service, agent, router, or HTTP server, or by
-// driving the store's parallel fan-out — must arm the checkNoLeaks
+// driving the store's parallel fan-out — must arm the leaktest.Check
 // goroutine-leak guard so a handler, reconnect loop, serve goroutine, or
 // stuck query worker that outlives its test fails the suite.
 type leakcheck struct{}
 
 func (leakcheck) Name() string { return "leakcheck" }
 func (leakcheck) Doc() string {
-	return "cluster, obs, tsdb and fleet tests that spawn goroutines or start servers must call checkNoLeaks"
+	return "cluster, obs, tsdb and fleet tests that spawn goroutines or start servers must call leaktest.Check"
 }
 
 // spawnAPINames are cluster/obs/tsdb entry points known to start
@@ -31,6 +31,10 @@ var spawnAPINames = map[string]bool{
 	"Listen": true, "Serve": true, "Dial": true,
 	"DialResilientService": true, "Start": true, "Open": true,
 }
+
+// leakGuardPkg holds the guard, leaktest.Check; a look-alike declared
+// anywhere else arms nothing.
+const leakGuardPkg = modulePath + "/internal/leaktest"
 
 // leakcheckedPrefixes are the package trees the convention covers.
 var leakcheckedPrefixes = []string{
@@ -101,7 +105,7 @@ func (leakcheck) Run(pass *Pass) {
 				if fn == nil {
 					return true
 				}
-				if fn.Name() == "checkNoLeaks" {
+				if fn.Pkg() != nil && fn.Pkg().Path() == leakGuardPkg && fn.Name() == "Check" {
 					guards[obj] = true
 				}
 				if fn.Pkg() != nil && leakcheckedPkg(fn.Pkg().Path()) && spawnAPINames[fn.Name()] {
@@ -117,7 +121,7 @@ func (leakcheck) Run(pass *Pass) {
 
 	// Propagate both properties through package-local helpers to a
 	// fixpoint: a test spawning via startService(t) is still a spawner,
-	// and a setup helper that arms checkNoLeaks still guards its caller.
+	// and a setup helper that arms the guard still guards its caller.
 	for changed := true; changed; {
 		changed = false
 		for obj, cs := range calls {
@@ -143,7 +147,7 @@ func (leakcheck) Run(pass *Pass) {
 			continue
 		}
 		if spawns[obj] && !guards[obj] {
-			pass.Reportf(fd.Pos(), "%s spawns goroutines or starts a service but never arms checkNoLeaks", obj.Name())
+			pass.Reportf(fd.Pos(), "%s spawns goroutines or starts a service but never arms leaktest.Check", obj.Name())
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package lint is a project-aware static-analysis engine for the HighRPM
 // tree. It enforces the invariants no compiler checks — bit-exact
-// determinism of the training engine, goroutine-leak hygiene in the
-// cluster tests, float-equality discipline, and the package layering that
-// keeps internal/{mat,stats,interp} leaf dependencies — so regressions
-// surface on every verify run instead of in review.
+// determinism of the training engine, map-iteration order, float-equality
+// discipline, goroutine-leak hygiene in the serving tests, and handled
+// Close/Flush/Write/Sync/Shutdown errors — so regressions surface on every
+// verify run instead of in review.
 //
 // The engine is stdlib-only: packages are discovered with
 // `go list -deps -test -export -json`, parsed with go/parser, and
@@ -14,10 +14,10 @@
 //
 //	//lint:ignore <rule>[,<rule>...] <reason>
 //
-// placed on, or on the line directly above, the offending line, or for a
-// whole file with //lint:file-ignore. A reason is mandatory, and a
-// directive whose rules all ran but that suppressed nothing is itself a
-// finding: a stale directive would silently hide the next real one.
+// placed on, or on the line directly above, the offending line. A reason
+// is mandatory, a directive naming a rule Default lacks is a finding, and
+// so is a directive that suppressed nothing: a stale directive would
+// silently hide the next real one.
 package lint
 
 import (
@@ -25,6 +25,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -44,8 +45,8 @@ func (d Diagnostic) String() string {
 // Analyzer is one pluggable rule. Run inspects a single type-checked
 // package unit and reports findings through the Pass.
 type Analyzer interface {
-	// Name is the rule identifier used in diagnostics, -rules selection
-	// and lint:ignore directives.
+	// Name is the rule identifier used in diagnostics and lint:ignore
+	// directives.
 	Name() string
 	// Doc is a one-line description for the CLI rule catalogue.
 	Doc() string
@@ -104,46 +105,17 @@ func (p *Package) BasePath() string {
 	return p.ImportPath
 }
 
-// ignore is one lint:ignore / lint:file-ignore directive found in source.
+// ignore is one lint:ignore directive found in source.
 type ignore struct {
 	pos   token.Position
 	rules []string
-	// file marks a file-scoped directive (lint:file-ignore).
-	file bool
 	// used is set when the directive suppressed at least one diagnostic.
 	used bool
 }
 
 func (ig *ignore) matches(rule string, pos token.Position) bool {
-	ruleOK := false
-	for _, r := range ig.rules {
-		if r == rule {
-			ruleOK = true
-			break
-		}
-	}
-	if !ruleOK || ig.pos.Filename != pos.Filename {
-		return false
-	}
-	if ig.file {
-		return true
-	}
-	return ig.pos.Line == pos.Line || ig.pos.Line == pos.Line-1
-}
-
-// stale reports whether the directive suppressed nothing although every
-// rule it names ran. A directive naming a rule that did not run is not
-// stale: that rule might have needed it.
-func (ig *ignore) stale(enabled map[string]bool) bool {
-	if ig.used {
-		return false
-	}
-	for _, r := range ig.rules {
-		if !enabled[r] {
-			return false
-		}
-	}
-	return true
+	return ig.pos.Filename == pos.Filename && (ig.pos.Line == pos.Line || ig.pos.Line == pos.Line-1) &&
+		slices.Contains(ig.rules, rule)
 }
 
 // Result is the outcome of one engine run.
@@ -157,60 +129,49 @@ type Result struct {
 	TypeErrors []string
 }
 
-// directiveMarker is the comment prefix shared by both directive forms.
-const directiveMarker = "//lint:"
+// directiveMarker opens the one directive form.
+const directiveMarker = "//lint:ignore"
 
-// parseIgnores extracts lint directives from a file. Malformed directives
-// (no rule, or no reason) are reported as diagnostics under the "lint"
-// pseudo-rule so they cannot silently suppress nothing.
-func parseIgnores(fset *token.FileSet, f *ast.File, report func(Diagnostic)) []*ignore {
+// parseIgnores extracts lint:ignore directives from a file. A malformed
+// directive (no rule, or no reason) or one naming a rule outside known is
+// reported under the "lint" pseudo-rule and suppresses nothing.
+func parseIgnores(fset *token.FileSet, f *ast.File, known map[string]bool, report func(Diagnostic)) []*ignore {
 	var out []*ignore
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			text := c.Text
-			if !strings.HasPrefix(text, directiveMarker) {
+			if !strings.HasPrefix(c.Text, "//lint:") {
 				continue
 			}
-			rest := strings.TrimPrefix(text, directiveMarker)
-			isFile := false
-			switch {
-			case strings.HasPrefix(rest, "file-ignore"):
-				isFile = true
-				rest = strings.TrimPrefix(rest, "file-ignore")
-			case strings.HasPrefix(rest, "ignore"):
-				rest = strings.TrimPrefix(rest, "ignore")
-			default:
-				report(Diagnostic{
-					Pos:     fset.Position(c.Pos()),
-					Rule:    "lint",
-					Message: fmt.Sprintf("unknown lint directive %q", text),
-				})
+			pos := fset.Position(c.Pos())
+			bad := func(format string, args ...any) {
+				report(Diagnostic{Pos: pos, Rule: "lint", Message: fmt.Sprintf(format, args...)})
+			}
+			rest, ok := strings.CutPrefix(c.Text, directiveMarker)
+			if !ok {
+				bad("unknown lint directive %q", c.Text)
 				continue
 			}
 			fields := strings.Fields(rest)
 			if len(fields) < 2 {
-				report(Diagnostic{
-					Pos:     fset.Position(c.Pos()),
-					Rule:    "lint",
-					Message: "malformed lint:ignore directive: want //lint:ignore <rule> <reason>",
-				})
+				bad("malformed lint:ignore directive: want //lint:ignore <rule> <reason>")
 				continue
 			}
-			out = append(out, &ignore{
-				pos:   fset.Position(c.Pos()),
-				rules: strings.Split(fields[0], ","),
-				file:  isFile,
-			})
+			rules := strings.Split(fields[0], ",")
+			if i := slices.IndexFunc(rules, func(r string) bool { return !known[r] }); i >= 0 {
+				bad("lint:ignore names %q, which is not a highrpm-vet rule", rules[i])
+				continue
+			}
+			out = append(out, &ignore{pos: pos, rules: rules})
 		}
 	}
 	return out
 }
 
 // Run loads the packages matched by patterns (relative to dir) and runs
-// every analyzer over every loaded unit. Diagnostics are returned sorted
-// by position; suppressed findings are dropped, and every stale directive
-// becomes a finding of its own.
-func Run(dir string, patterns []string, analyzers []Analyzer) (*Result, error) {
+// every Default analyzer over every loaded unit. Diagnostics are returned
+// sorted by position; suppressed findings are dropped, and every directive
+// that suppressed nothing becomes a finding of its own.
+func Run(dir string, patterns []string) (*Result, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -219,17 +180,17 @@ func Run(dir string, patterns []string, analyzers []Analyzer) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{TypeErrors: typeErrs}
-
-	enabled := make(map[string]bool, len(analyzers))
+	analyzers := Default()
+	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
-		enabled[a.Name()] = true
+		known[a.Name()] = true
 	}
 
 	var ignores []*ignore
 	collect := func(d Diagnostic) { res.Diagnostics = append(res.Diagnostics, d) }
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			ignores = append(ignores, parseIgnores(fset, f.Ast, collect)...)
+			ignores = append(ignores, parseIgnores(fset, f.Ast, known, collect)...)
 		}
 	}
 
@@ -250,7 +211,7 @@ func Run(dir string, patterns []string, analyzers []Analyzer) (*Result, error) {
 				rule: a.Name(),
 				report: func(d Diagnostic) {
 					if !suppressed(d) {
-						res.Diagnostics = append(res.Diagnostics, d)
+						collect(d)
 					}
 				},
 			}
@@ -258,15 +219,11 @@ func Run(dir string, patterns []string, analyzers []Analyzer) (*Result, error) {
 		}
 	}
 	for _, ig := range ignores {
-		if ig.stale(enabled) {
-			kind := "ignore"
-			if ig.file {
-				kind = "file-ignore"
-			}
+		if !ig.used {
 			collect(Diagnostic{
 				Pos:     ig.pos,
 				Rule:    "lint",
-				Message: fmt.Sprintf("lint:%s %s suppresses nothing; delete the directive", kind, strings.Join(ig.rules, ",")),
+				Message: fmt.Sprintf("lint:ignore %s suppresses nothing; delete the directive", strings.Join(ig.rules, ",")),
 			})
 		}
 	}

@@ -1,9 +1,10 @@
 package fleet
 
-import "testing"
+import (
+	"testing"
 
-// checkNoLeaks stands in for the real goroutine-leak guard.
-func checkNoLeaks(t testing.TB) { t.Helper() }
+	"highrpm/internal/leaktest"
+)
 
 // TestRouterLeaky starts the router's accept goroutine without arming the
 // guard: leakcheck violation.
@@ -17,7 +18,7 @@ func TestRouterLeaky(t *testing.T) {
 
 // TestRouterGuarded arms the guard and must not be flagged.
 func TestRouterGuarded(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	r := &Router{}
 	r.Listen()
 	if err := r.Close(); err != nil {

@@ -1,9 +1,10 @@
 package obs
 
-import "testing"
+import (
+	"testing"
 
-// checkNoLeaks stands in for the real goroutine-leak guard.
-func checkNoLeaks(t testing.TB) { t.Helper() }
+	"highrpm/internal/leaktest"
+)
 
 // TestServeLeaky starts the server's goroutine without arming the guard:
 // leakcheck violation.
@@ -17,7 +18,7 @@ func TestServeLeaky(t *testing.T) {
 
 // TestServeGuarded arms the guard and must not be flagged.
 func TestServeGuarded(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	s := &Server{}
 	s.Listen()
 	if err := s.Close(); err != nil {

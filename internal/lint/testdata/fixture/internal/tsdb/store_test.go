@@ -1,9 +1,10 @@
 package tsdb
 
-import "testing"
+import (
+	"testing"
 
-// checkNoLeaks stands in for the real goroutine-leak guard.
-func checkNoLeaks(t testing.TB) { t.Helper() }
+	"highrpm/internal/leaktest"
+)
 
 // TestAggregateLeaky drives the parallel fan-out without arming the
 // guard: leakcheck violation.
@@ -14,7 +15,7 @@ func TestAggregateLeaky(t *testing.T) {
 
 // TestAggregateGuarded arms the guard and must not be flagged.
 func TestAggregateGuarded(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	var st Store
 	st.Aggregate(4)
 }

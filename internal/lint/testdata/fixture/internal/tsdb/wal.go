@@ -21,7 +21,7 @@ func syncAck(f *os.File) {
 
 // Open stands in for the durable store constructor. It is a spawn API by
 // name: the real Open starts the WAL batch flusher goroutine under the
-// default fsync policy, so tests calling it must arm checkNoLeaks even
+// default fsync policy, so tests calling it must arm leaktest.Check even
 // though no go statement is visible at the call site.
 func Open() *Store {
 	return &Store{}

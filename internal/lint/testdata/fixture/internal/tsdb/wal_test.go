@@ -1,6 +1,10 @@
 package tsdb
 
-import "testing"
+import (
+	"testing"
+
+	"highrpm/internal/leaktest"
+)
 
 // TestOpenLeaky opens the durable store — a spawn API: Open starts the
 // batch flusher — without arming the guard: leakcheck violation.
@@ -11,7 +15,7 @@ func TestOpenLeaky(t *testing.T) {
 
 // TestOpenGuarded arms the guard first and must not be flagged.
 func TestOpenGuarded(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	st := Open()
 	_ = st
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"highrpm/internal/leaktest"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -174,7 +176,7 @@ func TestOnGatherRunsPerExposition(t *testing.T) {
 }
 
 func TestConcurrentInstruments(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	reg := NewRegistry()
 	c := reg.Counter("c_total", "")
 	h := reg.Histogram("h", "", TickBuckets)

@@ -10,12 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"highrpm/internal/leaktest"
 	"highrpm/internal/tsdb"
 )
 
 // startServer boots a Server on a loopback port and registers LIFO
 // cleanups: the HTTP client's idle pool is flushed first, then the server
-// shuts down, and (because checkNoLeaks is armed before this is called)
+// shuts down, and (because leaktest.Check is armed before this is called)
 // the leak check runs last.
 func startServer(t *testing.T, reg *Registry, opts ServerOptions) (*Server, *http.Client) {
 	t.Helper()
@@ -66,7 +67,7 @@ func seededStore(t *testing.T) *tsdb.Store {
 }
 
 func TestServerMetricsEndpoint(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	reg := NewRegistry()
 	reg.Counter("demo_total", "A demo counter.").Add(7)
 	s, c := startServer(t, reg, DefaultServerOptions())
@@ -93,7 +94,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 }
 
 func TestServerSeriesEndpoint(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	reg := NewRegistry()
 	st := seededStore(t)
 	s, c := startServer(t, reg, DefaultServerOptions())
@@ -147,7 +148,7 @@ func TestServerSeriesEndpoint(t *testing.T) {
 }
 
 func TestServerSeriesBadParams(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	s, c := startServer(t, NewRegistry(), DefaultServerOptions())
 	s.SetStore(seededStore(t))
 
@@ -170,7 +171,7 @@ func TestServerSeriesBadParams(t *testing.T) {
 }
 
 func TestServerQueryEndpoint(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	s, c := startServer(t, NewRegistry(), DefaultServerOptions())
 	s.SetStore(seededStore(t))
 
@@ -209,7 +210,7 @@ func TestServerQueryEndpoint(t *testing.T) {
 }
 
 func TestServerNoStore503(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	s, c := startServer(t, NewRegistry(), DefaultServerOptions())
 	for _, path := range []string{"/api/v1/series", "/api/v1/query"} {
 		code, body := get(t, c, "http://"+s.Addr()+path)
@@ -220,7 +221,7 @@ func TestServerNoStore503(t *testing.T) {
 }
 
 func TestServerHealthAndReadiness(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	s, c := startServer(t, NewRegistry(), DefaultServerOptions())
 
 	code, body := get(t, c, "http://"+s.Addr()+"/healthz")
@@ -253,7 +254,7 @@ func TestServerHealthAndReadiness(t *testing.T) {
 }
 
 func TestServerPprofGate(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	// Off by default.
 	s, c := startServer(t, NewRegistry(), DefaultServerOptions())
 	code, _ := get(t, c, "http://"+s.Addr()+"/debug/pprof/")
@@ -271,7 +272,7 @@ func TestServerPprofGate(t *testing.T) {
 }
 
 func TestServerShutdownIdempotent(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	s := NewServer(NewRegistry(), DefaultServerOptions())
 	// Before Listen both are no-ops.
 	if err := s.Shutdown(time.Second); err != nil {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"highrpm/internal/leaktest"
 )
 
 // seedSealed fills a store with n points for one node so that most blocks
@@ -27,7 +29,7 @@ func seedSealed(tb testing.TB, st *Store, node string, n int) {
 // read must render to exactly the bytes a cold read renders to, raw and
 // rollup, per-node and aggregated.
 func TestCacheByteIdenticalResults(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	st := New(Options{BlockPoints: 128, RetainRaw: 5000, Retain10s: 600, Retain60s: 100})
 	defer st.Close()
 	seedSealed(t, st, "a", 2000)
@@ -75,8 +77,7 @@ func TestCacheInvalidateOnEviction(t *testing.T) {
 		t.Fatal("sealed blocks not cached")
 	}
 	// Push far enough that every original block falls out of retention.
-	seedSealed(t, st, "n", 64)
-	for i := 64; i < 256; i++ {
+	for i := 64; i < 320; i++ {
 		if err := st.Ingest("n", float64(i), Sample{PNode: 1, IPMI: math.NaN()}); err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"highrpm/internal/leaktest"
 )
 
 // TestConcurrentIngestAndQuery drives the locking design the store exists
@@ -13,7 +15,7 @@ import (
 // rollup queries, aggregates and stats over the same store. Run under
 // `go test -race ./internal/tsdb` (wired into scripts/verify.sh).
 func TestConcurrentIngestAndQuery(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	const (
 		writers = 8
 		readers = 4
@@ -106,7 +108,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 // fails the moment either reads under a shared lock; without -race every
 // raw point read must still carry the value ingested with it.
 func TestConcurrentReadersOfOpenBlock(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	const (
 		readers = 4
 		seconds = 600

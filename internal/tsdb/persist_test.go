@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"highrpm/internal/leaktest"
 )
 
 // durableOpts sizes a store small enough that a short workload exercises
@@ -30,12 +32,14 @@ func durableOpts(dir string) Options {
 
 // fillSeeded ingests n pseudo-random samples across three nodes: realistic
 // power levels, a sparse NaN-gapped IPMI channel, and per-node timestamp
-// gaps (each second goes to one node only).
+// gaps (each second goes to one node only). Each seed owns the 10 000
+// seconds from base + 10 000·seed, so fills with rising seeds keep every
+// node's time moving forward.
 func fillSeeded(t testing.TB, st *Store, seed int64, n int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	nodes := []string{"node-a", "node-b", "node-c"}
-	const base = 1.7e9
+	base := 1.7e9 + 1e4*float64(seed)
 	for i := 0; i < n; i++ {
 		node := nodes[rng.Intn(len(nodes))]
 		s := Sample{
@@ -95,7 +99,7 @@ func storeImage(t testing.TB, st *Store) []byte {
 }
 
 func TestOpenRequiresDir(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	if _, _, err := Open(Options{}); err == nil {
 		t.Fatal("Open without Dir should fail")
 	}
@@ -118,7 +122,7 @@ func TestParseFsyncPolicyRoundTrip(t *testing.T) {
 // snapshot cadence), a store that is persisted and reopened must serve
 // byte-identical QuerySeries/Aggregate/Stats JSON.
 func TestRecoveryEquivalence(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	for seed := int64(0); seed < 10; seed++ {
 		seed := seed
 		t.Run(string(rune('0'+seed)), func(t *testing.T) {
@@ -171,7 +175,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 // TestRecoverySecondReopenStable reopens twice: recovery must be a fixed
 // point (the second open replays exactly what the first one persisted).
 func TestRecoverySecondReopenStable(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	dir := t.TempDir()
 	opts := durableOpts(dir)
 	st, _, err := Open(opts)
@@ -213,7 +217,7 @@ func TestRecoverySecondReopenStable(t *testing.T) {
 // covered by the older one are gone — but never the segments the older
 // snapshot still needs.
 func TestSnapshotPrunesWAL(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	dir := t.TempDir()
 	st, _, err := Open(durableOpts(dir))
 	if err != nil {
@@ -316,7 +320,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 // yields the same bytes — the property that makes snapshot files
 // comparable across runs and keeps the fuzz corpus stable.
 func TestSnapshotDeterministic(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	dir := t.TempDir()
 	st, _, err := Open(durableOpts(dir))
 	if err != nil {
@@ -345,7 +349,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 // TestIngestAfterWALCloseFails pins the WAL-before-memory invariant: once
 // the WAL cannot accept the record, Ingest must fail without applying.
 func TestIngestAfterWALCloseFails(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	dir := t.TempDir()
 	st, _, err := Open(durableOpts(dir))
 	if err != nil {

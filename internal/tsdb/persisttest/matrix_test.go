@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"highrpm/internal/leaktest"
 	"highrpm/internal/tsdb"
 )
 
@@ -76,7 +77,7 @@ func expectedRecords(segOps []Op, cut int) int {
 // exactly the maximal prefix the remaining bytes contain — never a panic,
 // never a record less, never invented data.
 func TestTornTailEveryByte(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	base := t.TempDir()
 	src := filepath.Join(base, "src")
 	ops := Workload(1, 40)
@@ -125,7 +126,7 @@ func TestTornTailEveryByte(t *testing.T) {
 // the snapshot and then exactly the records the torn tail still holds —
 // the snapshot floor is never lost, whatever the truncation point.
 func TestTornTailAfterSnapshot(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	base := t.TempDir()
 	src := filepath.Join(base, "src")
 	const total, snapAt = 120, 80
@@ -178,7 +179,7 @@ func TestTornTailAfterSnapshot(t *testing.T) {
 // never cancel), recovery must keep every record before the damaged frame
 // and drop the rest — and never panic.
 func TestBitFlipWAL(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	base := t.TempDir()
 	src := filepath.Join(base, "src")
 	ops := Workload(3, 30)
@@ -235,7 +236,7 @@ func TestBitFlipWAL(t *testing.T) {
 // recovery must still reproduce the complete history, because the older
 // snapshot plus the retained WAL tail covers everything.
 func TestCorruptNewestSnapshotRecoversFully(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	base := t.TempDir()
 	src := filepath.Join(base, "src")
 	const total = 160
@@ -287,7 +288,7 @@ func TestCorruptNewestSnapshotRecoversFully(t *testing.T) {
 // tmp+rename dance, or a torn sector): every truncation must fail
 // validation as a unit and recovery must fall back to full history.
 func TestPartialSnapshotRecoversFully(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	base := t.TempDir()
 	src := filepath.Join(base, "src")
 	const total = 160
@@ -338,7 +339,7 @@ func TestPartialSnapshotRecoversFully(t *testing.T) {
 // must come up EMPTY and say why — never panic, never serve a hole-y
 // series as if it were complete.
 func TestAllSnapshotsLostIsBoundedNotFatal(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	base := t.TempDir()
 	src := filepath.Join(base, "src")
 	ops := Workload(6, 160)
@@ -372,7 +373,7 @@ func TestAllSnapshotsLostIsBoundedNotFatal(t *testing.T) {
 // TestGarbageScribbles overwrites random WAL ranges with random bytes:
 // whatever the damage, recovery yields the prefix it claims and survives.
 func TestGarbageScribbles(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	base := t.TempDir()
 	src := filepath.Join(base, "src")
 	ops := Workload(7, 60)

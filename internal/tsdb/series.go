@@ -138,6 +138,15 @@ func (s *series) latest(emit func(t int64, vals []float64)) (ok bool, err error)
 	return false, nil
 }
 
+// lastTime is the newest retained timestamp; retention evicts the oldest
+// blocks only, so it is the newest ever appended.
+func (s *series) lastTime() (int64, bool) {
+	if len(s.blocks) == 0 || s.blocks[len(s.blocks)-1].n == 0 {
+		return 0, false
+	}
+	return s.blocks[len(s.blocks)-1].last, true
+}
+
 // sizeHint upper-bounds how many points query(from, to) can emit without
 // decoding anything: the point counts of the overlapping blocks. Callers
 // use it to allocate result slices exactly once.

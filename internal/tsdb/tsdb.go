@@ -308,18 +308,24 @@ func (st *Store) shardFor(node string) *shard {
 }
 
 // Ingest records one second of restored power for node. t is in seconds
-// (stored at millisecond resolution); values round-trip bit-exactly.
-// Ingest for distinct nodes runs concurrently — only the node's own shard
-// is locked. On a durable store the sample is logged to the WAL before it
-// touches the in-memory series; a WAL error fails the ingest without
-// applying anything.
+// (stored at millisecond resolution); values round-trip bit-exactly. A
+// node's time never goes backwards: a t that is not finite, whose
+// milliseconds overflow int64, or that rounds to before the node's newest
+// stored point is refused. Ingest for distinct nodes runs concurrently —
+// only the node's own shard is locked. On a durable store the sample is
+// logged to the WAL before it touches the in-memory series; a WAL error
+// fails the ingest without applying anything.
 func (st *Store) Ingest(node string, t float64, s Sample) error {
 	if st.closed.Load() {
 		return ErrClosed
 	}
-	ts := int64(math.Round(t * 1000))
+	ms := math.Round(t * 1000)
+	// float64(math.MaxInt64) is 2^63, itself out of range; NaN fails both.
+	if !(ms >= math.MinInt64 && ms < math.MaxInt64) {
+		return fmt.Errorf("tsdb: time %g s is not a finite millisecond count", t)
+	}
 	vals := [NumChannels]float64{s.PNode, s.PCPU, s.PMEM, s.PNodePrime, s.IPMI}
-	seq, err := st.ingest(node, ts, &vals, true)
+	seq, err := st.ingest(node, int64(ms), &vals, true)
 	if err != nil {
 		return err
 	}
@@ -338,6 +344,10 @@ func (st *Store) ingest(node string, ts int64, vals *[NumChannels]float64, logWA
 	defer sh.mu.Unlock()
 	if st.closed.Load() {
 		return 0, ErrClosed
+	}
+	// Replay applies what a live Ingest already checked.
+	if last, ok := sh.chans[0].raw.lastTime(); ok && logWAL && ts < last {
+		return 0, fmt.Errorf("tsdb: %s time %d ms is before its latest %d ms", node, ts, last)
 	}
 	var seq uint64
 	if logWAL && st.wal != nil {

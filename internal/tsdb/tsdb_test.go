@@ -1,9 +1,12 @@
 package tsdb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"highrpm/internal/leaktest"
 )
 
 // ingestRamp stores n seconds of a simple deterministic workload for node:
@@ -142,7 +145,7 @@ func TestStoreQueryValidation(t *testing.T) {
 }
 
 func TestStoreAggregate(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	st := New(Options{})
 	for i := 0; i < 30; i++ {
 		if err := st.Ingest("a", float64(i), Sample{PNode: 100, PCPU: 70, PMEM: 30, PNodePrime: 100, IPMI: math.NaN()}); err != nil {
@@ -225,6 +228,73 @@ func TestStoreCloseSealsAndRefuses(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal("second close not idempotent:", err)
 	}
+}
+
+// TestIngestKeepsNodeTimeOrder: a node's time never goes backwards. A time
+// before the node's newest stored point, a non-finite one and one whose
+// milliseconds overflow int64 are refused before they reach the series or
+// the WAL; an equal time is accepted. Blocks are searched by time, so one
+// accepted out-of-order sample would make a raw [2, 7] query answer
+// [5 6 7] (t = 0) or [2 3 4 3.5 5 6 7] (t = 3.5).
+func TestIngestKeepsNodeTimeOrder(t *testing.T) {
+	leaktest.Check(t)
+	dir := t.TempDir()
+	st, _, err := Open(Options{Dir: dir, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest := func(node string, tm float64) error { return st.Ingest(node, tm, Sample{PNode: tm}) }
+	for i := 0; i < 5; i++ {
+		if err := ingest("n", float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, bad := range []float64{0, 3.5, math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		if err := ingest("n", bad); err == nil {
+			t.Errorf("t = %g accepted after t = 4", bad)
+		}
+	}
+	if err := ingest("fresh", math.NaN()); err == nil {
+		t.Error("a NaN time was accepted for a new node")
+	}
+	for i := 5; i < 10; i++ {
+		if err := ingest("n", float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ingest("n", 9); err != nil {
+		t.Fatalf("an equal time was refused: %v", err)
+	}
+	check := func(st *Store) {
+		t.Helper()
+		pts, err := st.Query("n", ChanPNode, 2, 7, Raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []float64
+		for _, p := range pts {
+			got = append(got, p.Value)
+		}
+		if fmt.Sprint(got) != "[2 3 4 5 6 7]" {
+			t.Fatalf("raw [2, 7] = %v, want [2 3 4 5 6 7]", got)
+		}
+		if n := st.Stats().Ingested; n != 11 {
+			t.Fatalf("%d samples applied, want 11", n)
+		}
+		if nodes := st.Nodes(); len(nodes) != 1 {
+			t.Fatalf("nodes %v, want [n]", nodes)
+		}
+	}
+	check(st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, _, err := Open(Options{Dir: dir, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check(re)
 }
 
 func TestStoreStats(t *testing.T) {

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"highrpm/internal/leaktest"
 )
 
 // mergeNodeSeriesReference is MergeNodeSeries as it stood before the
@@ -156,7 +158,7 @@ func (s *recordingSink) Raw(tms []int64, vals []float64) {
 // points bit for bit. The windows start and end mid-block, span blocks, sit
 // inside one block, and hold nothing at all.
 func TestWalkSeriesIsTheQueryPath(t *testing.T) {
-	checkNoLeaks(t)
+	leaktest.Check(t)
 	const blockPoints = 64
 	cached := New(Options{BlockPoints: blockPoints})
 	uncached := New(Options{BlockPoints: blockPoints, CachePoints: -1})

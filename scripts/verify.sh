@@ -5,8 +5,10 @@
 # that this script gates formatting (gofmt), builds the portable kernel path
 # for arm64 (vet) and 386 (the whole tree), vets the tree with both
 # `go vet` (asmdecl included) and the project-specific highrpm-vet analyzers (determinism,
-# maporder, floateq, leakcheck, errdrop, layering — see internal/lint),
-# runs the GPU and power-capping examples end to end, drives one model
+# maporder, floateq, leakcheck, errdrop — see internal/lint),
+# runs every example end to end (each takes about a second, and an
+# example that only compiles can rot silently: a refused sample or a
+# changed default shows only when it runs), drives one model
 # file across binaries (highrpm-trace → highrpm-train → highrpm-analyze)
 # and then serves it with highrpm-monitor — the one command that runs the
 # ResilientAgent, the only client the monitor has, against a live service
@@ -80,9 +82,11 @@ echo "== highrpm-vet (project static analysis)"
 go run ./cmd/highrpm-vet ./...
 echo "== go test"
 go test ./...
-echo "== run the examples built on core.StaticTRR and governor.Run (~3 s)"
-go run ./examples/gpu >/dev/null
-go run ./examples/powercap >/dev/null
+echo "== run every example (~1 s each)"
+for ex in examples/*/; do
+    echo "   $ex"
+    go run "./$ex" >/dev/null
+done
 echo "== a model file written by highrpm-train is read by highrpm-analyze and served by highrpm-monitor (~3 s)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
