@@ -15,7 +15,8 @@ import (
 	"fmt"
 	"os"
 
-	"highrpm"
+	"highrpm/internal/core"
+	"highrpm/internal/stats"
 	"highrpm/internal/tracefile"
 )
 
@@ -32,7 +33,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	model, err := highrpm.LoadModel(*modelPath)
+	model, err := core.Load(*modelPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -53,7 +54,7 @@ func main() {
 	fmt.Printf("trace: %d samples, %d IM readings (every ~%.0f s)\n",
 		set.Len(), len(idx), float64(set.Len())/float64(len(idx)))
 
-	node, pcpu, pmem, err := model.Restore(set, idx, vals, highrpm.ModeStatic)
+	node, pcpu, pmem, err := model.Restore(set, idx, vals, core.ModeStatic)
 	if err != nil {
 		fatal(err)
 	}
@@ -82,9 +83,9 @@ func main() {
 
 	if tf.HasGroundTruth() {
 		fmt.Println("\nfile carries ground truth; accuracy of the restoration:")
-		fmt.Printf("  node: %v\n", highrpm.Evaluate(set.NodePower(), node))
-		fmt.Printf("  cpu:  %v\n", highrpm.Evaluate(set.CPUPower(), pcpu))
-		fmt.Printf("  mem:  %v\n", highrpm.Evaluate(set.MemPower(), pmem))
+		fmt.Printf("  node: %v\n", stats.Evaluate(set.NodePower(), node))
+		fmt.Printf("  cpu:  %v\n", stats.Evaluate(set.CPUPower(), pcpu))
+		fmt.Printf("  mem:  %v\n", stats.Evaluate(set.MemPower(), pmem))
 	}
 }
 

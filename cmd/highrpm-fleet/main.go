@@ -38,8 +38,10 @@ import (
 	"syscall"
 	"time"
 
-	"highrpm"
 	"highrpm/internal/cliutil"
+	"highrpm/internal/cluster"
+	"highrpm/internal/fleet"
+	"highrpm/internal/obs"
 )
 
 // flagGroups orders -help by subsystem (see internal/cliutil).
@@ -56,12 +58,12 @@ func main() {
 		replication = flag.Int("replication", 1, "distinct shards holding each node's stream (1: no replication)")
 
 		listen       = flag.String("listen", "127.0.0.1:9200", "front-end address agents and query clients dial")
-		readTimeout  = flag.Duration("read-timeout", highrpm.DefaultServiceOptions().ReadTimeout, "reap a front-end connection after this long without a message (0: never)")
-		writeTimeout = flag.Duration("write-timeout", highrpm.DefaultServiceOptions().WriteTimeout, "bound writing one reply (0: unbounded)")
-		maxFrame     = flag.Int("max-frame", highrpm.DefaultServiceOptions().MaxFrame, "largest wire frame in bytes")
+		readTimeout  = flag.Duration("read-timeout", cluster.DefaultServiceOptions().ReadTimeout, "reap a front-end connection after this long without a message (0: never)")
+		writeTimeout = flag.Duration("write-timeout", cluster.DefaultServiceOptions().WriteTimeout, "bound writing one reply (0: unbounded)")
+		maxFrame     = flag.Int("max-frame", cluster.DefaultServiceOptions().MaxFrame, "largest wire frame in bytes")
 		maxConns     = flag.Int("max-conns", 0, "concurrent front-end connection cap (0: unlimited)")
 
-		dialRetry = flag.Duration("dial-retry", highrpm.DefaultTopologyOptions().DialRetry, "wait between dial attempts to a shard the router has never reached")
+		dialRetry = flag.Duration("dial-retry", fleet.DefaultTopologyOptions().DialRetry, "wait between dial attempts to a shard the router has never reached")
 
 		httpAddr  = flag.String("http", "", "observability HTTP address, e.g. 127.0.0.1:9090 (empty: disabled)")
 		pprofFlag = flag.Bool("pprof", false, "mount net/http/pprof on the observability endpoint")
@@ -77,7 +79,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	opts := highrpm.DefaultTopologyOptions()
+	opts := fleet.DefaultTopologyOptions()
 	opts.Replication = *replication
 	opts.DialRetry = *dialRetry
 	opts.FrontEnd.ReadTimeout = *readTimeout
@@ -85,7 +87,7 @@ func main() {
 	opts.FrontEnd.MaxFrame = *maxFrame
 	opts.FrontEnd.MaxConns = *maxConns
 
-	router, err := highrpm.NewRouter(top, opts)
+	router, err := fleet.NewRouter(top, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -101,13 +103,13 @@ func main() {
 		fmt.Printf("  shard %-16s %s\n", sh.Name, sh.Addr)
 	}
 
-	var osrv *highrpm.MetricsServer
+	var osrv *obs.Server
 	if *httpAddr != "" {
-		reg := highrpm.NewMetricsRegistry()
+		reg := obs.NewRegistry()
 		router.RegisterMetrics(reg)
-		mopts := highrpm.DefaultMetricsServerOptions()
+		mopts := obs.DefaultServerOptions()
 		mopts.EnablePprof = *pprofFlag
-		osrv = highrpm.NewMetricsServer(reg, mopts)
+		osrv = obs.NewServer(reg, mopts)
 		osrv.SetHealth(router.Health)
 		if err := osrv.Listen(*httpAddr); err != nil {
 			fatal(err)
@@ -140,8 +142,8 @@ func main() {
 
 // parseShards turns "a=host:port,host:port" into a topology; bare
 // addresses are named after their position.
-func parseShards(s string) (highrpm.FleetTopology, error) {
-	var top highrpm.FleetTopology
+func parseShards(s string) (fleet.Topology, error) {
+	var top fleet.Topology
 	if strings.TrimSpace(s) == "" {
 		return top, fmt.Errorf("-shards is required")
 	}
@@ -160,12 +162,12 @@ func parseShards(s string) (highrpm.FleetTopology, error) {
 		if addr == "" {
 			return top, fmt.Errorf("empty shard address in %q", entry)
 		}
-		top.Shards = append(top.Shards, highrpm.FleetShard{Name: name, Addr: addr})
+		top.Shards = append(top.Shards, fleet.Shard{Name: name, Addr: addr})
 	}
 	return top, nil
 }
 
-func summary(st highrpm.FleetStats) string {
+func summary(st fleet.Stats) string {
 	up := 0
 	for _, sh := range st.Shards {
 		if sh.Up {

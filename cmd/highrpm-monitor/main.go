@@ -48,8 +48,14 @@ import (
 	"sync"
 	"time"
 
-	"highrpm"
 	"highrpm/internal/cliutil"
+	"highrpm/internal/cluster"
+	"highrpm/internal/core"
+	"highrpm/internal/dataset"
+	"highrpm/internal/obs"
+	"highrpm/internal/platform"
+	"highrpm/internal/tsdb"
+	"highrpm/internal/workload"
 )
 
 func main() {
@@ -63,9 +69,9 @@ func main() {
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		quiet     = flag.Bool("quiet", false, "only print the final summary")
 
-		readTimeout  = flag.Duration("read-timeout", highrpm.DefaultServiceOptions().ReadTimeout, "reap a connection after this long without a message (0: never)")
-		writeTimeout = flag.Duration("write-timeout", highrpm.DefaultServiceOptions().WriteTimeout, "bound writing one reply (0: unbounded)")
-		maxFrame     = flag.Int("max-frame", highrpm.DefaultServiceOptions().MaxFrame, "largest wire frame in bytes")
+		readTimeout  = flag.Duration("read-timeout", cluster.DefaultServiceOptions().ReadTimeout, "reap a connection after this long without a message (0: never)")
+		writeTimeout = flag.Duration("write-timeout", cluster.DefaultServiceOptions().WriteTimeout, "bound writing one reply (0: unbounded)")
+		maxFrame     = flag.Int("max-frame", cluster.DefaultServiceOptions().MaxFrame, "largest wire frame in bytes")
 		maxConns     = flag.Int("max-conns", 0, "concurrent connection cap (0: unlimited)")
 
 		batch         = flag.Int("batch", 1, "coalesce this many samples per RecordBatch frame (<2: one frame per sample)")
@@ -87,27 +93,27 @@ func main() {
 		fatal(err)
 	}
 
-	svcOpts := highrpm.ServiceOptions{
+	svcOpts := cluster.ServiceOptions{
 		ReadTimeout:  *readTimeout,
 		WriteTimeout: *writeTimeout,
 		MaxFrame:     *maxFrame,
 		MaxConns:     *maxConns,
 	}
-	storeOpts := highrpm.DefaultStoreOptions()
+	storeOpts := tsdb.DefaultOptions()
 	if *retain > 0 {
 		storeOpts.RetainRaw, storeOpts.Retain10s, storeOpts.Retain60s = *retain, *retain, *retain
 	}
-	var svc *highrpm.Service
+	var svc *cluster.Service
 	if *dataDir != "" {
-		policy, err := highrpm.ParseFsyncPolicy(*fsync)
+		policy, err := tsdb.ParseFsyncPolicy(*fsync)
 		if err != nil {
 			fatal(err)
 		}
 		storeOpts.Dir = *dataDir
 		storeOpts.Fsync = policy
 		storeOpts.SnapshotEvery = *snapEvery
-		var rec *highrpm.StoreRecovery
-		svc, rec, err = highrpm.NewDurableService(model, svcOpts, storeOpts)
+		var rec *tsdb.Recovery
+		svc, rec, err = cluster.NewDurableService(model, svcOpts, storeOpts)
 		if err != nil {
 			fatal(err)
 		}
@@ -121,9 +127,9 @@ func main() {
 		}
 		fmt.Println()
 	} else {
-		svc = highrpm.NewServiceWith(model, svcOpts)
+		svc = cluster.NewServiceWith(model, svcOpts)
 		if *retain > 0 {
-			svc.SetStore(highrpm.NewStore(storeOpts))
+			svc.SetStore(tsdb.New(storeOpts))
 		}
 	}
 	if err := svc.Listen("127.0.0.1:0"); err != nil {
@@ -135,18 +141,18 @@ func main() {
 	// Optional observability endpoint: Prometheus exposition, JSON series
 	// API, health probes, and (with -pprof) the profiling handlers.
 	var (
-		am   *highrpm.AgentMetrics
-		osrv *highrpm.MetricsServer
+		am   *cluster.AgentMetrics
+		osrv *obs.Server
 	)
 	if *httpAddr != "" {
-		reg := highrpm.NewMetricsRegistry()
+		reg := obs.NewRegistry()
 		svc.RegisterMetrics(reg)
-		am = highrpm.NewAgentMetrics(reg)
-		opts := highrpm.DefaultMetricsServerOptions()
+		am = cluster.NewAgentMetrics(reg)
+		opts := obs.DefaultServerOptions()
 		opts.EnablePprof = *pprofFlag
-		osrv = highrpm.NewMetricsServer(reg, opts)
+		osrv = obs.NewServer(reg, opts)
 		osrv.SetStore(svc.Store())
-		osrv.SetHealth(func() highrpm.Health {
+		osrv.SetHealth(func() obs.Health {
 			h := svc.Health()
 			if h.Ready && am.AnyDegraded() {
 				h.Degraded = true
@@ -160,7 +166,7 @@ func main() {
 		fmt.Printf("metrics at http://%s/metrics (series API under /api/v1/)\n", osrv.Addr())
 	}
 
-	b, err := highrpm.FindBenchmark(*bench)
+	b, err := workload.Find(*bench)
 	if err != nil {
 		fatal(err)
 	}
@@ -179,13 +185,13 @@ func main() {
 		go func(id int) {
 			defer wg.Done()
 			nodeID := fmt.Sprintf("node-%02d", id)
-			node, err := highrpm.NewNode(highrpm.ARMPlatform(), *seed+int64(id)*101)
+			node, err := platform.NewNode(platform.ARMConfig(), *seed+int64(id)*101)
 			if err != nil {
 				fatal(err)
 			}
-			opts := highrpm.DefaultAgentOptions()
-			opts.Batch = highrpm.BatchOptions{MaxSamples: *batch, MaxDelay: *batchInterval}
-			agent, err := highrpm.DialResilientService(svc.Addr(), nodeID, opts)
+			opts := cluster.DefaultAgentOptions()
+			opts.Batch = cluster.BatchOptions{MaxSamples: *batch, MaxDelay: *batchInterval}
+			agent, err := cluster.DialResilient(svc.Addr(), nodeID, opts)
 			if err != nil {
 				fatal(err)
 			}
@@ -197,7 +203,7 @@ func main() {
 			// restore, in send order.
 			type sent struct{ time, pNode, pCPU, pMEM float64 }
 			var pending []sent
-			handle := func(ests []highrpm.Estimate) {
+			handle := func(ests []cluster.Estimate) {
 				for _, est := range ests {
 					s := pending[0]
 					pending = pending[1:]
@@ -284,27 +290,27 @@ var flagGroups = []cliutil.Group{
 }
 
 // loadOrTrain loads a persisted model or trains a compact one in-process.
-func loadOrTrain(path string, miss int, seed int64) (*highrpm.Model, error) {
+func loadOrTrain(path string, miss int, seed int64) (*core.HighRPM, error) {
 	if path != "" {
 		fmt.Printf("loading model from %s\n", path)
-		return highrpm.LoadModel(path)
+		return core.Load(path)
 	}
 	fmt.Println("no -model given; training a compact model in-process...")
-	gen := highrpm.DefaultGenerateConfig()
+	gen := dataset.DefaultGenerateConfig()
 	gen.SamplesPerSuite = 240
 	gen.Seed = seed
-	train := &highrpm.Set{}
-	for _, s := range highrpm.SuiteNames() {
-		set, err := highrpm.GenerateSuite(gen, s)
+	train := &dataset.Set{}
+	for _, s := range workload.SuiteNames() {
+		set, err := dataset.GenerateSuite(gen, s)
 		if err != nil {
 			return nil, err
 		}
 		train.Append(set)
 	}
-	opts := highrpm.DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.SetMissInterval(miss)
 	opts.Seed = seed
-	return highrpm.Train(train, opts)
+	return core.Train(train, opts)
 }
 
 func fatal(err error) {

@@ -25,9 +25,10 @@ import (
 	"os"
 	"strings"
 
-	"highrpm"
 	"highrpm/internal/cliutil"
+	"highrpm/internal/cluster"
 	"highrpm/internal/tracefile"
+	"highrpm/internal/tsdb"
 )
 
 // flagGroups orders -help by subsystem (see internal/cliutil).
@@ -62,13 +63,13 @@ func main() {
 
 	// An empty node ID: a query client is not a node, and the service
 	// registers none for it.
-	agent, err := highrpm.DialService(*addr, "")
+	agent, err := cluster.Dial(*addr, "")
 	if err != nil {
 		fatal(err)
 	}
 	defer agent.Close()
 
-	body, err := agent.Query(highrpm.QueryRequest{
+	body, err := agent.Query(cluster.QueryRequest{
 		NodeID:      *node,
 		Channel:     *channel,
 		From:        *from,
@@ -117,7 +118,7 @@ func main() {
 	}
 }
 
-func printTable(body highrpm.Series) {
+func printTable(body cluster.SeriesBody) {
 	scope := body.NodeID
 	if scope == "" {
 		scope = "<all nodes>"
@@ -163,8 +164,8 @@ func watts(v float64) string {
 }
 
 func channelList() string {
-	names := make([]string, 0, len(highrpm.StoreChannels()))
-	for _, c := range highrpm.StoreChannels() {
+	names := make([]string, 0, len(tsdb.Channels()))
+	for _, c := range tsdb.Channels() {
 		names = append(names, string(c))
 	}
 	return strings.Join(names, ", ")

@@ -14,8 +14,9 @@ import (
 	"io"
 	"os"
 
-	"highrpm"
+	"highrpm/internal/platform"
 	"highrpm/internal/tracefile"
+	"highrpm/internal/workload"
 )
 
 func main() {
@@ -32,26 +33,26 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, b := range highrpm.Benchmarks() {
+		for _, b := range workload.Suite() {
 			fmt.Println(b.String())
 		}
 		return
 	}
 
-	b, err := highrpm.FindBenchmark(*bench)
+	b, err := workload.Find(*bench)
 	if err != nil {
 		fatal(err)
 	}
-	var cfg highrpm.PlatformConfig
+	var cfg platform.Config
 	switch *plat {
 	case "arm":
-		cfg = highrpm.ARMPlatform()
+		cfg = platform.ARMConfig()
 	case "x86":
-		cfg = highrpm.X86Platform()
+		cfg = platform.X86Config()
 	default:
 		fatal(fmt.Errorf("unknown platform %q", *plat))
 	}
-	node, err := highrpm.NewNode(cfg, *seed)
+	node, err := platform.NewNode(cfg, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -61,7 +62,7 @@ func main() {
 		}
 	}
 	tr := node.RunFor(b, *dur, 1)
-	sensor := highrpm.NewIPMISensor(*miss, *seed+1)
+	sensor := platform.NewIPMISensor(*miss, *seed+1)
 	readings := sensor.Readings(tr)
 
 	var w io.Writer = os.Stdout

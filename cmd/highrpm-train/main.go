@@ -14,7 +14,10 @@ import (
 	"strings"
 	"time"
 
-	"highrpm"
+	"highrpm/internal/core"
+	"highrpm/internal/dataset"
+	"highrpm/internal/platform"
+	"highrpm/internal/workload"
 )
 
 func main() {
@@ -29,26 +32,26 @@ func main() {
 	)
 	flag.Parse()
 
-	gen := highrpm.DefaultGenerateConfig()
+	gen := dataset.DefaultGenerateConfig()
 	gen.SamplesPerSuite = *samples
 	gen.Seed = *seed
 	switch *plat {
 	case "arm":
-		gen.Platform = highrpm.ARMPlatform()
+		gen.Platform = platform.ARMConfig()
 	case "x86":
-		gen.Platform = highrpm.X86Platform()
+		gen.Platform = platform.X86Config()
 	default:
 		fmt.Fprintf(os.Stderr, "highrpm-train: unknown platform %q\n", *plat)
 		os.Exit(2)
 	}
 
-	names := highrpm.SuiteNames()
+	names := workload.SuiteNames()
 	if *suites != "" {
 		names = strings.Split(*suites, ",")
 	}
-	train := &highrpm.Set{}
+	train := &dataset.Set{}
 	for _, s := range names {
-		set, err := highrpm.GenerateSuite(gen, strings.TrimSpace(s))
+		set, err := dataset.GenerateSuite(gen, strings.TrimSpace(s))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "highrpm-train: %v\n", err)
 			os.Exit(1)
@@ -57,13 +60,13 @@ func main() {
 		fmt.Printf("collected %4d samples from %s\n", set.Len(), s)
 	}
 
-	opts := highrpm.DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.SetMissInterval(*miss)
 	opts.ActiveLearning = !*noActive
 	opts.Seed = *seed
 
 	start := time.Now()
-	m, err := highrpm.Train(train, opts)
+	m, err := core.Train(train, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "highrpm-train: %v\n", err)
 		os.Exit(1)
@@ -73,7 +76,7 @@ func main() {
 		m.TrainStats.InitialDuration.Round(time.Millisecond),
 		m.TrainStats.ActiveDuration.Round(time.Millisecond))
 
-	if err := highrpm.SaveModel(*out, m); err != nil {
+	if err := core.Save(*out, m); err != nil {
 		fmt.Fprintf(os.Stderr, "highrpm-train: %v\n", err)
 		os.Exit(1)
 	}

@@ -12,7 +12,12 @@ import (
 	"log"
 	"sync"
 
-	"highrpm"
+	"highrpm/internal/cluster"
+	"highrpm/internal/core"
+	"highrpm/internal/dataset"
+	"highrpm/internal/platform"
+	"highrpm/internal/stats"
+	"highrpm/internal/workload"
 )
 
 const (
@@ -23,24 +28,24 @@ const (
 
 func main() {
 	// Train once on the control node.
-	gen := highrpm.DefaultGenerateConfig()
+	gen := dataset.DefaultGenerateConfig()
 	gen.SamplesPerSuite = 240
-	train := &highrpm.Set{}
-	for _, suite := range highrpm.SuiteNames() {
-		set, err := highrpm.GenerateSuite(gen, suite)
+	train := &dataset.Set{}
+	for _, suite := range workload.SuiteNames() {
+		set, err := dataset.GenerateSuite(gen, suite)
 		if err != nil {
 			log.Fatal(err)
 		}
 		train.Append(set)
 	}
-	opts := highrpm.DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.SetMissInterval(missSecs)
-	model, err := highrpm.Train(train, opts)
+	model, err := core.Train(train, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	svc := highrpm.NewService(model)
+	svc := cluster.NewService(model)
 	if err := svc.Listen("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}
@@ -59,15 +64,15 @@ func main() {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			bench, err := highrpm.FindBenchmark(workloads[id%len(workloads)])
+			bench, err := workload.Find(workloads[id%len(workloads)])
 			if err != nil {
 				log.Fatal(err)
 			}
-			node, err := highrpm.NewNode(highrpm.ARMPlatform(), int64(id)*977+5)
+			node, err := platform.NewNode(platform.ARMConfig(), int64(id)*977+5)
 			if err != nil {
 				log.Fatal(err)
 			}
-			agent, err := highrpm.DialService(svc.Addr(), fmt.Sprintf("node-%02d", id))
+			agent, err := cluster.Dial(svc.Addr(), fmt.Sprintf("node-%02d", id))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -116,7 +121,7 @@ func main() {
 			obs = append(obs, grid[n][t].truth)
 			pred = append(pred, grid[n][t].est)
 		}
-		fmt.Printf("  node-%02d (%-13s): %v\n", n, workloads[n%len(workloads)], highrpm.Evaluate(obs, pred))
+		fmt.Printf("  node-%02d (%-13s): %v\n", n, workloads[n%len(workloads)], stats.Evaluate(obs, pred))
 	}
 
 	st := svc.Stats()

@@ -21,44 +21,49 @@ import (
 	"log"
 	"time"
 
-	"highrpm"
+	"highrpm/internal/cluster"
+	"highrpm/internal/core"
+	"highrpm/internal/dataset"
+	"highrpm/internal/fleet"
+	"highrpm/internal/platform"
+	"highrpm/internal/workload"
 )
 
 func main() {
 	// 1. Train a compact model in-process (see examples/quickstart for the
 	// full training story).
-	gen := highrpm.DefaultGenerateConfig()
+	gen := dataset.DefaultGenerateConfig()
 	gen.SamplesPerSuite = 150
-	train := &highrpm.Set{}
+	train := &dataset.Set{}
 	for _, suite := range []string{"HPCC", "SPEC"} {
-		set, err := highrpm.GenerateSuite(gen, suite)
+		set, err := dataset.GenerateSuite(gen, suite)
 		if err != nil {
 			log.Fatal(err)
 		}
 		train.Append(set)
 	}
-	topts := highrpm.DefaultOptions()
+	topts := core.DefaultOptions()
 	topts.ActiveLearning = false
-	model, err := highrpm.Train(train, topts)
+	model, err := core.Train(train, topts)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 2. Start two backend services — the existing single-box service,
 	// unchanged — and a reference service that will see the same stream.
-	var top highrpm.FleetTopology
-	backends := make([]*highrpm.Service, 2)
+	var top fleet.Topology
+	backends := make([]*cluster.Service, 2)
 	for i := range backends {
-		svc := highrpm.NewService(model)
+		svc := cluster.NewService(model)
 		if err := svc.Listen("127.0.0.1:0"); err != nil {
 			log.Fatal(err)
 		}
 		backends[i] = svc
-		top.Shards = append(top.Shards, highrpm.FleetShard{
+		top.Shards = append(top.Shards, fleet.Shard{
 			Name: fmt.Sprintf("ingest-%c", 'a'+i), Addr: svc.Addr(),
 		})
 	}
-	ref := highrpm.NewService(model)
+	ref := cluster.NewService(model)
 	if err := ref.Listen("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}
@@ -66,9 +71,9 @@ func main() {
 	// 3. Front the backends with a replicated fleet router. R=2 writes
 	// every node's stream to both shards (ring owner + follower), so
 	// either backend can die without losing a sample.
-	opts := highrpm.DefaultTopologyOptions()
+	opts := fleet.DefaultTopologyOptions()
 	opts.Replication = 2
-	router, err := highrpm.NewRouter(top, opts)
+	router, err := fleet.NewRouter(top, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,29 +89,29 @@ func main() {
 	// 4. Stream four simulated nodes through the router — and, in
 	// parallel, through the reference service. At second 30 one backend is
 	// killed; the router fails its traffic over to the surviving replica.
-	bench, err := highrpm.FindBenchmark("HPCC/FFT")
+	bench, err := workload.Find("HPCC/FFT")
 	if err != nil {
 		log.Fatal(err)
 	}
 	const nodes, seconds, killAt = 4, 60, 30
 	type sim struct {
-		node     *highrpm.Node
-		fa, ra   *highrpm.Agent
-		lastFest highrpm.Estimate
+		node     *platform.Node
+		fa, ra   *cluster.Agent
+		lastFest cluster.Estimate
 	}
 	sims := make([]*sim, nodes)
 	for n := range sims {
 		nodeID := fmt.Sprintf("node-%02d", n)
-		node, err := highrpm.NewNode(highrpm.ARMPlatform(), int64(n)*101+1)
+		node, err := platform.NewNode(platform.ARMConfig(), int64(n)*101+1)
 		if err != nil {
 			log.Fatal(err)
 		}
 		node.Attach(bench)
-		fa, err := highrpm.DialService(router.Addr(), nodeID)
+		fa, err := cluster.Dial(router.Addr(), nodeID)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ra, err := highrpm.DialService(ref.Addr(), nodeID)
+		ra, err := cluster.Dial(ref.Addr(), nodeID)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -154,17 +159,17 @@ func main() {
 	// 5. Query through the router: the cluster-wide aggregate
 	// scatter-gathers the surviving shards and merges per-node series in
 	// sorted node order — byte-identical to the single reference service.
-	fq, err := highrpm.DialService(router.Addr(), "fleet-demo")
+	fq, err := cluster.Dial(router.Addr(), "fleet-demo")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer fq.Close()
-	rq, err := highrpm.DialService(ref.Addr(), "fleet-demo")
+	rq, err := cluster.Dial(ref.Addr(), "fleet-demo")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer rq.Close()
-	q := highrpm.QueryRequest{Channel: "p_node", From: 0, To: seconds - 1, ResolutionS: 10}
+	q := cluster.QueryRequest{Channel: "p_node", From: 0, To: seconds - 1, ResolutionS: 10}
 	fb, err := fq.Query(q)
 	if err != nil {
 		log.Fatal(err)

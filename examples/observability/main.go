@@ -19,25 +19,30 @@ import (
 	"strings"
 	"time"
 
-	"highrpm"
+	"highrpm/internal/cluster"
+	"highrpm/internal/core"
+	"highrpm/internal/dataset"
+	"highrpm/internal/obs"
+	"highrpm/internal/platform"
+	"highrpm/internal/workload"
 )
 
 func main() {
 	// 1. Train a compact model in-process (see examples/quickstart for the
 	// full training story).
-	gen := highrpm.DefaultGenerateConfig()
+	gen := dataset.DefaultGenerateConfig()
 	gen.SamplesPerSuite = 150
-	train := &highrpm.Set{}
+	train := &dataset.Set{}
 	for _, suite := range []string{"HPCC", "SPEC"} {
-		set, err := highrpm.GenerateSuite(gen, suite)
+		set, err := dataset.GenerateSuite(gen, suite)
 		if err != nil {
 			log.Fatal(err)
 		}
 		train.Append(set)
 	}
-	opts := highrpm.DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.ActiveLearning = false
-	model, err := highrpm.Train(train, opts)
+	model, err := core.Train(train, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,16 +50,16 @@ func main() {
 	// 2. Start the service and export it onto a metric registry: Stats
 	// counters, store stats, per-node power gauges and the overhead
 	// self-meter all register here.
-	svc := highrpm.NewService(model)
+	svc := cluster.NewService(model)
 	if err := svc.Listen("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}
-	reg := highrpm.NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	svc.RegisterMetrics(reg)
 
 	// 3. Start the observability endpoint. SetStore enables the JSON
 	// series API; SetHealth wires /readyz to the service lifecycle.
-	osrv := highrpm.NewMetricsServer(reg, highrpm.DefaultMetricsServerOptions())
+	osrv := obs.NewServer(reg, obs.DefaultServerOptions())
 	osrv.SetStore(svc.Store())
 	osrv.SetHealth(svc.Health)
 	if err := osrv.Listen("127.0.0.1:0"); err != nil {
@@ -65,17 +70,17 @@ func main() {
 
 	// 4. Stream one minute of telemetry from two simulated nodes, with an
 	// IM (IPMI) reading every 10 s — the normal monitoring flow.
-	bench, err := highrpm.FindBenchmark("HPCC/FFT")
+	bench, err := workload.Find("HPCC/FFT")
 	if err != nil {
 		log.Fatal(err)
 	}
 	for n := 0; n < 2; n++ {
 		nodeID := fmt.Sprintf("node-%02d", n)
-		node, err := highrpm.NewNode(highrpm.ARMPlatform(), int64(n)*101+1)
+		node, err := platform.NewNode(platform.ARMConfig(), int64(n)*101+1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		agent, err := highrpm.DialService(svc.Addr(), nodeID)
+		agent, err := cluster.Dial(svc.Addr(), nodeID)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,8 +16,11 @@ import (
 	"fmt"
 	"log"
 
-	"highrpm"
+	"highrpm/internal/core"
+	"highrpm/internal/dataset"
 	"highrpm/internal/governor"
+	"highrpm/internal/platform"
+	"highrpm/internal/workload"
 )
 
 const (
@@ -31,7 +34,7 @@ const (
 
 func main() {
 	model := trainCompactModel()
-	bench, err := highrpm.FindBenchmark("Graph500/bfs")
+	bench, err := workload.Find("Graph500/bfs")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,17 +44,17 @@ func main() {
 
 	type stack struct {
 		label string
-		src   func() highrpm.GovernorSource
-		pol   func() highrpm.GovernorPolicy
+		src   func() governor.Source
+		pol   func() governor.Policy
 	}
 	stacks := []stack{
-		{"raw IPMI + hysteresis", func() highrpm.GovernorSource { return &governor.RawIM{} },
-			func() highrpm.GovernorPolicy { return &highrpm.HysteresisPolicy{MarginFrac: 0.15} }},
-		{"HighRPM + hysteresis", func() highrpm.GovernorSource { return highrpm.NewModelSource(model) },
-			func() highrpm.GovernorPolicy { return &highrpm.HysteresisPolicy{MarginFrac: 0.15} }},
-		{"HighRPM + predictive", func() highrpm.GovernorSource { return highrpm.NewModelSource(model) },
-			func() highrpm.GovernorPolicy {
-				p := &highrpm.PredictivePolicy{Horizon: 3, Base: &highrpm.HysteresisPolicy{MarginFrac: 0.15}}
+		{"raw IPMI + hysteresis", func() governor.Source { return &governor.RawIM{} },
+			func() governor.Policy { return &governor.Hysteresis{MarginFrac: 0.15} }},
+		{"HighRPM + hysteresis", func() governor.Source { return governor.NewModelSource(model) },
+			func() governor.Policy { return &governor.Hysteresis{MarginFrac: 0.15} }},
+		{"HighRPM + predictive", func() governor.Source { return governor.NewModelSource(model) },
+			func() governor.Policy {
+				p := &governor.Predictive{Horizon: 3, Base: &governor.Hysteresis{MarginFrac: 0.15}}
 				return p
 			}},
 	}
@@ -59,11 +62,11 @@ func main() {
 	for si, st := range stacks {
 		var peak, over, energy, runtime float64
 		for k := 0; k < runs; k++ {
-			node, err := highrpm.NewNode(highrpm.ARMPlatform(), int64(7+k*131))
+			node, err := platform.NewNode(platform.ARMConfig(), int64(7+k*131))
 			if err != nil {
 				log.Fatal(err)
 			}
-			out, err := highrpm.RunGoverned(node, bench, st.src(), st.pol(), highrpm.GovernorConfig{
+			out, err := governor.Run(node, bench, st.src(), st.pol(), governor.Config{
 				CapWatts: capWatts, MissInterval: missSecs,
 			})
 			if err != nil {
@@ -93,20 +96,20 @@ func main() {
 
 // trainCompactModel trains a small model on the non-Graph500 suites so the
 // governed workload is unseen.
-func trainCompactModel() *highrpm.Model {
-	gen := highrpm.DefaultGenerateConfig()
+func trainCompactModel() *core.HighRPM {
+	gen := dataset.DefaultGenerateConfig()
 	gen.SamplesPerSuite = 240
-	train := &highrpm.Set{}
+	train := &dataset.Set{}
 	for _, suite := range []string{"SPEC", "HPCC", "SMG2000", "HPCG"} {
-		set, err := highrpm.GenerateSuite(gen, suite)
+		set, err := dataset.GenerateSuite(gen, suite)
 		if err != nil {
 			log.Fatal(err)
 		}
 		train.Append(set)
 	}
-	opts := highrpm.DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.SetMissInterval(missSecs)
-	model, err := highrpm.Train(train, opts)
+	model, err := core.Train(train, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

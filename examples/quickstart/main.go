@@ -12,17 +12,21 @@ import (
 	"fmt"
 	"log"
 
-	"highrpm"
+	"highrpm/internal/core"
+	"highrpm/internal/dataset"
+	"highrpm/internal/platform"
+	"highrpm/internal/stats"
+	"highrpm/internal/workload"
 )
 
 func main() {
 	// 1. Collect labeled initial samples (§4.1). On real hardware this is a
 	// one-off bench-measurement campaign; here the simulator provides it.
-	gen := highrpm.DefaultGenerateConfig()
+	gen := dataset.DefaultGenerateConfig()
 	gen.SamplesPerSuite = 300
-	train := &highrpm.Set{}
+	train := &dataset.Set{}
 	for _, suite := range []string{"SPEC", "PARSEC", "HPCC", "SMG2000"} {
-		set, err := highrpm.GenerateSuite(gen, suite)
+		set, err := dataset.GenerateSuite(gen, suite)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -32,8 +36,8 @@ func main() {
 
 	// 2. Train the framework: StaticTRR + DynamicTRR + SRR, then the
 	// active-learning refinement pass.
-	opts := highrpm.DefaultOptions()
-	model, err := highrpm.Train(train, opts)
+	opts := core.DefaultOptions()
+	model, err := core.Train(train, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,29 +47,29 @@ func main() {
 
 	// 3. Run an unseen workload and keep only what a real deployment has:
 	// PMC samples at 1 Sa/s and IPMI readings every 10 s.
-	bench, err := highrpm.FindBenchmark("HPCG/hpcg")
+	bench, err := workload.Find("HPCG/hpcg")
 	if err != nil {
 		log.Fatal(err)
 	}
-	node, err := highrpm.NewNode(highrpm.ARMPlatform(), 42)
+	node, err := platform.NewNode(platform.ARMConfig(), 42)
 	if err != nil {
 		log.Fatal(err)
 	}
 	trace := node.RunFor(bench, 240, 1)
-	test := highrpm.FromTrace(trace, "HPCG", bench.Name)
+	test := dataset.FromTrace(trace, "HPCG", bench.Name)
 	measuredIdx := test.MeasuredIndices(10)
 
 	// 4. Restore: sparse readings -> 1 Sa/s node power -> CPU/MEM split.
-	nodePower, pcpu, pmem, err := model.Restore(test, measuredIdx, nil, highrpm.ModeDynamic)
+	nodePower, pcpu, pmem, err := model.Restore(test, measuredIdx, nil, core.ModeDynamic)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 5. Score against the simulator's ground truth.
 	fmt.Println("\naccuracy vs ground truth (DynamicTRR online mode):")
-	fmt.Printf("  node: %v\n", highrpm.Evaluate(test.NodePower(), nodePower))
-	fmt.Printf("  cpu:  %v\n", highrpm.Evaluate(test.CPUPower(), pcpu))
-	fmt.Printf("  mem:  %v\n", highrpm.Evaluate(test.MemPower(), pmem))
+	fmt.Printf("  node: %v\n", stats.Evaluate(test.NodePower(), nodePower))
+	fmt.Printf("  cpu:  %v\n", stats.Evaluate(test.CPUPower(), pcpu))
+	fmt.Printf("  mem:  %v\n", stats.Evaluate(test.MemPower(), pmem))
 
 	fmt.Println("\nfirst 15 seconds of the restored log:")
 	fmt.Println("  t(s)  IM?  node(W)  true   cpu(W)  true   mem(W)  true")

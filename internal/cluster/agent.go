@@ -23,11 +23,9 @@ type Agent struct {
 	conn   net.Conn
 	// f frames every message on the connection, JSON and binary alike, and
 	// owns the encode/decode scratch; binary is set once the Hello handshake
-	// settled on the binary codec, relay once the service echoed that it
-	// takes relayed estimates.
+	// settled on the binary codec.
 	f      *binFramer
 	binary bool
-	relay  bool
 	batch  batcher
 	// series is the reply queryNodes hands its caller, reused per reply.
 	series SeriesReply
@@ -58,7 +56,7 @@ func DialCodec(addr, nodeID, codec string, timeout time.Duration) (*Agent, error
 		conn.SetDeadline(time.Now().Add(timeout))
 		defer conn.SetDeadline(time.Time{})
 	}
-	hello := Hello{NodeID: nodeID, Relay: true, RawSeries: true}
+	hello := Hello{NodeID: nodeID}
 	if codec == CodecBinary {
 		hello.Codecs = []string{CodecBinary}
 	}
@@ -67,7 +65,7 @@ func DialCodec(addr, nodeID, codec string, timeout time.Duration) (*Agent, error
 		_ = conn.Close()
 		return nil, fmt.Errorf("cluster: hello: %w", err)
 	}
-	a.binary, a.relay = reply.Codec == CodecBinary, reply.Relay
+	a.binary = reply.Codec == CodecBinary
 	return a, nil
 }
 
@@ -152,12 +150,8 @@ func (a *Agent) Send(t float64, pmc []float64, measured *float64) (Estimate, err
 }
 
 // send is Send with rel, the estimate already computed for this sample
-// elsewhere, attached (nil: none). To a service that did not echo the Hello
-// relay offer the sample goes out plain, and the service estimates it.
+// elsewhere, attached (nil: none).
 func (a *Agent) send(t float64, pmc []float64, measured *float64, rel *RelayedEstimate) (Estimate, error) {
-	if !a.relay {
-		rel = nil
-	}
 	var err error
 	if a.binary {
 		err = a.f.writeSample(a.nodeID, t, pmc, measured, rel)
@@ -201,7 +195,7 @@ func (a *Agent) Flush() ([]Estimate, error) {
 	if a.batch.n == 0 {
 		return nil, nil
 	}
-	ests, err := a.sendBatch(a.batch.wireSamples(a.relay))
+	ests, err := a.sendBatch(a.batch.wireSamples())
 	a.batch.reset()
 	return ests, err
 }

@@ -226,7 +226,7 @@ func FuzzAgentReply(f *testing.F) {
 		f.Add(uint8(3), enc == encBinary, []byte{})
 	}
 	// The 16-byte raw point answering Query, whole and cut short.
-	raw := frameIn(f, encBinary, func(g *binFramer, enc wireEnc) error { return g.replySeriesAs(enc, true, rawSeriesBody()) })
+	raw := frameIn(f, encBinary, func(g *binFramer, enc wireEnc) error { return g.replySeries(enc, rawSeriesBody()) })
 	f.Add(uint8(2), true, raw)
 	f.Add(uint8(2), true, shortPayload(raw))
 	// testdata/fuzz/FuzzAgentReply holds the hand-built adversarial replies:

@@ -95,9 +95,8 @@ func (b *batcher) due() bool {
 
 // wireSamples builds the batch's wire form. The returned slice (and the
 // Measured and Relayed pointers in it, which point into the slots) is valid
-// until the next add or reset. Without relay — the peer never echoed the
-// Hello offer — relayed estimates stay behind and the samples go out plain.
-func (b *batcher) wireSamples(relay bool) []BatchSample {
+// until the next add or reset.
+func (b *batcher) wireSamples() []BatchSample {
 	w := b.wire[:0]
 	for i := 0; i < b.n; i++ {
 		s := &b.slots[i]
@@ -105,7 +104,7 @@ func (b *batcher) wireSamples(relay bool) []BatchSample {
 		if s.hasMeasured {
 			bs.Measured = &s.measured
 		}
-		if s.hasRelayed && relay {
+		if s.hasRelayed {
 			bs.Relayed = &s.relayed
 		}
 		w = append(w, bs)

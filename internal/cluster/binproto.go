@@ -36,8 +36,7 @@ const (
 	binKindRecordBatch   byte = 7
 	binKindEstimateBatch byte = 8
 	// binKindRawSeries is a series whose every point is a raw point, sent
-	// as (time, value) pairs; only a connection whose Hello echoed
-	// RawSeries carries it.
+	// as (time, value) pairs.
 	binKindRawSeries byte = 9
 )
 

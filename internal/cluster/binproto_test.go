@@ -38,18 +38,21 @@ func encodeBinFrame(t testing.TB, write func(f *binFramer) error) []byte {
 }
 
 // replySeries frames body as a series reply in enc the way the serve loop
-// does for a handler on a connection without the RawSeries echo: through
-// SeriesWriter, the one series encoder.
+// does for a handler: through SeriesWriter, the one series encoder.
 func (f *binFramer) replySeries(enc wireEnc, body SeriesBody) error {
-	return f.replySeriesAs(enc, false, body)
+	return f.replySeriesAs(enc, binKindRawSeries, body)
 }
 
-// replySeriesAs is replySeries on a connection whose Hello echoed RawSeries
-// (raw) or did not.
-func (f *binFramer) replySeriesAs(enc wireEnc, raw bool, body SeriesBody) error {
-	w := SeriesWriter{f: f, raw: raw}
+// replySeriesAs is replySeries with the binary frame's first kind given:
+// binKindRawSeries is the serve loop's writer, binKindSeries the kind-5
+// encoder — a writer widened before its first point.
+func (f *binFramer) replySeriesAs(enc wireEnc, kind byte, body SeriesBody) error {
+	w := SeriesWriter{f: f}
 	w.reset(enc)
 	w.Begin(body.NodeID, body.Channel, body.ResolutionS, len(body.Points))
+	if enc == encBinary && kind == binKindSeries {
+		w.widen()
+	}
 	for _, p := range body.StorePoints() {
 		w.Point(p)
 	}
@@ -98,9 +101,9 @@ func decodeBinPayload(f *binFramer, kind byte, payload []byte) (func(g *binFrame
 		if err != nil {
 			return nil, true, err
 		}
-		// Kind 9 is what a writer on a connection that echoed RawSeries
-		// writes for raw points; kind 5 what any other writes.
-		return func(g *binFramer) error { return g.replySeriesAs(encBinary, kind == binKindRawSeries, body) }, true, nil
+		// Kind 9 is what the writer sends while every point is raw; kind 5
+		// what the kind-5 encoder writes for any points.
+		return func(g *binFramer) error { return g.replySeriesAs(encBinary, kind, body) }, true, nil
 	case binKindError:
 		msg, err := f.readError(payload)
 		if err != nil {
@@ -195,9 +198,9 @@ func FuzzBinaryEnvelopeRoundTrip(f *testing.F) {
 	// The 16-byte raw point: a raw series with a NaN payload and a −0, and
 	// an empty one.
 	for _, frame := range [][]byte{
-		encodeBinFrame(f, func(g *binFramer) error { return g.replySeriesAs(encBinary, true, rawSeriesBody()) }),
+		encodeBinFrame(f, func(g *binFramer) error { return g.replySeries(encBinary, rawSeriesBody()) }),
 		encodeBinFrame(f, func(g *binFramer) error {
-			return g.replySeriesAs(encBinary, true, SeriesBody{NodeID: "n", Channel: "ipmi", ResolutionS: 1})
+			return g.replySeries(encBinary, SeriesBody{NodeID: "n", Channel: "ipmi", ResolutionS: 1})
 		}),
 	} {
 		f.Add(frame[4], frame[5:])
@@ -248,22 +251,19 @@ func sameSeriesBits(a, b SeriesBody) error {
 // both series layouts (kind 5 and kind 9): the O(1) framing check accepts
 // a payload exactly when the strict point-by-point decoder does. For every
 // accepted payload the readers then agree: the points-only decode yields
-// the body's points bit for bit, and relaying it through a writer on either
-// kind of connection — one whose Hello echoed RawSeries and one whose did
-// not — produces the frame re-encoding the decoded body would when the
-// payload is what that writer would write, and otherwise a frame that
-// decodes to the same body bit for bit. A kind-9 payload only crosses as it
-// is to a connection that can carry it.
+// the body's points bit for bit, a binary writer relays the payload as it
+// is, and the writer and the kind-5 encoder both re-encode the decoded body
+// to a frame that decodes to the same body bit for bit.
 func FuzzSeriesShape(f *testing.F) {
 	// testdata/fuzz/FuzzSeriesShape holds the named cases: for kind 5 a
-	// valid raw series (the all-conforming frame a peer without the echo is
-	// sent) and a valid rollup (NaN buckets included), the same raw payload
-	// with its count one too large and one too small, a truncated header, a
-	// trailing byte; for kind 9 the raw series again and the same four
-	// corruptions. Here: a series without points in each kind, and nothing.
-	for _, raw := range []bool{false, true} {
+	// valid raw series (the frame raw points had before kind 9) and a valid
+	// rollup (NaN buckets included), the same raw payload with its count one
+	// too large and one too small, a truncated header, a trailing byte; for
+	// kind 9 the raw series again and the same four corruptions. Here: a
+	// series without points in each kind, and nothing.
+	for _, kind := range []byte{binKindSeries, binKindRawSeries} {
 		empty := encodeBinFrame(f, func(g *binFramer) error {
-			return g.replySeriesAs(encBinary, raw, SeriesBody{NodeID: "empty", Channel: "p_node", ResolutionS: 1})
+			return g.replySeriesAs(encBinary, kind, SeriesBody{NodeID: "empty", Channel: "p_node", ResolutionS: 1})
 		})
 		f.Add(empty[4], empty[5:])
 	}
@@ -287,31 +287,21 @@ func FuzzSeriesShape(f *testing.F) {
 			t.Fatalf("kind %d shape: %d points from offset %d of %d bytes; decoder read %d", kind, n, at, len(payload), len(body.Points))
 		}
 		rep := &SeriesReply{f: fr, msg: wireMsg{enc: encBinary, kind: KindSeries, binKind: kind, payload: payload}}
-		for _, raw := range []bool{false, true} {
-			var verbatim bool
-			relayed := encodeBinFrame(t, func(g *binFramer) error {
-				w := SeriesWriter{f: g, raw: raw}
-				w.reset(encBinary)
-				var err error
-				if verbatim, err = w.Relay(rep); err != nil {
-					t.Fatalf("relay of an accepted kind-%d payload: %v", kind, err)
-				}
-				return w.finish()
-			})
-			if want := kind == binKindSeries || raw; verbatim != want {
-				t.Fatalf("kind %d to a writer with raw=%v: verbatim %v, want %v", kind, raw, verbatim, want)
+		relayed := encodeBinFrame(t, func(g *binFramer) error {
+			w := SeriesWriter{f: g}
+			w.reset(encBinary)
+			if verbatim, err := w.Relay(rep); err != nil || !verbatim {
+				t.Fatalf("relay of an accepted kind-%d payload: verbatim %v, err %v", kind, verbatim, err)
 			}
-			if verbatim && (relayed[4] != kind || !bytes.Equal(relayed[5:], payload)) {
-				t.Fatalf("kind %d relayed verbatim as kind %d %x", kind, relayed[4], relayed[5:])
-			}
-			reencoded := encodeBinFrame(t, func(g *binFramer) error { return g.replySeriesAs(encBinary, raw, body) })
-			if reencoded[4] == kind && bytes.Equal(reencoded[5:], payload) && !bytes.Equal(relayed, reencoded) {
-				t.Fatalf("raw=%v: relayed frame differs from the re-encoded one:\n relay:    %x\n reencode: %x", raw, relayed, reencoded)
-			}
-			for what, frame := range map[string][]byte{"relayed": relayed, "re-encoded": reencoded} {
-				if err := sameSeriesBits(decodeFrameBody(t, frame[framePrefix:]), body); err != nil {
-					t.Fatalf("kind %d, raw=%v: the %s frame decodes to another body: %v", kind, raw, what, err)
-				}
+			return w.finish()
+		})
+		if relayed[4] != kind || !bytes.Equal(relayed[5:], payload) {
+			t.Fatalf("kind %d relayed as kind %d %x", kind, relayed[4], relayed[5:])
+		}
+		for _, start := range []byte{binKindSeries, binKindRawSeries} {
+			reencoded := encodeBinFrame(t, func(g *binFramer) error { return g.replySeriesAs(encBinary, start, body) })
+			if err := sameSeriesBits(decodeFrameBody(t, reencoded[framePrefix:]), body); err != nil {
+				t.Fatalf("kind %d re-encoded from kind %d decodes to another body: %v", kind, start, err)
 			}
 		}
 		pts, err := rep.AppendPoints(nil)
@@ -787,7 +777,7 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	// The client side is a real Agent, so its one roundTrip (flush, shared
 	// frame reader, kind check) is under the same guard as the serve loop.
 	cf := handshakeBinary(t, client, "node-alloc")
-	ag := &Agent{nodeID: "node-alloc", conn: client, f: cf, binary: true, relay: true}
+	ag := &Agent{nodeID: "node-alloc", conn: client, f: cf, binary: true}
 	batch := []BatchSample{{Time: 1, PMC: pmc}, {Time: 2, PMC: pmc, Measured: &meas}}
 	// The follower leg of a replicated write: a sample with the primary's
 	// estimate attached, and sixteen of them in one batch.

@@ -1,62 +1,69 @@
-package highrpm_test
+package cluster_test
 
 import (
 	"math"
 	"path/filepath"
 	"testing"
 
-	"highrpm"
+	"highrpm/internal/cluster"
+	"highrpm/internal/core"
+	"highrpm/internal/dataset"
+	"highrpm/internal/leaktest"
+	"highrpm/internal/platform"
+	"highrpm/internal/stats"
+	"highrpm/internal/workload"
 )
 
-// TestPublicAPIEndToEnd exercises the facade exactly as the README's
-// quickstart does: generate data, train, persist, restore, monitor, serve.
-func TestPublicAPIEndToEnd(t *testing.T) {
+// TestTrainToServiceEndToEnd walks the README's quickstart from outside the
+// package: generate data, train, save, load, restore, monitor, serve.
+func TestTrainToServiceEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end training; skipped in -short")
 	}
-	gen := highrpm.DefaultGenerateConfig()
+	leaktest.Check(t)
+	gen := dataset.DefaultGenerateConfig()
 	gen.SamplesPerSuite = 150
-	train := &highrpm.Set{}
+	train := &dataset.Set{}
 	for _, s := range []string{"HPCC", "SPEC"} {
-		set, err := highrpm.GenerateSuite(gen, s)
+		set, err := dataset.GenerateSuite(gen, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		train.Append(set)
 	}
 
-	opts := highrpm.DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.Dynamic.Epochs = 5
 	opts.Dynamic.MaxWindows = 150
-	model, err := highrpm.Train(train, opts)
+	model, err := core.Train(train, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Persist and reload.
 	path := filepath.Join(t.TempDir(), "model.json")
-	if err := highrpm.SaveModel(path, model); err != nil {
+	if err := core.Save(path, model); err != nil {
 		t.Fatal(err)
 	}
-	model, err = highrpm.LoadModel(path)
+	model, err = core.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Unseen workload.
-	bench, err := highrpm.FindBenchmark("HPCG/hpcg")
+	bench, err := workload.Find("HPCG/hpcg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := highrpm.NewNode(highrpm.ARMPlatform(), 5)
+	node, err := platform.NewNode(platform.ARMConfig(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	trace := node.RunFor(bench, 100, 1)
-	test := highrpm.FromTrace(trace, "HPCG", bench.Name)
+	test := dataset.FromTrace(trace, "HPCG", bench.Name)
 	idx := test.MeasuredIndices(10)
 
-	for _, mode := range []highrpm.RestoreMode{highrpm.ModeStatic, highrpm.ModeDynamic} {
+	for _, mode := range []core.RestoreMode{core.ModeStatic, core.ModeDynamic} {
 		nodeP, pcpu, pmem, err := model.Restore(test, idx, nil, mode)
 		if err != nil {
 			t.Fatal(err)
@@ -64,14 +71,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		if len(nodeP) != 100 || len(pcpu) != 100 || len(pmem) != 100 {
 			t.Fatalf("mode %v: restore lengths wrong", mode)
 		}
-		m := highrpm.Evaluate(test.NodePower(), nodeP)
+		m := stats.Evaluate(test.NodePower(), nodeP)
 		if m.MAPE > 25 {
 			t.Fatalf("mode %v: node MAPE %.1f%% implausibly high", mode, m.MAPE)
 		}
 	}
 
 	// Streaming monitor.
-	mon := highrpm.NewMonitor(model)
+	mon := core.NewMonitor(model)
 	for i, sm := range test.Samples[:20] {
 		var measured *float64
 		if i%10 == 0 {
@@ -88,12 +95,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Cluster service.
-	svc := highrpm.NewService(model)
+	svc := cluster.NewService(model)
 	if err := svc.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	agent, err := highrpm.DialService(svc.Addr(), "it-node")
+	agent, err := cluster.Dial(svc.Addr(), "it-node")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,21 +112,5 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	if !est.FromMeasurement || est.PNode != v {
 		t.Fatal("service mishandled measured sample")
-	}
-}
-
-func TestFacadeCatalogues(t *testing.T) {
-	if got := len(highrpm.Benchmarks()); got != 96 {
-		t.Fatalf("Benchmarks() = %d want 96", got)
-	}
-	if got := len(highrpm.SuiteNames()); got != 7 {
-		t.Fatalf("SuiteNames() = %d want 7", got)
-	}
-	if got := len(highrpm.Combos()); got != 7 {
-		t.Fatalf("Combos() = %d want 7", got)
-	}
-	arm, x86 := highrpm.ARMPlatform(), highrpm.X86Platform()
-	if arm.Arch != "arm64" || x86.Arch != "x86_64" {
-		t.Fatal("platform configs wrong")
 	}
 }

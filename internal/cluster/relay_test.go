@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"math"
-	"net"
 	"strings"
 	"testing"
 
@@ -114,8 +112,8 @@ func TestColdReplicaFedRelayedSamples(t *testing.T) {
 	}
 }
 
-// Frames the parent commit's encoders produced for the sample and the batch
-// TestRelayNeedsTheEcho sends (payloads, without the length prefix).
+// Frames the encoders produced for a plain sample and batch before the
+// relayed presence bit existed (payloads, without the length prefix).
 const (
 	parentBinSample  = "0200026e31400800000000000000023ff00000000000004000000000000000014056a00000000000"
 	parentBinBatch   = "0700026e3100000002400800000000000000023ff00000000000004000000000000000014056a00000000000401000000000000000024008000000000000401000000000000000"
@@ -123,117 +121,40 @@ const (
 	parentJSONBatch  = `{"kind":"record_batch","body":{"node_id":"n1","samples":[{"time":3,"pmc":[1,2],"measured":90.5},{"time":4,"pmc":[3,4]}]}}`
 )
 
-// TestRelayNeedsTheEcho: an agent offers relayed estimates in every Hello,
-// and a peer that predates them answers without the echo. To such a peer a
-// sample goes out exactly as the parent commit framed it, whatever estimate
-// the caller attached — it never sees the new presence bit or JSON field —
-// while a peer that echoes is sent the estimate.
-func TestRelayNeedsTheEcho(t *testing.T) {
-	meas := 90.5
-	rel := &RelayedEstimate{PNode: 90.5, PCPU: 40, PMEM: 12, FromMeasurement: true}
-	est := Estimate{NodeID: "n1", Time: 3, PNode: 90.5}
-	for _, tc := range []struct {
-		codec         string
-		echo          bool
-		sample, batch string // expected request payloads; "" = must differ from the parent's and carry the estimate
-	}{
-		{CodecBinary, false, parentBinSample, parentBinBatch},
-		{CodecJSON, false, parentJSONSample, parentJSONBatch},
-		{CodecBinary, true, "", ""},
-		{CodecJSON, true, "", ""},
-	} {
-		name := tc.codec + "/old-peer"
-		if tc.echo {
-			name = tc.codec + "/echo"
-		}
-		t.Run(name, func(t *testing.T) {
-			leaktest.Check(t)
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			binary := tc.codec == CodecBinary
-			enc := encJSON
-			hello := Hello{NodeID: "n1", Relay: tc.echo}
-			if binary {
-				enc, hello.Codec = encBinary, CodecBinary
-			}
-			var requests [][]byte
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				conn, err := ln.Accept()
-				if err != nil {
-					t.Errorf("peer: accept: %v", err)
-					return
-				}
-				defer conn.Close()
-				scriptedPeer(t, conn, func(req []byte) { requests = append(requests, append([]byte(nil), req...)) },
-					jsonFrame(t, KindHello, hello),
-					frameIn(t, enc, func(f *binFramer, enc wireEnc) error { return f.replyEstimate(enc, &est) }),
-					frameIn(t, enc, func(f *binFramer, enc wireEnc) error { return f.replyEstimates(enc, []Estimate{est, est}) }),
-				)
-			}()
-			ag, err := DialCodec(ln.Addr().String(), "n1", tc.codec, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ag.Close()
-			if _, err := ag.send(3, []float64{1, 2}, &meas, rel); err != nil {
-				t.Fatal(err)
-			}
-			ag.batch.add(3, []float64{1, 2}, &meas, rel)
-			ag.batch.add(4, []float64{3, 4}, nil, nil)
-			if _, err := ag.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			<-done
-			if len(requests) != 3 {
-				t.Fatalf("peer saw %d requests, want hello, sample, batch", len(requests))
-			}
-			if !strings.Contains(string(requests[0]), `"relay":true`) {
-				t.Fatalf("hello carries no relay offer: %s", requests[0])
-			}
-			for i, want := range []string{tc.sample, tc.batch} {
-				got := string(requests[1+i])
-				if binary {
-					got = hex.EncodeToString(requests[1+i])
-				}
-				parent := []string{parentJSONSample, parentJSONBatch}[i]
-				if binary {
-					parent = []string{parentBinSample, parentBinBatch}[i]
-				}
-				switch {
-				case want != "" && got != want:
-					t.Fatalf("request %d to a peer without the echo is not the parent's frame:\ngot  %s\nwant %s", i, got, want)
-				case want == "" && (got == parent || len(got) <= len(parent)):
-					t.Fatalf("request %d to an echoing peer carries no estimate: %s", i, got)
-				}
-			}
-			// Plain samples are the parent's frames on any connection.
-			plain := encodeBinFrame(t, func(g *binFramer) error { return g.writeSample("n1", 3, []float64{1, 2}, &meas, nil) })
-			if got := hex.EncodeToString(plain[4:]); got != parentBinSample {
-				t.Fatalf("plain binary sample frame changed:\ngot  %s\nwant %s", got, parentBinSample)
-			}
-			var buf bytes.Buffer
-			if err := WriteMsg(&buf, KindSample, Sample{NodeID: "n1", Time: 3, PMC: []float64{1, 2}, Measured: &meas}); err != nil {
-				t.Fatal(err)
-			}
-			if got := buf.String()[4:]; got != parentJSONSample {
-				t.Fatalf("plain JSON sample frame changed:\ngot  %s\nwant %s", got, parentJSONSample)
-			}
-		})
-	}
-}
-
 // TestRelayedSampleDecodeStrict pins what the checked-in corpus files for
 // the relayed presence bit are expected to do: the two valid layouts decode
 // (through the serve loop too, which answers with the relayed estimate),
 // and a payload cut off after the presence byte, a presence bit nobody
 // defined, or an estimate flag a relayed estimate cannot carry is a
-// protocol error — never a guess.
+// protocol error — never a guess. A sample or batch without a relayed
+// estimate is framed byte for byte as before the bit existed, in both
+// codecs, and one with it is longer by the estimate.
 func TestRelayedSampleDecodeStrict(t *testing.T) {
+	parentMeas := 90.5
+	parentRel := &RelayedEstimate{PNode: 90.5, PCPU: 40, PMEM: 12, FromMeasurement: true}
+	for _, rel := range []*RelayedEstimate{nil, parentRel} {
+		batch := []BatchSample{{Time: 3, PMC: []float64{1, 2}, Measured: &parentMeas, Relayed: rel}, {Time: 4, PMC: []float64{3, 4}}}
+		bin := [2][]byte{
+			encodeBinFrame(t, func(g *binFramer) error { return g.writeSample("n1", 3, []float64{1, 2}, &parentMeas, rel) })[4:],
+			encodeBinFrame(t, func(g *binFramer) error { return g.writeRecordBatch("n1", batch) })[4:],
+		}
+		js := [2]string{
+			string(jsonFrame(t, KindSample, Sample{NodeID: "n1", Time: 3, PMC: []float64{1, 2}, Measured: &parentMeas, Relayed: rel})[4:]),
+			string(jsonFrame(t, KindRecordBatch, RecordBatch{NodeID: "n1", Samples: batch})[4:]),
+		}
+		for i, parent := range [2]string{parentBinSample, parentBinBatch} {
+			got := hex.EncodeToString(bin[i])
+			if (rel == nil) != (got == parent) || len(got) < len(parent) {
+				t.Fatalf("binary frame %d with relayed %v:\ngot    %s\nparent %s", i, rel, got, parent)
+			}
+		}
+		for i, parent := range [2]string{parentJSONSample, parentJSONBatch} {
+			if (rel == nil) != (js[i] == parent) || (rel != nil) != strings.Contains(js[i], `"relayed":`) {
+				t.Fatalf("JSON frame %d with relayed %v:\ngot    %s\nparent %s", i, rel, js[i], parent)
+			}
+		}
+	}
+
 	pmc := []float64{0.5, 1e9, 3}
 	meas := 88.25
 	rel := &RelayedEstimate{PNode: 88.25, PCPU: 41.5, PMEM: 12.75, FromMeasurement: true}

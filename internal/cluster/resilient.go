@@ -326,9 +326,8 @@ func (ra *ResilientAgent) Send(t float64, pmc []float64, measured *float64) (Est
 }
 
 // SendRelayed is Send with rel attached: the estimate another service
-// already computed for this very sample (nil: a plain Send). A service that
-// echoed the Hello relay offer records rel and skips its own inference;
-// one that did not is sent the sample plain. A degraded agent answers from
+// already computed for this very sample (nil: a plain Send). The service
+// records rel and skips its own inference. A degraded agent answers from
 // its local snapshot exactly as Send does and buffers the sample with rel,
 // so the later replay still spares the service the inference. The fleet
 // router forwards a replicated sample to its followers this way.
@@ -376,7 +375,7 @@ func (ra *ResilientAgent) Flush() ([]Estimate, error) {
 	}
 	var ests []Estimate
 	answered, err := ra.live(func(a *Agent) (err error) {
-		ests, err = a.sendBatch(ra.batch.wireSamples(a.relay))
+		ests, err = a.sendBatch(ra.batch.wireSamples())
 		return err
 	})
 	if !answered {
@@ -411,7 +410,7 @@ func (ra *ResilientAgent) SendSamples(samples []BatchSample) ([]Estimate, error)
 func (ra *ResilientAgent) flushLocal() ([]Estimate, error) {
 	defer ra.batch.reset()
 	ests := make([]Estimate, 0, ra.batch.n)
-	for _, bs := range ra.batch.wireSamples(true) {
+	for _, bs := range ra.batch.wireSamples() {
 		est, err := ra.serveLocal(Sample{NodeID: ra.nodeID, Time: bs.Time, PMC: bs.PMC, Measured: bs.Measured, Relayed: bs.Relayed})
 		if err != nil {
 			return ests, err

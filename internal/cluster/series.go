@@ -23,13 +23,11 @@ import (
 // write scratch at once — no []tsdb.Point, no []SeriesPoint — and on a JSON
 // connection the points collect into the SeriesBody the envelope marshals.
 //
-// A binary reply on a connection whose Hello echoed RawSeries starts as
-// kind 9, 16 bytes a point, and stays so while every point is a raw point
-// (Min and Max bit-equal to Value, Count 1) — a node's raw series always
-// is; at the first point that is not, the points written so far are
-// widened in place and the reply is kind 5, 36 bytes a point, byte-identical
-// to what the connection would have been sent without the echo. Every
-// reply on any other connection is kind 5.
+// A binary reply starts as kind 9, 16 bytes a point, and stays so while
+// every point is a raw point (Min and Max bit-equal to Value, Count 1) — a
+// node's raw series always is; at the first point that is not, the points
+// written so far are widened in place and the reply is kind 5, 36 bytes a
+// point.
 //
 // Nothing touches the socket until the handler has returned: a sink runs
 // under the store's shard lock, and the frame is sized (ErrFrameTooLarge)
@@ -38,9 +36,6 @@ import (
 type SeriesWriter struct {
 	f   *binFramer
 	enc wireEnc
-	// raw is set once the connection's Hello echoed RawSeries: its binary
-	// replies may be kind 9.
-	raw bool
 
 	begun bool
 	err   error // the first encoding failure; finish returns it
@@ -66,10 +61,7 @@ func (w *SeriesWriter) Begin(node, channel string, resolutionS, n int) {
 		w.body = SeriesBody{NodeID: node, Channel: channel, ResolutionS: resolutionS, Points: make([]SeriesPoint, 0, n)}
 		return
 	}
-	w.kind = binKindSeries
-	if w.raw {
-		w.kind = binKindRawSeries
-	}
+	w.kind = binKindRawSeries
 	f := w.f
 	f.begin(w.kind)
 	if w.err = f.str(node); w.err == nil {
@@ -171,15 +163,13 @@ func (w *SeriesWriter) widen() {
 }
 
 // Relay makes rep — a series reply another service sent — this reply. When
-// both connections are binary and this one can carry rep's kind (kind 5
-// always, kind 9 once the Hello echoed RawSeries), the payload is copied as
-// it is once seriesShape has accepted it, and not a point is decoded;
-// verbatim reports that. Otherwise rep is decoded and written again, which
-// on a binary connection without the echo widens a kind-9 reply to kind 5.
-// An error means rep is malformed and nothing of it was kept.
+// both connections are binary, the payload (kind 5 or 9) is copied as it is
+// once seriesShape has accepted it, and not a point is decoded; verbatim
+// reports that. Otherwise rep is decoded and written again. An error means
+// rep is malformed and nothing of it was kept.
 func (w *SeriesWriter) Relay(rep *SeriesReply) (verbatim bool, err error) {
 	kind := rep.msg.binKind
-	if w.enc == encBinary && rep.msg.enc == encBinary && (kind == binKindSeries || w.raw) {
+	if w.enc == encBinary && rep.msg.enc == encBinary {
 		if _, _, err := seriesShape(kind, rep.msg.payload); err != nil {
 			return false, err
 		}

@@ -13,8 +13,8 @@ import (
 	"highrpm/internal/tsdb"
 )
 
-// Frames the parent commit's encoder produced for pinQueries over
-// seedPinHistory (payloads with their kind byte, without the length
+// Kind-5 frames the encoder produced for pinQueries over seedPinHistory
+// before kind 9 existed (payloads with their kind byte, without the length
 // prefix): six raw points of p_node, a NaN with a payload and a −0 among
 // them, and the 60 s rollup of the whole history.
 const (
@@ -45,10 +45,9 @@ func seedPinHistory(t testing.TB, st *tsdb.Store) {
 	}
 }
 
-// dialSeriesClient opens a binary connection to addr whose Hello offers the
-// 16-byte raw point or not, requires the echo to match the offer, and
-// returns the client's framer.
-func dialSeriesClient(t testing.TB, addr string, offer bool) *binFramer {
+// dialSeriesClient opens a binary connection to addr and returns the
+// client's framer.
+func dialSeriesClient(t testing.TB, addr string) *binFramer {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -56,7 +55,7 @@ func dialSeriesClient(t testing.TB, addr string, offer bool) *binFramer {
 	}
 	t.Cleanup(func() { conn.Close() })
 	f := newBinFramer(bufio.NewReader(conn), bufio.NewWriter(conn), DefaultMaxFrame)
-	if err := WriteMsg(f.w, KindHello, Hello{NodeID: "series-client", Codecs: []string{CodecBinary}, RawSeries: offer}); err != nil {
+	if err := WriteMsg(f.w, KindHello, Hello{NodeID: "series-client", Codecs: []string{CodecBinary}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.w.Flush(); err != nil {
@@ -70,8 +69,8 @@ func dialSeriesClient(t testing.TB, addr string, offer bool) *binFramer {
 	if err := DecodeBody(env, &reply); err != nil {
 		t.Fatal(err)
 	}
-	if reply.Codec != CodecBinary || reply.RawSeries != offer {
-		t.Fatalf("hello offering raw series %v answered %+v", offer, reply)
+	if reply.Codec != CodecBinary {
+		t.Fatalf("hello offering binary answered %+v", reply)
 	}
 	return f
 }
@@ -103,66 +102,18 @@ func decodeFrameBody(t testing.TB, frame []byte) SeriesBody {
 	return body
 }
 
-// TestRawSeriesNeedsTheEcho: an agent offers the 16-byte raw point in every
-// Hello, and a client that predates it does not. A client that never offers
-// it is sent exactly the parent commit's frames for a raw and a rollup
-// series; a client that offers is sent kind 9 for the raw series — the same
-// body, 20 bytes a point shorter — and the unchanged kind-5 frame for the
-// rollup. An Agent decodes either to the parent's body bit for bit.
-func TestRawSeriesNeedsTheEcho(t *testing.T) {
-	leaktest.Check(t)
-	svc := startService(t)
-	seedPinHistory(t, svc.Store())
-	parent := [2][]byte{}
-	for i, h := range []string{parentRawSeries, parentRollupSeries} {
-		b, err := hex.DecodeString(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parent[i] = b
-	}
-	old := dialSeriesClient(t, svc.Addr(), false)
-	for i, q := range pinQueries {
-		if got := seriesFrame(t, old, q); !bytes.Equal(got, parent[i]) {
-			t.Fatalf("%+v to a client without the offer is not the parent's frame:\ngot  %x\nwant %x", q, got, parent[i])
-		}
-	}
-	offering := dialSeriesClient(t, svc.Addr(), true)
-	raw := seriesFrame(t, offering, pinQueries[0])
-	want := decodeFrameBody(t, parent[0])
-	if raw[0] != binKindRawSeries || len(raw) != len(parent[0])-len(want.Points)*(seriesPointLen-rawPointLen) {
-		t.Fatalf("raw series to an offering client: kind %d, %d bytes against the parent's %d", raw[0], len(raw), len(parent[0]))
-	}
-	if err := sameSeriesBits(decodeFrameBody(t, raw), want); err != nil {
-		t.Fatalf("kind 9 decodes to another body than the parent's frame: %v", err)
-	}
-	if got := seriesFrame(t, offering, pinQueries[1]); !bytes.Equal(got, parent[1]) {
-		t.Fatalf("rollup to an offering client changed:\ngot  %x\nwant %x", got, parent[1])
-	}
-	ag, err := Dial(svc.Addr(), "series-agent")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ag.Close()
-	for i, q := range pinQueries {
-		body, err := ag.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameSeriesBits(body, decodeFrameBody(t, parent[i])); err != nil {
-			t.Fatalf("%+v through an Agent: %v", q, err)
-		}
-	}
-}
-
-// TestSeriesWriterWidens: a writer on a connection that echoed RawSeries
-// writes kind 9 while every point is a raw point. Handed raw points — as
-// runs or one at a time — and then one that is not (Count 2, Min or Max
-// off Value, a NaN Min whose payload differs from the NaN Value's), it
-// writes the very frame a writer without the echo writes for the same
-// points, kind 5 byte for byte, wherever in the series that point falls.
-// An empty series on such a connection is kind 9.
+// TestSeriesWriterWidens: a binary writer writes kind 9 while every point
+// is a raw point. Handed raw points — as runs or one at a time — and then
+// one that is not (Count 2, Min or Max off Value, a NaN Min whose payload
+// differs from the NaN Value's), it writes the very frame the kind-5
+// encoder writes for the same points, byte for byte, wherever in the
+// series that point falls. An empty series is kind 9. Over a live service
+// the rollup widens at its first point to the pinned kind-5 frame, and the
+// raw series is kind 9, 20 bytes a point shorter than its pinned kind-5
+// frame and the same body bit for bit; an Agent decodes both to the pinned
+// bodies.
 func TestSeriesWriterWidens(t *testing.T) {
+	leaktest.Check(t)
 	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
 	raw := func(i int) tsdb.Point {
 		return tsdb.RawPoint(int64(i)*1000, []float64{90, nan1, math.Copysign(0, -1), math.Inf(-1)}[i%4])
@@ -174,13 +125,17 @@ func TestSeriesWriterWidens(t *testing.T) {
 		"NaN min payload":  {Time: 7, Value: nan1, Min: nan2, Max: nan1, Count: 1},
 		"count 0, all NaN": {Time: 7, Value: nan1, Min: nan1, Max: nan1, Count: 0},
 	}
-	// write frames points through a writer with raw as given; runs hands the
-	// leading raw points over as one Raw run when set.
-	write := func(raw bool, pts []tsdb.Point, runs int) []byte {
+	// write frames points through a writer starting at kind (kind 5: the
+	// kind-5 encoder, a writer widened before its first point); runs hands
+	// the leading raw points over as one Raw run when set.
+	write := func(kind byte, pts []tsdb.Point, runs int) []byte {
 		return encodeBinFrame(t, func(g *binFramer) error {
-			w := SeriesWriter{f: g, raw: raw}
+			w := SeriesWriter{f: g}
 			w.reset(encBinary)
 			w.Begin("n", "p_node", 1, len(pts))
+			if kind == binKindSeries {
+				w.widen()
+			}
 			tms, vals := make([]int64, runs), make([]float64, runs)
 			for i := range tms {
 				tms[i], vals[i] = int64(math.Round(pts[i].Time*1000)), pts[i].Value
@@ -201,7 +156,7 @@ func TestSeriesWriterWidens(t *testing.T) {
 				}
 				pts = append(pts, p, raw(8), raw(9))
 				t.Run(fmt.Sprintf("%s/after %d/runs %d", name, before, runs), func(t *testing.T) {
-					got, want := write(true, pts, runs), write(false, pts, 0)
+					got, want := write(binKindRawSeries, pts, runs), write(binKindSeries, pts, 0)
 					if want[4] != binKindSeries || !bytes.Equal(got, want) {
 						t.Fatalf("widened frame differs from the kind-5 encoder's:\ngot  %x\nwant %x", got, want)
 					}
@@ -211,7 +166,7 @@ func TestSeriesWriterWidens(t *testing.T) {
 	}
 	pts := []tsdb.Point{raw(0), raw(1), raw(2), raw(3)}
 	for _, runs := range []int{0, 2, 4} {
-		got, plain := write(true, pts, runs), write(false, pts, 0)
+		got, plain := write(binKindRawSeries, pts, runs), write(binKindSeries, pts, 0)
 		if got[4] != binKindRawSeries || len(got) != len(plain)-len(pts)*(seriesPointLen-rawPointLen) {
 			t.Fatalf("raw points (%d as a run) framed as kind %d, %d bytes against kind 5's %d", runs, got[4], len(got), len(plain))
 		}
@@ -219,7 +174,43 @@ func TestSeriesWriterWidens(t *testing.T) {
 			t.Fatalf("kind 9 and kind 5 decode apart: %v", err)
 		}
 	}
-	if empty := write(true, nil, 0); empty[4] != binKindRawSeries || len(decodeFrameBody(t, empty[framePrefix:]).Points) != 0 {
-		t.Fatalf("an empty series on a connection with the echo is %x, want kind 9 without points", empty)
+	if empty := write(binKindRawSeries, nil, 0); empty[4] != binKindRawSeries || len(decodeFrameBody(t, empty[framePrefix:]).Points) != 0 {
+		t.Fatalf("an empty series is %x, want kind 9 without points", empty)
+	}
+
+	svc := startService(t)
+	seedPinHistory(t, svc.Store())
+	var pinned [2][]byte
+	for i, h := range []string{parentRawSeries, parentRollupSeries} {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned[i] = b
+	}
+	f := dialSeriesClient(t, svc.Addr())
+	rawFrame, want := seriesFrame(t, f, pinQueries[0]), decodeFrameBody(t, pinned[0])
+	if rawFrame[0] != binKindRawSeries || len(rawFrame) != len(pinned[0])-len(want.Points)*(seriesPointLen-rawPointLen) {
+		t.Fatalf("raw series: kind %d, %d bytes against the kind-5 frame's %d", rawFrame[0], len(rawFrame), len(pinned[0]))
+	}
+	if err := sameSeriesBits(decodeFrameBody(t, rawFrame), want); err != nil {
+		t.Fatalf("kind 9 decodes to another body than the pinned frame: %v", err)
+	}
+	if got := seriesFrame(t, f, pinQueries[1]); !bytes.Equal(got, pinned[1]) {
+		t.Fatalf("rollup is not the pinned kind-5 frame:\ngot  %x\nwant %x", got, pinned[1])
+	}
+	ag, err := Dial(svc.Addr(), "series-agent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ag.Close()
+	for i, q := range pinQueries {
+		body, err := ag.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameSeriesBits(body, decodeFrameBody(t, pinned[i])); err != nil {
+			t.Fatalf("%+v through an Agent: %v", q, err)
+		}
 	}
 }

@@ -517,8 +517,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 				s.h.Hello(h.NodeID)
 				s.identify(conn, h.NodeID)
 			}
-			reply := Hello{NodeID: h.NodeID, Relay: h.Relay, RawSeries: h.RawSeries}
-			series.raw = h.RawSeries
+			reply := Hello{NodeID: h.NodeID}
 			for _, c := range h.Codecs {
 				if c == CodecBinary {
 					reply.Codec = CodecBinary

@@ -185,7 +185,7 @@ func runFaultScenarioCodec(t *testing.T, codec string, fault, heal func(t *testi
 				_, _ = f.r.MergedStats() // the connections, not the answer, are the point
 				opened := 0
 				for _, st := range f.r.shards {
-					if st.qview.Load() != 0 {
+					if st.hasQuery.Load() {
 						opened++
 					}
 				}

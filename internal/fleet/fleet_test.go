@@ -667,14 +667,13 @@ func testFleetReplicatedEquivalence(t *testing.T, codec string) {
 		}
 	}
 
-	// The router's agents offered RawSeries, so a shard answers in kind 9
-	// every series whose points are all raw points — every raw series, and a
-	// rollup whose buckets each hold one reading (the sparse ipmi channel at
-	// 10 s). A front-end client that never offers it — the frame client — is
-	// sent kind 5 only, byte-identical to the reference: the router relays a
-	// kind-5 answer as the shard framed it and re-encodes a kind-9 one. An
-	// Agent offers it, and every single-node answer it asks for crosses the
-	// router as the shard framed it. A JSON front end has them all decoded.
+	// A shard answers in kind 9 every series whose points are all raw
+	// points — every raw series, and a rollup whose buckets each hold one
+	// reading (the sparse ipmi channel at 10 s) — and in kind 5 the rest.
+	// To a binary front end, the frame client and an Agent alike, every
+	// single-node answer of either kind crosses the router as the shard
+	// framed it, byte-identical to the reference. A JSON front end has them
+	// all decoded.
 	queries := everyQuery(nodes, seconds-1)
 	var nodeQueries, kind5 int64
 	for _, q := range queries {
@@ -694,7 +693,7 @@ func testFleetReplicatedEquivalence(t *testing.T, codec string) {
 		}
 	}
 	if kind5 == 0 || kind5 == nodeQueries {
-		t.Fatalf("%d of %d node series need kind 5; the count below no longer tells the kinds apart", kind5, nodeQueries)
+		t.Fatalf("%d of %d node series need kind 5; the relays below no longer cover both kinds", kind5, nodeQueries)
 	}
 	binaryFront := codec == cluster.CodecBinary
 	relayCount := func(what string, queried func(), wantRelayed int64) {
@@ -709,8 +708,8 @@ func testFleetReplicatedEquivalence(t *testing.T, codec string) {
 			t.Fatalf("%s front end, %s: %d node queries, %d relayed undecoded; want %d, %d", codec, what, answered, relayed, nodeQueries, wantRelayed)
 		}
 	}
-	relayCount("client without the RawSeries offer", func() { requireSameFrames(t, r.Addr(), ref.Addr(), codec, queries) }, kind5)
-	relayCount("agent offering RawSeries", func() {
+	relayCount("frame client", func() { requireSameFrames(t, r.Addr(), ref.Addr(), codec, queries) }, nodeQueries)
+	relayCount("agent", func() {
 		for _, q := range queries {
 			if q.NodeID == "" {
 				continue
@@ -829,8 +828,8 @@ func TestRouterValidation(t *testing.T) {
 	if o.Agent.RequestTimeout == 0 || o.FrontEnd.MaxFrame == 0 {
 		t.Fatalf("agent/front-end defaults not applied: %+v", o)
 	}
-	if got := r.Topology(); !reflect.DeepEqual(got, top) {
-		t.Fatalf("topology = %+v", got)
+	if len(r.shards) != 2 || r.shards[0].shard != top.Shards[0] || r.shards[1].shard != top.Shards[1] {
+		t.Fatalf("router shards differ from topology %+v", top)
 	}
 	if r.Addr() != "" {
 		t.Fatal("unbound router reports an address")

@@ -93,11 +93,8 @@ func (r *Router) Stats() Stats {
 		nr.mu.Unlock()
 	}
 	for i, st := range r.shards {
-		if v := st.qview.Load(); v != 0 {
+		if st.hasQuery.Load() {
 			agents[i]++
-			if cluster.Mode(v-1) == cluster.ModeDegraded {
-				degraded[i]++
-			}
 		}
 		out.Shards = append(out.Shards, ShardStatus{
 			Name:       st.shard.Name,

@@ -144,7 +144,7 @@ func (r *Router) readOrder(node string, buf []int) []int {
 }
 
 // onShard runs call on idx's pooled query connection, maintaining the
-// shard's health bit and the view of the connection Stats reads.
+// shard's health bit.
 func (r *Router) onShard(idx int, call func(*cluster.ResilientAgent) error) error {
 	st := r.shards[idx]
 	st.qmu.Lock()
@@ -155,7 +155,6 @@ func (r *Router) onShard(idx int, call func(*cluster.ResilientAgent) error) erro
 	}
 	err = call(ag)
 	st.up.Store(err == nil || isRejection(err))
-	st.publishQuery()
 	return err
 }
 
@@ -168,7 +167,7 @@ func (r *Router) queryAgentLocked(st *shardState) (*cluster.ResilientAgent, erro
 			return nil, err
 		}
 		st.query = ag
-		st.publishQuery()
+		st.hasQuery.Store(true)
 	}
 	return st.query, nil
 }

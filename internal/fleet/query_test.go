@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -208,82 +206,6 @@ func testScatterGroupFallback(t *testing.T, codec string) {
 		t.Fatalf("the follower served %d series, want all %d", d1, len(nodes)+1)
 	}
 	f.proxies[0].Restore()
-}
-
-// The parent commit's frames for the raw and the rollup query
-// TestRouterRawSeriesNeedsTheEcho asks over seedPinHistory — the frames
-// cluster's TestRawSeriesNeedsTheEcho pins a service to, kind byte first.
-const (
-	parentRawSeries    = "05000370696e0006705f6e6f646500000001000000060000000000000000405680000000000040568000000000004056800000000000000000013ff00000000000004056900000000000405690000000000040569000000000000000000140000000000000007ff80000000000017ff80000000000017ff80000000000010000000140080000000000008000000000000000800000000000000080000000000000000000000140100000000000004056c000000000004056c000000000004056c000000000000000000140140000000000004056d000000000004056d000000000004056d0000000000000000001"
-	parentRollupSeries = "05000370696e0006705f6e6f64650000003c00000003000000000000000040564c34115b1e6080000000000000004056e000000000000000003b404e0000000000004056b0cccccccccd40568000000000004056e000000000000000003c405e0000000000004056ae666666666640568000000000004056e000000000000000001e"
-)
-
-// seedPinHistory ingests, into each store, the history the parent frames
-// were taken from: p_node with a NaN carrying a payload and a −0.
-func seedPinHistory(t *testing.T, svcs ...*cluster.Service) {
-	t.Helper()
-	for _, svc := range svcs {
-		for i := 0; i < 150; i++ {
-			v := 90 + float64(i%7)*0.25
-			switch i {
-			case 2:
-				v = math.Float64frombits(0x7ff8000000000001)
-			case 3:
-				v = math.Copysign(0, -1)
-			}
-			if err := svc.Store().Ingest("pin", float64(i), tsdb.Sample{PNode: v, PCPU: v / 2, PMEM: v / 4, PNodePrime: v, IPMI: math.NaN()}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-// TestRouterRawSeriesNeedsTheEcho: the router's shards were dialed by
-// agents that offer the 16-byte raw point, so they answer its raw reads in
-// kind 9. A front-end client that never offers it still gets the parent
-// commit's frames byte for byte — the router re-encodes the raw series and
-// relays the rollup as it is — while a client that offers gets the shard's
-// own kind-9 frame relayed undecoded, and the rollup unchanged.
-func TestRouterRawSeriesNeedsTheEcho(t *testing.T) {
-	leaktest.Check(t)
-	r, backends := startFleet(t, 1, DefaultTopologyOptions())
-	seedPinHistory(t, backends[0])
-	queries := [2]cluster.QueryRequest{
-		{NodeID: "pin", Channel: "p_node", From: 0, To: 5, ResolutionS: 1},
-		{NodeID: "pin", Channel: "p_node", From: 0, To: 149, ResolutionS: 60},
-	}
-	var parent [2][]byte
-	for i, h := range []string{parentRawSeries, parentRollupSeries} {
-		b, err := hex.DecodeString(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parent[i] = b
-	}
-	hello := cluster.Hello{NodeID: "frame-client", Codecs: []string{cluster.CodecBinary}}
-	old := dialRawHello(t, r.Addr(), hello)
-	before := r.Stats()
-	for i, q := range queries {
-		if got := old.queryFrame(q); !bytes.Equal(got, parent[i]) {
-			t.Fatalf("%+v through the router to a client without the offer is not the parent's frame:\ngot  %x\nwant %x", q, got, parent[i])
-		}
-	}
-	if st := r.Stats(); st.NodeQueries-before.NodeQueries != 2 || st.SeriesRelayed-before.SeriesRelayed != 1 {
-		t.Fatalf("client without the offer: %d node queries, %d relayed undecoded; want 2, the rollup alone", st.NodeQueries-before.NodeQueries, st.SeriesRelayed-before.SeriesRelayed)
-	}
-	hello.RawSeries = true
-	offering, direct := dialRawHello(t, r.Addr(), hello), dialRawHello(t, backends[0].Addr(), hello)
-	before = r.Stats()
-	raw := offering.queryFrame(queries[0])
-	if want := direct.queryFrame(queries[0]); raw[0] != 9 || !bytes.Equal(raw, want) {
-		t.Fatalf("raw series through the router to an offering client:\ngot  %x\nwant the shard's own %x", raw, want)
-	}
-	if got := offering.queryFrame(queries[1]); !bytes.Equal(got, parent[1]) {
-		t.Fatalf("rollup through the router to an offering client changed:\ngot  %x\nwant %x", got, parent[1])
-	}
-	if st := r.Stats(); st.SeriesRelayed-before.SeriesRelayed != 2 {
-		t.Fatalf("offering client: %d of 2 answers relayed undecoded", st.SeriesRelayed-before.SeriesRelayed)
-	}
 }
 
 // TestRouterIsNoShardNode: the router's query connection to a shard says

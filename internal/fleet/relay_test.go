@@ -309,7 +309,7 @@ func dialForger(t *testing.T, addr, node, codec string) *forger {
 	t.Helper()
 	f := &forger{t: t, node: node}
 	if codec == cluster.CodecJSON {
-		f.raw = dialRawHello(t, addr, cluster.Hello{NodeID: node, Relay: true})
+		f.raw = dialRawHello(t, addr, cluster.Hello{NodeID: node})
 		return f
 	}
 	ag, err := cluster.DialResilient(addr, node, cluster.DefaultAgentOptions())

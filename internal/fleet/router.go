@@ -24,7 +24,6 @@ import (
 // agents. See the package comment for the routing, replication, and
 // federation semantics.
 type Router struct {
-	top    Topology
 	opts   TopologyOptions
 	ring   *ring
 	shards []*shardState
@@ -75,15 +74,13 @@ type shardState struct {
 	qmu      sync.Mutex
 	query    *cluster.ResilientAgent // lazily dialed; serves queries, stats, model
 	nextDial time.Time
-	// qview is what Stats reports of the query connection — 0 while there is
-	// none, else 1 + its cluster.Mode — published under qmu and read without
-	// it: qmu is held across whole round trips (a pipelined group of them),
-	// and a scrape must not wait out a request parked on a dead shard.
-	qview atomic.Int32
+	// hasQuery is set once the query connection is dialed, under qmu, and
+	// read without it by Stats: qmu is held across whole round trips (a
+	// pipelined group of them), and a scrape must not wait out a request
+	// parked on a dead shard. The connection never degrades — it runs only
+	// direct calls, which never serve locally — so this is all Stats needs.
+	hasQuery atomic.Bool
 }
-
-// publishQuery refreshes qview from the query connection. Callers hold qmu.
-func (st *shardState) publishQuery() { st.qview.Store(1 + int32(st.query.Mode())) }
 
 // nodeRoute is one node's forwarding state: the owning shards (primary
 // first) and one pooled ResilientAgent per owner. mu serializes the
@@ -141,7 +138,6 @@ func NewRouter(top Topology, opts TopologyOptions) (*Router, error) {
 		opts.DialRetry = DefaultDialRetry
 	}
 	r := &Router{
-		top:    top,
 		opts:   opts,
 		ring:   rg,
 		routes: map[string]*nodeRoute{},
@@ -157,9 +153,6 @@ func NewRouter(top Topology, opts TopologyOptions) (*Router, error) {
 	}
 	return r, nil
 }
-
-// Topology reports the shard list the router was built with.
-func (r *Router) Topology() Topology { return r.top }
 
 // Options reports the resolved options the router runs with.
 func (r *Router) Options() TopologyOptions { return r.opts }

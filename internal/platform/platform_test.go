@@ -60,6 +60,9 @@ func TestBothPlatformConfigsValid(t *testing.T) {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
 	}
+	if arm, x86 := ARMConfig().Arch, X86Config().Arch; arm != "arm64" || x86 != "x86_64" {
+		t.Fatalf("arches %q, %q want arm64, x86_64", arm, x86)
+	}
 }
 
 func TestNodePowerIsSumOfComponents(t *testing.T) {

@@ -385,6 +385,107 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
+// storeWorkload deterministically generates the synthetic monitor workload
+// for the store benchmarks: phase-programmed power plateaus (like the
+// workload suite's phases) quantised to the sensors' 0.1 W resolution,
+// with an IPMI reading every tenth second and NaN gaps in between.
+func storeWorkload(r *rand.Rand, i int, prev *float64) Sample {
+	quant := func(v float64) float64 { return math.Round(v*10) / 10 }
+	base := 70 + 15*float64((i/30)%3)
+	node := *prev
+	if i == 0 || i%30 == 0 || r.Float64() < 0.4 {
+		node = quant(base + 2*r.NormFloat64())
+	}
+	*prev = node
+	s := Sample{PNode: node, PCPU: quant(0.65 * node), PMEM: quant(0.25 * node), PNodePrime: quant(node + 0.3), IPMI: math.NaN()}
+	if i%10 == 0 {
+		s.IPMI = node
+	}
+	return s
+}
+
+// BenchmarkStoreIngest measures the ingest path (five channels + two
+// rollup resolutions per call) and reports the compressed bytes per stored
+// point against the 16 B (8 B timestamp + 8 B float64) uncompressed
+// baseline.
+func BenchmarkStoreIngest(b *testing.B) {
+	store := New(DefaultOptions())
+	r := rand.New(rand.NewSource(1))
+	var prev float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := store.Ingest("node-00", float64(i), storeWorkload(r, i, &prev)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := store.Stats()
+	b.ReportMetric(st.BytesPerPoint, "B/sample")
+	b.ReportMetric(st.CompressionRatio, "x-compression")
+}
+
+// BenchmarkStoreIngestWAL is BenchmarkStoreIngest on a durable store with
+// the default batch fsync policy: the delta between the two is the price
+// of write-ahead logging every sample (the acceptance bar is <2x).
+func BenchmarkStoreIngestWAL(b *testing.B) {
+	opts := DefaultOptions()
+	opts.Dir = b.TempDir()
+	opts.Fsync = FsyncBatch
+	opts.SnapshotEvery = -1
+	store, _, err := Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		if err := store.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}()
+	r := rand.New(rand.NewSource(1))
+	var prev float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := store.Ingest("node-00", float64(i), storeWorkload(r, i, &prev)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := store.Stats()
+	b.ReportMetric(float64(st.WALBytes)/float64(b.N), "walB/sample")
+}
+
+// BenchmarkStoreQuery measures decoding a 60 s raw window and a 10 s
+// rollup window out of an hour of stored history.
+func BenchmarkStoreQuery(b *testing.B) {
+	store := New(DefaultOptions())
+	r := rand.New(rand.NewSource(1))
+	var prev float64
+	const hour = 3600
+	for i := 0; i < hour; i++ {
+		if err := store.Ingest("node-00", float64(i), storeWorkload(r, i, &prev)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pts int
+	for i := 0; i < b.N; i++ {
+		from := float64((i * 60) % (hour - 60))
+		raw, err := store.Query("node-00", ChanPNode, from, from+59, Raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		roll, err := store.Query("node-00", ChanPCPU, from, from+59, TenSeconds)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pts += len(raw) + len(roll)
+	}
+	b.ReportMetric(float64(pts)/float64(b.N), "points/op")
+}
+
 func BenchmarkRecover(b *testing.B) {
 	dir := b.TempDir()
 	opts := durableOpts(dir)

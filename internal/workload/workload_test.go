@@ -24,6 +24,15 @@ func TestSuiteCounts(t *testing.T) {
 			t.Fatalf("%s has %d members want %d", s, counts[s], n)
 		}
 	}
+	names := SuiteNames()
+	if len(names) != len(want) {
+		t.Fatalf("SuiteNames() = %d names, Table 3 has %d suites", len(names), len(want))
+	}
+	for _, s := range names {
+		if _, ok := want[s]; !ok {
+			t.Fatalf("SuiteNames() lists %q, which is no Table 3 suite", s)
+		}
+	}
 }
 
 func TestSuiteNamesUnique(t *testing.T) {

@@ -42,7 +42,9 @@
 # panic; its seeds are whole model files, so minimising an interesting
 # input is capped at 1 s to leave the 10 s for fuzzing). It fails when
 # DESIGN.md outgrows its 40 KB budget (40 960 bytes) or README.md its
-# 32 KB one (32 768 bytes). The served
+# 32 KB one (32 768 bytes). It prints, without gating on them, the two
+# size counts ROADMAP.md tracks: non-test Go outside bench/ and testdata,
+# and tests (dot-directories such as .bench_build are skipped). The served
 # DynamicTRR shape is pinned in the `go test` step: TestHyperKnee fails
 # when DefaultDynamicTRROptions().Layers stops being the lowest-MAPE depth
 # of the §6.4.3 `hyper` sweep. Performance is not measured here:
@@ -69,6 +71,10 @@ if [ "$readme_bytes" -gt 32768 ]; then
     echo "README.md is $readme_bytes bytes, over its 32768-byte budget" >&2
     exit 1
 fi
+echo "== size (reported, not gated)"
+go_files() { find . -name '*.go' ! -path './.*' ! -path './bench/*' ! -path '*/testdata/*' "$@"; }
+echo "   non-test Go outside bench/ and testdata: $(go_files ! -name '*_test.go' | xargs cat | wc -l) lines"
+echo "   tests: $(go_files -name '*_test.go' | xargs cat | wc -l) lines"
 echo "== go build"
 go build ./...
 echo "== scripts/benchpair.sh parses"
