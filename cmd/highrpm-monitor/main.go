@@ -8,12 +8,11 @@
 //
 //	highrpm-monitor [-model highrpm-model.json] [-nodes 2] [-bench HPCC/FFT]
 //	                [-duration 60] [-miss 10] [-read-timeout 5m] [-max-conns 0]
-//	                [-batch 8] [-batch-interval 2s]
 //	                [-data-dir ./highrpm-data] [-fsync batch] [-snapshot-every 65536]
 //	                [-http 127.0.0.1:9090] [-pprof] [-grace 2s]
 //
 // -help groups the knobs by subsystem (simulation, service hardening,
-// agent batching, durability, observability). Without -model a small
+// durability, observability). Without -model a small
 // model is trained in-process first (~seconds).
 //
 // The service-hardening flags map onto ServiceOptions: -read-timeout reaps
@@ -21,10 +20,8 @@
 // caps one wire frame, and -max-conns drops connections beyond the cap at
 // accept time. Every simulated node runs the one agent the library ships
 // for production, ResilientAgent: it offers the binary codec in Hello,
-// reconnects with backoff and falls back to local inference when the
-// service is unreachable. -batch/-batch-interval coalesce samples into
-// KindRecordBatch frames, amortizing one round trip over many samples
-// without changing any estimate.
+// sends one Sample frame per simulated second, reconnects with backoff and
+// falls back to local inference when the service is unreachable.
 //
 // -data-dir makes the history store durable: every estimate is written to
 // a CRC-checked write-ahead log before it lands in memory, the log is
@@ -44,6 +41,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -73,9 +71,6 @@ func main() {
 		writeTimeout = flag.Duration("write-timeout", cluster.DefaultServiceOptions().WriteTimeout, "bound writing one reply (0: unbounded)")
 		maxFrame     = flag.Int("max-frame", cluster.DefaultServiceOptions().MaxFrame, "largest wire frame in bytes")
 		maxConns     = flag.Int("max-conns", 0, "concurrent connection cap (0: unlimited)")
-
-		batch         = flag.Int("batch", 1, "coalesce this many samples per RecordBatch frame (<2: one frame per sample)")
-		batchInterval = flag.Duration("batch-interval", 0, "flush a partial batch once its oldest sample has waited this long (0: size-only)")
 
 		dataDir   = flag.String("data-dir", "", "durable store directory: WAL + snapshots, recovered on start (empty: in-memory history)")
 		fsync     = flag.String("fsync", "batch", "WAL fsync policy: batch, always or never (with -data-dir)")
@@ -189,45 +184,13 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			opts := cluster.DefaultAgentOptions()
-			opts.Batch = cluster.BatchOptions{MaxSamples: *batch, MaxDelay: *batchInterval}
-			agent, err := cluster.DialResilient(svc.Addr(), nodeID, opts)
+			agent, err := cluster.DialResilient(svc.Addr(), nodeID, cluster.DefaultAgentOptions(), nil)
 			if err != nil {
 				fatal(err)
 			}
 			defer agent.Close()
 			node.Attach(b)
 
-			// With batching the estimates for queued samples arrive in
-			// bursts; pending pairs them back with the true power they
-			// restore, in send order.
-			type sent struct{ time, pNode, pCPU, pMEM float64 }
-			var pending []sent
-			handle := func(ests []cluster.Estimate) {
-				for _, est := range ests {
-					s := pending[0]
-					pending = pending[1:]
-					mu.Lock()
-					sum.samples++
-					diff := est.PNode - s.pNode
-					if diff < 0 {
-						diff = -diff
-					}
-					sum.absErr += diff
-					if est.FromMeasurement {
-						sum.measured++
-					}
-					mu.Unlock()
-					if !*quiet && id == 0 {
-						tag := " "
-						if est.FromMeasurement {
-							tag = "*"
-						}
-						fmt.Printf("%s t=%3.0fs%s node=%6.1fW (true %6.1f)  cpu=%5.1fW (true %5.1f)  mem=%5.1fW (true %5.1f)\n",
-							nodeID, s.time, tag, est.PNode, s.pNode, est.PCPU, s.pCPU, est.PMEM, s.pMEM)
-					}
-				}
-			}
 			for t := 0; float64(t) < *duration; t++ {
 				s := node.Step(1)
 				var measured *float64
@@ -235,23 +198,29 @@ func main() {
 					v := s.PNode
 					measured = &v
 				}
-				pending = append(pending, sent{s.Time, s.PNode, s.PCPU, s.PMEM})
-				ests, err := agent.Record(s.Time, s.Counters.Slice(), measured)
+				est, err := agent.Send(s.Time, s.Counters.Slice(), measured)
 				if err != nil {
 					fatal(err)
 				}
 				if am != nil {
 					am.Observe(agent)
 				}
-				handle(ests)
+				mu.Lock()
+				sum.samples++
+				sum.absErr += math.Abs(est.PNode - s.PNode)
+				if est.FromMeasurement {
+					sum.measured++
+				}
+				mu.Unlock()
+				if !*quiet && id == 0 {
+					tag := " "
+					if est.FromMeasurement {
+						tag = "*"
+					}
+					fmt.Printf("%s t=%3.0fs%s node=%6.1fW (true %6.1f)  cpu=%5.1fW (true %5.1f)  mem=%5.1fW (true %5.1f)\n",
+						nodeID, s.Time, tag, est.PNode, s.PNode, est.PCPU, s.PCPU, est.PMEM, s.PMEM)
+				}
 			}
-			// Drain whatever a partial final batch still holds before the
-			// deferred Close tears the connection down.
-			ests, err := agent.Flush()
-			if err != nil {
-				fatal(err)
-			}
-			handle(ests)
 		}(n)
 	}
 	wg.Wait()
@@ -284,7 +253,6 @@ func main() {
 var flagGroups = []cliutil.Group{
 	{Title: "Simulation", Names: []string{"model", "nodes", "bench", "duration", "miss", "retain", "seed", "quiet"}},
 	{Title: "Service hardening", Names: []string{"read-timeout", "write-timeout", "max-frame", "max-conns"}},
-	{Title: "Agent batching", Names: []string{"batch", "batch-interval"}},
 	{Title: "Durability", Names: []string{"data-dir", "fsync", "snapshot-every"}},
 	{Title: "Observability & shutdown", Names: []string{"http", "pprof", "grace"}},
 }

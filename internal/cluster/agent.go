@@ -183,14 +183,26 @@ func (a *Agent) SetBatching(o BatchOptions) { a.batch.opts = o }
 // behaves like Send (one estimate per call). Unlike Send, Record copies
 // pmc, so callers may reuse their buffer immediately.
 func (a *Agent) Record(t float64, pmc []float64, measured *float64) ([]Estimate, error) {
-	return a.batch.record(a, t, pmc, measured)
+	if a.batch.opts.MaxSamples < 2 {
+		est, err := a.Send(t, pmc, measured)
+		if err != nil {
+			return nil, err
+		}
+		return []Estimate{est}, nil
+	}
+	a.batch.add(t, pmc, measured)
+	if a.batch.n < a.batch.opts.MaxSamples {
+		return nil, nil
+	}
+	return a.Flush()
 }
 
 // Flush sends the pending batch now and returns its estimates (nil when
 // nothing was pending). The pending samples are consumed either way: a
 // *ServiceError means the service rejected the whole batch, and a
-// transport error means the connection is gone — a plain Agent cannot
-// retry either (wrap in a ResilientAgent for replay).
+// transport error means the connection is gone. An Agent retries neither;
+// a caller that needs the samples replayed after an outage hands them to
+// ResilientAgent.SendSamples instead.
 func (a *Agent) Flush() ([]Estimate, error) {
 	if a.batch.n == 0 {
 		return nil, nil
@@ -200,8 +212,8 @@ func (a *Agent) Flush() ([]Estimate, error) {
 	return ests, err
 }
 
-// sendBatch performs one RecordBatch round trip. ResilientAgent calls it
-// directly for its own batch replay.
+// sendBatch performs one RecordBatch round trip; Flush and
+// ResilientAgent.SendSamples both run it.
 func (a *Agent) sendBatch(samples []BatchSample) ([]Estimate, error) {
 	var err error
 	if a.binary {

@@ -629,9 +629,10 @@ func TestRecordBatch(t *testing.T) {
 	}
 }
 
-// TestResilientBatchDegradedReplay: a batched ResilientAgent whose service
-// dies must serve flushes locally, keep the samples in order in the replay
-// buffer, and deliver the whole backlog in order once a service returns.
+// TestResilientBatchDegradedReplay: a ResilientAgent whose service dies
+// must serve SendSamples batches locally, keep the samples in order in the
+// replay buffer, and deliver the whole backlog in order, before anything
+// newer, once a service returns.
 func TestResilientBatchDegradedReplay(t *testing.T) {
 	leaktest.Check(t)
 	svc := NewService(sharedModel(t))
@@ -641,55 +642,59 @@ func TestResilientBatchDegradedReplay(t *testing.T) {
 	}
 	addr := svc.Addr()
 	opts := DefaultAgentOptions()
-	opts.DialTimeout = 500 * 1e6 // 500ms
-	opts.RequestTimeout = 500 * 1e6
-	opts.BackoffMin = 1e6 // 1ms
-	opts.BackoffMax = 10e6
+	opts.DialTimeout = 500 * time.Millisecond
+	opts.RequestTimeout = 500 * time.Millisecond
+	opts.BackoffMin = time.Millisecond
+	opts.BackoffMax = 10 * time.Millisecond
 	opts.SendRetries = 1
 	opts.FailThreshold = 1
-	opts.Batch = BatchOptions{MaxSamples: 3}
-	ra, err := DialResilient(addr, "node-batch-ft", opts)
+	ra, err := DialResilient(addr, "node-batch-ft", opts, nil)
 	if err != nil {
 		svc.Close()
 		t.Fatal(err)
 	}
 	defer ra.Close()
 
+	if ests, err := ra.SendSamples(nil); ests != nil || err != nil {
+		t.Fatalf("empty batch: %v, %v", ests, err)
+	}
+	// Batch k carries seconds 3k, 3k+1, 3k+2 in one reused buffer, as the
+	// router's serve loop hands over its framer scratch.
 	pmc := benchPMC()
-	record := func(i int) []Estimate {
+	batch := make([]BatchSample, 3)
+	send := func(k int) []Estimate {
 		t.Helper()
-		ests, err := ra.Record(float64(i), pmc, nil)
+		for j := range batch {
+			batch[j] = BatchSample{Time: float64(3*k + j), PMC: pmc}
+		}
+		ests, err := ra.SendSamples(batch)
 		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
+			t.Fatalf("batch %d: %v", k, err)
+		}
+		if len(ests) != len(batch) {
+			t.Fatalf("batch %d: %d estimates, want %d", k, len(ests), len(batch))
+		}
+		for j := range batch {
+			batch[j] = BatchSample{Time: -1, PMC: []float64{-1}}
 		}
 		return ests
 	}
-	var live []Estimate
-	for i := 0; i < 6; i++ {
-		live = append(live, record(i)...)
-	}
-	if len(live) != 6 {
-		t.Fatalf("%d live estimates, want 6", len(live))
-	}
-	for _, e := range live {
-		if e.Local {
-			t.Fatal("live flush served locally while the service was up")
+	for k := 0; k < 2; k++ {
+		for _, e := range send(k) {
+			if e.Local {
+				t.Fatal("live batch served locally while the service was up")
+			}
 		}
 	}
 
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var local []Estimate
-	for i := 6; i < 12; i++ {
-		local = append(local, record(i)...)
-	}
-	if len(local) != 6 {
-		t.Fatalf("%d estimates during outage, want 6", len(local))
-	}
-	for _, e := range local {
-		if !e.Local {
-			t.Fatalf("outage estimate not local: %+v", e)
+	for k := 2; k < 4; k++ {
+		for _, e := range send(k) {
+			if !e.Local {
+				t.Fatalf("outage estimate not local: %+v", e)
+			}
 		}
 	}
 	if ra.Pending() != 6 {
@@ -702,24 +707,39 @@ func TestResilientBatchDegradedReplay(t *testing.T) {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
 	t.Cleanup(func() { svc2.Close() })
-	// The agent redials from inside Record once its backoff (at most
+	// The agent redials from inside SendSamples once its backoff (at most
 	// BackoffMax) has run out, so the loop is bounded by wall time and paced
-	// by it: a degraded Record is one local inference, a few microseconds,
+	// by it: a degraded batch is three local inferences, a few microseconds,
 	// and a loop bounded by a count could end inside a single backoff delay.
 	deadline := time.Now().Add(5 * time.Second)
-	for i := 12; ra.Mode() != ModeConnected || ra.Pending() > 0; i++ {
+	k := 4
+	for ; ra.Mode() != ModeConnected || ra.Pending() > 0; k++ {
 		if time.Now().After(deadline) {
 			t.Fatalf("agent never recovered: mode %v, %d pending", ra.Mode(), ra.Pending())
 		}
-		record(i)
+		send(k)
 		time.Sleep(opts.BackoffMin)
 	}
-	// The recovery loop keeps batching while degraded, so more than the
+	// The recovery loop keeps sending while degraded, so more than the
 	// original 6 samples pass through the buffer; what matters is that the
-	// whole backlog replays and nothing is lost.
+	// whole backlog replays and nothing is lost. The restarted service
+	// refuses a sample older than its newest, so a live batch overtaking
+	// the replay would show as a drop and a gap in its history.
 	c := ra.Counters()
 	if c.Replayed < 6 || c.Replayed != c.Buffered || c.Dropped != 0 {
 		t.Fatalf("replay incomplete: %+v", c)
+	}
+	got, err := svc2.Store().QuerySeries("node-batch-ft", "p_node", 0, float64(3*k), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Points) != 3*(k-2) {
+		t.Fatalf("restarted service holds %d points, want the %d from t=6 on", len(got.Points), 3*(k-2))
+	}
+	for i, p := range got.Points {
+		if p.Time != float64(6+i) {
+			t.Fatalf("restarted service's point %d is t=%g, want %d", i, p.Time, 6+i)
+		}
 	}
 }
 

@@ -250,7 +250,8 @@ func TestServiceSameNodeTwoConnections(t *testing.T) {
 
 // TestServiceKeepsNodeTimeOrder: a sample whose time is not finite or runs
 // behind the node's newest accepted one is a *ServiceError, alone or in a
-// batch, and changes nothing of the node, and so is a NaN reading; a raw
+// batch, and changes nothing of the node, and so is a NaN or ±MaxFloat64
+// reading and a relayed estimate that is not finite; a raw
 // query then reads the node's history in order (one accepted sample at
 // t = 0 after t = 4 would make a raw [2, 7] query answer [5 6 7]).
 func TestServiceKeepsNodeTimeOrder(t *testing.T) {
@@ -313,10 +314,19 @@ func TestServiceKeepsNodeTimeOrder(t *testing.T) {
 	if fmt.Sprint(times) != "[2 3 4 5 6 7]" {
 		t.Fatalf("raw [2, 7] times = %v, want [2 3 4 5 6 7]", times)
 	}
-	// A non-finite reading is the monitor's refusal, answered the same way.
-	nan := math.NaN()
-	if _, err := agent.Send(10, pmc, &nan); !errors.As(err, &se) {
-		t.Fatalf("NaN reading: %v, want a *ServiceError", err)
+	// A non-finite reading, or a finite one beyond any node's draw, is the
+	// monitor's refusal, answered the same way.
+	for _, v := range []float64{math.NaN(), math.MaxFloat64, -math.MaxFloat64} {
+		if _, err := agent.Send(10, pmc, &v); !errors.As(err, &se) {
+			t.Fatalf("reading %g: %v, want a *ServiceError", v, err)
+		}
+	}
+	// A relayed estimate is recorded as it stands, so the service refuses
+	// one with a field that is not finite.
+	for _, rel := range []RelayedEstimate{{PNode: math.NaN(), PCPU: 1, PMEM: 1}, {PNode: 90, PCPU: math.Inf(-1), PMEM: 1}} {
+		if _, err := agent.send(10, pmc, nil, &rel); !errors.As(err, &se) {
+			t.Fatalf("relayed %+v: %v, want a *ServiceError", rel, err)
+		}
 	}
 	send(10)
 }

@@ -202,7 +202,7 @@ func TestObsAgentMetricsDegraded(t *testing.T) {
 	t.Cleanup(tr.CloseIdleConnections)
 	client := &http.Client{Transport: tr}
 
-	ra, err := DialResilient(svc.Addr(), "node-r", DefaultAgentOptions())
+	ra, err := DialResilient(svc.Addr(), "node-r", DefaultAgentOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func TestRelayedSampleDecodeStrict(t *testing.T) {
 		}
 	}
 
-	replies, st := serveScript(t, scriptStream(t, []string{CodecBinary}, relayed, both), fuzzMaxFrame)
+	replies, st := serveScript(t, stubHandler{tb: t, maxFrame: fuzzMaxFrame}, scriptStream(t, []string{CodecBinary}, relayed, both), fuzzMaxFrame)
 	if len(replies) != 3 || st.BinFrames != 2 {
 		t.Fatalf("%d replies, accounting %+v", len(replies), st)
 	}

@@ -57,8 +57,6 @@ type AgentOptions struct {
 	// BufferLimit caps the samples buffered while degraded; beyond it the
 	// oldest sample is dropped (and counted) so memory stays bounded.
 	BufferLimit int
-	// Batch configures sample coalescing for Record (zero: disabled).
-	Batch BatchOptions
 }
 
 // DefaultAgentOptions returns production defaults for 1 Sa/s telemetry.
@@ -139,7 +137,6 @@ type ResilientAgent struct {
 	models   *ModelCache   // shared decode table (nil: decode privately)
 	localMon *core.Monitor // per-episode fallback monitor (nil between episodes)
 	buffer   []Sample      // degraded samples awaiting replay, oldest first
-	batch    batcher       // pending Record samples awaiting a flush
 	mode     Mode
 	closed   bool
 
@@ -193,16 +190,11 @@ func (c *ModelCache) decode(data []byte) (*core.HighRPM, error) {
 
 // DialResilient connects a ResilientAgent to the service: it dials,
 // registers the node, and fetches the model snapshot the degraded-mode
-// fallback will run on. The initial connect must succeed — without a
-// snapshot there is nothing to degrade to. Every dial offers the binary
-// codec, and the Hello falls back to JSON against a service without it.
-func DialResilient(addr, nodeID string, opts AgentOptions) (*ResilientAgent, error) {
-	return DialResilientShared(addr, nodeID, opts, nil)
-}
-
-// DialResilientShared is DialResilient with the decoded snapshot interned
-// in models (nil: a private decode, exactly DialResilient).
-func DialResilientShared(addr, nodeID string, opts AgentOptions, models *ModelCache) (*ResilientAgent, error) {
+// fallback will run on, interned in models (nil: a private decode). The
+// initial connect must succeed — without a snapshot there is nothing to
+// degrade to. Every dial offers the binary codec, and the Hello falls back
+// to JSON against a service without it.
+func DialResilient(addr, nodeID string, opts AgentOptions, models *ModelCache) (*ResilientAgent, error) {
 	if opts.SendRetries < 1 {
 		opts.SendRetries = 1
 	}
@@ -226,7 +218,6 @@ func DialResilientShared(addr, nodeID string, opts AgentOptions, models *ModelCa
 		rng:     rand.New(jitterSource(addr, nodeID)),
 		models:  models,
 	}
-	ra.batch.opts = opts.Batch
 	agent, model, err := ra.connect()
 	if err != nil {
 		return nil, err
@@ -279,7 +270,7 @@ func (ra *ResilientAgent) Model() *core.HighRPM { return ra.model }
 func (ra *ResilientAgent) Pending() int { return len(ra.buffer) }
 
 // live runs one telemetry request through the resilience policy, written
-// once for Send, Flush and SendSamples: while degraded it skips the network
+// once for Send and SendSamples: while degraded it skips the network
 // until a probe is due; otherwise it makes up to SendRetries attempts, each
 // on a connected, fully-replayed link under the request deadline. It
 // reports whether the service answered — with a reply (nil error) or with a
@@ -349,68 +340,35 @@ func (ra *ResilientAgent) SendRelayed(t float64, pmc []float64, measured *float6
 	return est, err
 }
 
-// Record queues one second of telemetry for batched delivery, returning
-// the estimates when a flush happened (nil estimates, nil error while the
-// sample is pending). Without batching it behaves like Send. Like Send it
-// borrows pmc and measured only for the call: callers may reuse their
-// buffers immediately.
-func (ra *ResilientAgent) Record(t float64, pmc []float64, measured *float64) ([]Estimate, error) {
-	if ra.closed {
-		return nil, ErrAgentClosed
-	}
-	return ra.batch.record(ra, t, pmc, measured)
-}
-
-// Flush delivers the pending batch now. Like Send it absorbs transport
-// failures: when the service is unreachable the batch is served from the
-// local snapshot and its samples join the replay buffer in order, so
-// in-order replay is preserved across degraded episodes. A *ServiceError
-// (the service rejected the batch) drops it and is returned as-is.
-func (ra *ResilientAgent) Flush() ([]Estimate, error) {
-	if ra.closed {
-		return nil, ErrAgentClosed
-	}
-	if ra.batch.n == 0 {
-		return nil, nil
-	}
-	var ests []Estimate
-	answered, err := ra.live(func(a *Agent) (err error) {
-		ests, err = a.sendBatch(ra.batch.wireSamples())
-		return err
-	})
-	if !answered {
-		return ra.flushLocal()
-	}
-	ra.counters.Sent += int64(len(ests))
-	ra.batch.reset()
-	return ests, err
-}
-
-// SendSamples delivers a prepared batch of samples in order through the
-// resilience machinery: the samples join any pending Record batch and the
-// whole thing is flushed immediately, so a transport failure buffers them
-// for in-order replay exactly like Flush. The fleet router uses this to
-// forward a front-end RecordBatch to a backend shard without re-batching;
-// a sample's Relayed estimate travels with it as in SendRelayed.
+// SendSamples delivers a prepared batch of samples in order in one
+// RecordBatch round trip, through the same resilience policy as Send: the
+// caller's samples go to the service as they are, and when no service
+// answers each is served from the local snapshot and joins the replay
+// buffer in order (serveLocal copies what it buffers), so in-order replay
+// holds across degraded episodes. An empty batch makes no round trip. A
+// *ServiceError (the service rejected the batch) drops it and is returned
+// as-is. A sample's Relayed estimate travels with it as in SendRelayed. The
+// fleet router forwards a front-end RecordBatch to a backend shard this
+// way.
 func (ra *ResilientAgent) SendSamples(samples []BatchSample) ([]Estimate, error) {
 	if ra.closed {
 		return nil, ErrAgentClosed
 	}
-	for i := range samples {
-		ra.batch.add(samples[i].Time, samples[i].PMC, samples[i].Measured, samples[i].Relayed)
+	if len(samples) == 0 {
+		return nil, nil
 	}
-	return ra.Flush()
-}
-
-// flushLocal serves the pending batch from the model snapshot, one sample
-// at a time through serveLocal — each joins the replay buffer in batch
-// order, so the later replay delivers every sample to the service in the
-// exact order it was recorded. serveLocal copies each sample out of the
-// batcher's reused slots as it buffers it.
-func (ra *ResilientAgent) flushLocal() ([]Estimate, error) {
-	defer ra.batch.reset()
-	ests := make([]Estimate, 0, ra.batch.n)
-	for _, bs := range ra.batch.wireSamples() {
+	var ests []Estimate
+	answered, err := ra.live(func(a *Agent) (err error) {
+		ests, err = a.sendBatch(samples)
+		return err
+	})
+	if answered {
+		ra.counters.Sent += int64(len(ests))
+		return ests, err
+	}
+	ests = make([]Estimate, 0, len(samples))
+	for i := range samples {
+		bs := &samples[i]
 		est, err := ra.serveLocal(Sample{NodeID: ra.nodeID, Time: bs.Time, PMC: bs.PMC, Measured: bs.Measured, Relayed: bs.Relayed})
 		if err != nil {
 			return ests, err
@@ -594,9 +552,8 @@ func (ra *ResilientAgent) QueryNodes(q QueryRequest, nodes []string, each func(i
 	return done, err
 }
 
-// Close terminates the connection. Buffered samples not yet replayed and
-// batched samples not yet flushed are lost; check Pending and call Flush
-// first if that matters.
+// Close terminates the connection. Buffered samples not yet replayed are
+// lost; check Pending first if that matters.
 func (ra *ResilientAgent) Close() error {
 	if ra.closed {
 		return nil

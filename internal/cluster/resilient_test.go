@@ -48,7 +48,7 @@ func runFaultScenario(t *testing.T, svc *Service, scripts []faultnet.ConnScript,
 	}
 	t.Cleanup(func() { proxy.Close() })
 
-	ra, err := DialResilient(proxy.Addr(), "node-ft", opts)
+	ra, err := DialResilient(proxy.Addr(), "node-ft", opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestResilientAgentDegradedBuffersAndReplays(t *testing.T) {
 
 	opts := faultAgentOptions()
 	opts.SendRetries = 1
-	ra, err := DialResilient(addr, "node-out", opts)
+	ra, err := DialResilient(addr, "node-out", opts, nil)
 	if err != nil {
 		svc.Close()
 		t.Fatal(err)
@@ -372,7 +372,7 @@ func TestResilientAgentBufferCap(t *testing.T) {
 	// address.
 	opts.BackoffMin = time.Hour
 	opts.BackoffMax = time.Hour
-	ra, err := DialResilient(svc.Addr(), "node-cap", opts)
+	ra, err := DialResilient(svc.Addr(), "node-cap", opts, nil)
 	if err != nil {
 		svc.Close()
 		t.Fatal(err)
@@ -402,7 +402,7 @@ func TestResilientAgentBufferCap(t *testing.T) {
 func TestResilientAgentServiceErrorPassesThrough(t *testing.T) {
 	leaktest.Check(t)
 	svc := startService(t)
-	ra, err := DialResilient(svc.Addr(), "node-se", faultAgentOptions())
+	ra, err := DialResilient(svc.Addr(), "node-se", faultAgentOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestResilientSendCopiesBufferedSample(t *testing.T) {
 	const nodeID = "node-alias"
 	opts := faultAgentOptions()
 	opts.SendRetries = 1
-	ra, err := DialResilient(addr, nodeID, opts)
+	ra, err := DialResilient(addr, nodeID, opts, nil)
 	if err != nil {
 		svc.Close()
 		t.Fatal(err)
@@ -570,7 +570,7 @@ func TestModelCacheSharesDecodedSnapshot(t *testing.T) {
 	var cache ModelCache
 	dial := func(node string, models *ModelCache) *ResilientAgent {
 		t.Helper()
-		ra, err := DialResilientShared(svc.Addr(), node, faultAgentOptions(), models)
+		ra, err := DialResilient(svc.Addr(), node, faultAgentOptions(), models)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -609,7 +609,7 @@ func TestJitterSeededPerNode(t *testing.T) {
 	svc := startService(t)
 	firstDraw := func(node string) float64 {
 		t.Helper()
-		ra, err := DialResilient(svc.Addr(), node, DefaultAgentOptions())
+		ra, err := DialResilient(svc.Addr(), node, DefaultAgentOptions(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -137,15 +139,19 @@ type scriptAddr struct{}
 func (scriptAddr) Network() string { return "script" }
 func (scriptAddr) String() string  { return "script" }
 
-// serveScript plays stream to a stub-handled Server capped at maxFrame and
+// serveScript plays stream to a Server over h capped at maxFrame and
 // returns the server's replies, split into frames, with its accounting.
-func serveScript(t testing.TB, stream []byte, maxFrame int) ([][]byte, ConnStats) {
+func serveScript(t testing.TB, h Handler, stream []byte, maxFrame int) ([][]byte, ConnStats) {
 	t.Helper()
-	srv := NewServer("test", stubHandler{tb: t, maxFrame: maxFrame}, ServiceOptions{MaxFrame: maxFrame}, func(string, ...any) {})
+	srv := NewServer("test", h, ServiceOptions{MaxFrame: maxFrame}, func(string, ...any) {})
 	conn := &scriptConn{in: bytes.NewReader(stream)}
 	// Whatever error ends the connection is the stream's fault, not a
-	// finding; the laws below are about what happened before it.
-	_ = srv.serveConn(conn)
+	// finding — unless it is a reply the server could not marshal; the
+	// laws below are about what happened before it.
+	var unmarshalable *json.UnsupportedValueError
+	if err := srv.serveConn(conn); errors.As(err, &unmarshalable) {
+		t.Fatalf("the server could not marshal its reply: %v", err)
+	}
 	var replies [][]byte
 	out := conn.out.Bytes()
 	for len(out) > 0 {
@@ -251,7 +257,7 @@ func FuzzServeConn(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		replies, st := serveScript(t, stream, fuzzMaxFrame)
+		replies, st := serveScript(t, stubHandler{tb: t, maxFrame: fuzzMaxFrame}, stream, fuzzMaxFrame)
 		accepted := st.JSONFrames + st.BinFrames
 		if n := int64(len(replies)); n > accepted || n < accepted-1 {
 			t.Fatalf("%d replies to %d accepted frames", n, accepted)
@@ -264,6 +270,112 @@ func FuzzServeConn(f *testing.F) {
 		for i := int(st.JSONFrames); i < len(replies); i++ {
 			if len(replies[i]) > fuzzMaxFrame {
 				t.Fatalf("binary reply %d is %d bytes, cap %d", i, len(replies[i]), fuzzMaxFrame)
+			}
+		}
+	})
+}
+
+// FuzzServiceConn throws arbitrary frame sequences at a fresh Service's
+// handler — the real model, monitors and store behind the serve loop. The
+// laws: it never panics; every frame it accepts gets exactly one reply,
+// except the last when that one ended the connection, and never because
+// the reply could not be marshalled (serveScript); and every estimate and
+// estimate-batch reply has a finite PNode, PCPU and PMEM. The seeds include
+// the inputs that once broke the last law: readings of ±MaxFloat64, whose
+// trend slope overflowed to -Inf and made every later estimate NaN, and a
+// relayed estimate of NaN, recorded and answered as it stood.
+func FuzzServiceConn(f *testing.F) {
+	pmc := benchPMC()
+	meas, huge, hugeNeg := 90.5, math.MaxFloat64, -math.MaxFloat64
+	bin := func(write func(g *binFramer) error) []byte { return encodeBinFrame(f, write) }
+	sample := func(tm float64, measured *float64, rel *RelayedEstimate) []byte {
+		return bin(func(g *binFramer) error { return g.writeSample("script", tm, pmc, measured, rel) })
+	}
+	session := [][]byte{sample(0, &meas, nil), sample(1, nil, nil), sample(2, nil, nil)}
+	session = append(session,
+		bin(func(g *binFramer) error {
+			return g.writeRecordBatch("script", []BatchSample{{Time: 3, PMC: pmc}, {Time: 4, PMC: pmc, Measured: &meas}, {Time: 5, PMC: pmc}})
+		}),
+		bin(func(g *binFramer) error {
+			return g.writeQuery(QueryRequest{NodeID: "script", Channel: "p_node", From: 0, To: 10, ResolutionS: 1})
+		}),
+		bin(func(g *binFramer) error { return g.writeJSONEnvelope(KindStats, struct{}{}) }),
+	)
+	f.Add(scriptStream(f, []string{CodecBinary}, session...))
+	pair := [][]byte{sample(0, &huge, nil)}
+	for tm := 1; tm < 15; tm++ {
+		var measured *float64
+		if tm == 10 {
+			measured = &hugeNeg
+		}
+		pair = append(pair, sample(float64(tm), measured, nil))
+	}
+	f.Add(scriptStream(f, []string{CodecBinary}, pair...))
+	nanRel := &RelayedEstimate{PNode: math.NaN(), PCPU: 40, PMEM: 10}
+	f.Add(scriptStream(f, []string{CodecBinary}, sample(0, &meas, nil), sample(1, nil, nanRel), sample(2, nil, nil)))
+	var jsonSession [][]byte
+	for tm := 0; tm < 12; tm++ {
+		smp := Sample{NodeID: "script", Time: float64(tm), PMC: pmc}
+		switch tm {
+		case 0:
+			smp.Measured = &huge // 1.7976931348623157e308 on the wire
+		case 10:
+			smp.Measured = &hugeNeg
+		}
+		jsonSession = append(jsonSession, jsonFrame(f, KindSample, smp))
+	}
+	f.Add(scriptStream(f, nil, jsonSession...))
+
+	model := sharedModel(f)
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		svc := NewService(model)
+		svc.Logf = t.Logf
+		defer svc.Close()
+		replies, st := serveScript(t, serviceHandler{svc}, stream, fuzzMaxFrame)
+		accepted := st.JSONFrames + st.BinFrames
+		if n := int64(len(replies)); n > accepted || n < accepted-1 {
+			t.Fatalf("%d replies to %d accepted frames", n, accepted)
+		}
+		// Replies to JSON-mode frames are plain envelopes; the rest are
+		// binary frames, an estimate reply native or wrapped.
+		g := newBinFramer(nil, nil, DefaultMaxFrame)
+		for i, rep := range replies {
+			var ests []Estimate
+			var env Envelope
+			var err error
+			switch {
+			case i >= int(st.JSONFrames) && rep[0] == binKindEstimate:
+				var est Estimate
+				est, err = g.readEstimate(rep[1:])
+				ests = []Estimate{est}
+			case i >= int(st.JSONFrames) && rep[0] == binKindEstimateBatch:
+				ests, err = g.readEstimateBatch(rep[1:])
+			case i >= int(st.JSONFrames) && rep[0] == binKindJSON:
+				env, err = readJSONEnvelope(rep[1:])
+			case i < int(st.JSONFrames):
+				err = json.Unmarshal(rep, &env)
+			}
+			if err == nil {
+				switch env.Kind {
+				case KindEstimate:
+					var est Estimate
+					err = DecodeBody(env, &est)
+					ests = []Estimate{est}
+				case KindEstimateBatch:
+					var eb EstimateBatch
+					err = DecodeBody(env, &eb)
+					ests = eb.Estimates
+				}
+			}
+			if err != nil {
+				t.Fatalf("reply %d does not decode: %v", i, err)
+			}
+			for _, est := range ests {
+				for _, v := range [...]float64{est.PNode, est.PCPU, est.PMEM} {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("reply %d: estimate %+v is not finite", i, est)
+					}
+				}
 			}
 		}
 	})
@@ -288,7 +400,7 @@ func TestServeConnScripted(t *testing.T) {
 		bin(func(g *binFramer) error { return g.writeJSONEnvelope(MsgKind("bogus"), struct{}{}) }),
 		reservedKindFrame(),
 	)
-	replies, st := serveScript(t, stream, fuzzMaxFrame)
+	replies, st := serveScript(t, stubHandler{tb: t, maxFrame: fuzzMaxFrame}, stream, fuzzMaxFrame)
 	if st.JSONFrames != 1 || st.BinFrames != 7 || st.BinConns != 1 {
 		t.Fatalf("accounting: %+v", st)
 	}

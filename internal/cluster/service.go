@@ -191,6 +191,19 @@ func (n *nodeState) checkTime(tm float64) error {
 	return nil
 }
 
+// checkRelayed refuses a relayed estimate with a field that is not finite.
+// The service records and answers a relayed estimate as it stands, so a NaN
+// would reach the store and the reply, which a JSON connection cannot
+// marshal.
+func checkRelayed(rel *RelayedEstimate) error {
+	for _, v := range [...]float64{rel.PNode, rel.PCPU, rel.PMEM} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return &ServiceError{Message: fmt.Sprintf("relayed estimate %g is not finite", v)}
+		}
+	}
+	return nil
+}
+
 // node returns the per-node state, creating it on first use.
 func (s *Service) node(nodeID string) *nodeState {
 	s.mu.Lock()
@@ -247,6 +260,11 @@ func (s *Service) processSample(nodeID string, tm float64, pmc []float64, measur
 	defer n.mu.Unlock()
 	if err := n.checkTime(tm); err != nil {
 		return Estimate{}, err
+	}
+	if rel != nil {
+		if err := checkRelayed(rel); err != nil {
+			return Estimate{}, err
+		}
 	}
 	// One estimation tick — model inference plus the history record — is
 	// the unit the overhead self-metering prices.

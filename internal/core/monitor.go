@@ -49,12 +49,18 @@ func (s *stream) trendAt(i int64) float64 {
 	return s.lastVal + s.slope*float64(i-s.lastIdx)
 }
 
+// maxReadingWatts bounds the magnitude of an IM reading the stream
+// accepts. No node draws a megawatt; a reading beyond it is a broken
+// sensor or a forged frame, and a finite one near ±MaxFloat64 would
+// overflow the trend slope to ±Inf and make every later estimate NaN.
+const maxReadingWatts = 1e6
+
 // observe advances the stream by one second: the IM trend takes the
 // reading, if any, and the window takes the row. It returns the second's
-// P'_Node trend value. A PMC vector of the wrong width, or a PMC value or
-// reading that is not finite, is refused before any state changes: the
-// trend slope and the window would otherwise carry it into the estimates
-// of later seconds.
+// P'_Node trend value. A PMC vector of the wrong width, a PMC value that is
+// not finite, or a reading that is not finite or beyond maxReadingWatts is
+// refused before any state changes: the trend slope and the window would
+// otherwise carry it into the estimates of later seconds.
 func (s *stream) observe(pmc []float64, measured *float64) (float64, error) {
 	if len(pmc) != pmu.NumEvents {
 		return 0, fmt.Errorf("core: monitor expects %d PMC features, got %d", pmu.NumEvents, len(pmc))
@@ -64,8 +70,8 @@ func (s *stream) observe(pmc []float64, measured *float64) (float64, error) {
 			return 0, fmt.Errorf("core: PMC feature %d is %g", i, v)
 		}
 	}
-	if measured != nil && (math.IsNaN(*measured) || math.IsInf(*measured, 0)) {
-		return 0, fmt.Errorf("core: IM reading is %g", *measured)
+	if measured != nil && !(math.Abs(*measured) <= maxReadingWatts) {
+		return 0, fmt.Errorf("core: IM reading %g W is not finite or beyond ±%g W", *measured, maxReadingWatts)
 	}
 	prevFeature := s.trendAt(s.n - 1)
 	if measured != nil {

@@ -149,14 +149,17 @@ func TestMonitorObservePushInterleavingProperty(t *testing.T) {
 	}
 }
 
-// TestMonitorRefusesNonFiniteTelemetry: a NaN or infinite IM reading or
-// PMC value is refused by Push and Observe alike, and the monitor that
-// refused it goes on bit-identical to one that was never sent it: the trend
-// slope would carry one NaN reading into most of the following estimates.
+// TestMonitorRefusesNonFiniteTelemetry: a NaN or infinite PMC value, and
+// an IM reading that is not finite or is finite but beyond a megawatt, is
+// refused by Push and Observe alike, and the monitor that refused it goes
+// on bit-identical to one that was never sent it: the trend slope would
+// carry one NaN reading into most of the following estimates, and a
+// ±MaxFloat64 pair overflows it to -Inf.
 func TestMonitorRefusesNonFiniteTelemetry(t *testing.T) {
 	h := trainedModel(t)
 	test := testSet(t, 40)
 	nan, inf := math.NaN(), math.Inf(1)
+	huge, hugeNeg, overMW := math.MaxFloat64, -math.MaxFloat64, 1.5e6
 	cases := []struct {
 		name string
 		pmc  func([]float64) []float64
@@ -164,6 +167,9 @@ func TestMonitorRefusesNonFiniteTelemetry(t *testing.T) {
 	}{
 		{"NaN reading", nil, &nan},
 		{"+Inf reading", nil, &inf},
+		{"+MaxFloat64 reading", nil, &huge},
+		{"-MaxFloat64 reading", nil, &hugeNeg},
+		{"1.5 MW reading", nil, &overMW},
 		{"NaN PMC", func(p []float64) []float64 { p[3] = nan; return p }, nil},
 		{"-Inf PMC", func(p []float64) []float64 { p[0] = math.Inf(-1); return p }, nil},
 	}
@@ -182,10 +188,10 @@ func TestMonitorRefusesNonFiniteTelemetry(t *testing.T) {
 						bad = c.pmc(bad)
 					}
 					if _, err := mon.Push(bad, c.meas); err == nil {
-						t.Fatal("Push accepted a non-finite sample")
+						t.Fatal("Push accepted the bad sample")
 					}
 					if _, err := mon.Observe(bad, c.meas); err == nil {
-						t.Fatal("Observe accepted a non-finite sample")
+						t.Fatal("Observe accepted the bad sample")
 					}
 				}
 				want, err := ref.Push(sm.PMC, measured)
@@ -202,6 +208,29 @@ func TestMonitorRefusesNonFiniteTelemetry(t *testing.T) {
 			}
 		})
 	}
+	// Readings of +MaxFloat64 at second 0 and -MaxFloat64 at second 10,
+	// whatever the monitor makes of them, leave every estimate finite.
+	t.Run("MaxFloat64 pair", func(t *testing.T) {
+		mon := NewMonitor(h)
+		for i, sm := range test.Samples {
+			var measured *float64
+			switch i {
+			case 0:
+				measured = &huge
+			case 10:
+				measured = &hugeNeg
+			}
+			est, err := mon.Push(sm.PMC, measured)
+			if err != nil {
+				continue
+			}
+			for _, v := range []float64{est.PNode, est.PCPU, est.PMEM, est.PNodePrime} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("step %d: estimate %+v is not finite", i, est)
+				}
+			}
+		}
+	})
 }
 
 // TestMonitorPushZeroAlloc: once the window is full a push allocates

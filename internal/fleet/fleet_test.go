@@ -511,7 +511,7 @@ func TestRouterNegotiatesBinary(t *testing.T) {
 	if got := ag.Codec(); got != cluster.CodecBinary {
 		t.Fatalf("default dial to a router negotiated %q, want %q", got, cluster.CodecBinary)
 	}
-	ra, err := cluster.DialResilient(r.Addr(), "default-resilient", cluster.DefaultAgentOptions())
+	ra, err := cluster.DialResilient(r.Addr(), "default-resilient", cluster.DefaultAgentOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

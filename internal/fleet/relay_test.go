@@ -312,7 +312,7 @@ func dialForger(t *testing.T, addr, node, codec string) *forger {
 		f.raw = dialRawHello(t, addr, cluster.Hello{NodeID: node})
 		return f
 	}
-	ag, err := cluster.DialResilient(addr, node, cluster.DefaultAgentOptions())
+	ag, err := cluster.DialResilient(addr, node, cluster.DefaultAgentOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -312,7 +312,7 @@ func (r *Router) dial(st *shardState, nodeID string, next *time.Time) (*cluster.
 	if time.Now().Before(*next) {
 		return nil, errShardUnreachable(st.shard.Name)
 	}
-	ag, err := cluster.DialResilientShared(st.shard.Addr, nodeID, r.opts.Agent, &r.models)
+	ag, err := cluster.DialResilient(st.shard.Addr, nodeID, r.opts.Agent, &r.models)
 	if err != nil {
 		*next = time.Now().Add(r.opts.DialRetry)
 		st.up.Store(false)

@@ -199,32 +199,22 @@ func (st *Store) Aggregate(ch Channel, from, to float64, res Resolution) ([]Poin
 	nodes := st.Nodes()
 	results := make([][]Point, len(nodes))
 	errs := make([]error, len(nodes))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(nodes) {
-		workers = len(nodes)
-	}
-	if workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(nodes) {
-						return
-					}
-					results[i], errs[i] = st.Query(nodes[i], ch, from, to, res)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(nodes)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(nodes) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, node := range nodes {
-			results[i], errs[i] = st.Query(node, ch, from, to, res)
-		}
+				results[i], errs[i] = st.Query(nodes[i], ch, from, to, res)
+			}
+		}()
 	}
+	wg.Wait()
 	for i := range nodes {
 		if errs[i] != nil {
 			return nil, errs[i]

@@ -29,7 +29,12 @@
 # coverage. It then fuzzes briefly: the wire-protocol decoders (JSON
 # envelope, binary framing, and the cross-codec agreement law), both ends
 # of a connection over arbitrary byte streams (FuzzServeConn for the
-# server's request loop, FuzzAgentReply for the agent's reply path), the
+# server's request loop over a stub handler, FuzzAgentReply for the agent's
+# reply path), the same loop with a real Service behind it
+# (FuzzServiceConn: the stub answers from its arguments alone, so only a
+# real model and store can turn a hostile reading or relayed estimate
+# into a NaN estimate or a reply JSON cannot marshal; its seeds are whole
+# sessions, so minimising is capped at 1 s as for FuzzUnmarshalMonitor), the
 # law the router's verbatim series relay stands on (FuzzSeriesShape: the
 # O(1) framing check accepts exactly what the strict decoder does), the
 # durability decoders (WAL segment scanner, snapshot loader), the
@@ -111,8 +116,9 @@ go test -run '^$' -fuzz '^FuzzReadEnvelope$' -fuzztime=10s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzEnvelopeRoundTrip$' -fuzztime=10s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzBinaryEnvelopeRoundTrip$' -fuzztime=10s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzCrossCodecSample$' -fuzztime=10s ./internal/cluster
-echo "== fuzz shared serve loop and agent reply path (10s per target)"
+echo "== fuzz shared serve loop, a service behind it, and agent reply path (10s per target)"
 go test -run '^$' -fuzz '^FuzzServeConn$' -fuzztime=10s ./internal/cluster
+go test -run '^$' -fuzz '^FuzzServiceConn$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzAgentReply$' -fuzztime=10s ./internal/cluster
 echo "== fuzz the series relay's shape check (10s)"
 go test -run '^$' -fuzz '^FuzzSeriesShape$' -fuzztime=10s ./internal/cluster
