@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net"
 	"time"
-
-	"highrpm/internal/core"
 )
 
 // Agent is a compute-node client of the HighRPM service. It is not safe
@@ -27,7 +25,7 @@ type Agent struct {
 	f      *binFramer
 	binary bool
 	batch  batcher
-	// series is the reply queryNodes hands its caller, reused per reply.
+	// series is the reply QueryNodes hands its caller, reused per reply.
 	series SeriesReply
 }
 
@@ -80,8 +78,8 @@ func (a *Agent) Codec() string {
 	return CodecJSON
 }
 
-// setDeadline bounds the next request round trip (zero time clears it).
-func (a *Agent) setDeadline(t time.Time) { a.conn.SetDeadline(t) }
+// SetDeadline bounds the next request round trip (zero time clears it).
+func (a *Agent) SetDeadline(t time.Time) { a.conn.SetDeadline(t) }
 
 // roundTrip is the one request/reply exchange every verb runs: flush the
 // request just framed and read its reply.
@@ -266,7 +264,7 @@ func (a *Agent) writeQuery(req QueryRequest) error {
 	return WriteMsg(a.f.w, KindQuery, req)
 }
 
-// queryWindow bounds the request bytes queryNodes keeps in flight on one
+// queryWindow bounds the request bytes QueryNodes keeps in flight on one
 // connection. A window is written whole before its first reply is read, so
 // it must fit the buffers between the two ends while the peer sits in a
 // reply write nobody is reading yet: it is half the 4 KiB bufio buffer on
@@ -286,7 +284,7 @@ func (a *Agent) queryFrameLen(q *QueryRequest) int {
 	return 4 + 1 + 2 + len(q.NodeID) + 2 + len(q.Channel) + 8 + 8 + 4
 }
 
-// queryNodes asks q of every node in nodes (q.NodeID is overwritten) over
+// QueryNodes asks q of every node in nodes (q.NodeID is overwritten) over
 // this one connection, pipelined: the requests of a window go out back to
 // back in one flush and the replies are read in order — every cluster.Server
 // answers a connection's frames sequentially, so reply i belongs to node i
@@ -300,10 +298,10 @@ func (a *Agent) queryFrameLen(q *QueryRequest) int {
 // error — the transport's, a protocol violation, or each's own, which must
 // mean the reply was malformed — ends the group at node done and leaves the
 // connection unusable: requests past it may be in flight.
-func (a *Agent) queryNodes(q QueryRequest, nodes []string, timeout time.Duration, each func(i int, rep *SeriesReply, rejected *ServiceError) error) (done int, err error) {
+func (a *Agent) QueryNodes(q QueryRequest, nodes []string, timeout time.Duration, each func(i int, rep *SeriesReply, rejected *ServiceError) error) (done int, err error) {
 	arm := func() {
 		if timeout > 0 {
-			a.setDeadline(time.Now().Add(timeout))
+			a.SetDeadline(time.Now().Add(timeout))
 		}
 	}
 	for sent := 0; done < len(nodes); {
@@ -339,18 +337,10 @@ func (a *Agent) queryNodes(q QueryRequest, nodes []string, timeout time.Duration
 	return done, nil
 }
 
-// FetchModel downloads the service's trained model for local inference —
-// the fallback path when the control node is unreachable between samples.
-func (a *Agent) FetchModel() (*core.HighRPM, error) {
-	data, err := a.fetchModelBytes()
-	if err != nil {
-		return nil, err
-	}
-	return core.Unmarshal(data)
-}
-
-// fetchModelBytes downloads the serialised model without decoding it.
-func (a *Agent) fetchModelBytes() ([]byte, error) {
+// FetchModel downloads the service's trained model as the service
+// serialised it; core.Unmarshal decodes it for local inference, the
+// fallback path when the control node is unreachable between samples.
+func (a *Agent) FetchModel() ([]byte, error) {
 	var mb ModelBody
 	err := a.call(KindModel, struct{}{}, &mb)
 	return mb.Data, err

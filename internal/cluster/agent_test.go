@@ -24,8 +24,8 @@ type agentVerb struct {
 
 // agentVerbs lists every verb. decoded is how many elements the reply
 // decoded to (estimates, points, model bytes), for the fuzzer's
-// no-amplification law. FetchModel stops at the transferred bytes: decoding
-// them is core's business, and TestAgentFetchModel covers the whole verb.
+// no-amplification law. FetchModel returns the transferred bytes: decoding
+// them is core's business, and TestAgentFetchModel covers the decode too.
 func agentVerbs() []agentVerb {
 	pmc := []float64{1, 2, 3}
 	meas := 90.5
@@ -63,7 +63,7 @@ func agentVerbs() []agentVerb {
 			func(f *binFramer, enc wireEnc) error { return f.writeJSON(enc, KindStats, Stats{Nodes: 1}) }},
 		{"FetchModel", binKindJSON,
 			func(a *Agent) (int, error) {
-				data, err := a.fetchModelBytes()
+				data, err := a.FetchModel()
 				return len(data), err
 			},
 			func(f *binFramer, enc wireEnc) error {

@@ -426,7 +426,7 @@ func FuzzCrossCodecSample(f *testing.F) {
 		var jdec Sample
 		var jrb RecordBatch
 		for _, dst := range []any{&jdec, &jrb} {
-			env, err := ReadMsg(r)
+			env, err := ReadMsgLimit(r, DefaultMaxFrame)
 			if err != nil {
 				t.Fatalf("JSON read after write: %v", err)
 			}

@@ -331,6 +331,78 @@ func TestServiceKeepsNodeTimeOrder(t *testing.T) {
 	send(10)
 }
 
+// TestServiceFencesNewestTime: a sample at the node's newest accepted time
+// — a replay whose acknowledgement was lost — is answered from the record,
+// plain, relayed or inside a batch, whatever PMC vector and reading it
+// carries. It moves no counter and stores no point, and the next estimate
+// is bit-identical to a service that never saw it.
+func TestServiceFencesNewestTime(t *testing.T) {
+	leaktest.Check(t)
+	svc, ref := startService(t), startService(t)
+	agent, err := Dial(svc.Addr(), "node-f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	refAgent, err := Dial(ref.Addr(), "node-f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer refAgent.Close()
+	pmc := benchPMC()
+	var first Estimate
+	for i := 0; i <= 5; i++ {
+		v := 80 + float64(i)
+		first, err = agent.Send(float64(i), pmc, &v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := refAgent.Send(float64(i), pmc, &v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other := make([]float64, len(pmc))
+	for i := range other {
+		other[i] = 2 * pmc[i]
+	}
+	reading := 140.0
+	if got, err := agent.Send(5, other, &reading); err != nil || got != first {
+		t.Fatalf("re-send of t = 5: %+v (err %v), want the first reply %+v", got, err, first)
+	}
+	if got, err := agent.send(5, other, nil, &RelayedEstimate{PNode: 1, PCPU: 1, PMEM: 1}); err != nil || got != first {
+		t.Fatalf("relayed re-send of t = 5: %+v (err %v), want the first reply %+v", got, err, first)
+	}
+	ests, err := agent.sendBatch([]BatchSample{{Time: 5, PMC: other, Measured: &reading}, {Time: 6, PMC: pmc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refAgent.Send(6, pmc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ests) != 2 || ests[0] != first || ests[1] != want {
+		t.Fatalf("batch [5 6]: %+v, want [%+v %+v]", ests, first, want)
+	}
+	q := QueryRequest{NodeID: "node-f", Channel: "ipmi", From: 0, To: 10}
+	for _, a := range []*Agent{agent, refAgent} {
+		body, err := a.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(body.Points); n != 7 || body.Points[5].Value != 85 {
+			t.Fatalf("raw ipmi: %d points, t = 5 reads %v; want 7 points, 85", n, body.Points)
+		}
+	}
+	counts := func(s *Service) Stats {
+		st := s.Stats()
+		st.ConnStats, st.Batches, st.BatchSamples = ConnStats{}, 0, 0
+		return st
+	}
+	if got, want := counts(svc), counts(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stats after the re-sends:\n%+v\nwant those of a service that never saw them:\n%+v", got, want)
+	}
+}
+
 func TestServiceRejectsBadSample(t *testing.T) {
 	leaktest.Check(t)
 	svc := startService(t)
@@ -365,7 +437,7 @@ func TestServiceUnknownKind(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	env, err := ReadMsg(bufio.NewReader(conn))
+	env, err := ReadMsgLimit(bufio.NewReader(conn), DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +453,7 @@ func TestProtocolFrameRoundTrip(t *testing.T) {
 	if err := WriteMsg(&buf, KindSample, want); err != nil {
 		t.Fatal(err)
 	}
-	env, err := ReadMsg(bufio.NewReader(&buf))
+	env, err := ReadMsgLimit(bufio.NewReader(&buf), DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +470,7 @@ func TestProtocolOversizedFrameRejected(t *testing.T) {
 	leaktest.Check(t)
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // 4 GiB frame length
-	if _, err := ReadMsg(bufio.NewReader(&buf)); err == nil {
+	if _, err := ReadMsgLimit(bufio.NewReader(&buf), DefaultMaxFrame); err == nil {
 		t.Fatal("expected frame-size error")
 	}
 }
@@ -418,7 +490,11 @@ func TestAgentFetchModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer agent.Close()
-	local, err := agent.FetchModel()
+	data, err := agent.FetchModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := core.Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}

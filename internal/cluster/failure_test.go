@@ -133,7 +133,7 @@ func TestReadMsgTruncatedBody(t *testing.T) {
 		conn1.Write([]byte{0, 0, 0, 50, 'x'}) // claims 50 bytes, sends 1
 		conn1.Close()
 	}()
-	if _, err := ReadMsg(bufio.NewReader(conn2)); err == nil {
+	if _, err := ReadMsgLimit(bufio.NewReader(conn2), DefaultMaxFrame); err == nil {
 		t.Fatal("expected truncation error")
 	}
 }

@@ -47,7 +47,7 @@ func FuzzReadEnvelope(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := ReadMsg(bufio.NewReader(bytes.NewReader(data)))
+		env, err := ReadMsgLimit(bufio.NewReader(bytes.NewReader(data)), DefaultMaxFrame)
 		if err != nil {
 			return
 		}
@@ -60,7 +60,7 @@ func FuzzReadEnvelope(f *testing.F) {
 	})
 }
 
-// FuzzEnvelopeRoundTrip checks WriteMsg/ReadMsg are inverses for any kind
+// FuzzEnvelopeRoundTrip checks WriteMsg/ReadMsgLimit are inverses for any kind
 // string and any JSON-encodable body. encoding/json coerces invalid UTF-8
 // to U+FFFD replacement runes, so the byte-exact half of the invariant
 // applies only to valid UTF-8 input; for the rest the decode must still
@@ -81,9 +81,9 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 			}
 			t.Fatalf("WriteMsg(%q): %v", kind, err)
 		}
-		env, err := ReadMsg(bufio.NewReader(&buf))
+		env, err := ReadMsgLimit(bufio.NewReader(&buf), DefaultMaxFrame)
 		if err != nil {
-			t.Fatalf("ReadMsg after WriteMsg(%q): %v", kind, err)
+			t.Fatalf("ReadMsgLimit after WriteMsg(%q): %v", kind, err)
 		}
 		var got string
 		if err := DecodeBody(env, &got); err != nil {
@@ -113,7 +113,7 @@ func TestReadMsgNoOverAllocation(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, err := ReadMsg(r)
+	_, err := ReadMsgLimit(r, DefaultMaxFrame)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("truncated frame decoded successfully")
@@ -125,6 +125,6 @@ func TestReadMsgNoOverAllocation(t *testing.T) {
 	// One chunk is 64 KiB; leave room for unrelated runtime allocation but
 	// stay far below the ~8 MiB an eager pre-allocation would show.
 	if grew > 1<<20 {
-		t.Fatalf("ReadMsg allocated %d bytes for a frame that never arrived", grew)
+		t.Fatalf("ReadMsgLimit allocated %d bytes for a frame that never arrived", grew)
 	}
 }

@@ -70,7 +70,7 @@ func withholdingPeer(t *testing.T, conn net.Conn, n, reject int) {
 
 // TestQueryNodesPipelines: against a peer that withholds every reply until it
 // holds the whole group's requests, one Query at a time times out on the
-// first node, and queryNodes completes — reply i delivered for node i, in
+// first node, and QueryNodes completes — reply i delivered for node i, in
 // order, a rejection in the middle of the group delivered as that node's and
 // disturbing no other.
 func TestQueryNodesPipelines(t *testing.T) {
@@ -93,7 +93,7 @@ func TestQueryNodesPipelines(t *testing.T) {
 
 	t.Run("unpipelined", func(t *testing.T) {
 		run(t, func(a *Agent) {
-			a.setDeadline(time.Now().Add(200 * time.Millisecond))
+			a.SetDeadline(time.Now().Add(200 * time.Millisecond))
 			q.NodeID = nodes[0]
 			if _, err := a.Query(q); !isTimeout(err) {
 				t.Fatalf("one query at a time got %v from a peer that waits for the group, want a timeout", err)
@@ -103,7 +103,7 @@ func TestQueryNodesPipelines(t *testing.T) {
 	t.Run("pipelined", func(t *testing.T) {
 		run(t, func(a *Agent) {
 			next := 0
-			done, err := a.queryNodes(q, nodes, 5*time.Second, func(i int, rep *SeriesReply, rejected *ServiceError) error {
+			done, err := a.QueryNodes(q, nodes, 5*time.Second, func(i int, rep *SeriesReply, rejected *ServiceError) error {
 				if i != next {
 					t.Errorf("outcome %d delivered at position %d", i, next)
 				}
@@ -137,7 +137,7 @@ func TestQueryNodesPipelines(t *testing.T) {
 		// node, and the error is the consumer's.
 		run(t, func(a *Agent) {
 			refused := errors.New("malformed")
-			done, err := a.queryNodes(q, nodes, 5*time.Second, func(i int, _ *SeriesReply, _ *ServiceError) error {
+			done, err := a.QueryNodes(q, nodes, 5*time.Second, func(i int, _ *SeriesReply, _ *ServiceError) error {
 				if i == 3 {
 					return refused
 				}
@@ -172,7 +172,7 @@ func TestQueryFrameLen(t *testing.T) {
 // blocked on until the client takes it, and only its 4 KiB reader between
 // the two — so requests written without bound deadlock against the reply
 // nobody is reading yet, which the first half shows, and the window is what
-// lets queryNodes through.
+// lets QueryNodes through.
 func TestQueryNodesWindow(t *testing.T) {
 	leaktest.Check(t)
 	const n = 300
@@ -196,7 +196,7 @@ func TestQueryNodesWindow(t *testing.T) {
 
 	t.Run("unbounded-deadlocks", func(t *testing.T) {
 		serve(t, true, func(a *Agent) {
-			a.setDeadline(time.Now().Add(300 * time.Millisecond))
+			a.SetDeadline(time.Now().Add(300 * time.Millisecond))
 			var err error
 			for _, node := range nodes {
 				q.NodeID = node
@@ -216,7 +216,7 @@ func TestQueryNodesWindow(t *testing.T) {
 		t.Run("windowed/"+codec, func(t *testing.T) {
 			serve(t, codec == CodecBinary, func(a *Agent) {
 				next := 0
-				done, err := a.queryNodes(q, nodes, 5*time.Second, func(i int, rep *SeriesReply, rejected *ServiceError) error {
+				done, err := a.QueryNodes(q, nodes, 5*time.Second, func(i int, rep *SeriesReply, rejected *ServiceError) error {
 					if rejected != nil {
 						return rejected
 					}

@@ -243,11 +243,11 @@ type ModelBody struct {
 const DefaultMaxFrame = 8 << 20
 
 // ErrFrameTooLarge reports a frame whose length prefix exceeds the
-// configured cap. Both sides use it: ReadMsg refuses to read such a frame
+// configured cap. Both sides use it: ReadMsgLimit refuses to read such a frame
 // and WriteMsg refuses to emit one a default peer would reject.
 var ErrFrameTooLarge = errors.New("cluster: frame exceeds size limit")
 
-// frameChunk is the largest single allocation ReadMsg makes before bytes
+// frameChunk is the largest single allocation ReadMsgLimit makes before bytes
 // actually arrive. A peer that claims a huge frame but never sends it costs
 // at most one chunk, not the claimed length.
 const frameChunk = 64 << 10
@@ -272,11 +272,6 @@ func WriteMsg(w io.Writer, kind MsgKind, body any) error {
 	}
 	_, err = w.Write(env)
 	return err
-}
-
-// ReadMsg reads one framed message, capping frames at DefaultMaxFrame.
-func ReadMsg(r *bufio.Reader) (Envelope, error) {
-	return ReadMsgLimit(r, DefaultMaxFrame)
 }
 
 // ReadMsgLimit reads one framed message, rejecting frames over maxFrame

@@ -124,9 +124,11 @@ type AgentCounters struct {
 // snapshot's trend midpoint until an IM reading arrives, exactly like a
 // node that never had the service.
 //
-// Like Agent it is not safe for concurrent use; run one per node
-// goroutine. Send never returns transport errors — only *ServiceError
-// (the service rejected the sample) or a local-inference error escapes.
+// It carries telemetry only; reads (Stats, Query, FetchModel) have no
+// local fallback and go over a plain Agent. Like Agent it is not safe for
+// concurrent use; run one per node goroutine. Send never returns transport
+// errors — only *ServiceError (the service rejected the sample) or a
+// local-inference error escapes.
 type ResilientAgent struct {
 	addr   string
 	nodeID string
@@ -237,10 +239,10 @@ func (ra *ResilientAgent) connect() (*Agent, *core.HighRPM, error) {
 		return nil, nil, err
 	}
 	if ra.opts.DialTimeout > 0 {
-		agent.setDeadline(time.Now().Add(ra.opts.DialTimeout))
+		agent.SetDeadline(time.Now().Add(ra.opts.DialTimeout))
 	}
-	data, err := agent.fetchModelBytes()
-	agent.setDeadline(time.Time{})
+	data, err := agent.FetchModel()
+	agent.SetDeadline(time.Time{})
 	var model *core.HighRPM
 	if err == nil {
 		model, err = ra.models.decode(data)
@@ -300,8 +302,8 @@ func (ra *ResilientAgent) live(call func(*Agent) error) (answered bool, err erro
 // bounded runs call on the current connection under RequestTimeout.
 func (ra *ResilientAgent) bounded(call func(*Agent) error) error {
 	if ra.opts.RequestTimeout > 0 {
-		ra.agent.setDeadline(time.Now().Add(ra.opts.RequestTimeout))
-		defer ra.agent.setDeadline(time.Time{})
+		ra.agent.SetDeadline(time.Now().Add(ra.opts.RequestTimeout))
+		defer ra.agent.SetDeadline(time.Time{})
 	}
 	return call(ra.agent)
 }
@@ -507,49 +509,6 @@ func (ra *ResilientAgent) failConn() {
 	ra.failProbe()
 	_ = ra.agent.Close()
 	ra.agent = nil
-}
-
-// direct runs one request that has no local fallback (Stats, Query):
-// redial first if necessary, bound the call, and when the service is
-// unreachable return the transport error after scheduling the next probe.
-func (ra *ResilientAgent) direct(call func(*Agent) error) error {
-	if ra.closed {
-		return ErrAgentClosed
-	}
-	if ra.agent == nil && !ra.redial() {
-		return fmt.Errorf("cluster: disconnected (next probe in %v)", time.Until(ra.nextProbe).Round(time.Millisecond))
-	}
-	err := ra.bounded(call)
-	if err != nil {
-		if se := (*ServiceError)(nil); !errors.As(err, &se) {
-			ra.failConn()
-		}
-	}
-	return err
-}
-
-// Stats fetches service statistics over the current connection. Unlike
-// Send it has no local fallback (see direct).
-func (ra *ResilientAgent) Stats() (st Stats, err error) {
-	err = ra.direct(func(a *Agent) (err error) {
-		st, err = a.Stats()
-		return err
-	})
-	return st, err
-}
-
-// QueryNodes asks q of every node in nodes over the current connection,
-// pipelined (see Agent.queryNodes): each receives node i's undecoded reply,
-// or the service's rejection of that node, in order, and RequestTimeout
-// bounds every reply separately. done counts the nodes each accepted; an
-// error — there is no local fallback, see direct — means the connection was
-// dropped and nodes[done:] got no answer.
-func (ra *ResilientAgent) QueryNodes(q QueryRequest, nodes []string, each func(i int, rep *SeriesReply, rejected *ServiceError) error) (done int, err error) {
-	err = ra.direct(func(a *Agent) (err error) {
-		done, err = a.queryNodes(q, nodes, ra.opts.RequestTimeout, each)
-		return err
-	})
-	return done, err
 }
 
 // Close terminates the connection. Buffered samples not yet replayed are

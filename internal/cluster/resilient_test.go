@@ -245,11 +245,13 @@ func TestResilientAgentFaults(t *testing.T) {
 			}
 			ra, locals := runFaultScenario(t, svc, tc.scripts, opts, tc.total)
 			verifyRecovered(t, ra, locals, tc.wantDegraded)
-			// Every sample was delivered at least once (live, retried, or
-			// replayed) — the service's count may exceed the agent's on
-			// lost-reply retries, but can never fall short.
-			if st := svc.Stats(); st.Samples < int64(tc.total) {
-				t.Fatalf("service saw %d samples, agent sent at least %d", st.Samples, tc.total)
+			// Every sample was delivered (live, retried, or replayed), and a
+			// re-send after a lost reply is answered from the record
+			// without counting again: the service counts each sample once.
+			// The agent pushed tc.total samples, more if it needed nudging.
+			c := ra.Counters()
+			if st := svc.Stats(); st.Samples != c.Sent+c.Replayed || st.Samples < int64(tc.total) {
+				t.Fatalf("service counted %d samples, the agent delivered %d live and %d replayed", st.Samples, c.Sent, c.Replayed)
 			}
 		})
 	}

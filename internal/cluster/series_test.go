@@ -61,7 +61,7 @@ func dialSeriesClient(t testing.TB, addr string) *binFramer {
 	if err := f.w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	env, err := ReadMsg(f.r)
+	env, err := ReadMsgLimit(f.r, DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}

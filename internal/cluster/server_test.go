@@ -104,7 +104,7 @@ func handshakeBinary(t testing.TB, conn net.Conn, nodeID string) *binFramer {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	env, err := ReadMsg(r)
+	env, err := ReadMsgLimit(r, DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,8 @@ func FuzzServeConn(f *testing.F) {
 // estimate-batch reply has a finite PNode, PCPU and PMEM. The seeds include
 // the inputs that once broke the last law: readings of ±MaxFloat64, whose
 // trend slope overflowed to -Inf and made every later estimate NaN, and a
-// relayed estimate of NaN, recorded and answered as it stood.
+// relayed estimate of NaN, recorded and answered as it stood; and a session
+// that re-sends a sample, which the service answers from its record.
 func FuzzServiceConn(f *testing.F) {
 	pmc := benchPMC()
 	meas, huge, hugeNeg := 90.5, math.MaxFloat64, -math.MaxFloat64
@@ -313,6 +314,7 @@ func FuzzServiceConn(f *testing.F) {
 	f.Add(scriptStream(f, []string{CodecBinary}, pair...))
 	nanRel := &RelayedEstimate{PNode: math.NaN(), PCPU: 40, PMEM: 10}
 	f.Add(scriptStream(f, []string{CodecBinary}, sample(0, &meas, nil), sample(1, nil, nanRel), sample(2, nil, nil)))
+	f.Add(scriptStream(f, []string{CodecBinary}, sample(0, &meas, nil), sample(1, nil, nil), sample(1, &huge, nil), sample(2, nil, nil)))
 	var jsonSession [][]byte
 	for tm := 0; tm < 12; tm++ {
 		smp := Sample{NodeID: "script", Time: float64(tm), PMC: pmc}

@@ -179,8 +179,8 @@ type nodeState struct {
 // checkTime refuses a sample time that is not finite or runs behind the
 // node's newest accepted one, before anything of the node changes: a
 // node's history is ordered by time, and its monitor sees samples in the
-// order the store keeps them. An equal time (a replay whose
-// acknowledgement was lost) is accepted.
+// order the store keeps them. An equal time never reaches it (see
+// processSample).
 func (n *nodeState) checkTime(tm float64) error {
 	if math.IsNaN(tm) || math.IsInf(tm, 0) {
 		return &ServiceError{Message: fmt.Sprintf("sample time %g is not finite", tm)}
@@ -250,14 +250,22 @@ func (h serviceHandler) Model() ([]byte, error) { return core.Marshal(h.s.model)
 // sample, the monitor only Observes: rel is what gets counted, gauged,
 // stored and answered, exactly as the monitor's own estimate would be, and
 // the stored trend value still comes from this service's monitor.
+//
+// A sample at the node's newest accepted time — a replay whose
+// acknowledgement was lost — is answered from the record and changes
+// nothing: no monitor step, no history point, no counter.
 func (s *Service) processSample(nodeID string, tm float64, pmc []float64, measured *float64, rel *RelayedEstimate) (Estimate, error) {
+	n := s.node(nodeID)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	//lint:ignore floateq a re-send carries the very time value the node recorded
+	if n.estimated && tm == n.latest.Time {
+		return n.latest.reply(nodeID), nil
+	}
 	s.samples.Add(1)
 	if measured != nil {
 		s.measured.Add(1)
 	}
-	n := s.node(nodeID)
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if err := n.checkTime(tm); err != nil {
 		return Estimate{}, err
 	}
@@ -297,11 +305,7 @@ func (s *Service) processSample(nodeID string, tm float64, pmc []float64, measur
 		s.Logf("cluster: store ingest %s: %v", nodeID, err)
 	}
 	tickDone()
-	return Estimate{
-		NodeID: nodeID, Time: tm,
-		PNode: est.PNode, PCPU: est.PCPU, PMEM: est.PMEM,
-		FromMeasurement: est.FromMeasurement,
-	}, nil
+	return n.latest.reply(nodeID), nil
 }
 
 // processBatch runs a record batch through processSample in order,
@@ -333,6 +337,15 @@ type LatestEstimate struct {
 	Time            float64
 	tsdb.Sample     // as stored; IPMI is NaN when the sample carried no IM reading
 	FromMeasurement bool
+}
+
+// reply is the estimate the service answers for the sample l records.
+func (l *LatestEstimate) reply(nodeID string) Estimate {
+	return Estimate{
+		NodeID: nodeID, Time: l.Time,
+		PNode: l.PNode, PCPU: l.PCPU, PMEM: l.PMEM,
+		FromMeasurement: l.FromMeasurement,
+	}
 }
 
 // LatestEstimates snapshots the newest estimate per node (a copy; safe to

@@ -37,7 +37,10 @@
 // because every server answers a connection's frames in order, and a node
 // the group left unanswered — rejected by that shard, or cut off when its
 // connection died — is re-read from its next replica on its own. KindStats
-// scatter-gathers and sums the per-shard statistics the same way. The
-// query connection says Hello with an empty node ID, so no shard counts
-// the router as one of its nodes.
+// scatter-gathers and sums the per-shard statistics the same way, and
+// KindModel answers the first reachable shard's model bytes verbatim. The
+// query connection is a plain cluster.Agent: it never degrades, holds no
+// model, is closed on a transport error and redialled by the next read. It
+// says Hello with an empty node ID, so no shard counts the router as one
+// of its nodes.
 package fleet

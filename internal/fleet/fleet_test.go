@@ -230,7 +230,7 @@ func dialRawHello(t testing.TB, addr string, hello cluster.Hello) *rawClient {
 	if err := cluster.WriteMsg(conn, cluster.KindHello, hello); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cluster.ReadMsg(c.r); err != nil {
+	if _, err := cluster.ReadMsgLimit(c.r, cluster.DefaultMaxFrame); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -521,9 +521,9 @@ func TestRouterNegotiatesBinary(t *testing.T) {
 	}
 }
 
-// TestRouterSharesModelSnapshot: every pooled backend connection fetches
-// the model for itself, but the router keeps one decoded copy for all of
-// them instead of one each.
+// TestRouterSharesModelSnapshot: every per-node agent fetches the model for
+// itself, but the router keeps one decoded copy for all of them instead of
+// one each. Query connections hold no model.
 func TestRouterSharesModelSnapshot(t *testing.T) {
 	leaktest.Check(t)
 	r, _ := startFleet(t, 2, DefaultTopologyOptions())
@@ -537,44 +537,30 @@ func TestRouterSharesModelSnapshot(t *testing.T) {
 		}
 		ag.Close()
 	}
-	qa := dialFront(t, r, "query-client", cluster.CodecBinary)
-	defer qa.Close()
-	if _, err := qa.Stats(); err != nil { // dials every shard's query connection
-		t.Fatal(err)
-	}
 	var model *core.HighRPM
 	agents := 0
-	share := func(ag *cluster.ResilientAgent) {
-		t.Helper()
-		if ag == nil {
-			return
-		}
-		agents++
-		if c := ag.Counters(); c.ModelSyncs != 1 {
-			t.Fatalf("%s: ModelSyncs = %d, want its own fetch counted once", ag.NodeID(), c.ModelSyncs)
-		}
-		if model == nil {
-			model = ag.Model()
-		}
-		if ag.Model() != model {
-			t.Fatalf("%s holds a private decoded model", ag.NodeID())
-		}
-	}
 	for _, node := range nodes {
 		nr := r.routeFor(node)
 		nr.mu.Lock()
 		for _, ag := range nr.agents {
-			share(ag)
+			if ag == nil {
+				continue
+			}
+			agents++
+			if c := ag.Counters(); c.ModelSyncs != 1 {
+				t.Fatalf("%s: ModelSyncs = %d, want its own fetch counted once", ag.NodeID(), c.ModelSyncs)
+			}
+			if model == nil {
+				model = ag.Model()
+			}
+			if ag.Model() != model {
+				t.Fatalf("%s holds a private decoded model", ag.NodeID())
+			}
 		}
 		nr.mu.Unlock()
 	}
-	for _, st := range r.shards {
-		st.qmu.Lock()
-		share(st.query)
-		st.qmu.Unlock()
-	}
-	if want := len(nodes) + len(r.shards); agents != want {
-		t.Fatalf("%d pooled agents, want %d", agents, want)
+	if agents != len(nodes) {
+		t.Fatalf("%d per-node agents, want %d", agents, len(nodes))
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"highrpm/internal/cluster"
-	"highrpm/internal/core"
 	"highrpm/internal/tsdb"
 )
 
@@ -90,15 +89,15 @@ func (r *Router) queryNode(q cluster.QueryRequest, tried int, prior error, take 
 
 // fetch is the router's one back-hop read: it asks shard idx for q of every
 // node in nodes over the shard's pooled query connection — pipelined, see
-// cluster.ResilientAgent.QueryNodes, and holding the connection for the
-// whole group — and hands reply i to take. errs[i] receives node i's
-// outcome: nil once take accepted its reply, the shard's rejection of that
-// node, or, from the node the group broke at onwards, the error that broke
-// it. A single-node query is a group of one.
+// cluster.Agent.QueryNodes, and holding the connection for the whole group —
+// and hands reply i to take. errs[i] receives node i's outcome: nil once
+// take accepted its reply, the shard's rejection of that node, or, from the
+// node the group broke at onwards, the error that broke it. A single-node
+// query is a group of one.
 func (r *Router) fetch(idx int, q cluster.QueryRequest, nodes []string, errs []error, take func(i int, rep *cluster.SeriesReply) error) {
 	done := 0
-	err := r.onShard(idx, func(ag *cluster.ResilientAgent) (err error) {
-		done, err = ag.QueryNodes(q, nodes, func(i int, rep *cluster.SeriesReply, rejected *cluster.ServiceError) error {
+	err := r.onShard(idx, func(ag *cluster.Agent) (err error) {
+		done, err = ag.QueryNodes(q, nodes, r.opts.Agent.RequestTimeout, func(i int, rep *cluster.SeriesReply, rejected *cluster.ServiceError) error {
 			if rejected != nil {
 				errs[i] = rejected
 				return nil
@@ -143,33 +142,37 @@ func (r *Router) readOrder(node string, buf []int) []int {
 	return append(buf, down...)
 }
 
-// onShard runs call on idx's pooled query connection, maintaining the
-// shard's health bit.
-func (r *Router) onShard(idx int, call func(*cluster.ResilientAgent) error) error {
+// onShard runs call on idx's pooled query connection under RequestTimeout,
+// dialing it on first use and again once a transport error dropped it
+// (behind the DialRetry gate only when that dial failed), and maintains the
+// shard's health bit. A rejection leaves the connection open; any other
+// error closes it.
+func (r *Router) onShard(idx int, call func(*cluster.Agent) error) error {
 	st := r.shards[idx]
 	st.qmu.Lock()
 	defer st.qmu.Unlock()
-	ag, err := r.queryAgentLocked(st)
-	if err != nil {
-		return err
-	}
-	err = call(ag)
-	st.up.Store(err == nil || isRejection(err))
-	return err
-}
-
-// queryAgentLocked returns st's query connection, dialing on first use
-// and again DialRetry after a failed attempt. Callers hold st.qmu.
-func (r *Router) queryAgentLocked(st *shardState) (*cluster.ResilientAgent, error) {
 	if st.query == nil {
-		ag, err := r.dial(st, "", &st.nextDial)
+		ag, err := dial(r, st, &st.nextDial, func(addr string) (*cluster.Agent, error) {
+			return cluster.DialTimeout(addr, "", r.opts.Agent.DialTimeout)
+		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		st.query = ag
 		st.hasQuery.Store(true)
 	}
-	return st.query, nil
+	if t := r.opts.Agent.RequestTimeout; t > 0 {
+		st.query.SetDeadline(time.Now().Add(t))
+	}
+	err := call(st.query)
+	broken := err != nil && !isRejection(err)
+	if broken {
+		_ = st.query.Close()
+		st.query = nil
+		st.hasQuery.Store(false)
+	}
+	st.up.Store(!broken)
+	return err
 }
 
 // queryTarget picks the shard to read node's history from: the primary
@@ -341,7 +344,7 @@ func (r *Router) MergedStats() (cluster.Stats, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = r.onShard(i, func(ag *cluster.ResilientAgent) (err error) {
+			errs[i] = r.onShard(i, func(ag *cluster.Agent) (err error) {
 				per[i], err = ag.Stats()
 				return err
 			})
@@ -422,29 +425,22 @@ func mergeStoreStats(dst *tsdb.Stats, s tsdb.Stats) {
 	}
 }
 
-// fetchModel answers a front-end KindModel from a query connection's
-// model snapshot — every shard serves the same trained model, and the
-// snapshot was fetched through the very model-fetch path agents use, so
-// no extra backend round trip is needed.
-func (r *Router) fetchModel() ([]byte, error) {
+// fetchModel answers a front-end KindModel with the first reachable
+// shard's model bytes, as that shard serialised them: every shard serves
+// the same trained model.
+func (r *Router) fetchModel() (data []byte, err error) {
 	var firstErr error
-	for _, st := range r.shards {
-		// A redial under qmu replaces the agent's model: read the pointer
-		// under the lock, marshal the immutable model outside it.
-		st.qmu.Lock()
-		var model *core.HighRPM
-		ag, err := r.queryAgentLocked(st)
+	for idx := range r.shards {
+		err = r.onShard(idx, func(ag *cluster.Agent) (err error) {
+			data, err = ag.FetchModel()
+			return err
+		})
 		if err == nil {
-			model = ag.Model()
+			return data, nil
 		}
-		st.qmu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		if firstErr == nil {
+			firstErr = err
 		}
-		return core.Marshal(model)
 	}
 	return nil, firstErr
 }

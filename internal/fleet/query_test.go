@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -252,5 +253,76 @@ func TestRouterIsNoShardNode(t *testing.T) {
 	}
 	if st, err := qa.Stats(); err != nil || st.Nodes != 1 {
 		t.Fatalf("router counts %d nodes (err %v), want query-client alone", st.Nodes, err)
+	}
+}
+
+// TestRouterModelIsShardBytes: a model fetch through the router answers
+// the first reachable shard's model bytes as that shard serialised them,
+// byte for byte what a direct connection to a service receives.
+func TestRouterModelIsShardBytes(t *testing.T) {
+	leaktest.Check(t)
+	r, backends := startFleet(t, 2, DefaultTopologyOptions())
+	direct, err := cluster.Dial(backends[1].Addr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := direct.FetchModel()
+	direct.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, codec := range frontCodecs {
+		qa := dialFront(t, r, "model-client", codec)
+		got, err := qa.FetchModel()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: router model is %d bytes (err %v), the service's %d", codec, len(got), err, len(want))
+		}
+		qa.Close()
+	}
+	backends[0].Close()
+	qa := dialFront(t, r, "model-client", cluster.CodecBinary)
+	defer qa.Close()
+	if got, err := qa.FetchModel(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("shard 0 down: router model is %d bytes (err %v), want shard 1's %d", len(got), err, len(want))
+	}
+}
+
+// TestRouterQueryRedialsAfterRestart: a shard restarted on its address
+// breaks the router's query connection, which the next read after the
+// failure redials at once — the DialRetry gate holds back only a dial that
+// failed — and answers from the new service.
+func TestRouterQueryRedialsAfterRestart(t *testing.T) {
+	leaktest.Check(t)
+	opts := DefaultTopologyOptions()
+	opts.DialRetry = time.Hour
+	opts.Agent = patientDialOptions()
+	r, backends := startFleet(t, 1, opts)
+	const node = "node-restart"
+	q := cluster.QueryRequest{NodeID: node, Channel: "p_node", From: 0, To: 10, ResolutionS: 1}
+	seedOutOfBand(t, node, 5, backends[0])
+	fa := dialFront(t, r, "reader", cluster.CodecBinary)
+	defer fa.Close()
+	if _, err := fa.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	addr := backends[0].Addr()
+	backends[0].Close()
+	restarted := cluster.NewService(sharedModel(t))
+	restarted.Logf = t.Logf
+	if err := restarted.Listen(addr); err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	seedOutOfBand(t, node, 8, restarted)
+	st := r.shards[0]
+	if _, err := fa.Query(q); err == nil || st.hasQuery.Load() {
+		t.Fatalf("read over the broken connection: err %v, connection kept %v", err, st.hasQuery.Load())
+	}
+	got, err := fa.Query(q)
+	if err != nil {
+		t.Fatalf("the read after the failure did not redial: %v", err)
+	}
+	if len(got.Points) != 8 || !st.hasQuery.Load() || !st.up.Load() {
+		t.Fatalf("%d points, connection %v, shard up %v; want the restarted service's 8 on a new connection", len(got.Points), st.hasQuery.Load(), st.up.Load())
 	}
 }

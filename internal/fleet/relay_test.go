@@ -327,7 +327,7 @@ func (f *forger) call(kind cluster.MsgKind, body, out any) {
 	if err := cluster.WriteMsg(f.raw.conn, kind, body); err != nil {
 		f.t.Fatal(err)
 	}
-	env, err := cluster.ReadMsg(f.raw.r)
+	env, err := cluster.ReadMsgLimit(f.raw.r, cluster.DefaultMaxFrame)
 	if err == nil {
 		err = cluster.DecodeBody(env, out)
 	}

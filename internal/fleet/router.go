@@ -35,9 +35,9 @@ type Router struct {
 	nmu    sync.Mutex
 	routes map[string]*nodeRoute
 
-	// models interns the model snapshots the pooled agents fetch: every
-	// shard serves the same model, so the hundred-odd per-node and query
-	// connections share one decoded copy instead of keeping one each.
+	// models interns the model snapshots the per-node agents fetch: every
+	// shard serves the same model, so the hundred-odd ingest connections
+	// share one decoded copy instead of keeping one each.
 	models cluster.ModelCache
 
 	routed      atomic.Int64
@@ -72,13 +72,12 @@ type shardState struct {
 	up    atomic.Bool
 
 	qmu      sync.Mutex
-	query    *cluster.ResilientAgent // lazily dialed; serves queries, stats, model
+	query    *cluster.Agent // lazily dialed, nil after a transport error; serves queries, stats, model
 	nextDial time.Time
-	// hasQuery is set once the query connection is dialed, under qmu, and
-	// read without it by Stats: qmu is held across whole round trips (a
-	// pipelined group of them), and a scrape must not wait out a request
-	// parked on a dead shard. The connection never degrades — it runs only
-	// direct calls, which never serve locally — so this is all Stats needs.
+	// hasQuery mirrors query != nil. It is written under qmu and read
+	// without it by Stats: qmu is held across whole round trips (a pipelined
+	// group of them), and a scrape must not wait out a request parked on a
+	// dead shard.
 	hasQuery atomic.Bool
 }
 
@@ -298,28 +297,32 @@ func (r *Router) agentFor(nr *nodeRoute, i int, nodeID string) *cluster.Resilien
 	if nr.agents[i] == nil {
 		// The cause is dropped: replicate answers a slot without an agent
 		// with errShardUnreachable, whatever kept it from dialing.
-		nr.agents[i], _ = r.dial(r.shards[nr.owners[i]], nodeID, &nr.nextDial[i])
+		nr.agents[i], _ = dial(r, r.shards[nr.owners[i]], &nr.nextDial[i], func(addr string) (*cluster.ResilientAgent, error) {
+			return cluster.DialResilient(addr, nodeID, r.opts.Agent, &r.models)
+		})
 	}
 	return nr.agents[i]
 }
 
-// dial is the router's one way to open a pooled backend connection: it
-// dials st as nodeID unless *next, the earliest time the next attempt may
-// run, is still ahead — so a dead shard costs at most one attempt per
-// DialRetry per connection slot — and sets the shard's health bit from
-// the outcome. Callers hold the lock that guards *next.
-func (r *Router) dial(st *shardState, nodeID string, next *time.Time) (*cluster.ResilientAgent, error) {
+// dial is the router's one gate for opening a pooled backend connection,
+// per-node and query alike: it runs open on st's address unless *next, the
+// earliest time the next attempt may run, is still ahead — so a dead shard
+// costs at most one attempt per DialRetry per connection slot — and sets
+// the shard's health bit from the outcome. Callers hold the lock that
+// guards *next.
+func dial[C any](r *Router, st *shardState, next *time.Time, open func(addr string) (C, error)) (C, error) {
+	var none C
 	if time.Now().Before(*next) {
-		return nil, errShardUnreachable(st.shard.Name)
+		return none, errShardUnreachable(st.shard.Name)
 	}
-	ag, err := cluster.DialResilient(st.shard.Addr, nodeID, r.opts.Agent, &r.models)
+	c, err := open(st.shard.Addr)
 	if err != nil {
 		*next = time.Now().Add(r.opts.DialRetry)
 		st.up.Store(false)
-		return nil, fmt.Errorf("fleet: dial shard %s: %w", st.shard.Name, err)
+		return none, fmt.Errorf("fleet: dial shard %s: %w", st.shard.Name, err)
 	}
 	st.up.Store(true)
-	return ag, nil
+	return c, nil
 }
 
 // errShardUnreachable marks a replica that could not even be dialed.

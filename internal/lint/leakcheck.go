@@ -28,8 +28,7 @@ func (leakcheck) Doc() string {
 // obs server, or opening a durable store — tsdb.Open starts the WAL
 // batch flusher under the default fsync policy).
 var spawnAPINames = map[string]bool{
-	"Listen": true, "Serve": true, "Dial": true,
-	"DialResilientService": true, "Start": true, "Open": true,
+	"Listen": true, "Serve": true, "Dial": true, "Start": true, "Open": true,
 }
 
 // leakGuardPkg holds the guard, leaktest.Check; a look-alike declared
