@@ -27,6 +27,9 @@ type Agent struct {
 	batch  batcher
 	// series is the reply QueryNodes hands its caller, reused per reply.
 	series SeriesReply
+	// ests is the reply scratch Record and Flush return estimates in,
+	// reused per reply.
+	ests []Estimate
 }
 
 // Dial connects an agent to the service and registers the node, preferring
@@ -179,14 +182,17 @@ func (a *Agent) SetBatching(o BatchOptions) { a.batch.opts = o }
 // the service's estimates when a flush happened — nil estimates with a nil
 // error means the sample is pending. Without batching configured it
 // behaves like Send (one estimate per call). Unlike Send, Record copies
-// pmc, so callers may reuse their buffer immediately.
+// pmc, so callers may reuse their buffer immediately. The returned slice is
+// the agent's reply scratch: it stays valid until the next Record or Flush
+// on this agent, so a caller that keeps estimates past that copies them.
 func (a *Agent) Record(t float64, pmc []float64, measured *float64) ([]Estimate, error) {
 	if a.batch.opts.MaxSamples < 2 {
 		est, err := a.Send(t, pmc, measured)
 		if err != nil {
 			return nil, err
 		}
-		return []Estimate{est}, nil
+		a.ests = append(a.ests[:0], est)
+		return a.ests, nil
 	}
 	a.batch.add(t, pmc, measured)
 	if a.batch.n < a.batch.opts.MaxSamples {
@@ -196,23 +202,29 @@ func (a *Agent) Record(t float64, pmc []float64, measured *float64) ([]Estimate,
 }
 
 // Flush sends the pending batch now and returns its estimates (nil when
-// nothing was pending). The pending samples are consumed either way: a
-// *ServiceError means the service rejected the whole batch, and a
-// transport error means the connection is gone. An Agent retries neither;
-// a caller that needs the samples replayed after an outage hands them to
-// ResilientAgent.SendSamples instead.
+// nothing was pending) in the reply scratch Record describes, valid until
+// the next call that returns estimates. The pending samples are consumed
+// either way: a *ServiceError means the service rejected the whole batch,
+// and a transport error means the connection is gone. An Agent retries
+// neither; a caller that needs the samples replayed after an outage hands
+// them to ResilientAgent.SendSamples instead.
 func (a *Agent) Flush() ([]Estimate, error) {
 	if a.batch.n == 0 {
 		return nil, nil
 	}
-	ests, err := a.sendBatch(a.batch.wireSamples())
+	ests, err := a.sendBatch(a.batch.wireSamples(), a.ests[:0])
 	a.batch.reset()
-	return ests, err
+	a.ests = ests
+	if err != nil {
+		return nil, err
+	}
+	return ests, nil
 }
 
-// sendBatch performs one RecordBatch round trip; Flush and
-// ResilientAgent.SendSamples both run it.
-func (a *Agent) sendBatch(samples []BatchSample) ([]Estimate, error) {
+// sendBatch performs one RecordBatch round trip and appends the reply's
+// estimates to dst; Flush and ResilientAgent.SendSamples both run it. On
+// error it returns dst as it was handed.
+func (a *Agent) sendBatch(samples []BatchSample, dst []Estimate) ([]Estimate, error) {
 	var err error
 	if a.binary {
 		err = a.f.writeRecordBatch(a.nodeID, samples)
@@ -220,18 +232,20 @@ func (a *Agent) sendBatch(samples []BatchSample) ([]Estimate, error) {
 		err = WriteMsg(a.f.w, KindRecordBatch, RecordBatch{NodeID: a.nodeID, Samples: samples})
 	}
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	rep, err := a.roundTrip(KindEstimateBatch)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if rep.enc == encBinary {
-		return a.f.readEstimateBatch(rep.payload)
+		return a.f.readEstimateBatch(rep.payload, dst)
 	}
 	var eb EstimateBatch
-	err = DecodeBody(rep.env, &eb)
-	return eb.Estimates, err
+	if err := DecodeBody(rep.env, &eb); err != nil {
+		return dst, err
+	}
+	return append(dst, eb.Estimates...), nil
 }
 
 // Stats fetches service statistics.

@@ -528,22 +528,26 @@ func (f *binFramer) writeEstimateBatch(ests []Estimate) error {
 	return f.end()
 }
 
-func (f *binFramer) readEstimateBatch(payload []byte) ([]Estimate, error) {
+// readEstimateBatch appends the estimates of an EstimateBatch payload to
+// dst and returns the grown slice, so a caller that hands its previous
+// result back as dst[:0] decodes every batch into the same array. On error
+// it returns dst as it was handed.
+func (f *binFramer) readEstimateBatch(payload []byte, dst []Estimate) ([]Estimate, error) {
 	r := binReader{b: payload}
 	n := int(r.u32())
 	if n > len(payload)/35 {
-		return nil, fmt.Errorf("cluster: estimate batch claims %d entries in a %d-byte payload", n, len(payload))
+		return dst, fmt.Errorf("cluster: estimate batch claims %d entries in a %d-byte payload", n, len(payload))
 	}
-	ests := make([]Estimate, 0, n)
+	ests := dst
 	for i := 0; i < n; i++ {
 		est, err := f.readEstimateRec(&r)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		ests = append(ests, est)
 	}
 	if err := r.done(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	return ests, nil
 }

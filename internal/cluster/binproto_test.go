@@ -123,7 +123,7 @@ func decodeBinPayload(f *binFramer, kind byte, payload []byte) (func(g *binFrame
 		}
 		return func(g *binFramer) error { return g.writeRecordBatch(node, samples) }, true, nil
 	case binKindEstimateBatch:
-		ests, err := f.readEstimateBatch(payload)
+		ests, err := f.readEstimateBatch(payload, nil)
 		if err != nil {
 			return nil, true, err
 		}
@@ -655,7 +655,7 @@ func TestResilientBatchDegradedReplay(t *testing.T) {
 	}
 	defer ra.Close()
 
-	if ests, err := ra.SendSamples(nil); ests != nil || err != nil {
+	if ests, err := ra.SendSamples(nil, nil); ests != nil || err != nil {
 		t.Fatalf("empty batch: %v, %v", ests, err)
 	}
 	// Batch k carries seconds 3k, 3k+1, 3k+2 in one reused buffer, as the
@@ -667,7 +667,7 @@ func TestResilientBatchDegradedReplay(t *testing.T) {
 		for j := range batch {
 			batch[j] = BatchSample{Time: float64(3*k + j), PMC: pmc}
 		}
-		ests, err := ra.SendSamples(batch)
+		ests, err := ra.SendSamples(batch, nil)
 		if err != nil {
 			t.Fatalf("batch %d: %v", k, err)
 		}
@@ -807,14 +807,12 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 		relayedBatch[i] = BatchSample{Time: float64(i), PMC: pmc, Relayed: &rel}
 	}
 	relayedBatch[0].Measured = &meas
+	var ests []Estimate
 	sendBatch := func(samples []BatchSample) {
-		// The batch reply is only framed, not decoded: decoding it builds
-		// the caller's estimate slice, the one allocation a batch is for.
-		if err := cf.writeRecordBatch("node-alloc", samples); err != nil {
-			t.Fatal(err)
-		}
-		if rep, err := ag.roundTrip(KindEstimateBatch); err != nil || rep.enc != encBinary {
-			t.Fatalf("batch reply: %+v err %v", rep, err)
+		// The reply decodes into a buffer handed back on every call.
+		var err error
+		if ests, err = ag.sendBatch(samples, ests[:0]); err != nil || len(ests) != len(samples) || ests[len(ests)-1].Time != samples[len(samples)-1].Time {
+			t.Fatalf("batch reply: %d estimates, err %v", len(ests), err)
 		}
 	}
 	roundTrip := func() {
@@ -831,6 +829,32 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
 		t.Fatalf("serve loop allocates %.1f times per sample+batch round trip, plain and relayed, want 0", allocs)
 	}
+	// A driver's batched stream: sixteen Records, the last of which
+	// flushes, queue into the batcher's slots and decode the reply into the
+	// agent's scratch. Neither end allocates per batch.
+	ag.SetBatching(BatchOptions{MaxSamples: 16})
+	tick := 100.0
+	record := func() {
+		for i := 0; i < 16; i++ {
+			tick++
+			m := &meas
+			if i%4 != 0 {
+				m = nil
+			}
+			ests, err := ag.Record(tick, pmc, m)
+			if err != nil || (i < 15) != (ests == nil) {
+				t.Fatalf("Record %d: %d estimates, err %v", i, len(ests), err)
+			}
+			if i == 15 && (len(ests) != 16 || ests[15].Time != tick || ests[0].Time != tick-15) {
+				t.Fatalf("flushed batch answers %d estimates ending at %g, want 16 ending at %g", len(ests), ests[len(ests)-1].Time, tick)
+			}
+		}
+	}
+	record()
+	if allocs := testing.AllocsPerRun(100, record); allocs != 0 {
+		t.Fatalf("a 16-sample Record…Flush round trip allocates %.1f times per batch, want 0", allocs)
+	}
+	ag.SetBatching(BatchOptions{})
 	client.Close()
 	if err := <-done; err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("serve loop exit: %v", err)

@@ -372,7 +372,7 @@ func TestServiceFencesNewestTime(t *testing.T) {
 	if got, err := agent.send(5, other, nil, &RelayedEstimate{PNode: 1, PCPU: 1, PMEM: 1}); err != nil || got != first {
 		t.Fatalf("relayed re-send of t = 5: %+v (err %v), want the first reply %+v", got, err, first)
 	}
-	ests, err := agent.sendBatch([]BatchSample{{Time: 5, PMC: other, Measured: &reading}, {Time: 6, PMC: pmc}})
+	ests, err := agent.sendBatch([]BatchSample{{Time: 5, PMC: other, Measured: &reading}, {Time: 6, PMC: pmc}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

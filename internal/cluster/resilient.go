@@ -289,14 +289,20 @@ func (ra *ResilientAgent) live(call func(*Agent) error) (answered bool, err erro
 			break
 		}
 		err := ra.bounded(call)
-		var se *ServiceError
-		if err == nil || errors.As(err, &se) {
+		if err == nil || isRejection(err) {
 			ra.onHealthy()
 			return true, err
 		}
 		ra.failConn()
 	}
 	return false, nil
+}
+
+// isRejection reports whether err is the service's refusal over a healthy
+// link. The error target lives here, so only a failed call pays for it.
+func isRejection(err error) bool {
+	var se *ServiceError
+	return errors.As(err, &se)
 }
 
 // bounded runs call on the current connection under RequestTimeout.
@@ -352,23 +358,26 @@ func (ra *ResilientAgent) SendRelayed(t float64, pmc []float64, measured *float6
 // as-is. A sample's Relayed estimate travels with it as in SendRelayed. The
 // fleet router forwards a front-end RecordBatch to a backend shard this
 // way.
-func (ra *ResilientAgent) SendSamples(samples []BatchSample) ([]Estimate, error) {
+//
+// The estimates, one per sample in order, are appended to dst and the grown
+// slice returned, so a caller that hands the same buffer back as dst[:0]
+// allocates nothing per batch. A rejected batch appends none.
+func (ra *ResilientAgent) SendSamples(samples []BatchSample, dst []Estimate) ([]Estimate, error) {
 	if ra.closed {
-		return nil, ErrAgentClosed
+		return dst, ErrAgentClosed
 	}
 	if len(samples) == 0 {
-		return nil, nil
+		return dst, nil
 	}
-	var ests []Estimate
+	ests := dst
 	answered, err := ra.live(func(a *Agent) (err error) {
-		ests, err = a.sendBatch(samples)
+		ests, err = a.sendBatch(samples, dst)
 		return err
 	})
 	if answered {
-		ra.counters.Sent += int64(len(ests))
+		ra.counters.Sent += int64(len(ests) - len(dst))
 		return ests, err
 	}
-	ests = make([]Estimate, 0, len(samples))
 	for i := range samples {
 		bs := &samples[i]
 		est, err := ra.serveLocal(Sample{NodeID: ra.nodeID, Time: bs.Time, PMC: bs.PMC, Measured: bs.Measured, Relayed: bs.Relayed})
@@ -417,11 +426,10 @@ func (ra *ResilientAgent) replay() bool {
 			_, err := a.send(smp.Time, smp.PMC, smp.Measured, smp.Relayed)
 			return err
 		})
-		var se *ServiceError
 		switch {
 		case err == nil:
 			ra.counters.Replayed++
-		case errors.As(err, &se):
+		case isRejection(err):
 			// The service rejected a buffered sample (e.g. recorded with a
 			// stale feature layout). It will never be accepted; drop it
 			// rather than wedge the replay.

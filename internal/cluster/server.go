@@ -44,7 +44,12 @@ type Handler interface {
 	// Sample answers one second of telemetry.
 	Sample(smp *Sample) (Estimate, error)
 	// Batch answers a record batch with one estimate per sample, in order.
-	// dst is reply scratch the handler may append to and return.
+	// dst is the connection's reply scratch, empty: the handler appends to
+	// it and returns it. The Server frames the returned slice before it
+	// reads the next request and hands it back as the next call's dst, so
+	// the slice must stay the connection's alone until then — a handler
+	// whose estimates sit in memory another connection may overwrite
+	// copies them into dst.
 	Batch(rb *RecordBatch, dst []Estimate) ([]Estimate, error)
 	// Query answers a window of stored history into w, the reply being built
 	// for the connection the request arrived on: Begin and Point, or Relay

@@ -351,7 +351,7 @@ func FuzzServiceConn(f *testing.F) {
 				est, err = g.readEstimate(rep[1:])
 				ests = []Estimate{est}
 			case i >= int(st.JSONFrames) && rep[0] == binKindEstimateBatch:
-				ests, err = g.readEstimateBatch(rep[1:])
+				ests, err = g.readEstimateBatch(rep[1:], nil)
 			case i >= int(st.JSONFrames) && rep[0] == binKindJSON:
 				env, err = readJSONEnvelope(rep[1:])
 			case i < int(st.JSONFrames):

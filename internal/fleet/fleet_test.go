@@ -542,7 +542,8 @@ func TestRouterSharesModelSnapshot(t *testing.T) {
 	for _, node := range nodes {
 		nr := r.routeFor(node)
 		nr.mu.Lock()
-		for _, ag := range nr.agents {
+		for _, rp := range nr.reps {
+			ag := rp.agent
 			if ag == nil {
 				continue
 			}
@@ -855,5 +856,122 @@ func TestRouterQueryAllocs(t *testing.T) {
 	}
 	if st := r.Stats(); st.SeriesRelayed != st.NodeQueries || st.NodeQueries == 0 {
 		t.Fatalf("queries were decoded on the way: %d answered, %d relayed", st.NodeQueries, st.SeriesRelayed)
+	}
+}
+
+// echoShard is a shard backend that answers from its arguments alone, as a
+// service's reply would look, appending into the connection's reply scratch:
+// with it behind a router, every allocation a request costs is the router's
+// or a connection's.
+type echoShard struct{ model []byte }
+
+func (echoShard) Hello(string) {}
+
+func (echoShard) Sample(smp *cluster.Sample) (cluster.Estimate, error) {
+	return echoEstimate(smp.NodeID, smp.Time, smp.Measured, smp.Relayed), nil
+}
+
+func (echoShard) Batch(rb *cluster.RecordBatch, dst []cluster.Estimate) ([]cluster.Estimate, error) {
+	for i := range rb.Samples {
+		s := &rb.Samples[i]
+		dst = append(dst, echoEstimate(rb.NodeID, s.Time, s.Measured, s.Relayed))
+	}
+	return dst, nil
+}
+
+func echoEstimate(node string, t float64, measured *float64, rel *cluster.RelayedEstimate) cluster.Estimate {
+	est := cluster.Estimate{NodeID: node, Time: t, PNode: 100, PCPU: 60, PMEM: 25}
+	if measured != nil {
+		est.PNode, est.FromMeasurement = *measured, true
+	}
+	if rel != nil {
+		est.PNode, est.PCPU, est.PMEM = rel.PNode, rel.PCPU, rel.PMEM
+	}
+	return est
+}
+
+func (echoShard) Query(cluster.QueryRequest, *cluster.SeriesWriter) error {
+	return errors.New("echo shard keeps no history")
+}
+
+func (echoShard) Stats() (cluster.Stats, error) { return cluster.Stats{}, nil }
+
+func (s echoShard) Model() ([]byte, error) { return s.model, nil }
+
+// TestRouterIngestAllocs is the ingest path's allocation guard: at R = 2 a
+// 16-sample batch from a batching front-end agent, or a single sample,
+// through the router to two shards allocates nothing in steady state — not
+// in the driver's agent, the router's front end, its fan-out and per-replica
+// agents, nor the shards' serve loops. The batch's relayed follower leg is
+// under the guard too: the follower shard is sent the primary's estimates.
+func TestRouterIngestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("batch replies use pooled buffers, and sync.Pool drops items under -race")
+	}
+	leaktest.Check(t)
+	model, err := core.Marshal(sharedModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top Topology
+	for i := 0; i < 2; i++ {
+		srv := cluster.NewServer("echo", echoShard{model}, cluster.DefaultServiceOptions(), t.Logf)
+		if err := srv.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		top.Shards = append(top.Shards, Shard{Name: fmt.Sprintf("echo-%d", i), Addr: srv.Addr()})
+	}
+	opts := DefaultTopologyOptions()
+	opts.Replication = 2
+	r, err := NewRouter(top, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Logf = t.Logf
+	if err := r.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	ag := dialFront(t, r, "node-alloc", cluster.CodecBinary)
+	defer ag.Close()
+	ag.SetBatching(cluster.BatchOptions{MaxSamples: 16})
+
+	pmc := make([]float64, 8)
+	meas := 97.5
+	tick := 0.0
+	batch := func() {
+		for i := 0; i < 16; i++ {
+			tick++
+			m := &meas
+			if i%4 != 0 {
+				m = nil
+			}
+			ests, err := ag.Record(tick, pmc, m)
+			if err != nil || (i < 15) != (ests == nil) {
+				t.Fatalf("Record %d: %d estimates, err %v", i, len(ests), err)
+			}
+			if i == 15 && (len(ests) != 16 || ests[15].Time != tick || ests[0].PNode != meas) {
+				t.Fatalf("batch reply: %+v", ests)
+			}
+		}
+	}
+	sample := func() {
+		tick++
+		if est, err := ag.Send(tick, pmc, &meas); err != nil || est.Time != tick || est.PNode != meas {
+			t.Fatalf("sample reply: %+v err %v", est, err)
+		}
+	}
+	batch() // dial the per-replica agents and warm every scratch
+	sample()
+	relayed := r.Stats().Relayed
+	if allocs := testing.AllocsPerRun(50, batch); allocs != 0 {
+		t.Fatalf("a 16-sample batch through an R = 2 router allocates %.1f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, sample); allocs != 0 {
+		t.Fatalf("a sample through an R = 2 router allocates %.1f times, want 0", allocs)
+	}
+	if got, want := r.Stats().Relayed-relayed, int64(51*16+51); got != want {
+		t.Fatalf("the follower was relayed %d samples, want %d", got, want)
 	}
 }

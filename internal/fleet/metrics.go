@@ -14,8 +14,9 @@ type ShardStatus struct {
 	// Up is the health bit routing reads: false drains the shard from the
 	// query path and marks its replicas for failover.
 	Up bool `json:"up"`
-	// NodeAgents is the number of pooled per-node forwarding connections
-	// currently open to the shard.
+	// NodeAgents is the number of pooled backend connections currently
+	// open to the shard: the per-node forwarding connections plus the
+	// shard's query connection while it is open.
 	NodeAgents int `json:"node_agents"`
 	// Degraded counts forwarding connections running in degraded mode
 	// (buffering samples for in-order replay).
@@ -80,7 +81,7 @@ func (r *Router) Stats() Stats {
 	for _, nr := range routes {
 		nr.mu.Lock()
 		for i, idx := range nr.owners {
-			ag := nr.agents[i]
+			ag := nr.reps[i].agent
 			if ag == nil {
 				continue
 			}

@@ -354,7 +354,7 @@ func (f *forger) send(smp cluster.Sample, rel *cluster.RelayedEstimate) cluster.
 func (f *forger) sendBatch(samples []cluster.BatchSample) []cluster.Estimate {
 	f.t.Helper()
 	if f.ag != nil {
-		ests, err := f.ag.SendSamples(samples)
+		ests, err := f.ag.SendSamples(samples, nil)
 		if err != nil {
 			f.t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"log"
 	"sync"
@@ -81,21 +80,59 @@ type shardState struct {
 	hasQuery atomic.Bool
 }
 
-// nodeRoute is one node's forwarding state: the owning shards (primary
-// first) and one pooled ResilientAgent per owner. mu serializes the
-// node's whole ingest path — that is what preserves per-node sample order
-// across retries, degraded buffering, and replay — while distinct nodes
-// forward in parallel.
+// nodeRoute is one node's forwarding state: one replica slot per owning
+// shard (primary first), each with its pooled ResilientAgent. mu serializes
+// the node's whole ingest path — that is what preserves per-node sample
+// order across retries, degraded buffering, and replay — while distinct
+// nodes forward in parallel. Everything a forwarded request needs is
+// scratch here, guarded by mu, or a batch reply buffer from replyBufs, so
+// forwarding allocates nothing per request.
 type nodeRoute struct {
 	mu       sync.Mutex
 	owners   []int
-	agents   []*cluster.ResilientAgent
-	nextDial []time.Time
+	reps     []replica
 	recorded atomic.Bool // an estimate was produced: the node exists for scatter-gather
 
+	// one carries a front-end Sample to replicate as a batch of one, and wg
+	// waits for the followers replicate runs on goroutines of their own
+	// (R > 2).
+	one [1]cluster.BatchSample
+	wg  sync.WaitGroup
 	// relayEsts holds the primary's estimates while they ride a request to
-	// the followers (guarded by mu).
+	// the followers.
 	relayEsts []cluster.RelayedEstimate
+}
+
+// replica is one owner's slot in a nodeRoute: its pooled agent, the
+// earliest next dial, and the outcome of the request being forwarded. Each
+// replica's outcome is written only by the goroutine sending to it.
+type replica struct {
+	agent    *cluster.ResilientAgent
+	nextDial time.Time
+
+	ests []cluster.Estimate  // the reply: in buf, or in one
+	buf  *[]cluster.Estimate // a batch reply's buffer, held from replyBufs while forwarding
+	err  error
+	live bool                // transport healthy and the answer came from the service
+	one  [1]cluster.Estimate // a Sample's reply
+}
+
+// replyBufs pools the buffers replicas answer a batch into (*[]Estimate).
+// A buffer is held only while its request is forwarded, so the router keeps
+// as many as it has batches in flight, not one per node and replica.
+var replyBufs = sync.Pool{New: func() any { return new([]cluster.Estimate) }}
+
+// releaseReplies hands the replicas' batch buffers back to replyBufs once
+// the answer has been copied out.
+func (nr *nodeRoute) releaseReplies() {
+	for i := range nr.reps {
+		rp := &nr.reps[i]
+		if rp.buf != nil {
+			*rp.buf = rp.ests[:0]
+			replyBufs.Put(rp.buf)
+			rp.buf, rp.ests = nil, nil
+		}
+	}
 }
 
 // attachEstimates points every sample at the primary's estimate for it,
@@ -195,9 +232,9 @@ func (r *Router) closeAgents() {
 	r.nmu.Unlock()
 	for _, nr := range routes {
 		nr.mu.Lock()
-		for _, ag := range nr.agents {
-			if ag != nil {
-				_ = ag.Close()
+		for _, rp := range nr.reps {
+			if rp.agent != nil {
+				_ = rp.agent.Close()
 			}
 		}
 		nr.mu.Unlock()
@@ -226,11 +263,11 @@ func (h routerHandler) Hello(nodeID string) { h.r.routeFor(nodeID) }
 // replicate returns, and a degraded agent copies what it buffers for
 // replay. Whatever estimate a front-end peer attached is not forwarded.
 func (h routerHandler) Sample(smp *cluster.Sample) (cluster.Estimate, error) {
-	one := [1]cluster.BatchSample{{Time: smp.Time, PMC: smp.PMC, Measured: smp.Measured}}
-	ests, err := h.r.replicate(smp.NodeID, one[:], func(ag *cluster.ResilientAgent, s []cluster.BatchSample) ([]cluster.Estimate, error) {
-		est, err := ag.SendRelayed(s[0].Time, s[0].PMC, s[0].Measured, s[0].Relayed)
-		return []cluster.Estimate{est}, err
-	})
+	nr := h.r.routeFor(smp.NodeID)
+	nr.mu.Lock()
+	defer nr.mu.Unlock()
+	nr.one[0] = cluster.BatchSample{Time: smp.Time, PMC: smp.PMC, Measured: smp.Measured}
+	ests, err := h.r.replicate(nr, smp.NodeID, nr.one[:], sendSample)
 	if err != nil {
 		return cluster.Estimate{}, h.r.countError(err)
 	}
@@ -238,16 +275,36 @@ func (h routerHandler) Sample(smp *cluster.Sample) (cluster.Estimate, error) {
 }
 
 // Batch forwards through ResilientAgent.SendSamples, so a degraded replica
-// buffers the whole batch in order. It ignores the reply scratch: the
-// winning replica's estimates arrive in a slice of their own. Estimates a
-// front-end peer attached are dropped in place (rb is the connection's
-// scratch, the handler's to overwrite until it returns).
-func (h routerHandler) Batch(rb *cluster.RecordBatch, _ []cluster.Estimate) ([]cluster.Estimate, error) {
+// buffers the whole batch in order. The winning replica's estimates sit in
+// a pooled buffer, so they are copied into the connection's dst before the
+// buffers go back and the route is released. Estimates a front-end peer
+// attached are dropped in place (rb is the connection's scratch, the
+// handler's to overwrite until it returns).
+func (h routerHandler) Batch(rb *cluster.RecordBatch, dst []cluster.Estimate) ([]cluster.Estimate, error) {
 	for i := range rb.Samples {
 		rb.Samples[i].Relayed = nil
 	}
-	ests, err := h.r.replicate(rb.NodeID, rb.Samples, (*cluster.ResilientAgent).SendSamples)
-	return ests, h.r.countError(err)
+	nr := h.r.routeFor(rb.NodeID)
+	nr.mu.Lock()
+	defer nr.mu.Unlock()
+	defer nr.releaseReplies()
+	ests, err := h.r.replicate(nr, rb.NodeID, rb.Samples, sendSamples)
+	if err != nil {
+		return nil, h.r.countError(err)
+	}
+	return append(dst, ests...), nil
+}
+
+// sendSample and sendSamples are replicate's two ways of delivering a
+// request to one replica, writing its outcome into the replica's slot.
+func sendSample(rp *replica, s []cluster.BatchSample) {
+	rp.one[0], rp.err = rp.agent.SendRelayed(s[0].Time, s[0].PMC, s[0].Measured, s[0].Relayed)
+	rp.ests = rp.one[:]
+}
+
+func sendSamples(rp *replica, s []cluster.BatchSample) {
+	rp.buf = replyBufs.Get().(*[]cluster.Estimate)
+	rp.ests, rp.err = rp.agent.SendSamples(s, (*rp.buf)[:0])
 }
 
 func (h routerHandler) Query(q cluster.QueryRequest, w *cluster.SeriesWriter) error {
@@ -279,11 +336,7 @@ func (r *Router) routeFor(nodeID string) *nodeRoute {
 	nr, ok := r.routes[nodeID]
 	if !ok {
 		owners := r.ring.owners(nodeID, r.opts.Replication)
-		nr = &nodeRoute{
-			owners:   owners,
-			agents:   make([]*cluster.ResilientAgent, len(owners)),
-			nextDial: make([]time.Time, len(owners)),
-		}
+		nr = &nodeRoute{owners: owners, reps: make([]replica, len(owners))}
 		r.routes[nodeID] = nr
 	}
 	return nr
@@ -294,14 +347,15 @@ func (r *Router) routeFor(nodeID string) *nodeRoute {
 // is unreachable and no model snapshot was ever fetched for this node —
 // there is nothing to degrade to. Callers hold nr.mu.
 func (r *Router) agentFor(nr *nodeRoute, i int, nodeID string) *cluster.ResilientAgent {
-	if nr.agents[i] == nil {
+	rp := &nr.reps[i]
+	if rp.agent == nil {
 		// The cause is dropped: replicate answers a slot without an agent
 		// with errShardUnreachable, whatever kept it from dialing.
-		nr.agents[i], _ = dial(r, r.shards[nr.owners[i]], &nr.nextDial[i], func(addr string) (*cluster.ResilientAgent, error) {
+		rp.agent, _ = dial(r, r.shards[nr.owners[i]], &rp.nextDial, func(addr string) (*cluster.ResilientAgent, error) {
 			return cluster.DialResilient(addr, nodeID, r.opts.Agent, &r.models)
 		})
 	}
-	return nr.agents[i]
+	return rp.agent
 }
 
 // dial is the router's one gate for opening a pooled backend connection,
@@ -333,7 +387,9 @@ func errShardUnreachable(name string) error {
 // replicate is the router's one ingest fan-out: send delivers samples — a
 // front-end request, stripped of any estimate a peer attached — to the
 // node's primary shard and, with R > 1, to its followers (synchronous
-// replication), each on that replica's pooled agent.
+// replication), each on that replica's pooled agent. The caller holds
+// nr.mu, and the returned estimates are replica scratch: valid while it
+// does.
 //
 // With R > 1 the primary is asked first, on the calling goroutine. A live,
 // complete answer rides to the followers attached in place to the same
@@ -351,53 +407,51 @@ func errShardUnreachable(name string) error {
 // in-order replay), the first follower with a live service answer takes
 // over, so the front-end keeps receiving service-grade estimates through
 // single-shard outages.
-func (r *Router) replicate(nodeID string, samples []cluster.BatchSample, send func(*cluster.ResilientAgent, []cluster.BatchSample) ([]cluster.Estimate, error)) ([]cluster.Estimate, error) {
-	nr := r.routeFor(nodeID)
-	nr.mu.Lock()
-	defer nr.mu.Unlock()
-	n := len(nr.owners)
-	agents := make([]*cluster.ResilientAgent, n)
-	for i := range agents {
-		agents[i] = r.agentFor(nr, i, nodeID)
+func (r *Router) replicate(nr *nodeRoute, nodeID string, samples []cluster.BatchSample, send func(*replica, []cluster.BatchSample)) ([]cluster.Estimate, error) {
+	n := len(nr.reps)
+	for i := range nr.reps {
+		r.agentFor(nr, i, nodeID)
 	}
-	ests := make([][]cluster.Estimate, n)
-	errs := make([]error, n)
-	run := func(i int) { // each replica writes only its own outcome slot
-		if agents[i] != nil {
-			ests[i], errs[i] = send(agents[i], samples)
-		} else {
-			errs[i] = errShardUnreachable(r.shards[nr.owners[i]].shard.Name)
-		}
-	}
-	run(0)
-	relaying := n > 1 && liveAnswer(ests[0], errs[0], len(samples))
+	r.deliver(nr, 0, samples, send)
+	primary := &nr.reps[0]
+	relaying := n > 1 && liveAnswer(primary.ests, primary.err, len(samples))
 	if relaying {
-		nr.attachEstimates(samples, ests[0])
+		nr.attachEstimates(samples, primary.ests)
 	}
-	var wg sync.WaitGroup
 	for i := 1; i < n-1; i++ {
-		wg.Add(1)
+		nr.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			run(i)
+			defer nr.wg.Done()
+			r.deliver(nr, i, samples, send)
 		}()
 	}
 	if n > 1 {
-		run(n - 1)
+		r.deliver(nr, n-1, samples, send)
 	}
-	wg.Wait()
+	nr.wg.Wait()
 	if relaying {
 		for i := 1; i < n; i++ {
-			if liveAnswer(ests[i], errs[i], len(samples)) {
+			if rp := &nr.reps[i]; liveAnswer(rp.ests, rp.err, len(samples)) {
 				r.relayed.Add(int64(len(samples)))
 			}
 		}
 	}
-	pick, err := r.settleIdx(nr, ests, errs)
+	pick, err := r.settleIdx(nr)
 	if err != nil {
 		return nil, err
 	}
-	return ests[pick], nil
+	return nr.reps[pick].ests, nil
+}
+
+// deliver hands samples to replica i of nr, or records it unreachable when
+// it has no agent. It writes only that replica's slot.
+func (r *Router) deliver(nr *nodeRoute, i int, samples []cluster.BatchSample, send func(*replica, []cluster.BatchSample)) {
+	rp := &nr.reps[i]
+	if rp.agent == nil {
+		rp.ests, rp.err = nil, errShardUnreachable(r.shards[nr.owners[i]].shard.Name)
+		return
+	}
+	send(rp, samples)
 }
 
 // liveAnswer reports whether a replica answered all want samples from the
@@ -430,47 +484,48 @@ func liveAnswer(ests []cluster.Estimate, err error, want int) bool {
 // Only an acknowledged estimate counts: an empty batch makes no round trip
 // and produces none, so it is answered (empty, as a service would) without
 // moving a counter, a health bit, or the node into the scatter-gather set.
-func (r *Router) settleIdx(nr *nodeRoute, ests [][]cluster.Estimate, errs []error) (int, error) {
-	live := make([]bool, len(errs)) // transport healthy and answer came from the service
-	var se *cluster.ServiceError
+func (r *Router) settleIdx(nr *nodeRoute) (int, error) {
 	for i, idx := range nr.owners {
+		rp := &nr.reps[i]
+		rp.live = false
 		switch {
-		case errs[i] != nil:
-			r.shards[idx].up.Store(errors.As(errs[i], &se))
-		case len(ests[i]) > 0:
-			live[i] = !ests[i][0].Local
-			r.shards[idx].up.Store(live[i])
+		case rp.err != nil:
+			r.shards[idx].up.Store(isRejection(rp.err))
+		case len(rp.ests) > 0:
+			rp.live = !rp.ests[0].Local
+			r.shards[idx].up.Store(rp.live)
 		}
 	}
-	if live[0] {
+	reps := nr.reps
+	if reps[0].live {
 		r.routed.Add(1)
 	}
-	for i := 1; i < len(live); i++ {
-		if live[i] {
+	for i := 1; i < len(reps); i++ {
+		if reps[i].live {
 			r.replicated.Add(1)
 		}
 	}
-	if errs[0] != nil && errors.As(errs[0], &se) {
-		return 0, errs[0]
+	if isRejection(reps[0].err) {
+		return 0, reps[0].err
 	}
-	if live[0] {
+	if reps[0].live {
 		nr.recorded.Store(true)
 		return 0, nil
 	}
-	for i := 1; i < len(live); i++ {
-		if live[i] {
+	for i := 1; i < len(reps); i++ {
+		if reps[i].live {
 			r.failedOver.Add(1)
 			nr.recorded.Store(true)
 			return i, nil
 		}
 	}
-	for i := range errs {
-		if errs[i] == nil {
-			if len(ests[i]) > 0 {
+	for i := range reps {
+		if reps[i].err == nil {
+			if len(reps[i].ests) > 0 {
 				nr.recorded.Store(true)
 			}
 			return i, nil
 		}
 	}
-	return 0, errs[0]
+	return 0, reps[0].err
 }

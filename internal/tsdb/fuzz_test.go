@@ -96,9 +96,8 @@ func FuzzSnapshotFile(f *testing.F) {
 			}
 		}()
 		fillSeeded(f, st, 11, 50)
-		_, body := st.snapshotNow()
-		file := append([]byte(snapMagic), body...)
-		f.Add(append(file, crcTrailer(body)...))
+		file := snapshotFile(f, st)
+		f.Add(file)
 		f.Add(file[:len(file)/2])
 	}()
 	f.Add([]byte(snapMagic))

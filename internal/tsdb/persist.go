@@ -234,8 +234,7 @@ func (st *Store) Snapshot() error {
 	}
 	st.snapMu.Lock()
 	defer st.snapMu.Unlock()
-	lastSeq, body := st.snapshotNow()
-	if _, err := writeSnapshotFile(st.dir, lastSeq, body); err != nil {
+	if _, err := writeSnapshotFile(st.dir, st.snapshotNow()); err != nil {
 		return err
 	}
 	if err := st.wal.rotate(); err != nil {
@@ -248,32 +247,47 @@ func (st *Store) Snapshot() error {
 	return nil
 }
 
-// snapshotNow serialises the store under every shard lock (sorted node
-// order) — a consistent cut. Holding st.mu.RLock across the shard locks
-// keeps new shards from appearing mid-walk, and because every WAL append
-// happens under a shard lock, wal.lastSeq() taken here is exactly the
-// state's coverage.
-func (st *Store) snapshotNow() (uint64, []byte) {
+// snapshotNow takes a consistent cut of the store under every shard lock
+// (sorted node order) and releases them before anything is written: the
+// cut copies only what ingest may still write (see snapCut), so the stall
+// is bounded by the open blocks, not the store. Holding st.mu.RLock across
+// the shard locks keeps new shards from appearing mid-cut, and because
+// every WAL append happens under a shard lock, wal.lastSeq() taken here is
+// exactly the cut's coverage. A shard is released as soon as it is cut: it
+// has been locked since before lastSeq was read, so its cut is its state
+// at lastSeq.
+func (st *Store) snapshotNow() *snapCut {
 	st.mu.RLock()
+	defer st.mu.RUnlock()
 	nodes := make([]string, 0, len(st.shards))
 	for n := range st.shards {
 		nodes = append(nodes, n)
 	}
 	sort.Strings(nodes)
-	shards := make([]*shard, len(nodes))
-	for i, n := range nodes {
-		shards[i] = st.shards[n]
+	for _, n := range nodes {
+		st.shards[n].mu.Lock()
 	}
-	for _, sh := range shards {
-		sh.mu.Lock()
+	cut := &snapCut{lastSeq: st.wal.lastSeq(), nodes: make([]cutNode, 0, len(nodes))}
+	sealed, open := 0, 0
+	for _, n := range nodes {
+		for _, cs := range st.shards[n].chans {
+			for _, s := range [3]*series{cs.raw, cs.r10.ser, cs.r60.ser} {
+				k := s.sealed()
+				sealed += k
+				if k < len(s.blocks) {
+					open += len(s.blocks[k].bs.b)
+				}
+				open += maxOpenState
+			}
+		}
 	}
-	lastSeq := st.wal.lastSeq()
-	body := snapshotBody(lastSeq, nodes, shards)
-	for _, sh := range shards {
+	cut.sealed, cut.open = make([]*block, 0, sealed), make([]byte, 0, open)
+	for _, n := range nodes {
+		sh := st.shards[n]
+		cut.add(n, sh)
 		sh.mu.Unlock()
 	}
-	st.mu.RUnlock()
-	return lastSeq, body
+	return cut
 }
 
 // prune removes all but the two newest snapshots, then the WAL segments

@@ -318,7 +318,8 @@ func TestWALRecordRoundTrip(t *testing.T) {
 
 // TestSnapshotDeterministic pins that serialising the same state twice
 // yields the same bytes — the property that makes snapshot files
-// comparable across runs and keeps the fuzz corpus stable.
+// comparable across runs and keeps the fuzz corpus stable — and that the
+// CRC the writer keeps while it streams is the one-shot CRC of the body.
 func TestSnapshotDeterministic(t *testing.T) {
 	leaktest.Check(t)
 	dir := t.TempDir()
@@ -332,18 +333,31 @@ func TestSnapshotDeterministic(t *testing.T) {
 		}
 	}()
 	fillSeeded(t, st, 5, 80)
-	seq1, body1 := st.snapshotNow()
-	seq2, body2 := st.snapshotNow()
-	if seq1 != seq2 || !bytes.Equal(body1, body2) {
-		t.Fatal("snapshotNow is not deterministic for a quiescent store")
+	file1, file2 := snapshotFile(t, st), snapshotFile(t, st)
+	if !bytes.Equal(file1, file2) {
+		t.Fatal("two cuts of a quiescent store serialise differently")
 	}
-	snap, err := decodeSnapshot(append(append([]byte(snapMagic), body1...), crcTrailer(body1)...), st.opts)
+	body := file1[len(snapMagic) : len(file1)-4]
+	if !bytes.Equal(file1[len(file1)-4:], crcTrailer(body)) {
+		t.Fatal("streamed CRC differs from the CRC of the whole body")
+	}
+	snap, err := decodeSnapshot(file1, st.opts)
 	if err != nil {
 		t.Fatalf("decodeSnapshot: %v", err)
 	}
 	if snap.lastSeq != 80 {
 		t.Fatalf("snapshot covers %d, want 80", snap.lastSeq)
 	}
+}
+
+// snapshotFile renders the file a snapshot of st would write now.
+func snapshotFile(t testing.TB, st *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeSnapshot(&buf, st.snapshotNow()); err != nil {
+		t.Fatalf("writeSnapshot: %v", err)
+	}
+	return buf.Bytes()
 }
 
 // TestIngestAfterWALCloseFails pins the WAL-before-memory invariant: once

@@ -57,6 +57,16 @@ func (s *series) append(t int64, vals []float64) {
 	}
 }
 
+// sealed is the number of leading blocks no append will write again: all
+// but the newest, and the newest too once it is full.
+func (s *series) sealed() int {
+	n := len(s.blocks)
+	if n > 0 && s.blocks[n-1].n < s.blockPoints {
+		n--
+	}
+	return n
+}
+
 // query hands emit every retained point with from ≤ t ≤ to, oldest first,
 // one run per overlapping block: the run's timestamps and its k-interleaved
 // values (point p's are vals[p*k : (p+1)*k]). A run aliases memory the next

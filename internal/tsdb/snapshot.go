@@ -26,17 +26,22 @@
 // bucket is u8 open, and when open i64 bucket start, i64 count, f64
 // mean/m2/min/max (the exact Welford accumulator).
 //
-// Snapshots are written to a temp file, fsynced, renamed into place and
-// the directory fsynced — a crash mid-write leaves only a temp file that
-// recovery ignores. The trailing CRC covers the whole body, so a torn or
-// bit-flipped snapshot is rejected as a unit and recovery falls back to
-// the previous snapshot (the rotation policy always keeps two).
+// A snapshot is serialised from a cut the store takes under its shard locks
+// (Store.snapshotNow) and streamed to the file after they are released, the
+// CRC computed as the bytes go out. Snapshots are written to a temp file,
+// fsynced, renamed into place and the directory fsynced — a crash
+// mid-write leaves only a temp file that recovery ignores. The trailing CRC
+// covers the whole body, so a torn or bit-flipped snapshot is rejected as
+// a unit and recovery falls back to the previous snapshot (the rotation
+// policy always keeps two).
 package tsdb
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -78,28 +83,7 @@ func appendU64(b []byte, v uint64) []byte {
 
 func appendI64(b []byte, v int64) []byte     { return appendU64(b, uint64(v)) }
 func appendF64(b []byte, v float64) []byte   { return appendU64(b, math.Float64bits(v)) }
-func appendBytes(b []byte, p []byte) []byte  { return append(appendU32(b, uint32(len(p))), p...) }
 func appendString(b []byte, s string) []byte { return append(appendU16(b, uint16(len(s))), s...) }
-
-// appendSeries serialises one series' blocks including the encoder state of
-// the open block (sealed blocks carry theirs too — it is dead weight for
-// them but keeps the format uniform).
-func appendSeries(b []byte, s *series) []byte {
-	b = appendU32(b, uint32(len(s.blocks)))
-	for _, blk := range s.blocks {
-		b = appendU32(b, uint32(blk.n))
-		b = appendI64(b, blk.first)
-		b = appendI64(b, blk.last)
-		b = appendI64(b, blk.tDelta)
-		for i := 0; i < blk.k; i++ {
-			b = appendU64(b, blk.val[i])
-			b = append(b, blk.leading[i], blk.trailing[i])
-		}
-		b = append(b, blk.bs.free)
-		b = appendBytes(b, blk.bs.b)
-	}
-	return b
-}
 
 // appendRollupOpen serialises the open-bucket aggregator.
 func appendRollupOpen(b []byte, r *rollup) []byte {
@@ -116,25 +100,141 @@ func appendRollupOpen(b []byte, r *rollup) []byte {
 	return b
 }
 
-// snapshotBody serialises the store's full state. The caller holds every
-// shard lock (see Store.Snapshot), so the walk sees one consistent cut.
-// Node order is sorted, making the snapshot bytes deterministic for a
-// given store state.
-func snapshotBody(lastSeq uint64, nodes []string, shards []*shard) []byte {
-	b := make([]byte, 0, 1<<16)
-	b = appendU64(b, lastSeq)
-	b = appendU32(b, uint32(len(nodes)))
-	for i, name := range nodes {
-		b = appendString(b, name)
-		for _, cs := range shards[i].chans {
-			b = appendSeries(b, cs.raw)
-			b = appendSeries(b, cs.r10.ser)
-			b = appendRollupOpen(b, cs.r10)
-			b = appendSeries(b, cs.r60.ser)
-			b = appendRollupOpen(b, cs.r60)
+// appendBlockHeader serialises a block's header up to and including the
+// length of its compressed bytes, which follow it in the file. It carries
+// the encoder state of the open block (sealed blocks carry theirs too — it
+// is dead weight for them but keeps the format uniform).
+func appendBlockHeader(b []byte, blk *block) []byte {
+	b = appendU32(b, uint32(blk.n))
+	b = appendI64(b, blk.first)
+	b = appendI64(b, blk.last)
+	b = appendI64(b, blk.tDelta)
+	for i := 0; i < blk.k; i++ {
+		b = appendU64(b, blk.val[i])
+		b = append(b, blk.leading[i], blk.trailing[i])
+	}
+	b = append(b, blk.bs.free)
+	return appendU32(b, uint32(len(blk.bs.b)))
+}
+
+// snapCut is a consistent cut of a store, taken under the shard locks and
+// written after they are released. What ingest may still write is copied
+// in its serialised form: every series' open block and every rollup's open
+// bucket go to open. What it cannot is shared: the sealed blocks, whose
+// pointers are copied to sealed, since retention nils evicted slots of a
+// live series' slice in place. Both are single buffers, so a snapshot
+// leaves no small garbage among the live blocks.
+type snapCut struct {
+	lastSeq uint64
+	nodes   []cutNode
+	sealed  []*block
+	open    []byte
+}
+
+// cutNode is one node of a cut: per channel, its raw, 10 s and 60 s series
+// in file order.
+type cutNode struct {
+	name   string
+	series [NumChannels][3]cutSeries
+}
+
+// cutSeries locates one series in its cut: blocks in all, the sealed ones
+// at sealed[sealedAt:sealedEnd], then open[openAt:openEnd] — the open block
+// if any and, for a rollup, the open bucket.
+type cutSeries struct {
+	blocks              int
+	sealedAt, sealedEnd int
+	openAt, openEnd     int
+}
+
+// maxOpenState bounds what a series adds to a cut's open buffer besides its
+// open block's compressed bytes: that block's header and a rollup's open
+// bucket, so a cut can size the buffer before it copies anything.
+const maxOpenState = 4 + 3*8 + rollupChains*10 + 1 + 4 + 1 + 6*8
+
+// add cuts node name out of sh, whose lock the caller holds.
+func (c *snapCut) add(name string, sh *shard) {
+	n := cutNode{name: name}
+	for ci, cs := range sh.chans {
+		n.series[ci] = [3]cutSeries{c.series(cs.raw, nil), c.series(cs.r10.ser, cs.r10), c.series(cs.r60.ser, cs.r60)}
+	}
+	c.nodes = append(c.nodes, n)
+}
+
+// series cuts s and, when s is a rollup's, the rollup's open bucket.
+func (c *snapCut) series(s *series, ru *rollup) cutSeries {
+	sealed := s.sealed()
+	cs := cutSeries{blocks: len(s.blocks), sealedAt: len(c.sealed), openAt: len(c.open)}
+	c.sealed = append(c.sealed, s.blocks[:sealed]...)
+	if sealed < len(s.blocks) {
+		blk := s.blocks[sealed]
+		c.open = append(appendBlockHeader(c.open, blk), blk.bs.b...)
+	}
+	if ru != nil {
+		c.open = appendRollupOpen(c.open, ru)
+	}
+	cs.sealedEnd, cs.openEnd = len(c.sealed), len(c.open)
+	return cs
+}
+
+// snapWriter streams one snapshot body to w with a running CRC32 of every
+// byte. Fixed-width fields are framed in b, a scratch reused for the whole
+// snapshot; block bytes go to w as they lie, so the scratch holds at most
+// the fields between two blocks. The first error sticks.
+type snapWriter struct {
+	w   io.Writer
+	crc uint32
+	b   []byte
+	err error
+}
+
+// emit writes p as body bytes.
+func (sw *snapWriter) emit(p []byte) {
+	if sw.err != nil {
+		return
+	}
+	sw.crc = crc32.Update(sw.crc, crc32.IEEETable, p)
+	_, sw.err = sw.w.Write(p)
+}
+
+// flush emits the framed fields and empties the scratch.
+func (sw *snapWriter) flush() {
+	sw.emit(sw.b)
+	sw.b = sw.b[:0]
+}
+
+// writeSnapshot writes the file image of cut to w: the magic, the body
+// streamed node by node in the cut's sorted order, and the body's CRC32.
+// The bytes are a pure function of the cut.
+func writeSnapshot(w io.Writer, cut *snapCut) error {
+	if _, err := io.WriteString(w, snapMagic); err != nil {
+		return err
+	}
+	sw := snapWriter{w: w}
+	sw.b = appendU64(sw.b, cut.lastSeq)
+	sw.b = appendU32(sw.b, uint32(len(cut.nodes)))
+	for i := range cut.nodes {
+		n := &cut.nodes[i]
+		sw.b = appendString(sw.b, n.name)
+		for ci := range n.series {
+			for _, cs := range n.series[ci] {
+				sw.b = appendU32(sw.b, uint32(cs.blocks))
+				for _, blk := range cut.sealed[cs.sealedAt:cs.sealedEnd] {
+					sw.b = appendBlockHeader(sw.b, blk)
+					sw.flush()
+					sw.emit(blk.bs.b)
+				}
+				sw.flush()
+				sw.emit(cut.open[cs.openAt:cs.openEnd])
+			}
 		}
 	}
-	return b
+	sw.flush()
+	if sw.err != nil {
+		return sw.err
+	}
+	_, err := w.Write(binary.BigEndian.AppendUint32(sw.b[:0], sw.crc))
+	return err
 }
 
 // --- decoding ---------------------------------------------------------------
@@ -389,24 +489,24 @@ func listSnapshots(dir string) ([]snapFile, error) {
 	return snaps, nil
 }
 
-// writeSnapshotFile writes body atomically: temp file, fsync, rename,
+// snapWriteBuf sizes the buffer a snapshot file is written through: large
+// enough that the file costs a few hundred writes, not one per block.
+const snapWriteBuf = 64 << 10
+
+// writeSnapshotFile writes cut atomically: temp file, fsync, rename,
 // directory fsync. Only after the rename is the snapshot visible to
 // recovery, so a crash mid-write is indistinguishable from no snapshot.
-func writeSnapshotFile(dir string, lastSeq uint64, body []byte) (string, error) {
-	path := filepath.Join(dir, snapshotName(lastSeq))
+func writeSnapshotFile(dir string, cut *snapCut) (string, error) {
+	path := filepath.Join(dir, snapshotName(cut.lastSeq))
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return "", fmt.Errorf("tsdb: snapshot temp: %w", err)
 	}
-	_, werr := f.Write([]byte(snapMagic))
+	bw := bufio.NewWriterSize(f, snapWriteBuf)
+	werr := writeSnapshot(bw, cut)
 	if werr == nil {
-		_, werr = f.Write(body)
-	}
-	if werr == nil {
-		var crc [4]byte
-		binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
-		_, werr = f.Write(crc[:])
+		werr = bw.Flush()
 	}
 	if werr == nil {
 		werr = f.Sync()
