@@ -174,8 +174,8 @@ func summary(st fleet.Stats) string {
 			up++
 		}
 	}
-	return fmt.Sprintf("%d/%d shards up, %d nodes, %d routed, %d replicated (%d samples relayed), %d failovers, %d scatter-gathers, %d node queries (%d relayed undecoded)",
-		up, len(st.Shards), st.Nodes, st.Routed, st.Replicated, st.Relayed, st.FailedOver, st.ScatterGathers, st.NodeQueries, st.SeriesRelayed)
+	return fmt.Sprintf("%d/%d shards up, %d nodes, %d routed, %d replicated (%d samples relayed), %d failovers, %d scatter-gathers, %d node queries",
+		up, len(st.Shards), st.Nodes, st.Routed, st.Replicated, st.Relayed, st.FailedOver, st.ScatterGathers, st.NodeQueries)
 }
 
 func fatal(err error) {

@@ -14,8 +14,10 @@ import (
 // a ResilientAgent instead.
 //
 // By default Dial offers the binary wire codec and falls back to JSON when
-// the service predates it; DialCodec pins the choice. Codec affects
-// framing only — estimates, stats and series are identical either way.
+// the service predates it; DialCodec pins the choice. A JSON connection
+// carries Send, Stats and FetchModel with the same answers as a binary one;
+// batched Flush, Query and QueryNodes need the binary codec and return an
+// error there without writing a frame.
 type Agent struct {
 	nodeID string
 	conn   net.Conn
@@ -225,27 +227,26 @@ func (a *Agent) Flush() ([]Estimate, error) {
 // estimates to dst; Flush and ResilientAgent.SendSamples both run it. On
 // error it returns dst as it was handed.
 func (a *Agent) sendBatch(samples []BatchSample, dst []Estimate) ([]Estimate, error) {
-	var err error
-	if a.binary {
-		err = a.f.writeRecordBatch(a.nodeID, samples)
-	} else {
-		err = WriteMsg(a.f.w, KindRecordBatch, RecordBatch{NodeID: a.nodeID, Samples: samples})
+	if err := a.needBinary(KindRecordBatch); err != nil {
+		return dst, err
 	}
-	if err != nil {
+	if err := a.f.writeRecordBatch(a.nodeID, samples); err != nil {
 		return dst, err
 	}
 	rep, err := a.roundTrip(KindEstimateBatch)
 	if err != nil {
 		return dst, err
 	}
-	if rep.enc == encBinary {
-		return a.f.readEstimateBatch(rep.payload, dst)
+	return a.f.readEstimateBatch(rep.payload, dst)
+}
+
+// needBinary refuses, before anything is written, a request only the
+// binary codec carries (see binaryOnly).
+func (a *Agent) needBinary(kind MsgKind) error {
+	if a.binary {
+		return nil
 	}
-	var eb EstimateBatch
-	if err := DecodeBody(rep.env, &eb); err != nil {
-		return dst, err
-	}
-	return append(dst, eb.Estimates...), nil
+	return fmt.Errorf("cluster: %w", binaryOnly(kind))
 }
 
 // Stats fetches service statistics.
@@ -259,7 +260,10 @@ func (a *Agent) Stats() (Stats, error) {
 // when req.NodeID is set, the cluster-wide aggregate otherwise. NaN gaps
 // (sparse IPMI seconds, all-NaN rollup buckets) arrive as NaN.
 func (a *Agent) Query(req QueryRequest) (SeriesBody, error) {
-	if err := a.writeQuery(req); err != nil {
+	if err := a.needBinary(KindQuery); err != nil {
+		return SeriesBody{}, err
+	}
+	if err := a.f.writeQuery(req); err != nil {
 		return SeriesBody{}, err
 	}
 	rep, err := a.roundTrip(KindSeries)
@@ -268,14 +272,6 @@ func (a *Agent) Query(req QueryRequest) (SeriesBody, error) {
 	}
 	series := SeriesReply{f: a.f, msg: rep}
 	return series.Body()
-}
-
-// writeQuery frames one query in the connection's codec.
-func (a *Agent) writeQuery(req QueryRequest) error {
-	if a.binary {
-		return a.f.writeQuery(req)
-	}
-	return WriteMsg(a.f.w, KindQuery, req)
 }
 
 // queryWindow bounds the request bytes QueryNodes keeps in flight on one
@@ -288,13 +284,8 @@ func (a *Agent) writeQuery(req QueryRequest) error {
 // is the plain request/reply protocol.
 const queryWindow = 2 << 10
 
-// queryFrameLen is the size of q's request frame on this connection. A JSON
-// frame's is not known before it is marshalled, so it counts as a whole
-// window: JSON connections run one request at a time.
-func (a *Agent) queryFrameLen(q *QueryRequest) int {
-	if !a.binary {
-		return queryWindow
-	}
+// queryFrameLen is the size of q's request frame.
+func queryFrameLen(q *QueryRequest) int {
 	return 4 + 1 + 2 + len(q.NodeID) + 2 + len(q.Channel) + 8 + 8 + 4
 }
 
@@ -311,8 +302,12 @@ func (a *Agent) queryFrameLen(q *QueryRequest) int {
 // done counts the nodes each was called for and returned nil. A non-nil
 // error — the transport's, a protocol violation, or each's own, which must
 // mean the reply was malformed — ends the group at node done and leaves the
-// connection unusable: requests past it may be in flight.
+// connection unusable: requests past it may be in flight. On a JSON
+// connection the error comes at once, done 0, with nothing written.
 func (a *Agent) QueryNodes(q QueryRequest, nodes []string, timeout time.Duration, each func(i int, rep *SeriesReply, rejected *ServiceError) error) (done int, err error) {
+	if err := a.needBinary(KindQuery); err != nil {
+		return 0, err
+	}
 	arm := func() {
 		if timeout > 0 {
 			a.SetDeadline(time.Now().Add(timeout))
@@ -322,11 +317,11 @@ func (a *Agent) QueryNodes(q QueryRequest, nodes []string, timeout time.Duration
 		arm()
 		for inFlight := 0; sent < len(nodes); sent++ {
 			q.NodeID = nodes[sent]
-			n := a.queryFrameLen(&q)
+			n := queryFrameLen(&q)
 			if inFlight > 0 && inFlight+n > queryWindow {
 				break
 			}
-			if err := a.writeQuery(q); err != nil {
+			if err := a.f.writeQuery(q); err != nil {
 				return done, err
 			}
 			inFlight += n

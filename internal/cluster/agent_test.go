@@ -15,11 +15,14 @@ import (
 // agentVerb is one Agent verb as the scripted-peer tests drive it: the call,
 // the kind byte its request must carry on a binary connection (Send is one
 // Sample frame, never a batch of one), and the reply a service would send.
+// A binary-only verb's reply is a binary frame whatever the encoding asked
+// for: a JSON connection never sends its request.
 type agentVerb struct {
-	name    string
-	reqKind byte
-	call    func(a *Agent) (decoded int, err error)
-	reply   func(f *binFramer, enc wireEnc) error
+	name       string
+	reqKind    byte
+	binaryOnly bool
+	call       func(a *Agent) (decoded int, err error)
+	reply      func(f *binFramer, enc wireEnc) error
 }
 
 // agentVerbs lists every verb. decoded is how many elements the reply
@@ -31,13 +34,13 @@ func agentVerbs() []agentVerb {
 	meas := 90.5
 	est := Estimate{NodeID: "script", Time: 1, PNode: meas, FromMeasurement: true}
 	return []agentVerb{
-		{"Send", binKindSample,
+		{"Send", binKindSample, false,
 			func(a *Agent) (int, error) {
 				_, err := a.Send(1, pmc, &meas)
 				return 1, err
 			},
 			func(f *binFramer, enc wireEnc) error { return f.replyEstimate(enc, &est) }},
-		{"RecordFlush", binKindRecordBatch,
+		{"RecordFlush", binKindRecordBatch, true,
 			func(a *Agent) (int, error) {
 				a.SetBatching(BatchOptions{MaxSamples: 8})
 				if ests, err := a.Record(1, pmc, &meas); ests != nil || err != nil {
@@ -46,22 +49,22 @@ func agentVerbs() []agentVerb {
 				ests, err := a.Flush()
 				return len(ests), err
 			},
-			func(f *binFramer, enc wireEnc) error { return f.replyEstimates(enc, []Estimate{est}) }},
-		{"Query", binKindQuery,
+			func(f *binFramer, _ wireEnc) error { return f.writeEstimateBatch([]Estimate{est}) }},
+		{"Query", binKindQuery, true,
 			func(a *Agent) (int, error) {
 				body, err := a.Query(QueryRequest{NodeID: "script", Channel: "p_node", From: 0, To: 10})
 				return len(body.Points), err
 			},
-			func(f *binFramer, enc wireEnc) error {
-				return f.replySeries(enc, SeriesBody{NodeID: "script", Channel: "p_node", ResolutionS: 1, Points: make([]SeriesPoint, 3)})
+			func(f *binFramer, _ wireEnc) error {
+				return f.replySeries(SeriesBody{NodeID: "script", Channel: "p_node", ResolutionS: 1, Points: make([]SeriesPoint, 3)})
 			}},
-		{"Stats", binKindJSON,
+		{"Stats", binKindJSON, false,
 			func(a *Agent) (int, error) {
 				_, err := a.Stats()
 				return 1, err
 			},
 			func(f *binFramer, enc wireEnc) error { return f.writeJSON(enc, KindStats, Stats{Nodes: 1}) }},
-		{"FetchModel", binKindJSON,
+		{"FetchModel", binKindJSON, false,
 			func(a *Agent) (int, error) {
 				data, err := a.FetchModel()
 				return len(data), err
@@ -119,6 +122,8 @@ func scriptedPeer(t *testing.T, conn net.Conn, check func(req []byte), replies .
 // TestAgentRoundTripScripted drives every verb over both codecs against a
 // scripted peer and requires the same outcome class per kind of reply,
 // whatever the verb and codec: the one roundTrip they all share decides it.
+// A binary-only verb on a JSON connection is refused whatever the peer has
+// scripted: it neither writes nor reads a byte.
 func TestAgentRoundTripScripted(t *testing.T) {
 	leaktest.Check(t)
 	const (
@@ -161,6 +166,18 @@ func TestAgentRoundTripScripted(t *testing.T) {
 				{"oversized-prefix", []byte{0xFF, 0xFF, 0xFF, 0xFF}, protocol},
 			} {
 				t.Run(codec+"/"+verb.name+"/"+col.name, func(t *testing.T) {
+					if verb.binaryOnly && codec == CodecJSON {
+						conn := &scriptConn{in: bytes.NewReader(col.reply)}
+						_, err := verb.call(scriptAgent(conn, false))
+						var se *ServiceError
+						if err == nil || errors.As(err, &se) {
+							t.Fatalf("err = %v, want the agent's own refusal", err)
+						}
+						if conn.out.Len() != 0 || conn.in.Len() != len(col.reply) {
+							t.Fatalf("refused verb wrote %d bytes and read %d", conn.out.Len(), len(col.reply)-conn.in.Len())
+						}
+						return
+					}
 					client, server := net.Pipe()
 					a := scriptAgent(client, codec == CodecBinary)
 					replies := [][]byte{col.reply}
@@ -226,7 +243,7 @@ func FuzzAgentReply(f *testing.F) {
 		f.Add(uint8(3), enc == encBinary, []byte{})
 	}
 	// The 16-byte raw point answering Query, whole and cut short.
-	raw := frameIn(f, encBinary, func(g *binFramer, enc wireEnc) error { return g.replySeries(enc, rawSeriesBody()) })
+	raw := frameIn(f, encBinary, func(g *binFramer, _ wireEnc) error { return g.replySeries(rawSeriesBody()) })
 	f.Add(uint8(2), true, raw)
 	f.Add(uint8(2), true, shortPayload(raw))
 	// testdata/fuzz/FuzzAgentReply holds the hand-built adversarial replies:

@@ -1,5 +1,6 @@
-// The binary wire codec: the serving hot path's alternative to JSON
-// framing. Frames keep the 4-byte big-endian length prefix, but the body is
+// The binary wire codec: the framing a connection switches to once its
+// Hello settles on it, and the only one record batches and series travel
+// in. Frames keep the 4-byte big-endian length prefix, but the body is
 // a 1-byte kind followed by a fixed-layout payload — big-endian integers,
 // float64s as raw bit patterns (NaN payloads survive), length-prefixed
 // strings. Messages without a hot-path payoff (stats, model transfer) ride
@@ -591,9 +592,9 @@ func (f *binFramer) readQuery(payload []byte) (QueryRequest, error) {
 // Kind 9 carries raw points only, as f64 time and f64 value, 16 bytes; a
 // raw point's Min and Max are its Value and its Count is 1, so the decoder
 // restores them and the two layouts decode to the same body. Values travel
-// as raw bit patterns, so the decoded SeriesBody is bit-identical to what
-// the JSON path produces (JSON round-trips float64 exactly; NaN becomes
-// null and back). The one encoder is SeriesWriter (series.go).
+// as raw bit patterns, so the decoded SeriesBody holds the store's points
+// bit for bit, NaN payloads included. The one encoder is SeriesWriter
+// (series.go).
 
 // Point widths on the wire: seriesPointLen for kind 5, rawPointLen for
 // kind 9.

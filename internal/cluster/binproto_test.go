@@ -37,20 +37,19 @@ func encodeBinFrame(t testing.TB, write func(f *binFramer) error) []byte {
 	return buf.Bytes()
 }
 
-// replySeries frames body as a series reply in enc the way the serve loop
-// does for a handler: through SeriesWriter, the one series encoder.
-func (f *binFramer) replySeries(enc wireEnc, body SeriesBody) error {
-	return f.replySeriesAs(enc, binKindRawSeries, body)
+// replySeries frames body as a series reply the way the serve loop does
+// for a handler: through SeriesWriter, the one series encoder.
+func (f *binFramer) replySeries(body SeriesBody) error {
+	return f.replySeriesAs(binKindRawSeries, body)
 }
 
-// replySeriesAs is replySeries with the binary frame's first kind given:
+// replySeriesAs is replySeries with the frame's first kind given:
 // binKindRawSeries is the serve loop's writer, binKindSeries the kind-5
 // encoder — a writer widened before its first point.
-func (f *binFramer) replySeriesAs(enc wireEnc, kind byte, body SeriesBody) error {
+func (f *binFramer) replySeriesAs(kind byte, body SeriesBody) error {
 	w := SeriesWriter{f: f}
-	w.reset(enc)
 	w.Begin(body.NodeID, body.Channel, body.ResolutionS, len(body.Points))
-	if enc == encBinary && kind == binKindSeries {
+	if kind == binKindSeries {
 		w.widen()
 	}
 	for _, p := range body.StorePoints() {
@@ -103,7 +102,7 @@ func decodeBinPayload(f *binFramer, kind byte, payload []byte) (func(g *binFrame
 		}
 		// Kind 9 is what the writer sends while every point is raw; kind 5
 		// what the kind-5 encoder writes for any points.
-		return func(g *binFramer) error { return g.replySeriesAs(encBinary, kind, body) }, true, nil
+		return func(g *binFramer) error { return g.replySeriesAs(kind, body) }, true, nil
 	case binKindError:
 		msg, err := f.readError(payload)
 		if err != nil {
@@ -151,7 +150,7 @@ func FuzzBinaryEnvelopeRoundTrip(f *testing.F) {
 			return g.writeQuery(QueryRequest{NodeID: "n", Channel: "p_node", From: 0, To: 100, ResolutionS: 10})
 		}),
 		encodeBinFrame(f, func(g *binFramer) error {
-			return g.replySeries(encBinary, SeriesBody{Channel: "p_node", ResolutionS: 1, Points: []SeriesPoint{
+			return g.replySeries(SeriesBody{Channel: "p_node", ResolutionS: 1, Points: []SeriesPoint{
 				{Time: 1, Value: 90, Min: 90, Max: 90, Count: 1},
 				{Time: 2, Value: NullFloat(math.NaN()), Min: NullFloat(math.Inf(1)), Count: 0},
 			}})
@@ -198,9 +197,9 @@ func FuzzBinaryEnvelopeRoundTrip(f *testing.F) {
 	// The 16-byte raw point: a raw series with a NaN payload and a −0, and
 	// an empty one.
 	for _, frame := range [][]byte{
-		encodeBinFrame(f, func(g *binFramer) error { return g.replySeries(encBinary, rawSeriesBody()) }),
+		encodeBinFrame(f, func(g *binFramer) error { return g.replySeries(rawSeriesBody()) }),
 		encodeBinFrame(f, func(g *binFramer) error {
-			return g.replySeries(encBinary, SeriesBody{NodeID: "n", Channel: "ipmi", ResolutionS: 1})
+			return g.replySeries(SeriesBody{NodeID: "n", Channel: "ipmi", ResolutionS: 1})
 		}),
 	} {
 		f.Add(frame[4], frame[5:])
@@ -263,7 +262,7 @@ func FuzzSeriesShape(f *testing.F) {
 	// series without points in each kind, and nothing.
 	for _, kind := range []byte{binKindSeries, binKindRawSeries} {
 		empty := encodeBinFrame(f, func(g *binFramer) error {
-			return g.replySeriesAs(encBinary, kind, SeriesBody{NodeID: "empty", Channel: "p_node", ResolutionS: 1})
+			return g.replySeriesAs(kind, SeriesBody{NodeID: "empty", Channel: "p_node", ResolutionS: 1})
 		})
 		f.Add(empty[4], empty[5:])
 	}
@@ -289,9 +288,8 @@ func FuzzSeriesShape(f *testing.F) {
 		rep := &SeriesReply{f: fr, msg: wireMsg{enc: encBinary, kind: KindSeries, binKind: kind, payload: payload}}
 		relayed := encodeBinFrame(t, func(g *binFramer) error {
 			w := SeriesWriter{f: g}
-			w.reset(encBinary)
-			if verbatim, err := w.Relay(rep); err != nil || !verbatim {
-				t.Fatalf("relay of an accepted kind-%d payload: verbatim %v, err %v", kind, verbatim, err)
+			if err := w.Relay(rep); err != nil {
+				t.Fatalf("relay of an accepted kind-%d payload: %v", kind, err)
 			}
 			return w.finish()
 		})
@@ -299,7 +297,7 @@ func FuzzSeriesShape(f *testing.F) {
 			t.Fatalf("kind %d relayed as kind %d %x", kind, relayed[4], relayed[5:])
 		}
 		for _, start := range []byte{binKindSeries, binKindRawSeries} {
-			reencoded := encodeBinFrame(t, func(g *binFramer) error { return g.replySeriesAs(encBinary, start, body) })
+			reencoded := encodeBinFrame(t, func(g *binFramer) error { return g.replySeriesAs(start, body) })
 			if err := sameSeriesBits(decodeFrameBody(t, reencoded[framePrefix:]), body); err != nil {
 				t.Fatalf("kind %d re-encoded from kind %d decodes to another body: %v", kind, start, err)
 			}
@@ -321,10 +319,10 @@ func FuzzSeriesShape(f *testing.F) {
 // FuzzCrossCodecSample pins the two codecs to each other: a sample — with
 // or without an IM reading, with or without a relayed estimate — sent
 // through the JSON framing and through the binary framing must decode to
-// bit-identical fields, alone in a Sample frame and inside a RecordBatch
-// beside its plain twin. JSON cannot carry non-finite floats (WriteMsg
-// fails), so the agreement check applies when both paths accept the value;
-// the binary path must round-trip regardless.
+// bit-identical fields; in binary also inside a RecordBatch beside its
+// plain twin, a frame JSON does not carry. JSON cannot carry non-finite
+// floats (WriteMsg fails), so the agreement check applies when both paths
+// accept the value; the binary path must round-trip regardless.
 func FuzzCrossCodecSample(f *testing.F) {
 	f.Add("node-1", 1.5, 1e9, 2e9, 3e9, true, 90.5, false, 0.0, 0.0, 0.0, false)
 	f.Add("", 0.0, 0.0, 0.0, 0.0, false, 0.0, false, 0.0, 0.0, 0.0, false)
@@ -377,13 +375,6 @@ func FuzzCrossCodecSample(f *testing.F) {
 				t.Fatalf("%s relayed: wrote %+v read %+v", what, *w, *d)
 			}
 		}
-		checkBatch := func(what string, rb *RecordBatch) {
-			if len(rb.Samples) != 2 {
-				t.Fatalf("%s: wrote 2 samples read %d", what, len(rb.Samples))
-			}
-			check(what+"[0]", rb.NodeID, rb.Samples[0], want)
-			check(what+"[1]", rb.NodeID, rb.Samples[1], plain)
-		}
 
 		// Binary path: must always round-trip bit-exactly.
 		readBin := func(frame []byte, wantKind byte) (*binFramer, []byte) {
@@ -409,7 +400,11 @@ func FuzzCrossCodecSample(f *testing.F) {
 		if err != nil {
 			t.Fatalf("binary batch decode: %v", err)
 		}
-		checkBatch("binary batch", rb)
+		if len(rb.Samples) != 2 {
+			t.Fatalf("binary batch: wrote 2 samples read %d", len(rb.Samples))
+		}
+		check("binary batch[0]", rb.NodeID, rb.Samples[0], want)
+		check("binary batch[1]", rb.NodeID, rb.Samples[1], plain)
 
 		// JSON path: agree with the binary decode whenever JSON can carry
 		// the values at all (NaN/Inf and invalid-UTF-8 node IDs cannot ride
@@ -419,26 +414,18 @@ func FuzzCrossCodecSample(f *testing.F) {
 		if err := WriteMsg(&buf, KindSample, smp); err != nil {
 			return
 		}
-		if err := WriteMsg(&buf, KindRecordBatch, RecordBatch{NodeID: node, Samples: []BatchSample{want, plain}}); err != nil {
-			t.Fatalf("JSON carried the sample but not the batch: %v", err)
+		env, err := ReadMsgLimit(bufio.NewReader(&buf), DefaultMaxFrame)
+		if err != nil {
+			t.Fatalf("JSON read after write: %v", err)
 		}
-		r := bufio.NewReader(&buf)
 		var jdec Sample
-		var jrb RecordBatch
-		for _, dst := range []any{&jdec, &jrb} {
-			env, err := ReadMsgLimit(r, DefaultMaxFrame)
-			if err != nil {
-				t.Fatalf("JSON read after write: %v", err)
-			}
-			if err := DecodeBody(env, dst); err != nil {
-				t.Fatalf("JSON decode: %v", err)
-			}
+		if err := DecodeBody(env, &jdec); err != nil {
+			t.Fatalf("JSON decode: %v", err)
 		}
 		if jdec.NodeID != node {
 			return // JSON coerced invalid UTF-8; codecs legitimately differ
 		}
 		check("json sample", jdec.NodeID, BatchSample{Time: jdec.Time, PMC: jdec.PMC, Measured: jdec.Measured, Relayed: jdec.Relayed}, want)
-		checkBatch("json batch", &jrb)
 	})
 }
 
@@ -478,9 +465,10 @@ func TestCodecNegotiation(t *testing.T) {
 
 // TestCodecInteropByteIdentical drives two agents — one per codec — with
 // the same deterministic sample stream and requires identical estimates,
-// then queries the same stored series through both connections and
-// requires the JSON renderings to match byte-for-byte. This is the
-// acceptance gate for the binary codec: framing changed, results did not.
+// then reads both nodes' stored series back over binary, the only codec a
+// series travels in, and requires their JSON renderings to match
+// byte-for-byte, node ID aside. This is the acceptance gate for the binary
+// codec: framing changed, results did not.
 func TestCodecInteropByteIdentical(t *testing.T) {
 	leaktest.Check(t)
 	svc := startService(t)
@@ -524,23 +512,23 @@ func TestCodecInteropByteIdentical(t *testing.T) {
 		}
 	}
 
-	// The same stored series fetched over both codecs must render to the
-	// same JSON bytes — for the node histories and the cluster aggregate,
+	// What each codec's stream stored must render to the same JSON bytes,
 	// at raw and rollup resolutions.
 	for _, req := range []QueryRequest{
 		{NodeID: "node-bin", Channel: "p_node", From: 0, To: 100},
 		{NodeID: "node-bin", Channel: "ipmi", From: 0, To: 100},
-		{NodeID: "node-json", Channel: "p_cpu", From: 0, To: 100, ResolutionS: 10},
-		{Channel: "p_node", From: 0, To: 100, ResolutionS: 10},
+		{NodeID: "node-bin", Channel: "p_cpu", From: 0, To: 100, ResolutionS: 10},
 	} {
 		bb, err := bin.Query(req)
 		if err != nil {
-			t.Fatalf("binary query %+v: %v", req, err)
+			t.Fatalf("binary node's query %+v: %v", req, err)
 		}
-		jb, err := js.Query(req)
+		req.NodeID = "node-json"
+		jb, err := bin.Query(req)
 		if err != nil {
-			t.Fatalf("json query %+v: %v", req, err)
+			t.Fatalf("json node's query %+v: %v", req, err)
 		}
+		jb.NodeID = bb.NodeID
 		bjson, err := json.Marshal(bb)
 		if err != nil {
 			t.Fatal(err)
@@ -558,15 +546,16 @@ func TestCodecInteropByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRecordBatch runs the batched ingest path over both codecs: Record
-// coalesces, the flush returns one estimate per sample in order, and the
-// estimates equal what unbatched Sends produce for the same stream.
+// TestRecordBatch runs the batched ingest path: Record coalesces, the
+// flush returns one estimate per sample in order, and the estimates equal
+// what unbatched Sends in either codec produce for the same stream. The
+// batches are binary on both legs, the only codec that carries them.
 func TestRecordBatch(t *testing.T) {
 	leaktest.Check(t)
 	svc := startService(t)
 	for _, codec := range []string{CodecBinary, CodecJSON} {
 		t.Run(codec, func(t *testing.T) {
-			batched, err := DialCodec(svc.Addr(), "batch-"+codec, codec, 0)
+			batched, err := DialCodec(svc.Addr(), "batch-"+codec, CodecBinary, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

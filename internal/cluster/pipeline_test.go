@@ -57,7 +57,7 @@ func withholdingPeer(t *testing.T, conn net.Conn, n, reject int) {
 		if i == reject {
 			err = f.writeError("no history for " + q.NodeID)
 		} else {
-			err = f.replySeries(encBinary, SeriesBody{NodeID: q.NodeID, Channel: q.Channel, ResolutionS: 1, Points: make([]SeriesPoint, i)})
+			err = f.replySeries(SeriesBody{NodeID: q.NodeID, Channel: q.Channel, ResolutionS: 1, Points: make([]SeriesPoint, i)})
 		}
 		if err == nil {
 			err = f.w.Flush()
@@ -153,14 +153,13 @@ func TestQueryNodesPipelines(t *testing.T) {
 // TestQueryFrameLen: the window is accounted in request bytes computed ahead
 // of the encoder; the two must agree on every frame.
 func TestQueryFrameLen(t *testing.T) {
-	a := &Agent{binary: true}
 	for _, q := range []QueryRequest{
 		{},
 		{NodeID: "cn0001", Channel: "p_node", From: 0, To: 3267, ResolutionS: 60},
 		{NodeID: strings.Repeat("n", 5000), Channel: "ipmi", From: -1, To: math.Inf(1), ResolutionS: 1},
 	} {
 		frame := encodeBinFrame(t, func(g *binFramer) error { return g.writeQuery(q) })
-		if got := a.queryFrameLen(&q); got != len(frame) {
+		if got := queryFrameLen(&q); got != len(frame) {
 			t.Fatalf("queryFrameLen = %d for a %d-byte frame (%d-byte node)", got, len(frame), len(q.NodeID))
 		}
 	}
@@ -172,13 +171,14 @@ func TestQueryFrameLen(t *testing.T) {
 // blocked on until the client takes it, and only its 4 KiB reader between
 // the two — so requests written without bound deadlock against the reply
 // nobody is reading yet, which the first half shows, and the window is what
-// lets QueryNodes through.
+// lets QueryNodes through. A JSON agent's group is refused before a frame is
+// written: the serve loop sees none.
 func TestQueryNodesWindow(t *testing.T) {
 	leaktest.Check(t)
 	const n = 300
 	nodes := groupNodes(n, strings.Repeat("-pad", 10)) // ≈ 75-byte frames: 22 KB of requests
 	q := QueryRequest{Channel: "p_node", From: 0, To: 3, ResolutionS: 1}
-	serve := func(t *testing.T, binary bool, client func(a *Agent)) {
+	serve := func(t *testing.T, binary bool, client func(a *Agent)) ConnStats {
 		srv := NewServer("test", stubHandler{}, ServiceOptions{}, t.Logf)
 		c, s := net.Pipe()
 		done := make(chan error, 1)
@@ -192,6 +192,7 @@ func TestQueryNodesWindow(t *testing.T) {
 		if err := <-done; err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
 			t.Fatalf("serve loop exit: %v", err)
 		}
+		return srv.Stats()
 	}
 
 	t.Run("unbounded-deadlocks", func(t *testing.T) {
@@ -200,7 +201,7 @@ func TestQueryNodesWindow(t *testing.T) {
 			var err error
 			for _, node := range nodes {
 				q.NodeID = node
-				if err = a.writeQuery(q); err != nil {
+				if err = a.f.writeQuery(q); err != nil {
 					break
 				}
 			}
@@ -212,25 +213,37 @@ func TestQueryNodesWindow(t *testing.T) {
 			}
 		})
 	})
-	for _, codec := range []string{CodecBinary, CodecJSON} {
-		t.Run("windowed/"+codec, func(t *testing.T) {
-			serve(t, codec == CodecBinary, func(a *Agent) {
-				next := 0
-				done, err := a.QueryNodes(q, nodes, 5*time.Second, func(i int, rep *SeriesReply, rejected *ServiceError) error {
-					if rejected != nil {
-						return rejected
-					}
-					body, err := rep.Body()
-					if err == nil && (i != next || body.NodeID != nodes[i] || len(body.Points) != 3) {
-						t.Errorf("reply %d at position %d is node %q with %d points", i, next, body.NodeID, len(body.Points))
-					}
-					next++
-					return err
-				})
-				if err != nil || done != n {
-					t.Fatalf("windowed group: done %d of %d, err %v", done, n, err)
+	t.Run("windowed/binary", func(t *testing.T) {
+		serve(t, true, func(a *Agent) {
+			next := 0
+			done, err := a.QueryNodes(q, nodes, 5*time.Second, func(i int, rep *SeriesReply, rejected *ServiceError) error {
+				if rejected != nil {
+					return rejected
 				}
+				body, err := rep.Body()
+				if err == nil && (i != next || body.NodeID != nodes[i] || len(body.Points) != 3) {
+					t.Errorf("reply %d at position %d is node %q with %d points", i, next, body.NodeID, len(body.Points))
+				}
+				next++
+				return err
 			})
+			if err != nil || done != n {
+				t.Fatalf("windowed group: done %d of %d, err %v", done, n, err)
+			}
 		})
-	}
+	})
+	t.Run("windowed/json", func(t *testing.T) {
+		st := serve(t, false, func(a *Agent) {
+			done, err := a.QueryNodes(q, nodes, 5*time.Second, func(int, *SeriesReply, *ServiceError) error {
+				t.Error("a refused group reached its callback")
+				return nil
+			})
+			if err == nil || done != 0 {
+				t.Fatalf("JSON group: done %d, err %v, want a refusal before the first node", done, err)
+			}
+		})
+		if st.JSONFrames+st.BinFrames != 0 {
+			t.Fatalf("the serve loop read %d frames from a refused group", st.JSONFrames+st.BinFrames)
+		}
+	})
 }

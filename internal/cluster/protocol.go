@@ -4,21 +4,22 @@
 // readings to the service; the service answers with restored node power and
 // the CPU/memory breakdown.
 //
-// The wire protocol is length-prefixed frames over TCP, stdlib-only, in one
-// of two codecs negotiated per connection. Every connection opens with a
-// JSON Hello (this file): an agent that offers CodecBinary and gets it
-// echoed switches, with the service, to the binary framing of binproto.go —
-// a 1-byte kind and a fixed-layout payload, allocation-free for the
-// per-second sample, batch and query traffic. JSON stays the handshake, the
-// codec of peers that never offer binary, and — wrapped in a kind-0 binary
-// frame — the escape hatch for the kinds without a binary layout (stats,
-// model transfer). The codec changes framing only: estimates, series and
-// error messages are identical either way.
+// The wire protocol is length-prefixed frames over TCP, stdlib-only. Every
+// connection opens with a JSON Hello (this file): an agent that offers
+// CodecBinary and gets it echoed switches, with the service, to the binary
+// framing of binproto.go — a 1-byte kind and a fixed-layout payload,
+// allocation-free for the per-second sample, batch and query traffic, and
+// the only framing record batches and series travel in. JSON carries the
+// handshake, the single samples and estimates of a peer that never offers
+// binary, and the stats and model envelopes, which ride a kind-0 binary
+// frame on a binary connection. A JSON batch or query is answered with an
+// error reply. Where both codecs carry a message, estimates and error
+// messages are identical either way.
 //
 // A connection carries one request at a time or several: a server answers
 // the frames of a connection strictly in order, so a client may write a
 // bounded window of queries back to back and read the replies in the same
-// order (Agent.queryNodes); nothing on the wire says so, or needs to.
+// order (Agent.QueryNodes); nothing on the wire says so, or needs to.
 package cluster
 
 import (
@@ -56,8 +57,8 @@ const (
 	// KindError reports a server-side failure for a request.
 	KindError MsgKind = "error"
 	// KindRecordBatch carries several coalesced seconds of telemetry in one
-	// frame; the service answers with KindEstimateBatch (or one KindError
-	// for the whole batch).
+	// binary frame; the service answers with KindEstimateBatch (or one
+	// KindError for the whole batch).
 	KindRecordBatch MsgKind = "record_batch"
 	// KindEstimateBatch answers a KindRecordBatch with one estimate per
 	// accepted sample, in batch order.
@@ -65,7 +66,8 @@ const (
 )
 
 // Wire codecs an agent can offer in Hello. JSON is the baseline every peer
-// speaks; binary is the length-prefixed binary framing in binproto.go.
+// speaks for the handshake and single samples; binary is the
+// length-prefixed binary framing in binproto.go.
 const (
 	// CodecJSON is the length-prefixed JSON framing (the original protocol).
 	CodecJSON = "json"
@@ -160,13 +162,6 @@ type BatchSample struct {
 type RecordBatch struct {
 	NodeID  string        `json:"node_id"`
 	Samples []BatchSample `json:"samples"`
-}
-
-// EstimateBatch answers a RecordBatch: one estimate per sample, in order.
-// A batch is all-or-nothing — if any sample is rejected the service
-// replies KindError for the whole batch instead.
-type EstimateBatch struct {
-	Estimates []Estimate `json:"estimates"`
 }
 
 // Stats summarises service activity.

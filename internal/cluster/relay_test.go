@@ -113,7 +113,8 @@ func TestColdReplicaFedRelayedSamples(t *testing.T) {
 }
 
 // Frames the encoders produced for a plain sample and batch before the
-// relayed presence bit existed (payloads, without the length prefix).
+// relayed presence bit existed (payloads, without the length prefix). The
+// JSON batch is what a JSON agent sent while JSON still carried batches.
 const (
 	parentBinSample  = "0200026e31400800000000000000023ff00000000000004000000000000000014056a00000000000"
 	parentBinBatch   = "0700026e3100000002400800000000000000023ff00000000000004000000000000000014056a00000000000401000000000000000024008000000000000401000000000000000"
@@ -127,8 +128,8 @@ const (
 // and a payload cut off after the presence byte, a presence bit nobody
 // defined, or an estimate flag a relayed estimate cannot carry is a
 // protocol error — never a guess. A sample or batch without a relayed
-// estimate is framed byte for byte as before the bit existed, in both
-// codecs, and one with it is longer by the estimate.
+// estimate is framed byte for byte as before the bit existed — a sample in
+// both codecs — and one with it is longer by the estimate.
 func TestRelayedSampleDecodeStrict(t *testing.T) {
 	parentMeas := 90.5
 	parentRel := &RelayedEstimate{PNode: 90.5, PCPU: 40, PMEM: 12, FromMeasurement: true}
@@ -138,20 +139,15 @@ func TestRelayedSampleDecodeStrict(t *testing.T) {
 			encodeBinFrame(t, func(g *binFramer) error { return g.writeSample("n1", 3, []float64{1, 2}, &parentMeas, rel) })[4:],
 			encodeBinFrame(t, func(g *binFramer) error { return g.writeRecordBatch("n1", batch) })[4:],
 		}
-		js := [2]string{
-			string(jsonFrame(t, KindSample, Sample{NodeID: "n1", Time: 3, PMC: []float64{1, 2}, Measured: &parentMeas, Relayed: rel})[4:]),
-			string(jsonFrame(t, KindRecordBatch, RecordBatch{NodeID: "n1", Samples: batch})[4:]),
-		}
+		js := string(jsonFrame(t, KindSample, Sample{NodeID: "n1", Time: 3, PMC: []float64{1, 2}, Measured: &parentMeas, Relayed: rel})[4:])
 		for i, parent := range [2]string{parentBinSample, parentBinBatch} {
 			got := hex.EncodeToString(bin[i])
 			if (rel == nil) != (got == parent) || len(got) < len(parent) {
 				t.Fatalf("binary frame %d with relayed %v:\ngot    %s\nparent %s", i, rel, got, parent)
 			}
 		}
-		for i, parent := range [2]string{parentJSONSample, parentJSONBatch} {
-			if (rel == nil) != (js[i] == parent) || (rel != nil) != strings.Contains(js[i], `"relayed":`) {
-				t.Fatalf("JSON frame %d with relayed %v:\ngot    %s\nparent %s", i, rel, js[i], parent)
-			}
+		if (rel == nil) != (js == parentJSONSample) || (rel != nil) != strings.Contains(js, `"relayed":`) {
+			t.Fatalf("JSON sample with relayed %v:\ngot    %s\nparent %s", rel, js, parentJSONSample)
 		}
 	}
 

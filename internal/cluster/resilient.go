@@ -195,7 +195,8 @@ func (c *ModelCache) decode(data []byte) (*core.HighRPM, error) {
 // fallback will run on, interned in models (nil: a private decode). The
 // initial connect must succeed — without a snapshot there is nothing to
 // degrade to. Every dial offers the binary codec, and the Hello falls back
-// to JSON against a service without it.
+// to JSON against a service without it; such a link carries Send and
+// SendRelayed, while SendSamples needs binary and is served locally.
 func DialResilient(addr, nodeID string, opts AgentOptions, models *ModelCache) (*ResilientAgent, error) {
 	if opts.SendRetries < 1 {
 		opts.SendRetries = 1

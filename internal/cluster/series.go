@@ -11,19 +11,19 @@ import (
 
 // This file is the series reply's two ends. A point is materialised once,
 // by the client that asked for it: a Handler writes its answer through a
-// SeriesWriter, which on a binary connection appends wire bytes to the
-// framer's write scratch as the points arrive, and an agent hands a reply
-// on as a SeriesReply, which decodes — a whole body, or only the points —
-// when its reader asks, or not at all when a router passes it along.
+// SeriesWriter, which appends wire bytes to the framer's write scratch as
+// the points arrive, and an agent hands a reply on as a SeriesReply, which
+// decodes — a whole body, or only the points — when its reader asks, or not
+// at all when a router passes it along. A series travels only in binary
+// frames: a query that arrives as JSON is refused before a handler sees it.
 
 // SeriesWriter is where a Handler puts the answer to one Query. It is the
 // tsdb.SeriesSink of the connection the request arrived on: Begin carries
-// the reply header, Point appends one point and Raw a run of raw points. On
-// a binary connection each point becomes its wire bytes in the framer's
-// write scratch at once — no []tsdb.Point, no []SeriesPoint — and on a JSON
-// connection the points collect into the SeriesBody the envelope marshals.
+// the reply header, Point appends one point and Raw a run of raw points.
+// Each point becomes its wire bytes in the framer's write scratch at once —
+// no []tsdb.Point, no []SeriesPoint.
 //
-// A binary reply starts as kind 9, 16 bytes a point, and stays so while
+// A reply starts as kind 9, 16 bytes a point, and stays so while
 // every point is a raw point (Min and Max bit-equal to Value, Count 1) — a
 // node's raw series always is; at the first point that is not, the points
 // written so far are widened in place and the reply is kind 5, 36 bytes a
@@ -34,33 +34,25 @@ import (
 // before it goes out. A writer is valid for the one Query call it is
 // handed to.
 type SeriesWriter struct {
-	f   *binFramer
-	enc wireEnc
+	f *binFramer
 
 	begun bool
 	err   error // the first encoding failure; finish returns it
-	kind  byte  // the binary frame's kind as written so far
-	// countAt is where a binary frame's point count goes once it is known
-	// (-1: the frame was relayed whole and carries its own), pointsAt where
-	// its points start; points is the count.
+	kind  byte  // the frame's kind as written so far
+	// countAt is where the frame's point count goes once it is known (-1:
+	// the frame was relayed whole and carries its own), pointsAt where its
+	// points start; points is the count.
 	countAt, pointsAt, points int
-	body                      SeriesBody // a JSON reply collects here
 }
 
-// reset readies the writer for a reply in enc.
-func (w *SeriesWriter) reset(enc wireEnc) {
-	w.enc, w.begun, w.err, w.body = enc, false, nil, SeriesBody{}
-}
+// reset readies the writer for the next reply.
+func (w *SeriesWriter) reset() { w.begun, w.err = false, nil }
 
 // Begin starts the series: its header, and room for n points. A second
 // Begin starts over, so a handler that abandons one source for another
 // (a router moving on to the next replica) just begins again.
 func (w *SeriesWriter) Begin(node, channel string, resolutionS, n int) {
 	w.begun, w.err, w.points = true, nil, 0
-	if w.enc != encBinary {
-		w.body = SeriesBody{NodeID: node, Channel: channel, ResolutionS: resolutionS, Points: make([]SeriesPoint, 0, n)}
-		return
-	}
 	w.kind = binKindRawSeries
 	f := w.f
 	f.begin(w.kind)
@@ -83,10 +75,6 @@ func isRaw(p *tsdb.Point) bool {
 
 // Point appends one point.
 func (w *SeriesWriter) Point(p tsdb.Point) {
-	if w.enc != encBinary {
-		w.body.Points = append(w.body.Points, p.Wire())
-		return
-	}
 	if w.kind == binKindRawSeries {
 		if isRaw(&p) {
 			w.f.wbuf = appendRawPoint(w.f.wbuf, p.Time, p.Value)
@@ -104,25 +92,20 @@ func (w *SeriesWriter) Point(p tsdb.Point) {
 // over this way, a decoded block at a time.
 func (w *SeriesWriter) Raw(tms []int64, vals []float64) {
 	w.points += len(tms)
-	switch {
-	case w.enc != encBinary:
-		for i, t := range tms {
-			w.body.Points = append(w.body.Points, tsdb.RawPoint(t, vals[i]).Wire())
-		}
-	case w.kind == binKindRawSeries:
+	if w.kind == binKindRawSeries {
 		b := slices.Grow(w.f.wbuf, len(tms)*rawPointLen)
 		for i, t := range tms {
 			b = appendRawPoint(b, float64(t)/1000, vals[i])
 		}
 		w.f.wbuf = b
-	default:
-		b := slices.Grow(w.f.wbuf, len(tms)*seriesPointLen)
-		for i, t := range tms {
-			v := vals[i]
-			b = appendPoint(b, float64(t)/1000, v, v, v, 1)
-		}
-		w.f.wbuf = b
+		return
 	}
+	b := slices.Grow(w.f.wbuf, len(tms)*seriesPointLen)
+	for i, t := range tms {
+		v := vals[i]
+		b = appendPoint(b, float64(t)/1000, v, v, v, 1)
+	}
+	w.f.wbuf = b
 }
 
 // appendRawPoint appends one kind-9 point.
@@ -162,31 +145,19 @@ func (w *SeriesWriter) widen() {
 	f.wbuf[framePrefix] = w.kind
 }
 
-// Relay makes rep — a series reply another service sent — this reply. When
-// both connections are binary, the payload (kind 5 or 9) is copied as it is
-// once seriesShape has accepted it, and not a point is decoded; verbatim
-// reports that. Otherwise rep is decoded and written again. An error means
-// rep is malformed and nothing of it was kept.
-func (w *SeriesWriter) Relay(rep *SeriesReply) (verbatim bool, err error) {
+// Relay makes rep — a series reply another service sent — this reply: its
+// payload (kind 5 or 9) is copied as it is once seriesShape has accepted
+// it, and not a point is decoded. An error means rep is malformed and
+// nothing of it was kept.
+func (w *SeriesWriter) Relay(rep *SeriesReply) error {
 	kind := rep.msg.binKind
-	if w.enc == encBinary && rep.msg.enc == encBinary {
-		if _, _, err := seriesShape(kind, rep.msg.payload); err != nil {
-			return false, err
-		}
-		w.begun, w.err, w.countAt, w.kind = true, nil, -1, kind
-		w.f.begin(kind)
-		w.f.wbuf = append(w.f.wbuf, rep.msg.payload...)
-		return true, nil
+	if _, _, err := seriesShape(kind, rep.msg.payload); err != nil {
+		return err
 	}
-	body, err := rep.Body()
-	if err != nil {
-		return false, err
-	}
-	w.Begin(body.NodeID, body.Channel, body.ResolutionS, len(body.Points))
-	for _, p := range body.StorePoints() {
-		w.Point(p)
-	}
-	return false, nil
+	w.begun, w.err, w.countAt, w.kind = true, nil, -1, kind
+	w.f.begin(kind)
+	w.f.wbuf = append(w.f.wbuf, rep.msg.payload...)
+	return nil
 }
 
 // finish frames the reply the handler wrote. Like every reply writer it
@@ -198,9 +169,6 @@ func (w *SeriesWriter) finish() error {
 	if w.err != nil {
 		return w.err
 	}
-	if w.enc != encBinary {
-		return w.f.writeJSON(w.enc, KindSeries, w.body)
-	}
 	if w.countAt >= 0 {
 		binary.BigEndian.PutUint32(w.f.wbuf[w.countAt:], uint32(w.points))
 	}
@@ -209,7 +177,8 @@ func (w *SeriesWriter) finish() error {
 
 // SeriesReply is one KindSeries reply as it arrived, not yet decoded. It
 // aliases its connection's read scratch: valid until the next read on the
-// agent that produced it.
+// agent that produced it. A series is a binary frame; an envelope of kind
+// series carries no payload, so every reader refuses it as truncated.
 type SeriesReply struct {
 	f   *binFramer
 	msg wireMsg
@@ -217,25 +186,13 @@ type SeriesReply struct {
 
 // Body decodes the whole reply — what Agent.Query returns.
 func (r *SeriesReply) Body() (SeriesBody, error) {
-	if r.msg.enc == encBinary {
-		return r.f.readSeries(r.msg.binKind, r.msg.payload)
-	}
-	var body SeriesBody
-	err := DecodeBody(r.msg.env, &body)
-	return body, err
+	return r.f.readSeries(r.msg.binKind, r.msg.payload)
 }
 
 // AppendPoints decodes only the reply's points, appending them to dst as
 // store points: a gatherer that merges many replies reuses one buffer and
 // never builds a SeriesBody. On error dst is returned as it came.
 func (r *SeriesReply) AppendPoints(dst []tsdb.Point) ([]tsdb.Point, error) {
-	if r.msg.enc != encBinary {
-		body, err := r.Body()
-		if err != nil {
-			return dst, err
-		}
-		return append(dst, body.StorePoints()...), nil
-	}
 	kind := r.msg.binKind
 	at, n, err := seriesShape(kind, r.msg.payload)
 	if err != nil {

@@ -131,7 +131,6 @@ func TestSeriesWriterWidens(t *testing.T) {
 	write := func(kind byte, pts []tsdb.Point, runs int) []byte {
 		return encodeBinFrame(t, func(g *binFramer) error {
 			w := SeriesWriter{f: g}
-			w.reset(encBinary)
 			w.Begin("n", "p_node", 1, len(pts))
 			if kind == binKindSeries {
 				w.widen()

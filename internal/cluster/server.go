@@ -26,10 +26,10 @@ import (
 // it — a replay buffer, a goroutine that outlives the call — copies first.
 //
 // Series replies are written, not returned: Query fills the connection's
-// SeriesWriter, which on a binary connection turns each point into wire
-// bytes in the framer's write scratch as the store walk produces it. The
-// writer only appends to memory — it may run under a store lock — and the
-// loop frames, sizes and flushes the reply after Query has returned.
+// SeriesWriter, which turns each point into wire bytes in the framer's
+// write scratch as the store walk produces it. The writer only appends to
+// memory — it may run under a store lock — and the loop frames, sizes and
+// flushes the reply after Query has returned.
 //
 // An error return is answered as one error reply and the connection stays
 // up. A *ServiceError anywhere in the error's chain is relayed as its
@@ -378,9 +378,8 @@ func (m *wireMsg) kindName() string {
 	return fmt.Sprintf("kind %q", m.kind)
 }
 
-// Request body decoders: strict native layouts into the framer's scratch
-// for binary frames, fresh values for JSON bodies.
-
+// requestSample decodes a sample: its strict native layout into the
+// framer's scratch from a binary frame, a fresh value from a JSON body.
 func (f *binFramer) requestSample(req *wireMsg) (*Sample, error) {
 	if req.enc == encBinary {
 		return f.readSample(req.payload)
@@ -389,20 +388,13 @@ func (f *binFramer) requestSample(req *wireMsg) (*Sample, error) {
 	return smp, DecodeBody(req.env, smp)
 }
 
-func (f *binFramer) requestBatch(req *wireMsg) (*RecordBatch, error) {
-	if req.enc == encBinary {
-		return f.readRecordBatch(req.payload)
-	}
-	rb := new(RecordBatch)
-	return rb, DecodeBody(req.env, rb)
-}
-
-func (f *binFramer) requestQuery(req *wireMsg) (QueryRequest, error) {
-	if req.enc == encBinary {
-		return f.readQuery(req.payload)
-	}
-	var q QueryRequest
-	return q, DecodeBody(req.env, &q)
+// binaryOnly refuses a record batch or a query that arrived as a JSON
+// envelope: JSON carries the handshake, single samples and the stats and
+// model envelopes, and the batch and series paths are binary frames only.
+// The server answers it as an error reply; an agent returns it before it
+// writes a byte.
+func binaryOnly(kind MsgKind) error {
+	return fmt.Errorf("%s needs the binary codec", kind)
 }
 
 // Writers: each frames a message in the given encoding — a reply in the
@@ -421,13 +413,6 @@ func (f *binFramer) replyEstimate(enc wireEnc, est *Estimate) error {
 		return f.writeEstimate(est)
 	}
 	return f.writeJSON(enc, KindEstimate, *est)
-}
-
-func (f *binFramer) replyEstimates(enc wireEnc, ests []Estimate) error {
-	if enc == encBinary {
-		return f.writeEstimateBatch(ests)
-	}
-	return f.writeJSON(enc, KindEstimateBatch, EstimateBatch{Estimates: ests})
 }
 
 func (f *binFramer) replyError(enc wireEnc, err error) error {
@@ -550,21 +535,29 @@ func (s *Server) serveConn(conn net.Conn) error {
 				}
 			}
 		case KindRecordBatch:
-			rb, err := f.requestBatch(&req)
+			if req.enc != encBinary {
+				herr = binaryOnly(req.kind)
+				break
+			}
+			rb, err := f.readRecordBatch(req.payload)
 			if err != nil {
 				return err
 			}
 			if herr = checkNodeID(rb.NodeID); herr == nil {
 				if ests, herr = s.h.Batch(rb, ests[:0]); herr == nil {
-					werr = f.replyEstimates(req.enc, ests)
+					werr = f.writeEstimateBatch(ests)
 				}
 			}
 		case KindQuery:
-			q, err := f.requestQuery(&req)
+			if req.enc != encBinary {
+				herr = binaryOnly(req.kind)
+				break
+			}
+			q, err := f.readQuery(req.payload)
 			if err != nil {
 				return err
 			}
-			series.reset(req.enc)
+			series.reset()
 			if herr = s.h.Query(q, &series); herr == nil {
 				werr = series.finish()
 				if errors.Is(werr, ErrFrameTooLarge) {

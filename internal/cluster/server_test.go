@@ -255,6 +255,10 @@ func FuzzServeConn(f *testing.F) {
 	// No Hello at all; nothing at all.
 	f.Add(sample)
 	f.Add([]byte{})
+	// A batch and a query refused as JSON, then a sample still answered.
+	jsonRefused, wrappedRefused := refusalSessions(f)
+	f.Add(jsonRefused)
+	f.Add(wrappedRefused)
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		replies, st := serveScript(t, stubHandler{tb: t, maxFrame: fuzzMaxFrame}, stream, fuzzMaxFrame)
@@ -357,17 +361,10 @@ func FuzzServiceConn(f *testing.F) {
 			case i < int(st.JSONFrames):
 				err = json.Unmarshal(rep, &env)
 			}
-			if err == nil {
-				switch env.Kind {
-				case KindEstimate:
-					var est Estimate
-					err = DecodeBody(env, &est)
-					ests = []Estimate{est}
-				case KindEstimateBatch:
-					var eb EstimateBatch
-					err = DecodeBody(env, &eb)
-					ests = eb.Estimates
-				}
+			if err == nil && env.Kind == KindEstimate {
+				var est Estimate
+				err = DecodeBody(env, &est)
+				ests = []Estimate{est}
 			}
 			if err != nil {
 				t.Fatalf("reply %d does not decode: %v", i, err)
@@ -452,6 +449,103 @@ func TestServeConnScripted(t *testing.T) {
 	}
 	if got := binError(7); got != "unknown binary kind 1" {
 		t.Fatalf("reserved kind 1 answered %q", got)
+	}
+}
+
+// refusalSessions are the two sessions in which JSON asks for what only
+// binary frames carry: on a JSON connection the record batch a JSON agent
+// sent while JSON still carried batches and a query, each a raw envelope;
+// on a binary connection the same two as kind-0 envelopes. Each ends with
+// a sample the connection must still answer.
+func refusalSessions(tb testing.TB) (jsonSession, wrappedSession []byte) {
+	pmc := []float64{1, 2, 3}
+	q := QueryRequest{NodeID: "script", Channel: "p_node", From: 0, To: 10}
+	batch := RecordBatch{NodeID: "script", Samples: []BatchSample{{Time: 1, PMC: pmc}}}
+	jsonSession = scriptStream(tb, nil,
+		frameFor([]byte(parentJSONBatch)),
+		jsonFrame(tb, KindQuery, q),
+		jsonFrame(tb, KindSample, Sample{NodeID: "script", Time: 1, PMC: pmc}))
+	bin := func(write func(g *binFramer) error) []byte { return encodeBinFrame(tb, write) }
+	wrappedSession = scriptStream(tb, []string{CodecBinary},
+		bin(func(g *binFramer) error { return g.writeJSONEnvelope(KindRecordBatch, batch) }),
+		bin(func(g *binFramer) error { return g.writeJSONEnvelope(KindQuery, q) }),
+		bin(func(g *binFramer) error { return g.writeSample("script", 1, pmc, nil, nil) }))
+	return jsonSession, wrappedSession
+}
+
+// TestJSONRefusesBatchAndQuery: JSON carries the handshake, single samples
+// and the stats and model envelopes, and nothing else. A JSON record batch
+// and a JSON query each get one error reply naming the binary codec — a
+// plain envelope on a JSON connection, a kind-0 one on a binary connection
+// — and the connection then answers a sample. An agent pinned to JSON
+// refuses its batched Flush, Query and QueryNodes before it writes a byte,
+// and its Send then still round-trips.
+func TestJSONRefusesBatchAndQuery(t *testing.T) {
+	jsonSession, wrappedSession := refusalSessions(t)
+	for _, tc := range []struct {
+		name    string
+		session []byte
+		wrapped bool
+	}{{"json", jsonSession, false}, {"wrapped", wrappedSession, true}} {
+		replies, st := serveScript(t, stubHandler{tb: t}, tc.session, DefaultMaxFrame)
+		if len(replies) != 4 || st.JSONFrames+st.BinFrames != 4 {
+			t.Fatalf("%s: %d replies, accounting %+v", tc.name, len(replies), st)
+		}
+		for i, kind := range []MsgKind{KindRecordBatch, KindQuery} {
+			rep := replies[1+i]
+			if tc.wrapped {
+				if rep[0] != binKindJSON {
+					t.Fatalf("%s: %s answered with binary kind %d, want a kind-0 envelope", tc.name, kind, rep[0])
+				}
+				rep = rep[1:]
+			}
+			var env Envelope
+			var eb ErrorBody
+			if err := json.Unmarshal(rep, &env); err != nil || env.Kind != KindError {
+				t.Fatalf("%s: %s answered %q (%v), want an error envelope", tc.name, kind, rep, err)
+			}
+			if err := DecodeBody(env, &eb); err != nil || eb.Message != binaryOnly(kind).Error() {
+				t.Fatalf("%s: %s refused with %q (%v)", tc.name, kind, eb.Message, err)
+			}
+		}
+		last := replies[3]
+		if tc.wrapped && last[0] != binKindEstimate || !tc.wrapped && !bytes.Contains(last, []byte(`"kind":"estimate"`)) {
+			t.Fatalf("%s: the sample after the refusals was answered %q", tc.name, last)
+		}
+	}
+
+	est := Estimate{NodeID: "script", Time: 1, PNode: 90}
+	conn := &scriptConn{in: bytes.NewReader(frameIn(t, encJSON, func(f *binFramer, enc wireEnc) error { return f.replyEstimate(enc, &est) }))}
+	a := scriptAgent(conn, false)
+	a.SetBatching(BatchOptions{MaxSamples: 8})
+	pmc := []float64{1, 2, 3}
+	if ests, err := a.Record(1, pmc, nil); ests != nil || err != nil {
+		t.Fatalf("Record flushed a batch of one: %v, %v", ests, err)
+	}
+	_, flushErr := a.Flush()
+	_, queryErr := a.Query(QueryRequest{NodeID: "script", Channel: "p_node", To: 10})
+	done, groupErr := a.QueryNodes(QueryRequest{Channel: "p_node", To: 10}, []string{"a", "b"}, 0, func(int, *SeriesReply, *ServiceError) error {
+		t.Error("a refused group reached its callback")
+		return nil
+	})
+	for _, c := range []struct {
+		verb string
+		kind MsgKind
+		err  error
+	}{{"Flush", KindRecordBatch, flushErr}, {"Query", KindQuery, queryErr}, {"QueryNodes", KindQuery, groupErr}} {
+		if c.err == nil || c.err.Error() != "cluster: "+binaryOnly(c.kind).Error() {
+			t.Fatalf("JSON agent's %s: err %v", c.verb, c.err)
+		}
+	}
+	if done != 0 || conn.out.Len() != 0 {
+		t.Fatalf("refused verbs wrote %d bytes, QueryNodes done %d", conn.out.Len(), done)
+	}
+	got, err := a.Send(1, pmc, nil)
+	if err != nil || got != est {
+		t.Fatalf("Send after the refusals: %+v, %v", got, err)
+	}
+	if !bytes.Contains(conn.out.Bytes(), []byte(`"kind":"sample"`)) {
+		t.Fatalf("Send wrote %q, want one JSON sample", conn.out.Bytes())
 	}
 }
 

@@ -22,8 +22,9 @@
 // model-fetch path.
 //
 // Queries federate instead of forwarding: a single-node KindQuery goes to
-// a live replica of its owner, and the shard's reply frame is relayed to a
-// binary front end as it arrived — checked for shape, not decoded — while
+// a live replica of its owner, and the shard's reply frame is relayed to
+// the front end as it arrived — checked for shape, not decoded, since a
+// series travels binary on both hops — while
 // the cluster-wide aggregate scatter-gathers every known node's series
 // from the shards in parallel and merges them serially in sorted node
 // order with tsdb.MergeNodeSeries — the exact accumulation discipline the

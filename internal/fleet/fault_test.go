@@ -86,7 +86,8 @@ func startFaultFleetWith(t *testing.T, n int, agent cluster.AgentOptions) *fault
 // never in flight — which is exactly the boundary a paused or partitioned
 // shard presents in production. The scenario runs once per front-end
 // codec: a binary front hop hands the replicas' agents the connection's
-// framer scratch, which a degraded agent must copy before buffering.
+// framer scratch, which a degraded agent must copy before buffering. The
+// reads are binary either way, the only codec a series travels in.
 func runFaultScenario(t *testing.T, fault, heal func(t *testing.T, f *faultFixture, shard int)) {
 	for _, codec := range frontCodecs {
 		t.Run(codec, func(t *testing.T) { runFaultScenarioCodec(t, codec, fault, heal) })
@@ -144,7 +145,7 @@ func runFaultScenarioCodec(t *testing.T, codec string, fault, heal func(t *testi
 	// once the instant the shard is gone — the router still believes it up, so
 	// its pipelined group dies mid-flight and every node of it is re-read from
 	// its follower — and once more after the router has marked it down.
-	fq := dialFront(t, f.r, "query-client", codec)
+	fq := dialFront(t, f.r, "query-client", cluster.CodecBinary)
 	defer fq.Close()
 	rq, err := cluster.Dial(f.ref.Addr(), "query-client")
 	if err != nil {

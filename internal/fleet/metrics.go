@@ -47,11 +47,9 @@ type Stats struct {
 	FailedOver     int64 `json:"failed_over"`
 	RouteErrors    int64 `json:"route_errors"`
 	ScatterGathers int64 `json:"scatter_gathers"`
-	// NodeQueries counts answered single-node history reads; SeriesRelayed
-	// the ones whose reply reached the front end as the shard framed it,
-	// without a point being decoded on the way (binary on both hops).
-	NodeQueries   int64 `json:"node_queries"`
-	SeriesRelayed int64 `json:"series_relayed"`
+	// NodeQueries counts answered single-node history reads, each relayed
+	// to the front end as the shard framed it, without a point decoded.
+	NodeQueries int64 `json:"node_queries"`
 }
 
 // Stats snapshots the router's routing state: per-shard health and
@@ -66,7 +64,6 @@ func (r *Router) Stats() Stats {
 		RouteErrors:    r.routeErrors.Load(),
 		ScatterGathers: r.scatters.Load(),
 		NodeQueries:    r.nodeQueries.Load(),
-		SeriesRelayed:  r.seriesRelayed.Load(),
 	}
 	agents := make([]int, len(r.shards))
 	degraded := make([]int, len(r.shards))
@@ -134,7 +131,6 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	routeErrors := reg.Counter("highrpm_fleet_route_errors_total", "Front-end requests answered with an error.")
 	scatters := reg.Counter("highrpm_fleet_scatter_gathers_total", "Scatter-gather fan-outs (aggregate queries and merged stats).")
 	nodeQueries := reg.Counter("highrpm_fleet_node_queries_total", "Single-node history reads answered.")
-	seriesRelayed := reg.Counter("highrpm_fleet_series_relayed_total", "Single-node replies forwarded to the front end as the shard framed them, undecoded.")
 
 	hist := reg.Histogram("highrpm_fleet_scatter_seconds",
 		"Wall-clock latency of one scatter-gather fan-out across all shards.",
@@ -161,7 +157,6 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 		routeErrors.Set(float64(st.RouteErrors))
 		scatters.Set(float64(st.ScatterGathers))
 		nodeQueries.Set(float64(st.NodeQueries))
-		seriesRelayed.Set(float64(st.SeriesRelayed))
 	})
 }
 

@@ -75,19 +75,25 @@ func TestFleetObsScrape(t *testing.T) {
 		}
 		ag.Close()
 	}
-	// The query client is a JSON straggler: pinned to the old codec, its
-	// frames must show up under codec="json" on the front hop.
-	qa, err := cluster.DialCodec(r.Addr(), "obs-query", cluster.CodecJSON, 0)
+	// A JSON straggler: pinned to the old codec, its two samples must show
+	// up under codec="json" on the front hop.
+	js, err := cluster.DialCodec(r.Addr(), "obs-straggler", cluster.CodecJSON, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer js.Close()
+	for _, smp := range genSamples(t, 799, 2) {
+		if _, err := js.Send(smp.Time, smp.PMC, smp.Measured); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The aggregate is read by a binary reader that registers no node.
+	qa, err := cluster.Dial(r.Addr(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer qa.Close()
 	if _, err := qa.Query(cluster.QueryRequest{Channel: "p_node", From: 0, To: seconds - 1, ResolutionS: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// The straggler's own single-node read is answered too, but decoded on
-	// the way: a JSON front end cannot take the shard's binary frame.
-	if _, err := qa.Query(cluster.QueryRequest{NodeID: nodes[1], Channel: "p_node", From: 0, To: seconds - 1, ResolutionS: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -102,27 +108,26 @@ func TestFleetObsScrape(t *testing.T) {
 		`highrpm_fleet_shard_agents{shard="shard-0"} `,
 		`highrpm_fleet_shard_degraded{shard="shard-0"} 0`,
 		`highrpm_fleet_shard_pending{shard="shard-0"} 0`,
-		"highrpm_fleet_nodes 2",
+		"highrpm_fleet_nodes 3",
 		"highrpm_fleet_connections ",
 		"highrpm_fleet_connections_peak ",
 		// Two binary agents: one JSON Hello each, then five binary samples
-		// each and one binary query. The straggler: a JSON Hello and two JSON
-		// queries.
-		"highrpm_fleet_binary_connections_total 2",
-		`highrpm_fleet_frames_total{codec="binary"} 11`,
-		`highrpm_fleet_frames_total{codec="json"} 5`,
+		// each and one binary query; the reader a JSON Hello and the
+		// aggregate. The straggler: a JSON Hello and two JSON samples.
+		"highrpm_fleet_binary_connections_total 3",
+		`highrpm_fleet_frames_total{codec="binary"} 12`,
+		`highrpm_fleet_frames_total{codec="json"} 6`,
 		"highrpm_fleet_rejected_total 0",
 		"highrpm_fleet_timed_out_total 0",
-		"highrpm_fleet_routed_total 10",
+		"highrpm_fleet_routed_total 12",
 		// Every sample reached its follower carrying the primary's estimate,
 		// the one per node with an IM reading included.
-		"highrpm_fleet_replicated_total 10",
-		"highrpm_fleet_relayed_total 10",
+		"highrpm_fleet_replicated_total 12",
+		"highrpm_fleet_relayed_total 12",
 		"highrpm_fleet_failovers_total 0",
 		"highrpm_fleet_route_errors_total 0",
 		"highrpm_fleet_scatter_gathers_total 1",
-		"highrpm_fleet_node_queries_total 2",
-		"highrpm_fleet_series_relayed_total 1",
+		"highrpm_fleet_node_queries_total 1",
 		"highrpm_fleet_scatter_seconds_count 1",
 		"highrpm_fleet_scatter_seconds_sum ",
 	} {

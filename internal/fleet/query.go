@@ -12,26 +12,17 @@ import (
 )
 
 // answerQuery resolves a front-end KindQuery into w: one node's history is
-// read from a live replica of its owner shard and relayed — on a binary
-// front end that can carry the shard's frame kind, without decoding a
-// point — and the cluster-wide aggregate (empty NodeID) is
-// scatter-gathered from every shard.
+// read from a live replica of its owner shard and relayed as the shard
+// framed it, without decoding a point, and the cluster-wide aggregate
+// (empty NodeID) is scatter-gathered from every shard.
 func (r *Router) answerQuery(q cluster.QueryRequest, w *cluster.SeriesWriter) error {
 	if q.NodeID == "" {
 		return r.scatterAggregate(q, w)
 	}
-	verbatim := false
-	err := r.queryNode(q, -1, nil, func(rep *cluster.SeriesReply) (err error) {
-		verbatim, err = w.Relay(rep)
-		return err
-	})
-	if err != nil {
+	if err := r.queryNode(q, -1, nil, w.Relay); err != nil {
 		return err
 	}
 	r.nodeQueries.Add(1)
-	if verbatim {
-		r.seriesRelayed.Add(1)
-	}
 	return nil
 }
 

@@ -147,7 +147,7 @@ func testScatterGroupFallback(t *testing.T, codec string) {
 			}
 		}
 	}
-	fq := dialFront(t, f.r, "query-client", codec)
+	fq := dialFront(t, f.r, "query-client", cluster.CodecBinary)
 	defer fq.Close()
 	rq, err := cluster.Dial(f.ref.Addr(), "query-client")
 	if err != nil {

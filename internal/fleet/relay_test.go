@@ -123,10 +123,11 @@ func testFleetInfersOncePerSample(t *testing.T, codec string, replication int) {
 
 	// Batches of 8 with an IM reading every tenth second: every batch goes
 	// to the primary first and each of its samples is inferred by the
-	// primary alone.
+	// primary alone. A batch travels only in binary frames, whatever the
+	// leg's codec; the single frames below are the leg's own.
 	const seconds = 48
 	for ni, node := range nodes {
-		fa, ra := batchAgent(t, r.Addr(), node, codec), batchAgent(t, ref.Addr(), node, cluster.CodecBinary)
+		fa, ra := batchAgent(t, r.Addr(), node, cluster.CodecBinary), batchAgent(t, ref.Addr(), node, cluster.CodecBinary)
 		for _, smp := range genSamples(t, int64(700+ni), seconds) {
 			recordBoth(t, fa, ra, smp)
 		}
@@ -203,11 +204,13 @@ func testFleetRelayBoundaries(t *testing.T, codec string, replication int) {
 	// A batch whose sample 5 is malformed: the primary records the first
 	// five and rejects; the followers must be sent it plain, reject it at
 	// the same sample, and hold the same five — and the front end reads the
-	// single service's own error.
+	// single service's own error. Batches travel only in binary frames,
+	// whatever the leg's codec; the forged single samples below are the
+	// leg's own.
 	const bad = 5
 	samples := genSamples(t, 41, 8)
 	samples[bad].PMC = []float64{1, 2}
-	fa, ra := batchAgent(t, r.Addr(), "node-rejected", codec), batchAgent(t, ref.Addr(), "node-rejected", cluster.CodecBinary)
+	fa, ra := batchAgent(t, r.Addr(), "node-rejected", cluster.CodecBinary), batchAgent(t, ref.Addr(), "node-rejected", cluster.CodecBinary)
 	var ferr, rerr error
 	for _, smp := range samples {
 		if _, ferr = fa.Record(smp.Time, smp.PMC, smp.Measured); ferr != nil {
@@ -232,7 +235,7 @@ func testFleetRelayBoundaries(t *testing.T, codec string, replication int) {
 
 	// Every sample carries an IM reading: the primary still answers first,
 	// and its estimates — the SRR split included — ride to every follower.
-	fa, ra = batchAgent(t, r.Addr(), "node-dense", codec), batchAgent(t, ref.Addr(), "node-dense", cluster.CodecBinary)
+	fa, ra = batchAgent(t, r.Addr(), "node-dense", cluster.CodecBinary), batchAgent(t, ref.Addr(), "node-dense", cluster.CodecBinary)
 	for _, smp := range genSamples(t, 42, 16) {
 		v := smp.PMC[0] * 1e-9
 		smp.Measured = &v
@@ -250,8 +253,9 @@ func testFleetRelayBoundaries(t *testing.T, codec string, replication int) {
 	requireReplicasMatch(t, r, backends, ref, []string{"node-dense"}, 100)
 
 	// A front-end peer attaches estimates of its own, to a single sample
-	// and to a batch: the router drops them, the primary infers, and only
-	// the primary's answer travels on to the followers.
+	// and to a batch (over JSON, which carries no batch, to each of the
+	// batch's samples in turn): the router drops them, the primary infers,
+	// and only the primary's answer travels on to the followers.
 	bogus := &cluster.RelayedEstimate{PNode: 1, PCPU: 2, PMEM: 3}
 	fr := dialForger(t, r.Addr(), "node-forged", codec)
 	rr, err := cluster.Dial(ref.Addr(), "node-forged")
@@ -297,7 +301,7 @@ func testFleetRelayBoundaries(t *testing.T, codec string, replication int) {
 // forger is a front-end peer that attaches estimates of its own. On binary
 // it is a ResilientAgent, whose relayed sends are what the router's own
 // backend hop runs; every agent offers binary, so on JSON it writes the
-// envelopes itself.
+// sample envelopes itself.
 type forger struct {
 	t    *testing.T
 	node string
@@ -360,9 +364,11 @@ func (f *forger) sendBatch(samples []cluster.BatchSample) []cluster.Estimate {
 		}
 		return ests
 	}
-	var eb cluster.EstimateBatch
-	f.call(cluster.KindRecordBatch, cluster.RecordBatch{NodeID: f.node, Samples: samples}, &eb)
-	return eb.Estimates
+	ests := make([]cluster.Estimate, len(samples))
+	for i, bs := range samples {
+		ests[i] = f.send(cluster.Sample{Time: bs.Time, PMC: bs.PMC, Measured: bs.Measured}, bs.Relayed)
+	}
+	return ests
 }
 
 // TestFleetRelayAcrossPrimaryKill: inference-once holds before a shard is

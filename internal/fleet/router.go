@@ -16,12 +16,13 @@ import (
 // the ordinary cluster wire protocol. Its front end is a cluster.Server —
 // the same connection server, limits, deadlines and codec negotiation a
 // Service runs — so an agent that dials a router gets the binary codec it
-// offers exactly as it would from a service, and a JSON-pinned or
-// pre-binary agent keeps working; the router is that server's Handler and
-// answers every request from the fleet instead of a local model and
-// store. Each backend hop negotiates its own codec through the pooled
-// agents. See the package comment for the routing, replication, and
-// federation semantics.
+// offers exactly as it would from a service, and a JSON-pinned agent's
+// samples, stats and model fetches are answered as a service answers them;
+// the router is that server's Handler and answers every request from the
+// fleet instead of a local model and store. Its backend hops offer the
+// binary codec, which every cluster.Server accepts.
+// See the package comment for the routing, replication, and federation
+// semantics.
 type Router struct {
 	opts   TopologyOptions
 	ring   *ring
@@ -45,10 +46,8 @@ type Router struct {
 	failedOver  atomic.Int64
 	routeErrors atomic.Int64
 	scatters    atomic.Int64
-	// nodeQueries counts answered single-node reads, seriesRelayed the ones
-	// whose reply went to the front end as the shard framed it, undecoded.
-	nodeQueries   atomic.Int64
-	seriesRelayed atomic.Int64
+	// nodeQueries counts answered single-node reads.
+	nodeQueries atomic.Int64
 
 	// gatherBufs pools the point buffers a scatter-gather decodes its replies
 	// into (*[]tsdb.Point, one per shard group), so an aggregate's scratch is
