@@ -118,7 +118,7 @@ func (c *blockCache) lookup(id uint64, k int) *decodedBlock {
 		c.hits.Add(1)
 		return db
 	}
-	db := &decodedBlock{k: k, cur: newCursor(k)}
+	db := &decodedBlock{k: k, cur: &cursor{}}
 	c.entries[id] = c.lru.PushFront(&cacheEntry{id: id, db: db})
 	c.mu.Unlock()
 	c.misses.Add(1)

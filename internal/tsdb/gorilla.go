@@ -23,7 +23,9 @@ type bstream struct {
 	free uint8 // unused bits in the last byte of b
 }
 
-// writeBits appends the low n bits of v, most-significant first.
+// writeBits appends the low n bits of v, most-significant first. Each
+// byte is appended as zero before bits are ORed into it, so a recycled
+// buffer opens at b[:0] without clearing.
 func (s *bstream) writeBits(v uint64, n uint) {
 	for n > 0 {
 		if s.free == 0 {
@@ -91,20 +93,16 @@ type block struct {
 
 	first, last int64 // timestamp range, valid when n > 0
 
-	// encoder state
+	// encoder state, chains [0, k) in use
 	tDelta   int64
-	val      []uint64
-	leading  []uint8
-	trailing []uint8
+	val      [rollupChains]uint64
+	leading  [rollupChains]uint8
+	trailing [rollupChains]uint8
 }
 
+// newBlock opens an empty block for k ≤ rollupChains value chains.
 func newBlock(k int) *block {
-	b := &block{
-		k:        k,
-		val:      make([]uint64, k),
-		leading:  make([]uint8, k),
-		trailing: make([]uint8, k),
-	}
+	b := &block{k: k}
 	for i := range b.leading {
 		b.leading[i] = noWindow
 	}
@@ -189,42 +187,20 @@ func (b *block) writeValue(i int, bits uint64) {
 // each value chain's XOR predecessor and leading/trailing-zero window.
 // Blocks only ever append, so a cursor stays valid while its block grows
 // and a later scan picks up exactly where the previous one stopped.
+// The zero cursor is rewound to a block's header.
 type cursor struct {
 	r        bitReader
 	n        int
 	t        int64
 	tDelta   int64
-	cur      []uint64
-	leading  []uint8
-	trailing []uint8
-	vals     []float64 // the last point's values, handed to emit
+	cur      [rollupChains]uint64
+	leading  [rollupChains]uint8
+	trailing [rollupChains]uint8
+	vals     [rollupChains]float64 // the last point's values, handed to emit
 }
 
-func newCursor(k int) *cursor {
-	c := &cursor{}
-	c.reset(k)
-	return c
-}
-
-// reset rewinds the cursor to a block's header and sizes it for k value
-// chains.
-func (c *cursor) reset(k int) {
-	if cap(c.vals) < k {
-		c.vals = make([]float64, k)
-		c.cur = make([]uint64, k)
-		c.leading = make([]uint8, k)
-		c.trailing = make([]uint8, k)
-	}
-	c.vals = c.vals[:k]
-	c.cur = c.cur[:k]
-	c.leading = c.leading[:k]
-	c.trailing = c.trailing[:k]
-	clear(c.cur)
-	clear(c.leading)
-	clear(c.trailing)
-	c.r = bitReader{}
-	c.n, c.t, c.tDelta = 0, 0, 0
-}
+// reset rewinds the cursor to a block's header.
+func (c *cursor) reset() { *c = cursor{} }
 
 // decodeWith is the one Gorilla decode loop: it resumes c at its next
 // point and replays the block's points from there on, advancing c past
@@ -234,6 +210,7 @@ func (b *block) decodeWith(c *cursor, emit func(t int64, vals []float64)) error 
 	// Appends may have moved the stream, and filled the low bits of the
 	// byte the cursor stopped in; the bits it already read never change.
 	c.r.b = b.bs.b
+	k := b.k
 	for c.n < b.n {
 		if c.n == 0 {
 			// Block header: raw 64-bit timestamp and values.
@@ -242,7 +219,7 @@ func (b *block) decodeWith(c *cursor, emit func(t int64, vals []float64)) error 
 				return err
 			}
 			c.t = int64(ts)
-			for i := range c.cur {
+			for i := range k {
 				if c.cur[i], err = c.r.readBits(64); err != nil {
 					return err
 				}
@@ -255,7 +232,7 @@ func (b *block) decodeWith(c *cursor, emit func(t int64, vals []float64)) error 
 			}
 			c.tDelta += dod
 			c.t += c.tDelta
-			for i := range c.cur {
+			for i := range k {
 				xor, err := c.r.readXOR(&c.leading[i], &c.trailing[i])
 				if err != nil {
 					return err
@@ -265,7 +242,7 @@ func (b *block) decodeWith(c *cursor, emit func(t int64, vals []float64)) error 
 			}
 		}
 		c.n++
-		emit(c.t, c.vals)
+		emit(c.t, c.vals[:k])
 	}
 	return nil
 }

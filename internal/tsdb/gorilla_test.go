@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -148,6 +149,75 @@ func TestBlockMultiChainRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSeriesBlockGrowsOnce pins the block-buffer law: a block that fills
+// keeps an exact copy of its bytes, and its grown buffer opens the next
+// block. So once a series has filled its first block, a further block
+// costs two allocations — the block and the copy — and never regrows; a
+// sealed block holds no growth slack; and recycling the buffer changes no
+// decoded bit.
+func TestSeriesBlockGrowsOnce(t *testing.T) {
+	for _, shape := range []struct{ k, blockPoints int }{{1, 512}, {rollupChains, 128}} {
+		t.Run(fmt.Sprintf("k=%d", shape.k), func(t *testing.T) {
+			const warm, runs = 2, 8 // AllocsPerRun adds one unmeasured run
+			k, bp := shape.k, shape.blockPoints
+			n := (warm + 1 + runs) * bp
+			r := rand.New(rand.NewSource(int64(k)))
+			ts := make([]int64, n)
+			vals := make([]float64, n*k)
+			tm, w := int64(0), 120.0
+			for i := range ts {
+				tm += 1000 + r.Int63n(5) - 2
+				w += r.NormFloat64()
+				ts[i] = tm
+				row := vals[i*k : (i+1)*k]
+				row[0] = w
+				if r.Intn(20) == 0 {
+					row[0] = math.NaN() // sparse-channel gap
+				}
+				for c := 1; c < k; c++ {
+					row[c] = w + float64(c)*r.Float64()
+				}
+			}
+			s := newSeries(k, bp, 0)
+			next := 0
+			appendBlock := func() {
+				for end := next + bp; next < end; next++ {
+					s.append(ts[next], vals[next*k:(next+1)*k])
+				}
+			}
+			for range warm {
+				appendBlock()
+			}
+			if allocs := testing.AllocsPerRun(runs, appendBlock); allocs > 2 {
+				t.Errorf("a block after the first costs %.0f allocations, want ≤ 2", allocs)
+			}
+			if s.sealed() != len(s.blocks) || len(s.blocks) != n/bp {
+				t.Fatalf("%d blocks, %d sealed; want %d full ones", len(s.blocks), s.sealed(), n/bp)
+			}
+			for i, blk := range s.blocks {
+				if cap(blk.bs.b) != len(blk.bs.b) {
+					t.Errorf("sealed block %d: cap %d, len %d", i, cap(blk.bs.b), len(blk.bs.b))
+				}
+			}
+			gotT, gotV := collect(t, s)
+			if len(gotT) != n {
+				t.Fatalf("decoded %d points, want %d", len(gotT), n)
+			}
+			for i := range gotT {
+				if gotT[i] != ts[i] {
+					t.Fatalf("point %d: t=%d, want %d", i, gotT[i], ts[i])
+				}
+				for c := range k {
+					if !sameBits(gotV[i][c], vals[i*k+c]) {
+						t.Fatalf("point %d chain %d: %x want %x", i, c,
+							math.Float64bits(gotV[i][c]), math.Float64bits(vals[i*k+c]))
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestSeriesRangeQuery checks the [from, to] filter and early cutoff.
 func TestSeriesRangeQuery(t *testing.T) {
 	s := newSeries(1, 64, 0)
@@ -205,7 +275,7 @@ func TestBitstreamTruncationDetected(t *testing.T) {
 		b.append(int64(i)*1000, []float64{float64(i) * 1.7})
 	}
 	b.bs.b = b.bs.b[:len(b.bs.b)/2]
-	err := b.decodeWith(newCursor(b.k), func(int64, []float64) {})
+	err := b.decodeWith(&cursor{}, func(int64, []float64) {})
 	if err == nil {
 		t.Fatal("decode of truncated stream succeeded")
 	}

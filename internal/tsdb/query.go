@@ -294,8 +294,9 @@ type Stats struct {
 	Nodes  int `json:"nodes"`
 	Series int `json:"series"`
 	// Points is the number of raw points currently retained; Bytes the
-	// compressed footprint including rollups, RawBytes the raw series
-	// alone.
+	// compressed length of every block including rollups, RawBytes the
+	// raw series alone. Neither counts buffer capacity: a series' spare
+	// buffer, which the next block opens on, is in neither.
 	Points   int64 `json:"points"`
 	Bytes    int64 `json:"bytes"`
 	RawBytes int64 `json:"raw_bytes"`

@@ -18,6 +18,10 @@ type series struct {
 	maxPoints   int // 0: unbounded
 	blocks      []*block
 	points      int
+	// spare is the grown buffer of the block that filled last; the next
+	// block appends into it from byte 0, while the filled block keeps an
+	// exact copy (see append).
+	spare []byte
 	// evicted, when set, accumulates the points dropped by retention so
 	// the owning store can report them (Stats.EvictedPoints). It is
 	// shared store-wide; bumps happen under the shard lock.
@@ -35,13 +39,24 @@ func newSeries(k, blockPoints, maxPoints int) *series {
 func (s *series) append(t int64, vals []float64) {
 	if len(s.blocks) == 0 || s.blocks[len(s.blocks)-1].n >= s.blockPoints {
 		blk := newBlock(s.k)
+		blk.bs.b, s.spare = s.spare[:0], nil
 		if s.cache != nil {
 			blk.id = s.cache.nextEpoch()
 		}
 		s.blocks = append(s.blocks, blk)
 	}
-	s.blocks[len(s.blocks)-1].append(t, vals)
+	blk := s.blocks[len(s.blocks)-1]
+	blk.append(t, vals)
 	s.points++
+	if blk.n == s.blockPoints {
+		// The block just sealed: it keeps an exact copy of its bytes, and
+		// its grown buffer opens the next block. The copy is made here,
+		// under the shard lock, because a full block already counts as
+		// sealed — a snapshot cut shares it and reads its bytes after the
+		// locks are released, so they must never be written again.
+		s.spare = blk.bs.b
+		blk.bs.b = append(make([]byte, 0, len(s.spare)), s.spare...)
+	}
 	// Evict oldest blocks while the remainder still satisfies retention;
 	// overshoot is bounded by one block.
 	for s.maxPoints > 0 && len(s.blocks) > 1 && s.points-s.blocks[0].n >= s.maxPoints {
@@ -100,7 +115,7 @@ func (s *series) read(i int, use func(db *decodedBlock)) error {
 	db := scratchPool.Get().(*decodedBlock)
 	defer scratchPool.Put(db)
 	db.k, db.ts, db.vals = blk.k, db.ts[:0], db.vals[:0]
-	db.cur.reset(blk.k)
+	db.cur.reset()
 	if _, err := db.extend(blk, false); err != nil {
 		return err
 	}

@@ -324,7 +324,7 @@ func (r *snapReader) str(what string) string {
 // last timestamps, so an installed snapshot can never poison queries.
 func readSeries(r *snapReader, s *series, k int) error {
 	blocks := int(r.u32("block count"))
-	c := newCursor(k)
+	var c cursor
 	for bi := 0; bi < blocks && r.err == nil; bi++ {
 		blk := newBlock(k)
 		blk.n = int(r.u32("block points"))
@@ -349,8 +349,8 @@ func readSeries(r *snapReader, s *series, k int) error {
 			count       int
 			first, last int64
 		)
-		c.reset(k)
-		err := blk.decodeWith(c, func(t int64, vals []float64) {
+		c.reset()
+		err := blk.decodeWith(&c, func(t int64, vals []float64) {
 			if count == 0 {
 				first = t
 			}

@@ -14,13 +14,16 @@
 # ResilientAgent, the only client the monitor has, against a live service
 # (two nodes, 30 simulated seconds, binary codec negotiated in Hello) —
 # and race-checks the concurrent subsystems (the tsdb ingest/query/WAL
-# paths including the persisttest crash-injection harness, the cluster
-# service + fault-injection harness, the fleet router's replicated
-# forwarding and scatter-gather, the obs metric registry and HTTP
-# exposition server, concurrent prediction on one fitted neural model,
-# a dynamic Restore beside a Monitor serving the same model
-# (TestRestoreConcurrentWithMonitor: restoring only reads the model),
-# and the parallel experiment runner) so locking regressions surface
+# paths including the persisttest crash-injection harness, plus five more
+# runs of TestSnapshotUnderConcurrentIngest, ~2 s: a full block's bytes are
+# shared with snapshot cuts while its grown buffer opens the next block,
+# and only this test under -race shows a cut reading bytes ingest still
+# writes; the cluster service + fault-injection harness, the fleet
+# router's replicated forwarding and scatter-gather, the obs metric
+# registry and HTTP exposition server, concurrent prediction on one
+# fitted neural model, a dynamic Restore beside a Monitor serving the same
+# model (TestRestoreConcurrentWithMonitor: restoring only reads the
+# model), and the parallel experiment runner) so locking regressions surface
 # immediately. Of internal/experiments only the tests that start
 # goroutines or share the Workspace split cache are raced (-run
 # 'Parallel|WorkspaceCaches', ~1 s): the shape tests and the transcript
@@ -107,6 +110,7 @@ go run ./cmd/highrpm-analyze -model "$tmp/m.json" "$tmp/run.csv" >/dev/null
 go run ./cmd/highrpm-monitor -model "$tmp/m.json" -nodes 2 -duration 30 -quiet >/dev/null
 echo "== go test -race (tsdb incl. persisttest, cluster incl. faultnet, fleet, obs)"
 go test -race ./internal/tsdb/... ./internal/cluster/... ./internal/fleet/... ./internal/obs
+go test -race -count=5 -run '^TestSnapshotUnderConcurrentIngest$' ./internal/tsdb
 echo "== go test -race (concurrent prediction, Restore beside a Monitor, parallel experiments)"
 go test -race ./internal/neural
 go test -race -run '^TestRestoreConcurrentWithMonitor$' ./internal/core
