@@ -19,9 +19,10 @@
 // connections that go silent, -write-timeout bounds each reply, -max-frame
 // caps one wire frame, and -max-conns drops connections beyond the cap at
 // accept time. Every simulated node runs the one agent the library ships
-// for production, ResilientAgent: it offers the binary codec in Hello,
-// sends one Sample frame per simulated second, reconnects with backoff and
-// falls back to local inference when the service is unreachable.
+// for production, ResilientAgent: it settles on the binary codec in Hello,
+// sends one record batch of one sample per simulated second, reconnects
+// with backoff and falls back to local inference when the service is
+// unreachable.
 //
 // -data-dir makes the history store durable: every estimate is written to
 // a CRC-checked write-ahead log before it lands in memory, the log is

@@ -14,10 +14,11 @@ import (
 // a ResilientAgent instead.
 //
 // By default Dial offers the binary wire codec and falls back to JSON when
-// the service predates it; DialCodec pins the choice. A JSON connection
-// carries Send, Stats and FetchModel with the same answers as a binary one;
-// batched Flush, Query and QueryNodes need the binary codec and return an
-// error there without writing a frame.
+// the service predates it; DialCodec pins the choice. On a binary
+// connection Send is a RecordBatch of one. A JSON connection carries Send,
+// Stats and FetchModel with the same answers as a binary one; batched
+// Flush, Query and QueryNodes need the binary codec and return an error
+// there without writing a frame.
 type Agent struct {
 	nodeID string
 	conn   net.Conn
@@ -145,31 +146,26 @@ func (a *Agent) call(kind MsgKind, body, out any) error {
 // Send streams one second of telemetry and returns the service's estimate.
 // measured carries this second's IPMI reading if one arrived (nil usually).
 // A *ServiceError return means the service rejected the sample but the
-// connection is still healthy. On a binary connection the round trip is
-// allocation-free in steady state: the request is built in the framer's
-// write scratch and the reply decoded from its read scratch.
+// connection is still healthy. On a binary connection the sample is a
+// RecordBatch of one and the round trip is allocation-free in steady state:
+// the request is built in the framer's write scratch and the reply decoded
+// into the agent's estimate scratch.
 func (a *Agent) Send(t float64, pmc []float64, measured *float64) (Estimate, error) {
-	return a.send(t, pmc, measured, nil)
-}
-
-// send is Send with rel, the estimate already computed for this sample
-// elsewhere, attached (nil: none).
-func (a *Agent) send(t float64, pmc []float64, measured *float64, rel *RelayedEstimate) (Estimate, error) {
-	var err error
 	if a.binary {
-		err = a.f.writeSample(a.nodeID, t, pmc, measured, rel)
-	} else {
-		err = WriteMsg(a.f.w, KindSample, Sample{NodeID: a.nodeID, Time: t, PMC: pmc, Measured: measured, Relayed: rel})
+		one := [1]BatchSample{{Time: t, PMC: pmc, Measured: measured}}
+		ests, err := a.sendBatch(one[:], a.ests[:0])
+		if err != nil {
+			return Estimate{}, err
+		}
+		a.ests = ests
+		return ests[0], nil
 	}
-	if err != nil {
+	if err := WriteMsg(a.f.w, KindSample, Sample{NodeID: a.nodeID, Time: t, PMC: pmc, Measured: measured}); err != nil {
 		return Estimate{}, err
 	}
 	rep, err := a.roundTrip(KindEstimate)
 	if err != nil {
 		return Estimate{}, err
-	}
-	if rep.enc == encBinary {
-		return a.f.readEstimate(rep.payload)
 	}
 	var est Estimate
 	err = DecodeBody(rep.env, &est)
@@ -185,8 +181,9 @@ func (a *Agent) SetBatching(o BatchOptions) { a.batch.opts = o }
 // error means the sample is pending. Without batching configured it
 // behaves like Send (one estimate per call). Unlike Send, Record copies
 // pmc, so callers may reuse their buffer immediately. The returned slice is
-// the agent's reply scratch: it stays valid until the next Record or Flush
-// on this agent, so a caller that keeps estimates past that copies them.
+// the agent's reply scratch: it stays valid until the next Send, Record or
+// Flush on this agent, so a caller that keeps estimates past that copies
+// them.
 func (a *Agent) Record(t float64, pmc []float64, measured *float64) ([]Estimate, error) {
 	if a.batch.opts.MaxSamples < 2 {
 		est, err := a.Send(t, pmc, measured)
@@ -224,8 +221,9 @@ func (a *Agent) Flush() ([]Estimate, error) {
 }
 
 // sendBatch performs one RecordBatch round trip and appends the reply's
-// estimates to dst; Flush and ResilientAgent.SendSamples both run it. On
-// error it returns dst as it was handed.
+// estimates, one per sample, to dst; Send, Flush and
+// ResilientAgent.SendSamples all run it. A reply with any other count is a
+// protocol error. On error it returns dst as it was handed.
 func (a *Agent) sendBatch(samples []BatchSample, dst []Estimate) ([]Estimate, error) {
 	if err := a.needBinary(KindRecordBatch); err != nil {
 		return dst, err
@@ -237,7 +235,14 @@ func (a *Agent) sendBatch(samples []BatchSample, dst []Estimate) ([]Estimate, er
 	if err != nil {
 		return dst, err
 	}
-	return a.f.readEstimateBatch(rep.payload, dst)
+	ests, err := a.f.readEstimateBatch(rep.payload, dst)
+	if err == nil && len(ests)-len(dst) != len(samples) {
+		err = fmt.Errorf("cluster: %d estimates answer a batch of %d", len(ests)-len(dst), len(samples))
+	}
+	if err != nil {
+		return dst, err
+	}
+	return ests, nil
 }
 
 // needBinary refuses, before anything is written, a request only the

@@ -13,8 +13,8 @@ import (
 )
 
 // agentVerb is one Agent verb as the scripted-peer tests drive it: the call,
-// the kind byte its request must carry on a binary connection (Send is one
-// Sample frame, never a batch of one), and the reply a service would send.
+// the kind byte its request must carry on a binary connection (Send's is a
+// RecordBatch of one), and the reply a service would send.
 // A binary-only verb's reply is a binary frame whatever the encoding asked
 // for: a JSON connection never sends its request.
 type agentVerb struct {
@@ -34,12 +34,17 @@ func agentVerbs() []agentVerb {
 	meas := 90.5
 	est := Estimate{NodeID: "script", Time: 1, PNode: meas, FromMeasurement: true}
 	return []agentVerb{
-		{"Send", binKindSample, false,
+		{"Send", binKindRecordBatch, false,
 			func(a *Agent) (int, error) {
 				_, err := a.Send(1, pmc, &meas)
 				return 1, err
 			},
-			func(f *binFramer, enc wireEnc) error { return f.replyEstimate(enc, &est) }},
+			func(f *binFramer, enc wireEnc) error {
+				if enc == encBinary {
+					return f.writeEstimateBatch([]Estimate{est})
+				}
+				return f.writeJSON(enc, KindEstimate, est)
+			}},
 		{"RecordFlush", binKindRecordBatch, true,
 			func(a *Agent) (int, error) {
 				a.SetBatching(BatchOptions{MaxSamples: 8})
@@ -222,6 +227,32 @@ func TestAgentRoundTripScripted(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestAgentSendMiscountedReply: an estimate batch must answer every sample
+// of the batch it replies to, one each. A binary Send is a batch of one, so
+// a reply of any other size is a protocol error there — never an index
+// panic or another sample's estimate — and so it is for a flushed batch.
+func TestAgentSendMiscountedReply(t *testing.T) {
+	est := Estimate{NodeID: "script", Time: 1, PNode: 90}
+	pmc := []float64{1, 2, 3}
+	for _, ests := range [][]Estimate{nil, {est, est}} {
+		reply := frameIn(t, encBinary, func(f *binFramer, _ wireEnc) error { return f.writeEstimateBatch(ests) })
+		a := scriptAgent(&scriptConn{in: bytes.NewReader(reply)}, true)
+		got, err := a.Send(1, pmc, nil)
+		var se *ServiceError
+		if err == nil || errors.As(err, &se) || got != (Estimate{}) {
+			t.Fatalf("%d estimates answering Send: %+v, err %v, want a protocol error", len(ests), got, err)
+		}
+		a = scriptAgent(&scriptConn{in: bytes.NewReader(reply)}, true)
+		a.SetBatching(BatchOptions{MaxSamples: 8})
+		if _, err := a.Record(1, pmc, nil); err != nil {
+			t.Fatal(err)
+		}
+		if flushed, err := a.Flush(); err == nil || errors.As(err, &se) || flushed != nil {
+			t.Fatalf("%d estimates answering a one-sample Flush: %+v, err %v, want a protocol error", len(ests), flushed, err)
 		}
 	}
 }

@@ -5,12 +5,14 @@
 // float64s as raw bit patterns (NaN payloads survive), length-prefixed
 // strings. Messages without a hot-path payoff (stats, model transfer) ride
 // inside binKindJSON frames carrying one ordinary JSON envelope, so only
-// the per-second telemetry and query paths needed native encodings.
+// the per-second telemetry and query paths needed native encodings. A
+// second of telemetry travels as a RecordBatch, one sample or many, and is
+// answered by an EstimateBatch.
 //
 // A binFramer owns one connection's scratch: the read buffer, the write
-// buffer, the decoded-sample slices and the node-ID intern slot. Nothing
+// buffer, the decoded-batch slices and the node-ID intern slot. Nothing
 // escapes a frame unless the caller copies it, which is what makes the
-// steady-state sample round trip allocation-free on both sides.
+// steady-state round trip allocation-free on both sides.
 package cluster
 
 import (
@@ -27,10 +29,10 @@ const (
 	// binKindJSON wraps one JSON envelope — the escape hatch for message
 	// kinds without a native binary layout.
 	binKindJSON byte = 0
-	// Kind 1 is reserved: it was a binary Hello layout no peer ever
-	// negotiated (the handshake is always JSON) and is answered as unknown.
-	binKindSample        byte = 2
-	binKindEstimate      byte = 3
+	// Kinds 1 to 3 are reserved and answered as unknown: 1 was a binary
+	// Hello layout no peer ever negotiated (the handshake is always JSON), 2
+	// and 3 a single sample and its estimate, which now travel as a
+	// RecordBatch and an EstimateBatch of one.
 	binKindQuery         byte = 4
 	binKindSeries        byte = 5
 	binKindError         byte = 6
@@ -41,7 +43,7 @@ const (
 	binKindRawSeries byte = 9
 )
 
-// Estimate flag bits (binKindEstimate payloads, and a sample body's relayed
+// Estimate flag bits (an estimate record, and a sample body's relayed
 // estimate, where only estFlagFromMeasurement is defined).
 const (
 	estFlagFromMeasurement byte = 1 << 0
@@ -92,17 +94,14 @@ type binFramer struct {
 	// serve loop no allocation either.
 	qnode, qchan nodeIntern
 
-	// Decoded-message scratch: the sample/batch handed to the caller reuses
-	// these slices, so callers must finish with one message before reading
-	// the next (the request/response protocol guarantees that).
-	sample      Sample
-	measuredVal float64
-	relayedVal  RelayedEstimate
-	batch       RecordBatch
-	batchVals   []float64         // backing for the batch samples' PMC slices
-	batchMeas   []float64         // backing for the batch samples' Measured pointers
-	batchRelay  []RelayedEstimate // backing for the batch samples' Relayed pointers
-	batchOffs   []int             // per sample: PMC [start,end) into batchVals, then the batchMeas and batchRelay indices
+	// Decoded-message scratch: the batch handed to the caller reuses these
+	// slices, so callers must finish with one message before reading the
+	// next (the request/response protocol guarantees that).
+	batch      RecordBatch
+	batchVals  []float64         // backing for the batch samples' PMC slices
+	batchMeas  []float64         // backing for the batch samples' Measured pointers
+	batchRelay []RelayedEstimate // backing for the batch samples' Relayed pointers
+	batchOffs  []int             // per sample: PMC [start,end) into batchVals, then the batchMeas and batchRelay indices
 }
 
 func newBinFramer(r *bufio.Reader, w *bufio.Writer, maxFrame int) *binFramer {
@@ -268,11 +267,10 @@ func (r *binReader) done() error {
 
 // --- message encodings ---
 
-// Sample: node string, then the sample body — f64 time, u16 count + f64 PMC
-// values, u8 presence bits, then what they announce, in bit order: the f64
-// measured reading, and the relayed estimate as 3 × f64 (node, CPU, memory)
-// + u8 flags. A RecordBatch repeats the same body per sample, so one helper
-// pair serves both frames.
+// Sample body: f64 time, u16 count + f64 PMC values, u8 presence bits, then
+// what they announce, in bit order: the f64 measured reading, and the
+// relayed estimate as 3 × f64 (node, CPU, memory) + u8 flags. A RecordBatch
+// carries one body per sample.
 
 func (f *binFramer) sampleBody(t float64, pmc []float64, measured *float64, rel *RelayedEstimate) error {
 	f.f64(t)
@@ -348,45 +346,8 @@ func (r *binReader) sampleBody(vals []float64) (sampleFields, []float64, error) 
 	return s, vals, nil
 }
 
-func (f *binFramer) writeSample(nodeID string, t float64, pmc []float64, measured *float64, rel *RelayedEstimate) error {
-	f.begin(binKindSample)
-	if err := f.str(nodeID); err != nil {
-		return err
-	}
-	if err := f.sampleBody(t, pmc, measured, rel); err != nil {
-		return err
-	}
-	return f.end()
-}
-
-// readSample decodes a binKindSample payload into the framer's scratch
-// Sample. The returned pointer (its PMC slice, its Measured and Relayed
-// pointers) is valid until the next readSample/readRecordBatch on this
-// framer.
-func (f *binFramer) readSample(payload []byte) (*Sample, error) {
-	r := binReader{b: payload}
-	node := r.bytes(int(r.u16()))
-	s, pmc, err := r.sampleBody(f.sample.PMC[:0])
-	if err == nil {
-		err = r.done()
-	}
-	if err != nil {
-		return nil, err
-	}
-	f.sample = Sample{NodeID: f.node.intern(node), Time: s.t, PMC: pmc}
-	if s.hasMeasured {
-		f.measuredVal = s.measured
-		f.sample.Measured = &f.measuredVal
-	}
-	if s.hasRelayed {
-		f.relayedVal = s.relayed
-		f.sample.Relayed = &f.relayedVal
-	}
-	return &f.sample, nil
-}
-
-// Estimate: one estimate record — node string, 4 × f64, u8 flags. An
-// EstimateBatch repeats the same record per estimate.
+// Estimate record: node string, 4 × f64, u8 flags. An EstimateBatch
+// carries one record per estimate.
 
 func (f *binFramer) estimateRec(est *Estimate) error {
 	if err := f.str(est.NodeID); err != nil {
@@ -422,26 +383,6 @@ func (f *binFramer) readEstimateRec(r *binReader) (Estimate, error) {
 	est.NodeID = f.node.intern(node)
 	est.FromMeasurement = flags&estFlagFromMeasurement != 0
 	est.Local = flags&estFlagLocal != 0
-	return est, nil
-}
-
-func (f *binFramer) writeEstimate(est *Estimate) error {
-	f.begin(binKindEstimate)
-	if err := f.estimateRec(est); err != nil {
-		return err
-	}
-	return f.end()
-}
-
-func (f *binFramer) readEstimate(payload []byte) (Estimate, error) {
-	r := binReader{b: payload}
-	est, err := f.readEstimateRec(&r)
-	if err == nil {
-		err = r.done()
-	}
-	if err != nil {
-		return Estimate{}, err
-	}
 	return est, nil
 }
 

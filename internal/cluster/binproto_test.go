@@ -9,9 +9,11 @@ import (
 	"io"
 	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"highrpm/internal/core"
 	"highrpm/internal/leaktest"
 	"highrpm/internal/tsdb"
 )
@@ -72,23 +74,6 @@ func clonePtr[T any](p *T) *T {
 // re-encode function that must reproduce the frame byte-for-byte.
 func decodeBinPayload(f *binFramer, kind byte, payload []byte) (func(g *binFramer) error, bool, error) {
 	switch kind {
-	case binKindSample:
-		smp, err := f.readSample(payload)
-		if err != nil {
-			return nil, true, err
-		}
-		// Copy out of the framer scratch: the re-encode runs after further
-		// framer use in some tests.
-		node, tm := smp.NodeID, smp.Time
-		pmc := append([]float64(nil), smp.PMC...)
-		measured, rel := clonePtr(smp.Measured), clonePtr(smp.Relayed)
-		return func(g *binFramer) error { return g.writeSample(node, tm, pmc, measured, rel) }, true, nil
-	case binKindEstimate:
-		est, err := f.readEstimate(payload)
-		if err != nil {
-			return nil, true, err
-		}
-		return func(g *binFramer) error { return g.writeEstimate(&est) }, true, nil
 	case binKindQuery:
 		q, err := f.readQuery(payload)
 		if err != nil {
@@ -114,6 +99,8 @@ func decodeBinPayload(f *binFramer, kind byte, payload []byte) (func(g *binFrame
 		if err != nil {
 			return nil, true, err
 		}
+		// Copy out of the framer scratch: the re-encode runs after further
+		// framer use in some tests.
 		node := rb.NodeID
 		samples := make([]BatchSample, len(rb.Samples))
 		for i, s := range rb.Samples {
@@ -140,11 +127,9 @@ func FuzzBinaryEnvelopeRoundTrip(f *testing.F) {
 	seeds := [][]byte{
 		// An empty batch: any peer can send one, and it must round-trip.
 		encodeBinFrame(f, func(g *binFramer) error { return g.writeRecordBatch("ghost", nil) }),
+		oneSample(f, "node-a", 1.5, []float64{1e9, 2e9, math.NaN()}, &meas, nil),
 		encodeBinFrame(f, func(g *binFramer) error {
-			return g.writeSample("node-a", 1.5, []float64{1e9, 2e9, math.NaN()}, &meas, nil)
-		}),
-		encodeBinFrame(f, func(g *binFramer) error {
-			return g.writeEstimate(&Estimate{NodeID: "n", Time: 2, PNode: 90, PCPU: 40, PMEM: 12, FromMeasurement: true})
+			return g.writeEstimateBatch([]Estimate{{NodeID: "n", Time: 2, PNode: 90, PCPU: 40, PMEM: 12, FromMeasurement: true}})
 		}),
 		encodeBinFrame(f, func(g *binFramer) error {
 			return g.writeQuery(QueryRequest{NodeID: "n", Channel: "p_node", From: 0, To: 100, ResolutionS: 10})
@@ -171,19 +156,15 @@ func FuzzBinaryEnvelopeRoundTrip(f *testing.F) {
 		f.Add(frame[4], frame[5:])
 	}
 	f.Add(byte(250), []byte{})                     // unknown kind
-	f.Add(binKindSample, []byte{})                 // truncated
+	f.Add(binKindRecordBatch, []byte{})            // truncated
 	f.Add(binKindError, []byte{0, 0, 0, 200, 'x'}) // claims more than it has
 	// Relayed estimates (added after the seeds above so those keep their
 	// numbers): a sample with one riding on it, with and without the IM
 	// reading — NaN estimates survive as bit patterns — and a batch as a
 	// router forwards it to a follower, relayed and plain samples mixed.
 	for _, frame := range [][]byte{
-		encodeBinFrame(f, func(g *binFramer) error {
-			return g.writeSample("node-a", 1.5, []float64{1e9, 2e9}, &meas, &RelayedEstimate{PNode: 90.5, PCPU: 40, PMEM: 12, FromMeasurement: true})
-		}),
-		encodeBinFrame(f, func(g *binFramer) error {
-			return g.writeSample("node-a", 2.5, []float64{1e9}, nil, &RelayedEstimate{PNode: 88, PCPU: math.NaN(), PMEM: 11})
-		}),
+		oneSample(f, "node-a", 1.5, []float64{1e9, 2e9}, &meas, &RelayedEstimate{PNode: 90.5, PCPU: 40, PMEM: 12, FromMeasurement: true}),
+		oneSample(f, "node-a", 2.5, []float64{1e9}, nil, &RelayedEstimate{PNode: 88, PCPU: math.NaN(), PMEM: 11}),
 		encodeBinFrame(f, func(g *binFramer) error {
 			return g.writeRecordBatch("node-b", []BatchSample{
 				{Time: 1, PMC: []float64{1, 2}, Relayed: &RelayedEstimate{PNode: 87, PCPU: 39, PMEM: 10}},
@@ -316,13 +297,16 @@ func FuzzSeriesShape(f *testing.F) {
 	})
 }
 
-// FuzzCrossCodecSample pins the two codecs to each other: a sample — with
-// or without an IM reading, with or without a relayed estimate — sent
-// through the JSON framing and through the binary framing must decode to
-// bit-identical fields; in binary also inside a RecordBatch beside its
-// plain twin, a frame JSON does not carry. JSON cannot carry non-finite
-// floats (WriteMsg fails), so the agreement check applies when both paths
-// accept the value; the binary path must round-trip regardless.
+// FuzzCrossCodecSample pins the two codecs to each other. A single sample —
+// with or without an IM reading, with or without a relayed estimate —
+// travels over JSON as a Sample and over binary as a RecordBatch of one.
+// The binary batch must decode to bit-identical fields regardless, alone
+// and beside its plain twin. JSON cannot carry non-finite floats (WriteMsg
+// fails) or invalid UTF-8, so the rest applies when it carries the values:
+// the JSON decode agrees with the binary one, and a fresh Service behind
+// each codec answers the same estimate bit for bit, or refuses the sample
+// with the same error text. The sample carries the model's ten counters,
+// the first three fuzzed, so the estimate path runs.
 func FuzzCrossCodecSample(f *testing.F) {
 	f.Add("node-1", 1.5, 1e9, 2e9, 3e9, true, 90.5, false, 0.0, 0.0, 0.0, false)
 	f.Add("", 0.0, 0.0, 0.0, 0.0, false, 0.0, false, 0.0, 0.0, 0.0, false)
@@ -331,13 +315,20 @@ func FuzzCrossCodecSample(f *testing.F) {
 	f.Add("node-1", 1.5, 1e9, 2e9, 3e9, true, 90.5, true, 90.5, 40.0, 12.0, true)
 	f.Add("node-2", 2.5, 1e9, 2e9, 3e9, false, 0.0, true, 88.0, 39.0, 11.0, false)
 	f.Add("n", 0.0, 1.0, 2.0, 3.0, false, 0.0, true, math.NaN(), math.Inf(-1), math.Copysign(0, -1), false)
+	// Refused alike in both codecs: a reading beyond ±1 MW (the monitor's
+	// refusal) and a node ID no store can keep (a *ServiceError).
+	f.Add("node-3", 4.0, 1e9, 2e9, 3e9, true, 2e6, false, 0.0, 0.0, 0.0, false)
+	f.Add(strings.Repeat("n", 300), 5.0, 1e9, 2e9, 3e9, false, 0.0, false, 0.0, 0.0, 0.0, false)
 
+	model := sharedModel(f)
 	f.Fuzz(func(t *testing.T, node string, tm, p0, p1, p2 float64, hasMeasured bool, m float64,
 		hasRelayed bool, rn, rc, rm float64, relFromMeasurement bool) {
 		if len(node) > math.MaxUint16 {
 			return
 		}
-		want := BatchSample{Time: tm, PMC: []float64{p0, p1, p2}}
+		// The model's full feature width, so a sample JSON carries gets an
+		// estimate: the fuzzed counters lead, the rest are benchPMC's.
+		want := BatchSample{Time: tm, PMC: append([]float64{p0, p1, p2}, benchPMC()[3:]...)}
 		if hasMeasured {
 			want.Measured = &m
 		}
@@ -377,32 +368,24 @@ func FuzzCrossCodecSample(f *testing.F) {
 		}
 
 		// Binary path: must always round-trip bit-exactly.
-		readBin := func(frame []byte, wantKind byte) (*binFramer, []byte) {
+		readBatch := func(frame []byte, n int) *RecordBatch {
 			fr := newBinFramer(bufio.NewReader(bytes.NewReader(frame)), nil, DefaultMaxFrame)
 			kind, payload, err := fr.readFrame()
-			if err != nil || kind != wantKind {
+			if err != nil || kind != binKindRecordBatch {
 				t.Fatalf("binary frame read: kind %d err %v", kind, err)
 			}
-			return fr, payload
+			rb, err := fr.readRecordBatch(payload)
+			if err != nil || len(rb.Samples) != n {
+				t.Fatalf("binary batch decode: %d samples, err %v, want %d", len(rb.Samples), err, n)
+			}
+			return rb
 		}
-		fr, payload := readBin(encodeBinFrame(t, func(g *binFramer) error {
-			return g.writeSample(node, tm, want.PMC, want.Measured, want.Relayed)
-		}), binKindSample)
-		got, err := fr.readSample(payload)
-		if err != nil {
-			t.Fatalf("binary decode: %v", err)
-		}
-		check("binary sample", got.NodeID, BatchSample{Time: got.Time, PMC: got.PMC, Measured: got.Measured, Relayed: got.Relayed}, want)
-		fr, payload = readBin(encodeBinFrame(t, func(g *binFramer) error {
+		binSample := oneSample(t, node, tm, want.PMC, want.Measured, want.Relayed)
+		rb := readBatch(binSample, 1)
+		check("binary batch of one", rb.NodeID, rb.Samples[0], want)
+		rb = readBatch(encodeBinFrame(t, func(g *binFramer) error {
 			return g.writeRecordBatch(node, []BatchSample{want, plain})
-		}), binKindRecordBatch)
-		rb, err := fr.readRecordBatch(payload)
-		if err != nil {
-			t.Fatalf("binary batch decode: %v", err)
-		}
-		if len(rb.Samples) != 2 {
-			t.Fatalf("binary batch: wrote 2 samples read %d", len(rb.Samples))
-		}
+		}), 2)
 		check("binary batch[0]", rb.NodeID, rb.Samples[0], want)
 		check("binary batch[1]", rb.NodeID, rb.Samples[1], plain)
 
@@ -414,6 +397,7 @@ func FuzzCrossCodecSample(f *testing.F) {
 		if err := WriteMsg(&buf, KindSample, smp); err != nil {
 			return
 		}
+		jsonSample := bytes.Clone(buf.Bytes())
 		env, err := ReadMsgLimit(bufio.NewReader(&buf), DefaultMaxFrame)
 		if err != nil {
 			t.Fatalf("JSON read after write: %v", err)
@@ -426,6 +410,59 @@ func FuzzCrossCodecSample(f *testing.F) {
 			return // JSON coerced invalid UTF-8; codecs legitimately differ
 		}
 		check("json sample", jdec.NodeID, BatchSample{Time: jdec.Time, PMC: jdec.PMC, Measured: jdec.Measured, Relayed: jdec.Relayed}, want)
+
+		// Same answers: the sample alone on a fresh service, once per codec.
+		answer := func(codecs []string, frame []byte) (est Estimate, refusal string) {
+			svc := NewService(model)
+			svc.Logf = t.Logf
+			defer svc.Close()
+			replies, _ := serveScript(t, serviceHandler{svc}, scriptStream(t, codecs, frame), DefaultMaxFrame)
+			if len(replies) != 2 {
+				t.Fatalf("codecs %v: %d replies, want the Hello's and the sample's", codecs, len(replies))
+			}
+			rep := replies[1]
+			g := newBinFramer(nil, nil, DefaultMaxFrame)
+			if codecs != nil {
+				switch rep[0] {
+				case binKindEstimateBatch:
+					ests, err := g.readEstimateBatch(rep[1:], nil)
+					if err != nil || len(ests) != 1 {
+						t.Fatalf("binary reply: %d estimates, err %v", len(ests), err)
+					}
+					return ests[0], ""
+				case binKindError:
+					msg, err := g.readError(rep[1:])
+					if err != nil {
+						t.Fatal(err)
+					}
+					return Estimate{}, msg
+				}
+				t.Fatalf("binary reply of kind %d", rep[0])
+			}
+			var env Envelope
+			if err := json.Unmarshal(rep, &env); err != nil {
+				t.Fatalf("JSON reply %q: %v", rep, err)
+			}
+			var eb ErrorBody
+			var err error
+			switch env.Kind {
+			case KindEstimate:
+				err = DecodeBody(env, &est)
+			case KindError:
+				err = DecodeBody(env, &eb)
+			default:
+				t.Fatalf("JSON reply of kind %q", env.Kind)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return est, eb.Message
+		}
+		jest, jerr := answer(nil, jsonSample)
+		best, berr := answer([]string{CodecBinary}, binSample)
+		if jerr != berr || !sameWireEstimate(jest, best) {
+			t.Fatalf("JSON answered %+v / %q, binary %+v / %q", jest, jerr, best, berr)
+		}
 	})
 }
 
@@ -618,6 +655,31 @@ func TestRecordBatch(t *testing.T) {
 	}
 }
 
+// TestServiceCountsSendAsBatchOfOne: a single sample is a batch of one to
+// the service whichever codec carried it, so N Sends read Batches ==
+// BatchSamples == N.
+func TestServiceCountsSendAsBatchOfOne(t *testing.T) {
+	leaktest.Check(t)
+	svc := startService(t)
+	const perCodec = 5
+	pmc := benchPMC()
+	for _, codec := range []string{CodecBinary, CodecJSON} {
+		ag, err := DialCodec(svc.Addr(), "count-"+codec, codec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < perCodec; i++ {
+			if _, err := ag.Send(float64(i), pmc, nil); err != nil {
+				t.Fatalf("%s send %d: %v", codec, i, err)
+			}
+		}
+		ag.Close()
+	}
+	if st := svc.Stats(); st.Batches != 2*perCodec || st.BatchSamples != 2*perCodec || st.Samples != 2*perCodec {
+		t.Fatalf("%d sends counted as %d batches of %d samples (%d samples in all)", 2*perCodec, st.Batches, st.BatchSamples, st.Samples)
+	}
+}
+
 // TestResilientBatchDegradedReplay: a ResilientAgent whose service dies
 // must serve SendSamples batches locally, keep the samples in order in the
 // replay buffer, and deliver the whole backlog in order, before anything
@@ -732,10 +794,20 @@ func TestResilientBatchDegradedReplay(t *testing.T) {
 	}
 }
 
+// modelStub is a stubHandler that serves a real model file, so a
+// ResilientAgent can dial it.
+type modelStub struct {
+	stubHandler
+	model []byte
+}
+
+func (h modelStub) Model() ([]byte, error) { return h.model, nil }
+
 // TestBinaryCodecZeroAlloc is the allocation-regression guard for the
 // binary record path: one steady-state encode → frame read → decode of a
-// sample must not allocate at all. Everything lives in the framer scratch
-// — the write buffer, the read buffer, the PMC slice, the interned node.
+// sample, a record batch of one, must not allocate at all. Everything lives
+// in the framer scratch — the write buffer, the read buffer, the PMC slice,
+// the interned node.
 func TestBinaryCodecZeroAlloc(t *testing.T) {
 	leaktest.Check(t)
 	pmc := benchPMC()
@@ -746,10 +818,11 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	rr := bufio.NewReader(br)
 	fr := newBinFramer(rr, nil, DefaultMaxFrame)
 
+	one := []BatchSample{{Time: 42.5, PMC: pmc, Measured: &meas}}
 	iter := func() {
 		buf.Reset()
 		fw.w.Reset(&buf)
-		if err := fw.writeSample("node-alloc", 42.5, pmc, &meas, nil); err != nil {
+		if err := fw.writeRecordBatch("node-alloc", one); err != nil {
 			t.Fatal(err)
 		}
 		if err := fw.w.Flush(); err != nil {
@@ -758,15 +831,15 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 		br.Reset(buf.Bytes())
 		rr.Reset(br)
 		kind, payload, err := fr.readFrame()
-		if err != nil || kind != binKindSample {
+		if err != nil || kind != binKindRecordBatch {
 			t.Fatalf("frame: kind %d err %v", kind, err)
 		}
-		smp, err := fr.readSample(payload)
+		rb, err := fr.readRecordBatch(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if smp.NodeID != "node-alloc" || len(smp.PMC) != len(pmc) {
-			t.Fatalf("bad decode: %+v", smp)
+		if rb.NodeID != "node-alloc" || len(rb.Samples) != 1 || len(rb.Samples[0].PMC) != len(pmc) {
+			t.Fatalf("bad decode: %+v", rb)
 		}
 	}
 	iter() // warm the scratch buffers and the intern slot
@@ -789,8 +862,9 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	ag := &Agent{nodeID: "node-alloc", conn: client, f: cf, binary: true}
 	batch := []BatchSample{{Time: 1, PMC: pmc}, {Time: 2, PMC: pmc, Measured: &meas}}
 	// The follower leg of a replicated write: a sample with the primary's
-	// estimate attached, and sixteen of them in one batch.
+	// estimate attached, alone and sixteen of them in one batch.
 	rel := RelayedEstimate{PNode: 91.5, PCPU: 40, PMEM: 12}
+	relayedOne := []BatchSample{{Time: 43.5, PMC: pmc, Relayed: &rel}}
 	relayedBatch := make([]BatchSample, 16)
 	for i := range relayedBatch {
 		relayedBatch[i] = BatchSample{Time: float64(i), PMC: pmc, Relayed: &rel}
@@ -809,9 +883,7 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 			t.Fatalf("sample reply: %+v err %v", est, err)
 		}
 		sendBatch(batch)
-		if est, err := ag.send(43.5, pmc, nil, &rel); err != nil || est.PNode != rel.PNode {
-			t.Fatalf("relayed sample reply: %+v err %v", est, err)
-		}
+		sendBatch(relayedOne)
 		sendBatch(relayedBatch)
 	}
 	roundTrip()
@@ -847,6 +919,34 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	client.Close()
 	if err := <-done; err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("serve loop exit: %v", err)
+	}
+
+	// A live ResilientAgent.Send is SendSamples of a batch of one on the
+	// agent's stack, answered into its one-estimate field: it adds nothing
+	// to the round trip, over a real socket with request deadlines armed.
+	modelBytes, err := core.Marshal(sharedModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsrv := NewServer("test", modelStub{model: modelBytes}, ServiceOptions{}, t.Logf)
+	if err := rsrv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer rsrv.Close()
+	ra, err := DialResilient(rsrv.Addr(), "node-alloc", DefaultAgentOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ra.Close()
+	resilient := func() {
+		tick++
+		if est, err := ra.Send(tick, pmc, &meas); err != nil || est.Local || est.Time != tick || est.PNode != meas {
+			t.Fatalf("resilient send: %+v err %v", est, err)
+		}
+	}
+	resilient()
+	if allocs := testing.AllocsPerRun(200, resilient); allocs != 0 {
+		t.Fatalf("a live ResilientAgent.Send allocates %.1f times per sample, want 0", allocs)
 	}
 
 	// The query round trip against a real Service: the shard walks its blocks

@@ -324,7 +324,7 @@ func TestServiceKeepsNodeTimeOrder(t *testing.T) {
 	// A relayed estimate is recorded as it stands, so the service refuses
 	// one with a field that is not finite.
 	for _, rel := range []RelayedEstimate{{PNode: math.NaN(), PCPU: 1, PMEM: 1}, {PNode: 90, PCPU: math.Inf(-1), PMEM: 1}} {
-		if _, err := agent.send(10, pmc, nil, &rel); !errors.As(err, &se) {
+		if _, err := sendRelayed(agent, 10, pmc, nil, &rel); !errors.As(err, &se) {
 			t.Fatalf("relayed %+v: %v, want a *ServiceError", rel, err)
 		}
 	}
@@ -369,7 +369,7 @@ func TestServiceFencesNewestTime(t *testing.T) {
 	if got, err := agent.Send(5, other, &reading); err != nil || got != first {
 		t.Fatalf("re-send of t = 5: %+v (err %v), want the first reply %+v", got, err, first)
 	}
-	if got, err := agent.send(5, other, nil, &RelayedEstimate{PNode: 1, PCPU: 1, PMEM: 1}); err != nil || got != first {
+	if got, err := sendRelayed(agent, 5, other, nil, &RelayedEstimate{PNode: 1, PCPU: 1, PMEM: 1}); err != nil || got != first {
 		t.Fatalf("relayed re-send of t = 5: %+v (err %v), want the first reply %+v", got, err, first)
 	}
 	ests, err := agent.sendBatch([]BatchSample{{Time: 5, PMC: other, Measured: &reading}, {Time: 6, PMC: pmc}}, nil)

@@ -31,7 +31,7 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 	measured := reg.Counter("highrpm_service_measured_total", "Samples that carried an IM (IPMI) reading.")
 	relayed := reg.Counter("highrpm_service_relayed_samples_total", "Samples recorded from a relayed estimate instead of an inference of the service's own.")
 	s.srv.RegisterMetrics(reg, "highrpm_service")
-	batches := reg.Counter("highrpm_service_batches_total", "Record batches handled.")
+	batches := reg.Counter("highrpm_service_batches_total", "Record batches handled; a single sample is a batch of one.")
 	batchSamples := reg.Counter("highrpm_service_batch_samples_total", "Samples delivered inside record batches.")
 	batchHist := reg.Histogram("highrpm_service_batch_size",
 		"Samples per record batch (the coalescing factor agents achieve).",

@@ -94,7 +94,7 @@ func TestObsEndToEndScrape(t *testing.T) {
 		if i >= ticks-5 {
 			rel = &RelayedEstimate{PNode: s.PNode, PCPU: s.PCPU, PMEM: s.PMEM}
 		}
-		if _, err := agent.send(s.Time, s.Counters.Slice(), measured, rel); err != nil {
+		if _, err := sendRelayed(agent, s.Time, s.Counters.Slice(), measured, rel); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,13 +8,14 @@
 // connection opens with a JSON Hello (this file): an agent that offers
 // CodecBinary and gets it echoed switches, with the service, to the binary
 // framing of binproto.go — a 1-byte kind and a fixed-layout payload,
-// allocation-free for the per-second sample, batch and query traffic, and
-// the only framing record batches and series travel in. JSON carries the
-// handshake, the single samples and estimates of a peer that never offers
-// binary, and the stats and model envelopes, which ride a kind-0 binary
-// frame on a binary connection. A JSON batch or query is answered with an
-// error reply. Where both codecs carry a message, estimates and error
-// messages are identical either way.
+// allocation-free for the telemetry and query traffic, and the only framing
+// record batches and series travel in. On it, a single sample is a record
+// batch of one. JSON carries the handshake, the single samples and
+// estimates of a peer that never offers binary, and the stats and model
+// envelopes, which ride a kind-0 binary frame on a binary connection. A
+// JSON batch or query is answered with an error reply. The server turns a
+// JSON sample into a batch of one too, so estimates and error messages are
+// identical in both codecs.
 //
 // A connection carries one request at a time or several: a server answers
 // the frames of a connection strictly in order, so a client may write a
@@ -40,9 +41,10 @@ type MsgKind string
 const (
 	// KindHello registers an agent with the service.
 	KindHello MsgKind = "hello"
-	// KindSample carries one second of telemetry from an agent.
+	// KindSample carries one second of telemetry from an agent over JSON;
+	// the binary codec sends a KindRecordBatch of one instead.
 	KindSample MsgKind = "sample"
-	// KindEstimate is the service's restored power for one sample.
+	// KindEstimate is the service's restored power for one JSON sample.
 	KindEstimate MsgKind = "estimate"
 	// KindStats requests / carries service statistics.
 	KindStats MsgKind = "stats"
@@ -56,7 +58,7 @@ const (
 	KindSeries MsgKind = "series"
 	// KindError reports a server-side failure for a request.
 	KindError MsgKind = "error"
-	// KindRecordBatch carries several coalesced seconds of telemetry in one
+	// KindRecordBatch carries one or more seconds of telemetry in one
 	// binary frame; the service answers with KindEstimateBatch (or one
 	// KindError for the whole batch).
 	KindRecordBatch MsgKind = "record_batch"
@@ -176,8 +178,9 @@ type Stats struct {
 	Relayed int64 `json:"relayed"`
 	// ConnStats is the connection server's accounting (Server.Stats).
 	ConnStats
-	// Batches counts KindRecordBatch requests and BatchSamples the samples
-	// they carried (BatchSamples/Batches is the mean coalescing factor).
+	// Batches counts record batches and BatchSamples the samples they
+	// carried (BatchSamples/Batches is the mean coalescing factor). A single
+	// sample, in either codec, is a batch of one.
 	Batches      int64 `json:"batches"`
 	BatchSamples int64 `json:"batch_samples"`
 	// Store summarises the embedded history store (series count,

@@ -10,6 +10,16 @@ import (
 	"highrpm/internal/leaktest"
 )
 
+// sendRelayed sends one sample with rel attached, as a batch of one — the
+// way a fleet router forwards a replicated sample to a follower.
+func sendRelayed(a *Agent, t float64, pmc []float64, measured *float64, rel *RelayedEstimate) (Estimate, error) {
+	ests, err := a.sendBatch([]BatchSample{{Time: t, PMC: pmc, Measured: measured, Relayed: rel}}, nil)
+	if err != nil {
+		return Estimate{}, err
+	}
+	return ests[0], nil
+}
+
 func sameWireEstimate(a, b Estimate) bool {
 	return a.NodeID == b.NodeID && math.Float64bits(a.Time) == math.Float64bits(b.Time) &&
 		math.Float64bits(a.PNode) == math.Float64bits(b.PNode) &&
@@ -51,7 +61,7 @@ func TestColdReplicaFedRelayedSamples(t *testing.T) {
 		case i < joinAt:
 		case i < relayUntil:
 			rel := est.Relayed()
-			got, err := fa.send(smp.Time, smp.PMC, smp.Measured, &rel)
+			got, err := sendRelayed(fa, smp.Time, smp.PMC, smp.Measured, &rel)
 			if err != nil || !sameWireEstimate(got, est) {
 				t.Fatalf("sample %d: relayed answer %+v (err %v), primary's %+v", i, got, err, est)
 			}
@@ -112,40 +122,38 @@ func TestColdReplicaFedRelayedSamples(t *testing.T) {
 	}
 }
 
-// Frames the encoders produced for a plain sample and batch before the
-// relayed presence bit existed (payloads, without the length prefix). The
-// JSON batch is what a JSON agent sent while JSON still carried batches.
+// Frames the encoders produced before the relayed presence bit existed
+// (payloads, without the length prefix). The JSON batch is what a JSON
+// agent sent while JSON still carried batches. The binary sample and
+// estimate are the retired kinds 2 and 3, which a server now answers as
+// unknown (TestServeConnScripted).
 const (
-	parentBinSample  = "0200026e31400800000000000000023ff00000000000004000000000000000014056a00000000000"
-	parentBinBatch   = "0700026e3100000002400800000000000000023ff00000000000004000000000000000014056a00000000000401000000000000000024008000000000000401000000000000000"
-	parentJSONSample = `{"kind":"sample","body":{"node_id":"n1","time":3,"pmc":[1,2],"measured":90.5}}`
-	parentJSONBatch  = `{"kind":"record_batch","body":{"node_id":"n1","samples":[{"time":3,"pmc":[1,2],"measured":90.5},{"time":4,"pmc":[3,4]}]}}`
+	parentBinSample   = "0200026e31400800000000000000023ff00000000000004000000000000000014056a00000000000"
+	parentBinEstimate = "0300026e31400800000000000000" + "4056a00000000000" + "4044000000000000" + "4028000000000000" + "01"
+	parentBinBatch    = "0700026e3100000002400800000000000000023ff00000000000004000000000000000014056a00000000000401000000000000000024008000000000000401000000000000000"
+	parentJSONSample  = `{"kind":"sample","body":{"node_id":"n1","time":3,"pmc":[1,2],"measured":90.5}}`
+	parentJSONBatch   = `{"kind":"record_batch","body":{"node_id":"n1","samples":[{"time":3,"pmc":[1,2],"measured":90.5},{"time":4,"pmc":[3,4]}]}}`
 )
 
 // TestRelayedSampleDecodeStrict pins what the checked-in corpus files for
-// the relayed presence bit are expected to do: the two valid layouts decode
-// (through the serve loop too, which answers with the relayed estimate),
-// and a payload cut off after the presence byte, a presence bit nobody
-// defined, or an estimate flag a relayed estimate cannot carry is a
-// protocol error — never a guess. A sample or batch without a relayed
-// estimate is framed byte for byte as before the bit existed — a sample in
-// both codecs — and one with it is longer by the estimate.
+// the relayed presence bit are expected to do, on the record batch that
+// carries every binary sample: the two valid layouts decode (through the
+// serve loop too, which answers with the relayed estimate), and a payload
+// cut off after the presence byte, a presence bit nobody defined, or an
+// estimate flag a relayed estimate cannot carry is a protocol error —
+// never a guess. A batch without a relayed estimate is framed byte for
+// byte as before the bit existed, as is a JSON sample, and one with it is
+// longer by the estimate.
 func TestRelayedSampleDecodeStrict(t *testing.T) {
 	parentMeas := 90.5
 	parentRel := &RelayedEstimate{PNode: 90.5, PCPU: 40, PMEM: 12, FromMeasurement: true}
 	for _, rel := range []*RelayedEstimate{nil, parentRel} {
 		batch := []BatchSample{{Time: 3, PMC: []float64{1, 2}, Measured: &parentMeas, Relayed: rel}, {Time: 4, PMC: []float64{3, 4}}}
-		bin := [2][]byte{
-			encodeBinFrame(t, func(g *binFramer) error { return g.writeSample("n1", 3, []float64{1, 2}, &parentMeas, rel) })[4:],
-			encodeBinFrame(t, func(g *binFramer) error { return g.writeRecordBatch("n1", batch) })[4:],
+		got := hex.EncodeToString(encodeBinFrame(t, func(g *binFramer) error { return g.writeRecordBatch("n1", batch) })[4:])
+		if (rel == nil) != (got == parentBinBatch) || len(got) < len(parentBinBatch) {
+			t.Fatalf("binary batch with relayed %v:\ngot    %s\nparent %s", rel, got, parentBinBatch)
 		}
 		js := string(jsonFrame(t, KindSample, Sample{NodeID: "n1", Time: 3, PMC: []float64{1, 2}, Measured: &parentMeas, Relayed: rel})[4:])
-		for i, parent := range [2]string{parentBinSample, parentBinBatch} {
-			got := hex.EncodeToString(bin[i])
-			if (rel == nil) != (got == parent) || len(got) < len(parent) {
-				t.Fatalf("binary frame %d with relayed %v:\ngot    %s\nparent %s", i, rel, got, parent)
-			}
-		}
 		if (rel == nil) != (js == parentJSONSample) || (rel != nil) != strings.Contains(js, `"relayed":`) {
 			t.Fatalf("JSON sample with relayed %v:\ngot    %s\nparent %s", rel, js, parentJSONSample)
 		}
@@ -154,20 +162,20 @@ func TestRelayedSampleDecodeStrict(t *testing.T) {
 	pmc := []float64{0.5, 1e9, 3}
 	meas := 88.25
 	rel := &RelayedEstimate{PNode: 88.25, PCPU: 41.5, PMEM: 12.75, FromMeasurement: true}
-	relayed := encodeBinFrame(t, func(g *binFramer) error { return g.writeSample("corpus", 1, pmc, nil, rel) })
-	both := encodeBinFrame(t, func(g *binFramer) error { return g.writeSample("corpus", 2, pmc, &meas, rel) })
-	presence := 4 + 1 + 2 + len("corpus") + 8 + 2 + 8*len(pmc) // offset of the presence byte in a frame
+	relayed := oneSample(t, "corpus", 1, pmc, nil, rel)
+	both := oneSample(t, "corpus", 2, pmc, &meas, rel)
+	presence := 4 + 1 + 2 + len("corpus") + 4 + 8 + 2 + 8*len(pmc) // offset of the presence byte in a frame
 	if relayed[presence] != sampleHasRelayed || both[presence] != sampleHasMeasured|sampleHasRelayed {
 		t.Fatalf("presence bytes %#x / %#x", relayed[presence], both[presence])
 	}
 	f := newBinFramer(nil, nil, DefaultMaxFrame)
 	for _, frame := range [][]byte{relayed, both} {
-		smp, err := f.readSample(frame[5:])
-		if err != nil || smp.Relayed == nil || *smp.Relayed != *rel {
-			t.Fatalf("valid relayed sample: %+v, err %v", smp, err)
+		rb, err := f.readRecordBatch(frame[5:])
+		if err != nil || len(rb.Samples) != 1 || rb.Samples[0].Relayed == nil || *rb.Samples[0].Relayed != *rel {
+			t.Fatalf("valid relayed sample: %+v, err %v", rb, err)
 		}
-		if (smp.Measured != nil) != (frame[presence]&sampleHasMeasured != 0) {
-			t.Fatalf("measured presence lost: %+v", smp)
+		if (rb.Samples[0].Measured != nil) != (frame[presence]&sampleHasMeasured != 0) {
+			t.Fatalf("measured presence lost: %+v", rb.Samples[0])
 		}
 	}
 	corrupt := func(mutate func(frame []byte) []byte) []byte {
@@ -179,8 +187,8 @@ func TestRelayedSampleDecodeStrict(t *testing.T) {
 		"undefined estimate flag":           corrupt(func(b []byte) []byte { b[len(b)-1] |= estFlagLocal; return b }),
 		"trailing byte":                     corrupt(func(b []byte) []byte { return append(b, 0) }),
 	} {
-		if smp, err := f.readSample(payload); err == nil {
-			t.Errorf("%s decoded to %+v", name, smp)
+		if rb, err := f.readRecordBatch(payload); err == nil {
+			t.Errorf("%s decoded to %+v", name, rb)
 		}
 	}
 
@@ -189,9 +197,9 @@ func TestRelayedSampleDecodeStrict(t *testing.T) {
 		t.Fatalf("%d replies, accounting %+v", len(replies), st)
 	}
 	for _, rep := range replies[1:] {
-		est, err := f.readEstimate(rep[1:])
-		if rep[0] != binKindEstimate || err != nil || est.PCPU != rel.PCPU {
-			t.Fatalf("relayed sample answered kind %d %+v (err %v), want the relayed estimate back", rep[0], est, err)
+		ests, err := f.readEstimateBatch(rep[1:], nil)
+		if rep[0] != binKindEstimateBatch || err != nil || len(ests) != 1 || ests[0].PCPU != rel.PCPU {
+			t.Fatalf("relayed sample answered kind %d %+v (err %v), want the relayed estimate back", rep[0], ests, err)
 		}
 	}
 }

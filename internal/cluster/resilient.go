@@ -138,7 +138,8 @@ type ResilientAgent struct {
 	model    *core.HighRPM // last fetched snapshot
 	models   *ModelCache   // shared decode table (nil: decode privately)
 	localMon *core.Monitor // per-episode fallback monitor (nil between episodes)
-	buffer   []Sample      // degraded samples awaiting replay, oldest first
+	buffer   []BatchSample // degraded samples awaiting replay, oldest first
+	one      [1]Estimate   // Send's reply scratch
 	mode     Mode
 	closed   bool
 
@@ -194,9 +195,9 @@ func (c *ModelCache) decode(data []byte) (*core.HighRPM, error) {
 // registers the node, and fetches the model snapshot the degraded-mode
 // fallback will run on, interned in models (nil: a private decode). The
 // initial connect must succeed — without a snapshot there is nothing to
-// degrade to. Every dial offers the binary codec, and the Hello falls back
-// to JSON against a service without it; such a link carries Send and
-// SendRelayed, while SendSamples needs binary and is served locally.
+// degrade to. Every dial offers the binary codec, which carries all of the
+// agent's telemetry, and a service whose Hello settles on anything else is
+// refused.
 func DialResilient(addr, nodeID string, opts AgentOptions, models *ModelCache) (*ResilientAgent, error) {
 	if opts.SendRetries < 1 {
 		opts.SendRetries = 1
@@ -239,6 +240,10 @@ func (ra *ResilientAgent) connect() (*Agent, *core.HighRPM, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	if !agent.binary {
+		_ = agent.Close()
+		return nil, nil, fmt.Errorf("cluster: service %s does not speak the binary codec", ra.addr)
+	}
 	if ra.opts.DialTimeout > 0 {
 		agent.SetDeadline(time.Now().Add(ra.opts.DialTimeout))
 	}
@@ -272,19 +277,16 @@ func (ra *ResilientAgent) Model() *core.HighRPM { return ra.model }
 // Pending reports how many buffered samples still await replay.
 func (ra *ResilientAgent) Pending() int { return len(ra.buffer) }
 
-// live runs one telemetry request through the resilience policy, written
-// once for Send and SendSamples: while degraded it skips the network
-// until a probe is due; otherwise it makes up to SendRetries attempts, each
-// on a connected, fully-replayed link under the request deadline. It
-// reports whether the service answered — with a reply (nil error) or with a
-// rejection over a healthy link (the *ServiceError, returned as-is). Not
-// answered means every attempt hit a transport failure, which dropped the
+// live runs one telemetry request through the resilience policy: up to
+// SendRetries attempts, each on a connected, fully-replayed link under the
+// request deadline. A degraded agent has no connection, so it skips the
+// network until redial's probe is due. It reports whether the service
+// answered — with a reply (nil error) or with a rejection over a healthy
+// link (the *ServiceError, returned as-is). Not answered means no link was
+// ready or every attempt hit a transport failure, which dropped the
 // connection and scheduled the next probe; the caller then serves the
 // request from the local snapshot.
 func (ra *ResilientAgent) live(call func(*Agent) error) (answered bool, err error) {
-	if ra.mode == ModeDegraded && time.Now().Before(ra.nextProbe) {
-		return false, nil
-	}
 	for attempt := 0; attempt < ra.opts.SendRetries; attempt++ {
 		if !ra.ensureLive() {
 			break
@@ -315,50 +317,34 @@ func (ra *ResilientAgent) bounded(call func(*Agent) error) error {
 	return call(ra.agent)
 }
 
-// Send streams one second of telemetry. It returns the service's estimate
-// when the network cooperates, and otherwise a local-snapshot estimate
-// with Estimate.Local set — transport failures are absorbed, not
-// returned. A *ServiceError (the service rejected the sample over a
-// healthy connection) is returned as-is. pmc and measured are borrowed
-// only for the call, degraded or not.
+// Send streams one second of telemetry: SendSamples with a batch of one. It
+// returns the service's estimate when the network cooperates, and otherwise
+// a local-snapshot estimate with Estimate.Local set — transport failures
+// are absorbed, not returned. A *ServiceError (the service rejected the
+// sample over a healthy connection) is returned as-is. pmc and measured are
+// borrowed only for the call, degraded or not.
 func (ra *ResilientAgent) Send(t float64, pmc []float64, measured *float64) (Estimate, error) {
-	return ra.SendRelayed(t, pmc, measured, nil)
-}
-
-// SendRelayed is Send with rel attached: the estimate another service
-// already computed for this very sample (nil: a plain Send). The service
-// records rel and skips its own inference. A degraded agent answers from
-// its local snapshot exactly as Send does and buffers the sample with rel,
-// so the later replay still spares the service the inference. The fleet
-// router forwards a replicated sample to its followers this way.
-func (ra *ResilientAgent) SendRelayed(t float64, pmc []float64, measured *float64, rel *RelayedEstimate) (Estimate, error) {
-	if ra.closed {
-		return Estimate{}, ErrAgentClosed
+	one := [1]BatchSample{{Time: t, PMC: pmc, Measured: measured}}
+	ests, err := ra.SendSamples(one[:], ra.one[:0])
+	if err != nil {
+		return Estimate{}, err
 	}
-	var est Estimate
-	answered, err := ra.live(func(a *Agent) (err error) {
-		est, err = a.send(t, pmc, measured, rel)
-		return err
-	})
-	if !answered {
-		return ra.serveLocal(Sample{NodeID: ra.nodeID, Time: t, PMC: pmc, Measured: measured, Relayed: rel})
-	}
-	if err == nil {
-		ra.counters.Sent++
-	}
-	return est, err
+	return ests[0], nil
 }
 
 // SendSamples delivers a prepared batch of samples in order in one
-// RecordBatch round trip, through the same resilience policy as Send: the
-// caller's samples go to the service as they are, and when no service
-// answers each is served from the local snapshot and joins the replay
-// buffer in order (serveLocal copies what it buffers), so in-order replay
-// holds across degraded episodes. An empty batch makes no round trip. A
-// *ServiceError (the service rejected the batch) drops it and is returned
-// as-is. A sample's Relayed estimate travels with it as in SendRelayed. The
-// fleet router forwards a front-end RecordBatch to a backend shard this
-// way.
+// RecordBatch round trip, through the resilience policy: the caller's
+// samples go to the service as they are, and when no service answers each
+// is served from the local snapshot and joins the replay buffer in order
+// (serveLocal copies what it buffers), so in-order replay holds across
+// degraded episodes. An empty batch makes no round trip. A *ServiceError
+// (the service rejected the batch) drops it and is returned as-is.
+//
+// A sample's Relayed estimate, the one another service already computed
+// for it, travels with it: the service records it and skips its own
+// inference, and a degraded agent buffers it with the sample, so the later
+// replay spares the service the inference too. The fleet router forwards
+// every front-end request to its backend shards this way.
 //
 // The estimates, one per sample in order, are appended to dst and the grown
 // slice returned, so a caller that hands the same buffer back as dst[:0]
@@ -380,8 +366,7 @@ func (ra *ResilientAgent) SendSamples(samples []BatchSample, dst []Estimate) ([]
 		return ests, err
 	}
 	for i := range samples {
-		bs := &samples[i]
-		est, err := ra.serveLocal(Sample{NodeID: ra.nodeID, Time: bs.Time, PMC: bs.PMC, Measured: bs.Measured, Relayed: bs.Relayed})
+		est, err := ra.serveLocal(samples[i])
 		if err != nil {
 			return ests, err
 		}
@@ -417,14 +402,13 @@ func (ra *ResilientAgent) redial() bool {
 	return true
 }
 
-// replay drains the degraded-mode buffer in order. Every acknowledged
-// sample leaves the buffer for good; a failure keeps the rest for the next
-// attempt.
+// replay drains the degraded-mode buffer in order, each sample a batch of
+// one, so a rejection drops only that sample. Every acknowledged sample
+// leaves the buffer for good; a failure keeps the rest for the next attempt.
 func (ra *ResilientAgent) replay() bool {
 	for len(ra.buffer) > 0 {
-		smp := &ra.buffer[0]
-		err := ra.bounded(func(a *Agent) error {
-			_, err := a.send(smp.Time, smp.PMC, smp.Measured, smp.Relayed)
+		err := ra.bounded(func(a *Agent) (err error) {
+			_, err = a.sendBatch(ra.buffer[:1], ra.one[:0])
 			return err
 		})
 		switch {
@@ -439,18 +423,29 @@ func (ra *ResilientAgent) replay() bool {
 			ra.failConn()
 			return false
 		}
-		ra.buffer = ra.buffer[1:]
+		ra.dropOldest()
 	}
 	return true
 }
 
+// dropOldest removes the oldest buffered sample. Its slot is zeroed and an
+// emptied buffer let go, so the backing array keeps no copy of a sample
+// that has left the buffer alive.
+func (ra *ResilientAgent) dropOldest() {
+	ra.buffer[0] = BatchSample{}
+	ra.buffer = ra.buffer[1:]
+	if len(ra.buffer) == 0 {
+		ra.buffer = nil
+	}
+}
+
 // serveLocal answers one sample from the model snapshot and buffers it for
 // replay. It also advances the failure accounting that flips the agent to
-// ModeDegraded. The buffered sample is a private copy: smp.PMC,
-// smp.Measured and smp.Relayed belong to the caller, who may overwrite them
-// the moment Send returns (a serve loop forwarding its framer scratch
-// does). Only this degraded path copies; a live send stays zero-copy.
-func (ra *ResilientAgent) serveLocal(smp Sample) (Estimate, error) {
+// ModeDegraded. The buffered sample is a private copy: bs.PMC, bs.Measured
+// and bs.Relayed belong to the caller, who may overwrite them the moment
+// Send returns (a serve loop forwarding its framer scratch does). Only this
+// degraded path copies; a live send stays zero-copy.
+func (ra *ResilientAgent) serveLocal(bs BatchSample) (Estimate, error) {
 	ra.consecFails++
 	if ra.mode == ModeConnected && ra.consecFails >= ra.opts.FailThreshold {
 		ra.mode = ModeDegraded
@@ -459,28 +454,28 @@ func (ra *ResilientAgent) serveLocal(smp Sample) (Estimate, error) {
 	if ra.localMon == nil {
 		ra.localMon = core.NewMonitor(ra.model)
 	}
-	est, err := ra.localMon.Push(smp.PMC, smp.Measured)
+	est, err := ra.localMon.Push(bs.PMC, bs.Measured)
 	if err != nil {
 		return Estimate{}, err
 	}
 	if len(ra.buffer) >= ra.opts.BufferLimit {
-		ra.buffer = ra.buffer[1:]
+		ra.dropOldest()
 		ra.counters.Dropped++
 	}
-	smp.PMC = append([]float64(nil), smp.PMC...)
-	if smp.Measured != nil {
-		m := *smp.Measured
-		smp.Measured = &m
+	bs.PMC = append([]float64(nil), bs.PMC...)
+	if bs.Measured != nil {
+		m := *bs.Measured
+		bs.Measured = &m
 	}
-	if smp.Relayed != nil {
-		rel := *smp.Relayed
-		smp.Relayed = &rel
+	if bs.Relayed != nil {
+		rel := *bs.Relayed
+		bs.Relayed = &rel
 	}
-	ra.buffer = append(ra.buffer, smp)
+	ra.buffer = append(ra.buffer, bs)
 	ra.counters.Buffered++
 	ra.counters.LocalServed++
 	return Estimate{
-		NodeID: ra.nodeID, Time: smp.Time,
+		NodeID: ra.nodeID, Time: bs.Time,
 		PNode: est.PNode, PCPU: est.PCPU, PMEM: est.PMEM,
 		FromMeasurement: est.FromMeasurement,
 		Local:           true,

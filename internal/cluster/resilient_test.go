@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"highrpm/internal/cluster/faultnet"
 	"highrpm/internal/core"
@@ -395,6 +397,68 @@ func TestResilientAgentBufferCap(t *testing.T) {
 	}
 	if c := ra.Counters(); c.Dropped != 6 || c.Buffered != 10 {
 		t.Fatalf("counters %+v, want 10 buffered / 6 dropped", c)
+	}
+}
+
+// TestResilientReplayReleasesSamples: once a degraded episode's backlog
+// has replayed, the agent holds no reference to the replayed samples. The
+// buffer used to advance by reslicing, so the drained slice kept its
+// backing array reachable, and with it every slot's PMC copy — up to
+// BufferLimit of them per agent, until a later append reallocated.
+func TestResilientReplayReleasesSamples(t *testing.T) {
+	leaktest.Check(t)
+	svc := NewService(sharedModel(t))
+	svc.Logf = t.Logf
+	if err := svc.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	addr := svc.Addr()
+	opts := faultAgentOptions()
+	opts.SendRetries = 1
+	ra, err := DialResilient(addr, "node-release", opts, nil)
+	if err != nil {
+		svc.Close()
+		t.Fatal(err)
+	}
+	defer ra.Close()
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pmc := benchPMC()
+	const outage = 10
+	for i := 0; i < outage; i++ {
+		if est, err := ra.Send(float64(i), pmc, nil); err != nil || !est.Local {
+			t.Fatalf("sample %d during the outage: %+v, err %v", i, est, err)
+		}
+	}
+	if ra.Pending() != outage {
+		t.Fatalf("%d samples buffered, want %d", ra.Pending(), outage)
+	}
+	copies := make([]weak.Pointer[float64], outage)
+	for i := range copies {
+		copies[i] = weak.Make(&ra.buffer[i].PMC[0])
+	}
+
+	svc2 := NewService(sharedModel(t))
+	svc2.Logf = t.Logf
+	if err := svc2.Listen(addr); err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	t.Cleanup(func() { svc2.Close() })
+	// Past the longest backoff the next Send redials and replays the whole
+	// backlog before it goes out live.
+	time.Sleep(3 * opts.BackoffMax)
+	if est, err := ra.Send(outage, pmc, nil); err != nil || est.Local {
+		t.Fatalf("first sample after the outage: %+v, err %v", est, err)
+	}
+	if c := ra.Counters(); ra.Pending() != 0 || c.Replayed != outage {
+		t.Fatalf("%d pending after recovery, counters %+v", ra.Pending(), c)
+	}
+	runtime.GC()
+	for i, c := range copies {
+		if c.Value() != nil {
+			t.Fatalf("replayed sample %d's PMC copy is still reachable from the agent", i)
+		}
 	}
 }
 

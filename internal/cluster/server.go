@@ -20,9 +20,9 @@ import (
 // accept, limits, deadlines, codec negotiation, framing — so neither
 // carries a request loop of its own.
 //
-// Scratch-borrowing rule: *Sample and *RecordBatch arguments (their PMC
-// slices, their Measured pointers) alias the connection's framer scratch
-// and are valid only until the method returns. A handler that keeps any of
+// Scratch-borrowing rule: a *RecordBatch argument (its samples, their PMC
+// slices and Measured pointers) aliases the connection's framer scratch
+// and is valid only until the method returns. A handler that keeps any of
 // it — a replay buffer, a goroutine that outlives the call — copies first.
 //
 // Series replies are written, not returned: Query fills the connection's
@@ -37,13 +37,12 @@ import (
 // through byte-identical to a direct connection.
 //
 // The Server checks every node ID before a handler sees it (see
-// checkNodeID): Hello, Sample and Batch only ever receive a valid one.
+// checkNodeID): Hello and Batch only ever receive a valid one.
 type Handler interface {
 	// Hello registers the node an agent announced.
 	Hello(nodeID string)
-	// Sample answers one second of telemetry.
-	Sample(smp *Sample) (Estimate, error)
 	// Batch answers a record batch with one estimate per sample, in order.
+	// A single sample is a batch of one, whichever codec carried it.
 	// dst is the connection's reply scratch, empty: the handler appends to
 	// it and returns it. The Server frames the returned slice before it
 	// reads the next request and hands it back as the next call's dst, so
@@ -337,8 +336,6 @@ type wireMsg struct {
 // binMsgKinds maps the native binary kinds onto the protocol's message
 // kinds, so one dispatch serves every encoding.
 var binMsgKinds = [...]MsgKind{
-	binKindSample:        KindSample,
-	binKindEstimate:      KindEstimate,
 	binKindQuery:         KindQuery,
 	binKindSeries:        KindSeries,
 	binKindError:         KindError,
@@ -378,14 +375,17 @@ func (m *wireMsg) kindName() string {
 	return fmt.Sprintf("kind %q", m.kind)
 }
 
-// requestSample decodes a sample: its strict native layout into the
-// framer's scratch from a binary frame, a fresh value from a JSON body.
-func (f *binFramer) requestSample(req *wireMsg) (*Sample, error) {
-	if req.enc == encBinary {
-		return f.readSample(req.payload)
+// requestSample decodes a JSON sample into the framer's scratch batch as a
+// batch of one, so a single sample takes the batch path whatever codec
+// carried it.
+func (f *binFramer) requestSample(env Envelope) (*RecordBatch, error) {
+	var smp Sample
+	if err := DecodeBody(env, &smp); err != nil {
+		return nil, err
 	}
-	smp := new(Sample)
-	return smp, DecodeBody(req.env, smp)
+	one := BatchSample{Time: smp.Time, PMC: smp.PMC, Measured: smp.Measured, Relayed: smp.Relayed}
+	f.batch = RecordBatch{NodeID: smp.NodeID, Samples: append(f.batch.Samples[:0], one)}
+	return &f.batch, nil
 }
 
 // binaryOnly refuses a record batch or a query that arrived as a JSON
@@ -406,13 +406,6 @@ func (f *binFramer) writeJSON(enc wireEnc, kind MsgKind, body any) error {
 		return WriteMsg(f.w, kind, body)
 	}
 	return f.writeJSONEnvelope(kind, body)
-}
-
-func (f *binFramer) replyEstimate(enc wireEnc, est *Estimate) error {
-	if enc == encBinary {
-		return f.writeEstimate(est)
-	}
-	return f.writeJSON(enc, KindEstimate, *est)
 }
 
 func (f *binFramer) replyError(enc wireEnc, err error) error {
@@ -524,14 +517,14 @@ func (s *Server) serveConn(conn net.Conn) error {
 				s.binConns.Add(1)
 			}
 		case KindSample:
-			smp, err := f.requestSample(&req)
+			// Only JSON carries a single sample: binary kind 2 is reserved.
+			rb, err := f.requestSample(req.env)
 			if err != nil {
 				return err
 			}
-			if herr = checkNodeID(smp.NodeID); herr == nil {
-				var est Estimate
-				if est, herr = s.h.Sample(smp); herr == nil {
-					werr = f.replyEstimate(req.enc, &est)
+			if herr = checkNodeID(rb.NodeID); herr == nil {
+				if ests, herr = s.h.Batch(rb, ests[:0]); herr == nil {
+					werr = f.writeJSON(req.enc, KindEstimate, ests[0])
 				}
 			}
 		case KindRecordBatch:

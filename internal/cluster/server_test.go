@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,35 +39,31 @@ func (h stubHandler) checkDecoded(values int) {
 
 func (h stubHandler) Hello(string) {}
 
-func (h stubHandler) Sample(smp *Sample) (Estimate, error) {
-	h.checkDecoded(len(smp.PMC))
-	if len(smp.PMC) == 0 {
-		return Estimate{}, errors.New("stub: empty sample")
-	}
-	est := Estimate{NodeID: smp.NodeID, Time: smp.Time}
-	if smp.Measured != nil {
-		est.PNode, est.FromMeasurement = *smp.Measured, true
-	}
-	if smp.Relayed != nil { // a relayed estimate is the answer
-		est.PNode, est.PCPU, est.PMEM = smp.Relayed.PNode, smp.Relayed.PCPU, smp.Relayed.PMEM
-	}
-	return est, nil
-}
-
+// Batch answers each sample with its reading, or with the relayed estimate
+// it carries. It refuses an empty batch with a *ServiceError and a batch
+// whose first sample has no PMC values with a plain error, so a test sees
+// both kinds of refusal.
 func (h stubHandler) Batch(rb *RecordBatch, dst []Estimate) ([]Estimate, error) {
 	values := 0
 	for i := range rb.Samples {
-		values += len(rb.Samples[i].PMC) + 1
-		est := Estimate{NodeID: rb.NodeID, Time: rb.Samples[i].Time}
-		if rel := rb.Samples[i].Relayed; rel != nil {
-			est.PNode, est.PCPU, est.PMEM = rel.PNode, rel.PCPU, rel.PMEM
+		s := &rb.Samples[i]
+		values += len(s.PMC) + 1
+		est := Estimate{NodeID: rb.NodeID, Time: s.Time}
+		if s.Measured != nil {
+			est.PNode, est.FromMeasurement = *s.Measured, true
+		}
+		if s.Relayed != nil { // a relayed estimate is the answer
+			est.PNode, est.PCPU, est.PMEM = s.Relayed.PNode, s.Relayed.PCPU, s.Relayed.PMEM
 		}
 		dst = append(dst, est)
 	}
 	h.checkDecoded(values)
-	if len(rb.Samples) == 0 {
+	switch {
+	case len(rb.Samples) == 0:
 		// What a proxying handler returns when its backend refused.
 		return dst, &ServiceError{Message: "stub: empty batch"}
+	case len(rb.Samples[0].PMC) == 0:
+		return dst, errors.New("stub: empty sample")
 	}
 	return dst, nil
 }
@@ -202,6 +199,14 @@ func reservedKindFrame() []byte {
 	return frameFor(append([]byte{1, 0, 6}, "script"...))
 }
 
+// oneSample frames a RecordBatch of one — what a binary agent sends for a
+// single sample.
+func oneSample(tb testing.TB, node string, tm float64, pmc []float64, measured *float64, rel *RelayedEstimate) []byte {
+	return encodeBinFrame(tb, func(g *binFramer) error {
+		return g.writeRecordBatch(node, []BatchSample{{Time: tm, PMC: pmc, Measured: measured, Relayed: rel}})
+	})
+}
+
 // fuzzMaxFrame is the frame cap FuzzServeConn's server runs with: small
 // enough that the fuzzer trips it and the series fallback constantly.
 const fuzzMaxFrame = 4 << 10
@@ -217,8 +222,8 @@ func FuzzServeConn(f *testing.F) {
 	pmc := []float64{1, 2, 3}
 	meas := 90.5
 	bin := func(write func(g *binFramer) error) []byte { return encodeBinFrame(f, write) }
-	sample := bin(func(g *binFramer) error { return g.writeSample("script", 1, pmc, &meas, nil) })
-	emptySample := bin(func(g *binFramer) error { return g.writeSample("script", 2, nil, nil, nil) })
+	sample := oneSample(f, "script", 1, pmc, &meas, nil)
+	emptySample := oneSample(f, "script", 2, nil, nil, nil)
 	batch := bin(func(g *binFramer) error {
 		return g.writeRecordBatch("script", []BatchSample{{Time: 1, PMC: pmc}, {Time: 2, PMC: pmc, Measured: &meas}})
 	})
@@ -294,7 +299,7 @@ func FuzzServiceConn(f *testing.F) {
 	meas, huge, hugeNeg := 90.5, math.MaxFloat64, -math.MaxFloat64
 	bin := func(write func(g *binFramer) error) []byte { return encodeBinFrame(f, write) }
 	sample := func(tm float64, measured *float64, rel *RelayedEstimate) []byte {
-		return bin(func(g *binFramer) error { return g.writeSample("script", tm, pmc, measured, rel) })
+		return oneSample(f, "script", tm, pmc, measured, rel)
 	}
 	session := [][]byte{sample(0, &meas, nil), sample(1, nil, nil), sample(2, nil, nil)}
 	session = append(session,
@@ -343,17 +348,13 @@ func FuzzServiceConn(f *testing.F) {
 			t.Fatalf("%d replies to %d accepted frames", n, accepted)
 		}
 		// Replies to JSON-mode frames are plain envelopes; the rest are
-		// binary frames, an estimate reply native or wrapped.
+		// binary frames, an estimate batch native or an estimate wrapped.
 		g := newBinFramer(nil, nil, DefaultMaxFrame)
 		for i, rep := range replies {
 			var ests []Estimate
 			var env Envelope
 			var err error
 			switch {
-			case i >= int(st.JSONFrames) && rep[0] == binKindEstimate:
-				var est Estimate
-				est, err = g.readEstimate(rep[1:])
-				ests = []Estimate{est}
 			case i >= int(st.JSONFrames) && rep[0] == binKindEstimateBatch:
 				ests, err = g.readEstimateBatch(rep[1:], nil)
 			case i >= int(st.JSONFrames) && rep[0] == binKindJSON:
@@ -384,13 +385,23 @@ func FuzzServiceConn(f *testing.F) {
 // one reply per request in the encoding it arrived in, handler refusals as
 // error replies that leave the connection up, a backend's *ServiceError
 // relayed as its bare message, and the series fallback instead of an
-// over-cap reply.
+// over-cap reply. The reserved binary kinds — 1, and 2 and 3, a single
+// sample and its estimate in the layouts they had — are each answered as
+// unknown, and the connection then still answers a sample, binary and
+// wrapped in a kind-0 envelope.
 func TestServeConnScripted(t *testing.T) {
 	pmc := []float64{1, 2, 3}
 	bin := func(write func(g *binFramer) error) []byte { return encodeBinFrame(t, write) }
+	retired := func(hexPayload string) []byte {
+		payload, err := hex.DecodeString(hexPayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frameFor(payload)
+	}
 	stream := scriptStream(t, []string{CodecBinary},
-		bin(func(g *binFramer) error { return g.writeSample("script", 1, pmc, nil, nil) }),
-		bin(func(g *binFramer) error { return g.writeSample("script", 2, nil, nil, nil) }),
+		oneSample(t, "script", 1, pmc, nil, nil),
+		oneSample(t, "script", 2, nil, nil, nil),
 		bin(func(g *binFramer) error { return g.writeRecordBatch("script", nil) }),
 		bin(func(g *binFramer) error {
 			return g.writeQuery(QueryRequest{Channel: "p_node", From: 0, To: 1e6})
@@ -398,13 +409,19 @@ func TestServeConnScripted(t *testing.T) {
 		bin(func(g *binFramer) error { return g.writeJSONEnvelope(KindStats, struct{}{}) }),
 		bin(func(g *binFramer) error { return g.writeJSONEnvelope(MsgKind("bogus"), struct{}{}) }),
 		reservedKindFrame(),
+		retired(parentBinSample),
+		retired(parentBinEstimate),
+		oneSample(t, "script", 3, pmc, nil, nil),
+		bin(func(g *binFramer) error {
+			return g.writeJSONEnvelope(KindSample, Sample{NodeID: "script", Time: 4, PMC: pmc})
+		}),
 	)
 	replies, st := serveScript(t, stubHandler{tb: t, maxFrame: fuzzMaxFrame}, stream, fuzzMaxFrame)
-	if st.JSONFrames != 1 || st.BinFrames != 7 || st.BinConns != 1 {
+	if st.JSONFrames != 1 || st.BinFrames != 11 || st.BinConns != 1 {
 		t.Fatalf("accounting: %+v", st)
 	}
-	if len(replies) != 8 {
-		t.Fatalf("%d replies, want 8", len(replies))
+	if len(replies) != 12 {
+		t.Fatalf("%d replies, want 12", len(replies))
 	}
 	g := newBinFramer(nil, nil, DefaultMaxFrame)
 	binError := func(i int) string {
@@ -429,8 +446,19 @@ func TestServeConnScripted(t *testing.T) {
 		}
 		return env
 	}
-	if replies[1][0] != binKindEstimate {
-		t.Fatalf("sample reply kind %d", replies[1][0])
+	oneEstimate := func(i int) Estimate {
+		t.Helper()
+		if replies[i][0] != binKindEstimateBatch {
+			t.Fatalf("reply %d: kind %d, want an estimate batch", i, replies[i][0])
+		}
+		ests, err := g.readEstimateBatch(replies[i][1:], nil)
+		if err != nil || len(ests) != 1 {
+			t.Fatalf("reply %d: %d estimates, err %v, want one", i, len(ests), err)
+		}
+		return ests[0]
+	}
+	if est := oneEstimate(1); est.Time != 1 {
+		t.Fatalf("sample answered %+v", est)
 	}
 	if got := binError(2); got != "stub: empty sample" {
 		t.Fatalf("handler refusal relayed as %q", got)
@@ -447,8 +475,17 @@ func TestServeConnScripted(t *testing.T) {
 	if env := wrapped(6); env.Kind != KindError {
 		t.Fatalf("wrapped unknown kind answered with kind %q", env.Kind)
 	}
-	if got := binError(7); got != "unknown binary kind 1" {
-		t.Fatalf("reserved kind 1 answered %q", got)
+	for i, kind := range []int{1, 2, 3} {
+		if got, want := binError(7+i), fmt.Sprintf("unknown binary kind %d", kind); got != want {
+			t.Fatalf("reserved kind %d answered %q, want %q", kind, got, want)
+		}
+	}
+	if est := oneEstimate(10); est.Time != 3 {
+		t.Fatalf("the sample after the reserved kinds was answered %+v", est)
+	}
+	var est Estimate
+	if env := wrapped(11); env.Kind != KindEstimate || DecodeBody(env, &est) != nil || est.Time != 4 {
+		t.Fatalf("wrapped sample answered %+v, estimate %+v", env, est)
 	}
 }
 
@@ -469,7 +506,7 @@ func refusalSessions(tb testing.TB) (jsonSession, wrappedSession []byte) {
 	wrappedSession = scriptStream(tb, []string{CodecBinary},
 		bin(func(g *binFramer) error { return g.writeJSONEnvelope(KindRecordBatch, batch) }),
 		bin(func(g *binFramer) error { return g.writeJSONEnvelope(KindQuery, q) }),
-		bin(func(g *binFramer) error { return g.writeSample("script", 1, pmc, nil, nil) }))
+		oneSample(tb, "script", 1, pmc, nil, nil))
 	return jsonSession, wrappedSession
 }
 
@@ -509,13 +546,13 @@ func TestJSONRefusesBatchAndQuery(t *testing.T) {
 			}
 		}
 		last := replies[3]
-		if tc.wrapped && last[0] != binKindEstimate || !tc.wrapped && !bytes.Contains(last, []byte(`"kind":"estimate"`)) {
+		if tc.wrapped && last[0] != binKindEstimateBatch || !tc.wrapped && !bytes.Contains(last, []byte(`"kind":"estimate"`)) {
 			t.Fatalf("%s: the sample after the refusals was answered %q", tc.name, last)
 		}
 	}
 
 	est := Estimate{NodeID: "script", Time: 1, PNode: 90}
-	conn := &scriptConn{in: bytes.NewReader(frameIn(t, encJSON, func(f *binFramer, enc wireEnc) error { return f.replyEstimate(enc, &est) }))}
+	conn := &scriptConn{in: bytes.NewReader(frameIn(t, encJSON, func(f *binFramer, enc wireEnc) error { return f.writeJSON(enc, KindEstimate, est) }))}
 	a := scriptAgent(conn, false)
 	a.SetBatching(BatchOptions{MaxSamples: 8})
 	pmc := []float64{1, 2, 3}
@@ -570,18 +607,18 @@ func TestServerServeLoopExitsOnEOF(t *testing.T) {
 	}
 }
 
-// blockingHandler is a stubHandler whose Sample parks until released, so a
+// blockingHandler is a stubHandler whose Batch parks until released, so a
 // test can hold a connection mid-request.
 type blockingHandler struct {
 	stubHandler
-	entered chan struct{} // receives once a Sample is in the handler
+	entered chan struct{} // receives once a Batch is in the handler
 	release chan struct{} // closed to let it answer
 }
 
-func (h blockingHandler) Sample(smp *Sample) (Estimate, error) {
+func (h blockingHandler) Batch(rb *RecordBatch, dst []Estimate) ([]Estimate, error) {
 	h.entered <- struct{}{}
 	<-h.release
-	return h.stubHandler.Sample(smp)
+	return h.stubHandler.Batch(rb, dst)
 }
 
 // TestShutdownDrainsInFlightRequest: a connection that is mid-request when

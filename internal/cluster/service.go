@@ -73,7 +73,7 @@ type Service struct {
 	relayed   atomic.Int64 // samples recorded from a relayed estimate, not inferred here
 
 	// Batching accounting: record batches handled and the samples they
-	// carried.
+	// carried. A single sample is a batch of one.
 	batches      atomic.Int64
 	batchSamples atomic.Int64
 
@@ -223,10 +223,6 @@ type serviceHandler struct{ s *Service }
 
 func (h serviceHandler) Hello(nodeID string) { h.s.node(nodeID) }
 
-func (h serviceHandler) Sample(smp *Sample) (Estimate, error) {
-	return h.s.processSample(smp.NodeID, smp.Time, smp.PMC, smp.Measured, smp.Relayed)
-}
-
 func (h serviceHandler) Batch(rb *RecordBatch, dst []Estimate) ([]Estimate, error) {
 	return h.s.processBatch(rb, dst)
 }
@@ -244,10 +240,10 @@ func (h serviceHandler) Stats() (Stats, error) { return h.s.Stats(), nil }
 func (h serviceHandler) Model() ([]byte, error) { return core.Marshal(h.s.model) }
 
 // processSample runs one second of telemetry through the per-node monitor
-// and into the history store, under the node's lock — the one path every
-// framing (JSON, binary, batched) funnels into. It borrows pmc only for the
-// call. With rel, the estimate another replica already computed for this
-// sample, the monitor only Observes: rel is what gets counted, gauged,
+// and into the history store, under the node's lock; processBatch runs it
+// for every sample, whatever framing carried it. It borrows pmc only for
+// the call. With rel, the estimate another replica already computed for
+// this sample, the monitor only Observes: rel is what gets counted, gauged,
 // stored and answered, exactly as the monitor's own estimate would be, and
 // the stored trend value still comes from this service's monitor.
 //
@@ -309,11 +305,14 @@ func (s *Service) processSample(nodeID string, tm float64, pmc []float64, measur
 }
 
 // processBatch runs a record batch through processSample in order,
-// appending the estimates to dst (reused by the binary loop). A batch is
-// all-or-nothing on the wire: the first rejected sample fails the whole
-// batch and none of the estimates are sent — but the samples before it
-// were already recorded, exactly as if they had been sent individually and
-// the connection then broke.
+// appending the estimates to dst (reused by the serve loop). It is the
+// service's only ingest entry: a single sample arrives as a batch of one,
+// so the batch counters and histogram count it, and a monitor refusal of
+// it reads "batch sample 0 (t=…): …" (a *ServiceError keeps its bare
+// message on the wire). A batch is all-or-nothing on the wire: the first
+// rejected sample fails the whole batch and none of the estimates are sent
+// — but the samples before it were already recorded, exactly as if they
+// had been sent individually and the connection then broke.
 func (s *Service) processBatch(rb *RecordBatch, dst []Estimate) ([]Estimate, error) {
 	s.batches.Add(1)
 	s.batchSamples.Add(int64(len(rb.Samples)))

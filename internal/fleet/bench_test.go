@@ -40,15 +40,14 @@ func startPacedStub(tb testing.TB, serviceTime time.Duration, model []byte) stri
 
 func (s *pacedStub) Hello(string) {}
 
-func (s *pacedStub) Sample(smp *cluster.Sample) (cluster.Estimate, error) {
-	s.mu.Lock()
-	time.Sleep(s.serviceTime)
-	s.mu.Unlock()
-	return cluster.Estimate{NodeID: smp.NodeID, Time: smp.Time, PNode: 100, PCPU: 60, PMEM: 25}, nil
-}
-
-func (s *pacedStub) Batch(*cluster.RecordBatch, []cluster.Estimate) ([]cluster.Estimate, error) {
-	return nil, errors.New("unsupported")
+func (s *pacedStub) Batch(rb *cluster.RecordBatch, dst []cluster.Estimate) ([]cluster.Estimate, error) {
+	for i := range rb.Samples {
+		s.mu.Lock()
+		time.Sleep(s.serviceTime)
+		s.mu.Unlock()
+		dst = append(dst, cluster.Estimate{NodeID: rb.NodeID, Time: rb.Samples[i].Time, PNode: 100, PCPU: 60, PMEM: 25})
+	}
+	return dst, nil
 }
 
 func (s *pacedStub) Query(cluster.QueryRequest, *cluster.SeriesWriter) error {

@@ -7,8 +7,9 @@
 // (FNV-64a plus an avalanche finaliser, so sequential node names spread
 // evenly), so the same topology always yields the same placement and
 // removing a shard moves only that shard's keys. Ingest traffic (Hello,
-// Sample, RecordBatch) is forwarded over pooled ResilientAgent
-// connections — one per (node, shard) so per-node sample order survives
+// and every sample as a RecordBatch, a single one as a batch of one) is
+// forwarded over pooled ResilientAgent.SendSamples connections — one per
+// (node, shard) so per-node sample order survives
 // retries, degraded-mode buffering, and in-order replay — with optional
 // replication factor R: the ring owner is the primary and the next R-1
 // distinct shards clockwise are followers, written synchronously. Only

@@ -861,10 +861,6 @@ type echoShard struct{ model []byte }
 
 func (echoShard) Hello(string) {}
 
-func (echoShard) Sample(smp *cluster.Sample) (cluster.Estimate, error) {
-	return echoEstimate(smp.NodeID, smp.Time, smp.Measured, smp.Relayed), nil
-}
-
 func (echoShard) Batch(rb *cluster.RecordBatch, dst []cluster.Estimate) ([]cluster.Estimate, error) {
 	for i := range rb.Samples {
 		s := &rb.Samples[i]

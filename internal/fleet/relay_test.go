@@ -144,7 +144,7 @@ func testFleetInfersOncePerSample(t *testing.T, codec string, replication int) {
 		t.Fatalf("batched: router counters %+v, want %d relayed", st, wantRelayed)
 	}
 
-	// The same again one Sample frame at a time: a second that carries an
+	// The same again one Send at a time: a second that carries an
 	// IM reading is relayed like any other, so every second is inferred
 	// once.
 	var measured int64
@@ -343,11 +343,11 @@ func (f *forger) call(kind cluster.MsgKind, body, out any) {
 func (f *forger) send(smp cluster.Sample, rel *cluster.RelayedEstimate) cluster.Estimate {
 	f.t.Helper()
 	if f.ag != nil {
-		est, err := f.ag.SendRelayed(smp.Time, smp.PMC, smp.Measured, rel)
+		ests, err := f.ag.SendSamples([]cluster.BatchSample{{Time: smp.Time, PMC: smp.PMC, Measured: smp.Measured, Relayed: rel}}, nil)
 		if err != nil {
 			f.t.Fatal(err)
 		}
-		return est
+		return ests[0]
 	}
 	smp.NodeID, smp.Relayed = f.node, rel
 	var est cluster.Estimate

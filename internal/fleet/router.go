@@ -92,11 +92,9 @@ type nodeRoute struct {
 	reps     []replica
 	recorded atomic.Bool // an estimate was produced: the node exists for scatter-gather
 
-	// one carries a front-end Sample to replicate as a batch of one, and wg
-	// waits for the followers replicate runs on goroutines of their own
+	// wg waits for the followers replicate runs on goroutines of their own
 	// (R > 2).
-	one [1]cluster.BatchSample
-	wg  sync.WaitGroup
+	wg sync.WaitGroup
 	// relayEsts holds the primary's estimates while they ride a request to
 	// the followers.
 	relayEsts []cluster.RelayedEstimate
@@ -109,19 +107,18 @@ type replica struct {
 	agent    *cluster.ResilientAgent
 	nextDial time.Time
 
-	ests []cluster.Estimate  // the reply: in buf, or in one
-	buf  *[]cluster.Estimate // a batch reply's buffer, held from replyBufs while forwarding
+	ests []cluster.Estimate  // the reply, in buf
+	buf  *[]cluster.Estimate // the reply's buffer, held from replyBufs while forwarding
 	err  error
-	live bool                // transport healthy and the answer came from the service
-	one  [1]cluster.Estimate // a Sample's reply
+	live bool // transport healthy and the answer came from the service
 }
 
-// replyBufs pools the buffers replicas answer a batch into (*[]Estimate).
+// replyBufs pools the buffers replicas answer a request into (*[]Estimate).
 // A buffer is held only while its request is forwarded, so the router keeps
 // as many as it has batches in flight, not one per node and replica.
 var replyBufs = sync.Pool{New: func() any { return new([]cluster.Estimate) }}
 
-// releaseReplies hands the replicas' batch buffers back to replyBufs once
+// releaseReplies hands the replicas' reply buffers back to replyBufs once
 // the answer has been copied out.
 func (nr *nodeRoute) releaseReplies() {
 	for i := range nr.reps {
@@ -256,26 +253,10 @@ type routerHandler struct{ r *Router }
 
 func (h routerHandler) Hello(nodeID string) { h.r.routeFor(nodeID) }
 
-// Sample forwards through ResilientAgent.SendRelayed, so the backend hop
-// carries one Sample frame per replica, never a batch of one. smp is the
-// front-end connection's scratch: every replica send completes before
-// replicate returns, and a degraded agent copies what it buffers for
-// replay. Whatever estimate a front-end peer attached is not forwarded.
-func (h routerHandler) Sample(smp *cluster.Sample) (cluster.Estimate, error) {
-	nr := h.r.routeFor(smp.NodeID)
-	nr.mu.Lock()
-	defer nr.mu.Unlock()
-	nr.one[0] = cluster.BatchSample{Time: smp.Time, PMC: smp.PMC, Measured: smp.Measured}
-	ests, err := h.r.replicate(nr, smp.NodeID, nr.one[:], sendSample)
-	if err != nil {
-		return cluster.Estimate{}, h.r.countError(err)
-	}
-	return ests[0], nil
-}
-
-// Batch forwards through ResilientAgent.SendSamples, so a degraded replica
-// buffers the whole batch in order. The winning replica's estimates sit in
-// a pooled buffer, so they are copied into the connection's dst before the
+// Batch forwards every front-end request — a batch, or a single sample as
+// a batch of one — through ResilientAgent.SendSamples, so a degraded
+// replica buffers it in order. The winning replica's estimates sit in a
+// pooled buffer, so they are copied into the connection's dst before the
 // buffers go back and the route is released. Estimates a front-end peer
 // attached are dropped in place (rb is the connection's scratch, the
 // handler's to overwrite until it returns).
@@ -287,23 +268,11 @@ func (h routerHandler) Batch(rb *cluster.RecordBatch, dst []cluster.Estimate) ([
 	nr.mu.Lock()
 	defer nr.mu.Unlock()
 	defer nr.releaseReplies()
-	ests, err := h.r.replicate(nr, rb.NodeID, rb.Samples, sendSamples)
+	ests, err := h.r.replicate(nr, rb.NodeID, rb.Samples)
 	if err != nil {
 		return nil, h.r.countError(err)
 	}
 	return append(dst, ests...), nil
-}
-
-// sendSample and sendSamples are replicate's two ways of delivering a
-// request to one replica, writing its outcome into the replica's slot.
-func sendSample(rp *replica, s []cluster.BatchSample) {
-	rp.one[0], rp.err = rp.agent.SendRelayed(s[0].Time, s[0].PMC, s[0].Measured, s[0].Relayed)
-	rp.ests = rp.one[:]
-}
-
-func sendSamples(rp *replica, s []cluster.BatchSample) {
-	rp.buf = replyBufs.Get().(*[]cluster.Estimate)
-	rp.ests, rp.err = rp.agent.SendSamples(s, (*rp.buf)[:0])
 }
 
 func (h routerHandler) Query(q cluster.QueryRequest, w *cluster.SeriesWriter) error {
@@ -383,7 +352,7 @@ func errShardUnreachable(name string) error {
 	return fmt.Errorf("fleet: shard %s unreachable", name)
 }
 
-// replicate is the router's one ingest fan-out: send delivers samples — a
+// replicate is the router's one ingest fan-out: it delivers samples — a
 // front-end request, stripped of any estimate a peer attached — to the
 // node's primary shard and, with R > 1, to its followers (synchronous
 // replication), each on that replica's pooled agent. The caller holds
@@ -406,12 +375,12 @@ func errShardUnreachable(name string) error {
 // in-order replay), the first follower with a live service answer takes
 // over, so the front-end keeps receiving service-grade estimates through
 // single-shard outages.
-func (r *Router) replicate(nr *nodeRoute, nodeID string, samples []cluster.BatchSample, send func(*replica, []cluster.BatchSample)) ([]cluster.Estimate, error) {
+func (r *Router) replicate(nr *nodeRoute, nodeID string, samples []cluster.BatchSample) ([]cluster.Estimate, error) {
 	n := len(nr.reps)
 	for i := range nr.reps {
 		r.agentFor(nr, i, nodeID)
 	}
-	r.deliver(nr, 0, samples, send)
+	r.deliver(nr, 0, samples)
 	primary := &nr.reps[0]
 	relaying := n > 1 && liveAnswer(primary.ests, primary.err, len(samples))
 	if relaying {
@@ -421,11 +390,11 @@ func (r *Router) replicate(nr *nodeRoute, nodeID string, samples []cluster.Batch
 		nr.wg.Add(1)
 		go func() {
 			defer nr.wg.Done()
-			r.deliver(nr, i, samples, send)
+			r.deliver(nr, i, samples)
 		}()
 	}
 	if n > 1 {
-		r.deliver(nr, n-1, samples, send)
+		r.deliver(nr, n-1, samples)
 	}
 	nr.wg.Wait()
 	if relaying {
@@ -442,15 +411,17 @@ func (r *Router) replicate(nr *nodeRoute, nodeID string, samples []cluster.Batch
 	return nr.reps[pick].ests, nil
 }
 
-// deliver hands samples to replica i of nr, or records it unreachable when
-// it has no agent. It writes only that replica's slot.
-func (r *Router) deliver(nr *nodeRoute, i int, samples []cluster.BatchSample, send func(*replica, []cluster.BatchSample)) {
+// deliver sends samples to replica i of nr in one SendSamples, answered
+// into a buffer from replyBufs, or records it unreachable when it has no
+// agent. It writes only that replica's slot.
+func (r *Router) deliver(nr *nodeRoute, i int, samples []cluster.BatchSample) {
 	rp := &nr.reps[i]
 	if rp.agent == nil {
 		rp.ests, rp.err = nil, errShardUnreachable(r.shards[nr.owners[i]].shard.Name)
 		return
 	}
-	send(rp, samples)
+	rp.buf = replyBufs.Get().(*[]cluster.Estimate)
+	rp.ests, rp.err = rp.agent.SendSamples(samples, (*rp.buf)[:0])
 }
 
 // liveAnswer reports whether a replica answered all want samples from the

@@ -30,7 +30,10 @@
 # golden train dozens of models on one goroutine each, run once un-raced
 # in the `go test ./...` step, and cost minutes under -race for no added
 # coverage. It then fuzzes briefly: the wire-protocol decoders (JSON
-# envelope, binary framing, and the cross-codec agreement law), both ends
+# envelope, binary framing, and the cross-codec agreement law
+# FuzzCrossCodecSample: a JSON single sample against a binary record batch
+# of one, decoded field for field and answered by a real Service with the
+# same estimate or the same error text), both ends
 # of a connection over arbitrary byte streams (FuzzServeConn for the
 # server's request loop over a stub handler, FuzzAgentReply for the agent's
 # reply path), the same loop with a real Service behind it
