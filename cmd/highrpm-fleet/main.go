@@ -60,7 +60,7 @@ func main() {
 		listen       = flag.String("listen", "127.0.0.1:9200", "front-end address agents and query clients dial")
 		readTimeout  = flag.Duration("read-timeout", cluster.DefaultServiceOptions().ReadTimeout, "reap a front-end connection after this long without a message (0: never)")
 		writeTimeout = flag.Duration("write-timeout", cluster.DefaultServiceOptions().WriteTimeout, "bound writing one reply (0: unbounded)")
-		maxFrame     = flag.Int("max-frame", cluster.DefaultServiceOptions().MaxFrame, "largest wire frame in bytes")
+		maxFrame     = flag.Int("max-frame", cluster.DefaultServiceOptions().MaxFrame, "largest wire frame in bytes; lowers the 8 MiB cap, never raises it")
 		maxConns     = flag.Int("max-conns", 0, "concurrent front-end connection cap (0: unlimited)")
 
 		dialRetry = flag.Duration("dial-retry", fleet.DefaultTopologyOptions().DialRetry, "wait between dial attempts to a shard the router has never reached")

@@ -17,7 +17,8 @@
 //
 // The service-hardening flags map onto ServiceOptions: -read-timeout reaps
 // connections that go silent, -write-timeout bounds each reply, -max-frame
-// caps one wire frame, and -max-conns drops connections beyond the cap at
+// lowers the 8 MiB cap on one wire frame (it cannot raise it: agents read
+// with that cap), and -max-conns drops connections beyond the cap at
 // accept time. Every simulated node runs the one agent the library ships
 // for production, ResilientAgent: it settles on the binary codec in Hello,
 // sends one record batch of one sample per simulated second, reconnects
@@ -70,7 +71,7 @@ func main() {
 
 		readTimeout  = flag.Duration("read-timeout", cluster.DefaultServiceOptions().ReadTimeout, "reap a connection after this long without a message (0: never)")
 		writeTimeout = flag.Duration("write-timeout", cluster.DefaultServiceOptions().WriteTimeout, "bound writing one reply (0: unbounded)")
-		maxFrame     = flag.Int("max-frame", cluster.DefaultServiceOptions().MaxFrame, "largest wire frame in bytes")
+		maxFrame     = flag.Int("max-frame", cluster.DefaultServiceOptions().MaxFrame, "largest wire frame in bytes; lowers the 8 MiB cap, never raises it")
 		maxConns     = flag.Int("max-conns", 0, "concurrent connection cap (0: unlimited)")
 
 		dataDir   = flag.String("data-dir", "", "durable store directory: WAL + snapshots, recovered on start (empty: in-memory history)")

@@ -160,7 +160,15 @@ func (a *Agent) Send(t float64, pmc []float64, measured *float64) (Estimate, err
 		a.ests = ests
 		return ests[0], nil
 	}
-	if err := WriteMsg(a.f.w, KindSample, Sample{NodeID: a.nodeID, Time: t, PMC: pmc, Measured: measured}); err != nil {
+	// The JSON sample holds copies: handing the caller's vector and reading
+	// to encoding/json as an any would move them to the heap on every call,
+	// binary or not.
+	smp := Sample{NodeID: a.nodeID, Time: t, PMC: append([]float64(nil), pmc...)}
+	if measured != nil {
+		m := *measured
+		smp.Measured = &m
+	}
+	if err := WriteMsg(a.f.w, KindSample, smp); err != nil {
 		return Estimate{}, err
 	}
 	rep, err := a.roundTrip(KindEstimate)

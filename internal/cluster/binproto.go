@@ -3,10 +3,12 @@
 // in. Frames keep the 4-byte big-endian length prefix, but the body is
 // a 1-byte kind followed by a fixed-layout payload — big-endian integers,
 // float64s as raw bit patterns (NaN payloads survive), length-prefixed
-// strings. Messages without a hot-path payoff (stats, model transfer) ride
-// inside binKindJSON frames carrying one ordinary JSON envelope, so only
-// the per-second telemetry and query paths needed native encodings. A
-// second of telemetry travels as a RecordBatch, one sample or many, and is
+// strings — written with encoding/binary's appenders and read through
+// internal/bin's Reader, like the tsdb's WAL and snapshots. Messages
+// without a hot-path payoff (stats, model transfer) ride inside
+// binKindJSON frames carrying one ordinary JSON envelope, so only the
+// per-second telemetry and query paths needed native encodings. A second
+// of telemetry travels as a RecordBatch, one sample or many, and is
 // answered by an EstimateBatch.
 //
 // A binFramer owns one connection's scratch: the read buffer, the write
@@ -22,6 +24,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"highrpm/internal/bin"
 )
 
 // Binary frame kinds (the byte after the length prefix).
@@ -194,73 +198,11 @@ func (f *binFramer) str(s string) error {
 	return nil
 }
 
-// binReader consumes a frame payload. Reads past the end set err; callers
-// check once at the end (and that the payload was consumed exactly).
-type binReader struct {
-	b   []byte
-	off int
-	err bool
-}
-
-func (r *binReader) u8() byte {
-	if r.off+1 > len(r.b) {
-		r.err = true
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *binReader) u16() uint16 {
-	if r.off+2 > len(r.b) {
-		r.err = true
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *binReader) u32() uint32 {
-	if r.off+4 > len(r.b) {
-		r.err = true
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *binReader) f64() float64 {
-	if r.off+8 > len(r.b) {
-		r.err = true
-		return 0
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v
-}
-
-func (r *binReader) bytes(n int) []byte {
-	if n < 0 || r.off+n > len(r.b) {
-		r.err = true
-		return nil
-	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v
-}
-
-// done reports whether the payload parsed cleanly and was consumed exactly
-// (trailing bytes are a protocol error, which keeps the codec fuzzable:
-// decode ∘ encode is the identity on every accepted payload).
-func (r *binReader) done() error {
-	if r.err {
-		return fmt.Errorf("cluster: truncated binary payload")
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("cluster: %d trailing bytes in binary payload", len(r.b)-r.off)
+// payloadErr prefixes a failed payload read: the frame's layout is fixed,
+// so a payload that ran short or has bytes to spare is malformed.
+func payloadErr(r *bin.Reader) error {
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("cluster: binary payload %w", err)
 	}
 	return nil
 }
@@ -313,31 +255,31 @@ type sampleFields struct {
 	hasMeasured, hasRelayed bool
 }
 
-// sampleBody decodes one sample body, appending its PMC values to vals. It
-// returns the rest of the body and the grown vals (the sample's are the
-// appended tail).
-func (r *binReader) sampleBody(vals []float64) (sampleFields, []float64, error) {
-	s := sampleFields{t: r.f64()}
-	npmc := int(r.u16())
-	if npmc > len(r.b)/8 {
-		return s, vals, fmt.Errorf("cluster: sample claims %d PMC values in a %d-byte payload", npmc, len(r.b))
+// readSampleBody decodes one sample body from r, appending its PMC values
+// to vals. It returns the rest of the body and the grown vals (the
+// sample's are the appended tail).
+func readSampleBody(r *bin.Reader, vals []float64) (sampleFields, []float64, error) {
+	s := sampleFields{t: r.F64()}
+	npmc := int(r.U16())
+	if npmc > r.Len()/8 {
+		return s, vals, fmt.Errorf("cluster: sample claims %d PMC values with %d bytes left", npmc, r.Len())
 	}
 	for i := 0; i < npmc; i++ {
-		vals = append(vals, r.f64())
+		vals = append(vals, r.F64())
 	}
 	// Strict on the presence and flag bytes: every accepted payload
 	// re-encodes to the same bytes, which is the round-trip law the fuzzer
 	// enforces.
-	present := r.u8()
+	present := r.U8()
 	if present&^(sampleHasMeasured|sampleHasRelayed) != 0 {
 		return s, vals, fmt.Errorf("cluster: unknown presence bits %#x in binary sample", present)
 	}
 	if s.hasMeasured = present&sampleHasMeasured != 0; s.hasMeasured {
-		s.measured = r.f64()
+		s.measured = r.F64()
 	}
 	if s.hasRelayed = present&sampleHasRelayed != 0; s.hasRelayed {
-		s.relayed = RelayedEstimate{PNode: r.f64(), PCPU: r.f64(), PMEM: r.f64()}
-		flags := r.u8()
+		s.relayed = RelayedEstimate{PNode: r.F64(), PCPU: r.F64(), PMEM: r.F64()}
+		flags := r.U8()
 		if flags&^estFlagFromMeasurement != 0 {
 			return s, vals, fmt.Errorf("cluster: unknown relayed-estimate flag bits %#x", flags)
 		}
@@ -368,15 +310,15 @@ func (f *binFramer) estimateRec(est *Estimate) error {
 	return nil
 }
 
-func (f *binFramer) readEstimateRec(r *binReader) (Estimate, error) {
-	node := r.bytes(int(r.u16()))
+func (f *binFramer) readEstimateRec(r *bin.Reader) (Estimate, error) {
+	node := r.Bytes(int(r.U16()))
 	est := Estimate{
-		Time:  r.f64(),
-		PNode: r.f64(),
-		PCPU:  r.f64(),
-		PMEM:  r.f64(),
+		Time:  r.F64(),
+		PNode: r.F64(),
+		PCPU:  r.F64(),
+		PMEM:  r.F64(),
 	}
-	flags := r.u8()
+	flags := r.U8()
 	if flags&^(estFlagFromMeasurement|estFlagLocal) != 0 {
 		return Estimate{}, fmt.Errorf("cluster: unknown estimate flag bits %#x", flags)
 	}
@@ -406,9 +348,9 @@ func (f *binFramer) writeRecordBatch(nodeID string, samples []BatchSample) error
 // readRecordBatch decodes into the framer's scratch batch; the result and
 // every slice in it are valid until the next read on this framer.
 func (f *binFramer) readRecordBatch(payload []byte) (*RecordBatch, error) {
-	r := binReader{b: payload}
-	node := r.bytes(int(r.u16()))
-	n := int(r.u32())
+	r := bin.NewReader(payload)
+	node := r.Bytes(int(r.U16()))
+	n := int(r.U32())
 	if n > len(payload)/9 {
 		return nil, fmt.Errorf("cluster: batch claims %d samples in a %d-byte payload", n, len(payload))
 	}
@@ -423,7 +365,7 @@ func (f *binFramer) readRecordBatch(payload []byte) (*RecordBatch, error) {
 	offs := f.batchOffs[:0]
 	for i := 0; i < n; i++ {
 		start, mi, ri := len(vals), -1, -1
-		s, grown, err := r.sampleBody(vals)
+		s, grown, err := readSampleBody(&r, vals)
 		if err != nil {
 			return nil, err
 		}
@@ -440,7 +382,7 @@ func (f *binFramer) readRecordBatch(payload []byte) (*RecordBatch, error) {
 		samples = append(samples, BatchSample{Time: s.t})
 	}
 	f.batchVals, f.batchMeas, f.batchRelay, f.batchOffs = vals, meas, relay, offs
-	if err := r.done(); err != nil {
+	if err := payloadErr(&r); err != nil {
 		return nil, err
 	}
 	for i := range samples {
@@ -475,8 +417,8 @@ func (f *binFramer) writeEstimateBatch(ests []Estimate) error {
 // result back as dst[:0] decodes every batch into the same array. On error
 // it returns dst as it was handed.
 func (f *binFramer) readEstimateBatch(payload []byte, dst []Estimate) ([]Estimate, error) {
-	r := binReader{b: payload}
-	n := int(r.u32())
+	r := bin.NewReader(payload)
+	n := int(r.U32())
 	if n > len(payload)/35 {
 		return dst, fmt.Errorf("cluster: estimate batch claims %d entries in a %d-byte payload", n, len(payload))
 	}
@@ -488,7 +430,7 @@ func (f *binFramer) readEstimateBatch(payload []byte, dst []Estimate) ([]Estimat
 		}
 		ests = append(ests, est)
 	}
-	if err := r.done(); err != nil {
+	if err := payloadErr(&r); err != nil {
 		return dst, err
 	}
 	return ests, nil
@@ -511,15 +453,15 @@ func (f *binFramer) writeQuery(q QueryRequest) error {
 }
 
 func (f *binFramer) readQuery(payload []byte) (QueryRequest, error) {
-	r := binReader{b: payload}
-	node := r.bytes(int(r.u16()))
-	channel := r.bytes(int(r.u16()))
+	r := bin.NewReader(payload)
+	node := r.Bytes(int(r.U16()))
+	channel := r.Bytes(int(r.U16()))
 	q := QueryRequest{
-		From: r.f64(),
-		To:   r.f64(),
+		From:        r.F64(),
+		To:          r.F64(),
+		ResolutionS: int(r.U32()),
 	}
-	q.ResolutionS = int(r.u32())
-	if err := r.done(); err != nil {
+	if err := payloadErr(&r); err != nil {
 		return QueryRequest{}, err
 	}
 	q.NodeID = f.qnode.intern(node)
@@ -560,48 +502,48 @@ func pointLen(kind byte) int {
 // seriesShape accepts may be forwarded as it is (FuzzSeriesShape pins the
 // equivalence for both kinds).
 func seriesShape(kind byte, payload []byte) (pointsAt, n int, err error) {
-	r := binReader{b: payload}
-	r.bytes(int(r.u16())) // node
-	r.bytes(int(r.u16())) // channel
-	r.u32()               // resolution
-	n = int(r.u32())
-	if r.err {
-		return 0, 0, fmt.Errorf("cluster: truncated series header")
+	r := bin.NewReader(payload)
+	r.Bytes(int(r.U16())) // node
+	r.Bytes(int(r.U16())) // channel
+	r.U32()               // resolution
+	n = int(r.U32())
+	if err := r.Err(); err != nil {
+		return 0, 0, fmt.Errorf("cluster: series header %w", err)
 	}
 	width := pointLen(kind)
-	if rest := len(payload) - r.off; rest%width != 0 || rest/width != n {
+	if rest := r.Len(); rest%width != 0 || rest/width != n {
 		return 0, 0, fmt.Errorf("cluster: series claims %d points, %d bytes follow its header", n, rest)
 	}
-	return r.off, n, nil
+	return r.Off(), n, nil
 }
 
 func (f *binFramer) readSeries(kind byte, payload []byte) (SeriesBody, error) {
-	r := binReader{b: payload}
-	node := r.bytes(int(r.u16()))
-	channel := r.bytes(int(r.u16()))
-	res := int(r.u32())
-	n := int(r.u32())
+	r := bin.NewReader(payload)
+	node := r.Bytes(int(r.U16()))
+	channel := r.Bytes(int(r.U16()))
+	res := int(r.U32())
+	n := int(r.U32())
 	if n > len(payload)/pointLen(kind) {
 		return SeriesBody{}, fmt.Errorf("cluster: series claims %d points in a %d-byte payload", n, len(payload))
 	}
 	pts := make([]SeriesPoint, 0, n)
 	if kind == binKindRawSeries {
 		for i := 0; i < n; i++ {
-			t, v := r.f64(), NullFloat(r.f64())
+			t, v := r.F64(), NullFloat(r.F64())
 			pts = append(pts, SeriesPoint{Time: t, Value: v, Min: v, Max: v, Count: 1})
 		}
 	} else {
 		for i := 0; i < n; i++ {
 			pts = append(pts, SeriesPoint{
-				Time:  r.f64(),
-				Value: NullFloat(r.f64()),
-				Min:   NullFloat(r.f64()),
-				Max:   NullFloat(r.f64()),
-				Count: int(r.u32()),
+				Time:  r.F64(),
+				Value: NullFloat(r.F64()),
+				Min:   NullFloat(r.F64()),
+				Max:   NullFloat(r.F64()),
+				Count: int(r.U32()),
 			})
 		}
 	}
-	if err := r.done(); err != nil {
+	if err := payloadErr(&r); err != nil {
 		return SeriesBody{}, err
 	}
 	return SeriesBody{
@@ -622,9 +564,9 @@ func (f *binFramer) writeError(msg string) error {
 }
 
 func (f *binFramer) readError(payload []byte) (string, error) {
-	r := binReader{b: payload}
-	msg := r.bytes(int(r.u32()))
-	if err := r.done(); err != nil {
+	r := bin.NewReader(payload)
+	msg := r.Bytes(int(r.U32()))
+	if err := payloadErr(&r); err != nil {
 		return "", err
 	}
 	return string(msg), nil
@@ -635,11 +577,7 @@ func (f *binFramer) readError(payload []byte) (string, error) {
 // marshalled envelope goes out as it is, not through the write scratch,
 // for the reason readFrame gives.
 func (f *binFramer) writeJSONEnvelope(kind MsgKind, body any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("cluster: marshal %s: %w", kind, err)
-	}
-	env, err := json.Marshal(Envelope{Kind: kind, Body: raw})
+	env, err := marshalEnvelope(kind, body)
 	if err != nil {
 		return err
 	}

@@ -697,7 +697,6 @@ func TestResilientBatchDegradedReplay(t *testing.T) {
 	opts.RequestTimeout = 500 * time.Millisecond
 	opts.BackoffMin = time.Millisecond
 	opts.BackoffMax = 10 * time.Millisecond
-	opts.SendRetries = 1
 	opts.FailThreshold = 1
 	ra, err := DialResilient(addr, "node-batch-ft", opts, nil)
 	if err != nil {
@@ -882,6 +881,14 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 		if est, err := ag.Send(42.5, pmc, &meas); err != nil || est.PNode != meas {
 			t.Fatalf("sample reply: %+v err %v", est, err)
 		}
+		// A vector and a reading on the caller's stack stay there: Send
+		// keeps no reference to either.
+		var vec [10]float64
+		copy(vec[:], pmc)
+		m := meas
+		if est, err := ag.Send(42.5, vec[:], &m); err != nil || est.PNode != meas {
+			t.Fatalf("stack-vector sample reply: %+v err %v", est, err)
+		}
 		sendBatch(batch)
 		sendBatch(relayedOne)
 		sendBatch(relayedBatch)
@@ -942,6 +949,13 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 		tick++
 		if est, err := ra.Send(tick, pmc, &meas); err != nil || est.Local || est.Time != tick || est.PNode != meas {
 			t.Fatalf("resilient send: %+v err %v", est, err)
+		}
+		tick++
+		var vec [10]float64
+		copy(vec[:], pmc)
+		m := meas
+		if est, err := ra.Send(tick, vec[:], &m); err != nil || est.Local || est.Time != tick || est.PNode != meas {
+			t.Fatalf("resilient stack-vector send: %+v err %v", est, err)
 		}
 	}
 	resilient()

@@ -237,7 +237,7 @@ type ModelBody struct {
 // DefaultMaxFrame bounds a frame to keep a misbehaving peer from
 // ballooning memory; 8 MiB accommodates model transfers with ample headroom
 // while still rejecting length-prefix garbage. Service operators can lower
-// the cap per deployment via ServiceOptions.MaxFrame.
+// the cap per deployment via ServiceOptions.MaxFrame, never raise it.
 const DefaultMaxFrame = 8 << 20
 
 // ErrFrameTooLarge reports a frame whose length prefix exceeds the
@@ -250,13 +250,19 @@ var ErrFrameTooLarge = errors.New("cluster: frame exceeds size limit")
 // at most one chunk, not the claimed length.
 const frameChunk = 64 << 10
 
-// WriteMsg frames and writes one message.
-func WriteMsg(w io.Writer, kind MsgKind, body any) error {
+// marshalEnvelope marshals body and the Envelope of kind around it: the
+// bytes of one JSON message, however it is framed.
+func marshalEnvelope(kind MsgKind, body any) ([]byte, error) {
 	raw, err := json.Marshal(body)
 	if err != nil {
-		return fmt.Errorf("cluster: marshal %s: %w", kind, err)
+		return nil, fmt.Errorf("cluster: marshal %s: %w", kind, err)
 	}
-	env, err := json.Marshal(Envelope{Kind: kind, Body: raw})
+	return json.Marshal(Envelope{Kind: kind, Body: raw})
+}
+
+// WriteMsg frames and writes one message.
+func WriteMsg(w io.Writer, kind MsgKind, body any) error {
+	env, err := marshalEnvelope(kind, body)
 	if err != nil {
 		return err
 	}

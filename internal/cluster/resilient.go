@@ -47,9 +47,6 @@ type AgentOptions struct {
 	// consecutive failure up to BackoffMax.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// SendRetries is how many network attempts one Send makes (first try
-	// included) before falling back to the local model.
-	SendRetries int
 	// FailThreshold is how many consecutive Sends must fail before the
 	// agent flips to ModeDegraded and stops trying the network on every
 	// sample (it then only probes on the backoff schedule).
@@ -66,7 +63,6 @@ func DefaultAgentOptions() AgentOptions {
 		RequestTimeout: 5 * time.Second,
 		BackoffMin:     100 * time.Millisecond,
 		BackoffMax:     30 * time.Second,
-		SendRetries:    2,
 		FailThreshold:  3,
 		BufferLimit:    4096,
 	}
@@ -112,11 +108,12 @@ type AgentCounters struct {
 	ModelSyncs int64
 }
 
-// ResilientAgent wraps Agent with reconnection, bounded retries, request
-// deadlines, and the §6.4.6 degraded-mode fallback: after FailThreshold
-// consecutive failures it serves estimates from its last fetched model
-// snapshot, buffers up to BufferLimit samples, and replays them in order
-// (then resyncs the snapshot) once the service is reachable again.
+// ResilientAgent wraps Agent with reconnection, request deadlines, and the
+// §6.4.6 degraded-mode fallback: after FailThreshold consecutive failures
+// (one network attempt per request) it serves estimates from its last
+// fetched model snapshot, buffers up to BufferLimit samples, and replays
+// them in order (then resyncs the snapshot) once the service is reachable
+// again.
 //
 // Degraded estimates are bit-for-bit what a fresh core.Monitor over the
 // snapshot model would produce for the episode's samples — each degraded
@@ -199,9 +196,6 @@ func (c *ModelCache) decode(data []byte) (*core.HighRPM, error) {
 // agent's telemetry, and a service whose Hello settles on anything else is
 // refused.
 func DialResilient(addr, nodeID string, opts AgentOptions, models *ModelCache) (*ResilientAgent, error) {
-	if opts.SendRetries < 1 {
-		opts.SendRetries = 1
-	}
 	if opts.FailThreshold < 1 {
 		opts.FailThreshold = 1
 	}
@@ -277,27 +271,25 @@ func (ra *ResilientAgent) Model() *core.HighRPM { return ra.model }
 // Pending reports how many buffered samples still await replay.
 func (ra *ResilientAgent) Pending() int { return len(ra.buffer) }
 
-// live runs one telemetry request through the resilience policy: up to
-// SendRetries attempts, each on a connected, fully-replayed link under the
-// request deadline. A degraded agent has no connection, so it skips the
-// network until redial's probe is due. It reports whether the service
-// answered — with a reply (nil error) or with a rejection over a healthy
-// link (the *ServiceError, returned as-is). Not answered means no link was
-// ready or every attempt hit a transport failure, which dropped the
-// connection and scheduled the next probe; the caller then serves the
-// request from the local snapshot.
+// live runs one telemetry request through the resilience policy: one
+// attempt, on a connected, fully-replayed link under the request deadline.
+// A degraded agent has no connection, so it skips the network until
+// redial's probe is due. It reports whether the service answered — with a
+// reply (nil error) or with a rejection over a healthy link (the
+// *ServiceError, returned as-is). Not answered means no link was ready or
+// the attempt hit a transport failure, which dropped the connection and
+// scheduled the next probe; the caller then serves the request from the
+// local snapshot. A second attempt in the same call could only redial,
+// and the probe just scheduled refuses that.
 func (ra *ResilientAgent) live(call func(*Agent) error) (answered bool, err error) {
-	for attempt := 0; attempt < ra.opts.SendRetries; attempt++ {
-		if !ra.ensureLive() {
-			break
-		}
-		err := ra.bounded(call)
-		if err == nil || isRejection(err) {
-			ra.onHealthy()
-			return true, err
-		}
-		ra.failConn()
+	if !ra.ensureLive() {
+		return false, nil
 	}
+	if err := ra.bounded(call); err == nil || isRejection(err) {
+		ra.onHealthy()
+		return true, err
+	}
+	ra.failConn()
 	return false, nil
 }
 
@@ -441,10 +433,12 @@ func (ra *ResilientAgent) dropOldest() {
 
 // serveLocal answers one sample from the model snapshot and buffers it for
 // replay. It also advances the failure accounting that flips the agent to
-// ModeDegraded. The buffered sample is a private copy: bs.PMC, bs.Measured
-// and bs.Relayed belong to the caller, who may overwrite them the moment
-// Send returns (a serve loop forwarding its framer scratch does). Only this
-// degraded path copies; a live send stays zero-copy.
+// ModeDegraded. The buffered sample is a private copy, a new BatchSample
+// built from copies: bs.PMC, bs.Measured and bs.Relayed belong to the
+// caller, who may overwrite them the moment Send returns (a serve loop
+// forwarding its framer scratch does), and appending bs itself would make
+// escape analysis keep the caller's vector on the heap even on a live send.
+// Only this degraded path copies; a live send stays zero-copy.
 func (ra *ResilientAgent) serveLocal(bs BatchSample) (Estimate, error) {
 	ra.consecFails++
 	if ra.mode == ModeConnected && ra.consecFails >= ra.opts.FailThreshold {
@@ -462,16 +456,16 @@ func (ra *ResilientAgent) serveLocal(bs BatchSample) (Estimate, error) {
 		ra.dropOldest()
 		ra.counters.Dropped++
 	}
-	bs.PMC = append([]float64(nil), bs.PMC...)
+	kept := BatchSample{Time: bs.Time, PMC: append([]float64(nil), bs.PMC...)}
 	if bs.Measured != nil {
 		m := *bs.Measured
-		bs.Measured = &m
+		kept.Measured = &m
 	}
 	if bs.Relayed != nil {
 		rel := *bs.Relayed
-		bs.Relayed = &rel
+		kept.Relayed = &rel
 	}
-	ra.buffer = append(ra.buffer, bs)
+	ra.buffer = append(ra.buffer, kept)
 	ra.counters.Buffered++
 	ra.counters.LocalServed++
 	return Estimate{

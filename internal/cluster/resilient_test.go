@@ -24,7 +24,6 @@ func faultAgentOptions() AgentOptions {
 	opts.RequestTimeout = 150 * time.Millisecond
 	opts.BackoffMin = time.Millisecond
 	opts.BackoffMax = 20 * time.Millisecond
-	opts.SendRetries = 2
 	opts.FailThreshold = 2
 	opts.BufferLimit = 256
 	return opts
@@ -218,7 +217,6 @@ func TestResilientAgentFaults(t *testing.T) {
 				{Down: faultnet.Fault{AfterFrames: 1, Action: faultnet.ActBlackhole}},
 			},
 			tune: func(o *AgentOptions) {
-				o.SendRetries = 1                      // one timeout per send keeps the test fast
 				o.DialTimeout = 300 * time.Millisecond // bounds the blackholed re-Hello
 			},
 			total:        12,
@@ -273,7 +271,6 @@ func TestResilientAgentDegradedBuffersAndReplays(t *testing.T) {
 	addr := svc.Addr()
 
 	opts := faultAgentOptions()
-	opts.SendRetries = 1
 	ra, err := DialResilient(addr, "node-out", opts, nil)
 	if err != nil {
 		svc.Close()
@@ -370,7 +367,6 @@ func TestResilientAgentBufferCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := faultAgentOptions()
-	opts.SendRetries = 1
 	opts.BufferLimit = 4
 	// Long backoff so the outage loop below never probes the dead
 	// address.
@@ -414,7 +410,6 @@ func TestResilientReplayReleasesSamples(t *testing.T) {
 	}
 	addr := svc.Addr()
 	opts := faultAgentOptions()
-	opts.SendRetries = 1
 	ra, err := DialResilient(addr, "node-release", opts, nil)
 	if err != nil {
 		svc.Close()
@@ -511,7 +506,6 @@ func TestResilientSendCopiesBufferedSample(t *testing.T) {
 	addr := svc.Addr()
 	const nodeID = "node-alias"
 	opts := faultAgentOptions()
-	opts.SendRetries = 1
 	ra, err := DialResilient(addr, nodeID, opts, nil)
 	if err != nil {
 		svc.Close()

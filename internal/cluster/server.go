@@ -115,9 +115,11 @@ type Server struct {
 }
 
 // NewServer builds a server that answers through h. name prefixes its
-// errors and log lines; logf sinks the latter.
+// errors and log lines; logf sinks the latter. opts.MaxFrame can only lower
+// the frame cap: every Agent reads with DefaultMaxFrame, so a larger reply
+// would be refused by the client it answers, in the middle of its frame.
 func NewServer(name string, h Handler, opts ServiceOptions, logf func(format string, args ...any)) *Server {
-	if opts.MaxFrame <= 0 {
+	if opts.MaxFrame <= 0 || opts.MaxFrame > DefaultMaxFrame {
 		opts.MaxFrame = DefaultMaxFrame
 	}
 	return &Server{name: name, h: h, opts: opts, logf: logf, conns: map[net.Conn]string{}}

@@ -683,3 +683,47 @@ func TestShutdownDrainsInFlightRequest(t *testing.T) {
 		t.Fatalf("draining logged errors: %q", logged)
 	}
 }
+
+// wideSeriesHandler answers every query with one raw series just over
+// DefaultMaxFrame.
+type wideSeriesHandler struct{ stubHandler }
+
+func (wideSeriesHandler) Query(q QueryRequest, w *SeriesWriter) error {
+	n := DefaultMaxFrame/rawPointLen + 1024
+	tms, vals := make([]int64, n), make([]float64, n)
+	for i := range tms {
+		tms[i] = int64(i) * 1000
+	}
+	w.Begin(q.NodeID, q.Channel, q.ResolutionS, n)
+	w.Raw(tms, vals)
+	return nil
+}
+
+// TestServerFrameCapNeverExceedsClients: a MaxFrame above DefaultMaxFrame
+// cannot raise the cap, because every Agent reads with DefaultMaxFrame. A
+// reply too large for the client is refused before it is written, and the
+// connection stays usable. With the larger cap honoured, the agent refused
+// the reply as ErrFrameTooLarge with the frame still unread, and the next
+// request read a length prefix from inside it.
+func TestServerFrameCapNeverExceedsClients(t *testing.T) {
+	leaktest.Check(t)
+	srv := NewServer("test", wideSeriesHandler{}, ServiceOptions{MaxFrame: 2 * DefaultMaxFrame}, t.Logf)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ag, err := Dial(srv.Addr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ag.Close()
+	ag.SetDeadline(time.Now().Add(30 * time.Second))
+	_, err = ag.Query(QueryRequest{NodeID: "n", Channel: "p_node", To: 1})
+	var se *ServiceError
+	if !errors.As(err, &se) || se.Message != errSeriesTooLarge.Error() {
+		t.Fatalf("oversized series: %v, want the %q service error", err, errSeriesTooLarge)
+	}
+	if st, err := ag.Stats(); err != nil || st.Nodes != 1 {
+		t.Fatalf("stats after the refused query: %+v, %v", st, err)
+	}
+}

@@ -26,7 +26,9 @@ type ServiceOptions struct {
 	// WriteTimeout bounds writing one reply (0: no bound). It protects the
 	// handler from a peer that stops draining its socket.
 	WriteTimeout time.Duration
-	// MaxFrame caps one wire frame in bytes (0: DefaultMaxFrame).
+	// MaxFrame caps one wire frame in bytes (0: DefaultMaxFrame). It can
+	// only lower the cap: a value above DefaultMaxFrame, the cap every
+	// Agent reads with, counts as DefaultMaxFrame.
 	MaxFrame int
 	// MaxConns caps concurrent connections service-wide (0: unlimited);
 	// excess connections are dropped at accept and counted in
@@ -98,9 +100,6 @@ func NewService(model *core.HighRPM) *Service {
 
 // NewServiceWith wraps a trained model with explicit robustness options.
 func NewServiceWith(model *core.HighRPM, opts ServiceOptions) *Service {
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = DefaultMaxFrame
-	}
 	s := &Service{
 		model: model,
 		store: tsdb.New(tsdb.DefaultOptions()),

@@ -10,7 +10,7 @@
 // and every sample as a RecordBatch, a single one as a batch of one) is
 // forwarded over pooled ResilientAgent.SendSamples connections — one per
 // (node, shard) so per-node sample order survives
-// retries, degraded-mode buffering, and in-order replay — with optional
+// reconnects, degraded-mode buffering, and in-order replay — with optional
 // replication factor R: the ring owner is the primary and the next R-1
 // distinct shards clockwise are followers, written synchronously. Only
 // the primary runs the models: every request is answered by the primary

@@ -20,7 +20,6 @@ func faultAgentOptions() cluster.AgentOptions {
 		RequestTimeout: 250 * time.Millisecond,
 		BackoffMin:     50 * time.Millisecond,
 		BackoffMax:     250 * time.Millisecond,
-		SendRetries:    1,
 		FailThreshold:  1,
 		BufferLimit:    4096,
 	}

@@ -366,17 +366,13 @@ func (r *Router) MergedStats() (cluster.Stats, error) {
 		out.JSONFrames += st.JSONFrames
 		out.Batches += st.Batches
 		out.BatchSamples += st.BatchSamples
-		mergeStoreStats(&out.Store, st.Store)
+		out.Store.Merge(st.Store)
 	}
 	if reachable == 0 {
 		if firstErr == nil {
 			firstErr = fmt.Errorf("fleet: no shards")
 		}
 		return cluster.Stats{}, firstErr
-	}
-	if out.Store.Points > 0 {
-		out.Store.BytesPerPoint = float64(out.Store.RawBytes) / float64(out.Store.Points)
-		out.Store.CompressionRatio = 16 / out.Store.BytesPerPoint
 	}
 	out.Nodes = r.knownNodes()
 	front := r.srv.Stats()
@@ -386,34 +382,6 @@ func (r *Router) MergedStats() (cluster.Stats, error) {
 		h.Observe(time.Since(scStart).Seconds())
 	}
 	return out, nil
-}
-
-// mergeStoreStats sums one shard's store footprint into the fleet total.
-// Per-node series are disjoint across shards (for R = 1), and Gorilla
-// compression is per-series, so the sums equal a single store's numbers
-// exactly. The derived ratios are recomputed by the caller from the
-// summed totals; SnapshotAgeSeconds keeps the newest snapshot's age.
-func mergeStoreStats(dst *tsdb.Stats, s tsdb.Stats) {
-	dst.Nodes += s.Nodes
-	dst.Series += s.Series
-	dst.Points += s.Points
-	dst.Bytes += s.Bytes
-	dst.RawBytes += s.RawBytes
-	dst.Ingested += s.Ingested
-	dst.Queries += s.Queries
-	dst.PointsReturned += s.PointsReturned
-	dst.EvictedPoints += s.EvictedPoints
-	dst.CacheHits += s.CacheHits
-	dst.CacheMisses += s.CacheMisses
-	dst.CachePoints += s.CachePoints
-	dst.WALBytes += s.WALBytes
-	dst.WALFsyncs += s.WALFsyncs
-	dst.WALRecords += s.WALRecords
-	dst.ReplayedRecords += s.ReplayedRecords
-	dst.Snapshots += s.Snapshots
-	if s.SnapshotAgeSeconds >= 0 && (dst.SnapshotAgeSeconds < 0 || s.SnapshotAgeSeconds < dst.SnapshotAgeSeconds) {
-		dst.SnapshotAgeSeconds = s.SnapshotAgeSeconds
-	}
 }
 
 // fetchModel answers a front-end KindModel with the first reachable

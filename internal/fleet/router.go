@@ -82,7 +82,7 @@ type shardState struct {
 // nodeRoute is one node's forwarding state: one replica slot per owning
 // shard (primary first), each with its pooled ResilientAgent. mu serializes
 // the node's whole ingest path — that is what preserves per-node sample
-// order across retries, degraded buffering, and replay — while distinct
+// order across reconnects, degraded buffering, and replay — while distinct
 // nodes forward in parallel. Everything a forwarded request needs is
 // scratch here, guarded by mu, or a batch reply buffer from replyBufs, so
 // forwarding allocates nothing per request.
@@ -162,9 +162,6 @@ func NewRouter(top Topology, opts TopologyOptions) (*Router, error) {
 	}
 	if opts.FrontEnd == (cluster.ServiceOptions{}) {
 		opts.FrontEnd = cluster.DefaultServiceOptions()
-	}
-	if opts.FrontEnd.MaxFrame <= 0 {
-		opts.FrontEnd.MaxFrame = cluster.DefaultMaxFrame
 	}
 	if opts.DialRetry <= 0 {
 		opts.DialRetry = DefaultDialRetry

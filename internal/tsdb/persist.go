@@ -19,10 +19,14 @@
 package tsdb
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -70,12 +74,13 @@ func Open(opts Options) (*Store, *Recovery, error) {
 	st.dir = st.opts.Dir
 	rec := &Recovery{}
 
-	snaps, err := listSnapshots(st.dir)
+	snaps, err := listSeqFiles(st.dir, snapPrefix, snapSuffix)
 	if err != nil {
 		return nil, nil, fmt.Errorf("tsdb: list snapshots: %w", err)
 	}
 	st.snapshots.Store(int64(len(snaps)))
-	for _, sf := range snaps {
+	for i := len(snaps) - 1; i >= 0; i-- { // newest first
+		sf := snaps[i]
 		data, rerr := os.ReadFile(sf.path)
 		var snap *snapshotState
 		if rerr == nil {
@@ -95,7 +100,7 @@ func Open(opts Options) (*Store, *Recovery, error) {
 		break
 	}
 
-	segs, err := listWALSegments(st.dir)
+	segs, err := listSeqFiles(st.dir, walPrefix, walSuffix)
 	if err != nil {
 		return nil, nil, fmt.Errorf("tsdb: list wal segments: %w", err)
 	}
@@ -103,7 +108,7 @@ func Open(opts Options) (*Store, *Recovery, error) {
 	// corruption there cannot matter, and replay must not stop on it.
 	start := 0
 	for i := range segs {
-		if i+1 < len(segs) && segs[i+1].firstSeq <= rec.SnapshotSeq+1 {
+		if i+1 < len(segs) && segs[i+1].seq <= rec.SnapshotSeq+1 {
 			start = i + 1
 		}
 	}
@@ -295,30 +300,29 @@ func (st *Store) snapshotNow() *snapCut {
 // snapshots on disk no WAL is deleted — the log must still reconstruct
 // everything in case the only snapshot is lost.
 func (st *Store) prune() error {
-	snaps, err := listSnapshots(st.dir)
+	snaps, err := listSeqFiles(st.dir, snapPrefix, snapSuffix)
 	if err != nil {
 		return fmt.Errorf("tsdb: list snapshots: %w", err)
 	}
 	const keepSnaps = 2
-	for _, sf := range snaps[min(keepSnaps, len(snaps)):] {
+	drop := max(0, len(snaps)-keepSnaps)
+	for _, sf := range snaps[:drop] {
 		if err := os.Remove(sf.path); err != nil {
 			return fmt.Errorf("tsdb: prune snapshot: %w", err)
 		}
 	}
-	if len(snaps) > keepSnaps {
-		snaps = snaps[:keepSnaps]
-	}
+	snaps = snaps[drop:]
 	st.snapshots.Store(int64(len(snaps)))
-	if len(snaps) >= keepSnaps {
-		keepSeq := snaps[keepSnaps-1].lastSeq
-		segs, err := listWALSegments(st.dir)
+	if len(snaps) == keepSnaps {
+		keepSeq := snaps[0].seq
+		segs, err := listSeqFiles(st.dir, walPrefix, walSuffix)
 		if err != nil {
 			return fmt.Errorf("tsdb: list wal segments: %w", err)
 		}
 		// A segment is fully ≤ keepSeq exactly when its successor starts at
 		// or before keepSeq+1; the newest segment (the live one) never is.
 		for i, seg := range segs {
-			if i+1 >= len(segs) || segs[i+1].firstSeq > keepSeq+1 {
+			if i+1 >= len(segs) || segs[i+1].seq > keepSeq+1 {
 				break
 			}
 			if err := os.Remove(seg.path); err != nil {
@@ -327,4 +331,50 @@ func (st *Store) prune() error {
 		}
 	}
 	return syncDir(st.dir)
+}
+
+// The store's two families of sequence-numbered files: snapshots, named
+// for the last WAL sequence they cover, and WAL segments, named for the
+// first sequence they hold.
+const (
+	snapPrefix, snapSuffix = "snap-", ".snap"
+	walPrefix, walSuffix   = "wal-", ".log"
+)
+
+// seqName renders the canonical name of the file of seq in a family:
+// prefix, seq as 16 hex digits, suffix.
+func seqName(prefix string, seq uint64, suffix string) string {
+	return fmt.Sprintf("%s%016x%s", prefix, seq, suffix)
+}
+
+// seqFile is one discovered file of a family.
+type seqFile struct {
+	path string
+	seq  uint64
+}
+
+// listSeqFiles finds dir's files of a family sorted by sequence, oldest
+// first. Names that merely look similar — a snapshot's temp file from an
+// interrupted write (.tmp suffix) among them — are ignored.
+func listSeqFiles(dir, prefix, suffix string) ([]seqFile, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []seqFile
+	for _, e := range entries {
+		mid, ok := strings.CutPrefix(e.Name(), prefix)
+		if !ok || e.IsDir() {
+			continue
+		}
+		hex, ok := strings.CutSuffix(mid, suffix)
+		if !ok || len(hex) != 16 {
+			continue
+		}
+		if seq, err := strconv.ParseUint(hex, 16, 64); err == nil {
+			files = append(files, seqFile{path: filepath.Join(dir, e.Name()), seq: seq})
+		}
+	}
+	slices.SortFunc(files, func(a, b seqFile) int { return cmp.Compare(a.seq, b.seq) })
+	return files, nil
 }

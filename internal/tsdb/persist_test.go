@@ -240,29 +240,29 @@ func TestSnapshotPrunesWAL(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	snaps, err := listSnapshots(dir)
+	snaps, err := listSeqFiles(dir, snapPrefix, snapSuffix)
 	if err != nil {
-		t.Fatalf("listSnapshots: %v", err)
+		t.Fatalf("list snapshots: %v", err)
 	}
 	if len(snaps) != 2 {
 		t.Fatalf("kept %d snapshots, want 2", len(snaps))
 	}
-	if snaps[0].lastSeq != 250 || snaps[1].lastSeq != 200 {
-		t.Fatalf("retained snapshots cover %d and %d, want 250 and 200", snaps[0].lastSeq, snaps[1].lastSeq)
+	if snaps[0].seq != 200 || snaps[1].seq != 250 {
+		t.Fatalf("retained snapshots cover %d and %d, want 200 and 250", snaps[0].seq, snaps[1].seq)
 	}
-	segs, err := listWALSegments(dir)
+	segs, err := listSeqFiles(dir, walPrefix, walSuffix)
 	if err != nil {
-		t.Fatalf("listWALSegments: %v", err)
+		t.Fatalf("list wal segments: %v", err)
 	}
 	for _, seg := range segs {
-		if seg.firstSeq < 100 {
+		if seg.seq < 100 {
 			t.Fatalf("segment %s should have been pruned (fully covered by the kept snapshot at 200)", filepath.Base(seg.path))
 		}
 	}
 
 	// The whole point of keeping two: delete the newest snapshot outright
 	// and recovery must still be complete.
-	if err := os.Remove(snaps[0].path); err != nil {
+	if err := os.Remove(snaps[1].path); err != nil {
 		t.Fatalf("remove newest snapshot: %v", err)
 	}
 	st2, rec, err := Open(durableOpts(dir))

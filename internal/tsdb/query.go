@@ -374,9 +374,45 @@ func (st *Store) Stats() Stats {
 		}
 		sh.mu.Unlock()
 	}
-	if out.Points > 0 {
-		out.BytesPerPoint = float64(out.RawBytes) / float64(out.Points)
-		out.CompressionRatio = 16 / out.BytesPerPoint
-	}
+	out.deriveRatios()
 	return out
+}
+
+// deriveRatios sets BytesPerPoint and CompressionRatio from RawBytes and
+// Points.
+func (s *Stats) deriveRatios() {
+	if s.Points > 0 {
+		s.BytesPerPoint = float64(s.RawBytes) / float64(s.Points)
+		s.CompressionRatio = 16 / s.BytesPerPoint
+	}
+}
+
+// Merge folds o, another store's Stats, into s: the counters add up, the
+// newer snapshot's age is kept (start s at -1 for "none yet"), and the
+// ratios are derived from the sums as Store.Stats derives its own. Per-node
+// series are disjoint across stores that share no node, and Gorilla
+// compression is per series, so merging such stores gives exactly the
+// Stats one store holding all of them would.
+func (s *Stats) Merge(o Stats) {
+	s.Nodes += o.Nodes
+	s.Series += o.Series
+	s.Points += o.Points
+	s.Bytes += o.Bytes
+	s.RawBytes += o.RawBytes
+	s.Ingested += o.Ingested
+	s.Queries += o.Queries
+	s.PointsReturned += o.PointsReturned
+	s.EvictedPoints += o.EvictedPoints
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.CachePoints += o.CachePoints
+	s.WALBytes += o.WALBytes
+	s.WALFsyncs += o.WALFsyncs
+	s.WALRecords += o.WALRecords
+	s.ReplayedRecords += o.ReplayedRecords
+	s.Snapshots += o.Snapshots
+	if o.SnapshotAgeSeconds >= 0 && (s.SnapshotAgeSeconds < 0 || o.SnapshotAgeSeconds < s.SnapshotAgeSeconds) {
+		s.SnapshotAgeSeconds = o.SnapshotAgeSeconds
+	}
+	s.deriveRatios()
 }

@@ -45,10 +45,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 
+	"highrpm/internal/bin"
 	"highrpm/internal/stats"
 )
 
@@ -69,34 +67,17 @@ type snapshotState struct {
 
 // --- encoding ---------------------------------------------------------------
 
-func appendU16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	var s [8]byte
-	binary.BigEndian.PutUint64(s[:], v)
-	return append(b, s[:]...)
-}
-
-func appendI64(b []byte, v int64) []byte     { return appendU64(b, uint64(v)) }
-func appendF64(b []byte, v float64) []byte   { return appendU64(b, math.Float64bits(v)) }
-func appendString(b []byte, s string) []byte { return append(appendU16(b, uint16(len(s))), s...) }
-
 // appendRollupOpen serialises the open-bucket aggregator.
 func appendRollupOpen(b []byte, r *rollup) []byte {
 	if !r.open {
 		return append(b, 0)
 	}
 	b = append(b, 1)
-	b = appendI64(b, r.start)
-	b = appendI64(b, int64(r.agg.N()))
-	b = appendF64(b, r.agg.Mean())
-	b = appendF64(b, r.agg.M2())
-	b = appendF64(b, r.agg.Min())
-	b = appendF64(b, r.agg.Max())
+	b = binary.BigEndian.AppendUint64(b, uint64(r.start))
+	b = binary.BigEndian.AppendUint64(b, uint64(r.agg.N()))
+	for _, v := range [...]float64{r.agg.Mean(), r.agg.M2(), r.agg.Min(), r.agg.Max()} {
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v))
+	}
 	return b
 }
 
@@ -105,16 +86,16 @@ func appendRollupOpen(b []byte, r *rollup) []byte {
 // the encoder state of the open block (sealed blocks carry theirs too — it
 // is dead weight for them but keeps the format uniform).
 func appendBlockHeader(b []byte, blk *block) []byte {
-	b = appendU32(b, uint32(blk.n))
-	b = appendI64(b, blk.first)
-	b = appendI64(b, blk.last)
-	b = appendI64(b, blk.tDelta)
+	b = binary.BigEndian.AppendUint32(b, uint32(blk.n))
+	b = binary.BigEndian.AppendUint64(b, uint64(blk.first))
+	b = binary.BigEndian.AppendUint64(b, uint64(blk.last))
+	b = binary.BigEndian.AppendUint64(b, uint64(blk.tDelta))
 	for i := 0; i < blk.k; i++ {
-		b = appendU64(b, blk.val[i])
+		b = binary.BigEndian.AppendUint64(b, blk.val[i])
 		b = append(b, blk.leading[i], blk.trailing[i])
 	}
 	b = append(b, blk.bs.free)
-	return appendU32(b, uint32(len(blk.bs.b)))
+	return binary.BigEndian.AppendUint32(b, uint32(len(blk.bs.b)))
 }
 
 // snapCut is a consistent cut of a store, taken under the shard locks and
@@ -211,14 +192,14 @@ func writeSnapshot(w io.Writer, cut *snapCut) error {
 		return err
 	}
 	sw := snapWriter{w: w}
-	sw.b = appendU64(sw.b, cut.lastSeq)
-	sw.b = appendU32(sw.b, uint32(len(cut.nodes)))
+	sw.b = binary.BigEndian.AppendUint64(sw.b, cut.lastSeq)
+	sw.b = binary.BigEndian.AppendUint32(sw.b, uint32(len(cut.nodes)))
 	for i := range cut.nodes {
 		n := &cut.nodes[i]
-		sw.b = appendString(sw.b, n.name)
+		sw.b = append(binary.BigEndian.AppendUint16(sw.b, uint16(len(n.name))), n.name...)
 		for ci := range n.series {
 			for _, cs := range n.series[ci] {
-				sw.b = appendU32(sw.b, uint32(cs.blocks))
+				sw.b = binary.BigEndian.AppendUint32(sw.b, uint32(cs.blocks))
 				for _, blk := range cut.sealed[cs.sealedAt:cs.sealedEnd] {
 					sw.b = appendBlockHeader(sw.b, blk)
 					sw.flush()
@@ -239,107 +220,35 @@ func writeSnapshot(w io.Writer, cut *snapCut) error {
 
 // --- decoding ---------------------------------------------------------------
 
-// snapReader is a bounds-checked cursor over snapshot bytes. The first
-// failed read poisons it; every later read returns the zero value, and the
-// caller checks err once at the end of a parse unit.
-type snapReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *snapReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("tsdb: snapshot truncated reading %s at offset %d", what, r.off)
+// snapErr reports a failed read of the snapshot body r.
+func snapErr(r *bin.Reader) error {
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("tsdb: snapshot %w", err)
 	}
-}
-
-func (r *snapReader) u8(what string) byte {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *snapReader) u16(what string) uint16 {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *snapReader) u32(what string) uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *snapReader) u64(what string) uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *snapReader) i64(what string) int64   { return int64(r.u64(what)) }
-func (r *snapReader) f64(what string) float64 { return math.Float64frombits(r.u64(what)) }
-
-func (r *snapReader) bytes(what string) []byte {
-	n := int(r.u32(what))
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail(what)
-		return nil
-	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v
-}
-
-func (r *snapReader) str(what string) string {
-	n := int(r.u16(what))
-	if r.err != nil || r.off+n > len(r.b) {
-		r.fail(what)
-		return ""
-	}
-	v := string(r.b[r.off : r.off+n])
-	r.off += n
-	return v
+	return nil
 }
 
 // readSeries parses and validates one series into s: every block must
 // decode cleanly to exactly its claimed point count with matching first/
 // last timestamps, so an installed snapshot can never poison queries.
-func readSeries(r *snapReader, s *series, k int) error {
-	blocks := int(r.u32("block count"))
+func readSeries(r *bin.Reader, s *series, k int) error {
+	blocks := int(r.U32())
 	var c cursor
-	for bi := 0; bi < blocks && r.err == nil; bi++ {
+	for bi := 0; bi < blocks; bi++ {
 		blk := newBlock(k)
-		blk.n = int(r.u32("block points"))
-		blk.first = r.i64("block first")
-		blk.last = r.i64("block last")
-		blk.tDelta = r.i64("block tDelta")
+		blk.n = int(r.U32())
+		blk.first = r.I64()
+		blk.last = r.I64()
+		blk.tDelta = r.I64()
 		for i := 0; i < k; i++ {
-			blk.val[i] = r.u64("chain predecessor")
-			blk.leading[i] = r.u8("chain leading")
-			blk.trailing[i] = r.u8("chain trailing")
+			blk.val[i] = r.U64()
+			blk.leading[i] = r.U8()
+			blk.trailing[i] = r.U8()
 		}
-		blk.bs.free = r.u8("block free bits")
-		raw := r.bytes("block bytes")
-		if r.err != nil {
-			break
+		blk.bs.free = r.U8()
+		raw := r.Bytes(int(r.U32()))
+		if err := snapErr(r); err != nil {
+			return err
 		}
 		blk.bs.b = append([]byte(nil), raw...)
 		if blk.n < 0 || blk.n > 8*len(blk.bs.b)+1 {
@@ -367,24 +276,20 @@ func readSeries(r *snapReader, s *series, k int) error {
 		s.blocks = append(s.blocks, blk)
 		s.points += blk.n
 	}
-	return r.err
+	return snapErr(r)
 }
 
 // readRollupOpen parses the open-bucket aggregator into ru.
-func readRollupOpen(r *snapReader, ru *rollup) error {
-	open := r.u8("rollup open flag")
-	if r.err != nil || open == 0 {
-		return r.err
+func readRollupOpen(r *bin.Reader, ru *rollup) error {
+	if r.U8() == 0 {
+		return snapErr(r)
 	}
 	ru.open = true
-	ru.start = r.i64("rollup bucket start")
-	n := r.i64("rollup bucket count")
-	mean := r.f64("rollup mean")
-	m2 := r.f64("rollup m2")
-	min := r.f64("rollup min")
-	max := r.f64("rollup max")
-	if r.err != nil {
-		return r.err
+	ru.start = r.I64()
+	n := r.I64()
+	mean, m2, min, max := r.F64(), r.F64(), r.F64(), r.F64()
+	if err := snapErr(r); err != nil {
+		return err
 	}
 	if n < 0 || n > (1<<40) {
 		return fmt.Errorf("tsdb: snapshot rollup bucket claims %d observations", n)
@@ -408,37 +313,34 @@ func decodeSnapshot(data []byte, opts Options) (*snapshotState, error) {
 	if crc32.ChecksumIEEE(body) != want {
 		return nil, fmt.Errorf("tsdb: snapshot CRC mismatch")
 	}
-	r := &snapReader{b: body}
-	st := &snapshotState{lastSeq: r.u64("last sequence")}
-	nodeCount := int(r.u32("node count"))
-	for ni := 0; ni < nodeCount && r.err == nil; ni++ {
-		n := snapNode{name: r.str("node ID")}
+	r := bin.NewReader(body)
+	st := &snapshotState{lastSeq: r.U64()}
+	nodeCount := int(r.U32())
+	for ni := 0; ni < nodeCount && r.Err() == nil; ni++ {
+		n := snapNode{name: string(r.Bytes(int(r.U16())))}
 		for ci := range n.chans {
 			cs := newChannelSeries(opts, nil, nil)
-			if err := readSeries(r, cs.raw, 1); err != nil {
+			if err := readSeries(&r, cs.raw, 1); err != nil {
 				return nil, err
 			}
-			if err := readSeries(r, cs.r10.ser, rollupChains); err != nil {
+			if err := readSeries(&r, cs.r10.ser, rollupChains); err != nil {
 				return nil, err
 			}
-			if err := readRollupOpen(r, cs.r10); err != nil {
+			if err := readRollupOpen(&r, cs.r10); err != nil {
 				return nil, err
 			}
-			if err := readSeries(r, cs.r60.ser, rollupChains); err != nil {
+			if err := readSeries(&r, cs.r60.ser, rollupChains); err != nil {
 				return nil, err
 			}
-			if err := readRollupOpen(r, cs.r60); err != nil {
+			if err := readRollupOpen(&r, cs.r60); err != nil {
 				return nil, err
 			}
 			n.chans[ci] = cs
 		}
 		st.nodes = append(st.nodes, n)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("tsdb: snapshot has %d trailing bytes", len(body)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("tsdb: snapshot %w", err)
 	}
 	for i := 1; i < len(st.nodes); i++ {
 		if st.nodes[i].name <= st.nodes[i-1].name {
@@ -450,45 +352,6 @@ func decodeSnapshot(data []byte, opts Options) (*snapshotState, error) {
 
 // --- files ------------------------------------------------------------------
 
-// snapshotName renders the canonical snapshot filename for the last WAL
-// sequence it covers.
-func snapshotName(lastSeq uint64) string {
-	return fmt.Sprintf("snap-%016x.snap", lastSeq)
-}
-
-// snapFile is one discovered snapshot file.
-type snapFile struct {
-	path    string
-	lastSeq uint64
-}
-
-// listSnapshots finds the dir's snapshots sorted newest first. Temp files
-// from interrupted writes (.tmp suffix) are ignored.
-func listSnapshots(dir string) ([]snapFile, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var snaps []snapFile
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".snap") {
-			continue
-		}
-		hexpart := strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap")
-		if len(hexpart) != 16 {
-			continue
-		}
-		seq, perr := strconv.ParseUint(hexpart, 16, 64)
-		if perr != nil {
-			continue
-		}
-		snaps = append(snaps, snapFile{path: filepath.Join(dir, name), lastSeq: seq})
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].lastSeq > snaps[j].lastSeq })
-	return snaps, nil
-}
-
 // snapWriteBuf sizes the buffer a snapshot file is written through: large
 // enough that the file costs a few hundred writes, not one per block.
 const snapWriteBuf = 64 << 10
@@ -497,7 +360,7 @@ const snapWriteBuf = 64 << 10
 // directory fsync. Only after the rename is the snapshot visible to
 // recovery, so a crash mid-write is indistinguishable from no snapshot.
 func writeSnapshotFile(dir string, cut *snapCut) (string, error) {
-	path := filepath.Join(dir, snapshotName(cut.lastSeq))
+	path := filepath.Join(dir, seqName(snapPrefix, cut.lastSeq, snapSuffix))
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {

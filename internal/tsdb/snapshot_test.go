@@ -40,7 +40,7 @@ func TestSnapshotFileGolden(t *testing.T) {
 	if err := st.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	data, err := os.ReadFile(filepath.Join(opts.Dir, snapshotName(2000)))
+	data, err := os.ReadFile(filepath.Join(opts.Dir, seqName(snapPrefix, 2000, snapSuffix)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestSnapshotAllocation(t *testing.T) {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	runtime.ReadMemStats(&after)
-	info, err := os.Stat(filepath.Join(opts.Dir, snapshotName(samples)))
+	info, err := os.Stat(filepath.Join(opts.Dir, seqName(snapPrefix, samples, snapSuffix)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,9 @@
 //	payload: u64 seq | u64 timestamp (int64 ms bits) | u8 node length |
 //	         node bytes | NumChannels × u64 (float64 bits)
 //
-// All integers are big-endian, matching the cluster wire framing. Sequence
+// All integers are big-endian, matching the cluster wire framing, and a
+// payload is read through internal/bin's Reader, as the wire and snapshots
+// are. Sequence
 // numbers are global, strictly increasing, and continue across segments;
 // snapshots record the last sequence they cover so recovery replays only
 // the tail.
@@ -28,11 +30,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
+
+	"highrpm/internal/bin"
 )
 
 const walMagic = "HRPMWAL1"
@@ -99,46 +100,40 @@ type walRecord struct {
 }
 
 // appendWALRecord serialises rec onto dst (framing included) and returns
-// the extended slice.
+// the extended slice. The payload's fields go in the order decodeWALRecord
+// reads them; the frame's length and CRC are filled in behind them.
 func appendWALRecord(dst []byte, rec *walRecord) ([]byte, error) {
 	if len(rec.node) > MaxNodeIDLen {
 		return dst, fmt.Errorf("tsdb: node ID %q exceeds %d bytes", rec.node, MaxNodeIDLen)
 	}
-	payloadLen := 8 + 8 + 1 + len(rec.node) + 8*NumChannels
 	base := len(dst)
-	dst = append(dst, make([]byte, 8+payloadLen)...)
-	binary.BigEndian.PutUint32(dst[base:], uint32(payloadLen))
-	p := dst[base+8:]
-	binary.BigEndian.PutUint64(p[0:], rec.seq)
-	binary.BigEndian.PutUint64(p[8:], uint64(rec.ts))
-	p[16] = byte(len(rec.node))
-	copy(p[17:], rec.node)
-	off := 17 + len(rec.node)
-	for i, v := range rec.vals {
-		binary.BigEndian.PutUint64(p[off+8*i:], math.Float64bits(v))
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // length, CRC
+	dst = binary.BigEndian.AppendUint64(dst, rec.seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(rec.ts))
+	dst = append(append(dst, byte(len(rec.node))), rec.node...)
+	for _, v := range rec.vals {
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
 	}
+	p := dst[base+8:]
+	binary.BigEndian.PutUint32(dst[base:], uint32(len(p)))
 	binary.BigEndian.PutUint32(dst[base+4:], crc32.ChecksumIEEE(p))
 	return dst, nil
 }
 
-// decodeWALRecord parses one payload. The payload length must match the
-// declared node length exactly — trailing garbage is corruption, not slack.
+// decodeWALRecord parses one payload. It must be exactly as long as its
+// node length says — trailing garbage is corruption, not slack.
 func decodeWALRecord(p []byte, rec *walRecord) error {
-	if len(p) < 17 {
-		return fmt.Errorf("tsdb: wal record payload %d bytes, want >= 17", len(p))
-	}
-	nodeLen := int(p[16])
-	want := 17 + nodeLen + 8*NumChannels
-	if len(p) != want {
-		return fmt.Errorf("tsdb: wal record payload %d bytes, want %d for node length %d", len(p), want, nodeLen)
-	}
-	rec.seq = binary.BigEndian.Uint64(p[0:])
-	rec.ts = int64(binary.BigEndian.Uint64(p[8:]))
-	rec.node = string(p[17 : 17+nodeLen])
-	off := 17 + nodeLen
+	r := bin.NewReader(p)
+	rec.seq = r.U64()
+	rec.ts = r.I64()
+	node := r.Bytes(int(r.U8()))
 	for i := range rec.vals {
-		rec.vals[i] = math.Float64frombits(binary.BigEndian.Uint64(p[off+8*i:]))
+		rec.vals[i] = r.F64()
 	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("tsdb: wal record %w", err)
+	}
+	rec.node = string(node)
 	return nil
 }
 
@@ -188,45 +183,6 @@ func scanWALBytes(data []byte, apply func(rec *walRecord) bool) (applied int, to
 	return applied, false, ""
 }
 
-// walSegmentName renders the canonical segment filename for a first
-// sequence number.
-func walSegmentName(firstSeq uint64) string {
-	return fmt.Sprintf("wal-%016x.log", firstSeq)
-}
-
-// walSegment is one discovered segment file.
-type walSegment struct {
-	path     string
-	firstSeq uint64
-}
-
-// listWALSegments finds the dir's segments sorted by first sequence.
-// Filenames that merely look similar are ignored.
-func listWALSegments(dir string) ([]walSegment, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []walSegment
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		hexpart := strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log")
-		if len(hexpart) != 16 {
-			continue
-		}
-		seq, perr := strconv.ParseUint(hexpart, 16, 64)
-		if perr != nil {
-			continue
-		}
-		segs = append(segs, walSegment{path: filepath.Join(dir, name), firstSeq: seq})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].firstSeq < segs[j].firstSeq })
-	return segs, nil
-}
-
 // wal is the open write side of the log: the current segment file behind a
 // buffered writer, the global sequence counter, and the accounting the
 // store surfaces through Stats. All methods are called with mu held by the
@@ -246,23 +202,33 @@ type wal struct {
 	records atomic.Int64
 }
 
-// openWALSegment starts a fresh segment whose first record will carry
-// firstSeq. An existing file of the same name is truncated — that only
-// happens when a previous Open crashed before appending anything, so its
-// contents are at most a bare header.
+// openWALSegment opens the write side of the log on a fresh segment whose
+// first record will carry lastSeq+1.
 func openWALSegment(dir string, lastSeq uint64, policy FsyncPolicy) (*wal, error) {
-	path := filepath.Join(dir, walSegmentName(lastSeq+1))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("tsdb: open wal segment: %w", err)
+	w := &wal{dir: dir, policy: policy, w: bufio.NewWriterSize(nil, 1<<16), seq: lastSeq}
+	if err := w.openSegment(); err != nil {
+		return nil, err
 	}
-	w := &wal{dir: dir, policy: policy, f: f, w: bufio.NewWriterSize(f, 1<<16), seq: lastSeq}
+	return w, nil
+}
+
+// openSegment starts the segment whose first record will carry w.seq+1 and
+// writes its header. An existing file of the same name is truncated — that
+// only happens when a previous Open crashed before appending anything, so
+// its contents are at most a bare header.
+func (w *wal) openSegment() error {
+	f, err := os.OpenFile(filepath.Join(w.dir, seqName(walPrefix, w.seq+1, walSuffix)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("tsdb: open wal segment: %w", err)
+	}
+	w.f = f
+	w.w.Reset(f)
 	if _, err := w.w.WriteString(walMagic); err != nil {
 		_ = f.Close()
-		return nil, fmt.Errorf("tsdb: write wal header: %w", err)
+		return fmt.Errorf("tsdb: write wal header: %w", err)
 	}
 	w.bytes.Add(int64(len(walMagic)))
-	return w, nil
+	return nil
 }
 
 // append logs one ingest and returns its sequence number. Callers hold the
@@ -349,20 +315,10 @@ func (w *wal) rotate() error {
 		w.stuck = fmt.Errorf("tsdb: wal close: %w", err)
 		return w.stuck
 	}
-	path := filepath.Join(w.dir, walSegmentName(w.seq+1))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		w.stuck = fmt.Errorf("tsdb: open wal segment: %w", err)
-		return w.stuck
+	if err := w.openSegment(); err != nil {
+		w.stuck = err
 	}
-	w.f = f
-	w.w.Reset(f)
-	if _, err := w.w.WriteString(walMagic); err != nil {
-		w.stuck = fmt.Errorf("tsdb: write wal header: %w", err)
-		return w.stuck
-	}
-	w.bytes.Add(int64(len(walMagic)))
-	return nil
+	return w.stuck
 }
 
 // close drains and closes the segment. The WAL is unusable afterwards.
