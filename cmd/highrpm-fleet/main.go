@@ -63,7 +63,7 @@ func main() {
 		maxFrame     = flag.Int("max-frame", cluster.DefaultServiceOptions().MaxFrame, "largest wire frame in bytes; lowers the 8 MiB cap, never raises it")
 		maxConns     = flag.Int("max-conns", 0, "concurrent front-end connection cap (0: unlimited)")
 
-		dialRetry = flag.Duration("dial-retry", fleet.DefaultTopologyOptions().DialRetry, "wait between dial attempts to a shard the router has never reached")
+		dialRetry = flag.Duration("dial-retry", fleet.DefaultTopologyOptions().DialRetry, "wait after a failed dial of a shard's query connection (reads, stats, the model fetch) before dialing it again")
 
 		httpAddr  = flag.String("http", "", "observability HTTP address, e.g. 127.0.0.1:9090 (empty: disabled)")
 		pprofFlag = flag.Bool("pprof", false, "mount net/http/pprof on the observability endpoint")

@@ -22,8 +22,8 @@
 // accept time. Every simulated node runs the one agent the library ships
 // for production, ResilientAgent: it settles on the binary codec in Hello,
 // sends one record batch of one sample per simulated second, reconnects
-// with backoff and falls back to local inference when the service is
-// unreachable.
+// with backoff and falls back to local inference, on the model the
+// service runs, when the service is unreachable.
 //
 // -data-dir makes the history store durable: every estimate is written to
 // a CRC-checked write-ahead log before it lands in memory, the log is
@@ -186,10 +186,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			agent, err := cluster.DialResilient(svc.Addr(), nodeID, cluster.DefaultAgentOptions(), nil)
-			if err != nil {
-				fatal(err)
-			}
+			agent := cluster.NewResilientAgent(svc.Addr(), nodeID, cluster.DefaultAgentOptions(), model)
 			defer agent.Close()
 			node.Attach(b)
 

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"highrpm/internal/core"
 	"highrpm/internal/leaktest"
 	"highrpm/internal/tsdb"
 )
@@ -697,12 +696,7 @@ func TestResilientBatchDegradedReplay(t *testing.T) {
 	opts.RequestTimeout = 500 * time.Millisecond
 	opts.BackoffMin = time.Millisecond
 	opts.BackoffMax = 10 * time.Millisecond
-	opts.FailThreshold = 1
-	ra, err := DialResilient(addr, "node-batch-ft", opts, nil)
-	if err != nil {
-		svc.Close()
-		t.Fatal(err)
-	}
+	ra := NewResilientAgent(addr, "node-batch-ft", opts, sharedModel(t))
 	defer ra.Close()
 
 	if ests, err := ra.SendSamples(nil, nil); ests != nil || err != nil {
@@ -763,9 +757,9 @@ func TestResilientBatchDegradedReplay(t *testing.T) {
 	// and a loop bounded by a count could end inside a single backoff delay.
 	deadline := time.Now().Add(5 * time.Second)
 	k := 4
-	for ; ra.Mode() != ModeConnected || ra.Pending() > 0; k++ {
+	for ; ra.Degraded() || ra.Pending() > 0; k++ {
 		if time.Now().After(deadline) {
-			t.Fatalf("agent never recovered: mode %v, %d pending", ra.Mode(), ra.Pending())
+			t.Fatalf("agent never recovered: degraded %v, %d pending", ra.Degraded(), ra.Pending())
 		}
 		send(k)
 		time.Sleep(opts.BackoffMin)
@@ -792,15 +786,6 @@ func TestResilientBatchDegradedReplay(t *testing.T) {
 		}
 	}
 }
-
-// modelStub is a stubHandler that serves a real model file, so a
-// ResilientAgent can dial it.
-type modelStub struct {
-	stubHandler
-	model []byte
-}
-
-func (h modelStub) Model() ([]byte, error) { return h.model, nil }
 
 // TestBinaryCodecZeroAlloc is the allocation-regression guard for the
 // binary record path: one steady-state encode → frame read → decode of a
@@ -931,19 +916,12 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	// A live ResilientAgent.Send is SendSamples of a batch of one on the
 	// agent's stack, answered into its one-estimate field: it adds nothing
 	// to the round trip, over a real socket with request deadlines armed.
-	modelBytes, err := core.Marshal(sharedModel(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsrv := NewServer("test", modelStub{model: modelBytes}, ServiceOptions{}, t.Logf)
+	rsrv := NewServer("test", stubHandler{}, ServiceOptions{}, t.Logf)
 	if err := rsrv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer rsrv.Close()
-	ra, err := DialResilient(rsrv.Addr(), "node-alloc", DefaultAgentOptions(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := NewResilientAgent(rsrv.Addr(), "node-alloc", DefaultAgentOptions(), sharedModel(t))
 	defer ra.Close()
 	resilient := func() {
 		tick++

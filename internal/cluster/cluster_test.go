@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"reflect"
@@ -463,6 +464,55 @@ func TestProtocolFrameRoundTrip(t *testing.T) {
 	}
 	if got.NodeID != want.NodeID || got.Time != want.Time || len(got.PMC) != 3 {
 		t.Fatalf("round trip = %+v", got)
+	}
+}
+
+// TestProtocolFramingAllocs: the length prefix costs no allocation on
+// either side of a JSON frame over buffered I/O, so a round trip allocates
+// just what marshalling the envelope, ReadMsgLimit's frame buffer and the
+// decode do (the prefix used to be a stack array that escaped, once per
+// side). A prefix cut short still reads as io.ErrUnexpectedEOF, and no
+// prefix at all as io.EOF.
+func TestProtocolFramingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("encoding/json pools its encoders, and sync.Pool drops items under -race")
+	}
+	smp := Sample{NodeID: "n", Time: 3, PMC: []float64{1, 2, 3}}
+	var buf bytes.Buffer
+	bw, br := bufio.NewWriter(&buf), bufio.NewReader(&buf)
+	framed := testing.AllocsPerRun(100, func() {
+		buf.Reset()
+		br.Reset(&buf)
+		if err := WriteMsg(bw, KindSample, smp); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadMsgLimit(br, DefaultMaxFrame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bare := testing.AllocsPerRun(100, func() {
+		env, err := marshalEnvelope(KindSample, smp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Envelope
+		if err := json.Unmarshal(append(make([]byte, 0, len(env)), env...), &got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if framed != bare {
+		t.Fatalf("a JSON frame round trip allocates %.0f times, its envelope alone %.0f", framed, bare)
+	}
+	for _, c := range []struct {
+		in   []byte
+		want error
+	}{{nil, io.EOF}, {[]byte{0, 0}, io.ErrUnexpectedEOF}} {
+		if _, err := ReadMsgLimit(bufio.NewReader(bytes.NewReader(c.in)), 0); !errors.Is(err, c.want) {
+			t.Fatalf("prefix %v: err %v, want %v", c.in, err, c.want)
+		}
 	}
 }
 

@@ -140,7 +140,7 @@ type AgentMetrics struct {
 	buffered    obs.GaugeVec
 	replayed    obs.GaugeVec
 	dropped     obs.GaugeVec
-	reconnects  obs.GaugeVec
+	connects    obs.GaugeVec
 	sendFails   obs.GaugeVec
 	degrads     obs.GaugeVec
 	pending     obs.GaugeVec
@@ -155,13 +155,13 @@ func NewAgentMetrics(reg *obs.Registry) *AgentMetrics {
 		mode: reg.GaugeVec("highrpm_agent_mode",
 			"Agent serving mode: 0 connected, 1 degraded (local estimates, samples buffered).", "node"),
 		sent:        reg.GaugeVec("highrpm_agent_sent_total", "Samples acknowledged by the service live.", "node"),
-		localServed: reg.GaugeVec("highrpm_agent_local_served_total", "Estimates answered from the local model snapshot.", "node"),
+		localServed: reg.GaugeVec("highrpm_agent_local_served_total", "Estimates answered from the local model.", "node"),
 		buffered:    reg.GaugeVec("highrpm_agent_buffered_total", "Samples queued for replay (cumulative).", "node"),
 		replayed:    reg.GaugeVec("highrpm_agent_replayed_total", "Buffered samples later acknowledged by the service.", "node"),
 		dropped:     reg.GaugeVec("highrpm_agent_dropped_total", "Buffered samples lost to the buffer cap.", "node"),
-		reconnects:  reg.GaugeVec("highrpm_agent_reconnects_total", "Successful re-dials (Hello + model resync).", "node"),
+		connects:    reg.GaugeVec("highrpm_agent_connects_total", "Successful dials (Hello), the first included.", "node"),
 		sendFails:   reg.GaugeVec("highrpm_agent_send_failures_total", "Network round trips that errored or timed out.", "node"),
-		degrads:     reg.GaugeVec("highrpm_agent_degradations_total", "Connected-to-degraded flips.", "node"),
+		degrads:     reg.GaugeVec("highrpm_agent_degradations_total", "Degraded episodes (runs of locally served samples).", "node"),
 		pending:     reg.GaugeVec("highrpm_agent_pending", "Buffered samples still awaiting replay.", "node"),
 		degraded:    map[string]bool{},
 	}
@@ -171,10 +171,10 @@ func NewAgentMetrics(reg *obs.Registry) *AgentMetrics {
 // the goroutine that owns the agent (e.g. after each Send).
 func (am *AgentMetrics) Observe(ra *ResilientAgent) {
 	node := ra.NodeID()
-	mode := ra.Mode()
+	degraded := ra.Degraded()
 	c := ra.Counters()
 	var m float64
-	if mode == ModeDegraded {
+	if degraded {
 		m = 1
 	}
 	am.mode.With(node).Set(m)
@@ -183,12 +183,12 @@ func (am *AgentMetrics) Observe(ra *ResilientAgent) {
 	am.buffered.With(node).Set(float64(c.Buffered))
 	am.replayed.With(node).Set(float64(c.Replayed))
 	am.dropped.With(node).Set(float64(c.Dropped))
-	am.reconnects.With(node).Set(float64(c.Reconnects))
+	am.connects.With(node).Set(float64(c.Connects))
 	am.sendFails.With(node).Set(float64(c.SendFailures))
 	am.degrads.With(node).Set(float64(c.Degradations))
 	am.pending.With(node).Set(float64(ra.Pending()))
 	am.mu.Lock()
-	am.degraded[node] = mode == ModeDegraded
+	am.degraded[node] = degraded
 	am.mu.Unlock()
 }
 

@@ -202,10 +202,7 @@ func TestObsAgentMetricsDegraded(t *testing.T) {
 	t.Cleanup(tr.CloseIdleConnections)
 	client := &http.Client{Transport: tr}
 
-	ra, err := DialResilient(svc.Addr(), "node-r", DefaultAgentOptions(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := NewResilientAgent(svc.Addr(), "node-r", DefaultAgentOptions(), sharedModel(t))
 	defer ra.Close()
 
 	node, err := platform.NewNode(platform.ARMConfig(), 1)
@@ -239,8 +236,8 @@ func TestObsAgentMetricsDegraded(t *testing.T) {
 	for i := 5; i < 10; i++ {
 		send(i)
 	}
-	if ra.Mode() != ModeDegraded {
-		t.Fatalf("agent mode = %v, want degraded", ra.Mode())
+	if !ra.Degraded() {
+		t.Fatalf("agent mode = %v, want degraded", ra.Degraded())
 	}
 	if !am.AnyDegraded() {
 		t.Fatal("AgentMetrics did not record degradation")
@@ -251,6 +248,8 @@ func TestObsAgentMetricsDegraded(t *testing.T) {
 		`highrpm_agent_mode{node="node-r"} 1`,
 		`highrpm_agent_local_served_total{node="node-r"} 5`,
 		`highrpm_agent_sent_total{node="node-r"} 5`,
+		`highrpm_agent_connects_total{node="node-r"} 1`,
+		`highrpm_agent_degradations_total{node="node-r"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, out)

@@ -136,7 +136,7 @@ type Estimate struct {
 	// DynamicTRR prediction (false).
 	FromMeasurement bool `json:"from_measurement"`
 	// Local reports that the estimate was computed on the agent from its
-	// fetched model snapshot (the §6.4.6 degraded-mode fallback) rather
+	// fallback model (the §6.4.6 degraded-mode fallback) rather
 	// than by the service. The service never sets it on wire replies.
 	Local bool `json:"local,omitempty"`
 }
@@ -269,9 +269,13 @@ func WriteMsg(w io.Writer, kind MsgKind, body any) error {
 	if len(env) > DefaultMaxFrame {
 		return fmt.Errorf("%w: %s frame is %d bytes, cap %d", ErrFrameTooLarge, kind, len(env), DefaultMaxFrame)
 	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(env)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
+	// A stack array handed to w.Write would escape; a buffered writer takes
+	// the length prefix straight into its free space instead.
+	var prefix []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		prefix = bw.AvailableBuffer()
+	}
+	if _, err := w.Write(binary.BigEndian.AppendUint32(prefix, uint32(len(env)))); err != nil {
 		return err
 	}
 	_, err = w.Write(env)
@@ -285,11 +289,15 @@ func ReadMsgLimit(r *bufio.Reader, maxFrame int) (Envelope, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	prefix, err := r.Peek(4)
+	if err != nil {
+		if len(prefix) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return Envelope{}, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(prefix)
+	_, _ = r.Discard(4)
 	if n > uint32(maxFrame) {
 		return Envelope{}, fmt.Errorf("%w: length prefix claims %d bytes, cap %d", ErrFrameTooLarge, n, maxFrame)
 	}

@@ -1,43 +1,20 @@
 package cluster
 
 import (
-	"crypto/sha256"
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sync"
 	"time"
 
 	"highrpm/internal/core"
 )
-
-// Mode reports how a ResilientAgent is currently serving estimates.
-type Mode int32
-
-const (
-	// ModeConnected: estimates come from the service (the normal path).
-	ModeConnected Mode = iota
-	// ModeDegraded: the service is unreachable; estimates come from the
-	// agent's local model snapshot and samples are buffered for replay
-	// (§6.4.6's far-away / congested-network fallback).
-	ModeDegraded
-)
-
-// String names the mode for logs.
-func (m Mode) String() string {
-	if m == ModeDegraded {
-		return "degraded"
-	}
-	return "connected"
-}
 
 // ErrAgentClosed reports use of a ResilientAgent after Close.
 var ErrAgentClosed = errors.New("cluster: resilient agent closed")
 
 // AgentOptions tunes ResilientAgent's reconnect and fallback behaviour.
 type AgentOptions struct {
-	// DialTimeout bounds each TCP dial plus Hello/model handshake.
+	// DialTimeout bounds each TCP dial plus its Hello.
 	DialTimeout time.Duration
 	// RequestTimeout bounds one request round trip (0: unbounded — not
 	// recommended; a blackholed service then blocks Send forever).
@@ -47,10 +24,6 @@ type AgentOptions struct {
 	// consecutive failure up to BackoffMax.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// FailThreshold is how many consecutive Sends must fail before the
-	// agent flips to ModeDegraded and stops trying the network on every
-	// sample (it then only probes on the backoff schedule).
-	FailThreshold int
 	// BufferLimit caps the samples buffered while degraded; beyond it the
 	// oldest sample is dropped (and counted) so memory stays bounded.
 	BufferLimit int
@@ -63,7 +36,6 @@ func DefaultAgentOptions() AgentOptions {
 		RequestTimeout: 5 * time.Second,
 		BackoffMin:     100 * time.Millisecond,
 		BackoffMax:     30 * time.Second,
-		FailThreshold:  3,
 		BufferLimit:    4096,
 	}
 }
@@ -86,7 +58,7 @@ type AgentCounters struct {
 	// Sent counts samples acknowledged by the service live (replays not
 	// included).
 	Sent int64
-	// LocalServed counts estimates answered from the local snapshot.
+	// LocalServed counts estimates answered from the local model.
 	LocalServed int64
 	// Buffered counts samples queued for replay (cumulative).
 	Buffered int64
@@ -94,32 +66,35 @@ type AgentCounters struct {
 	Replayed int64
 	// Dropped counts buffered samples lost to the BufferLimit cap.
 	Dropped int64
-	// Reconnects counts successful re-dials (each includes a fresh Hello
-	// and a model resync).
-	Reconnects int64
-	// DialFailures counts failed dial/handshake attempts.
+	// Connects counts successful dials, the first included; each says
+	// Hello again.
+	Connects int64
+	// DialFailures counts failed dial/handshake attempts, a service that
+	// does not settle on the binary codec included.
 	DialFailures int64
 	// SendFailures counts network round trips that errored or timed out.
 	SendFailures int64
-	// Degradations counts connected→degraded flips.
+	// Degradations counts degraded episodes (see Degraded).
 	Degradations int64
-	// ModelSyncs counts model snapshot fetches (1 from the initial
-	// connect, +1 per reconnect).
-	ModelSyncs int64
 }
 
 // ResilientAgent wraps Agent with reconnection, request deadlines, and the
-// §6.4.6 degraded-mode fallback: after FailThreshold consecutive failures
-// (one network attempt per request) it serves estimates from its last
-// fetched model snapshot, buffers up to BufferLimit samples, and replays
-// them in order (then resyncs the snapshot) once the service is reachable
-// again.
+// §6.4.6 degraded-mode fallback: whenever no service answers a request (one
+// network attempt per request) it serves estimates from the model it was
+// built with, buffers up to BufferLimit samples, and replays them in order
+// once the service is reachable again.
+//
+// Construction does no I/O: the first request dials, and every later dial
+// follows the same backoff schedule, so a service that is down when the
+// agent starts is handled exactly like one that goes down later. The
+// fallback model is the caller's and never changes; a reconnect only says
+// Hello again.
 //
 // Degraded estimates are bit-for-bit what a fresh core.Monitor over the
-// snapshot model would produce for the episode's samples — each degraded
-// episode starts a fresh local monitor, so estimates cold-start from the
-// snapshot's trend midpoint until an IM reading arrives, exactly like a
-// node that never had the service.
+// model would produce for the episode's samples — each degraded episode
+// starts a fresh local monitor, so estimates cold-start from the model's
+// trend midpoint until an IM reading arrives, exactly like a node that
+// never had the service.
 //
 // It carries telemetry only; reads (Stats, Query, FetchModel) have no
 // local fallback and go over a plain Agent. Like Agent it is not safe for
@@ -132,73 +107,26 @@ type ResilientAgent struct {
 	opts   AgentOptions
 
 	agent    *Agent        // nil while disconnected
-	model    *core.HighRPM // last fetched snapshot
-	models   *ModelCache   // shared decode table (nil: decode privately)
-	localMon *core.Monitor // per-episode fallback monitor (nil between episodes)
+	model    *core.HighRPM // the degraded-mode fallback, read only
+	localMon *core.Monitor // the current degraded episode's monitor (nil: not degraded)
 	buffer   []BatchSample // degraded samples awaiting replay, oldest first
 	one      [1]Estimate   // Send's reply scratch
-	mode     Mode
 	closed   bool
 
-	consecFails int // consecutive Sends that fell back locally
-	backoff     time.Duration
-	nextProbe   time.Time // earliest next recovery attempt
-	rng         *rand.Rand
+	backoff   time.Duration
+	nextProbe time.Time // earliest next recovery attempt
+	rng       *rand.Rand
 
 	counters AgentCounters
 }
 
-// ModelCache interns decoded model snapshots by the SHA-256 of their
-// bytes, for a process that pools many ResilientAgents against services
-// sharing one model (the fleet router holds a hundred-odd). Every agent
-// still fetches its own snapshot on every connect — resync semantics and
-// ModelSyncs are unchanged — but identical bytes decode once and the agents
-// share the result, which is safe because a Monitor only reads its model.
-// The zero value is ready to use.
-type ModelCache struct {
-	mu     sync.Mutex
-	models map[[sha256.Size]byte]*core.HighRPM
-}
-
-// maxCachedModels bounds the table. A fleet serves one model per training
-// run, so more than a few distinct snapshots means old ones are dead
-// weight; dropping them only costs a repeat decode.
-const maxCachedModels = 4
-
-// decode returns the model for one snapshot's bytes, decoding on first
-// sight. A nil cache decodes privately.
-func (c *ModelCache) decode(data []byte) (*core.HighRPM, error) {
-	if c == nil {
-		return core.Unmarshal(data)
-	}
-	key := sha256.Sum256(data)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if m, ok := c.models[key]; ok {
-		return m, nil
-	}
-	m, err := core.Unmarshal(data)
-	if err != nil {
-		return nil, err
-	}
-	if c.models == nil || len(c.models) >= maxCachedModels {
-		c.models = map[[sha256.Size]byte]*core.HighRPM{}
-	}
-	c.models[key] = m
-	return m, nil
-}
-
-// DialResilient connects a ResilientAgent to the service: it dials,
-// registers the node, and fetches the model snapshot the degraded-mode
-// fallback will run on, interned in models (nil: a private decode). The
-// initial connect must succeed — without a snapshot there is nothing to
-// degrade to. Every dial offers the binary codec, which carries all of the
-// agent's telemetry, and a service whose Hello settles on anything else is
-// refused.
-func DialResilient(addr, nodeID string, opts AgentOptions, models *ModelCache) (*ResilientAgent, error) {
-	if opts.FailThreshold < 1 {
-		opts.FailThreshold = 1
-	}
+// NewResilientAgent returns an agent for nodeID that sends to the service
+// at addr and falls back to model, which must not be nil and is only read
+// (agents may share one). It does no I/O; the first request dials. Every
+// dial offers the binary codec, which carries all of the agent's
+// telemetry, and a service whose Hello settles on anything else counts as
+// a failed dial.
+func NewResilientAgent(addr, nodeID string, opts AgentOptions, model *core.HighRPM) *ResilientAgent {
 	if opts.BufferLimit < 1 {
 		opts.BufferLimit = 1
 	}
@@ -208,65 +136,25 @@ func DialResilient(addr, nodeID string, opts AgentOptions, models *ModelCache) (
 	if opts.BackoffMax < opts.BackoffMin {
 		opts.BackoffMax = opts.BackoffMin
 	}
-	ra := &ResilientAgent{
+	return &ResilientAgent{
 		addr:    addr,
 		nodeID:  nodeID,
 		opts:    opts,
+		model:   model,
 		backoff: opts.BackoffMin,
 		rng:     rand.New(jitterSource(addr, nodeID)),
-		models:  models,
 	}
-	agent, model, err := ra.connect()
-	if err != nil {
-		return nil, err
-	}
-	ra.agent, ra.model = agent, model
-	ra.counters.ModelSyncs++
-	return ra, nil
-}
-
-// connect dials, says Hello, and fetches a model snapshot. The whole
-// handshake is bounded by DialTimeout: once for dial+Hello, once more for
-// the model fetch (models are bigger than samples, so RequestTimeout would
-// be too tight a bound on a slow link).
-func (ra *ResilientAgent) connect() (*Agent, *core.HighRPM, error) {
-	agent, err := DialTimeout(ra.addr, ra.nodeID, ra.opts.DialTimeout)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !agent.binary {
-		_ = agent.Close()
-		return nil, nil, fmt.Errorf("cluster: service %s does not speak the binary codec", ra.addr)
-	}
-	if ra.opts.DialTimeout > 0 {
-		agent.SetDeadline(time.Now().Add(ra.opts.DialTimeout))
-	}
-	data, err := agent.FetchModel()
-	agent.SetDeadline(time.Time{})
-	var model *core.HighRPM
-	if err == nil {
-		model, err = ra.models.decode(data)
-	}
-	if err != nil {
-		_ = agent.Close()
-		return nil, nil, fmt.Errorf("cluster: model snapshot: %w", err)
-	}
-	return agent, model, nil
 }
 
 // NodeID returns the registered node identity.
 func (ra *ResilientAgent) NodeID() string { return ra.nodeID }
 
-// Mode reports whether estimates currently come from the service or from
-// the local snapshot.
-func (ra *ResilientAgent) Mode() Mode { return ra.mode }
+// Degraded reports whether the agent is in a degraded episode: a request
+// was served from the local model and the service has answered none since.
+func (ra *ResilientAgent) Degraded() bool { return ra.localMon != nil }
 
 // Counters snapshots the agent's activity counters.
 func (ra *ResilientAgent) Counters() AgentCounters { return ra.counters }
-
-// Model returns the last fetched model snapshot (never nil after a
-// successful DialResilient).
-func (ra *ResilientAgent) Model() *core.HighRPM { return ra.model }
 
 // Pending reports how many buffered samples still await replay.
 func (ra *ResilientAgent) Pending() int { return len(ra.buffer) }
@@ -279,13 +167,13 @@ func (ra *ResilientAgent) Pending() int { return len(ra.buffer) }
 // *ServiceError, returned as-is). Not answered means no link was ready or
 // the attempt hit a transport failure, which dropped the connection and
 // scheduled the next probe; the caller then serves the request from the
-// local snapshot. A second attempt in the same call could only redial,
+// local model. A second attempt in the same call could only redial,
 // and the probe just scheduled refuses that.
 func (ra *ResilientAgent) live(call func(*Agent) error) (answered bool, err error) {
 	if !ra.ensureLive() {
 		return false, nil
 	}
-	if err := ra.bounded(call); err == nil || isRejection(err) {
+	if err := ra.bounded(call); err == nil || IsRejection(err) {
 		ra.onHealthy()
 		return true, err
 	}
@@ -293,9 +181,15 @@ func (ra *ResilientAgent) live(call func(*Agent) error) (answered bool, err erro
 	return false, nil
 }
 
-// isRejection reports whether err is the service's refusal over a healthy
-// link. The error target lives here, so only a failed call pays for it.
-func isRejection(err error) bool {
+// IsRejection reports whether err carries a service's refusal over a
+// healthy link: the request was not acceptable, the connection is fine.
+// It inlines, and errors.As moves its target to the heap, so the nil check
+// comes first: a nil error, the router's every healthy batch, allocates
+// nothing.
+func IsRejection(err error) bool {
+	if err == nil {
+		return false
+	}
 	var se *ServiceError
 	return errors.As(err, &se)
 }
@@ -311,7 +205,7 @@ func (ra *ResilientAgent) bounded(call func(*Agent) error) error {
 
 // Send streams one second of telemetry: SendSamples with a batch of one. It
 // returns the service's estimate when the network cooperates, and otherwise
-// a local-snapshot estimate with Estimate.Local set — transport failures
+// a local-model estimate with Estimate.Local set — transport failures
 // are absorbed, not returned. A *ServiceError (the service rejected the
 // sample over a healthy connection) is returned as-is. pmc and measured are
 // borrowed only for the call, degraded or not.
@@ -327,7 +221,7 @@ func (ra *ResilientAgent) Send(t float64, pmc []float64, measured *float64) (Est
 // SendSamples delivers a prepared batch of samples in order in one
 // RecordBatch round trip, through the resilience policy: the caller's
 // samples go to the service as they are, and when no service answers each
-// is served from the local snapshot and joins the replay buffer in order
+// is served from the local model and joins the replay buffer in order
 // (serveLocal copies what it buffers), so in-order replay holds across
 // degraded episodes. An empty batch makes no round trip. A *ServiceError
 // (the service rejected the batch) drops it and is returned as-is.
@@ -368,8 +262,8 @@ func (ra *ResilientAgent) SendSamples(samples []BatchSample, dst []Estimate) ([]
 }
 
 // ensureLive reports whether a connected, fully-replayed link is ready for
-// a live send. It redials (respecting the backoff schedule) and replays
-// the degraded-mode buffer as needed.
+// a live send. It dials (the first request at once, later ones on the
+// backoff schedule) and replays the degraded-mode buffer as needed.
 func (ra *ResilientAgent) ensureLive() bool {
 	if ra.agent == nil && !ra.redial() {
 		return false
@@ -377,20 +271,26 @@ func (ra *ResilientAgent) ensureLive() bool {
 	return ra.replay()
 }
 
-// redial attempts one reconnect if the backoff schedule allows it.
+// redial attempts one dial and Hello, bounded by DialTimeout, if the
+// backoff schedule allows it.
 func (ra *ResilientAgent) redial() bool {
 	if time.Now().Before(ra.nextProbe) {
 		return false
 	}
-	agent, model, err := ra.connect()
-	if err != nil {
+	agent, err := DialTimeout(ra.addr, ra.nodeID, ra.opts.DialTimeout)
+	if err == nil && !agent.binary {
+		// A service that does not settle on binary cannot carry the
+		// agent's batches: the dial counts as failed.
+		_ = agent.Close()
+		agent = nil
+	}
+	if agent == nil {
 		ra.counters.DialFailures++
 		ra.failProbe()
 		return false
 	}
-	ra.agent, ra.model = agent, model
-	ra.counters.Reconnects++
-	ra.counters.ModelSyncs++
+	ra.agent = agent
+	ra.counters.Connects++
 	return true
 }
 
@@ -406,7 +306,7 @@ func (ra *ResilientAgent) replay() bool {
 		switch {
 		case err == nil:
 			ra.counters.Replayed++
-		case isRejection(err):
+		case IsRejection(err):
 			// The service rejected a buffered sample (e.g. recorded with a
 			// stale feature layout). It will never be accepted; drop it
 			// rather than wedge the replay.
@@ -431,22 +331,18 @@ func (ra *ResilientAgent) dropOldest() {
 	}
 }
 
-// serveLocal answers one sample from the model snapshot and buffers it for
-// replay. It also advances the failure accounting that flips the agent to
-// ModeDegraded. The buffered sample is a private copy, a new BatchSample
+// serveLocal answers one sample from the fallback model and buffers it for
+// replay; the first such sample of an episode starts the episode's monitor.
+// The buffered sample is a private copy, a new BatchSample
 // built from copies: bs.PMC, bs.Measured and bs.Relayed belong to the
 // caller, who may overwrite them the moment Send returns (a serve loop
 // forwarding its framer scratch does), and appending bs itself would make
 // escape analysis keep the caller's vector on the heap even on a live send.
 // Only this degraded path copies; a live send stays zero-copy.
 func (ra *ResilientAgent) serveLocal(bs BatchSample) (Estimate, error) {
-	ra.consecFails++
-	if ra.mode == ModeConnected && ra.consecFails >= ra.opts.FailThreshold {
-		ra.mode = ModeDegraded
-		ra.counters.Degradations++
-	}
 	if ra.localMon == nil {
 		ra.localMon = core.NewMonitor(ra.model)
+		ra.counters.Degradations++
 	}
 	est, err := ra.localMon.Push(bs.PMC, bs.Measured)
 	if err != nil {
@@ -476,17 +372,12 @@ func (ra *ResilientAgent) serveLocal(bs BatchSample) (Estimate, error) {
 	}, nil
 }
 
-// onHealthy records a successful round trip: failure accounting resets,
-// the backoff collapses, and a degraded episode (its buffer was already
-// replayed) ends.
+// onHealthy records a successful round trip: the backoff collapses and a
+// degraded episode (its buffer was already replayed) ends.
 func (ra *ResilientAgent) onHealthy() {
-	ra.consecFails = 0
 	ra.backoff = ra.opts.BackoffMin
 	ra.nextProbe = time.Time{}
 	ra.localMon = nil
-	if ra.mode == ModeDegraded {
-		ra.mode = ModeConnected
-	}
 }
 
 // failProbe schedules the next recovery attempt with jittered exponential

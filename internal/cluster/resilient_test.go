@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -24,7 +27,6 @@ func faultAgentOptions() AgentOptions {
 	opts.RequestTimeout = 150 * time.Millisecond
 	opts.BackoffMin = time.Millisecond
 	opts.BackoffMax = 20 * time.Millisecond
-	opts.FailThreshold = 2
 	opts.BufferLimit = 256
 	return opts
 }
@@ -49,10 +51,7 @@ func runFaultScenario(t *testing.T, svc *Service, scripts []faultnet.ConnScript,
 	}
 	t.Cleanup(func() { proxy.Close() })
 
-	ra, err := DialResilient(proxy.Addr(), "node-ft", opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := NewResilientAgent(proxy.Addr(), "node-ft", opts, sharedModel(t))
 	t.Cleanup(func() { ra.Close() })
 
 	node, err := platform.NewNode(platform.ARMConfig(), 21)
@@ -101,7 +100,7 @@ func runFaultScenario(t *testing.T, svc *Service, scripts []faultnet.ConnScript,
 	}
 	// Nudge until recovered: reconnected, buffer drained.
 	for i := total; i < total+200; i++ {
-		if ra.Mode() == ModeConnected && ra.Pending() == 0 {
+		if !ra.Degraded() && ra.Pending() == 0 {
 			break
 		}
 		push(i)
@@ -114,13 +113,13 @@ func runFaultScenario(t *testing.T, svc *Service, scripts []faultnet.ConnScript,
 func verifyRecovered(t *testing.T, ra *ResilientAgent, locals []localRecord, wantDegraded bool) {
 	t.Helper()
 	c := ra.Counters()
-	if ra.Mode() != ModeConnected {
-		t.Fatalf("agent ended %v (counters %+v)", ra.Mode(), c)
+	if ra.Degraded() {
+		t.Fatalf("agent ended %v (counters %+v)", ra.Degraded(), c)
 	}
 	if ra.Pending() != 0 {
 		t.Fatalf("%d samples still buffered (counters %+v)", ra.Pending(), c)
 	}
-	if c.Reconnects < 1 {
+	if c.Connects < 2 {
 		t.Fatalf("agent never reconnected (counters %+v)", c)
 	}
 	if c.Dropped != 0 {
@@ -136,11 +135,11 @@ func verifyRecovered(t *testing.T, ra *ResilientAgent, locals []localRecord, wan
 		t.Fatalf("recorded %d local estimates, counters say %d", len(locals), c.LocalServed)
 	}
 	// The §6.4.6 contract: every degraded estimate is bit-for-bit what a
-	// fresh Monitor over the fetched snapshot produces for the episode's
+	// fresh Monitor over the agent's model produces for the episode's
 	// samples. All locals belong to one episode here (the fault scripts
 	// hit connection 0 only, so after recovery nothing degrades again).
 	if len(locals) > 0 {
-		ref := core.NewMonitor(ra.Model())
+		ref := core.NewMonitor(ra.model)
 		for i, rec := range locals {
 			want, err := ref.Push(rec.pmc, rec.measured)
 			if err != nil {
@@ -162,12 +161,11 @@ func verifyRecovered(t *testing.T, ra *ResilientAgent, locals []localRecord, wan
 // TestResilientAgentFaults is the fault-injection matrix of the PR 4
 // acceptance criteria: for every scripted fault the agent must end the
 // test reconnected with all buffered samples acknowledged and every
-// degraded estimate bit-exact against the snapshot model.
+// degraded estimate bit-exact against the agent's model.
 //
-// Connection numbering: the agent's initial connect is proxied connection
-// 0 (its Hello is up-frame 1 and its model fetch up-frame 2, with the
-// matching replies down-frames 1 and 2); each reconnect is the next
-// connection.
+// Connection numbering: the agent's first Send dials proxied connection 0
+// (its Hello is up-frame 1, the Hello reply down-frame 1, and sample k
+// up-frame k+2); each reconnect is the next connection.
 func TestResilientAgentFaults(t *testing.T) {
 	leaktest.Check(t)
 	cases := []struct {
@@ -176,7 +174,7 @@ func TestResilientAgentFaults(t *testing.T) {
 		tune    func(*AgentOptions)
 		total   int
 		// wantDegraded: the script is severe enough that the agent must
-		// have flipped to ModeDegraded at least once.
+		// have been degraded at least once.
 		wantDegraded bool
 	}{
 		{
@@ -193,7 +191,7 @@ func TestResilientAgentFaults(t *testing.T) {
 			// byte-level truncated frame.
 			name: "truncated-reply",
 			scripts: []faultnet.ConnScript{
-				{Down: faultnet.Fault{AfterFrames: 3, AfterBytes: 5, Action: faultnet.ActClose}},
+				{Down: faultnet.Fault{AfterFrames: 2, AfterBytes: 5, Action: faultnet.ActClose}},
 			},
 			total: 12,
 		},
@@ -202,7 +200,7 @@ func TestResilientAgentFaults(t *testing.T) {
 			// frame, then RST).
 			name: "mid-message-reset",
 			scripts: []faultnet.ConnScript{
-				{Up: faultnet.Fault{AfterFrames: 3, AfterBytes: 10, Action: faultnet.ActReset}},
+				{Up: faultnet.Fault{AfterFrames: 2, AfterBytes: 10, Action: faultnet.ActReset}},
 			},
 			total: 12,
 		},
@@ -213,7 +211,7 @@ func TestResilientAgentFaults(t *testing.T) {
 			// serve locally, and recover on connection 2.
 			name: "blackhole",
 			scripts: []faultnet.ConnScript{
-				{Down: faultnet.Fault{AfterFrames: 3, Action: faultnet.ActBlackhole}},
+				{Down: faultnet.Fault{AfterFrames: 2, Action: faultnet.ActBlackhole}},
 				{Down: faultnet.Fault{AfterFrames: 1, Action: faultnet.ActBlackhole}},
 			},
 			tune: func(o *AgentOptions) {
@@ -224,10 +222,10 @@ func TestResilientAgentFaults(t *testing.T) {
 		},
 		{
 			// Drop-at-message-N: the connection dies the moment the agent
-			// sends its 4th frame (= 2 handshake frames + sample 3).
+			// sends its 5th frame, sample 3 (the Hello is frame 1).
 			name: "drop-at-N",
 			scripts: []faultnet.ConnScript{
-				{Up: faultnet.Fault{AfterFrames: 6, Action: faultnet.ActClose}},
+				{Up: faultnet.Fault{AfterFrames: 5, Action: faultnet.ActClose}},
 			},
 			total: 12,
 		},
@@ -271,11 +269,7 @@ func TestResilientAgentDegradedBuffersAndReplays(t *testing.T) {
 	addr := svc.Addr()
 
 	opts := faultAgentOptions()
-	ra, err := DialResilient(addr, "node-out", opts, nil)
-	if err != nil {
-		svc.Close()
-		t.Fatal(err)
-	}
+	ra := NewResilientAgent(addr, "node-out", opts, sharedModel(t))
 	defer ra.Close()
 
 	node, err := platform.NewNode(platform.ARMConfig(), 33)
@@ -319,7 +313,7 @@ func TestResilientAgentDegradedBuffersAndReplays(t *testing.T) {
 		if !est.Local {
 			t.Fatalf("sample %d not served locally during the outage", i)
 		}
-		if ra.Mode() == ModeDegraded {
+		if ra.Degraded() {
 			degradedSeen = true
 		}
 	}
@@ -338,9 +332,9 @@ func TestResilientAgentDegradedBuffersAndReplays(t *testing.T) {
 	}
 	t.Cleanup(func() { svc2.Close() })
 	deadline := time.Now().Add(10 * time.Second)
-	for i := 15; ra.Mode() != ModeConnected || ra.Pending() > 0; i++ {
+	for i := 15; ra.Degraded() || ra.Pending() > 0; i++ {
 		if time.Now().After(deadline) {
-			t.Fatalf("agent never recovered: mode %v, %d pending, counters %+v", ra.Mode(), ra.Pending(), ra.Counters())
+			t.Fatalf("agent never recovered: degraded %v, %d pending, counters %+v", ra.Degraded(), ra.Pending(), ra.Counters())
 		}
 		send(i)
 	}
@@ -352,8 +346,106 @@ func TestResilientAgentDegradedBuffersAndReplays(t *testing.T) {
 	if st := svc2.Stats(); st.Samples < c.Replayed {
 		t.Fatalf("new service saw %d samples, expected at least the %d replayed", st.Samples, c.Replayed)
 	}
-	if c.ModelSyncs < 2 {
-		t.Fatalf("model not resynced on reconnect: %+v", c)
+	if c.Connects != 2 || c.Degradations != 1 {
+		t.Fatalf("one outage should read two connects and one degraded episode: %+v", c)
+	}
+}
+
+// TestResilientAgentStartsDegraded: an agent built while its service is
+// down serves from its model and buffers from the first sample, exactly as
+// after an outage, and the service it finally reaches receives the whole
+// history in order.
+func TestResilientAgentStartsDegraded(t *testing.T) {
+	leaktest.Check(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	opts := faultAgentOptions()
+	ra := NewResilientAgent(addr, "node-late", opts, sharedModel(t))
+	defer ra.Close()
+	pmc := benchPMC()
+	send := func(i int) Estimate {
+		t.Helper()
+		est, err := ra.Send(float64(i), pmc, nil)
+		if err != nil {
+			t.Fatalf("sample %d: %v", i, err)
+		}
+		time.Sleep(2 * time.Millisecond)
+		return est
+	}
+	for i := 0; i < 5; i++ {
+		if est := send(i); !est.Local {
+			t.Fatalf("sample %d answered live with no service", i)
+		}
+	}
+	if c := ra.Counters(); !ra.Degraded() || ra.Pending() != 5 || c.Connects != 0 || c.DialFailures < 1 || c.Degradations != 1 {
+		t.Fatalf("before the service: degraded %v, %d pending, counters %+v", ra.Degraded(), ra.Pending(), c)
+	}
+
+	svc := NewService(sharedModel(t))
+	svc.Logf = t.Logf
+	if err := svc.Listen(addr); err != nil {
+		t.Fatalf("bind %s: %v", addr, err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	n := 5
+	for deadline := time.Now().Add(10 * time.Second); ra.Degraded() || ra.Pending() > 0; n++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("agent never connected: %d pending, counters %+v", ra.Pending(), ra.Counters())
+		}
+		send(n)
+	}
+	c := ra.Counters()
+	if c.Connects != 1 || c.Replayed != c.Buffered || c.Dropped != 0 {
+		t.Fatalf("replay incomplete: %+v", c)
+	}
+	got, err := svc.Store().QuerySeries("node-late", "p_node", 0, float64(n), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Points) != n {
+		t.Fatalf("the service holds %d of the %d samples sent", len(got.Points), n)
+	}
+}
+
+// TestResilientAgentRefusesJSONService: a service whose Hello settles on
+// JSON cannot carry the agent's batches, so the dial counts as failed and
+// the sample is served from the model.
+func TestResilientAgentRefusesJSONService(t *testing.T) {
+	leaktest.Check(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if _, err := ReadMsgLimit(bufio.NewReader(c), 0); err != nil {
+			return
+		}
+		_ = WriteMsg(c, KindHello, Hello{}) // no codec: JSON
+		_, _ = io.Copy(io.Discard, c)
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-served
+	})
+	ra := NewResilientAgent(ln.Addr().String(), "node-json", faultAgentOptions(), sharedModel(t))
+	defer ra.Close()
+	est, err := ra.Send(0, benchPMC(), nil)
+	if err != nil || !est.Local {
+		t.Fatalf("send to a JSON-only service: %+v, err %v", est, err)
+	}
+	if c := ra.Counters(); c.DialFailures != 1 || c.Connects != 0 || ra.Pending() != 1 {
+		t.Fatalf("JSON-only service: %d pending, counters %+v", ra.Pending(), c)
 	}
 }
 
@@ -372,11 +464,7 @@ func TestResilientAgentBufferCap(t *testing.T) {
 	// address.
 	opts.BackoffMin = time.Hour
 	opts.BackoffMax = time.Hour
-	ra, err := DialResilient(svc.Addr(), "node-cap", opts, nil)
-	if err != nil {
-		svc.Close()
-		t.Fatal(err)
-	}
+	ra := NewResilientAgent(svc.Addr(), "node-cap", opts, sharedModel(t))
 	defer ra.Close()
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
@@ -410,11 +498,7 @@ func TestResilientReplayReleasesSamples(t *testing.T) {
 	}
 	addr := svc.Addr()
 	opts := faultAgentOptions()
-	ra, err := DialResilient(addr, "node-release", opts, nil)
-	if err != nil {
-		svc.Close()
-		t.Fatal(err)
-	}
+	ra := NewResilientAgent(addr, "node-release", opts, sharedModel(t))
 	defer ra.Close()
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
@@ -463,10 +547,7 @@ func TestResilientReplayReleasesSamples(t *testing.T) {
 func TestResilientAgentServiceErrorPassesThrough(t *testing.T) {
 	leaktest.Check(t)
 	svc := startService(t)
-	ra, err := DialResilient(svc.Addr(), "node-se", faultAgentOptions(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := NewResilientAgent(svc.Addr(), "node-se", faultAgentOptions(), sharedModel(t))
 	defer ra.Close()
 	if _, err := ra.Send(0, []float64{1, 2}, nil); err == nil {
 		t.Fatal("expected a service error for the wrong feature width")
@@ -477,7 +558,7 @@ func TestResilientAgentServiceErrorPassesThrough(t *testing.T) {
 		}
 	}
 	c := ra.Counters()
-	if c.Reconnects != 0 || c.LocalServed != 0 || ra.Mode() != ModeConnected {
+	if c.Connects != 1 || c.LocalServed != 0 || ra.Degraded() {
 		t.Fatalf("service error mis-handled: %+v", c)
 	}
 	// The connection is still live.
@@ -506,11 +587,7 @@ func TestResilientSendCopiesBufferedSample(t *testing.T) {
 	addr := svc.Addr()
 	const nodeID = "node-alias"
 	opts := faultAgentOptions()
-	ra, err := DialResilient(addr, nodeID, opts, nil)
-	if err != nil {
-		svc.Close()
-		t.Fatal(err)
-	}
+	ra := NewResilientAgent(addr, nodeID, opts, sharedModel(t))
 	defer ra.Close()
 
 	// ref is never dialed: it is fed the same samples in process, from
@@ -589,9 +666,9 @@ func TestResilientSendCopiesBufferedSample(t *testing.T) {
 	}
 	t.Cleanup(func() { svc2.Close() })
 	deadline := time.Now().Add(10 * time.Second)
-	for ra.Mode() != ModeConnected || ra.Pending() > 0 {
+	for ra.Degraded() || ra.Pending() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("agent never recovered: mode %v, %d pending, counters %+v", ra.Mode(), ra.Pending(), ra.Counters())
+			t.Fatalf("agent never recovered: degraded %v, %d pending, counters %+v", ra.Degraded(), ra.Pending(), ra.Counters())
 		}
 		send(true)
 	}
@@ -621,66 +698,20 @@ func TestResilientSendCopiesBufferedSample(t *testing.T) {
 	}
 }
 
-// TestModelCacheSharesDecodedSnapshot: agents dialed through one ModelCache
-// each fetch their own snapshot (ModelSyncs counts it) but share a single
-// decoded model; an agent dialed without the cache keeps a private one.
-func TestModelCacheSharesDecodedSnapshot(t *testing.T) {
-	leaktest.Check(t)
-	svc := startService(t)
-	var cache ModelCache
-	dial := func(node string, models *ModelCache) *ResilientAgent {
-		t.Helper()
-		ra, err := DialResilient(svc.Addr(), node, faultAgentOptions(), models)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ra.Close() })
-		return ra
-	}
-	a, b, private := dial("shared-a", &cache), dial("shared-b", &cache), dial("private", nil)
-	if a.Model() == nil || a.Model() != b.Model() {
-		t.Fatalf("cached agents hold distinct models: %p, %p", a.Model(), b.Model())
-	}
-	if private.Model() == a.Model() {
-		t.Fatal("an agent dialed without the cache shares the cached model")
-	}
-	for _, ra := range []*ResilientAgent{a, b, private} {
-		if c := ra.Counters(); c.ModelSyncs != 1 {
-			t.Fatalf("%s: ModelSyncs = %d, want 1", ra.NodeID(), c.ModelSyncs)
-		}
-	}
-	if len(cache.models) != 1 {
-		t.Fatalf("cache holds %d models for one snapshot", len(cache.models))
-	}
-	if _, err := cache.decode([]byte("not a model")); err == nil {
-		t.Fatal("garbage snapshot decoded")
-	}
-	if len(cache.models) != 1 {
-		t.Fatalf("a failed decode was cached: %d entries", len(cache.models))
-	}
-}
-
 // TestJitterSeededPerNode: an agent's backoff jitter is seeded from the
 // service address and its node ID, so the agents of different nodes draw
 // different delays and do not retry in lockstep, while a node that dials
 // the same service again draws its own sequence again.
 func TestJitterSeededPerNode(t *testing.T) {
 	leaktest.Check(t)
-	svc := startService(t)
 	firstDraw := func(node string) float64 {
-		t.Helper()
-		ra, err := DialResilient(svc.Addr(), node, DefaultAgentOptions(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ra.Close()
-		return ra.rng.Float64()
+		return NewResilientAgent("10.0.0.1:9100", node, DefaultAgentOptions(), sharedModel(t)).rng.Float64()
 	}
 	a, b, again := firstDraw("node-a"), firstDraw("node-b"), firstDraw("node-a")
 	if a == b {
 		t.Fatalf("node-a and node-b both draw %v first: their agents back off in lockstep", a)
 	}
 	if a != again {
-		t.Fatalf("node-a drew %v, then %v after a redial", a, again)
+		t.Fatalf("node-a drew %v, then %v in a new agent", a, again)
 	}
 }

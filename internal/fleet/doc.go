@@ -16,11 +16,13 @@
 // the primary runs the models: every request is answered by the primary
 // first and forwarded to the followers with its estimates attached, which
 // they record while advancing nothing but their monitor state.
-// When the primary can only answer from its local model
-// snapshot, the first follower with a live service answer takes over the
-// reply (failover), and the primary's buffered samples replay in order
-// once it rejoins, resyncing its model snapshot through the existing
-// model-fetch path.
+// When the primary can only answer from its local model, the first
+// follower with a live service answer takes over the reply (failover), and
+// the primary's buffered samples replay in order once it rejoins. Every
+// per-node agent falls back to the one model the router fetched and
+// decoded on first ingest, and is built from it without dialing, so a
+// shard that is down when a node is first routed buffers and replays that
+// node's samples like a shard that fails later.
 //
 // Queries federate instead of forwarding: a single-node KindQuery goes to
 // a live replica of its owner, and the shard's reply frame is relayed to

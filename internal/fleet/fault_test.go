@@ -10,6 +10,7 @@ import (
 	"highrpm/internal/cluster"
 	"highrpm/internal/cluster/faultnet"
 	"highrpm/internal/leaktest"
+	"highrpm/internal/tsdb"
 )
 
 // faultAgentOptions are tight enough that a faulted shard is detected,
@@ -20,7 +21,6 @@ func faultAgentOptions() cluster.AgentOptions {
 		RequestTimeout: 250 * time.Millisecond,
 		BackoffMin:     50 * time.Millisecond,
 		BackoffMax:     250 * time.Millisecond,
-		FailThreshold:  1,
 		BufferLimit:    4096,
 	}
 }
@@ -346,10 +346,84 @@ func TestFleetSurvivesShardBlackhole(t *testing.T) {
 		func(_ *testing.T, f *faultFixture, shard int) { f.proxies[shard].Restore() })
 }
 
+// TestFleetFollowerDownAtFirstRoute: a follower shard that is down when the
+// router first routes a node still ends up with the node's whole history.
+// Its agent is built from the router's model like any other, serves the
+// outage from it, buffers, and replays once the shard comes up — the path
+// of a shard that fails after connecting. The node is picked so the down
+// shard is shard 0, the one the router asks first for the model.
+func TestFleetFollowerDownAtFirstRoute(t *testing.T) {
+	leaktest.Check(t)
+	f := startFaultFleet(t)
+	node, follower := "", 0
+	for i := 0; node == ""; i++ {
+		if name := fmt.Sprintf("late-%d", i); f.r.ring.owners(name, 2)[1] == follower {
+			node = name
+		}
+	}
+	primary := f.r.ring.owners(node, 2)[0]
+	addr := f.proxies[follower].Addr()
+	f.proxies[follower].Close()
+
+	fa := dialFront(t, f.r, node, cluster.CodecBinary)
+	defer fa.Close()
+	samples := genSamples(t, 77, 600)
+	send := func(i int) {
+		t.Helper()
+		smp := samples[i]
+		if est, err := fa.Send(smp.Time, smp.PMC, smp.Measured); err != nil || est.Local {
+			t.Fatalf("sample %d: %+v, err %v; the primary is up", i, est, err)
+		}
+	}
+	const down = 10
+	for i := 0; i < down; i++ {
+		send(i)
+	}
+	if sh := f.r.Stats().Shards[follower]; sh.Up || sh.Pending != down {
+		t.Fatalf("follower while down: %+v, want down with %d samples pending", sh, down)
+	}
+
+	p := faultnet.New(f.backends[follower].Addr())
+	if err := p.Listen(addr); err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	t.Cleanup(func() { p.Close() })
+	n := down
+	for deadline := time.Now().Add(10 * time.Second); ; n++ {
+		sh := f.r.Stats().Shards[follower]
+		if sh.Pending == 0 && sh.Degraded == 0 {
+			break
+		}
+		if time.Now().After(deadline) || n == len(samples) {
+			t.Fatalf("the follower never caught up after %d samples: %+v", n, sh)
+		}
+		send(n)
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	for _, ch := range tsdb.Channels() {
+		want, err := f.backends[primary].Store().QuerySeries(node, string(ch), 0, float64(n), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.backends[follower].Store().QuerySeries(node, string(ch), 0, float64(n), 1)
+		if err != nil {
+			t.Fatalf("follower %s: %v", ch, err)
+		}
+		if gj, wj := mustJSON(t, got), mustJSON(t, want); gj != wj {
+			t.Fatalf("follower %s history diverges from the primary's:\ngot  %s\nwant %s", ch, gj, wj)
+		}
+		if ch == "p_node" && len(want.Points) != n {
+			t.Fatalf("the primary holds %d of %d samples", len(want.Points), n)
+		}
+	}
+}
+
 // TestDialGateOncePerRetry pins the dial gate: a shard that accepts and
-// hangs up at once costs one attempt per connection slot per DialRetry —
-// the node's owner slot for ingest, the shard's query slot for reads —
-// however many requests arrive meanwhile, and the shard reads down.
+// hangs up at once costs one dial per DialRetry however many requests
+// arrive meanwhile, and the shard reads down. Ingest never reaches a per-node
+// agent: the first one needs the router's model, fetched over the gated
+// query connection, which the shard never answers.
 func TestDialGateOncePerRetry(t *testing.T) {
 	leaktest.Check(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -399,8 +473,8 @@ func TestDialGateOncePerRetry(t *testing.T) {
 	if _, err := ag.Stats(); err == nil {
 		t.Fatal("stats through a shard that hangs up succeeded")
 	}
-	if got := accepted.Load(); got != 2 {
-		t.Fatalf("the shard accepted %d connections, want 2: one per slot within DialRetry", got)
+	if got := accepted.Load(); got != 1 {
+		t.Fatalf("the shard accepted %d connections, want 1 within DialRetry", got)
 	}
 	if st := r.Stats(); len(st.Shards) != 1 || st.Shards[0].Up {
 		t.Fatalf("the shard that hangs up reads up: %+v", st.Shards)

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -515,22 +516,24 @@ func TestRouterNegotiatesBinary(t *testing.T) {
 	if got := ag.Codec(); got != cluster.CodecBinary {
 		t.Fatalf("default dial to a router negotiated %q, want %q", got, cluster.CodecBinary)
 	}
-	ra, err := cluster.DialResilient(r.Addr(), "default-resilient", cluster.DefaultAgentOptions(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := cluster.NewResilientAgent(r.Addr(), "default-resilient", cluster.DefaultAgentOptions(), sharedModel(t))
 	defer ra.Close()
+	smp := genSamples(t, 5, 1)[0]
+	if est, err := ra.Send(smp.Time, smp.PMC, smp.Measured); err != nil || est.Local {
+		t.Fatalf("resilient send through the router: %+v, err %v", est, err)
+	}
 	if st := r.Stats(); st.BinConns != 2 {
 		t.Fatalf("binary front-end connections = %d, want 2", st.BinConns)
 	}
 }
 
-// TestRouterSharesModelSnapshot: every per-node agent fetches the model for
-// itself, but the router keeps one decoded copy for all of them instead of
-// one each. Query connections hold no model.
+// TestRouterSharesModelSnapshot: the router fetches and decodes the model
+// once, and every per-node agent falls back to that one copy: however many
+// agents it builds, the shards answer one model request in all.
 func TestRouterSharesModelSnapshot(t *testing.T) {
 	leaktest.Check(t)
-	r, _ := startFleet(t, 2, DefaultTopologyOptions())
+	var fetches atomic.Int64
+	r := startEchoFleet(t, 2, 2, &fetches)
 	nodes := balancedNodes(t, r, 2)
 	for ni, node := range nodes {
 		ag := dialFront(t, r, node, cluster.CodecBinary)
@@ -541,31 +544,28 @@ func TestRouterSharesModelSnapshot(t *testing.T) {
 		}
 		ag.Close()
 	}
-	var model *core.HighRPM
+	if r.model == nil {
+		t.Fatal("the router holds no model")
+	}
+	// The agent keeps its model unexported; reflect reads the pointer.
+	want := reflect.ValueOf(r.model).Pointer()
 	agents := 0
 	for _, node := range nodes {
 		nr := r.routeFor(node)
 		nr.mu.Lock()
 		for _, rp := range nr.reps {
-			ag := rp.agent
-			if ag == nil {
-				continue
-			}
 			agents++
-			if c := ag.Counters(); c.ModelSyncs != 1 {
-				t.Fatalf("%s: ModelSyncs = %d, want its own fetch counted once", ag.NodeID(), c.ModelSyncs)
-			}
-			if model == nil {
-				model = ag.Model()
-			}
-			if ag.Model() != model {
-				t.Fatalf("%s holds a private decoded model", ag.NodeID())
+			if rp.agent == nil || reflect.ValueOf(rp.agent).Elem().FieldByName("model").Pointer() != want {
+				t.Errorf("%s: a per-node agent does not hold the router's model", node)
 			}
 		}
 		nr.mu.Unlock()
 	}
-	if agents != len(nodes) {
-		t.Fatalf("%d per-node agents, want %d", agents, len(nodes))
+	if agents != 2*len(nodes) {
+		t.Fatalf("%d per-node agents, want %d", agents, 2*len(nodes))
+	}
+	if got := fetches.Load(); got != 1 {
+		t.Fatalf("the shards answered %d model requests, want 1", got)
 	}
 }
 
@@ -857,7 +857,10 @@ func TestRouterQueryAllocs(t *testing.T) {
 // service's reply would look, appending into the connection's reply scratch:
 // with it behind a router, every allocation a request costs is the router's
 // or a connection's.
-type echoShard struct{ model []byte }
+type echoShard struct {
+	model   []byte
+	fetches *atomic.Int64 // model requests answered
+}
 
 func (echoShard) Hello(string) {}
 
@@ -886,7 +889,42 @@ func (echoShard) Query(cluster.QueryRequest, *cluster.SeriesWriter) error {
 
 func (echoShard) Stats() (cluster.Stats, error) { return cluster.Stats{}, nil }
 
-func (s echoShard) Model() ([]byte, error) { return s.model, nil }
+func (s echoShard) Model() ([]byte, error) {
+	s.fetches.Add(1)
+	return s.model, nil
+}
+
+// startEchoFleet is a router at the given replication in front of n echo
+// shards serving the shared model, which count the model requests they
+// answer in fetches.
+func startEchoFleet(t *testing.T, n, replication int, fetches *atomic.Int64) *Router {
+	t.Helper()
+	model, err := core.Marshal(sharedModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top Topology
+	for i := 0; i < n; i++ {
+		srv := cluster.NewServer("echo", echoShard{model, fetches}, cluster.DefaultServiceOptions(), t.Logf)
+		if err := srv.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		top.Shards = append(top.Shards, Shard{Name: fmt.Sprintf("echo-%d", i), Addr: srv.Addr()})
+	}
+	opts := DefaultTopologyOptions()
+	opts.Replication = replication
+	r, err := NewRouter(top, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Logf = t.Logf
+	if err := r.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
 
 // TestRouterIngestAllocs is the ingest path's allocation guard: at R = 2 a
 // 16-sample batch from a batching front-end agent, or a single sample,
@@ -899,30 +937,7 @@ func TestRouterIngestAllocs(t *testing.T) {
 		t.Skip("batch replies use pooled buffers, and sync.Pool drops items under -race")
 	}
 	leaktest.Check(t)
-	model, err := core.Marshal(sharedModel(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var top Topology
-	for i := 0; i < 2; i++ {
-		srv := cluster.NewServer("echo", echoShard{model}, cluster.DefaultServiceOptions(), t.Logf)
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		top.Shards = append(top.Shards, Shard{Name: fmt.Sprintf("echo-%d", i), Addr: srv.Addr()})
-	}
-	opts := DefaultTopologyOptions()
-	opts.Replication = 2
-	r, err := NewRouter(top, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Logf = t.Logf
-	if err := r.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r.Close() })
+	r := startEchoFleet(t, 2, 2, new(atomic.Int64))
 	ag := dialFront(t, r, "node-alloc", cluster.CodecBinary)
 	defer ag.Close()
 	ag.SetBatching(cluster.BatchOptions{MaxSamples: 16})
@@ -952,7 +967,7 @@ func TestRouterIngestAllocs(t *testing.T) {
 			t.Fatalf("sample reply: %+v err %v", est, err)
 		}
 	}
-	batch() // dial the per-replica agents and warm every scratch
+	batch() // build and dial the per-replica agents and warm every scratch
 	sample()
 	relayed := r.Stats().Relayed
 	if allocs := testing.AllocsPerRun(50, batch); allocs != 0 {

@@ -14,9 +14,9 @@ type ShardStatus struct {
 	// Up is the health bit routing reads: false drains the shard from the
 	// query path and marks its replicas for failover.
 	Up bool `json:"up"`
-	// NodeAgents is the number of pooled backend connections currently
-	// open to the shard: the per-node forwarding connections plus the
-	// shard's query connection while it is open.
+	// NodeAgents is the number of pooled backend connections to the
+	// shard: the per-node forwarding agents, connected or degraded, plus
+	// the shard's query connection while it is open.
 	NodeAgents int `json:"node_agents"`
 	// Degraded counts forwarding connections running in degraded mode
 	// (buffering samples for in-order replay).
@@ -83,7 +83,7 @@ func (r *Router) Stats() Stats {
 				continue
 			}
 			agents[idx]++
-			if ag.Mode() == cluster.ModeDegraded {
+			if ag.Degraded() {
 				degraded[idx]++
 			}
 			pending[idx] += ag.Pending()

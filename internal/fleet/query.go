@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -26,16 +25,6 @@ func (r *Router) answerQuery(q cluster.QueryRequest, w *cluster.SeriesWriter) er
 	return nil
 }
 
-// isRejection reports whether err carries a service's refusal: the link is
-// healthy, the request was not acceptable.
-func isRejection(err error) bool {
-	if err == nil {
-		return false
-	}
-	var se *cluster.ServiceError
-	return errors.As(err, &se)
-}
-
 // queryNode reads one node's series, walking its replicas until one
 // answers: healthy replicas first (degraded shards are drained from the
 // read path), primary order within each class. take receives the answering
@@ -48,7 +37,7 @@ func isRejection(err error) bool {
 // both and the walk covers the other replicas; -1 and nil walk them all.
 func (r *Router) queryNode(q cluster.QueryRequest, tried int, prior error, take func(*cluster.SeriesReply) error) error {
 	var firstRejection, firstErr error
-	if isRejection(prior) {
+	if cluster.IsRejection(prior) {
 		firstRejection = prior
 	} else {
 		firstErr = prior
@@ -64,7 +53,7 @@ func (r *Router) queryNode(q cluster.QueryRequest, tried int, prior error, take 
 		switch err := errs[0]; {
 		case err == nil:
 			return nil
-		case !isRejection(err):
+		case !cluster.IsRejection(err):
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -134,20 +123,24 @@ func (r *Router) readOrder(node string, buf []int) []int {
 }
 
 // onShard runs call on idx's pooled query connection under RequestTimeout,
-// dialing it on first use and again once a transport error dropped it
-// (behind the DialRetry gate only when that dial failed), and maintains the
-// shard's health bit. A rejection leaves the connection open; any other
-// error closes it.
+// dialing it on first use and again once a transport error dropped it, and
+// maintains the shard's health bit. A failed dial holds the next one back
+// for DialRetry, so a dead shard costs one attempt per DialRetry however
+// many reads arrive. A rejection leaves the connection open; any other error
+// closes it.
 func (r *Router) onShard(idx int, call func(*cluster.Agent) error) error {
 	st := r.shards[idx]
 	st.qmu.Lock()
 	defer st.qmu.Unlock()
 	if st.query == nil {
-		ag, err := dial(r, st, &st.nextDial, func(addr string) (*cluster.Agent, error) {
-			return cluster.DialTimeout(addr, "", r.opts.Agent.DialTimeout)
-		})
+		if time.Now().Before(st.nextDial) {
+			return fmt.Errorf("fleet: shard %s unreachable", st.shard.Name)
+		}
+		ag, err := cluster.DialTimeout(st.shard.Addr, "", r.opts.Agent.DialTimeout)
 		if err != nil {
-			return err
+			st.nextDial = time.Now().Add(r.opts.DialRetry)
+			st.up.Store(false)
+			return fmt.Errorf("fleet: dial shard %s: %w", st.shard.Name, err)
 		}
 		st.query = ag
 		st.hasQuery.Store(true)
@@ -156,7 +149,7 @@ func (r *Router) onShard(idx int, call func(*cluster.Agent) error) error {
 		st.query.SetDeadline(time.Now().Add(t))
 	}
 	err := call(st.query)
-	broken := err != nil && !isRejection(err)
+	broken := err != nil && !cluster.IsRejection(err)
 	if broken {
 		_ = st.query.Close()
 		st.query = nil

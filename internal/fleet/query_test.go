@@ -15,8 +15,8 @@ import (
 )
 
 // patientDialOptions are faultAgentOptions with room to dial: no test here
-// faults a dial, and the 300 ms the fault matrix allows for dial, Hello and
-// model fetch is not always enough under the race detector on a busy box.
+// faults a dial, and the 300 ms the fault matrix allows for dial and Hello
+// is not always enough under the race detector on a busy box.
 func patientDialOptions() cluster.AgentOptions {
 	o := faultAgentOptions()
 	o.DialTimeout = 5 * time.Second
@@ -219,7 +219,7 @@ func TestRouterIsNoShardNode(t *testing.T) {
 	r, backends := startFleet(t, 2, DefaultTopologyOptions())
 	qa := dialFront(t, r, "query-client", cluster.CodecBinary)
 	defer qa.Close()
-	if _, err := qa.Query(cluster.QueryRequest{NodeID: "nobody", Channel: "p_node", From: 0, To: 10, ResolutionS: 1}); err != nil && !isRejection(err) {
+	if _, err := qa.Query(cluster.QueryRequest{NodeID: "nobody", Channel: "p_node", From: 0, To: 10, ResolutionS: 1}); err != nil && !cluster.IsRejection(err) {
 		t.Fatal(err)
 	}
 	if _, err := qa.Stats(); err != nil {

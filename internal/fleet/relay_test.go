@@ -316,12 +316,8 @@ func dialForger(t *testing.T, addr, node, codec string) *forger {
 		f.raw = dialRawHello(t, addr, cluster.Hello{NodeID: node})
 		return f
 	}
-	ag, err := cluster.DialResilient(addr, node, cluster.DefaultAgentOptions(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ag.Close() })
-	f.ag = ag
+	f.ag = cluster.NewResilientAgent(addr, node, cluster.DefaultAgentOptions(), sharedModel(t))
+	t.Cleanup(func() { f.ag.Close() })
 	return f
 }
 

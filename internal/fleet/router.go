@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"highrpm/internal/cluster"
+	"highrpm/internal/core"
 	"highrpm/internal/obs"
 	"highrpm/internal/tsdb"
 )
@@ -35,10 +36,11 @@ type Router struct {
 	nmu    sync.Mutex
 	routes map[string]*nodeRoute
 
-	// models interns the model snapshots the per-node agents fetch: every
-	// shard serves the same model, so the hundred-odd ingest connections
-	// share one decoded copy instead of keeping one each.
-	models cluster.ModelCache
+	// mmu guards model, the one decoded model every per-node agent falls
+	// back to while its shard is out of reach. Every shard serves the same
+	// model, so it is fetched once, when the first agent is built.
+	mmu   sync.Mutex
+	model *core.HighRPM
 
 	routed      atomic.Int64
 	replicated  atomic.Int64
@@ -71,7 +73,7 @@ type shardState struct {
 
 	qmu      sync.Mutex
 	query    *cluster.Agent // lazily dialed, nil after a transport error; serves queries, stats, model
-	nextDial time.Time
+	nextDial time.Time      // earliest next dial after a failed one (DialRetry)
 	// hasQuery mirrors query != nil. It is written under qmu and read
 	// without it by Stats: qmu is held across whole round trips (a pipelined
 	// group of them), and a scrape must not wait out a request parked on a
@@ -100,12 +102,11 @@ type nodeRoute struct {
 	relayEsts []cluster.RelayedEstimate
 }
 
-// replica is one owner's slot in a nodeRoute: its pooled agent, the
-// earliest next dial, and the outcome of the request being forwarded. Each
-// replica's outcome is written only by the goroutine sending to it.
+// replica is one owner's slot in a nodeRoute: its pooled agent and the
+// outcome of the request being forwarded. Each replica's outcome is written
+// only by the goroutine sending to it.
 type replica struct {
-	agent    *cluster.ResilientAgent
-	nextDial time.Time
+	agent *cluster.ResilientAgent
 
 	ests []cluster.Estimate  // the reply, in buf
 	buf  *[]cluster.Estimate // the reply's buffer, held from replyBufs while forwarding
@@ -307,76 +308,72 @@ func (r *Router) routeFor(nodeID string) *nodeRoute {
 	return nr
 }
 
-// agentFor returns the pooled agent for owner i of nr, dialing on first
-// use and again DialRetry after each failed attempt. Nil means the shard
-// is unreachable and no model snapshot was ever fetched for this node —
-// there is nothing to degrade to. Callers hold nr.mu.
-func (r *Router) agentFor(nr *nodeRoute, i int, nodeID string) *cluster.ResilientAgent {
-	rp := &nr.reps[i]
-	if rp.agent == nil {
-		// The cause is dropped: replicate answers a slot without an agent
-		// with errShardUnreachable, whatever kept it from dialing.
-		rp.agent, _ = dial(r, r.shards[nr.owners[i]], &rp.nextDial, func(addr string) (*cluster.ResilientAgent, error) {
-			return cluster.DialResilient(addr, nodeID, r.opts.Agent, &r.models)
-		})
+// fallbackModel returns the router's one decoded model, fetching it from
+// the first reachable shard on first use. A failed fetch is not kept: the
+// next call asks again.
+func (r *Router) fallbackModel() (*core.HighRPM, error) {
+	r.mmu.Lock()
+	defer r.mmu.Unlock()
+	if r.model == nil {
+		data, err := r.fetchModel()
+		if err != nil {
+			return nil, err
+		}
+		if r.model, err = core.Unmarshal(data); err != nil {
+			return nil, fmt.Errorf("fleet: model snapshot: %w", err)
+		}
 	}
-	return rp.agent
+	return r.model, nil
 }
 
-// dial is the router's one gate for opening a pooled backend connection,
-// per-node and query alike: it runs open on st's address unless *next, the
-// earliest time the next attempt may run, is still ahead — so a dead shard
-// costs at most one attempt per DialRetry per connection slot — and sets
-// the shard's health bit from the outcome. Callers hold the lock that
-// guards *next.
-func dial[C any](r *Router, st *shardState, next *time.Time, open func(addr string) (C, error)) (C, error) {
-	var none C
-	if time.Now().Before(*next) {
-		return none, errShardUnreachable(st.shard.Name)
+// ensureAgents builds nr's missing per-node agents on the router's model.
+// Building one does no I/O: its first request dials the shard, and a shard
+// that is down is served from the model and buffered for replay like one
+// that goes down later. Callers hold nr.mu.
+func (r *Router) ensureAgents(nr *nodeRoute, nodeID string) error {
+	for i := range nr.reps {
+		rp := &nr.reps[i]
+		if rp.agent != nil {
+			continue
+		}
+		model, err := r.fallbackModel()
+		if err != nil {
+			return err
+		}
+		rp.agent = cluster.NewResilientAgent(r.shards[nr.owners[i]].shard.Addr, nodeID, r.opts.Agent, model)
 	}
-	c, err := open(st.shard.Addr)
-	if err != nil {
-		*next = time.Now().Add(r.opts.DialRetry)
-		st.up.Store(false)
-		return none, fmt.Errorf("fleet: dial shard %s: %w", st.shard.Name, err)
-	}
-	st.up.Store(true)
-	return c, nil
-}
-
-// errShardUnreachable marks a replica that could not even be dialed.
-func errShardUnreachable(name string) error {
-	return fmt.Errorf("fleet: shard %s unreachable", name)
+	return nil
 }
 
 // replicate is the router's one ingest fan-out: it delivers samples — a
 // front-end request, stripped of any estimate a peer attached — to the
 // node's primary shard and, with R > 1, to its followers (synchronous
-// replication), each on that replica's pooled agent. The caller holds
-// nr.mu, and the returned estimates are replica scratch: valid while it
-// does.
+// replication), each on that replica's pooled agent, built on first use
+// (ensureAgents: a router that cannot fetch its model fails the request).
+// The caller holds nr.mu, and the returned estimates are replica scratch:
+// valid while it does.
 //
 // With R > 1 the primary is asked first, on the calling goroutine. A live,
 // complete answer rides to the followers attached in place to the same
 // samples (the slice is the caller's to overwrite), measured ones
 // included, so each sample is inferred once and a follower only advances
-// its monitor state. Any other answer (a local-snapshot fallback, an
-// unreachable shard, a rejection) sends the followers the request plain:
+// its monitor state. Any other answer (a local-model fallback, a
+// rejection) sends the followers the request plain:
 // a batch the primary rejected at sample i is rejected by them at sample i
 // too, and every replica holds the same prefix. The followers run in
 // parallel with each other, the last one on the calling goroutine, so at
 // R = 2 the follower leg costs a round trip and no goroutine handoff.
 //
 // The primary's estimates are the reply; when the primary can only answer
-// from its local snapshot (its shard is down, the samples are buffered for
+// from its local model (its shard is down, the samples are buffered for
 // in-order replay), the first follower with a live service answer takes
 // over, so the front-end keeps receiving service-grade estimates through
 // single-shard outages.
 func (r *Router) replicate(nr *nodeRoute, nodeID string, samples []cluster.BatchSample) ([]cluster.Estimate, error) {
-	n := len(nr.reps)
-	for i := range nr.reps {
-		r.agentFor(nr, i, nodeID)
+	if err := r.ensureAgents(nr, nodeID); err != nil {
+		return nil, err
 	}
+	n := len(nr.reps)
 	r.deliver(nr, 0, samples)
 	primary := &nr.reps[0]
 	relaying := n > 1 && liveAnswer(primary.ests, primary.err, len(samples))
@@ -409,20 +406,15 @@ func (r *Router) replicate(nr *nodeRoute, nodeID string, samples []cluster.Batch
 }
 
 // deliver sends samples to replica i of nr in one SendSamples, answered
-// into a buffer from replyBufs, or records it unreachable when it has no
-// agent. It writes only that replica's slot.
+// into a buffer from replyBufs. It writes only that replica's slot.
 func (r *Router) deliver(nr *nodeRoute, i int, samples []cluster.BatchSample) {
 	rp := &nr.reps[i]
-	if rp.agent == nil {
-		rp.ests, rp.err = nil, errShardUnreachable(r.shards[nr.owners[i]].shard.Name)
-		return
-	}
 	rp.buf = replyBufs.Get().(*[]cluster.Estimate)
 	rp.ests, rp.err = rp.agent.SendSamples(samples, (*rp.buf)[:0])
 }
 
 // liveAnswer reports whether a replica answered all want samples from the
-// service itself, none from its agent's local snapshot.
+// service itself, none from its agent's local model.
 func liveAnswer(ests []cluster.Estimate, err error, want int) bool {
 	if err != nil || len(ests) != want {
 		return false
@@ -443,7 +435,7 @@ func liveAnswer(ests []cluster.Estimate, err error, want int) bool {
 //     request over a healthy link; followers rejected it identically),
 //  2. a live primary answer wins,
 //  3. otherwise the first live follower answer wins (failover),
-//  4. otherwise the primary's local-snapshot estimates are served (Local
+//  4. otherwise the primary's local-model estimates are served (Local
 //     travels to the front-end so callers can see the degradation),
 //  5. otherwise any replica's local estimates, and only when every replica
 //     failed outright does the caller get an error.
@@ -457,7 +449,7 @@ func (r *Router) settleIdx(nr *nodeRoute) (int, error) {
 		rp.live = false
 		switch {
 		case rp.err != nil:
-			r.shards[idx].up.Store(isRejection(rp.err))
+			r.shards[idx].up.Store(cluster.IsRejection(rp.err))
 		case len(rp.ests) > 0:
 			rp.live = !rp.ests[0].Local
 			r.shards[idx].up.Store(rp.live)
@@ -472,7 +464,7 @@ func (r *Router) settleIdx(nr *nodeRoute) (int, error) {
 			r.replicated.Add(1)
 		}
 	}
-	if isRejection(reps[0].err) {
+	if cluster.IsRejection(reps[0].err) {
 		return 0, reps[0].err
 	}
 	if reps[0].live {

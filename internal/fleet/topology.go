@@ -27,8 +27,9 @@ const (
 	// distribution within a few percent of even for small fleets, cheap
 	// enough that the ring stays a flat sorted slice.
 	virtualNodes = 64
-	// DefaultDialRetry spaces attempts to dial a shard the router has
-	// never reached (once connected, reconnects follow the agent backoff).
+	// DefaultDialRetry spaces the dials of a shard's query connection after
+	// a failed one. The per-node ingest agents redial on their own backoff
+	// (cluster.AgentOptions).
 	DefaultDialRetry = time.Second
 )
 
@@ -38,16 +39,17 @@ type TopologyOptions struct {
 	// stream (R): the ring owner plus R-1 clockwise followers. 0 and 1
 	// both mean no replication; values above the shard count are clamped.
 	Replication int
-	// Agent tunes the pooled backend connections (timeouts, backoff,
-	// degraded-mode buffering and replay). The zero value means
-	// cluster.DefaultAgentOptions.
+	// Agent tunes the pooled backend connections (timeouts, and the
+	// per-node agents' backoff, degraded-mode buffering and replay). The
+	// zero value means cluster.DefaultAgentOptions.
 	Agent cluster.AgentOptions
 	// FrontEnd hardens the router's own listener exactly like a service's
 	// (read/write deadlines, frame cap, connection cap). The zero value
 	// means cluster.DefaultServiceOptions.
 	FrontEnd cluster.ServiceOptions
-	// DialRetry is how long the router waits before re-attempting to dial
-	// a shard it has no connection to (0: DefaultDialRetry).
+	// DialRetry is how long the router waits after a failed dial of a
+	// shard's query connection — which carries reads, stats and the model
+	// fetch — before dialing it again (0: DefaultDialRetry).
 	DialRetry time.Duration
 }
 
